@@ -342,9 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a RunConfig JSON file")
         p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker cap (stages are sequential "
-                            "at desk scale; accepted for compatibility)")
         if name == "score":
             p.add_argument("--task-id", help="task to score against")
             p.add_argument("--candidate",

@@ -14,8 +14,6 @@ non-reset input bits when b <= 6, otherwise 256 seeded pseudorandom cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..seeds import mix
@@ -199,12 +197,6 @@ def is_exhaustive(vectors: Stimulus, reference: ModuleAst) -> bool:
 
 
 # --- equivalence -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EquivalenceResult:
-    fraction: float
-    is_equivalent: bool
-
 
 def equivalence_fraction(candidate: ModuleAst, reference: ModuleAst,
                          vectors: Stimulus) -> tuple[float, bool]:

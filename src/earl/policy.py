@@ -52,13 +52,6 @@ class PolicyParams:
                             self.version)
 
 
-@dataclass(frozen=True)
-class Context:
-    """Featurization context: last-k window (most recent first) + position."""
-    window: tuple[int, ...]
-    position: int
-
-
 @dataclass
 class Rollout:
     prompt_tokens: tuple[int, ...]
@@ -101,84 +94,40 @@ def position_bucket(position: int) -> int:
     return min(position // POSITION_BUCKET_SPAN, POSITION_BUCKETS - 1)
 
 
-def make_context(seq: tuple[int, ...], position: int, k: int,
-                 vocab: Vocab) -> Context:
-    pad = vocab.id(PAD)
-    window = tuple(seq[len(seq) - 1 - j] if j < len(seq) else pad
-                   for j in range(k))
-    return Context(window, position)
-
-
-def response_contexts(params: PolicyParams, prompt, response) -> list[Context]:
-    """Context of each response token: shared by sampling and re-scoring."""
-    seq = list(canonical_prompt(prompt, params.vocab))
-    out = []
-    for t, tok in enumerate(response):
-        out.append(make_context(tuple(seq), t, params.k, params.vocab))
-        seq.append(tok)
-    return out
-
-
-def _feature_indices(params: PolicyParams, ctx: Context) -> np.ndarray:
-    V = params.V
-    idx = np.empty(params.k + 1, dtype=np.int64)
-    idx[:params.k] = np.asarray(ctx.window, dtype=np.int64)
-    idx[:params.k] += np.arange(params.k, dtype=np.int64) * V
-    idx[params.k] = params.k * V + position_bucket(ctx.position)
-    return idx
-
-
-def _token_feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
-    """Feature-index rows [T, k+1] for each response token, built
-    incrementally; row t matches _feature_indices of the t-th context."""
+def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
+    """Feature-index rows [T, k+1], one per response token: the k tokens
+    before it in the canonical sequence (most recent first, PAD before the
+    start), each offset into its slot, then its position bucket. Shared by
+    sampling, re-scoring and SFT."""
     V, k = params.V, params.k
     pad = params.vocab.id(PAD)
-    seq = list(canonical_prompt(prompt, params.vocab))
-    slot_base = np.arange(k, dtype=np.int64) * V
-    window = np.full(k, pad, dtype=np.int64)
-    tail = seq[-k:][::-1]
-    window[:len(tail)] = tail
-    rows = np.empty((len(response), k + 1), dtype=np.int64)
-    for t, tok in enumerate(response):
-        rows[t, :k] = slot_base + window
-        rows[t, k] = k * V + position_bucket(t)
-        window[1:] = window[:-1]
-        window[0] = tok
+    T = len(response)
+    canon = canonical_prompt(prompt, params.vocab)
+    seq = np.array((pad,) * k + canon + tuple(response[:-1]), dtype=np.int64)
+    # seq offsets of tokens t-1, t-2, ..., t-k at t = 0
+    back = np.arange(len(canon) + k - 1, len(canon) - 1, -1)
+    rows = np.empty((T, k + 1), dtype=np.int64)
+    rows[:, :k] = seq[np.arange(T)[:, None] + back]
+    rows[:, :k] += np.arange(k, dtype=np.int64) * V
+    rows[:, k] = k * V + np.minimum(np.arange(T) // POSITION_BUCKET_SPAN,
+                                    POSITION_BUCKETS - 1)
     return rows
-
-
-def _initial_indices(params: PolicyParams, prompt) -> np.ndarray:
-    """Feature indices at response position 0; advanced token by token."""
-    seq = tuple(canonical_prompt(prompt, params.vocab))
-    return _feature_indices(params, make_context(seq, 0, params.k,
-                                                 params.vocab))
 
 
 def _advance_indices(params: PolicyParams, idx: np.ndarray, token: int,
                      position: int) -> None:
-    """Shift the last-k window by one emitted token, in place."""
+    """Shift a feature row by one emitted token, in place: the sampler's
+    stepper from row 0 of feature_rows."""
     V, k = params.V, params.k
     idx[1:k] = idx[:k - 1] + V
     idx[0] = token
     idx[k] = k * V + position_bucket(position)
 
 
-def logits_at(params: PolicyParams, ctx: Context) -> np.ndarray:
-    idx = _feature_indices(params, ctx)
-    return params.W[:, idx].sum(axis=1) + params.b
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-def next_token_distribution(params: PolicyParams, ctx: Context,
-                            temperature: float = 1.0) -> np.ndarray:
-    if temperature <= 0:
-        raise DomainError("temperature must be > 0")
-    return softmax(logits_at(params, ctx) / temperature)
 
 
 def token_entropy(p: np.ndarray) -> float:
@@ -198,7 +147,7 @@ def sample_rollout(params: PolicyParams, prompt, temperature: float,
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
     eos = params.vocab.id(EOS)
-    idx = _initial_indices(params, prompt)
+    idx = feature_rows(params, prompt, (eos,))[0]  # reads the prompt only
     tokens: list[int] = []
     logprobs: list[float] = []
     entropies: list[float] = []
@@ -220,7 +169,7 @@ def sample_rollout(params: PolicyParams, prompt, temperature: float,
 
 def greedy_decode(params: PolicyParams, prompt, max_len: int) -> list[int]:
     eos = params.vocab.id(EOS)
-    idx = _initial_indices(params, prompt)
+    idx = feature_rows(params, prompt, (eos,))[0]  # reads the prompt only
     tokens: list[int] = []
     for t in range(max_len):
         tok = int(np.argmax(params.W[:, idx].sum(axis=1) + params.b))
@@ -240,7 +189,7 @@ def response_distributions(params: PolicyParams, prompt, response,
     """
     if temperature <= 0:
         raise DomainError("temperature must be > 0")
-    rows = _token_feature_rows(params, prompt, response)
+    rows = feature_rows(params, prompt, response)
     z = params.W[:, rows].sum(axis=2).T + params.b[None, :]
     z /= temperature
     z -= z.max(axis=1, keepdims=True)
@@ -266,43 +215,6 @@ class GradAccumulator:
     @classmethod
     def zeros_like(cls, params: PolicyParams) -> "GradAccumulator":
         return cls(np.zeros_like(params.W), np.zeros_like(params.b))
-
-
-def accumulate_logprob_grad(params: PolicyParams, ctx: Context, token: int,
-                            coeff: float, acc: GradAccumulator,
-                            temperature: float = 1.0) -> GradAccumulator:
-    """acc += coeff * grad_theta log pi_theta(token | ctx).
-
-    Exact softmax gradient for the linear policy: (one-hot - p) outer phi,
-    scaled by 1/temperature.
-    """
-    if coeff == 0.0:
-        return acc
-    p = next_token_distribution(params, ctx, temperature)
-    g = -p
-    g[token] += 1.0
-    g *= coeff / temperature
-    idx = _feature_indices(params, ctx)
-    acc.dW[:, idx] += g[:, None]
-    acc.db += g
-    return acc
-
-
-def accumulate_kl_grad(params: PolicyParams, ctx: Context,
-                       ref_probs: np.ndarray, coeff: float,
-                       acc: GradAccumulator,
-                       temperature: float = 1.0) -> GradAccumulator:
-    """acc += coeff * grad_theta KL(pi_theta(.|ctx) || ref), exact over V."""
-    if coeff == 0.0:
-        return acc
-    p = next_token_distribution(params, ctx, temperature)
-    s = np.log(p) - np.log(ref_probs)
-    kl = float((p * s).sum())
-    g = p * (s - kl) * (coeff / temperature)
-    idx = _feature_indices(params, ctx)
-    acc.dW[:, idx] += g[:, None]
-    acc.db += g
-    return acc
 
 
 def apply_update(params: PolicyParams, acc: GradAccumulator,
@@ -337,45 +249,24 @@ def lr_at(step: int, schedule: SftSchedule, total_steps: int) -> float:
 
 
 def _sft_examples(params: PolicyParams, tasks):
-    """Flatten (context window, bucket, target) triples for all tasks."""
+    """Feature rows and target tokens of every reference response."""
     from .minirtl.lexer import tokenize  # local import to avoid cycle
-    vocab = params.vocab
-    eos = vocab.id(EOS)
-    ctx_rows, buckets, targets = [], [], []
+    eos = params.vocab.id(EOS)
+    rows, targets = [], []
     for task in tasks:
-        response = tokenize(task.reference_text, vocab) + [eos]
-        for ctx, tok in zip(response_contexts(params, task.prompt_tokens,
-                                              response), response):
-            ctx_rows.append(ctx.window)
-            buckets.append(position_bucket(ctx.position))
-            targets.append(tok)
-    return (np.array(ctx_rows, dtype=np.int64),
-            np.array(buckets, dtype=np.int64),
-            np.array(targets, dtype=np.int64))
+        response = tokenize(task.reference_text, params.vocab) + [eos]
+        rows.append(feature_rows(params, task.prompt_tokens, response))
+        targets += response
+    return np.concatenate(rows), np.array(targets, dtype=np.int64)
 
 
-def _batch_logits(params: PolicyParams, ctx: np.ndarray,
-                  buckets: np.ndarray) -> np.ndarray:
-    V = params.V
-    logits = params.b[None, :] + params.W[:, params.k * V + buckets].T
-    for j in range(params.k):
-        logits = logits + params.W[:, j * V + ctx[:, j]].T
-    return logits
-
-
-def _feature_matrix(params: PolicyParams, ctx: np.ndarray,
-                    buckets: np.ndarray):
-    """Sparse one-hot design matrix [n, F]; row i has k+1 ones."""
+def design_matrix(rows: np.ndarray, F: int):
+    """Sparse one-hot design matrix [n, F] of feature rows [n, k+1]."""
     from scipy import sparse
-    n, k = ctx.shape[0], params.k
-    V = params.V
-    cols = np.empty((n, k + 1), dtype=np.int64)
-    cols[:, :k] = ctx + np.arange(k, dtype=np.int64)[None, :] * V
-    cols[:, k] = k * V + buckets
-    indptr = np.arange(0, (n + 1) * (k + 1), k + 1, dtype=np.int64)
-    data = np.ones(n * (k + 1))
-    return sparse.csr_matrix((data, cols.ravel(), indptr),
-                             shape=(n, params.F))
+    n, width = rows.shape
+    indptr = np.arange(0, (n + 1) * width, width, dtype=np.int64)
+    return sparse.csr_matrix((np.ones(n * width), rows.ravel(), indptr),
+                             shape=(n, F))
 
 
 def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
@@ -388,8 +279,8 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
     tasks = list(tasks)
     if not tasks:
         raise DomainError("train_sft requires a nonempty corpus")
-    ctx, buckets, targets = _sft_examples(params, tasks)
-    X = _feature_matrix(params, ctx, buckets)
+    rows, targets = _sft_examples(params, tasks)
+    X = design_matrix(rows, params.F)
     n = len(targets)
     bs = min(schedule.batch_contexts, n)
     steps_per_epoch = (n + bs - 1) // bs
@@ -416,7 +307,10 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
         G[np.arange(m), btgt] -= 1.0
         G /= m
         lr = lr_at(step, schedule, total)
-        params.W -= lr * (Xb.T @ G).T
+        grad = Xb.T @ G
+        grad *= lr  # in place: one more W-sized temporary per step would be
+        # returned to the OS and faulted back in on every step
+        params.W -= grad.T
         params.b -= lr * G.sum(axis=0)
         params.version += 1
     return params, loss_log
@@ -455,7 +349,12 @@ def load_checkpoint(path, vocab: Vocab = DEFAULT_VOCAB) -> PolicyParams:
             raise DomainError("checkpoint vocab hash does not match")
         V, k = meta["V"], meta["k"]
         F = k * V + POSITION_BUCKETS
-        b = np.frombuffer(f.read(8 * V), dtype=np.float64).copy()
-        W = np.frombuffer(f.read(8 * V * F),
-                          dtype=np.float64).reshape(V, F).copy()
+        size = 8 * V * (1 + F)  # b, then W
+        payload = f.read(size)
+    if len(payload) < size:
+        raise DomainError(f"checkpoint payload truncated: {len(payload)} of "
+                          f"{size} bytes")
+    b = np.frombuffer(payload, dtype=np.float64, count=V).copy()
+    W = np.frombuffer(payload, dtype=np.float64,
+                      offset=8 * V).reshape(V, F).copy()
     return PolicyParams(vocab, k, W, b, meta["version_counter"])

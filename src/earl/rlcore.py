@@ -267,10 +267,10 @@ def prepare_batch(groups, config: RlConfig) -> PreparedBatch:
 
 
 def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
-                    pi_old: pol.PolicyParams, pi_ref: pol.PolicyParams,
-                    config: RlConfig) -> float:
+                    pi_ref: pol.PolicyParams, config: RlConfig) -> float:
     """Scalar objective consistent with the assembled gradient: token-level
-    normalized gated surrogate minus beta times per-token KL to pi_ref."""
+    normalized gated surrogate minus beta times per-token KL to pi_ref. The
+    ratio's denominator is each rollout's sampling-time log-probs."""
     if batch.token_total == 0:
         return 0.0
     eps_low, eps_high = config.resolved_eps()
@@ -280,8 +280,7 @@ def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
         for i, rollout in enumerate(pg.group.rollouts):
             prompt, resp = rollout.prompt_tokens, rollout.response_tokens
             new_lp = pol.sequence_logprobs(pi_new, prompt, resp, T)
-            old_lp = pol.sequence_logprobs(pi_old, prompt, resp, T)
-            r = np.exp(new_lp - old_lp)
+            r = np.exp(new_lp - rollout.logprobs)
             adv = pg.advantages[i]
             surr = np.minimum(r * adv,
                               np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
@@ -297,11 +296,10 @@ def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
 
 
 def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
-                      pi_old: pol.PolicyParams, pi_ref: pol.PolicyParams,
-                      config: RlConfig
+                      pi_ref: pol.PolicyParams, config: RlConfig
                       ) -> tuple[pol.GradAccumulator, CoeffDiagnostics, float]:
-    """Gradient of the objective in pi_new, summed in (group, rollout, token)
-    order. Returns (accumulator, diagnostics, mean per-token KL)."""
+    """Gradient of objective_value in pi_new, summed in (group, rollout,
+    token) order. Returns (accumulator, diagnostics, mean per-token KL)."""
     acc = pol.GradAccumulator.zeros_like(pi_new)
     diag = CoeffDiagnostics()
     eps_low, eps_high = config.resolved_eps()
@@ -317,8 +315,8 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
             toks = np.asarray(resp, dtype=np.int64)
             ar = np.arange(len(toks))
             new_lp = np.log(p_new[ar, toks])
-            old_lp = pol.sequence_logprobs(pi_old, prompt, resp, T)
-            coeffs = per_token_coefficients(new_lp, old_lp, pg.advantages[i],
+            coeffs = per_token_coefficients(new_lp, rollout.logprobs,
+                                            pg.advantages[i],
                                             pg.gates[i], eps_low, eps_high,
                                             batch.token_total, diag)
             # d/dz of coeff * log p(tok): (one-hot - p) * coeff / T
@@ -337,13 +335,8 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
             row_chunks.append(rows)
             grad_chunks.append(G)
     if row_chunks:
-        from scipy import sparse
-        rows = np.concatenate(row_chunks)
+        X = pol.design_matrix(np.concatenate(row_chunks), pi_new.F)
         Gall = np.concatenate(grad_chunks)
-        n, width = rows.shape
-        indptr = np.arange(0, (n + 1) * width, width, dtype=np.int64)
-        X = sparse.csr_matrix((np.ones(n * width), rows.ravel(), indptr),
-                              shape=(n, pi_new.F))
         acc.dW += (X.T @ Gall).T
         acc.db += Gall.sum(axis=0)
     mean_kl = kl_sum / kl_count if kl_count else 0.0
@@ -351,10 +344,6 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
 
 
 # --- training loop -----------------------------------------------------------
-
-class NoTrainableGroups(Exception):
-    """An entire step yielded zero retained groups after max attempts."""
-
 
 def sample_group(params: pol.PolicyParams, task, config: RlConfig,
                  rng_parts: tuple,
@@ -403,11 +392,12 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
              ) -> tuple[pol.PolicyParams, list[StepMetrics]]:
     """Entropy-aware RL from an SFT initialization.
 
-    Per step: snapshot pi_old, sample a prompt batch with G rollouts each,
-    score, keep mixed groups (resampling fresh prompts up to
-    max_resample_attempts to refill), compute advantages/gates/coefficients,
-    ascend the objective, and log one metrics row. pi_ref is frozen to the
-    incoming params unless supplied.
+    Per step: sample a prompt batch with G rollouts each from params, which
+    stay fixed until the step's update, so the rollouts' stored log-probs
+    are the old policy's; score, keep mixed groups (resampling fresh prompts
+    up to max_resample_attempts to refill), compute advantages/gates/
+    coefficients, ascend the objective, and log one metrics row. pi_ref is
+    frozen to the incoming params unless supplied.
     """
     config.validate()
     tasks = list(train_tasks)
@@ -417,7 +407,6 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
         pi_ref = params.copy()
     metrics: list[StepMetrics] = []
     for step in range(config.steps):
-        pi_old = params.copy()
         groups: list[Group] = []
         retained: list[Group] = []
         attempt = 0
@@ -428,7 +417,7 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
                               replace=False)
             for pi_idx in idx:
                 task = tasks[int(pi_idx)]
-                g = sample_group(pi_old, task, config,
+                g = sample_group(params, task, config,
                                  (config.seed, "rl-rollout", step, attempt,
                                   int(pi_idx)), schedule)
                 groups.append(g)
@@ -446,12 +435,12 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
 
         batch = prepare_batch(retained, config)
         if batch.groups and batch.token_total > 0:
-            acc, diag, mean_kl = assemble_gradient(batch, params, pi_old,
-                                                   pi_ref, config)
+            acc, diag, mean_kl = assemble_gradient(batch, params, pi_ref,
+                                                   config)
             pol.apply_update(params, acc, config.learning_rate)
             clip_rate, gated = diag.clip_rate, diag.gated_fraction
         else:
-            # NoTrainableGroups: skip the update, log the empty step.
+            # No trainable group: skip the update, log the empty step.
             clip_rate, gated, mean_kl = 0.0, 0.0, 0.0
         metrics.append(StepMetrics(
             step=step,

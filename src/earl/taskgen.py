@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EarlError
+from .errors import ConfigError, DomainError, EarlError
 from .minirtl import (Binary, Const, Index, ModuleAst, Stimulus, Ternary,
                       Unary, Var, build_vectors, equivalence_fraction, parse,
                       simulate, tokenize)
@@ -391,18 +391,16 @@ def save_corpus(corpus: Corpus, path) -> None:
 def load_corpus(path) -> Corpus:
     records = json.loads(Path(path).read_text())
     tasks = []
-    for r in records:
-        reference = parse(tokenize(r["reference_text"]))
-        vectors = Stimulus(tuple(r["vectors"]["cycles"]),
-                           r["vectors"]["reset_prefix"])
-        tasks.append(Task(
-            id=r["id"],
-            prompt_tokens=tuple(r["prompt_tokens"]),
-            reference_text=r["reference_text"],
-            reference=reference,
-            vectors=vectors,
-            kind=r["kind"],
-            difficulty=r["difficulty"],
-            split=r["split"],
-        ))
+    for i, r in enumerate(records):
+        try:
+            fields = dict(id=r["id"], prompt_tokens=tuple(r["prompt_tokens"]),
+                          reference_text=r["reference_text"], kind=r["kind"],
+                          difficulty=r["difficulty"], split=r["split"])
+            vectors = Stimulus(tuple(r["vectors"]["cycles"]),
+                               r["vectors"]["reset_prefix"])
+        except KeyError as e:
+            raise DomainError(f"corpus record {i}: missing key {e.args[0]!r}"
+                              ) from None
+        reference = parse(tokenize(fields["reference_text"]))
+        tasks.append(Task(reference=reference, vectors=vectors, **fields))
     return Corpus(tuple(tasks))

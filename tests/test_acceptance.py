@@ -32,7 +32,9 @@ def _small_vocab(V):
 
 
 def _random_instance(rng, vocab, k, G):
-    """Synthetic prepared batch: random params, rollouts, rewards."""
+    """Synthetic prepared batch: random params, rollouts, rewards, and a
+    temperature; each rollout stores its log-probs under a separate pi_old
+    at that temperature."""
     params = pol.init_params(vocab, k, int(rng.integers(1 << 30)))
     params.W += rng.normal(0, 0.2, params.W.shape)
     params.b += rng.normal(0, 0.2, params.b.shape)
@@ -41,7 +43,8 @@ def _random_instance(rng, vocab, k, G):
     pi_ref = pol.init_params(vocab, k, int(rng.integers(1 << 30)))
     pi_ref.W += rng.normal(0, 0.2, pi_ref.W.shape)
     prompt = (vocab.id("BOS"),)
-    cfg = rl.RlConfig(group_size=G, variant="earl",
+    T = float(rng.choice([1.0, 0.7]))
+    cfg = rl.RlConfig(group_size=G, variant="earl", temperature=T,
                       rho=float(rng.choice([0.0, 0.5, 0.8])),
                       beta=float(rng.choice([0.0, 0.01, 0.1])),
                       gated_kl=bool(rng.integers(2)))
@@ -51,13 +54,13 @@ def _random_instance(rng, vocab, k, G):
         for g in range(G):
             n = int(rng.integers(1, 13))  # rollout length <= 12
             toks = tuple(int(t) for t in rng.integers(0, vocab.size, n))
-            lp = pol.sequence_logprobs(pi_old, prompt, toks)
+            lp = pol.sequence_logprobs(pi_old, prompt, toks, T)
             ent = rng.uniform(0, 2, n)
-            rollouts.append(pol.Rollout(prompt, toks, lp, ent, 1.0, False))
+            rollouts.append(pol.Rollout(prompt, toks, lp, ent, T, False))
         rewards = rng.uniform(0, 1, G)
         groups.append(rl.Group(None, rollouts, [], rewards))
     batch = rl.prepare_batch(groups, cfg)
-    return params, pi_old, pi_ref, cfg, batch
+    return params, pi_ref, cfg, batch
 
 
 def test_criterion_1_gradient_matches_finite_differences():
@@ -70,11 +73,10 @@ def test_criterion_1_gradient_matches_finite_differences():
         k = int(rng.integers(1, 4))        # k <= 3
         G = int(rng.choice([2, 3]))
         vocab = _small_vocab(V)
-        params, pi_old, pi_ref, cfg, batch = _random_instance(rng, vocab,
-                                                              k, G)
+        params, pi_ref, cfg, batch = _random_instance(rng, vocab, k, G)
         if not batch.groups:
             continue
-        acc, _, _ = rl.assemble_gradient(batch, params, pi_old, pi_ref, cfg)
+        acc, _, _ = rl.assemble_gradient(batch, params, pi_ref, cfg)
         h = 1e-5
         for _ in range(12):
             i = int(rng.integers(params.W.shape[0]))
@@ -82,9 +84,8 @@ def test_criterion_1_gradient_matches_finite_differences():
             pp, pm = params.copy(), params.copy()
             pp.W[i, j] += h
             pm.W[i, j] -= h
-            fd = (rl.objective_value(batch, pp, pi_old, pi_ref, cfg)
-                  - rl.objective_value(batch, pm, pi_old, pi_ref, cfg)) \
-                / (2 * h)
+            fd = (rl.objective_value(batch, pp, pi_ref, cfg)
+                  - rl.objective_value(batch, pm, pi_ref, cfg)) / (2 * h)
             denom = max(1e-8, abs(fd), abs(acc.dW[i, j]))
             relerr = abs(fd - acc.dW[i, j]) / denom
             worst = max(worst, relerr)

@@ -118,6 +118,35 @@ def test_missing_artifact_is_runtime_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:runtime:")
 
 
+@pytest.mark.parametrize("corrupt", ["garbage", "truncated"])
+def test_corrupt_checkpoint_is_validation_error(tmp_path, capsys, corrupt):
+    path, _ = mini_config(tmp_path)
+    for sub in ("gen-data", "sft"):
+        assert run([sub, "--config", path]) == 0
+    ckpt = tmp_path / "run" / "sft.ckpt"
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(b"not a checkpoint" if corrupt == "garbage"
+                     else data[:-100])
+    capsys.readouterr()
+    assert run(["eval", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+
+
+def test_corpus_record_missing_key_is_validation_error(tmp_path, capsys):
+    path, _ = mini_config(tmp_path)
+    assert run(["gen-data", "--config", path]) == 0
+    corpus = tmp_path / "run" / "corpus.json"
+    records = json.loads(corpus.read_text())
+    del records[3]["kind"]
+    corpus.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert run(["sft", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+    assert "record 3" in err and "'kind'" in err
+
+
 def test_seed_and_out_overrides(tmp_path):
     path, _ = mini_config(tmp_path)
     alt = tmp_path / "alt"

@@ -1,4 +1,4 @@
-"""Policy: softmax/entropy math, sampling, exact gradients, SFT, checkpoints.
+"""Policy: softmax/entropy math, featurization, sampling, SFT, checkpoints.
 
 Numeric oracle values are frozen from independent hand evaluation:
 entropy([2/3, 1/3]) = ln 3 - (2/3) ln 2 = 0.6365141682948128.
@@ -27,8 +27,12 @@ def small_params(k=2, seed=0, scale=0.0):
     return p
 
 
-def any_context(k=2):
-    return pol.Context(tuple([DEFAULT_VOCAB.id("a")] * k), 0)
+def first_distribution(p, temperature=1.0):
+    """Next-token distribution at response position 0 after a prompt of k
+    non-BOS tokens, which canonical_prompt leaves unpadded."""
+    prompt = (DEFAULT_VOCAB.id("a"),) * p.k
+    _, probs = pol.response_distributions(p, prompt, (0,), temperature)
+    return probs[0]
 
 
 def test_init_deterministic():
@@ -43,7 +47,7 @@ def test_init_rejects_k_zero():
 
 def test_fresh_params_near_uniform():
     p = small_params()
-    dist = pol.next_token_distribution(p, any_context())
+    dist = first_distribution(p)
     assert abs(dist.sum() - 1.0) < 1e-12
     assert np.all(np.abs(dist - 1.0 / V) < 0.01 / V * V)  # within 1% relative
     assert abs(pol.token_entropy(dist) - math.log(V)) < 1e-3
@@ -73,12 +77,12 @@ def test_entropy_two_thirds_one_third():
 
 def test_temperature_zero_rejected():
     with pytest.raises(DomainError):
-        pol.next_token_distribution(small_params(), any_context(), 0.0)
+        first_distribution(small_params(), 0.0)
 
 
 def test_large_temperature_flattens():
     p = small_params(scale=0.5)
-    dist = pol.next_token_distribution(p, any_context(), 1e6)
+    dist = first_distribution(p, 1e6)
     assert dist.max() - dist.min() < 1e-4
 
 
@@ -96,19 +100,14 @@ def test_temperature_monotonicity(logits, t1, factor):
 def test_sampling_monte_carlo_frequencies():
     # collapse to a 2-way decision: huge logits on two tokens
     p = small_params()
-    ctx = any_context()
-    idx = pol._feature_indices(p, ctx)
-    p.b[:] = -1e9
-    p.b[0] = math.log(0.7) + 1e9 * 0  # direct logit construction below
-    p.b[:] = 0.0
     p.W[:, :] = 0.0
     p.b[:] = -30.0
     p.b[0], p.b[1] = math.log(0.7), math.log(0.3)
+    dist = first_distribution(p)
     rng = rng_for("mc", 0)
     counts = np.zeros(2)
     n = 10_000
     for _ in range(n):
-        dist = pol.next_token_distribution(p, ctx)
         counts[int(rng.choice(V, p=dist))] += 1
     assert abs(counts[0] / n - 0.7) < 0.02
     assert abs(counts[1] / n - 0.3) < 0.02
@@ -137,6 +136,20 @@ def test_sequence_logprobs_match_sampling_time():
     assert np.all(lp <= 0)
 
 
+def test_feature_rows_window_slots_and_buckets():
+    p = small_params(k=3)
+    pad = DEFAULT_VOCAB.id("PAD")
+    x, y = DEFAULT_VOCAB.id("a"), DEFAULT_VOCAB.id("b")  # no BOS: unpadded
+    resp = (7, 8, 9, 10, 11, 12)
+    rows = pol.feature_rows(p, (x, y), resp)
+    slots = np.arange(3) * V
+    assert rows.shape == (6, 4)
+    assert rows[0].tolist() == (slots + [y, x, pad]).tolist() + [3 * V]
+    assert rows[1].tolist() == (slots + [7, y, x]).tolist() + [3 * V]
+    assert rows[5].tolist() == (slots + [11, 10, 9]).tolist() + [3 * V + 1]
+    assert pol.feature_rows(p, (x, y), ()).shape == (0, 4)
+
+
 def test_ratio_one_for_unchanged_params():
     p = small_params(k=2, scale=0.2)
     prompt = (DEFAULT_VOCAB.id("BOS"),)
@@ -144,80 +157,6 @@ def test_ratio_one_for_unchanged_params():
     a = pol.sequence_logprobs(p, prompt, r.response_tokens)
     b = pol.sequence_logprobs(p.copy(), prompt, r.response_tokens)
     assert np.allclose(np.exp(a - b), 1.0, atol=1e-12)
-
-
-# --- gradients ----------------------------------------------------------------
-
-def _logprob_value(p, ctx, token, T):
-    return float(np.log(pol.next_token_distribution(p, ctx, T))[token])
-
-
-def _kl_value(p, ctx, ref, T):
-    q = pol.next_token_distribution(p, ctx, T)
-    return float((q * (np.log(q) - np.log(ref))).sum())
-
-
-@pytest.mark.parametrize("T", [1.0, 0.7])
-def test_logprob_grad_matches_finite_differences(T):
-    p = small_params(k=2, scale=0.3)
-    ctx = any_context()
-    token = DEFAULT_VOCAB.id("assign")
-    acc = pol.GradAccumulator.zeros_like(p)
-    pol.accumulate_logprob_grad(p, ctx, token, 2.5, acc, T)
-    h = 1e-5
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        i, j = rng.integers(p.W.shape[0]), rng.integers(p.W.shape[1])
-        pp, pm = p.copy(), p.copy()
-        pp.W[i, j] += h
-        pm.W[i, j] -= h
-        fd = 2.5 * (_logprob_value(pp, ctx, token, T)
-                    - _logprob_value(pm, ctx, token, T)) / (2 * h)
-        denom = max(1e-8, abs(fd), abs(acc.dW[i, j]))
-        assert abs(fd - acc.dW[i, j]) / denom < 1e-4
-
-
-def test_logprob_grad_zero_coeff_and_certain_token():
-    p = small_params()
-    ctx = any_context()
-    acc = pol.GradAccumulator.zeros_like(p)
-    pol.accumulate_logprob_grad(p, ctx, 3, 0.0, acc)
-    assert not acc.dW.any() and not acc.db.any()
-    # token with probability ~1: gradient ~ 0
-    p.W[:, :] = 0.0
-    p.b[:] = -200.0
-    p.b[3] = 200.0
-    pol.accumulate_logprob_grad(p, ctx, 3, 1.0, acc)
-    assert np.abs(acc.dW).max() < 1e-12 and np.abs(acc.db).max() < 1e-12
-
-
-def test_kl_grad_zero_at_reference():
-    p = small_params(k=2, scale=0.2)
-    ctx = any_context()
-    ref = pol.next_token_distribution(p, ctx, 1.0)
-    acc = pol.GradAccumulator.zeros_like(p)
-    pol.accumulate_kl_grad(p, ctx, ref, 1.0, acc, 1.0)
-    assert np.abs(acc.dW).max() < 1e-10 and np.abs(acc.db).max() < 1e-10
-
-
-def test_kl_grad_matches_finite_differences():
-    p = small_params(k=2, scale=0.3)
-    pref = small_params(k=2, seed=9, scale=0.3)
-    ctx = any_context()
-    ref = pol.next_token_distribution(pref, ctx, 1.0)
-    acc = pol.GradAccumulator.zeros_like(p)
-    pol.accumulate_kl_grad(p, ctx, ref, -0.7, acc, 1.0)
-    h = 1e-5
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        i, j = rng.integers(p.W.shape[0]), rng.integers(p.W.shape[1])
-        pp, pm = p.copy(), p.copy()
-        pp.W[i, j] += h
-        pm.W[i, j] -= h
-        fd = -0.7 * (_kl_value(pp, ctx, ref, 1.0)
-                     - _kl_value(pm, ctx, ref, 1.0)) / (2 * h)
-        denom = max(1e-8, abs(fd), abs(acc.dW[i, j]))
-        assert abs(fd - acc.dW[i, j]) / denom < 1e-4
 
 
 # --- SFT ----------------------------------------------------------------------

@@ -222,6 +222,19 @@ def test_train_rl_deterministic():
     assert rl.metrics_to_csv(m1) == rl.metrics_to_csv(m2)
 
 
+def test_sample_group_stores_exact_logprobs():
+    # assemble_gradient takes each rollout's stored log-probs as pi_old's
+    tasks, params = _tiny_setup()
+    for T in (1.0, 0.7):
+        cfg = rl.RlConfig(group_size=4, max_response_len=48, temperature=T)
+        for j, task in enumerate(tasks[:3]):
+            g = rl.sample_group(params, task, cfg, (3, "stored-lp", j))
+            for r in g.rollouts:
+                lp = pol.sequence_logprobs(params, r.prompt_tokens,
+                                           r.response_tokens, T)
+                assert np.array_equal(lp, r.logprobs)
+
+
 def test_train_rl_requires_tasks():
     _, params = _tiny_setup()
     with pytest.raises(ConfigError):
