@@ -314,8 +314,10 @@ def cmd_ablate(cfg: RunConfig, args) -> None:
                             n=cfg.eval.n, schedule=cfg.reward)
     path = _out_dir(cfg) / "ablation.csv"
     path.write_text(an.ablation_to_csv(rows))
-    failed = sum(1 for r in rows if r.failed)
-    print(f"wrote {path} ({len(rows)} rows, {failed} failed)")
+    failed = [r for r in rows if r.failed]
+    print(f"wrote {path} ({len(rows)} rows, {len(failed)} failed)")
+    for r in failed:
+        print(f"  rho {r.rho!r} failed: {r.error}")
 
 
 _COMMANDS = {

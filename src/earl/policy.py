@@ -114,14 +114,15 @@ def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
     return rows
 
 
-def _advance_indices(params: PolicyParams, idx: np.ndarray, token: int,
+def _advance_indices(params: PolicyParams, idx: np.ndarray, token,
                      position: int) -> None:
-    """Shift a feature row by one emitted token, in place: the sampler's
-    stepper from row 0 of feature_rows."""
+    """Shift feature rows (one [k+1] row, or a [B, k+1] batch with one token
+    per row) by one emitted token, in place: the decoders' stepper from row 0
+    of feature_rows."""
     V, k = params.V, params.k
-    idx[1:k] = idx[:k - 1] + V
-    idx[0] = token
-    idx[k] = k * V + position_bucket(position)
+    idx[..., 1:k] = idx[..., :k - 1] + V
+    idx[..., 0] = token
+    idx[..., k] = k * V + position_bucket(position)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -139,32 +140,78 @@ def token_entropy(p: np.ndarray) -> float:
 
 # --- sampling and scoring ----------------------------------------------------
 
-def sample_rollout(params: PolicyParams, prompt, temperature: float,
-                   max_len: int, rng: np.random.Generator) -> Rollout:
-    """Sample until EOS or max_len; records sampling-time logprob and entropy."""
+def sample_rollouts(params: PolicyParams, prompts, temperature: float,
+                    max_len: int, rngs) -> list[Rollout]:
+    """Sample one rollout per (prompt, rng) until EOS or max_len, all
+    advancing together one token position at a time; records sampling-time
+    logprobs and entropies.
+
+    Each rollout draws from its own generator exactly as
+    ``rng.choice(V, p=softmax(z / temperature))`` would (cumsum, one
+    ``random()``, a right-sided search), so its tokens and bytes do not
+    depend on the batch it is sampled in.
+    """
     if temperature <= 0:
         raise DomainError("temperature must be > 0")
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    eos = params.vocab.id(EOS)
-    idx = feature_rows(params, prompt, (eos,))[0]  # reads the prompt only
-    tokens: list[int] = []
-    logprobs: list[float] = []
-    entropies: list[float] = []
-    truncated = True
+    prompts, rngs = [tuple(p) for p in prompts], list(rngs)
+    if len(prompts) != len(rngs):
+        raise DomainError("sample_rollouts needs one generator per prompt")
+    n, eos = len(prompts), params.vocab.id(EOS)
+    tokens = np.zeros((n, max_len), dtype=np.int64)
+    logprobs = np.zeros((n, max_len))
+    entropies = np.zeros((n, max_len))
+    lengths = np.full(n, max_len)
+    active = np.arange(n)  # batch rows still sampling
+    # rows 0 of feature_rows read the prompt only
+    idx = np.array([feature_rows(params, p, (eos,))[0] for p in prompts],
+                   dtype=np.int64).reshape(n, params.k + 1)
     for t in range(max_len):
-        z = params.W[:, idx].sum(axis=1) + params.b
-        p = softmax(z / temperature)
-        tok = int(rng.choice(params.V, p=p))
-        tokens.append(tok)
-        logprobs.append(float(np.log(p[tok])))
-        entropies.append(token_entropy(p))
-        _advance_indices(params, idx, tok, t + 1)
-        if tok == eos:
-            truncated = False
+        if not active.size:
             break
-    return Rollout(tuple(prompt), tuple(tokens), np.array(logprobs),
-                   np.array(entropies), temperature, truncated)
+        # [V, A]; sums each column's k+1 weights in the order a single
+        # row's W[:, idx].sum(axis=1) does
+        z = params.W[:, idx].sum(axis=2)
+        z += params.b[:, None]
+        # C-contiguous [A, V], so row sums below add in the order softmax()
+        # and token_entropy() sum one vector
+        z = np.ascontiguousarray(z.T)
+        z /= temperature
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+        if not np.isfinite(p).all():
+            raise DomainError("next-token probabilities are not finite")
+        cdf = np.cumsum(p, axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rngs[i].random() for i in active])
+        # rows of cdf are non-decreasing, so this count is
+        # searchsorted(row, u, side="right")
+        tok = (cdf <= u[:, None]).sum(axis=1)
+        rows = np.arange(active.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.log(p)
+            h = -(p * logp).sum(axis=1)
+        for j in np.flatnonzero(np.isnan(h)):  # a probability underflowed
+            h[j] = token_entropy(p[j])
+        tokens[active, t] = tok
+        logprobs[active, t] = logp[rows, tok]
+        entropies[active, t] = h
+        _advance_indices(params, idx, tok, t + 1)
+        going = tok != eos
+        lengths[active[~going]] = t + 1
+        active, idx = active[going], idx[going]
+    return [Rollout(prompts[i], tuple(tokens[i, :L].tolist()),
+                    logprobs[i, :L].copy(), entropies[i, :L].copy(),
+                    temperature, bool(tokens[i, L - 1] != eos))
+            for i, L in enumerate(lengths.tolist())]
+
+
+def sample_rollout(params: PolicyParams, prompt, temperature: float,
+                   max_len: int, rng: np.random.Generator) -> Rollout:
+    """One rollout through sample_rollouts."""
+    return sample_rollouts(params, [prompt], temperature, max_len, [rng])[0]
 
 
 def greedy_decode(params: PolicyParams, prompt, max_len: int) -> list[int]:

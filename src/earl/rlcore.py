@@ -345,20 +345,33 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
 
 # --- training loop -----------------------------------------------------------
 
+def sample_groups(params: pol.PolicyParams, tasks, config: RlConfig,
+                  rng_parts,
+                  schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
+                  ) -> list[Group]:
+    """G rollouts per task, all sampled in one batch, then scored. Rollout g
+    of task i draws from rng_for(*rng_parts[i], g)."""
+    tasks, G = list(tasks), config.group_size
+    rollouts = pol.sample_rollouts(
+        params, [t.prompt_tokens for t in tasks for _ in range(G)],
+        config.temperature, config.max_response_len,
+        [rng_for(*parts, g) for parts in rng_parts for g in range(G)])
+    groups = []
+    for i, task in enumerate(tasks):
+        rs = rollouts[i * G:(i + 1) * G]
+        breakdowns = [rew.score(r.response_tokens, task, schedule,
+                                params.vocab, truncated=r.truncated)
+                      for r in rs]
+        groups.append(Group(task, rs, breakdowns,
+                            np.array([bd.reward for bd in breakdowns])))
+    return groups
+
+
 def sample_group(params: pol.PolicyParams, task, config: RlConfig,
                  rng_parts: tuple,
                  schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE) -> Group:
-    rollouts, breakdowns, rewards = [], [], []
-    for g in range(config.group_size):
-        rng = rng_for(*rng_parts, g)
-        r = pol.sample_rollout(params, task.prompt_tokens, config.temperature,
-                               config.max_response_len, rng)
-        bd = rew.score(r.response_tokens, task, schedule,
-                       params.vocab, truncated=r.truncated)
-        rollouts.append(r)
-        breakdowns.append(bd)
-        rewards.append(bd.reward)
-    return Group(task, rollouts, breakdowns, np.array(rewards))
+    """One task's group through sample_groups."""
+    return sample_groups(params, [task], config, [rng_parts], schedule)[0]
 
 
 @dataclass
@@ -415,12 +428,10 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
             idx = prng.choice(len(tasks),
                               size=min(config.batch_prompts, len(tasks)),
                               replace=False)
-            for pi_idx in idx:
-                task = tasks[int(pi_idx)]
-                g = sample_group(params, task, config,
-                                 (config.seed, "rl-rollout", step, attempt,
-                                  int(pi_idx)), schedule)
-                groups.append(g)
+            groups += sample_groups(
+                params, [tasks[int(i)] for i in idx], config,
+                [(config.seed, "rl-rollout", step, attempt, int(i))
+                 for i in idx], schedule)
             retained = filter_groups(groups)
             if len(retained) >= config.batch_prompts:
                 break

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, EarlError
-from .minirtl import (Binary, Const, Index, ModuleAst, Stimulus, Ternary,
-                      Unary, Var, build_vectors, equivalence_fraction, parse,
-                      simulate, tokenize)
+from .minirtl import (Binary, Const, Index, MiniRtlError, ModuleAst,
+                      Stimulus, Ternary, Unary, Var, build_vectors,
+                      equivalence_fraction, parse, simulate, tokenize)
 from .minirtl.sim import _data_inputs, _enumerated  # noqa: internal reuse
 from .minirtl.vocab import (BOS, DEFAULT_VOCAB, ENDSPEC, IN, KIND_COUNT,
                             KIND_DFF, KIND_FSM, MODULE_NAMES, OUT, SPEC, TT)
@@ -401,6 +401,10 @@ def load_corpus(path) -> Corpus:
         except KeyError as e:
             raise DomainError(f"corpus record {i}: missing key {e.args[0]!r}"
                               ) from None
-        reference = parse(tokenize(fields["reference_text"]))
+        try:
+            reference = parse(tokenize(fields["reference_text"]))
+        except MiniRtlError as e:
+            raise DomainError(f"corpus record {i}: reference_text does not "
+                              f"parse: {e}") from None
         tasks.append(Task(reference=reference, vectors=vectors, **fields))
     return Corpus(tuple(tasks))

@@ -301,12 +301,14 @@ def test_criterion_6_equivalence_oracle_agreement():
 # --- 7. end-to-end learning ---------------------------------------------------
 
 def _pass1(params, tasks, n=5, seed=0):
+    rollouts = pol.sample_rollouts(
+        params, [task.prompt_tokens for task in tasks for _ in range(n)],
+        1.0, 256, [rng_for(seed, "eval", ti, j)
+                   for ti in range(len(tasks)) for j in range(n)])
     total = 0.0
     for ti, task in enumerate(tasks):
         c = 0
-        for j in range(n):
-            r = pol.sample_rollout(params, task.prompt_tokens, 1.0, 256,
-                                   rng_for(seed, "eval", ti, j))
+        for r in rollouts[ti * n:(ti + 1) * n]:
             bd = rew.score(r.response_tokens, task, truncated=r.truncated)
             c += bd.functional_pass
         total += c / n

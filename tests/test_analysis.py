@@ -206,3 +206,20 @@ def test_ablation_failed_cell_marks_nan_without_abort():
                             n=2)
     assert len(rows) == 2
     assert all(r.failed and math.isnan(r.pass1) for r in rows)
+    assert rows[0].error == \
+        "ConfigError: train_rl requires at least one training task"
+
+
+def test_ablation_one_failed_cell_keeps_its_cause():
+    from earl import rlcore
+    p, tasks = _mini_eval()
+    cfg = rlcore.RlConfig(steps=1, batch_prompts=1, group_size=2,
+                          max_resample_attempts=0, max_response_len=20)
+    # rho = 1.0 fails RlConfig.validate inside its cell only
+    rows = an.ablation_grid(cfg, p, tasks, tasks, rhos=(0.0, 1.0),
+                            seeds=(0,), n=5)
+    assert not rows[0].failed and rows[0].error is None
+    assert math.isfinite(rows[0].pass1)
+    assert rows[1].failed and math.isnan(rows[1].pass1)
+    assert rows[1].error == "ConfigError: rl.rho: must be in [0, 1)"
+    assert an.ablation_to_csv(rows).splitlines()[2] == "1.0,nan,nan,nan,nan"

@@ -147,6 +147,45 @@ def test_corpus_record_missing_key_is_validation_error(tmp_path, capsys):
     assert "record 3" in err and "'kind'" in err
 
 
+def test_corpus_record_bad_reference_is_validation_error(tmp_path, capsys):
+    path, _ = mini_config(tmp_path)
+    assert run(["gen-data", "--config", path]) == 0
+    corpus = tmp_path / "run" / "corpus.json"
+    good = corpus.read_text()
+    # the first does not lex, the second lexes but does not parse
+    for text in ("module endmodule garbage", "endmodule module"):
+        records = json.loads(good)
+        records[3]["reference_text"] = text
+        corpus.write_text(json.dumps(records))
+        capsys.readouterr()
+        assert run(["sft", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:validation:") and err.count("\n") == 1
+        assert "record 3" in err
+
+
+def test_ablate_prints_failed_cell_cause(tmp_path, capsys, monkeypatch):
+    from earl import rlcore
+    path, _ = mini_config(tmp_path)
+    for sub in ("gen-data", "sft"):
+        assert run([sub, "--config", path]) == 0
+    train_rl = rlcore.train_rl
+
+    def failing_at_rho_08(cfg, *args, **kwargs):
+        if cfg.rho == 0.8:
+            raise RuntimeError("boom")
+        return train_rl(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(rlcore, "train_rl", failing_at_rho_08)
+    capsys.readouterr()
+    assert run(["ablate", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "(2 rows, 1 failed)" in out
+    assert "rho 0.8 failed: RuntimeError: boom" in out
+    rows = (tmp_path / "run" / "ablation.csv").read_text().splitlines()
+    assert rows[2] == "0.8,nan,nan,nan,nan"
+
+
 def test_seed_and_out_overrides(tmp_path):
     path, _ = mini_config(tmp_path)
     alt = tmp_path / "alt"

@@ -127,6 +127,73 @@ def test_rollout_stops_at_eos_and_truncation_flag():
     assert len(r.response_tokens) == 7 and r.truncated
 
 
+def _one_at_a_time(p, prompt, temperature, max_len, rng):
+    """The scalar sampling loop: one Generator.choice per token."""
+    eos = DEFAULT_VOCAB.id("EOS")
+    tokens, logprobs, entropies = [], [], []
+    for t in range(max_len):
+        idx = pol.feature_rows(p, prompt, tokens + [eos])[t]
+        probs = pol.softmax((p.W[:, idx].sum(axis=1) + p.b) / temperature)
+        tok = int(rng.choice(V, p=probs))
+        tokens.append(tok)
+        logprobs.append(float(np.log(probs[tok])))
+        entropies.append(pol.token_entropy(probs))
+        if tok == eos:
+            break
+    return tuple(tokens), logprobs, entropies, tokens[-1] != eos
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_sample_rollouts_match_one_at_a_time(temperature):
+    # k + 1 >= 8 terms per logit, so numpy would sum a contiguous copy
+    # of the gathered weights in a different order
+    p = small_params(k=12, scale=0.3)
+    p.b[DEFAULT_VOCAB.id("EOS")] = 2.0  # ends at varied steps
+    p.b[-4:] = -1000.0  # probabilities that underflow to 0
+    bos, a = DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("a")
+    prompts = [(bos,), (bos, 9, 10, 11), (a,), (a, 7, 8, 9, 10, 12),
+               (bos,) + tuple(range(20, 70))] * 3
+    seeds = [("batch", temperature, i) for i in range(len(prompts))]
+    batch = pol.sample_rollouts(p, prompts, temperature, 12,
+                                [rng_for(*s) for s in seeds])
+    assert len(batch) == len(prompts)
+    for prompt, s, r in zip(prompts, seeds, batch):
+        tokens, logprobs, entropies, truncated = _one_at_a_time(
+            p, prompt, temperature, 12, rng_for(*s))
+        assert r.prompt_tokens == prompt and r.temperature == temperature
+        assert r.response_tokens == tokens
+        assert np.array_equal(r.logprobs, logprobs)
+        assert np.array_equal(r.entropies, entropies)
+        assert r.truncated == truncated
+    lengths = [len(r.response_tokens) for r in batch]
+    assert len(set(lengths)) >= 4
+    assert any(r.truncated for r in batch)
+    assert not all(r.truncated for r in batch)
+
+
+def test_sample_rollouts_reject_non_finite_probabilities():
+    p = small_params(k=2, scale=0.1)
+    bos = DEFAULT_VOCAB.id("BOS")
+    p.W[5, 2 * V] = np.nan  # position bucket 0: every first token
+    with pytest.raises(DomainError):
+        pol.sample_rollouts(p, [(bos,), (bos, 9)], 1.0, 5,
+                            [rng_for(0), rng_for(1)])
+    with pytest.raises(ValueError):  # as Generator.choice raised
+        pol.sample_rollout(p, (bos,), 1.0, 5, rng_for(0))
+
+
+def test_sample_rollouts_argument_checks():
+    p = small_params()
+    bos = DEFAULT_VOCAB.id("BOS")
+    assert pol.sample_rollouts(p, [], 1.0, 5, []) == []
+    with pytest.raises(DomainError):
+        pol.sample_rollouts(p, [(bos,), (bos,)], 1.0, 5, [rng_for(0)])
+    with pytest.raises(DomainError):
+        pol.sample_rollouts(p, [(bos,)], 0.0, 5, [rng_for(0)])
+    with pytest.raises(DomainError):
+        pol.sample_rollouts(p, [(bos,)], 1.0, 0, [rng_for(0)])
+
+
 def test_sequence_logprobs_match_sampling_time():
     p = small_params(k=3, scale=0.3)
     prompt = (DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("SPEC"))
