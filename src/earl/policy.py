@@ -6,6 +6,9 @@ F = k*V + 8. Log-probabilities, entropies, and parameter gradients are exact,
 which keeps finite-difference verification tractable. A richer architecture
 can replace this one behind the same operations without touching the RL core.
 
+W is stored feature-major, [F, V], so a feature row's logits sum k+1
+contiguous rows of W (``logits``); checkpoints keep the [V, F] byte order.
+
 Prompts are canonicalized before featurization: PAD tokens are inserted after
 BOS to bring every prompt to a fixed length, so specification fields sit at
 stable window offsets across tasks. Sampling and scoring share the rule, so
@@ -35,9 +38,15 @@ _CKPT_MAGIC = b"EARLCKPT1\n"
 class PolicyParams:
     vocab: Vocab
     k: int
-    W: np.ndarray  # [V, F]
+    W: np.ndarray  # [F, V], C-contiguous; [V, F] in checkpoints
     b: np.ndarray  # [V]
     version: int = 0
+
+    def __post_init__(self):
+        if self.W.shape != (self.F, self.V) or self.b.shape != (self.V,):
+            raise DomainError(
+                f"policy weights W {self.W.shape}, b {self.b.shape}; want "
+                f"W ({self.F}, {self.V}) and b ({self.V},)")
 
     @property
     def V(self) -> int:
@@ -73,7 +82,7 @@ def init_params(vocab: Vocab, k: int, seed: int) -> PolicyParams:
     rng = rng_for("policy-init", seed)
     V = vocab.size
     F = k * V + POSITION_BUCKETS
-    W = rng.uniform(-0.01, 0.01, size=(V, F))
+    W = rng.uniform(-0.01, 0.01, size=(V, F)).T.copy()  # draws stay [V, F]
     b = rng.uniform(-0.01, 0.01, size=V)
     return PolicyParams(vocab, k, W, b)
 
@@ -125,6 +134,15 @@ def _advance_indices(params: PolicyParams, idx: np.ndarray, token,
     idx[..., k] = k * V + position_bucket(position)
 
 
+def logits(params: PolicyParams, rows: np.ndarray) -> np.ndarray:
+    """Logits [..., V] of feature rows [..., k+1]: the one gather of W.
+
+    numpy adds the k+1 gathered rows one after another, not pairwise, which
+    is also the order of a vocab-major ``W.T[:, rows].sum(axis=-1)``; the
+    sampled tokens and stored log-probabilities depend on that order."""
+    return params.W[rows].sum(axis=-2) + params.b
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
@@ -170,13 +188,9 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     for t in range(max_len):
         if not active.size:
             break
-        # [V, A]; sums each column's k+1 weights in the order a single
-        # row's W[:, idx].sum(axis=1) does
-        z = params.W[:, idx].sum(axis=2)
-        z += params.b[:, None]
         # C-contiguous [A, V], so row sums below add in the order softmax()
         # and token_entropy() sum one vector
-        z = np.ascontiguousarray(z.T)
+        z = logits(params, idx)
         z /= temperature
         z -= z.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -219,7 +233,7 @@ def greedy_decode(params: PolicyParams, prompt, max_len: int) -> list[int]:
     idx = feature_rows(params, prompt, (eos,))[0]  # reads the prompt only
     tokens: list[int] = []
     for t in range(max_len):
-        tok = int(np.argmax(params.W[:, idx].sum(axis=1) + params.b))
+        tok = int(np.argmax(logits(params, idx)))
         tokens.append(tok)
         _advance_indices(params, idx, tok, t + 1)
         if tok == eos:
@@ -237,7 +251,7 @@ def response_distributions(params: PolicyParams, prompt, response,
     if temperature <= 0:
         raise DomainError("temperature must be > 0")
     rows = feature_rows(params, prompt, response)
-    z = params.W[:, rows].sum(axis=2).T + params.b[None, :]
+    z = logits(params, rows)
     z /= temperature
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -342,9 +356,9 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
             order = rng_for("sft-order", schedule.seed, epoch).permutation(n)
         sel = order[i * bs:(i + 1) * bs]
         Xb, btgt = X[sel], targets[sel]
-        logits = Xb @ params.W.T + params.b[None, :]
-        logits -= logits.max(axis=1, keepdims=True)
-        expz = np.exp(logits)
+        z = Xb @ params.W + params.b[None, :]
+        z -= z.max(axis=1, keepdims=True)
+        expz = np.exp(z)
         probs = expz / expz.sum(axis=1, keepdims=True)
         m = len(btgt)
         nll = float(-np.log(probs[np.arange(m), btgt]).mean())
@@ -357,7 +371,7 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
         grad = Xb.T @ G
         grad *= lr  # in place: one more W-sized temporary per step would be
         # returned to the OS and faulted back in on every step
-        params.W -= grad.T
+        params.W -= grad
         params.b -= lr * G.sum(axis=0)
         params.version += 1
     return params, loss_log
@@ -380,7 +394,8 @@ def save_checkpoint(params: PolicyParams, path) -> None:
         f.write(struct.pack("<I", len(header)))
         f.write(header)
         f.write(np.ascontiguousarray(params.b, dtype=np.float64).tobytes())
-        f.write(np.ascontiguousarray(params.W, dtype=np.float64).tobytes())
+        # [V, F] byte order, without a transposed copy of W
+        f.write(params.W.T.astype(np.float64, copy=False).tobytes())
 
 
 def load_checkpoint(path, vocab: Vocab = DEFAULT_VOCAB) -> PolicyParams:
@@ -403,5 +418,5 @@ def load_checkpoint(path, vocab: Vocab = DEFAULT_VOCAB) -> PolicyParams:
                           f"{size} bytes")
     b = np.frombuffer(payload, dtype=np.float64, count=V).copy()
     W = np.frombuffer(payload, dtype=np.float64,
-                      offset=8 * V).reshape(V, F).copy()
+                      offset=8 * V).reshape(V, F).T.copy()
     return PolicyParams(vocab, k, W, b, meta["version_counter"])

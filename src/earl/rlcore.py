@@ -337,7 +337,7 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
     if row_chunks:
         X = pol.design_matrix(np.concatenate(row_chunks), pi_new.F)
         Gall = np.concatenate(grad_chunks)
-        acc.dW += (X.T @ Gall).T
+        acc.dW += X.T @ Gall
         acc.db += Gall.sum(axis=0)
     mean_kl = kl_sum / kl_count if kl_count else 0.0
     return acc, diag, mean_kl

@@ -388,11 +388,43 @@ def save_corpus(corpus: Corpus, path) -> None:
     Path(path).write_text(corpus_to_json(corpus))
 
 
+def _wrong_field_type(r: dict) -> str | None:
+    """The first field of a corpus record whose JSON type is wrong, if any;
+    a missing key raises KeyError."""
+    V = DEFAULT_VOCAB.size
+    toks = r["prompt_tokens"]
+    if not (isinstance(toks, list)
+            and all(type(t) is int and 0 <= t < V for t in toks)):
+        return "prompt_tokens is not a list of token ids"
+    if not isinstance(r["reference_text"], str):
+        return "reference_text is not a string"
+    vectors = r["vectors"]
+    if not isinstance(vectors, dict):
+        return "vectors is not an object"
+    cycles = vectors["cycles"]
+    if not (isinstance(cycles, list)
+            and all(isinstance(c, dict) for c in cycles)):
+        return "vectors.cycles is not a list of objects"
+    if type(vectors["reset_prefix"]) is not int:
+        return "vectors.reset_prefix is not an int"
+    return None
+
+
 def load_corpus(path) -> Corpus:
-    records = json.loads(Path(path).read_text())
+    try:
+        records = json.loads(Path(path).read_text())
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise DomainError(f"corpus: not a JSON file: {e}") from None
+    if not isinstance(records, list):
+        raise DomainError("corpus: top level is not a list of records")
     tasks = []
     for i, r in enumerate(records):
+        if not isinstance(r, dict):
+            raise DomainError(f"corpus record {i}: not an object")
         try:
+            wrong = _wrong_field_type(r)
+            if wrong:
+                raise DomainError(f"corpus record {i}: {wrong}")
             fields = dict(id=r["id"], prompt_tokens=tuple(r["prompt_tokens"]),
                           reference_text=r["reference_text"], kind=r["kind"],
                           difficulty=r["difficulty"], split=r["split"])

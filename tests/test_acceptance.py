@@ -36,12 +36,12 @@ def _random_instance(rng, vocab, k, G):
     temperature; each rollout stores its log-probs under a separate pi_old
     at that temperature."""
     params = pol.init_params(vocab, k, int(rng.integers(1 << 30)))
-    params.W += rng.normal(0, 0.2, params.W.shape)
+    params.W += rng.normal(0, 0.2, params.W.T.shape).T  # drawn [V, F]
     params.b += rng.normal(0, 0.2, params.b.shape)
     pi_old = pol.init_params(vocab, k, int(rng.integers(1 << 30)))
-    pi_old.W += rng.normal(0, 0.2, pi_old.W.shape)
+    pi_old.W += rng.normal(0, 0.2, pi_old.W.T.shape).T
     pi_ref = pol.init_params(vocab, k, int(rng.integers(1 << 30)))
-    pi_ref.W += rng.normal(0, 0.2, pi_ref.W.shape)
+    pi_ref.W += rng.normal(0, 0.2, pi_ref.W.T.shape).T
     prompt = (vocab.id("BOS"),)
     T = float(rng.choice([1.0, 0.7]))
     cfg = rl.RlConfig(group_size=G, variant="earl", temperature=T,
@@ -79,17 +79,17 @@ def test_criterion_1_gradient_matches_finite_differences():
         acc, _, _ = rl.assemble_gradient(batch, params, pi_ref, cfg)
         h = 1e-5
         for _ in range(12):
-            i = int(rng.integers(params.W.shape[0]))
-            j = int(rng.integers(params.W.shape[1]))
+            v = int(rng.integers(params.V))
+            f = int(rng.integers(params.F))
             pp, pm = params.copy(), params.copy()
-            pp.W[i, j] += h
-            pm.W[i, j] -= h
+            pp.W[f, v] += h
+            pm.W[f, v] -= h
             fd = (rl.objective_value(batch, pp, pi_ref, cfg)
                   - rl.objective_value(batch, pm, pi_ref, cfg)) / (2 * h)
-            denom = max(1e-8, abs(fd), abs(acc.dW[i, j]))
-            relerr = abs(fd - acc.dW[i, j]) / denom
+            denom = max(1e-8, abs(fd), abs(acc.dW[f, v]))
+            relerr = abs(fd - acc.dW[f, v]) / denom
             worst = max(worst, relerr)
-            assert relerr < 1e-4, (inst, i, j, fd, acc.dW[i, j])
+            assert relerr < 1e-4, (inst, v, f, fd, acc.dW[f, v])
             checked += 1
     elapsed = time.time() - t0
     assert checked >= 500

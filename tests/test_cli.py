@@ -164,6 +164,40 @@ def test_corpus_record_bad_reference_is_validation_error(tmp_path, capsys):
         assert "record 3" in err
 
 
+def _set(index, key, value):
+    def corrupt(records):
+        records[index][key] = value
+        return records
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    (lambda records: json.dumps(records)[:-9], "JSON"),
+    (lambda records: {"records": records}, "top level"),
+    (lambda records: records[:3] + [["id", "t3"]] + records[4:], "record 3"),
+    (_set(3, "prompt_tokens", "BOS SPEC"), "record 3"),
+    (_set(3, "prompt_tokens", [1, "2"]), "record 3"),
+    (_set(3, "prompt_tokens", [1, 10_000]), "record 3"),
+    (_set(3, "reference_text", 7), "record 3"),
+    (_set(3, "vectors", [[]]), "record 3"),
+    (_set(3, "vectors", {"cycles": 4, "reset_prefix": 0}), "record 3"),
+], ids=["truncated-json", "top-level-object", "record-list", "prompt-string",
+        "prompt-str-token", "prompt-token-range", "reference-int",
+        "vectors-list", "cycles-int"])
+def test_corpus_wrong_shape_is_validation_error(tmp_path, capsys, corrupt,
+                                                where):
+    path, _ = mini_config(tmp_path)
+    assert run(["gen-data", "--config", path]) == 0
+    corpus = tmp_path / "run" / "corpus.json"
+    text = corrupt(json.loads(corpus.read_text()))
+    corpus.write_text(text if isinstance(text, str) else json.dumps(text))
+    capsys.readouterr()
+    assert run(["sft", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+    assert where in err
+
+
 def test_ablate_prints_failed_cell_cause(tmp_path, capsys, monkeypatch):
     from earl import rlcore
     path, _ = mini_config(tmp_path)

@@ -5,6 +5,7 @@ entropy([2/3, 1/3]) = ln 3 - (2/3) ln 2 = 0.6365141682948128.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def small_params(k=2, seed=0, scale=0.0):
     p = pol.init_params(DEFAULT_VOCAB, k, seed)
     if scale:
         rng = np.random.default_rng(seed + 1)
-        p.W += rng.normal(0, scale, p.W.shape)
+        p.W += rng.normal(0, scale, p.W.T.shape).T  # drawn [V, F]
         p.b += rng.normal(0, scale, p.b.shape)
     return p
 
@@ -38,6 +39,39 @@ def first_distribution(p, temperature=1.0):
 def test_init_deterministic():
     a, b = small_params(4, 0), small_params(4, 0)
     assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
+
+
+def test_init_params_matches_vocab_major_draw():
+    for k, seed in [(1, 0), (4, 9)]:
+        p = pol.init_params(DEFAULT_VOCAB, k, seed)
+        draw = rng_for("policy-init", seed).uniform(-0.01, 0.01, (V, p.F))
+        assert np.array_equal(p.W.T, draw)
+        assert p.W.shape == (p.F, V) and p.W.flags.c_contiguous
+
+
+def test_params_reject_wrong_shapes():
+    p = small_params(k=2)
+    with pytest.raises(DomainError):  # the [V, F] layout
+        pol.PolicyParams(DEFAULT_VOCAB, 2, p.W.T.copy(), p.b)
+    with pytest.raises(DomainError):  # W for another k
+        pol.PolicyParams(DEFAULT_VOCAB, 3, p.W, p.b)
+    with pytest.raises(DomainError):
+        pol.PolicyParams(DEFAULT_VOCAB, 2, p.W, p.b[:-1])
+
+
+def test_logits_match_vocab_major_gather():
+    # k + 1 >= 8 terms per logit, so a pairwise sum would differ in bytes
+    p = small_params(k=12, scale=0.3)
+    rng = np.random.default_rng(3)
+    bos = DEFAULT_VOCAB.id("BOS")
+    for n in (1, 2, 7, 48, 300):
+        resp = tuple(int(t) for t in rng.integers(0, V, n))
+        rows = pol.feature_rows(p, (bos, 9, 10), resp)
+        want = p.W.T[:, rows].sum(axis=-1).T + p.b
+        assert np.array_equal(pol.logits(p, rows), want)
+        row = rows[-1]  # one 1-D row, as greedy_decode passes
+        assert np.array_equal(pol.logits(p, row),
+                              p.W.T[:, row].sum(axis=-1) + p.b)
 
 
 def test_init_rejects_k_zero():
@@ -133,7 +167,7 @@ def _one_at_a_time(p, prompt, temperature, max_len, rng):
     tokens, logprobs, entropies = [], [], []
     for t in range(max_len):
         idx = pol.feature_rows(p, prompt, tokens + [eos])[t]
-        probs = pol.softmax((p.W[:, idx].sum(axis=1) + p.b) / temperature)
+        probs = pol.softmax((p.W.T[:, idx].sum(axis=1) + p.b) / temperature)
         tok = int(rng.choice(V, p=probs))
         tokens.append(tok)
         logprobs.append(float(np.log(probs[tok])))
@@ -174,7 +208,7 @@ def test_sample_rollouts_match_one_at_a_time(temperature):
 def test_sample_rollouts_reject_non_finite_probabilities():
     p = small_params(k=2, scale=0.1)
     bos = DEFAULT_VOCAB.id("BOS")
-    p.W[5, 2 * V] = np.nan  # position bucket 0: every first token
+    p.W[2 * V, 5] = np.nan  # position bucket 0: every first token
     with pytest.raises(DomainError):
         pol.sample_rollouts(p, [(bos,), (bos, 9)], 1.0, 5,
                             [rng_for(0), rng_for(1)])
@@ -280,6 +314,21 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "p2.ckpt"
     pol.save_checkpoint(q, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_payload_is_vocab_major(tmp_path):
+    p = small_params(k=3, scale=0.2)
+    path = tmp_path / "p.ckpt"
+    pol.save_checkpoint(p, path)
+    data = path.read_bytes()
+    start = len(b"EARLCKPT1\n")
+    (hlen,) = struct.unpack("<I", data[start:start + 4])
+    payload = np.frombuffer(data[start + 4 + hlen:], dtype="<f8")
+    assert payload.size == V * (1 + p.F)
+    assert np.array_equal(payload[:V], p.b)
+    assert np.array_equal(payload[V:].reshape(V, p.F), p.W.T)
+    q = pol.load_checkpoint(path)
+    assert np.array_equal(q.W, p.W) and q.W.flags.c_contiguous
 
 
 def test_checkpoint_rejects_garbage_and_wrong_hash(tmp_path):
