@@ -361,7 +361,7 @@ def top_tokens_to_csv(highest, lowest) -> str:
 # --- ablation grid ------------------------------------------------------------
 
 ABLATION_RHOS = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9)
-ABLATION_COLUMNS = ("rho", "pass@1", "pass@5", "syn@5", "func@5")
+ABLATION_COLUMNS = ("rho", "pass@1", "pass@5", "syn@5")
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,6 @@ class AblationRow:
     pass1: float
     pass5: float
     syn5: float
-    func5: float
     gated_fraction: float
     error: str | None = None  # "<Type>: <message>" of a failed cell
 
@@ -395,12 +394,11 @@ def ablation_grid(config: rlcore.RlConfig, params: pol.PolicyParams,
         raise DomainError("ablation_grid requires at least one seed")
     rows = []
     for rho in rhos:
-        cell = {"pass1": [], "pass5": [], "syn5": [], "func5": [],
-                "gated": []}
+        cell = {"pass1": [], "pass5": [], "syn5": [], "gated": []}
         error = None
         for seed in seeds:
             cfg = replace(config, rho=float(rho), seed=int(seed),
-                          variant="earl", gate=None)
+                          variant="earl")
             try:
                 trained, metrics = rlcore.train_rl(cfg, params.copy(),
                                                    train_tasks, schedule)
@@ -414,17 +412,15 @@ def ablation_grid(config: rlcore.RlConfig, params: pol.PolicyParams,
             cell["pass1"].append(report.aggregate_pass(1))
             cell["pass5"].append(report.aggregate_pass(5))
             cell["syn5"].append(report.aggregate_syn(5))
-            cell["func5"].append(report.aggregate_pass(5))
             cell["gated"].append(float(np.mean(
                 [m.gated_fraction for m in metrics])) if metrics else 0.0)
         if error is not None:
             rows.append(AblationRow(float(rho), math.nan, math.nan, math.nan,
-                                    math.nan, math.nan, error))
+                                    math.nan, error))
         else:
             rows.append(AblationRow(
                 float(rho), float(np.mean(cell["pass1"])),
                 float(np.mean(cell["pass5"])), float(np.mean(cell["syn5"])),
-                float(np.mean(cell["func5"])),
                 float(np.mean(cell["gated"]))))
     return rows
 
@@ -433,5 +429,5 @@ def ablation_to_csv(rows) -> str:
     lines = [",".join(ABLATION_COLUMNS)]
     for r in rows:
         lines.append(",".join(repr(v) for v in
-                              (r.rho, r.pass1, r.pass5, r.syn5, r.func5)))
+                              (r.rho, r.pass1, r.pass5, r.syn5)))
     return "\n".join(lines) + "\n"

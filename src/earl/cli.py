@@ -115,11 +115,7 @@ def _build_section(cls, data: dict, path: str):
     for key, value in data.items():
         if key not in names:
             raise ConfigError(f"{path}.{key}: unknown key")
-        if key == "gate" and value is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}.gate: must be an object")
-            value = _build_section(rlcore.GateConfig, value, f"{path}.gate")
-        elif key in _LIST_FIELDS:
+        if key in _LIST_FIELDS:
             if not isinstance(value, list):
                 raise ConfigError(f"{path}.{key}: must be a list")
             value = tuple(value)

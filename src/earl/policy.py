@@ -32,6 +32,8 @@ POSITION_BUCKET_SPAN = 4  # bucket = min(position // span, 7)
 PROMPT_PAD_LEN = 48
 
 _CKPT_MAGIC = b"EARLCKPT1\n"
+_CKPT_HEADER_TYPES = {"vocab_hash": str, "V": int, "k": int,
+                      "version_counter": int}
 
 
 @dataclass
@@ -403,19 +405,35 @@ def load_checkpoint(path, vocab: Vocab = DEFAULT_VOCAB) -> PolicyParams:
         magic = f.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise DomainError("not a policy checkpoint")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(hlen))
+        hlen = f.read(4)
+        if len(hlen) < 4:
+            raise DomainError("checkpoint header length missing")
+        try:
+            meta = json.loads(f.read(struct.unpack("<I", hlen)[0]))
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise DomainError(f"checkpoint header is not JSON: {e}") from None
+        if not isinstance(meta, dict):
+            raise DomainError("checkpoint header is not a JSON object")
         if meta.get("schema_version") != 1:
             raise DomainError("unsupported checkpoint schema version")
+        for key, kind in _CKPT_HEADER_TYPES.items():
+            if type(meta.get(key)) is not kind:
+                raise DomainError(f"checkpoint header: {key!r} is missing or "
+                                  f"not {kind.__name__}")
         if meta["vocab_hash"] != vocab.hash:
             raise DomainError("checkpoint vocab hash does not match")
         V, k = meta["V"], meta["k"]
+        if V < 1 or k < 1:
+            raise DomainError(f"checkpoint header: V {V} and k {k} must be "
+                              ">= 1")
         F = k * V + POSITION_BUCKETS
         size = 8 * V * (1 + F)  # b, then W
-        payload = f.read(size)
+        payload = f.read(size + 1)
     if len(payload) < size:
         raise DomainError(f"checkpoint payload truncated: {len(payload)} of "
                           f"{size} bytes")
+    if len(payload) > size:
+        raise DomainError(f"checkpoint has bytes past its {size}-byte payload")
     b = np.frombuffer(payload, dtype=np.float64, count=V).copy()
     W = np.frombuffer(payload, dtype=np.float64,
                       offset=8 * V).reshape(V, F).T.copy()

@@ -7,17 +7,18 @@ an entropy gate restricting updates to tokens above a response-level entropy
 quantile, KL regularization to a frozen reference policy, and the dynamic
 sampling constraint that keeps only mixed-quality groups (0 < passes < G).
 
-Variants: 'grpo' (symmetric clipping, no gate), 'dapo' (clip-higher, no
-gate), 'earl' (clip-higher plus entropy mask), 'ppo-baseline' (symmetric
-clipping with group-mean baseline instead of std normalization; stands in
-for PPO without a critic). An 'archer-weight' gate mode scales coefficients
-by normalized token entropy instead of masking.
+A variant is a row of VARIANTS: its clipping (symmetric at eps_low, or
+clip-higher up to eps_high), its token gate ('none'; 'mask', the tokens at
+or above the response's rho entropy quantile; or 'archer-weight', token
+entropy over the response's maximum) and its advantage baseline ('std', or
+'mean', which stands in for PPO without a critic).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,24 +28,21 @@ from .errors import ConfigError, DegenerateGroup
 from .seeds import rng_for
 
 ADV_STD_EPS = 1e-8
-VARIANTS = ("grpo", "dapo", "earl", "ppo-baseline")
-GATE_MODES = ("none", "mask", "archer-weight")
-
-METRIC_COLUMNS = ("step", "mean_reward", "pass_rate", "clip_rate",
-                  "gated_fraction", "mean_kl", "mean_entropy",
-                  "retained_groups")
 
 
-@dataclass(frozen=True)
-class GateConfig:
-    mode: str = "none"
-    rho: float = 0.8
+class Variant(NamedTuple):
+    clip_higher: bool  # clip at [1-eps_low, 1+eps_high], else 1 +- eps_low
+    gate: str          # 'none', 'mask' or 'archer-weight'
+    baseline: str      # 'std' or 'mean'
 
-    def validate(self) -> None:
-        if self.mode not in GATE_MODES:
-            raise ConfigError(f"gate.mode: unknown mode {self.mode!r}")
-        if self.mode == "mask" and not 0.0 <= self.rho < 1.0:
-            raise ConfigError("gate.rho: must be in [0, 1)")
+
+VARIANTS = {
+    "grpo": Variant(False, "none", "std"),
+    "dapo": Variant(True, "none", "std"),
+    "earl": Variant(True, "mask", "std"),
+    "ppo-baseline": Variant(False, "none", "mean"),
+    "archer": Variant(True, "archer-weight", "std"),
+}
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,6 @@ class RlConfig:
     variant: str = "earl"
     steps: int = 500
     seed: int = 0
-    gate: GateConfig | None = None
     gated_kl: bool = False
 
     def validate(self) -> None:
@@ -85,21 +82,12 @@ class RlConfig:
                 raise ConfigError(f"rl.{name}: must be finite")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError("rl.rho: must be in [0, 1)")
-        if self.gate is not None:
-            self.gate.validate()
-
-    def resolved_gate(self) -> GateConfig:
-        if self.gate is not None:
-            return self.gate
-        if self.variant == "earl":
-            return GateConfig("mask", self.rho)
-        return GateConfig("none", self.rho)
 
     def resolved_eps(self) -> tuple[float, float]:
-        """grpo and ppo-baseline clip symmetrically at eps_low."""
-        if self.variant in ("grpo", "ppo-baseline"):
-            return self.eps_low, self.eps_low
-        return self.eps_low, self.eps_high
+        """Symmetric variants clip at eps_low on both sides."""
+        if VARIANTS[self.variant].clip_higher:
+            return self.eps_low, self.eps_high
+        return self.eps_low, self.eps_low
 
 
 @dataclass
@@ -150,11 +138,11 @@ def archer_weights(entropies) -> np.ndarray:
     return h / top
 
 
-def gate_values(entropies, gate: GateConfig) -> np.ndarray:
-    if gate.mode == "none":
+def gate_values(entropies, mode: str, rho: float) -> np.ndarray:
+    if mode == "none":
         return np.ones(len(entropies))
-    if gate.mode == "mask":
-        return entropy_mask(entropies, entropy_threshold(entropies, gate.rho))
+    if mode == "mask":
+        return entropy_mask(entropies, entropy_threshold(entropies, rho))
     return archer_weights(entropies)
 
 
@@ -251,16 +239,16 @@ class PreparedBatch:
 
 def prepare_batch(groups, config: RlConfig) -> PreparedBatch:
     """Advantages and gates for retained groups; drops degenerate ones."""
-    gate = config.resolved_gate()
-    baseline = "mean" if config.variant == "ppo-baseline" else "std"
+    variant = VARIANTS[config.variant]
     prepared = []
     total = 0
     for g in groups:
         try:
-            adv = group_advantages(g.rewards, baseline)
+            adv = group_advantages(g.rewards, variant.baseline)
         except DegenerateGroup:
             continue
-        gates = [gate_values(r.entropies, gate) for r in g.rollouts]
+        gates = [gate_values(r.entropies, variant.gate, config.rho)
+                 for r in g.rollouts]
         prepared.append(PreparedGroup(g, adv, gates))
         total += sum(len(r.response_tokens) for r in g.rollouts)
     return PreparedBatch(prepared, total)
@@ -386,9 +374,10 @@ class StepMetrics:
     retained_groups: int
 
     def row(self) -> list:
-        return [self.step, self.mean_reward, self.pass_rate, self.clip_rate,
-                self.gated_fraction, self.mean_kl, self.mean_entropy,
-                self.retained_groups]
+        return [getattr(self, name) for name in METRIC_COLUMNS]
+
+
+METRIC_COLUMNS = tuple(f.name for f in fields(StepMetrics))
 
 
 def metrics_to_csv(metrics) -> str:

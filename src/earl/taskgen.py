@@ -18,7 +18,6 @@ from .errors import ConfigError, DomainError, EarlError
 from .minirtl import (Binary, Const, Index, MiniRtlError, ModuleAst,
                       Stimulus, Ternary, Unary, Var, build_vectors,
                       equivalence_fraction, parse, simulate, tokenize)
-from .minirtl.sim import _data_inputs, _enumerated  # noqa: internal reuse
 from .minirtl.vocab import (BOS, DEFAULT_VOCAB, ENDSPEC, IN, KIND_COUNT,
                             KIND_DFF, KIND_FSM, MODULE_NAMES, OUT, SPEC, TT)
 from .seeds import mix, rng_for
@@ -26,8 +25,8 @@ from .seeds import mix, rng_for
 KINDS = ("combinational", "register", "counter", "mux", "fsm-lite")
 DIFFICULTIES = ("easy", "medium", "hard")
 
-DIGEST_MAX_ROWS = 16   # truth-table rows kept in the prompt for 4-bit inputs
-SEQ_DIGEST_BITS = 16   # leading output bits kept for sequential prompts
+DIGEST_ROWS = 16  # leading cycles of the reference trace the prompt digests
+DIGEST_BITS = 16  # output bits kept from those cycles
 PROMPT_MAX_LEN = 48
 
 _SEQ_KIND_TAG = {"register": KIND_DFF, "counter": KIND_COUNT,
@@ -220,36 +219,22 @@ def _draw_source(rng: np.random.Generator, kind: str, difficulty: str) -> str:
 
 # --- prompt encoding ---------------------------------------------------------
 
-def _comb_digest_bits(reference: ModuleAst) -> list[int]:
-    rows = _enumerated(reference.interface, False)[:DIGEST_MAX_ROWS]
-    stim = Stimulus(tuple(rows), 0)
-    trace = simulate(reference, stim)
-    bits = []
-    for row in trace:
-        for p in reference.interface.outputs():
-            for i in range(p.width):
-                bits.append((row[p.name] >> i) & 1)
-    return bits
+def _digest_trace(task: Task) -> list[dict[str, int]]:
+    """The reference's outputs over the first DIGEST_ROWS cycles of the
+    task's vectors (for combinational designs, the leading truth-table
+    rows)."""
+    v = task.vectors
+    return simulate(task.reference,
+                    Stimulus(v.cycles[:DIGEST_ROWS], v.reset_prefix))
 
 
-def _seq_digest_bits(reference: ModuleAst, vectors: Stimulus) -> list[int]:
-    trace = simulate(reference, vectors)
-    bits = []
-    for row in trace:
-        for p in reference.interface.outputs():
-            for i in range(p.width):
-                bits.append((row[p.name] >> i) & 1)
-        if len(bits) >= SEQ_DIGEST_BITS:
-            break
-    return bits[:SEQ_DIGEST_BITS]
-
-
-def encode_prompt(task: Task) -> tuple[int, ...]:
+def encode_prompt(task: Task, trace=None) -> tuple[int, ...]:
     """Deterministic structured encoding of the task specification.
 
-    Layout: BOS SPEC <name> IN <inputs> OUT <outputs> then either
-    TT <truth-table digest> for combinational designs or a kind tag plus a
-    leading-output-bit digest for sequential ones, closed by ENDSPEC.
+    Layout: BOS SPEC <name> IN <inputs> OUT <outputs>, then TT for
+    combinational designs or a kind tag for sequential ones, then the
+    output bits of the digest trace (at most DIGEST_BITS), closed by
+    ENDSPEC. trace, if given, is _digest_trace(task).
     """
     v = DEFAULT_VOCAB
     iface = task.reference.interface
@@ -257,33 +242,19 @@ def encode_prompt(task: Task) -> tuple[int, ...]:
     toks += [p.name for p in iface.inputs()]
     toks.append(OUT)
     toks += [p.name for p in iface.outputs()]
-    if task.reference.is_sequential():
-        toks.append(_SEQ_KIND_TAG[task.kind])
-        bits = _seq_digest_bits(task.reference, task.vectors)
-    else:
-        toks.append(TT)
-        bits = _comb_digest_bits(task.reference)
-    toks += [str(bit) for bit in bits]
+    toks.append(_SEQ_KIND_TAG[task.kind] if task.reference.is_sequential()
+                else TT)
+    if trace is None:
+        trace = _digest_trace(task)
+    bits = [(row[p.name] >> i) & 1 for row in trace
+            for p in iface.outputs() for i in range(p.width)]
+    toks += [str(bit) for bit in bits[:DIGEST_BITS]]
     toks.append(ENDSPEC)
     assert len(toks) <= PROMPT_MAX_LEN, f"prompt too long: {len(toks)}"
     return tuple(v.id(t) for t in toks)
 
 
 # --- generation and validation -----------------------------------------------
-
-def _digest_is_degenerate(task: Task) -> bool:
-    """True when any output is constant over the digest window."""
-    ref = task.reference
-    if ref.is_sequential():
-        trace = simulate(ref, task.vectors)[:SEQ_DIGEST_BITS]
-    else:
-        rows = _enumerated(ref.interface, False)[:DIGEST_MAX_ROWS]
-        trace = simulate(ref, Stimulus(tuple(rows), 0))
-    for p in ref.interface.outputs():
-        if len({row[p.name] for row in trace}) < 2:
-            return True
-    return False
-
 
 def generate_task(seed: int, kind: str, difficulty: str,
                   task_id: str | None = None) -> Task:
@@ -304,9 +275,12 @@ def generate_task(seed: int, kind: str, difficulty: str,
             kind=kind,
             difficulty=difficulty,
         )
-        if _digest_is_degenerate(task):
-            continue
-        task = Task(**{**task.__dict__, "prompt_tokens": encode_prompt(task)})
+        trace = _digest_trace(task)
+        if any(len({row[p.name] for row in trace}) < 2
+               for p in reference.interface.outputs()):
+            continue  # some output is constant over the digest trace
+        task = Task(**{**task.__dict__,
+                       "prompt_tokens": encode_prompt(task, trace)})
         if validate_task(task):
             return task
     raise EarlError(

@@ -393,7 +393,7 @@ def test_criterion_9_ablation_grid_and_gate_calibration():
                             rhos=an.ABLATION_RHOS, seeds=(0,), n=5)
     text = an.ablation_to_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0] == "rho,pass@1,pass@5,syn@5,func@5"
+    assert lines[0] == "rho,pass@1,pass@5,syn@5"
     assert len(lines) == 7  # header + 6 rows
     assert not any(r.failed for r in rows)
     for r in rows:

@@ -191,9 +191,9 @@ def test_eval_suite_rejects_empty_and_small_n():
 
 
 def test_ablation_csv_header():
-    rows = [an.AblationRow(0.0, 0.1, 0.2, 0.3, 0.2, 1.0)]
+    rows = [an.AblationRow(0.0, 0.1, 0.2, 0.3, 1.0)]
     text = an.ablation_to_csv(rows)
-    assert text.splitlines()[0] == "rho,pass@1,pass@5,syn@5,func@5"
+    assert text.splitlines()[0] == "rho,pass@1,pass@5,syn@5"
 
 
 def test_ablation_failed_cell_marks_nan_without_abort():
@@ -222,4 +222,4 @@ def test_ablation_one_failed_cell_keeps_its_cause():
     assert math.isfinite(rows[0].pass1)
     assert rows[1].failed and math.isnan(rows[1].pass1)
     assert rows[1].error == "ConfigError: rl.rho: must be in [0, 1)"
-    assert an.ablation_to_csv(rows).splitlines()[2] == "1.0,nan,nan,nan,nan"
+    assert an.ablation_to_csv(rows).splitlines()[2] == "1.0,nan,nan,nan"

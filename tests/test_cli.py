@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_full_pipeline_artifacts(tmp_path):
     assert header == ("step,mean_reward,pass_rate,clip_rate,gated_fraction,"
                       "mean_kl,mean_entropy,retained_groups")
     assert (out / "ablation.csv").read_text().splitlines()[0] == \
-        "rho,pass@1,pass@5,syn@5,func@5"
+        "rho,pass@1,pass@5,syn@5"
 
 
 def test_score_reference_is_full_reward(tmp_path):
@@ -100,6 +101,20 @@ def test_nested_unknown_key_reports_key_path(tmp_path, capsys):
     assert "rl.warp_factor" in capsys.readouterr().err
 
 
+def test_rl_gate_is_unknown_key(tmp_path, capsys):
+    path, _ = mini_config(tmp_path,
+                          rl={"gate": {"mode": "archer-weight", "rho": 0.8}})
+    assert run(["gen-data", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and "rl.gate" in err
+
+
+def test_archer_variant_is_accepted(tmp_path):
+    path, _ = mini_config(tmp_path, rl={"variant": "archer"})
+    assert run(["gen-data", "--config", path]) == 0
+    assert cli.load_config(path).rl.variant == "archer"
+
+
 def test_invalid_value_is_validation_error(tmp_path, capsys):
     path, _ = mini_config(tmp_path, rl={"group_size": 1})
     assert run(["gen-data", "--config", path]) == 2
@@ -118,15 +133,37 @@ def test_missing_artifact_is_runtime_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:runtime:")
 
 
-@pytest.mark.parametrize("corrupt", ["garbage", "truncated"])
+def _with_header(header: bytes) -> bytes:
+    return b"EARLCKPT1\n" + struct.pack("<I", len(header)) + header
+
+
+def _edited_header(**changes):
+    """A corruption that rewrites header fields and keeps the payload."""
+    def corrupt(data: bytes) -> bytes:
+        (hlen,) = struct.unpack("<I", data[10:14])
+        meta = {**json.loads(data[14:14 + hlen]), **changes}
+        return _with_header(json.dumps(meta).encode()) + data[14 + hlen:]
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: b"not a checkpoint",
+    lambda data: data[:-100],
+    lambda data: b"EARLCKPT1\n",
+    lambda data: _with_header(b"{bad}"),
+    lambda data: _with_header(b'{"schema_version": 1}'),
+    _edited_header(V="125"),
+    _edited_header(V=-1),
+    _edited_header(k=1),
+], ids=["garbage", "truncated", "magic-only", "header-not-json",
+        "header-missing-key", "header-wrong-type", "header-negative-v",
+        "payload-too-long"])
 def test_corrupt_checkpoint_is_validation_error(tmp_path, capsys, corrupt):
     path, _ = mini_config(tmp_path)
     for sub in ("gen-data", "sft"):
         assert run([sub, "--config", path]) == 0
     ckpt = tmp_path / "run" / "sft.ckpt"
-    data = ckpt.read_bytes()
-    ckpt.write_bytes(b"not a checkpoint" if corrupt == "garbage"
-                     else data[:-100])
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
     capsys.readouterr()
     assert run(["eval", "--config", path]) == 2
     err = capsys.readouterr().err
@@ -217,7 +254,7 @@ def test_ablate_prints_failed_cell_cause(tmp_path, capsys, monkeypatch):
     assert "(2 rows, 1 failed)" in out
     assert "rho 0.8 failed: RuntimeError: boom" in out
     rows = (tmp_path / "run" / "ablation.csv").read_text().splitlines()
-    assert rows[2] == "0.8,nan,nan,nan,nan"
+    assert rows[2] == "0.8,nan,nan,nan"
 
 
 def test_seed_and_out_overrides(tmp_path):

@@ -150,13 +150,37 @@ def test_kl_divergence_nonnegative_zero_at_equal():
 
 # --- config resolution --------------------------------------------------------
 
-def test_variant_gate_and_eps_resolution():
-    assert rl.RlConfig(variant="earl").resolved_gate().mode == "mask"
-    assert rl.RlConfig(variant="dapo").resolved_gate().mode == "none"
-    assert rl.RlConfig(variant="grpo").resolved_eps() == (0.2, 0.2)
-    assert rl.RlConfig(variant="dapo").resolved_eps() == (0.2, 0.28)
-    explicit = rl.RlConfig(variant="dapo", gate=rl.GateConfig("mask", 0.5))
-    assert explicit.resolved_gate().rho == 0.5
+def _ones(h):
+    return np.ones(len(h))
+
+
+def test_variant_table_gates_advantages_and_eps():
+    ents = [np.array([0.1, 0.5, 0.3, 0.2, 0.4]), np.array([0.0, 0.0]),
+            np.array([2.0]), np.array([0.3, 0.9, 0.6])]
+    rollouts = [pol.Rollout((1,), (3,) * len(h), np.zeros(len(h)), h, 1.0,
+                            False) for h in ents]
+    group = rl.Group(None, rollouts, [], np.array([1.0, 1.0, 0.0, 0.0]))
+    # (gate of entropies h, advantages, eps) per variant, at rho 0.5
+    expect = {
+        "grpo": (_ones, [1, 1, -1, -1], (0.2, 0.2)),
+        "dapo": (_ones, [1, 1, -1, -1], (0.2, 0.28)),
+        "earl": (lambda h: rl.entropy_mask(h, rl.entropy_threshold(h, 0.5)),
+                 [1, 1, -1, -1], (0.2, 0.28)),
+        "ppo-baseline": (_ones, [0.5, 0.5, -0.5, -0.5], (0.2, 0.2)),
+        "archer": (rl.archer_weights, [1, 1, -1, -1], (0.2, 0.28)),
+    }
+    assert set(rl.VARIANTS) == set(expect)
+    for variant, (gate, adv, eps) in expect.items():
+        cfg = rl.RlConfig(variant=variant, rho=0.5)
+        assert cfg.resolved_eps() == eps
+        batch = rl.prepare_batch([group], cfg)
+        assert batch.token_total == 11
+        (pg,) = batch.groups
+        assert np.allclose(pg.advantages, adv)
+        for h, g in zip(ents, pg.gates):
+            assert np.array_equal(g, gate(h))
+    earl = rl.prepare_batch([group], rl.RlConfig(rho=0.5)).groups[0]
+    assert earl.gates[0].tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
 
 
 def test_config_validation_errors():
@@ -204,6 +228,15 @@ def test_earl_rho_zero_reproduces_dapo_bitwise():
     p2, m2 = _run(tasks, params, variant="dapo", rho=0.0)
     assert np.array_equal(p1.W, p2.W) and np.array_equal(p1.b, p2.b)
     assert rl.metrics_to_csv(m1) == rl.metrics_to_csv(m2)
+
+
+def test_archer_run_has_finite_metrics():
+    tasks, params = _tiny_setup()
+    trained, metrics = _run(tasks, params, variant="archer")
+    assert len(metrics) == 6 and any(m.retained_groups for m in metrics)
+    assert all(math.isfinite(v) for m in metrics for v in m.row())
+    assert np.isfinite(trained.W).all() and np.isfinite(trained.b).all()
+    assert not np.array_equal(trained.W, params.W)
 
 
 def test_grpo_equals_dapo_with_symmetric_eps():
