@@ -279,10 +279,11 @@ class EvalReport:
         return float(np.mean([t.mean_reward for t in self.tasks]))
 
 
-# Rollouts eval_suite samples together. A batch's logit gather is
-# V x batch x (k+1) doubles: all 625 rollouts of the default heldout eval at
-# once raised the benchmark's rl-train peak RSS from 109 to 149 MB and
-# sampled more slowly.
+# Rollouts eval_suite samples together. Sampling's memory grows with the
+# batch (its [n, max_len] outputs and [n, V] temporaries): all 625 rollouts of
+# the default heldout eval in one call at k = 48 ran 1.3-1.9 times as many
+# rollouts per second in the rl-train benchmark, but raised eval_suite's
+# tracemalloc peak from 0.9 to 8.4 MiB.
 EVAL_BATCH_ROLLOUTS = 48
 
 

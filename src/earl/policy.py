@@ -137,12 +137,17 @@ def _advance_indices(params: PolicyParams, idx: np.ndarray, token,
 
 
 def logits(params: PolicyParams, rows: np.ndarray) -> np.ndarray:
-    """Logits [..., V] of feature rows [..., k+1]: the one gather of W.
+    """Logits [..., V] of feature rows [..., k+1]: ``design_matrix(rows) @ W
+    + b``, the CSR x dense product SFT also runs.
 
-    numpy adds the k+1 gathered rows one after another, not pairwise, which
-    is also the order of a vocab-major ``W.T[:, rows].sum(axis=-1)``; the
-    sampled tokens and stored log-probabilities depend on that order."""
-    return params.W[rows].sum(axis=-2) + params.b
+    scipy starts each output row at 0 and adds the row's k+1 rows of W one
+    after another, in index order. That is the order of the gather sum
+    ``W[rows].sum(axis=-2)`` and of a vocab-major ``W.T[:, rows].sum(axis=-1)``,
+    so every logit keeps its bytes; the sampled tokens and stored
+    log-probabilities depend on it. No [..., k+1, V] gather is built."""
+    z = design_matrix(rows.reshape(-1, params.k + 1), params.F) @ params.W
+    z += params.b
+    return z.reshape(rows.shape[:-1] + (params.V,))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

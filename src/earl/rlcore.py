@@ -178,7 +178,7 @@ def filter_groups(groups) -> list:
 class CoeffDiagnostics:
     tokens: int = 0
     clipped: int = 0
-    gated_nonzero: int = 0
+    gate_weight: float = 0.0  # sum of the tokens' gate values
 
     @property
     def clip_rate(self) -> float:
@@ -186,7 +186,9 @@ class CoeffDiagnostics:
 
     @property
     def gated_fraction(self) -> float:
-        return self.gated_nonzero / self.tokens if self.tokens else 0.0
+        """Mean gate value per token: the share of tokens a 0/1 mask keeps,
+        the mean weight under archer-weight."""
+        return self.gate_weight / self.tokens if self.tokens else 0.0
 
 
 def per_token_coefficients(new_logprobs, old_logprobs, advantage: float,
@@ -210,7 +212,7 @@ def per_token_coefficients(new_logprobs, old_logprobs, advantage: float,
     if diag is not None:
         diag.tokens += r.size
         diag.clipped += int((~active_unclipped).sum())
-        diag.gated_nonzero += int((g > 0).sum())
+        diag.gate_weight += float(g.sum())
     return coeffs
 
 
@@ -338,7 +340,9 @@ def sample_groups(params: pol.PolicyParams, tasks, config: RlConfig,
                   schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
                   ) -> list[Group]:
     """G rollouts per task, all sampled in one batch, then scored. Rollout g
-    of task i draws from rng_for(*rng_parts[i], g)."""
+    of task i draws from rng_for(*rng_parts[i], g), so its bytes do not
+    depend on the batch: train_rl samples every resample attempt of a step
+    in one call."""
     tasks, G = list(tasks), config.group_size
     rollouts = pol.sample_rollouts(
         params, [t.prompt_tokens for t in tasks for _ in range(G)],
@@ -394,12 +398,16 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
              ) -> tuple[pol.PolicyParams, list[StepMetrics]]:
     """Entropy-aware RL from an SFT initialization.
 
-    Per step: sample a prompt batch with G rollouts each from params, which
-    stay fixed until the step's update, so the rollouts' stored log-probs
-    are the old policy's; score, keep mixed groups (resampling fresh prompts
-    up to max_resample_attempts to refill), compute advantages/gates/
-    coefficients, ascend the objective, and log one metrics row. pi_ref is
-    frozen to the incoming params unless supplied.
+    Per step: draw the prompt batch of every attempt 0..max_resample_attempts
+    (rng_for(seed, "rl-prompts", step, attempt), in attempt order), sample G
+    rollouts each from params in one batch, and score them. params stay fixed
+    until the step's update, so the rollouts' stored log-probs are the old
+    policy's, and each rollout draws from its own generator, so sampling the
+    attempts together gives the bytes of sampling them one by one. Walk the
+    attempts in order, keeping mixed groups, and stop at the first attempt
+    that fills batch_prompts; later attempts' groups are dropped. Then
+    compute advantages/gates/coefficients, ascend the objective, and log one
+    metrics row. pi_ref is frozen to the incoming params unless supplied.
     """
     config.validate()
     tasks = list(train_tasks)
@@ -407,24 +415,25 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
         raise ConfigError("train_rl requires at least one training task")
     if pi_ref is None:
         pi_ref = params.copy()
+    n_prompts = min(config.batch_prompts, len(tasks))
+    attempts = range(config.max_resample_attempts + 1)
     metrics: list[StepMetrics] = []
     for step in range(config.steps):
+        # attempt 0's draw comes first: it starts the step
+        drawn = [rng_for(config.seed, "rl-prompts", step, attempt).choice(
+                     len(tasks), size=n_prompts, replace=False)
+                 for attempt in attempts]
+        sampled = sample_groups(
+            params, [tasks[int(i)] for idx in drawn for i in idx], config,
+            [(config.seed, "rl-rollout", step, attempt, int(i))
+             for attempt, idx in zip(attempts, drawn) for i in idx],
+            schedule)
         groups: list[Group] = []
-        retained: list[Group] = []
-        attempt = 0
-        while attempt <= config.max_resample_attempts:
-            prng = rng_for(config.seed, "rl-prompts", step, attempt)
-            idx = prng.choice(len(tasks),
-                              size=min(config.batch_prompts, len(tasks)),
-                              replace=False)
-            groups += sample_groups(
-                params, [tasks[int(i)] for i in idx], config,
-                [(config.seed, "rl-rollout", step, attempt, int(i))
-                 for i in idx], schedule)
+        for attempt in attempts:
+            groups += sampled[attempt * n_prompts:(attempt + 1) * n_prompts]
             retained = filter_groups(groups)
             if len(retained) >= config.batch_prompts:
                 break
-            attempt += 1
 
         all_rewards = np.concatenate([g.rewards for g in groups])
         all_pass = sum(g.pass_count for g in groups)

@@ -255,6 +255,103 @@ def test_train_rl_deterministic():
     assert rl.metrics_to_csv(m1) == rl.metrics_to_csv(m2)
 
 
+def _attempt_groups(config, params, tasks, step):
+    """One step's groups sampled attempt by attempt, each attempt in its own
+    sample_groups call, stopping at the first attempt that fills the batch:
+    the sequential reference for train_rl's single sampling batch. Returns
+    (groups, retained, attempts used)."""
+    groups = []
+    for attempt in range(config.max_resample_attempts + 1):
+        idx = rng_for(config.seed, "rl-prompts", step, attempt).choice(
+            len(tasks), size=min(config.batch_prompts, len(tasks)),
+            replace=False)
+        groups += rl.sample_groups(
+            params, [tasks[int(i)] for i in idx], config,
+            [(config.seed, "rl-rollout", step, attempt, int(i))
+             for i in idx])
+        retained = rl.filter_groups(groups)
+        if len(retained) >= config.batch_prompts:
+            break
+    return groups, retained, attempt + 1
+
+
+def _attempt_by_attempt_rl(config, params, tasks):
+    """Reference train_rl over _attempt_groups; returns (params, metrics,
+    attempts used per step)."""
+    pi_ref = params.copy()
+    metrics, used = [], []
+    for step in range(config.steps):
+        groups, retained, n_attempts = _attempt_groups(config, params, tasks,
+                                                       step)
+        used.append(n_attempts)
+        ent = np.concatenate([r.entropies for g in groups
+                              for r in g.rollouts])
+        batch = rl.prepare_batch(retained, config)
+        clip_rate, gated, mean_kl = 0.0, 0.0, 0.0
+        if batch.groups and batch.token_total > 0:
+            acc, diag, mean_kl = rl.assemble_gradient(batch, params, pi_ref,
+                                                      config)
+            pol.apply_update(params, acc, config.learning_rate)
+            clip_rate, gated = diag.clip_rate, diag.gated_fraction
+        metrics.append(rl.StepMetrics(
+            step, float(np.concatenate([g.rewards for g in groups]).mean()),
+            sum(g.pass_count for g in groups) / sum(g.size for g in groups),
+            clip_rate, gated, mean_kl,
+            float(ent.mean()) if ent.size else 0.0, len(batch.groups)))
+    return params, metrics, used
+
+
+@pytest.mark.parametrize("batch_prompts,stops_early", [(3, False), (1, True)])
+def test_one_batch_per_step_matches_attempt_by_attempt(batch_prompts,
+                                                       stops_early):
+    tasks, params = _tiny_setup()
+    cfg = rl.RlConfig(steps=6, batch_prompts=batch_prompts, group_size=4,
+                      max_resample_attempts=2, max_response_len=48, seed=3)
+    p_ref, m_ref, used = _attempt_by_attempt_rl(cfg, params.copy(), tasks)
+    # the first setup exhausts every attempt; the second stops early, so
+    # train_rl must drop the groups of the attempts after the stop
+    assert (min(used) < 3) == stops_early and max(used) == 3
+    p, m = rl.train_rl(cfg, params.copy(), tasks)
+    assert rl.metrics_to_csv(m) == rl.metrics_to_csv(m_ref)
+    assert np.array_equal(p.W, p_ref.W) and np.array_equal(p.b, p_ref.b)
+
+
+def test_prompt_draws_start_each_step_in_attempt_order(monkeypatch):
+    # an RL step starts at its attempt-0 prompt draw through rlcore's
+    # rng_for, and the benchmark's step clock taps exactly that call
+    calls = []
+
+    def recording(*parts):
+        calls.append(parts)
+        return rng_for(*parts)
+
+    monkeypatch.setattr(rl, "rng_for", recording)
+    tasks, params = _tiny_setup()
+    cfg = rl.RlConfig(steps=3, batch_prompts=2, group_size=2,
+                      max_resample_attempts=2, max_response_len=8, seed=5)
+    rl.train_rl(cfg, params, tasks)
+    assert [c[2] for c in calls] == sorted(c[2] for c in calls)
+    for step in range(cfg.steps):
+        in_step = [c for c in calls if c[2] == step]
+        assert in_step[0] == (5, "rl-prompts", step, 0)
+        assert [c for c in in_step if c[1] == "rl-prompts"] == \
+            [(5, "rl-prompts", step, a) for a in range(3)]
+
+
+def test_archer_gated_fraction_is_mean_weight():
+    tasks, params = _tiny_setup()
+    cfg = rl.RlConfig(steps=1, batch_prompts=3, group_size=4,
+                      max_resample_attempts=2, max_response_len=48, seed=3,
+                      variant="archer")
+    _, (m,) = rl.train_rl(cfg, params.copy(), tasks)
+    _, retained, _ = _attempt_groups(cfg, params, tasks, 0)
+    batch = rl.prepare_batch(retained, cfg)
+    weights = np.concatenate([g for pg in batch.groups for g in pg.gates])
+    assert m.retained_groups > 0 and weights.size == batch.token_total
+    assert m.gated_fraction < 1.0
+    assert m.gated_fraction == pytest.approx(weights.mean(), rel=1e-12)
+
+
 def test_sample_group_stores_exact_logprobs():
     # assemble_gradient takes each rollout's stored log-probs as pi_old's
     tasks, params = _tiny_setup()
