@@ -89,6 +89,7 @@ class RunConfig:
         if self.policy_k < 1:
             raise ConfigError("policy_k: must be >= 1")
         self.corpus.validate()
+        self.sft.validate()
         self.rl.validate()
         self.reward.validate()
         self.eval.validate()

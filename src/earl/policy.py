@@ -18,12 +18,13 @@ stored and recomputed log-probabilities always agree.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .minirtl.vocab import BOS, EOS, PAD, DEFAULT_VOCAB, Vocab
 from .seeds import rng_for
 
@@ -150,6 +151,21 @@ def logits(params: PolicyParams, rows: np.ndarray) -> np.ndarray:
     return z.reshape(rows.shape[:-1] + (params.V,))
 
 
+def distributions(params: PolicyParams, rows: np.ndarray,
+                  temperature: float) -> np.ndarray:
+    """Next-token distributions [n, V] of feature rows [n, k+1]: the softmax
+    of logits / temperature, row by row. The result is C-contiguous, so each
+    row sums in the order softmax() sums one vector, and a row's bytes do not
+    depend on the other rows. Shared by sampling, re-scoring and the
+    gradient."""
+    e = logits(params, rows)
+    e /= temperature
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
@@ -173,8 +189,16 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
 
     Each rollout draws from its own generator exactly as
     ``rng.choice(V, p=softmax(z / temperature))`` would (cumsum, one
-    ``random()``, a right-sided search), so its tokens and bytes do not
-    depend on the batch it is sampled in.
+    uniform, a right-sided search), so its tokens and bytes do not depend on
+    the batch it is sampled in. A rollout's t-th uniform is its generator's
+    t-th double, but generators advance in whole blocks of up to 64
+    (``random(m)``), so one left over from a rollout that ended early is not
+    where a ``random()`` per token would have left it.
+
+    Rollouts with the same prompt and the same tokens so far share a node,
+    and with it a feature row and a distribution: at each position the
+    logits, softmax, CDF, log-probabilities and entropy are computed once per
+    distinct node and spread to its rollouts.
     """
     if temperature <= 0:
         raise DomainError("temperature must be > 0")
@@ -183,7 +207,7 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     prompts, rngs = [tuple(p) for p in prompts], list(rngs)
     if len(prompts) != len(rngs):
         raise DomainError("sample_rollouts needs one generator per prompt")
-    n, eos = len(prompts), params.vocab.id(EOS)
+    n, eos, V = len(prompts), params.vocab.id(EOS), params.V
     tokens = np.zeros((n, max_len), dtype=np.int64)
     logprobs = np.zeros((n, max_len))
     entropies = np.zeros((n, max_len))
@@ -192,37 +216,42 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     # rows 0 of feature_rows read the prompt only
     idx = np.array([feature_rows(params, p, (eos,))[0] for p in prompts],
                    dtype=np.int64).reshape(n, params.k + 1)
+    first_of: dict = {}  # equal prompts start at one node
+    node = np.array([first_of.setdefault(p, len(first_of)) for p in prompts],
+                    dtype=np.int64)
+    # uniforms per generator draw; the [144, 64] block of a default RL
+    # step's rollouts stays under glibc's 128 KiB mmap threshold
+    block = 64
     for t in range(max_len):
         if not active.size:
             break
-        # C-contiguous [A, V], so row sums below add in the order softmax()
-        # and token_entropy() sum one vector
-        z = logits(params, idx)
-        z /= temperature
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=1, keepdims=True)
+        if t % block == 0:
+            draws = np.array([rngs[i].random(min(block, max_len - t))
+                              for i in active])
+        _, first, inv = np.unique(node, return_index=True, return_inverse=True)
+        p = distributions(params, idx[first], temperature)
         if not np.isfinite(p).all():
             raise DomainError("next-token probabilities are not finite")
         cdf = np.cumsum(p, axis=1)
         cdf /= cdf[:, -1:]
-        u = np.array([rngs[i].random() for i in active])
+        u = draws[:, t % block]
         # rows of cdf are non-decreasing, so this count is
         # searchsorted(row, u, side="right")
-        tok = (cdf <= u[:, None]).sum(axis=1)
-        rows = np.arange(active.size)
+        tok = (cdf[inv] <= u[:, None]).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = np.log(p)
             h = -(p * logp).sum(axis=1)
         for j in np.flatnonzero(np.isnan(h)):  # a probability underflowed
             h[j] = token_entropy(p[j])
         tokens[active, t] = tok
-        logprobs[active, t] = logp[rows, tok]
-        entropies[active, t] = h
+        logprobs[active, t] = logp[inv, tok]
+        entropies[active, t] = h[inv]
         _advance_indices(params, idx, tok, t + 1)
+        node = inv * V + tok
         going = tok != eos
         lengths[active[~going]] = t + 1
-        active, idx = active[going], idx[going]
+        active, idx, node, draws = (active[going], idx[going], node[going],
+                                    draws[going])
     return [Rollout(prompts[i], tuple(tokens[i, :L].tolist()),
                     logprobs[i, :L].copy(), entropies[i, :L].copy(),
                     temperature, bool(tokens[i, L - 1] != eos))
@@ -258,11 +287,7 @@ def response_distributions(params: PolicyParams, prompt, response,
     if temperature <= 0:
         raise DomainError("temperature must be > 0")
     rows = feature_rows(params, prompt, response)
-    z = logits(params, rows)
-    z /= temperature
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return rows, e / e.sum(axis=1, keepdims=True)
+    return rows, distributions(params, rows, temperature)
 
 
 def sequence_logprobs(params: PolicyParams, prompt, response,
@@ -304,6 +329,18 @@ class SftSchedule:
     batch_contexts: int = 1024
     seed: int = 0
 
+    def validate(self) -> None:
+        if self.batch_contexts < 1:
+            raise ConfigError("sft.batch_contexts: must be >= 1")
+        if self.warmup_steps < 0:
+            raise ConfigError("sft.warmup_steps: must be >= 0")
+        if self.epochs < 1:
+            raise ConfigError("sft.epochs: must be >= 1")
+        if self.total_steps is not None and self.total_steps < 0:
+            raise ConfigError("sft.total_steps: must be None or >= 0")
+        if not math.isfinite(self.peak_lr):
+            raise ConfigError("sft.peak_lr: must be finite")
+
 
 def lr_at(step: int, schedule: SftSchedule, total_steps: int) -> float:
     """Linear warmup to peak at step == warmup_steps, then cosine decay to 0."""
@@ -344,6 +381,7 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
     Deterministic: minibatches are sequential slices of a per-epoch seeded
     permutation. Returns the trained params and the per-step loss log.
     """
+    schedule.validate()
     tasks = list(tasks)
     if not tasks:
         raise DomainError("train_sft requires a nonempty corpus")

@@ -77,6 +77,8 @@ class RlConfig:
             raise ConfigError("rl.batch_prompts: must be >= 1")
         if self.steps < 0:
             raise ConfigError("rl.steps: must be >= 0")
+        if self.max_resample_attempts < 0:
+            raise ConfigError("rl.max_resample_attempts: must be >= 0")
         for name in ("beta", "learning_rate", "rho"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"rl.{name}: must be finite")
@@ -256,6 +258,47 @@ def prepare_batch(groups, config: RlConfig) -> PreparedBatch:
     return PreparedBatch(prepared, total)
 
 
+class Rescored(NamedTuple):
+    """One group's nonempty rollouts re-scored in one pass; the token axis
+    runs rollout by rollout, rollout i over tokens start:stop of spans."""
+    spans: list            # (rollout index, start, stop)
+    rows: np.ndarray       # feature rows [n, k+1]
+    toks: np.ndarray       # response tokens [n]
+    p_new: np.ndarray      # pi_new's distributions [n, V]
+    new_lp: np.ndarray     # pi_new's log-prob of each token [n]
+    s: np.ndarray | None   # log p_new - log p_ref [n, V]; None if beta == 0
+    kl: np.ndarray | None  # KL(p_new || p_ref) per token [n]
+
+
+def rescore_group(pg: PreparedGroup, pi_new: pol.PolicyParams,
+                  pi_ref: pol.PolicyParams, config: RlConfig
+                  ) -> Rescored | None:
+    """Re-score a group under pi_new (and pi_ref when beta != 0): one
+    feature_rows concatenation and one distributions call per policy. Rows
+    are independent, so every value has the bytes of re-scoring rollout by
+    rollout. None when every response is empty."""
+    spans, rows, toks = [], [], []
+    for i, rollout in enumerate(pg.group.rollouts):
+        resp = rollout.response_tokens
+        if resp:
+            spans.append((i, len(toks), len(toks) + len(resp)))
+            rows.append(pol.feature_rows(pi_new, rollout.prompt_tokens, resp))
+            toks += resp
+    if not spans:
+        return None
+    rows, toks = np.concatenate(rows), np.array(toks, dtype=np.int64)
+    T = config.temperature
+    p_new = pol.distributions(pi_new, rows, T)
+    new_lp = np.log(p_new[np.arange(len(toks)), toks])
+    s = kl = None
+    if config.beta != 0.0:
+        p_ref = pol.distributions(pi_ref, rows, T)
+        s = np.log(p_new)
+        s -= np.log(p_ref, out=p_ref)
+        kl = (p_new * s).sum(axis=1)
+    return Rescored(spans, rows, toks, p_new, new_lp, s, kl)
+
+
 def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
                     pi_ref: pol.PolicyParams, config: RlConfig) -> float:
     """Scalar objective consistent with the assembled gradient: token-level
@@ -264,24 +307,21 @@ def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
     if batch.token_total == 0:
         return 0.0
     eps_low, eps_high = config.resolved_eps()
-    T = config.temperature
     total = 0.0
     for pg in batch.groups:
-        for i, rollout in enumerate(pg.group.rollouts):
-            prompt, resp = rollout.prompt_tokens, rollout.response_tokens
-            new_lp = pol.sequence_logprobs(pi_new, prompt, resp, T)
-            r = np.exp(new_lp - rollout.logprobs)
+        rs = rescore_group(pg, pi_new, pi_ref, config)
+        if rs is None:
+            continue
+        for i, start, stop in rs.spans:
+            r = np.exp(rs.new_lp[start:stop] - pg.group.rollouts[i].logprobs)
             adv = pg.advantages[i]
             surr = np.minimum(r * adv,
                               np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
             gates = pg.gates[i]
             total += float((gates * surr).sum())
-            if config.beta != 0.0:
-                _, p_new = pol.response_distributions(pi_new, prompt, resp, T)
-                _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
-                kl = (p_new * (np.log(p_new) - np.log(p_ref))).sum(axis=1)
+            if rs.kl is not None:
                 w = gates if config.gated_kl else 1.0
-                total -= config.beta * float((w * kl).sum())
+                total -= config.beta * float((w * rs.kl[start:stop]).sum())
     return total / batch.token_total
 
 
@@ -289,48 +329,56 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
                       pi_ref: pol.PolicyParams, config: RlConfig
                       ) -> tuple[pol.GradAccumulator, CoeffDiagnostics, float]:
     """Gradient of objective_value in pi_new, summed in (group, rollout,
-    token) order. Returns (accumulator, diagnostics, mean per-token KL)."""
-    acc = pol.GradAccumulator.zeros_like(pi_new)
+    token) order, each group re-scored in one pass and its logit gradients
+    written in place into one [tokens, V] array. Diagnostics and the KL sum
+    still add rollout by rollout. Returns (accumulator, diagnostics, mean
+    per-token KL)."""
     diag = CoeffDiagnostics()
     eps_low, eps_high = config.resolved_eps()
-    T = config.temperature
     kl_sum, kl_count = 0.0, 0
-    row_chunks, grad_chunks = [], []
+    n = sum(len(r.response_tokens) for pg in batch.groups
+            for r in pg.group.rollouts)
+    if not n:
+        return pol.GradAccumulator.zeros_like(pi_new), diag, 0.0
+    rows = np.empty((n, pi_new.k + 1), dtype=np.int64)
+    G = np.empty((n, pi_new.V))  # d objective / d logits, one row per token
+    end = 0
     for pg in batch.groups:
-        for i, rollout in enumerate(pg.group.rollouts):
-            prompt, resp = rollout.prompt_tokens, rollout.response_tokens
-            if not resp:
-                continue
-            rows, p_new = pol.response_distributions(pi_new, prompt, resp, T)
-            toks = np.asarray(resp, dtype=np.int64)
-            ar = np.arange(len(toks))
-            new_lp = np.log(p_new[ar, toks])
-            coeffs = per_token_coefficients(new_lp, rollout.logprobs,
-                                            pg.advantages[i],
-                                            pg.gates[i], eps_low, eps_high,
-                                            batch.token_total, diag)
-            # d/dz of coeff * log p(tok): (one-hot - p) * coeff / T
-            G = -p_new * coeffs[:, None]
-            G[ar, toks] += coeffs
-            if config.beta != 0.0:
-                _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
-                s = np.log(p_new) - np.log(p_ref)
-                kl = (p_new * s).sum(axis=1)
-                w = pg.gates[i] if config.gated_kl else np.ones(len(toks))
-                c = -config.beta * w / batch.token_total
-                G += p_new * (s - kl[:, None]) * c[:, None]
-                kl_sum += float(kl.sum())
-                kl_count += len(toks)
-            G /= T
-            row_chunks.append(rows)
-            grad_chunks.append(G)
-    if row_chunks:
-        X = pol.design_matrix(np.concatenate(row_chunks), pi_new.F)
-        Gall = np.concatenate(grad_chunks)
-        acc.dW += X.T @ Gall
-        acc.db += Gall.sum(axis=0)
+        rs = rescore_group(pg, pi_new, pi_ref, config)
+        if rs is None:
+            continue
+        start, end = end, end + len(rs.toks)
+        rows[start:end] = rs.rows
+        rollouts = pg.group.rollouts
+        coeffs = np.concatenate([
+            per_token_coefficients(rs.new_lp[a:b], rollouts[i].logprobs,
+                                   pg.advantages[i], pg.gates[i], eps_low,
+                                   eps_high, batch.token_total, diag)
+            for i, a, b in rs.spans])
+        # d/dz of coeff * log p(tok): (one-hot - p) * coeff / T
+        g = G[start:end]
+        np.negative(rs.p_new, out=g)
+        g *= coeffs[:, None]
+        g[np.arange(len(rs.toks)), rs.toks] += coeffs
+        if rs.kl is not None:
+            w = (np.concatenate([pg.gates[i] for i, _, _ in rs.spans])
+                 if config.gated_kl else np.ones(len(rs.toks)))
+            c = -config.beta * w / batch.token_total
+            d = rs.s - rs.kl[:, None]  # p_new * (s - kl) * c, in place
+            d *= rs.p_new
+            d *= c[:, None]
+            g += d
+            for _, a, b in rs.spans:
+                kl_sum += float(rs.kl[a:b].sum())
+            kl_count += len(rs.toks)
+        g /= config.temperature
+    db = np.zeros_like(pi_new.b)
+    db += G.sum(axis=0)  # a column of -0.0 sums to -0.0; db keeps +0.0
+    # scipy starts every entry of the product at +0.0 and adds to it, so dW
+    # has the bytes of zeros + product, without a W-sized zero fill
+    dW = pol.design_matrix(rows, pi_new.F).T @ G
     mean_kl = kl_sum / kl_count if kl_count else 0.0
-    return acc, diag, mean_kl
+    return pol.GradAccumulator(dW, db), diag, mean_kl
 
 
 # --- training loop -----------------------------------------------------------

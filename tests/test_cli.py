@@ -121,6 +121,17 @@ def test_invalid_value_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:validation:")
 
 
+def test_sft_schedule_is_validated(tmp_path, capsys):
+    path, _ = mini_config(tmp_path)
+    assert run(["gen-data", "--config", path]) == 0
+    capsys.readouterr()
+    path, _ = mini_config(tmp_path, sft={"batch_contexts": 0})
+    assert run(["sft", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:") and err.count("\n") == 1
+    assert "sft.batch_contexts" in err
+
+
 def test_malformed_json_is_validation_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earl import policy as pol
-from earl.errors import DomainError
+from earl.errors import ConfigError, DomainError
 from earl.minirtl.vocab import DEFAULT_VOCAB
 from earl.seeds import rng_for
 
@@ -188,6 +188,9 @@ def test_sample_rollouts_match_one_at_a_time(temperature):
     prompts = [(bos,), (bos, 9, 10, 11), (a,), (a, 7, 8, 9, 10, 12),
                (bos,) + tuple(range(20, 70))] * 3
     seeds = [("batch", temperature, i) for i in range(len(prompts))]
+    # repeated (prompt, seed) pairs: whole rollouts share every node
+    prompts += prompts[:5] + prompts[7:9]
+    seeds += seeds[:5] + seeds[7:9]
     batch = pol.sample_rollouts(p, prompts, temperature, 12,
                                 [rng_for(*s) for s in seeds])
     assert len(batch) == len(prompts)
@@ -293,6 +296,18 @@ def test_sft_memorizes_single_task():
     expected = tokenize(task.reference_text) + [DEFAULT_VOCAB.id("EOS")]
     assert pol.greedy_decode(p, task.prompt_tokens, 256) == expected
     assert losses[-1] < 0.05
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_contexts", 0), ("warmup_steps", -1), ("epochs", 0),
+    ("total_steps", -1), ("peak_lr", math.nan), ("peak_lr", math.inf)])
+def test_sft_schedule_validation(field, value):
+    schedule = pol.SftSchedule(**{field: value})
+    with pytest.raises(ConfigError, match=f"sft.{field}"):
+        schedule.validate()
+    p = pol.init_params(DEFAULT_VOCAB, 2, 0)
+    with pytest.raises(ConfigError):
+        pol.train_sft(p, [], schedule)
 
 
 def test_sft_empty_corpus_rejected():

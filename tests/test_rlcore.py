@@ -190,6 +190,8 @@ def test_config_validation_errors():
         rl.RlConfig(group_size=1).validate()
     with pytest.raises(ConfigError):
         rl.RlConfig(rho=1.0).validate()
+    with pytest.raises(ConfigError, match="max_resample_attempts"):
+        rl.RlConfig(max_resample_attempts=-1).validate()
 
 
 def test_metrics_csv_header_and_shape():
@@ -369,3 +371,123 @@ def test_train_rl_requires_tasks():
     _, params = _tiny_setup()
     with pytest.raises(ConfigError):
         rl.train_rl(rl.RlConfig(steps=1), params, [])
+
+
+def test_train_rl_rejects_negative_resample_attempts():
+    tasks, params = _tiny_setup()
+    with pytest.raises(ConfigError, match="max_resample_attempts"):
+        rl.train_rl(rl.RlConfig(steps=1, max_resample_attempts=-1), params,
+                    tasks[:4])
+
+
+# --- one re-scoring pass per group --------------------------------------------
+
+def _per_rollout_objective(batch, pi_new, pi_ref, config):
+    """objective_value re-scoring rollout by rollout."""
+    if batch.token_total == 0:
+        return 0.0
+    eps_low, eps_high = config.resolved_eps()
+    T = config.temperature
+    total = 0.0
+    for pg in batch.groups:
+        for i, rollout in enumerate(pg.group.rollouts):
+            prompt, resp = rollout.prompt_tokens, rollout.response_tokens
+            new_lp = pol.sequence_logprobs(pi_new, prompt, resp, T)
+            r = np.exp(new_lp - rollout.logprobs)
+            adv = pg.advantages[i]
+            surr = np.minimum(r * adv,
+                              np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
+            gates = pg.gates[i]
+            total += float((gates * surr).sum())
+            if config.beta != 0.0:
+                _, p_new = pol.response_distributions(pi_new, prompt, resp, T)
+                _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
+                kl = (p_new * (np.log(p_new) - np.log(p_ref))).sum(axis=1)
+                w = gates if config.gated_kl else 1.0
+                total -= config.beta * float((w * kl).sum())
+    return total / batch.token_total
+
+
+def _per_rollout_gradient(batch, pi_new, pi_ref, config):
+    """assemble_gradient re-scoring rollout by rollout: two
+    response_distributions calls per rollout."""
+    acc = pol.GradAccumulator.zeros_like(pi_new)
+    diag = rl.CoeffDiagnostics()
+    eps_low, eps_high = config.resolved_eps()
+    T = config.temperature
+    kl_sum, kl_count = 0.0, 0
+    row_chunks, grad_chunks = [], []
+    for pg in batch.groups:
+        for i, rollout in enumerate(pg.group.rollouts):
+            prompt, resp = rollout.prompt_tokens, rollout.response_tokens
+            if not resp:
+                continue
+            rows, p_new = pol.response_distributions(pi_new, prompt, resp, T)
+            toks = np.asarray(resp, dtype=np.int64)
+            ar = np.arange(len(toks))
+            new_lp = np.log(p_new[ar, toks])
+            coeffs = rl.per_token_coefficients(
+                new_lp, rollout.logprobs, pg.advantages[i], pg.gates[i],
+                eps_low, eps_high, batch.token_total, diag)
+            G = -p_new * coeffs[:, None]
+            G[ar, toks] += coeffs
+            if config.beta != 0.0:
+                _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
+                s = np.log(p_new) - np.log(p_ref)
+                kl = (p_new * s).sum(axis=1)
+                w = pg.gates[i] if config.gated_kl else np.ones(len(toks))
+                c = -config.beta * w / batch.token_total
+                G += p_new * (s - kl[:, None]) * c[:, None]
+                kl_sum += float(kl.sum())
+                kl_count += len(toks)
+            G /= T
+            row_chunks.append(rows)
+            grad_chunks.append(G)
+    if row_chunks:
+        X = pol.design_matrix(np.concatenate(row_chunks), pi_new.F)
+        Gall = np.concatenate(grad_chunks)
+        acc.dW += X.T @ Gall
+        acc.db += Gall.sum(axis=0)
+    return acc, diag, kl_sum / kl_count if kl_count else 0.0
+
+
+def _nudged(params, scale, seed):
+    p = params.copy()
+    rng = np.random.default_rng(seed)
+    p.W += rng.normal(0, scale, p.W.shape)
+    p.b += rng.normal(0, scale, p.b.shape)
+    return p
+
+
+@pytest.mark.parametrize("variant,beta,gated_kl,T", [
+    ("earl", 0.01, False, 1.0), ("earl", 0.0, False, 0.7),
+    ("earl", 0.01, True, 0.7), ("archer", 0.01, True, 1.0),
+    ("grpo", 0.01, False, 0.7), ("grpo", 0.0, False, 1.0)])
+def test_group_rescoring_matches_per_rollout(variant, beta, gated_kl, T):
+    tasks, params = _tiny_setup()
+    cfg = rl.RlConfig(group_size=4, max_response_len=48, temperature=T,
+                      variant=variant, beta=beta, gated_kl=gated_kl)
+    groups = rl.sample_groups(params, tasks[:8], cfg,
+                              [(7, "rescore", j) for j in range(8)])
+    batch = rl.prepare_batch(groups, cfg)
+    # one rollout's response emptied: re-scoring skips it, as before
+    pg = batch.groups[0]
+    r = pg.group.rollouts[1]
+    pg.group.rollouts[1] = pol.Rollout(r.prompt_tokens, (), np.zeros(0),
+                                       np.zeros(0), T, False)
+    pg.gates[1] = np.zeros(0)
+    batch = rl.PreparedBatch(batch.groups, sum(
+        len(r.response_tokens) for pg in batch.groups
+        for r in pg.group.rollouts))
+    assert len(batch.groups) >= 3
+    pi_new, pi_ref = _nudged(params, 0.3, 1), _nudged(params, 0.1, 2)
+    acc, diag, mean_kl = rl.assemble_gradient(batch, pi_new, pi_ref, cfg)
+    ref_acc, ref_diag, ref_kl = _per_rollout_gradient(batch, pi_new, pi_ref,
+                                                      cfg)
+    assert acc.dW.tobytes() == ref_acc.dW.tobytes()  # signs of zeros too
+    assert acc.db.tobytes() == ref_acc.db.tobytes()
+    assert diag.clip_rate == ref_diag.clip_rate > 0
+    assert diag.gated_fraction == ref_diag.gated_fraction
+    assert mean_kl == ref_kl and (mean_kl > 0) == (beta != 0)
+    assert rl.objective_value(batch, pi_new, pi_ref, cfg) == \
+        _per_rollout_objective(batch, pi_new, pi_ref, cfg)
