@@ -20,7 +20,6 @@ from . import reward as rew
 from . import rlcore
 from .errors import DomainError
 from .minirtl.vocab import DEFAULT_VOCAB, Vocab
-from .seeds import rng_for
 
 TOKEN_CLASSES = ("process-sensitivity", "control-flow", "binding-connection",
                  "module-head", "structural-terminator", "identifier",
@@ -279,9 +278,10 @@ class EvalReport:
         return float(np.mean([t.mean_reward for t in self.tasks]))
 
 
-# Rollouts eval_suite samples together. Sampling's memory grows with the
-# batch (its [n, max_len] outputs and [n, V] temporaries): all 625 rollouts of
-# the default heldout eval in one call at k = 48 ran 1.3-1.9 times as many
+# Rollouts eval_suite samples together at most, in whole tasks (one task per
+# call when n is larger). Sampling's memory grows with the batch (its
+# [n, max_len] outputs and [n, V] temporaries): all 625 rollouts of the
+# default heldout eval in one call at k = 48 ran 1.3-1.9 times as many
 # rollouts per second in the rl-train benchmark, but raised eval_suite's
 # tracemalloc peak from 0.9 to 8.4 MiB.
 EVAL_BATCH_ROLLOUTS = 48
@@ -291,33 +291,27 @@ def eval_suite(params: pol.PolicyParams, tasks, n: int = 5,
                ks=(1, 5), temperature: float = 1.0, seed: int = 0,
                schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE,
                max_len: int = 256, collect_rollouts: bool = False):
-    """n sampled completions per task; returns an EvalReport, plus the raw
+    """n sampled completions per task, completion j of a task drawn from
+    rng_for(seed, "eval", task.id, j); returns an EvalReport, plus the raw
     rollouts when collect_rollouts is set (for the entropy study)."""
     tasks = list(tasks)
     if not tasks:
         raise DomainError("eval_suite requires a nonempty task list")
     ks = tuple(int(k) for k in ks)
-    if not ks or n < max(ks):
-        raise DomainError("eval_suite requires n >= max(k list)")
-    jobs = [(task, j) for task in tasks for j in range(n)]
-    rollouts, breakdowns = [], []
-    for start in range(0, len(jobs), EVAL_BATCH_ROLLOUTS):
-        chunk = jobs[start:start + EVAL_BATCH_ROLLOUTS]
-        batch = pol.sample_rollouts(
-            params, [task.prompt_tokens for task, _ in chunk], temperature,
-            max_len, [rng_for(seed, "eval", task.id, j) for task, j in chunk])
-        breakdowns += [rew.score(r.response_tokens, task, schedule,
-                                 params.vocab, truncated=r.truncated)
-                       for (task, _), r in zip(chunk, batch)]
-        if collect_rollouts:
-            rollouts += batch
-    rows = []
-    for ti, task in enumerate(tasks):
-        bds = breakdowns[ti * n:(ti + 1) * n]
-        rows.append(TaskEval(task.id, n,
-                             sum(bd.functional_pass for bd in bds),
-                             sum(bd.syntax_ok for bd in bds),
-                             float(np.mean([bd.reward for bd in bds]))))
+    if not ks or min(ks) < 1 or n < max(ks):
+        raise DomainError("eval_suite requires 1 <= k <= n for every k")
+    per_call = max(1, EVAL_BATCH_ROLLOUTS // n)
+    rows, rollouts = [], []
+    for start in range(0, len(tasks), per_call):
+        chunk = tasks[start:start + per_call]
+        for g in rlcore.sample_groups(params, chunk, n, temperature, max_len,
+                                      [(seed, "eval", t.id) for t in chunk],
+                                      schedule):
+            rows.append(TaskEval(g.task.id, n, g.pass_count,
+                                 sum(bd.syntax_ok for bd in g.breakdowns),
+                                 float(np.mean(g.rewards))))
+            if collect_rollouts:
+                rollouts += g.rollouts
     report = EvalReport(tuple(rows), ks)
     return (report, rollouts) if collect_rollouts else report
 

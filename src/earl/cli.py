@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,53 +98,56 @@ class RunConfig:
         self.ablate.validate()
 
 
-_SECTION_TYPES = {
-    "corpus": tg.CorpusConfig,
-    "sft": pol.SftSchedule,
-    "rl": rlcore.RlConfig,
-    "reward": rew.RewardSchedule,
-    "eval": EvalConfig,
-    "analyze": AnalyzeConfig,
-    "ablate": AblateConfig,
-}
-_SCALAR_KEYS = {"seed", "out_dir", "policy_k"}
-_LIST_FIELDS = {"ks", "rhos", "seeds"}  # stored as tuples
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a field's type: an int field rejects bool
+    and float, a float field accepts int, and a tuple field takes a list
+    whose entries fit."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(v, args[0])
+                                               for v in value)
+    if args:  # X | None
+        return any(_fits(value, a) for a in args)
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
 
 
-def _build_section(cls, data: dict, path: str):
+def _type_name(hint) -> str:
+    if typing.get_origin(hint) is tuple:
+        return f"a list of {_type_name(typing.get_args(hint)[0])}"
+    return getattr(hint, "__name__", str(hint))
+
+
+def _build_section(cls, data, path: str):
+    """A config dataclass from a JSON object, each value checked against its
+    field's type; fields that are themselves config dataclasses recurse."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'config root'}: must be a JSON object")
+    hints = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
+        where = f"{path}.{key}" if path else key
         if key not in names:
-            raise ConfigError(f"{path}.{key}: unknown key")
-        if key in _LIST_FIELDS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{path}.{key}: must be a list")
+            raise ConfigError(f"{where}: unknown key")
+        if where == "rl.seed":
+            raise ConfigError("rl.seed: the RL seed is the run seed; set the "
+                              "top-level seed or pass --seed")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _build_section(hint, value, where)
+        elif not _fits(value, hint):
+            raise ConfigError(f"{where}: must be {_type_name(hint)}, not "
+                              f"{type(value).__name__} {value!r}")
+        elif typing.get_origin(hint) is tuple:
             value = tuple(value)
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{path}: {e}")
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root: must be a JSON object")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SCALAR_KEYS:
-            kwargs[key] = value
-        elif key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key}: must be an object")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        else:
-            raise ConfigError(f"{key}: unknown key")
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"config root: {e}")
+    cfg = _build_section(RunConfig, data, "")
     cfg.validate()
     return cfg
 
@@ -183,6 +187,13 @@ def _load_corpus(cfg: RunConfig) -> tg.Corpus:
     return tg.load_corpus(path)
 
 
+def _load_sft(cfg: RunConfig) -> pol.PolicyParams:
+    path = _out_dir(cfg) / "sft.ckpt"
+    if not path.exists():
+        raise _Runtime(f"missing checkpoint {path}; run sft first")
+    return pol.load_checkpoint(path)
+
+
 def _load_params(cfg: RunConfig, names=("rl.ckpt", "sft.ckpt")):
     out = _out_dir(cfg)
     for name in names:
@@ -214,10 +225,7 @@ def cmd_sft(cfg: RunConfig, args) -> None:
 
 def cmd_train(cfg: RunConfig, args) -> None:
     corpus = _load_corpus(cfg)
-    sft_path = _out_dir(cfg) / "sft.ckpt"
-    if not sft_path.exists():
-        raise _Runtime(f"missing checkpoint {sft_path}; run sft first")
-    params = pol.load_checkpoint(sft_path)
+    params = _load_sft(cfg)
     rl_cfg = dataclasses.replace(cfg.rl, seed=cfg.seed)
     params, metrics = rlcore.train_rl(rl_cfg, params, corpus.train(),
                                       cfg.reward)
@@ -302,10 +310,7 @@ def cmd_analyze(cfg: RunConfig, args) -> None:
 
 def cmd_ablate(cfg: RunConfig, args) -> None:
     corpus = _load_corpus(cfg)
-    sft_path = _out_dir(cfg) / "sft.ckpt"
-    if not sft_path.exists():
-        raise _Runtime(f"missing checkpoint {sft_path}; run sft first")
-    params = pol.load_checkpoint(sft_path)
+    params = _load_sft(cfg)
     rows = an.ablation_grid(cfg.rl, params, corpus.train(), corpus.heldout(),
                             rhos=cfg.ablate.rhos, seeds=cfg.ablate.seeds,
                             n=cfg.eval.n, schedule=cfg.reward)

@@ -7,8 +7,8 @@ from .ast import (Assign, Binary, Const, Decl, Index, Interface,
                   Ternary, Unary, Var, expr_signals)
 from .lexer import detokenize, tokenize
 from .parser import check_semantics, parse
-from .sim import (build_vectors, equivalence_fraction, extract_interface,
-                  input_bit_count, is_exhaustive, simulate)
+from .sim import (build_vectors, equivalence_fraction, input_bit_count,
+                  is_exhaustive, simulate)
 from .vocab import DEFAULT_VOCAB, Vocab, build_vocab
 
 __all__ = [
@@ -17,7 +17,7 @@ __all__ = [
     "ParseError", "PortDecl", "Register", "SemanticError", "Stimulus",
     "Ternary", "Unary", "Var", "expr_signals",
     "detokenize", "tokenize", "check_semantics", "parse",
-    "build_vectors", "equivalence_fraction", "extract_interface",
-    "input_bit_count", "is_exhaustive", "simulate",
+    "build_vectors", "equivalence_fraction", "input_bit_count",
+    "is_exhaustive", "simulate",
     "DEFAULT_VOCAB", "Vocab", "build_vocab",
 ]

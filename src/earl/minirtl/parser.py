@@ -258,12 +258,10 @@ def _expr_width(e: Expr, widths: dict[str, int]) -> int:
 def check_semantics(ast: ModuleAst) -> None:
     """Enforce ModuleAst invariants; raises SemanticError on violation."""
     widths: dict[str, int] = {}
-    port_names = set()
     for p in ast.interface.ports:
         if p.name in widths:
             raise SemanticError("multi-driver", f"duplicate port {p.name}")
         widths[p.name] = p.width
-        port_names.add(p.name)
     port_dirs = {p.name: p.direction for p in ast.interface.ports}
     if not any(d == "input" for d in port_dirs.values()):
         raise SemanticError("no-driver", "module has no input port")
@@ -341,41 +339,31 @@ def check_semantics(ast: ModuleAst) -> None:
         if p.direction == "output" and p.name not in drivers:
             raise SemanticError("no-driver", f"output {p.name}")
 
-    # No combinational cycles: topological order over assigns must exist.
-    assign_of = {a.target: a for a in ast.assigns}
-    state = {}  # 0 visiting, 1 done
-
-    def visit(name: str, stack: list[str]) -> None:
-        if state.get(name) == 1:
-            return
-        if state.get(name) == 0:
-            raise SemanticError("comb-cycle", "->".join(stack + [name]))
-        state[name] = 0
-        a = assign_of.get(name)
-        if a is not None:
-            for dep in sorted(expr_signals(a.expr)):
-                if dep in assign_of:
-                    visit(dep, stack + [name])
-        state[name] = 1
-
-    for t in assign_of:
-        visit(t, [])
+    comb_order(ast)  # no combinational cycles
 
 
 def comb_order(ast: ModuleAst) -> list[Assign]:
-    """Assigns in dependency (topological) order; assumes check_semantics."""
+    """Assigns in dependency (topological) order. A combinational cycle
+    raises SemanticError('comb-cycle') naming its path, 'a->b->a'."""
     assign_of = {a.target: a for a in ast.assigns}
     ordered: list[Assign] = []
-    done: set[str] = set()
+    visited: dict[str, bool] = {}  # False while on the DFS path, then True
 
     def visit(name: str) -> None:
-        if name in done:
+        done = visited.get(name)
+        if done:
             return
-        done.add(name)
+        if done is False:
+            # a cycle; the names still False are the DFS path, and the dict
+            # keeps them in the order the walk entered them
+            path = [n for n, ok in visited.items() if not ok] + [name]
+            raise SemanticError("comb-cycle", "->".join(path))
+        visited[name] = False
         a = assign_of[name]
         for dep in sorted(expr_signals(a.expr)):
             if dep in assign_of:
                 visit(dep)
+        visited[name] = True
         ordered.append(a)
 
     for t in assign_of:

@@ -33,11 +33,6 @@ CLOCK_NAME = "clk"
 RESET_NAME = "rst"
 
 
-def extract_interface(ast: ModuleAst) -> Interface:
-    """Pure projection of the parsed module's interface."""
-    return ast.interface
-
-
 def _eval(e: Expr, values: dict[str, int], widths: dict[str, int]) -> int:
     if isinstance(e, Const):
         return e.value

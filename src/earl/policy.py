@@ -102,8 +102,9 @@ def canonical_prompt(prompt, vocab: Vocab = DEFAULT_VOCAB) -> tuple[int, ...]:
     return (prompt[0],) + (pad,) * (PROMPT_PAD_LEN - len(prompt)) + prompt[1:]
 
 
-def position_bucket(position: int) -> int:
-    return min(position // POSITION_BUCKET_SPAN, POSITION_BUCKETS - 1)
+def position_bucket(position):
+    """Position bucket of a response position, or of an array of them."""
+    return np.minimum(position // POSITION_BUCKET_SPAN, POSITION_BUCKETS - 1)
 
 
 def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
@@ -121,34 +122,32 @@ def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
     rows = np.empty((T, k + 1), dtype=np.int64)
     rows[:, :k] = seq[np.arange(T)[:, None] + back]
     rows[:, :k] += np.arange(k, dtype=np.int64) * V
-    rows[:, k] = k * V + np.minimum(np.arange(T) // POSITION_BUCKET_SPAN,
-                                    POSITION_BUCKETS - 1)
+    rows[:, k] = k * V + position_bucket(np.arange(T))
     return rows
 
 
 def _advance_indices(params: PolicyParams, idx: np.ndarray, token,
                      position: int) -> None:
-    """Shift feature rows (one [k+1] row, or a [B, k+1] batch with one token
-    per row) by one emitted token, in place: the decoders' stepper from row 0
-    of feature_rows."""
+    """Shift feature rows [B, k+1] by one emitted token per row, in place:
+    the sampler's stepper from row 0 of feature_rows."""
     V, k = params.V, params.k
-    idx[..., 1:k] = idx[..., :k - 1] + V
-    idx[..., 0] = token
-    idx[..., k] = k * V + position_bucket(position)
+    idx[:, 1:k] = idx[:, :k - 1] + V
+    idx[:, 0] = token
+    idx[:, k] = k * V + position_bucket(position)
 
 
 def logits(params: PolicyParams, rows: np.ndarray) -> np.ndarray:
-    """Logits [..., V] of feature rows [..., k+1]: ``design_matrix(rows) @ W
-    + b``, the CSR x dense product SFT also runs.
+    """Logits [n, V] of feature rows [n, k+1]: ``design_matrix(rows) @ W +
+    b``, the CSR x dense product SFT also runs.
 
     scipy starts each output row at 0 and adds the row's k+1 rows of W one
     after another, in index order. That is the order of the gather sum
     ``W[rows].sum(axis=-2)`` and of a vocab-major ``W.T[:, rows].sum(axis=-1)``,
     so every logit keeps its bytes; the sampled tokens and stored
-    log-probabilities depend on it. No [..., k+1, V] gather is built."""
-    z = design_matrix(rows.reshape(-1, params.k + 1), params.F) @ params.W
+    log-probabilities depend on it. No [n, k+1, V] gather is built."""
+    z = design_matrix(rows, params.F) @ params.W
     z += params.b
-    return z.reshape(rows.shape[:-1] + (params.V,))
+    return z
 
 
 def distributions(params: PolicyParams, rows: np.ndarray,
@@ -262,19 +261,6 @@ def sample_rollout(params: PolicyParams, prompt, temperature: float,
                    max_len: int, rng: np.random.Generator) -> Rollout:
     """One rollout through sample_rollouts."""
     return sample_rollouts(params, [prompt], temperature, max_len, [rng])[0]
-
-
-def greedy_decode(params: PolicyParams, prompt, max_len: int) -> list[int]:
-    eos = params.vocab.id(EOS)
-    idx = feature_rows(params, prompt, (eos,))[0]  # reads the prompt only
-    tokens: list[int] = []
-    for t in range(max_len):
-        tok = int(np.argmax(logits(params, idx)))
-        tokens.append(tok)
-        _advance_indices(params, idx, tok, t + 1)
-        if tok == eos:
-            break
-    return tokens
 
 
 def response_distributions(params: PolicyParams, prompt, response,

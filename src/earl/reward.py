@@ -106,7 +106,3 @@ def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
                                STAGE_FUNCTIONAL)
     reward = schedule.functional_base + schedule.functional_span * m
     return RewardBreakdown(True, s, m, False, reward, STAGE_FUNCTIONAL)
-
-
-def is_pass(breakdown: RewardBreakdown) -> bool:
-    return breakdown.functional_pass

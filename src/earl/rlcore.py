@@ -101,7 +101,7 @@ class Group:
 
     @property
     def pass_count(self) -> int:
-        return sum(1 for b in self.breakdowns if rew.is_pass(b))
+        return sum(1 for b in self.breakdowns if b.functional_pass)
 
     @property
     def size(self) -> int:
@@ -216,14 +216,6 @@ def per_token_coefficients(new_logprobs, old_logprobs, advantage: float,
         diag.clipped += int((~active_unclipped).sum())
         diag.gate_weight += float(g.sum())
     return coeffs
-
-
-def kl_divergence(p, p_ref) -> float:
-    """Exact sum over the vocabulary of p*ln(p/p_ref); nonnegative."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(p_ref, dtype=float)
-    nz = p > 0
-    return float((p[nz] * (np.log(p[nz]) - np.log(q[nz]))).sum())
 
 
 # --- batch preparation, objective, gradient ---------------------------------------
@@ -383,18 +375,18 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
 
 # --- training loop -----------------------------------------------------------
 
-def sample_groups(params: pol.PolicyParams, tasks, config: RlConfig,
-                  rng_parts,
+def sample_groups(params: pol.PolicyParams, tasks, G: int,
+                  temperature: float, max_len: int, rng_parts,
                   schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
                   ) -> list[Group]:
     """G rollouts per task, all sampled in one batch, then scored. Rollout g
     of task i draws from rng_for(*rng_parts[i], g), so its bytes do not
     depend on the batch: train_rl samples every resample attempt of a step
-    in one call."""
-    tasks, G = list(tasks), config.group_size
+    in one call, and eval_suite several tasks per call."""
+    tasks = list(tasks)
     rollouts = pol.sample_rollouts(
         params, [t.prompt_tokens for t in tasks for _ in range(G)],
-        config.temperature, config.max_response_len,
+        temperature, max_len,
         [rng_for(*parts, g) for parts in rng_parts for g in range(G)])
     groups = []
     for i, task in enumerate(tasks):
@@ -411,7 +403,9 @@ def sample_group(params: pol.PolicyParams, task, config: RlConfig,
                  rng_parts: tuple,
                  schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE) -> Group:
     """One task's group through sample_groups."""
-    return sample_groups(params, [task], config, [rng_parts], schedule)[0]
+    return sample_groups(params, [task], config.group_size,
+                         config.temperature, config.max_response_len,
+                         [rng_parts], schedule)[0]
 
 
 @dataclass
@@ -472,7 +466,8 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
                      len(tasks), size=n_prompts, replace=False)
                  for attempt in attempts]
         sampled = sample_groups(
-            params, [tasks[int(i)] for idx in drawn for i in idx], config,
+            params, [tasks[int(i)] for idx in drawn for i in idx],
+            config.group_size, config.temperature, config.max_response_len,
             [(config.seed, "rl-rollout", step, attempt, int(i))
              for attempt, idx in zip(attempts, drawn) for i in idx],
             schedule)

@@ -80,8 +80,8 @@ class CorpusConfig:
             kind, difficulty = split_count_key(key)
             if kind not in KINDS or difficulty not in DIFFICULTIES:
                 raise ConfigError(f"corpus.counts.{key}: unknown kind/difficulty")
-            if not isinstance(n, int) or n < 1:
-                raise ConfigError(f"corpus.counts.{key}: count must be >= 1")
+            if type(n) is not int or n < 1:
+                raise ConfigError(f"corpus.counts.{key}: must be an int >= 1")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise ConfigError("corpus.heldout_fraction: must be in [0, 1)")
 

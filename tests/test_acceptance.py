@@ -18,8 +18,7 @@ from earl import reward as rew
 from earl import rlcore as rl
 from earl import taskgen as tg
 from earl.minirtl import (Stimulus, Vocab, build_vectors,
-                          equivalence_fraction, extract_interface, parse,
-                          simulate, tokenize)
+                          equivalence_fraction, parse, simulate, tokenize)
 from earl.minirtl.vocab import DEFAULT_VOCAB
 from earl.seeds import rng_for
 
@@ -230,7 +229,7 @@ def test_criterion_5_reward_cascade():
 # --- 6. equivalence oracle ----------------------------------------------------
 
 def _truth_table(ast):
-    iface = extract_interface(ast)
+    iface = ast.interface
     inputs, outputs = iface.inputs(), iface.outputs()
     combos = list(itertools.product(*[range(2 ** p.width) for p in inputs]))
     stim = Stimulus(tuple({p.name: v for p, v in zip(inputs, bits)}

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from earl import analysis as an
 from earl import policy as pol
+from earl import reward as rew
 from earl.errors import DomainError
 from earl.minirtl.vocab import DEFAULT_VOCAB
 from earl.seeds import rng_for
@@ -188,6 +189,66 @@ def test_eval_suite_rejects_empty_and_small_n():
         an.eval_suite(p, [], n=5)
     with pytest.raises(DomainError):
         an.eval_suite(p, tasks, n=3, ks=(1, 5))
+
+
+def _eval_by_slices(params, tasks, n, seed, max_len, temperature):
+    """The earlier eval_suite loop, the oracle for the current one: the
+    rollouts (task, j) in task order, sampled in slices of 48 that may split
+    a task, then scored one by one."""
+    jobs = [(task, j) for task in tasks for j in range(n)]
+    rollouts, breakdowns = [], []
+    for start in range(0, len(jobs), 48):
+        chunk = jobs[start:start + 48]
+        batch = pol.sample_rollouts(
+            params, [task.prompt_tokens for task, _ in chunk], temperature,
+            max_len, [rng_for(seed, "eval", task.id, j) for task, j in chunk])
+        breakdowns += [rew.score(r.response_tokens, task, rew.DEFAULT_SCHEDULE,
+                                 params.vocab, truncated=r.truncated)
+                       for (task, _), r in zip(chunk, batch)]
+        rollouts += batch
+    rows = []
+    for ti, task in enumerate(tasks):
+        bds = breakdowns[ti * n:(ti + 1) * n]
+        rows.append(an.TaskEval(task.id, n,
+                                sum(bd.functional_pass for bd in bds),
+                                sum(bd.syntax_ok for bd in bds),
+                                float(np.mean([bd.reward for bd in bds]))))
+    return an.EvalReport(tuple(rows), (1,)), rollouts
+
+
+@pytest.fixture(scope="module")
+def sft_eval_setup():
+    from earl.taskgen import CorpusConfig, build_corpus
+    corpus = build_corpus(CorpusConfig({"combinational-easy": 40,
+                                        "mux-easy": 20},
+                                       heldout_fraction=0.0), 5)
+    p = pol.init_params(DEFAULT_VOCAB, 4, 0)
+    p, _ = pol.train_sft(p, corpus.tasks,
+                         pol.SftSchedule(peak_lr=4.0, warmup_steps=10,
+                                         total_steps=300, batch_contexts=256))
+    return p, corpus.tasks
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_eval_suite_matches_slice_loop(sft_eval_setup, n):
+    p, tasks = sft_eval_setup
+    want, want_rollouts = _eval_by_slices(p, tasks, n, 11, 40, 0.9)
+    report, rollouts = an.eval_suite(p, tasks, n=n, ks=(1,), temperature=0.9,
+                                     seed=11, max_len=40,
+                                     collect_rollouts=True)
+    assert an.eval_to_csv(report) == an.eval_to_csv(want)
+    assert an.eval_to_csv(an.eval_suite(
+        p, tasks, n=n, ks=(1,), temperature=0.9, seed=11,
+        max_len=40)) == an.eval_to_csv(want)
+    assert len(rollouts) == len(want_rollouts) == n * len(tasks)
+    for r, w in zip(rollouts, want_rollouts):
+        assert r.prompt_tokens == w.prompt_tokens
+        assert r.response_tokens == w.response_tokens
+        assert r.truncated == w.truncated
+        assert r.logprobs.tobytes() == w.logprobs.tobytes()
+        assert r.entropies.tobytes() == w.entropies.tobytes()
+    # the tasks' rewards differ, so a task's row reads its own rollouts
+    assert len({t.mean_reward for t in want.tasks}) > 1
 
 
 def test_ablation_csv_header():

@@ -121,6 +121,44 @@ def test_invalid_value_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:validation:")
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"rl": {"group_size": "6"}}, "rl.group_size"),
+    ({"rl": {"group_size": 6.0}}, "rl.group_size"),
+    ({"rl": {"beta": True}}, "rl.beta"),
+    ({"rl": {"gated_kl": 1}}, "rl.gated_kl"),
+    ({"corpus": {"heldout_fraction": "0.2"}}, "corpus.heldout_fraction"),
+    ({"corpus": {"counts": {"mux-easy": True}}}, "corpus.counts.mux-easy"),
+    ({"eval": {"n": "5"}}, "eval.n"),
+    ({"eval": {"ks": [1, "5"]}}, "eval.ks"),
+    ({"ablate": {"seeds": [0.5]}}, "ablate.seeds"),
+    ({"sft": {"total_steps": 1.5}}, "sft.total_steps"),
+    ({"policy_k": "48"}, "policy_k"),
+    ({"seed": True}, "seed"),
+])
+def test_wrong_json_type_is_validation_error(tmp_path, capsys, overrides,
+                                             key):
+    path, _ = mini_config(tmp_path, **overrides)
+    assert run(["gen-data", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:validation: {key}: must be ")
+    assert err.count("\n") == 1
+
+
+def test_int_is_accepted_for_float_field(tmp_path):
+    path, _ = mini_config(tmp_path, rl={"beta": 0, "temperature": 1},
+                          sft={"total_steps": None})
+    cfg = cli.load_config(path)
+    assert cfg.rl.beta == 0 and cfg.rl.temperature == 1
+    assert cfg.sft.total_steps is None
+
+
+def test_rl_seed_is_validation_error(tmp_path, capsys):
+    path, _ = mini_config(tmp_path, rl={"steps": 1, "seed": 7})
+    assert run(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation: rl.seed:") and "--seed" in err
+
+
 def test_sft_schedule_is_validated(tmp_path, capsys):
     path, _ = mini_config(tmp_path)
     assert run(["gen-data", "--config", path]) == 0
@@ -142,6 +180,17 @@ def test_missing_artifact_is_runtime_error(tmp_path, capsys):
     path, _ = mini_config(tmp_path)
     assert run(["eval", "--config", path]) == 3
     assert capsys.readouterr().err.startswith("error:runtime:")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_missing_sft_checkpoint_is_runtime_error(tmp_path, capsys, command):
+    path, _ = mini_config(tmp_path)
+    assert run(["gen-data", "--config", path]) == 0
+    capsys.readouterr()
+    assert run([command, "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:runtime: missing checkpoint ")
+    assert err.rstrip().endswith("sft.ckpt; run sft first")
 
 
 def _with_header(header: bytes) -> bytes:

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from earl.minirtl import (DEFAULT_VOCAB, InterfaceMismatch, ModuleAst,
                           ParseError, SemanticError, check_semantics,
-                          detokenize, extract_interface, parse, tokenize)
-from earl.minirtl.parser import comb_order
+                          detokenize, parse, tokenize)
+from earl.minirtl.parser import _Parser, comb_order
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
         "assign y = a & b ; endmodule")
@@ -73,7 +73,7 @@ def test_missing_driver_is_semantic_error():
 
 
 def test_extract_interface_projection():
-    iface = extract_interface(parse_text(AND2))
+    iface = parse_text(AND2).interface
     assert iface.module_name == "and2"
     assert [(p.name, p.direction, p.width) for p in iface.ports] == \
         [("a", "input", 1), ("b", "input", 1), ("y", "output", 1)]
@@ -82,7 +82,7 @@ def test_extract_interface_projection():
 def test_bus_port_width_recorded():
     text = ("module u01 ( input [ 3 : 0 ] a , output y ) ; "
             "assign y = a [ 0 ] ; endmodule")
-    iface = extract_interface(parse_text(text))
+    iface = parse_text(text).interface
     assert iface.ports[0].width == 4
 
 
@@ -111,6 +111,16 @@ def test_comb_order_is_topological():
     assert order.index("z") < order.index("y")
 
 
+def test_comb_order_raises_on_unchecked_cycle():
+    text = ("module u00 ( input a , output y ) ; wire z ; "
+            "assign z = y ; assign y = z ; endmodule")
+    ast = _Parser(text.split()).program()  # no check_semantics
+    with pytest.raises(SemanticError) as e:
+        comb_order(ast)
+    assert e.value.kind == "comb-cycle"
+    assert str(e.value) == "semantic error [comb-cycle]: z->y->z"
+
+
 def test_ternary_and_equality_parse():
     text = ("module mux2 ( input sel , input a , input b , output y ) ; "
             "assign y = sel ? a : b ; endmodule")
@@ -122,7 +132,7 @@ def test_ternary_and_equality_parse():
 
 def _check_invariants(ast):
     check_semantics(ast)  # raises on any violated module invariant
-    iface = extract_interface(ast)
+    iface = ast.interface
     assert iface.inputs() and iface.outputs()
     names = [p.name for p in iface.ports]
     assert len(names) == len(set(names))

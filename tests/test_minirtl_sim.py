@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earl.minirtl import (InterfaceMismatch, Stimulus, build_vectors,
-                          equivalence_fraction, extract_interface,
-                          input_bit_count, is_exhaustive, parse, simulate,
-                          tokenize)
+                          equivalence_fraction, input_bit_count,
+                          is_exhaustive, parse, simulate, tokenize)
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
         "assign y = a & b ; endmodule")
@@ -76,7 +75,7 @@ def test_simulate_is_deterministic():
 def test_comb_vectors_exhaustive():
     ast = parse_text(AND2)
     stim = build_vectors(ast, seed=0)
-    assert input_bit_count(extract_interface(ast), False) == 2
+    assert input_bit_count(ast.interface, False) == 2
     assert len(stim.cycles) == 4
     assert is_exhaustive(stim, ast)
 
@@ -135,7 +134,7 @@ def _eval_expr(expr, env):
 
 def brute_force_table(ast):
     """Output table over all input combinations via direct evaluation."""
-    iface = extract_interface(ast)
+    iface = ast.interface
     inputs = iface.inputs()
     rows = []
     widths = ast.widths()
@@ -165,7 +164,7 @@ def test_sim_agrees_with_truth_table_oracle(seed, difficulty):
     task = generate_task(seed, "combinational", difficulty, task_id="t")
     ast = task.reference
     table = brute_force_table(ast)
-    iface = extract_interface(ast)
+    iface = ast.interface
     inputs, outputs = iface.inputs(), iface.outputs()
     combos = list(itertools.product(
         *[range(2 ** p.width) for p in inputs]))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from earl import reward as rew
 from earl.errors import ConfigError
-from earl.minirtl import DEFAULT_VOCAB, extract_interface, parse, tokenize
+from earl.minirtl import DEFAULT_VOCAB, parse, tokenize
 from earl.taskgen import CorpusConfig, build_corpus, generate_task
 
 

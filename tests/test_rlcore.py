@@ -142,12 +142,6 @@ def test_ties_count_as_unclipped():
     assert diag.clipped == 0
 
 
-def test_kl_divergence_nonnegative_zero_at_equal():
-    p = np.array([0.3, 0.7])
-    assert rl.kl_divergence(p, p) == 0.0
-    assert rl.kl_divergence(p, np.array([0.5, 0.5])) > 0.0
-
-
 # --- config resolution --------------------------------------------------------
 
 def _ones(h):
@@ -268,7 +262,8 @@ def _attempt_groups(config, params, tasks, step):
             len(tasks), size=min(config.batch_prompts, len(tasks)),
             replace=False)
         groups += rl.sample_groups(
-            params, [tasks[int(i)] for i in idx], config,
+            params, [tasks[int(i)] for i in idx], config.group_size,
+            config.temperature, config.max_response_len,
             [(config.seed, "rl-rollout", step, attempt, int(i))
              for i in idx])
         retained = rl.filter_groups(groups)
@@ -467,7 +462,7 @@ def test_group_rescoring_matches_per_rollout(variant, beta, gated_kl, T):
     tasks, params = _tiny_setup()
     cfg = rl.RlConfig(group_size=4, max_response_len=48, temperature=T,
                       variant=variant, beta=beta, gated_kl=gated_kl)
-    groups = rl.sample_groups(params, tasks[:8], cfg,
+    groups = rl.sample_groups(params, tasks[:8], 4, T, 48,
                               [(7, "rescore", j) for j in range(8)])
     batch = rl.prepare_batch(groups, cfg)
     # one rollout's response emptied: re-scoring skips it, as before
@@ -491,3 +486,15 @@ def test_group_rescoring_matches_per_rollout(variant, beta, gated_kl, T):
     assert mean_kl == ref_kl and (mean_kl > 0) == (beta != 0)
     assert rl.objective_value(batch, pi_new, pi_ref, cfg) == \
         _per_rollout_objective(batch, pi_new, pi_ref, cfg)
+
+
+def test_rescore_group_kl_zero_at_copy_positive_after_perturbation():
+    tasks, params = _tiny_setup()
+    cfg = rl.RlConfig(group_size=4, max_response_len=48)
+    group = rl.sample_groups(params, tasks[:1], 4, 1.0, 48,
+                             [(7, "kl", 0)])[0]
+    pg = rl.PreparedGroup(group, np.zeros(4), [])
+    rs = rl.rescore_group(pg, params, params.copy(), cfg)
+    assert rs.kl.size > 0 and np.all(rs.kl == 0.0)
+    rs = rl.rescore_group(pg, params, _nudged(params, 0.1, 2), cfg)
+    assert np.all(rs.kl >= 0.0) and np.any(rs.kl > 0.0)

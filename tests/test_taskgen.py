@@ -5,7 +5,7 @@ import json
 import pytest
 
 from earl.errors import ConfigError
-from earl.minirtl import DEFAULT_VOCAB, extract_interface
+from earl.minirtl import DEFAULT_VOCAB
 from earl.taskgen import (PROMPT_MAX_LEN, Corpus, CorpusConfig, build_corpus,
                           corpus_to_json, encode_prompt, generate_task,
                           load_corpus, save_corpus, validate_task)
@@ -115,7 +115,7 @@ def test_corpus_json_round_trip(tmp_path):
     for a, b in zip(corpus.tasks, loaded.tasks):
         assert a.prompt_tokens == b.prompt_tokens
         assert a.reference_text == b.reference_text
-        assert extract_interface(a.reference) == extract_interface(b.reference)
+        assert a.reference.interface == b.reference.interface
 
 
 def test_truncated_reference_fails_validation():
