@@ -129,6 +129,8 @@ class Register:
 
 @dataclass(frozen=True)
 class ModuleAst:
+    """A module. parse stores its assigns in dependency order, each after
+    the assigns that drive what it reads, so one pass settles them."""
     interface: Interface
     declarations: tuple[Decl, ...]
     assigns: tuple[Assign, ...]
@@ -168,3 +170,43 @@ def expr_signals(e: Expr, acc: Optional[set] = None) -> set[str]:
         expr_signals(e.then, acc)
         expr_signals(e.other, acc)
     return acc
+
+
+def expr_width(e: Expr, widths: dict[str, int]) -> int:
+    """Width of an expression; raises SemanticError where a width rule fails
+    or a name is undeclared. The rules: bitwise operators require equal
+    operand widths; '==' yields one bit; literals are one bit wide; a
+    bit-index yields one bit; the two arms of a ternary must agree and its
+    condition must be one bit. check_semantics checks with it, and the
+    simulator masks '~' with it."""
+    if isinstance(e, Const):
+        return 1
+    if isinstance(e, Var):
+        if e.name not in widths:
+            raise SemanticError("undeclared", e.name)
+        return widths[e.name]
+    if isinstance(e, Index):
+        if e.name not in widths:
+            raise SemanticError("undeclared", e.name)
+        if e.bit >= widths[e.name]:
+            raise SemanticError("width-mismatch",
+                                f"bit {e.bit} of {e.name}[{widths[e.name]}]")
+        return 1
+    if isinstance(e, Unary):
+        return expr_width(e.operand, widths)
+    if isinstance(e, Binary):
+        lw = expr_width(e.left, widths)
+        rw = expr_width(e.right, widths)
+        if lw != rw:
+            raise SemanticError("width-mismatch", f"{e.op}: {lw} vs {rw}")
+        return 1 if e.op == "==" else lw
+    if isinstance(e, Ternary):
+        cw = expr_width(e.cond, widths)
+        if cw != 1:
+            raise SemanticError("width-mismatch", "ternary condition")
+        tw = expr_width(e.then, widths)
+        ow = expr_width(e.other, widths)
+        if tw != ow:
+            raise SemanticError("width-mismatch", f"?: arms {tw} vs {ow}")
+        return tw
+    raise AssertionError(e)

@@ -21,17 +21,17 @@ Grammar (one module per program):
     unary     := '~' unary | primary
     primary   := '0' | '1' | ident ('[' bit ']')? | '(' expr ')'
 
-Width rules: bitwise operators require equal operand widths; '==' yields one
-bit; literals are one bit wide; a bit-index yields one bit; the two arms of a
-ternary must agree and its condition must be one bit. Any mismatch is a
-parse-time SemanticError rather than implicit extension.
+Widths follow ast.expr_width; any mismatch is a parse-time SemanticError
+rather than implicit extension.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from .ast import (Assign, Binary, Const, Decl, Expr, Index, Interface,
                   ModuleAst, ParseError, PortDecl, Register, SemanticError,
-                  Ternary, Unary, Var, expr_signals)
+                  Ternary, Unary, Var, expr_signals, expr_width)
 from .vocab import DEFAULT_VOCAB, IDENTIFIERS, MODULE_NAMES, Vocab
 
 _IDENT_SET = set(IDENTIFIERS)
@@ -136,8 +136,8 @@ class _Parser:
         clock = self.expect_ident()
         self.expect(")")
         self.expect("begin")
-        if self.peek() == "if":
-            self.expect("if")
+        reset = None
+        if self.accept("if"):
             self.expect("(")
             reset = self.expr()
             self.expect(")")
@@ -146,18 +146,13 @@ class _Parser:
             self.expect("0")
             self.expect(";")
             self.expect("else")
-            target2 = self.expect_ident()
-            if target2 != target:
+            if self.expect_ident() != target:
                 raise ParseError(self.pos - 1, {target})
-            self.expect("<=")
-            nxt = self.expr()
-            self.expect(";")
         else:
-            reset = None
             target = self.expect_ident()
-            self.expect("<=")
-            nxt = self.expr()
-            self.expect(";")
+        self.expect("<=")
+        nxt = self.expr()
+        self.expect(";")
         self.expect("end")
         return Register(target, nxt, edge, clock, reset)
 
@@ -221,42 +216,9 @@ class _Parser:
 
 # --- semantic checks ---------------------------------------------------------
 
-def _expr_width(e: Expr, widths: dict[str, int]) -> int:
-    if isinstance(e, Const):
-        return 1
-    if isinstance(e, Var):
-        if e.name not in widths:
-            raise SemanticError("undeclared", e.name)
-        return widths[e.name]
-    if isinstance(e, Index):
-        if e.name not in widths:
-            raise SemanticError("undeclared", e.name)
-        if e.bit >= widths[e.name]:
-            raise SemanticError("width-mismatch",
-                                f"bit {e.bit} of {e.name}[{widths[e.name]}]")
-        return 1
-    if isinstance(e, Unary):
-        return _expr_width(e.operand, widths)
-    if isinstance(e, Binary):
-        lw = _expr_width(e.left, widths)
-        rw = _expr_width(e.right, widths)
-        if lw != rw:
-            raise SemanticError("width-mismatch", f"{e.op}: {lw} vs {rw}")
-        return 1 if e.op == "==" else lw
-    if isinstance(e, Ternary):
-        cw = _expr_width(e.cond, widths)
-        if cw != 1:
-            raise SemanticError("width-mismatch", "ternary condition")
-        tw = _expr_width(e.then, widths)
-        ow = _expr_width(e.other, widths)
-        if tw != ow:
-            raise SemanticError("width-mismatch", f"?: arms {tw} vs {ow}")
-        return tw
-    raise AssertionError(e)
-
-
-def check_semantics(ast: ModuleAst) -> None:
-    """Enforce ModuleAst invariants; raises SemanticError on violation."""
+def check_semantics(ast: ModuleAst) -> list[Assign]:
+    """Enforce ModuleAst invariants; raises SemanticError on violation.
+    Returns the assigns in dependency order (comb_order)."""
     widths: dict[str, int] = {}
     for p in ast.interface.ports:
         if p.name in widths:
@@ -282,10 +244,7 @@ def check_semantics(ast: ModuleAst) -> None:
         if d.kind == "reg":
             reg_names.add(d.name)
 
-    drivers: dict[str, str] = {}
-    for p in ast.interface.ports:
-        if p.direction == "input":
-            drivers[p.name] = "input"
+    drivers = {p.name: "input" for p in ast.interface.inputs()}
 
     for a in ast.assigns:
         if a.target not in widths:
@@ -296,7 +255,7 @@ def check_semantics(ast: ModuleAst) -> None:
             raise SemanticError("multi-driver",
                                 f"assign to reg {a.target}")
         drivers[a.target] = "assign"
-        if _expr_width(a.expr, widths) != widths[a.target]:
+        if expr_width(a.expr, widths) != widths[a.target]:
             raise SemanticError("width-mismatch", f"assign {a.target}")
 
     for r in ast.registers:
@@ -313,10 +272,10 @@ def check_semantics(ast: ModuleAst) -> None:
         if widths[r.clock] != 1 or port_dirs.get(r.clock) != "input":
             raise SemanticError("width-mismatch",
                                 f"clock {r.clock} must be a 1-bit input")
-        if _expr_width(r.next_expr, widths) != widths[r.target]:
+        if expr_width(r.next_expr, widths) != widths[r.target]:
             raise SemanticError("width-mismatch", f"register {r.target}")
         if r.reset is not None:
-            if _expr_width(r.reset, widths) != 1:
+            if expr_width(r.reset, widths) != 1:
                 raise SemanticError("width-mismatch", "reset condition")
             if widths[r.target] != 1:
                 raise SemanticError("width-mismatch",
@@ -339,7 +298,7 @@ def check_semantics(ast: ModuleAst) -> None:
         if p.direction == "output" and p.name not in drivers:
             raise SemanticError("no-driver", f"output {p.name}")
 
-    comb_order(ast)  # no combinational cycles
+    return comb_order(ast)  # raises on a combinational cycle
 
 
 def comb_order(ast: ModuleAst) -> list[Assign]:
@@ -372,11 +331,11 @@ def comb_order(ast: ModuleAst) -> list[Assign]:
 
 
 def parse(token_ids, vocab: Vocab = DEFAULT_VOCAB) -> ModuleAst:
-    """Parse a token id sequence into a checked ModuleAst.
+    """Parse a token id sequence into a checked ModuleAst, its assigns in
+    dependency order.
 
     Raises ParseError (with the first offending token index) or SemanticError.
     """
     tokens = [vocab.token(i) for i in token_ids]
     ast = _Parser(tokens).program()
-    check_semantics(ast)
-    return ast
+    return dataclasses.replace(ast, assigns=tuple(check_semantics(ast)))

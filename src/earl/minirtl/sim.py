@@ -18,8 +18,7 @@ import numpy as np
 
 from ..seeds import mix
 from .ast import (Binary, Const, Expr, Index, Interface, InterfaceMismatch,
-                  ModuleAst, Stimulus, Ternary, Unary, Var)
-from .parser import comb_order
+                  ModuleAst, Stimulus, Ternary, Unary, Var, expr_width)
 
 SEQ_ROUNDS = 8
 SEQ_MAX_EXHAUSTIVE_BITS = 6
@@ -42,7 +41,7 @@ def _eval(e: Expr, values: dict[str, int], widths: dict[str, int]) -> int:
         return (values[e.name] >> e.bit) & 1
     if isinstance(e, Unary):
         v = _eval(e.operand, values, widths)
-        return (~v) & _mask_of(e, widths)
+        return (~v) & ((1 << expr_width(e.operand, widths)) - 1)
     if isinstance(e, Binary):
         lv = _eval(e.left, values, widths)
         rv = _eval(e.right, values, widths)
@@ -62,38 +61,20 @@ def _eval(e: Expr, values: dict[str, int], widths: dict[str, int]) -> int:
     raise AssertionError(e)
 
 
-def _expr_static_width(e: Expr, widths: dict[str, int]) -> int:
-    if isinstance(e, (Const, Index)):
-        return 1
-    if isinstance(e, Var):
-        return widths[e.name]
-    if isinstance(e, Unary):
-        return _expr_static_width(e.operand, widths)
-    if isinstance(e, Binary):
-        return 1 if e.op == "==" else _expr_static_width(e.left, widths)
-    if isinstance(e, Ternary):
-        return _expr_static_width(e.then, widths)
-    raise AssertionError(e)
-
-
-def _mask_of(e: Unary, widths: dict[str, int]) -> int:
-    return (1 << _expr_static_width(e.operand, widths)) - 1
-
-
 def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
     """Run the module over the stimulus; one output-port assignment per cycle.
 
     Pure and total given the AST invariants and a well-formed stimulus.
+    Settles the assigns in their stored (parse's dependency) order.
     """
     widths = ast.widths()
-    ordered = comb_order(ast)
     outputs = [p.name for p in ast.interface.outputs()]
     state = {r.target: 0 for r in ast.registers}
     trace: list[dict[str, int]] = []
     for cyc, inputs in enumerate(stim.cycles):
         values = dict(inputs)
         values.update(state)
-        for a in ordered:
+        for a in ast.assigns:
             values[a.target] = _eval(a.expr, values, widths)
         trace.append({name: values[name] for name in outputs})
         nxt = {}

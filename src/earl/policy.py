@@ -159,10 +159,16 @@ def distributions(params: PolicyParams, rows: np.ndarray,
     gradient."""
     e = logits(params, rows)
     e /= temperature
-    e -= e.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    return _softmax_rows(e)
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a C-contiguous [n, V] array, in place; returns
+    it. The one row softmax of sampling, re-scoring and SFT."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -387,10 +393,7 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
             order = rng_for("sft-order", schedule.seed, epoch).permutation(n)
         sel = order[i * bs:(i + 1) * bs]
         Xb, btgt = X[sel], targets[sel]
-        z = Xb @ params.W + params.b[None, :]
-        z -= z.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        probs = expz / expz.sum(axis=1, keepdims=True)
+        probs = _softmax_rows(Xb @ params.W + params.b[None, :])
         m = len(btgt)
         nll = float(-np.log(probs[np.arange(m), btgt]).mean())
         loss_log.append(nll)

@@ -300,19 +300,27 @@ def validate_task(task: Task) -> bool:
     if (v.token(task.prompt_tokens[0]) != BOS
             or v.token(task.prompt_tokens[-1]) != ENDSPEC):
         return False
-    input_names = {p.name for p in reference.interface.inputs()}
-    widths = {p.name: p.width for p in reference.interface.inputs()}
-    for row in task.vectors.cycles:
-        if set(row) != input_names:
-            return False
-        for name, value in row.items():
-            if not 0 <= value < (1 << widths[name]):
-                return False
+    if _bad_cycle(task.vectors.cycles, reference):
+        return False
     try:
         m, _ = equivalence_fraction(reference, reference, task.vectors)
     except Exception:
         return False
     return m == 1.0
+
+
+def _bad_cycle(cycles, reference: ModuleAst) -> str | None:
+    """What is wrong with the first vector cycle that does not drive exactly
+    the reference's inputs with int values in range, or None."""
+    widths = {p.name: p.width for p in reference.interface.inputs()}
+    for c, row in enumerate(cycles):
+        if row.keys() != widths.keys():
+            return f"cycle {c} drives {sorted(row)}, not {sorted(widths)}"
+        for name, value in row.items():
+            if type(value) is not int or not 0 <= value < 1 << widths[name]:
+                return (f"cycle {c}: {name} = {value!r} is not a "
+                        f"{widths[name]}-bit value")
+    return None
 
 
 def build_corpus(config: CorpusConfig, seed: int) -> Corpus:
@@ -363,8 +371,13 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def _wrong_field_type(r: dict) -> str | None:
-    """The first field of a corpus record whose JSON type is wrong, if any;
-    a missing key raises KeyError."""
+    """The first field of a corpus record whose JSON type or value is wrong,
+    if any; a missing key raises KeyError."""
+    for key in ("id", "kind", "difficulty"):
+        if not isinstance(r[key], str):
+            return f"{key} is not a string"
+    if r["split"] not in ("train", "eval-heldout"):
+        return f"split {r['split']!r} is not 'train' or 'eval-heldout'"
     V = DEFAULT_VOCAB.size
     toks = r["prompt_tokens"]
     if not (isinstance(toks, list)
@@ -412,5 +425,8 @@ def load_corpus(path) -> Corpus:
         except MiniRtlError as e:
             raise DomainError(f"corpus record {i}: reference_text does not "
                               f"parse: {e}") from None
+        bad = _bad_cycle(vectors.cycles, reference)
+        if bad:
+            raise DomainError(f"corpus record {i}: vectors: {bad}")
         tasks.append(Task(reference=reference, vectors=vectors, **fields))
     return Corpus(tuple(tasks))

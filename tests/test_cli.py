@@ -3,6 +3,7 @@
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +269,18 @@ def _set(index, key, value):
     return corrupt
 
 
+def _set_cycle(index, name, value):
+    """Set (or, for None, drop) input name in record index's last cycle."""
+    def corrupt(records):
+        cycle = records[index]["vectors"]["cycles"][-1]
+        if value is None:
+            del cycle[name]
+        else:
+            cycle[name] = value
+        return records
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, where", [
     (lambda records: json.dumps(records)[:-9], "JSON"),
     (lambda records: {"records": records}, "top level"),
@@ -278,9 +291,23 @@ def _set(index, key, value):
     (_set(3, "reference_text", 7), "record 3"),
     (_set(3, "vectors", [[]]), "record 3"),
     (_set(3, "vectors", {"cycles": 4, "reset_prefix": 0}), "record 3"),
+    (_set_cycle(3, "a", None), "record 3"),
+    (_set_cycle(3, "c", 0), "record 3"),
+    (_set_cycle(3, "a", "1"), "record 3"),
+    (_set_cycle(3, "a", True), "record 3"),
+    (_set_cycle(3, "a", 2), "record 3"),
+    (_set_cycle(3, "a", -1), "record 3"),
+    (_set(3, "split", "test"), "record 3"),
+    (_set(3, "split", ["train"]), "record 3"),
+    (_set(3, "id", 3), "record 3"),
+    (_set(3, "kind", None), "record 3"),
+    (_set(3, "difficulty", ["easy"]), "record 3"),
 ], ids=["truncated-json", "top-level-object", "record-list", "prompt-string",
         "prompt-str-token", "prompt-token-range", "reference-int",
-        "vectors-list", "cycles-int"])
+        "vectors-list", "cycles-int", "cycle-missing-input",
+        "cycle-extra-input", "cycle-str-value", "cycle-bool-value",
+        "cycle-value-too-wide", "cycle-value-negative", "split-unknown",
+        "split-list", "id-int", "kind-null", "difficulty-list"])
 def test_corpus_wrong_shape_is_validation_error(tmp_path, capsys, corrupt,
                                                 where):
     path, _ = mini_config(tmp_path)
@@ -342,6 +369,13 @@ def test_pipeline_determinism_byte_identical(tmp_path):
 
 def test_default_config_validates():
     cli.RunConfig().validate()
+
+
+def test_shipped_configs_load():
+    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        cli.load_config(path)  # validates every section
 
 
 def test_config_round_trip_identical(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earl.minirtl import (DEFAULT_VOCAB, InterfaceMismatch, ModuleAst,
-                          ParseError, SemanticError, check_semantics,
-                          detokenize, parse, tokenize)
+                          ParseError, SemanticError, Stimulus,
+                          check_semantics, detokenize, parse, simulate,
+                          tokenize)
 from earl.minirtl.parser import _Parser, comb_order
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
@@ -109,6 +110,14 @@ def test_comb_order_is_topological():
     ast = parse_text(text)
     order = [a.target for a in comb_order(ast)]
     assert order.index("z") < order.index("y")
+    # parse stores the assigns in that order, whatever the source order
+    text = ("module u02 ( input a , output y ) ; wire z ; "
+            "assign y = z ; assign z = ~ a ; endmodule")
+    ast = parse_text(text)
+    assert [a.target for a in ast.assigns] == ["z", "y"]
+    assert list(ast.assigns) == comb_order(ast)
+    trace = simulate(ast, Stimulus(({"a": 0}, {"a": 1}), 0))
+    assert [row["y"] for row in trace] == [1, 0]
 
 
 def test_comb_order_raises_on_unchecked_cycle():

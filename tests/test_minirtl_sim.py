@@ -66,6 +66,19 @@ def test_reset_prefix_forces_zero():
         assert trace[c]["q"] == 0
 
 
+def test_not_masks_to_its_operand_width_on_buses():
+    text = ("module u00 ( input [ 3 : 0 ] a , input [ 3 : 0 ] b , "
+            "output [ 3 : 0 ] y , output [ 3 : 0 ] z , output q , "
+            "output t0 ) ; assign y = ~ a ; assign z = ~ ( a ^ ~ b ) ; "
+            "assign q = ~ a == b ; assign t0 = ~ a [ 2 ] ; endmodule")
+    pairs = [(a, b) for a in range(16) for b in range(16)]
+    trace = simulate(parse_text(text),
+                     Stimulus(tuple({"a": a, "b": b} for a, b in pairs), 0))
+    assert trace == [{"y": ~a & 15, "z": ~(a ^ (~b & 15)) & 15,
+                      "q": int((~a & 15) == b), "t0": ~(a >> 2 & 1) & 1}
+                     for a, b in pairs]
+
+
 def test_simulate_is_deterministic():
     ast = parse_text(AND2)
     stim = build_vectors(ast, seed=3)
