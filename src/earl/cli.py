@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -40,8 +41,8 @@ class EvalConfig:
             raise ConfigError("eval.n: must be >= max(eval.ks)")
         if any(k < 1 for k in self.ks):
             raise ConfigError("eval.ks: entries must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError("eval.temperature: must be > 0")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError("eval.temperature: must be finite and > 0")
         if self.max_len < 1:
             raise ConfigError("eval.max_len: must be >= 1")
 
@@ -219,8 +220,8 @@ def cmd_sft(cfg: RunConfig, args) -> None:
     params, losses = pol.train_sft(params, corpus.train(), cfg.sft)
     path = _out_dir(cfg) / "sft.ckpt"
     pol.save_checkpoint(params, path)
-    print(f"wrote {path} (final loss {losses[-1]:.4f}, "
-          f"{len(losses)} steps)")
+    tail = f"final loss {losses[-1]:.4f}, " if losses else ""
+    print(f"wrote {path} ({tail}{len(losses)} steps)")
 
 
 def cmd_train(cfg: RunConfig, args) -> None:

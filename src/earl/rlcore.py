@@ -79,7 +79,8 @@ class RlConfig:
             raise ConfigError("rl.steps: must be >= 0")
         if self.max_resample_attempts < 0:
             raise ConfigError("rl.max_resample_attempts: must be >= 0")
-        for name in ("beta", "learning_rate", "rho"):
+        for name in ("beta", "learning_rate", "rho", "eps_low", "eps_high",
+                     "temperature"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"rl.{name}: must be finite")
         if not 0.0 <= self.rho < 1.0:

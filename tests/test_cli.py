@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from earl import cli
+from earl import policy as pol
 from earl.errors import ConfigError
 
 
@@ -145,6 +146,18 @@ def test_wrong_json_type_is_validation_error(tmp_path, capsys, overrides,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("section,key", [("rl", "eps_low"),
+                                         ("eval", "temperature")])
+def test_nan_float_is_validation_error(tmp_path, capsys, section, key):
+    _, data = mini_config(tmp_path)
+    path, _ = mini_config(tmp_path,
+                          **{section: {**data[section], key: float("nan")}})
+    assert run(["gen-data", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:validation: {section}.{key}: must be ")
+    assert err.count("\n") == 1
+
+
 def test_int_is_accepted_for_float_field(tmp_path):
     path, _ = mini_config(tmp_path, rl={"beta": 0, "temperature": 1},
                           sft={"total_steps": None})
@@ -169,6 +182,16 @@ def test_sft_schedule_is_validated(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:validation:") and err.count("\n") == 1
     assert "sft.batch_contexts" in err
+
+
+def test_sft_zero_steps_writes_init_params(tmp_path, capsys):
+    path, _ = mini_config(tmp_path, sft={"total_steps": 0})
+    assert run(["gen-data", "--config", path]) == 0
+    capsys.readouterr()
+    assert run(["sft", "--config", path]) == 0
+    assert "(0 steps)" in capsys.readouterr().out
+    params = pol.load_checkpoint(tmp_path / "run" / "sft.ckpt")
+    assert params.version == 0
 
 
 def test_malformed_json_is_validation_error(tmp_path, capsys):
@@ -250,8 +273,10 @@ def test_corpus_record_bad_reference_is_validation_error(tmp_path, capsys):
     assert run(["gen-data", "--config", path]) == 0
     corpus = tmp_path / "run" / "corpus.json"
     good = corpus.read_text()
-    # the first does not lex, the second lexes but does not parse
-    for text in ("module endmodule garbage", "endmodule module"):
+    # the first does not lex, the second lexes but does not parse, the third
+    # is a truncated reference
+    truncated = json.loads(good)[3]["reference_text"][:-10]
+    for text in ("module endmodule garbage", "endmodule module", truncated):
         records = json.loads(good)
         records[3]["reference_text"] = text
         corpus.write_text(json.dumps(records))

@@ -186,6 +186,10 @@ def test_config_validation_errors():
         rl.RlConfig(rho=1.0).validate()
     with pytest.raises(ConfigError, match="max_resample_attempts"):
         rl.RlConfig(max_resample_attempts=-1).validate()
+    for name in ("eps_low", "eps_high", "temperature"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"{name}: must be finite"):
+                rl.RlConfig(**{name: value}).validate()
 
 
 def test_metrics_csv_header_and_shape():
