@@ -1,10 +1,9 @@
 """MiniRTL: a closed-vocabulary synthesizable Verilog subset with an exact
 2-valued simulator. Acts as the ground-truth oracle for all rewards."""
 
-from .ast import (Assign, Binary, Const, Decl, Index, Interface,
-                  InterfaceMismatch, LexError, MiniRtlError, ModuleAst,
-                  ParseError, PortDecl, Register, SemanticError, Stimulus,
-                  Ternary, Unary, Var, expr_signals)
+from .ast import (Assign, Binary, Const, Decl, Index, Interface, LexError,
+                  MiniRtlError, ModuleAst, ParseError, PortDecl, Register,
+                  SemanticError, Stimulus, Ternary, Unary, Var, expr_signals)
 from .lexer import detokenize, tokenize
 from .parser import check_semantics, parse
 from .sim import (build_vectors, equivalence_fraction, input_bit_count,
@@ -12,10 +11,9 @@ from .sim import (build_vectors, equivalence_fraction, input_bit_count,
 from .vocab import DEFAULT_VOCAB, Vocab, build_vocab
 
 __all__ = [
-    "Assign", "Binary", "Const", "Decl", "Index", "Interface",
-    "InterfaceMismatch", "LexError", "MiniRtlError", "ModuleAst",
-    "ParseError", "PortDecl", "Register", "SemanticError", "Stimulus",
-    "Ternary", "Unary", "Var", "expr_signals",
+    "Assign", "Binary", "Const", "Decl", "Index", "Interface", "LexError",
+    "MiniRtlError", "ModuleAst", "ParseError", "PortDecl", "Register",
+    "SemanticError", "Stimulus", "Ternary", "Unary", "Var", "expr_signals",
     "detokenize", "tokenize", "check_semantics", "parse",
     "build_vectors", "equivalence_fraction", "input_bit_count",
     "is_exhaustive", "simulate",

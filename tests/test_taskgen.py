@@ -6,7 +6,7 @@ import pytest
 
 from earl import reward
 from earl.errors import ConfigError
-from earl.minirtl import DEFAULT_VOCAB, tokenize
+from earl.minirtl import DEFAULT_VOCAB, is_exhaustive, tokenize
 from earl.minirtl.vocab import EOS
 from earl.taskgen import (PROMPT_MAX_LEN, CorpusConfig, build_corpus,
                           corpus_to_json, generate_task, load_corpus,
@@ -29,8 +29,8 @@ def test_register_tasks_have_register_and_clock():
 
 
 def test_generated_tasks_all_validate():
-    """Each draw's own reference text scores a pass on its vectors, which
-    also requires the vectors to be exhaustive."""
+    """Each draw's vectors are exhaustive for its reference, and its own
+    reference text scores a pass on them."""
     kinds = ["combinational", "register", "counter", "mux", "fsm-lite"]
     eos = DEFAULT_VOCAB.id(EOS)
     n = 0
@@ -39,6 +39,8 @@ def test_generated_tasks_all_validate():
             for difficulty in ("easy", "medium", "hard"):
                 task = generate_task(seed * 31 + n, kind, difficulty,
                                      task_id=f"t{n}")
+                assert is_exhaustive(task.vectors, task.reference), \
+                    (kind, difficulty, seed)
                 tokens = tokenize(task.reference_text) + [eos]
                 assert reward.score(tokens, task).functional_pass, \
                     (kind, difficulty, seed)
