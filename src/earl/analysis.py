@@ -5,11 +5,15 @@ tokens, per-token-class statistics, ranked high/low-entropy token tables,
 per-rollout entropy heatmap export (CSV + SVG), the exact pass@k estimator,
 the heldout evaluation suite, and the ablation grid over entropy-gate
 quantiles. All aggregations are pure folds over stored rollout entropies;
-nothing here recomputes model probabilities.
+nothing here recomputes model probabilities. Every CSV artifact, the RL
+``metrics.csv`` included, is written by ``csv_text``; the ``*_to_csv``
+functions only build its rows.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -35,6 +39,16 @@ _CLASS_TOKENS = {
 
 DEFAULT_BIN_WIDTH = 0.05
 DEFAULT_FREQ_FLOOR = 10
+
+
+def csv_text(columns, rows) -> str:
+    """The header, then one line per row: floats by repr, None as an empty
+    cell, and a cell holding ',', '"' or a line break quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -170,16 +184,7 @@ def heatmap_export(rollout, vocab: Vocab = DEFAULT_VOCAB) -> list:
 
 
 def heatmap_to_csv(records) -> str:
-    lines = ["position,token,entropy"]
-    for pos, tok, h in records:
-        lines.append(f"{pos},{_csv_quote(tok)},{h!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_quote(s: str) -> str:
-    if any(c in s for c in ',"\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
+    return csv_text(("position", "token", "entropy"), records)
 
 
 def _heat_color(h: float, top: float) -> str:
@@ -215,10 +220,9 @@ def heatmap_to_svg(records, vocab: Vocab = DEFAULT_VOCAB,
 
 
 def histogram_to_csv(edges, counts) -> str:
-    lines = ["bin_left,bin_right,count"]
-    for i, c in enumerate(counts):
-        lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("bin_left", "bin_right", "count"),
+                    ((float(edges[i]), float(edges[i + 1]), int(c))
+                     for i, c in enumerate(counts)))
 
 
 def histogram_to_svg(edges, counts) -> str:
@@ -317,40 +321,30 @@ def eval_suite(params: pol.PolicyParams, tasks, n: int = 5,
 
 
 def eval_to_csv(report: EvalReport) -> str:
+    ks = report.ks
     cols = ["task_id", "n", "func_passes", "syntax_passes", "mean_reward"]
-    cols += [f"pass@{k}" for k in report.ks]
-    cols += [f"syn@{k}" for k in report.ks]
-    lines = [",".join(cols)]
-    for t in report.tasks:
-        row = [t.task_id, str(t.n), str(t.func_passes), str(t.syntax_passes),
-               repr(t.mean_reward)]
-        row += [repr(t.pass_at(k)) for k in report.ks]
-        row += [repr(t.syn_at(k)) for k in report.ks]
-        lines.append(",".join(row))
-    agg = ["aggregate", "", "", "", repr(report.aggregate_reward())]
-    agg += [repr(report.aggregate_pass(k)) for k in report.ks]
-    agg += [repr(report.aggregate_syn(k)) for k in report.ks]
-    lines.append(",".join(agg))
-    return "\n".join(lines) + "\n"
+    cols += [f"pass@{k}" for k in ks] + [f"syn@{k}" for k in ks]
+    rows = [[t.task_id, t.n, t.func_passes, t.syntax_passes, t.mean_reward]
+            + [t.pass_at(k) for k in ks] + [t.syn_at(k) for k in ks]
+            for t in report.tasks]
+    rows.append(["aggregate", None, None, None, report.aggregate_reward()]
+                + [report.aggregate_pass(k) for k in ks]
+                + [report.aggregate_syn(k) for k in ks])
+    return csv_text(cols, rows)
 
 
 def token_classes_to_csv(stats: dict) -> str:
-    lines = ["class,count,mean,median"]
-    for cls in TOKEN_CLASSES:
-        s = stats[cls]
-        mean = "" if s["mean"] is None else repr(s["mean"])
-        median = "" if s["median"] is None else repr(s["median"])
-        lines.append(f"{cls},{s['count']},{mean},{median}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("class", "count", "mean", "median"),
+                    ((cls, stats[cls]["count"], stats[cls]["mean"],
+                      stats[cls]["median"]) for cls in TOKEN_CLASSES))
 
 
 def top_tokens_to_csv(highest, lowest) -> str:
-    lines = ["rank,direction,token,mean_entropy,frequency"]
-    for i, (tok, h, f) in enumerate(highest):
-        lines.append(f"{i + 1},highest,{_csv_quote(tok)},{h!r},{f}")
-    for i, (tok, h, f) in enumerate(lowest):
-        lines.append(f"{i + 1},lowest,{_csv_quote(tok)},{h!r},{f}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("rank", "direction", "token", "mean_entropy", "frequency"),
+                    [(i + 1, direction, tok, h, f)
+                     for direction, table in (("highest", highest),
+                                              ("lowest", lowest))
+                     for i, (tok, h, f) in enumerate(table)])
 
 
 # --- ablation grid ------------------------------------------------------------
@@ -421,8 +415,5 @@ def ablation_grid(config: rlcore.RlConfig, params: pol.PolicyParams,
 
 
 def ablation_to_csv(rows) -> str:
-    lines = [",".join(ABLATION_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(repr(v) for v in
-                              (r.rho, r.pass1, r.pass5, r.syn5)))
-    return "\n".join(lines) + "\n"
+    return csv_text(ABLATION_COLUMNS,
+                    ((r.rho, r.pass1, r.pass5, r.syn5) for r in rows))

@@ -169,10 +169,6 @@ class _Usage(Exception):
     pass
 
 
-class _Runtime(Exception):
-    pass
-
-
 # --- artifacts ----------------------------------------------------------------
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -184,14 +180,14 @@ def _out_dir(cfg: RunConfig) -> Path:
 def _load_corpus(cfg: RunConfig) -> tg.Corpus:
     path = _out_dir(cfg) / "corpus.json"
     if not path.exists():
-        raise _Runtime(f"missing corpus artifact {path}; run gen-data first")
+        raise EarlError(f"missing corpus artifact {path}; run gen-data first")
     return tg.load_corpus(path)
 
 
 def _load_sft(cfg: RunConfig) -> pol.PolicyParams:
     path = _out_dir(cfg) / "sft.ckpt"
     if not path.exists():
-        raise _Runtime(f"missing checkpoint {path}; run sft first")
+        raise EarlError(f"missing checkpoint {path}; run sft first")
     return pol.load_checkpoint(path)
 
 
@@ -201,7 +197,7 @@ def _load_params(cfg: RunConfig, names=("rl.ckpt", "sft.ckpt")):
         path = out / name
         if path.exists():
             return pol.load_checkpoint(path), name
-    raise _Runtime(f"no checkpoint in {out} (tried {', '.join(names)})")
+    raise EarlError(f"no checkpoint in {out} (tried {', '.join(names)})")
 
 
 # --- subcommands --------------------------------------------------------------
@@ -372,7 +368,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as e:
         print(f"error:validation: {e}", file=sys.stderr)
         return 2
-    except (_Runtime, EarlError, OSError) as e:
+    except (EarlError, OSError) as e:
         print(f"error:runtime: {e}", file=sys.stderr)
         return 3
 

@@ -12,8 +12,8 @@ use a reset prefix followed by 8 full enumeration rounds of the non-clock,
 non-reset input bits when b <= 6, otherwise 256 seeded pseudorandom cycles.
 ``build_vectors`` follows the rule by construction, and ``load_corpus``
 rejects vectors that break it, so ``equivalence_fraction`` does not re-check
-it: its caller supplies the reference's expected trace and a candidate whose
-output ports match the reference's.
+it: its caller supplies the reference's expected trace and a candidate that
+declares every reference port and no other output.
 """
 
 from __future__ import annotations
@@ -70,16 +70,18 @@ def _eval(e: Expr, values: dict[str, int], widths: dict[str, int]) -> int:
 def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
     """Run the module over the stimulus; one output-port assignment per cycle.
 
-    Pure and total given the AST invariants and a well-formed stimulus.
-    Settles the assigns in their stored (parse's dependency) order.
+    Pure and total given the AST invariants and a stimulus whose rows drive
+    each input they hold at its declared width. A declared input that a row
+    leaves out is driven to 0; a row's other keys are never read. Settles
+    the assigns in their stored (parse's dependency) order.
     """
     widths = ast.widths()
     outputs = [p.name for p in ast.interface.outputs()]
+    undriven = {p.name: 0 for p in ast.interface.inputs()}
     state = {r.target: 0 for r in ast.registers}
     trace: list[dict[str, int]] = []
     for cyc, inputs in enumerate(stim.cycles):
-        values = dict(inputs)
-        values.update(state)
+        values = {**undriven, **inputs, **state}
         for a in ast.assigns:
             values[a.target] = _eval(a.expr, values, widths)
         trace.append({name: values[name] for name in outputs})
@@ -185,18 +187,14 @@ def equivalence_fraction(candidate: ModuleAst, vectors: Stimulus,
                          ) -> tuple[float, bool]:
     """Fraction of matching output bits over all cycles, plus full equivalence.
 
-    expected is the reference's trace over vectors (``Task.expected``), and
-    the candidate's output ports must be the reference's (name and width).
-    Candidate inputs that the stimulus does not cover are driven to 0.
+    expected is the reference's trace over vectors (``Task.expected``). The
+    candidate must declare every reference port with its direction and
+    width, as it does at interface score 1.0, and must have no other output:
+    then each stimulus row drives candidate inputs only, within their
+    widths, and is simulated as stored. Candidate inputs that the stimulus
+    does not cover are driven to 0.
     """
-    cand_inputs = candidate.interface.inputs()
-    cand_cycles = []
-    for row in vectors.cycles:
-        full = {p.name: row.get(p.name, 0) & ((1 << p.width) - 1)
-                for p in cand_inputs}
-        cand_cycles.append(full)
-    cand_stim = Stimulus(tuple(cand_cycles), vectors.reset_prefix)
-    cand_trace = simulate(candidate, cand_stim)
+    cand_trace = simulate(candidate, vectors)
 
     widths = {p.name: p.width for p in candidate.interface.outputs()}
     total = 0

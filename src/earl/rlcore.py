@@ -427,11 +427,8 @@ METRIC_COLUMNS = tuple(f.name for f in fields(StepMetrics))
 
 
 def metrics_to_csv(metrics) -> str:
-    lines = [",".join(METRIC_COLUMNS)]
-    for m in metrics:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in m.row()))
-    return "\n".join(lines) + "\n"
+    from .analysis import csv_text  # analysis imports rlcore
+    return csv_text(METRIC_COLUMNS, (m.row() for m in metrics))
 
 
 def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,

@@ -3,14 +3,17 @@
 Each task pairs a structured prompt (the specification), a reference MiniRTL
 module, and exhaustive test vectors; ``Task.expected``, the reference's trace
 over them, is simulated once, on first use. Templates replace an LLM
-generator. The vectors are built from the reference, so they are exhaustive
-and a generated reference passes them by construction; ``load_corpus`` checks
-corpora read from outside the program, coverage included.
+generator: they draw MiniRTL source text, which ``generate_task`` parses once
+(only the parser builds expression trees). The vectors are built from the
+reference, so they are exhaustive and a generated reference passes them by
+construction; ``load_corpus`` checks corpora read from outside the program,
+task ids and coverage included.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -18,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, EarlError
-from .minirtl import (Binary, Const, Index, MiniRtlError, ModuleAst,
-                      Stimulus, Ternary, Unary, Var, build_vectors,
+from .minirtl import (MiniRtlError, ModuleAst, Stimulus, build_vectors,
                       is_exhaustive, parse, simulate, tokenize)
 from .minirtl.vocab import (BOS, DEFAULT_VOCAB, ENDSPEC, IN, KIND_COUNT,
                             KIND_DFF, KIND_FSM, MODULE_NAMES, OUT, SPEC, TT)
@@ -104,50 +106,30 @@ def split_count_key(key: str) -> tuple[str, str]:
 _BINOPS = ("&", "|", "^")
 
 
-def _rand_expr(rng: np.random.Generator, names: list[str], depth: int):
-    """Random expression tree over 1-bit variables, nesting depth <= depth."""
+def _rand_expr(rng: np.random.Generator, names: list[str], depth: int) -> str:
+    """Random expression text over 1-bit variables, nesting depth <= depth."""
     if depth <= 1:
-        return Var(names[int(rng.integers(len(names)))])
+        return names[int(rng.integers(len(names)))]
     r = rng.random()
     if r < 0.18:
-        return Var(names[int(rng.integers(len(names)))])
+        return names[int(rng.integers(len(names)))]
     if r < 0.36:
-        return Unary("~", _rand_expr(rng, names, depth - 1))
+        # binary and ternary text is already parenthesized
+        return f"~ {_rand_expr(rng, names, depth - 1)}"
     if r < 0.46 and depth >= 3 and len(names) >= 3:
-        return Ternary(Var(names[int(rng.integers(len(names)))]),
-                       _rand_expr(rng, names, depth - 1),
-                       _rand_expr(rng, names, depth - 1))
+        cond = names[int(rng.integers(len(names)))]
+        then = _rand_expr(rng, names, depth - 1)
+        return f"( {cond} ? {then} : {_rand_expr(rng, names, depth - 1)} )"
     op = _BINOPS[int(rng.integers(len(_BINOPS)))]
-    return Binary(op, _rand_expr(rng, names, depth - 1),
-                  _rand_expr(rng, names, depth - 1))
+    left = _rand_expr(rng, names, depth - 1)
+    return f"( {left} {op} {_rand_expr(rng, names, depth - 1)} )"
 
 
-def _easy_comb_expr(rng: np.random.Generator, names: list[str]):
+def _easy_comb_expr(rng: np.random.Generator, names: list[str]) -> str:
     """Canonical easy form: optionally negated binary op over the two inputs."""
-    a, b = Var(names[0]), Var(names[1])
     op = ("&", "|", "^", "==")[int(rng.integers(4))]
-    e = Binary(op, a, b)
-    if rng.random() < 0.5:
-        e = Unary("~", e)
-    return e
-
-
-def _expr_text(e) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Index):
-        return f"{e.name} [ {e.bit} ]"
-    if isinstance(e, Unary):
-        # Binary/ternary operands already render parenthesized.
-        return f"~ {_expr_text(e.operand)}"
-    if isinstance(e, Binary):
-        return f"( {_expr_text(e.left)} {e.op} {_expr_text(e.right)} )"
-    if isinstance(e, Ternary):
-        return (f"( {_expr_text(e.cond)} ? {_expr_text(e.then)} : "
-                f"{_expr_text(e.other)} )")
-    raise AssertionError(e)
+    e = f"( {names[0]} {op} {names[1]} )"
+    return f"~ {e}" if rng.random() < 0.5 else e
 
 
 # --- module templates --------------------------------------------------------
@@ -186,7 +168,7 @@ def _draw_source(rng: np.random.Generator, kind: str, difficulty: str) -> str:
         else:
             inputs = ["a", "b", "c", "d"]
             expr = _rand_expr(rng, inputs, 5)
-        return _comb_source(name, inputs, _expr_text(expr))
+        return _comb_source(name, inputs, expr)
     if kind == "mux":
         if difficulty == "easy":
             return _comb_source(name, ["sel", "a", "b"], "( sel ? a : b )")
@@ -200,10 +182,10 @@ def _draw_source(rng: np.random.Generator, kind: str, difficulty: str) -> str:
             return _seq_source(name, ["clk", "d"], ["q"],
                                [("q", "d", None)], edge)
         if difficulty == "medium":
-            nxt = _expr_text(_rand_expr(rng, ["d", "q"], 2))
+            nxt = _rand_expr(rng, ["d", "q"], 2)
             return _seq_source(name, ["clk", "rst", "d"], ["q"],
                                [("q", nxt, "rst")], edge)
-        nxt = _expr_text(_rand_expr(rng, ["d", "e", "q"], 3))
+        nxt = _rand_expr(rng, ["d", "e", "q"], 3)
         return _seq_source(name, ["clk", "rst", "d", "e"], ["q"],
                            [("q", f"( e ? {nxt} : q )", "rst")], edge)
     if kind == "counter":
@@ -215,9 +197,9 @@ def _draw_source(rng: np.random.Generator, kind: str, difficulty: str) -> str:
                                regs, edge)
         return _seq_source(name, ["clk", "rst"], ["q0", "q1"], regs, edge)
     if kind == "fsm-lite":
-        n0 = _expr_text(_rand_expr(rng, ["sel", "q0"], 2))
+        n0 = _rand_expr(rng, ["sel", "q0"], 2)
         if difficulty == "hard":
-            n1 = _expr_text(_rand_expr(rng, ["sel", "q0", "q1"], 3))
+            n1 = _rand_expr(rng, ["sel", "q0", "q1"], 3)
             return _seq_source(name, ["clk", "rst", "sel"], ["q0", "q1"],
                                [("q0", n0, "rst"), ("q1", n1, "rst")], edge)
         return _seq_source(name, ["clk", "rst", "sel"], ["q0"],
@@ -330,6 +312,9 @@ def _wrong_field_type(r: dict) -> str | None:
     for key in ("id", "kind", "difficulty"):
         if not isinstance(r[key], str):
             return f"{key} is not a string"
+    if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9._-]*", r["id"]):
+        return (f"id {r['id']!r} is not a task id ([A-Za-z0-9._-], "
+                "not starting with '.')")
     if r["split"] not in ("train", "eval-heldout"):
         return f"split {r['split']!r} is not 'train' or 'eval-heldout'"
     V = DEFAULT_VOCAB.size
@@ -372,7 +357,7 @@ def load_corpus(path) -> Corpus:
         raise DomainError(f"corpus: not a JSON file: {e}") from None
     if not isinstance(records, list):
         raise DomainError("corpus: top level is not a list of records")
-    tasks = []
+    tasks, ids = [], set()
     for i, r in enumerate(records):
         if not isinstance(r, dict):
             raise DomainError(f"corpus record {i}: not an object")
@@ -380,6 +365,10 @@ def load_corpus(path) -> Corpus:
             wrong = _wrong_field_type(r)
             if wrong:
                 raise DomainError(f"corpus record {i}: {wrong}")
+            if r["id"] in ids:
+                raise DomainError(f"corpus record {i}: id {r['id']!r} is "
+                                  "already used by an earlier record")
+            ids.add(r["id"])
             fields = dict(id=r["id"], prompt_tokens=tuple(r["prompt_tokens"]),
                           reference_text=r["reference_text"], kind=r["kind"],
                           difficulty=r["difficulty"], split=r["split"])

@@ -5,6 +5,7 @@ c=2, k=1: 1 - C(3,1)/C(5,1) = 1 - 3/5 = 0.4
 c=2, k=5: 1 - C(3,5)/C(5,5) = 1 (C(3,5) = 0)
 """
 
+import csv
 import math
 
 import numpy as np
@@ -155,6 +156,22 @@ def test_heatmap_projection_is_bitwise():
     assert csv.splitlines()[0] == "position,token,entropy"
     svg = an.heatmap_to_svg(records)
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def test_csv_cells():
+    cm = an.default_token_classes()
+    r = _rollout([DEFAULT_VOCAB.id("if")], [0.5])
+    lines = an.token_classes_to_csv(an.token_class_stats([r], cm)).splitlines()
+    assert "literal,0,," in lines and "control-flow,1,0.5,0.5" in lines
+    text = an.top_tokens_to_csv([(",", 0.5, 3)], [("if", 0.25, 2)])
+    assert text == ('rank,direction,token,mean_entropy,frequency\n'
+                    '1,highest,",",0.5,3\n1,lowest,if,0.25,2\n')
+    report = an.EvalReport((an.TaskEval("a,b", 5, 2, 3, 0.5),), (1,))
+    lines = an.eval_to_csv(report).splitlines()
+    assert lines[1] == '"a,b",5,2,3,0.5,0.4,0.6'
+    assert lines[2] == "aggregate,,,,0.5,0.4,0.6"
+    rows = list(csv.reader(lines))
+    assert [len(row) for row in rows] == [len(rows[0])] * 3
 
 
 # --- eval suite and ablation format -------------------------------------------

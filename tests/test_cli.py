@@ -333,6 +333,11 @@ def _drop_last_cycle(index):
     (_set(3, "split", "test"), "record 3"),
     (_set(3, "split", ["train"]), "record 3"),
     (_set(3, "id", 3), "record 3"),
+    (_set(3, "id", "x/y"), "record 3"),
+    (_set(3, "id", ""), "record 3"),
+    (_set(3, "id", ".."), "record 3"),
+    (lambda records: records[:3] + [{**records[3], "id": records[1]["id"]}]
+     + records[4:], "record 3"),
     (_set(3, "kind", None), "record 3"),
     (_set(3, "difficulty", ["easy"]), "record 3"),
 ], ids=["truncated-json", "top-level-object", "record-list", "prompt-string",
@@ -341,7 +346,8 @@ def _drop_last_cycle(index):
         "cycle-extra-input", "cycle-str-value", "cycle-bool-value",
         "cycle-value-too-wide", "cycle-value-negative",
         "vectors-not-exhaustive", "split-unknown",
-        "split-list", "id-int", "kind-null", "difficulty-list"])
+        "split-list", "id-int", "id-slash", "id-empty", "id-dot",
+        "id-duplicate", "kind-null", "difficulty-list"])
 def test_corpus_wrong_shape_is_validation_error(tmp_path, capsys, corrupt,
                                                 where):
     path, _ = mini_config(tmp_path)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from earl import reward as rew
 from earl.errors import ConfigError
-from earl.minirtl import DEFAULT_VOCAB, parse, tokenize
+from earl.minirtl import DEFAULT_VOCAB, build_vectors, parse, tokenize
 from earl.taskgen import CorpusConfig, build_corpus, generate_task
 
 
@@ -83,7 +83,6 @@ def test_near_miss_three_quarters_scores_0_8():
     task = generate_task(0, "combinational", "easy", task_id="t")
     task.expected  # a cached trace must not carry over to the new reference
     # construct a task-like fixture with OR reference and exhaustive vectors
-    from earl.minirtl import build_vectors
     ref = parse(tokenize(ref_or))
     fixed = replace(task, reference_text=ref_or, reference=ref,
                     vectors=build_vectors(ref, seed=0))
@@ -93,6 +92,23 @@ def test_near_miss_three_quarters_scores_0_8():
     assert bd.functional_fraction == 0.75 and not bd.functional_pass
     assert abs(bd.reward - 0.8) < 1e-12
     assert bd.reward < 1.0
+
+
+def test_extra_input_is_driven_to_zero():
+    ref_and = ("module and2 ( input a , input b , output y ) ; "
+               "assign y = a & b ; endmodule")
+    ref = parse(tokenize(ref_and))
+    task = replace(easy_task(), reference_text=ref_and, reference=ref,
+                   vectors=build_vectors(ref, seed=0))
+    head = "module and2 ( input a , input b , input c , output y ) ; "
+    bd = rew.score(tokens_of(head + "assign y = ( a & b ) | ( c & a ) ; "
+                             "endmodule"), task)
+    assert bd.interface_score == 1.0 and bd.functional_pass
+    bd = rew.score(tokens_of(head + "assign y = ( a & b ) | ~ c ; endmodule"),
+                   task)
+    assert bd.stage_reached == rew.STAGE_FUNCTIONAL
+    assert bd.functional_fraction == 0.25 and not bd.functional_pass
+    assert abs(bd.reward - (0.5 + 0.4 * 0.25)) < 1e-12
 
 
 def test_reference_is_simulated_once_per_task(monkeypatch):

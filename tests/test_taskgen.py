@@ -1,5 +1,6 @@
 """Task generation: determinism, passing references, diversity, prompts."""
 
+import hashlib
 import json
 
 import pytest
@@ -125,3 +126,8 @@ def test_corpus_json_round_trip(tmp_path):
         assert a.reference_text == b.reference_text
         assert a.reference.interface == b.reference.interface
 
+
+def test_default_corpus_bytes_are_pinned():
+    text = corpus_to_json(build_corpus(CorpusConfig(), 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "aab284e455aaef0940e7beb5251a35ad8aa42a9ce5b67ec016b4f3bb0d7f33ff"
