@@ -24,6 +24,8 @@ from . import reward as rew
 from . import rlcore
 from . import taskgen as tg
 from .errors import ConfigError, DomainError, EarlError
+from .minirtl.ast import LexError
+from .minirtl.lexer import tokenize
 from .minirtl.vocab import DEFAULT_VOCAB
 
 DEFAULT_POLICY_K = 48
@@ -172,27 +174,29 @@ class _Usage(Exception):
 # --- artifacts ----------------------------------------------------------------
 
 def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, created if missing: only the commands that
+    write call it, so a failed load leaves no directory behind."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _load_corpus(cfg: RunConfig) -> tg.Corpus:
-    path = _out_dir(cfg) / "corpus.json"
+    path = Path(cfg.out_dir) / "corpus.json"
     if not path.exists():
         raise EarlError(f"missing corpus artifact {path}; run gen-data first")
     return tg.load_corpus(path)
 
 
 def _load_sft(cfg: RunConfig) -> pol.PolicyParams:
-    path = _out_dir(cfg) / "sft.ckpt"
+    path = Path(cfg.out_dir) / "sft.ckpt"
     if not path.exists():
         raise EarlError(f"missing checkpoint {path}; run sft first")
     return pol.load_checkpoint(path)
 
 
 def _load_params(cfg: RunConfig, names=("rl.ckpt", "sft.ckpt")):
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     for name in names:
         path = out / name
         if path.exists():
@@ -260,8 +264,6 @@ def cmd_score(cfg: RunConfig, args) -> None:
         text = Path(args.candidate).read_text()
     except OSError as e:
         raise _Usage(f"cannot read candidate file: {e}")
-    from .minirtl.lexer import tokenize
-    from .minirtl.ast import LexError
     try:
         tokens = tokenize(text, DEFAULT_VOCAB)
     except LexError:

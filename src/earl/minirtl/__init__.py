@@ -3,7 +3,7 @@
 
 from .ast import (Assign, Binary, Const, Decl, Index, Interface, LexError,
                   MiniRtlError, ModuleAst, ParseError, PortDecl, Register,
-                  SemanticError, Stimulus, Ternary, Unary, Var, expr_signals)
+                  SemanticError, Stimulus, Ternary, Unary, Var)
 from .lexer import detokenize, tokenize
 from .parser import check_semantics, parse
 from .sim import (build_vectors, equivalence_fraction, input_bit_count,
@@ -13,7 +13,7 @@ from .vocab import DEFAULT_VOCAB, Vocab, build_vocab
 __all__ = [
     "Assign", "Binary", "Const", "Decl", "Index", "Interface", "LexError",
     "MiniRtlError", "ModuleAst", "ParseError", "PortDecl", "Register",
-    "SemanticError", "Stimulus", "Ternary", "Unary", "Var", "expr_signals",
+    "SemanticError", "Stimulus", "Ternary", "Unary", "Var",
     "detokenize", "tokenize", "check_semantics", "parse",
     "build_vectors", "equivalence_fraction", "input_bit_count",
     "is_exhaustive", "simulate",

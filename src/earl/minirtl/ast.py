@@ -148,60 +148,42 @@ class Stimulus:
     reset_prefix: int = 0
 
 
-def expr_signals(e: Expr, acc: Optional[set] = None) -> set[str]:
-    """Names of all signals read by an expression."""
-    if acc is None:
-        acc = set()
-    if isinstance(e, Var):
-        acc.add(e.name)
-    elif isinstance(e, Index):
-        acc.add(e.name)
-    elif isinstance(e, Unary):
-        expr_signals(e.operand, acc)
-    elif isinstance(e, Binary):
-        expr_signals(e.left, acc)
-        expr_signals(e.right, acc)
-    elif isinstance(e, Ternary):
-        expr_signals(e.cond, acc)
-        expr_signals(e.then, acc)
-        expr_signals(e.other, acc)
-    return acc
-
-
-def expr_width(e: Expr, widths: dict[str, int]) -> int:
+def expr_width(e: Expr, widths: dict[str, int],
+               reads: Optional[set] = None) -> int:
     """Width of an expression; raises SemanticError where a width rule fails
     or a name is undeclared. The rules: bitwise operators require equal
     operand widths; '==' yields one bit; literals are one bit wide; a
     bit-index yields one bit; the two arms of a ternary must agree and its
-    condition must be one bit. check_semantics checks with it, and the
-    simulator masks '~' with it."""
+    condition must be one bit. check_semantics checks with it, adding the
+    name of each signal read to ``reads``, and the simulator masks '~' with
+    it."""
     if isinstance(e, Const):
         return 1
-    if isinstance(e, Var):
+    if isinstance(e, (Var, Index)):
         if e.name not in widths:
             raise SemanticError("undeclared", e.name)
-        return widths[e.name]
-    if isinstance(e, Index):
-        if e.name not in widths:
-            raise SemanticError("undeclared", e.name)
+        if reads is not None:
+            reads.add(e.name)
+        if isinstance(e, Var):
+            return widths[e.name]
         if e.bit >= widths[e.name]:
             raise SemanticError("width-mismatch",
                                 f"bit {e.bit} of {e.name}[{widths[e.name]}]")
         return 1
     if isinstance(e, Unary):
-        return expr_width(e.operand, widths)
+        return expr_width(e.operand, widths, reads)
     if isinstance(e, Binary):
-        lw = expr_width(e.left, widths)
-        rw = expr_width(e.right, widths)
+        lw = expr_width(e.left, widths, reads)
+        rw = expr_width(e.right, widths, reads)
         if lw != rw:
             raise SemanticError("width-mismatch", f"{e.op}: {lw} vs {rw}")
         return 1 if e.op == "==" else lw
     if isinstance(e, Ternary):
-        cw = expr_width(e.cond, widths)
+        cw = expr_width(e.cond, widths, reads)
         if cw != 1:
             raise SemanticError("width-mismatch", "ternary condition")
-        tw = expr_width(e.then, widths)
-        ow = expr_width(e.other, widths)
+        tw = expr_width(e.then, widths, reads)
+        ow = expr_width(e.other, widths, reads)
         if tw != ow:
             raise SemanticError("width-mismatch", f"?: arms {tw} vs {ow}")
         return tw

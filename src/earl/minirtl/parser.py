@@ -31,7 +31,7 @@ import dataclasses
 
 from .ast import (Assign, Binary, Const, Decl, Expr, Index, Interface,
                   ModuleAst, ParseError, PortDecl, Register, SemanticError,
-                  Ternary, Unary, Var, expr_signals, expr_width)
+                  Ternary, Unary, Var, expr_width)
 from .vocab import DEFAULT_VOCAB, IDENTIFIERS, MODULE_NAMES, Vocab
 
 _IDENT_SET = set(IDENTIFIERS)
@@ -218,7 +218,9 @@ class _Parser:
 
 def check_semantics(ast: ModuleAst) -> list[Assign]:
     """Enforce ModuleAst invariants; raises SemanticError on violation.
-    Returns the assigns in dependency order (comb_order)."""
+    Walks each expression once: the width check (expr_width) also collects
+    the signals it reads, for the driver check and comb_order. Returns the
+    assigns in dependency order (comb_order)."""
     widths: dict[str, int] = {}
     for p in ast.interface.ports:
         if p.name in widths:
@@ -245,6 +247,8 @@ def check_semantics(ast: ModuleAst) -> list[Assign]:
             reg_names.add(d.name)
 
     drivers = {p.name: "input" for p in ast.interface.inputs()}
+    deps: dict[str, set[str]] = {}  # signals each assign reads
+    reg_reads: set[str] = set()  # signals the registers read
 
     for a in ast.assigns:
         if a.target not in widths:
@@ -255,7 +259,8 @@ def check_semantics(ast: ModuleAst) -> list[Assign]:
             raise SemanticError("multi-driver",
                                 f"assign to reg {a.target}")
         drivers[a.target] = "assign"
-        if expr_width(a.expr, widths) != widths[a.target]:
+        deps[a.target] = set()
+        if expr_width(a.expr, widths, deps[a.target]) != widths[a.target]:
             raise SemanticError("width-mismatch", f"assign {a.target}")
 
     for r in ast.registers:
@@ -272,39 +277,34 @@ def check_semantics(ast: ModuleAst) -> list[Assign]:
         if widths[r.clock] != 1 or port_dirs.get(r.clock) != "input":
             raise SemanticError("width-mismatch",
                                 f"clock {r.clock} must be a 1-bit input")
-        if expr_width(r.next_expr, widths) != widths[r.target]:
+        if expr_width(r.next_expr, widths, reg_reads) != widths[r.target]:
             raise SemanticError("width-mismatch", f"register {r.target}")
         if r.reset is not None:
-            if expr_width(r.reset, widths) != 1:
+            if expr_width(r.reset, widths, reg_reads) != 1:
                 raise SemanticError("width-mismatch", "reset condition")
             if widths[r.target] != 1:
                 raise SemanticError("width-mismatch",
                                     "reset-to-0 requires a 1-bit register")
 
-    # Every read or exported signal must have exactly one driver.
-    read: set[str] = set()
-    for a in ast.assigns:
-        read |= expr_signals(a.expr)
-    for r in ast.registers:
-        read |= expr_signals(r.next_expr)
-        if r.reset is not None:
-            read |= expr_signals(r.reset)
-    for name in sorted(read):
-        if name not in widths:
-            raise SemanticError("undeclared", name)
+    # Every read or exported signal must have exactly one driver; the width
+    # checks above have declared every name read.
+    for name in sorted(reg_reads.union(*deps.values())):
         if name not in drivers:
             raise SemanticError("no-driver", name)
     for p in ast.interface.ports:
         if p.direction == "output" and p.name not in drivers:
             raise SemanticError("no-driver", f"output {p.name}")
 
-    return comb_order(ast)  # raises on a combinational cycle
+    return comb_order(ast.assigns, deps)  # raises on a combinational cycle
 
 
-def comb_order(ast: ModuleAst) -> list[Assign]:
-    """Assigns in dependency (topological) order. A combinational cycle
-    raises SemanticError('comb-cycle') naming its path, 'a->b->a'."""
-    assign_of = {a.target: a for a in ast.assigns}
+def comb_order(assigns: tuple[Assign, ...],
+               deps: dict[str, set[str]]) -> list[Assign]:
+    """Assigns in dependency (topological) order, given the signals each
+    assign's target reads (``deps``, as check_semantics collects them). A
+    combinational cycle raises SemanticError('comb-cycle') naming its path,
+    'a->b->a'."""
+    assign_of = {a.target: a for a in assigns}
     ordered: list[Assign] = []
     visited: dict[str, bool] = {}  # False while on the DFS path, then True
 
@@ -318,12 +318,11 @@ def comb_order(ast: ModuleAst) -> list[Assign]:
             path = [n for n, ok in visited.items() if not ok] + [name]
             raise SemanticError("comb-cycle", "->".join(path))
         visited[name] = False
-        a = assign_of[name]
-        for dep in sorted(expr_signals(a.expr)):
+        for dep in sorted(deps[name]):
             if dep in assign_of:
                 visit(dep)
         visited[name] = True
-        ordered.append(a)
+        ordered.append(assign_of[name])
 
     for t in assign_of:
         visit(t)

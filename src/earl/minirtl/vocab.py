@@ -72,9 +72,6 @@ class Vocab:
     def __contains__(self, token: str) -> bool:
         return token in self._ids
 
-    def ids(self, tokens) -> list[int]:
-        return [self._ids[t] for t in tokens]
-
     def strings(self, ids) -> list[str]:
         return [self.tokens[i] for i in ids]
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .minirtl.lexer import tokenize
 from .minirtl.vocab import BOS, EOS, PAD, DEFAULT_VOCAB, Vocab
 from .seeds import rng_for
 
@@ -138,7 +139,7 @@ def _advance_indices(params: PolicyParams, idx: np.ndarray, token,
 
 def logits(params: PolicyParams, rows: np.ndarray) -> np.ndarray:
     """Logits [n, V] of feature rows [n, k+1]: ``design_matrix(rows) @ W +
-    b``, the CSR x dense product SFT also runs.
+    b``; ``gradient`` is its transpose.
 
     scipy starts each output row at 0 and adds the row's k+1 rows of W one
     after another, in index order. That is the order of the gather sum
@@ -153,18 +154,12 @@ def logits(params: PolicyParams, rows: np.ndarray) -> np.ndarray:
 def distributions(params: PolicyParams, rows: np.ndarray,
                   temperature: float) -> np.ndarray:
     """Next-token distributions [n, V] of feature rows [n, k+1]: the softmax
-    of logits / temperature, row by row. The result is C-contiguous, so each
-    row sums in the order softmax() sums one vector, and a row's bytes do not
-    depend on the other rows. Shared by sampling, re-scoring and the
-    gradient."""
-    e = logits(params, rows)
-    e /= temperature
-    return _softmax_rows(e)
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a C-contiguous [n, V] array, in place; returns
-    it. The one row softmax of sampling, re-scoring and SFT."""
+    of logits / temperature, row by row, computed in place. The result is
+    C-contiguous, so each row sums in the order softmax() sums one vector,
+    and a row's bytes do not depend on the other rows. The one forward pass
+    of sampling, re-scoring, the RL gradient and SFT."""
+    z = logits(params, rows)
+    z /= temperature
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
@@ -297,16 +292,31 @@ class GradAccumulator:
     dW: np.ndarray
     db: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, params: PolicyParams) -> "GradAccumulator":
-        return cls(np.zeros_like(params.W), np.zeros_like(params.b))
+
+def gradient(params: PolicyParams, rows: np.ndarray,
+             G: np.ndarray) -> GradAccumulator:
+    """Gradient in W and b of a loss whose gradient in the logits of feature
+    rows [n, k+1] is G [n, V]: the transpose of ``logits``. The one backward
+    pass of SFT and RL."""
+    db = np.zeros_like(params.b)
+    db += G.sum(axis=0)  # a column of -0.0 sums to -0.0; db keeps +0.0
+    # scipy starts every entry of the product at +0.0 and adds to it, so dW
+    # has the bytes of zeros + product, without a W-sized zero fill
+    dW = design_matrix(rows, params.F).T @ G
+    return GradAccumulator(dW, db)
 
 
 def apply_update(params: PolicyParams, acc: GradAccumulator,
                  step_size: float) -> None:
-    """In-place params += step_size * acc (ascent for positive step_size)."""
-    params.W += step_size * acc.dW
-    params.b += step_size * acc.db
+    """In-place params += step_size * acc (ascent for positive step_size,
+    descent for negative). It consumes acc: the step is scaled inside
+    acc.dW and acc.db, since one more W-sized temporary per update would be
+    returned to the OS and faulted back in on every step. The one code
+    that steps W and b."""
+    acc.dW *= step_size
+    params.W += acc.dW
+    acc.db *= step_size
+    params.b += acc.db
     params.version += 1
 
 
@@ -347,7 +357,6 @@ def lr_at(step: int, schedule: SftSchedule, total_steps: int) -> float:
 
 def _sft_examples(params: PolicyParams, tasks):
     """Feature rows and target tokens of every reference response."""
-    from .minirtl.lexer import tokenize  # local import to avoid cycle
     eos = params.vocab.id(EOS)
     rows, targets = [], []
     for task in tasks:
@@ -378,7 +387,6 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
     if not tasks:
         raise DomainError("train_sft requires a nonempty corpus")
     rows, targets = _sft_examples(params, tasks)
-    X = design_matrix(rows, params.F)
     n = len(targets)
     bs = min(schedule.batch_contexts, n)
     steps_per_epoch = (n + bs - 1) // bs
@@ -392,22 +400,17 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
             epoch = step // steps_per_epoch
             order = rng_for("sft-order", schedule.seed, epoch).permutation(n)
         sel = order[i * bs:(i + 1) * bs]
-        Xb, btgt = X[sel], targets[sel]
-        probs = _softmax_rows(Xb @ params.W + params.b[None, :])
+        brows, btgt = rows[sel], targets[sel]
+        probs = distributions(params, brows, 1.0)
         m = len(btgt)
         nll = float(-np.log(probs[np.arange(m), btgt]).mean())
         loss_log.append(nll)
 
-        G = probs
+        G = probs  # d NLL / d logits, in place
         G[np.arange(m), btgt] -= 1.0
         G /= m
         lr = lr_at(step, schedule, total)
-        grad = Xb.T @ G
-        grad *= lr  # in place: one more W-sized temporary per step would be
-        # returned to the OS and faulted back in on every step
-        params.W -= grad
-        params.b -= lr * G.sum(axis=0)
-        params.version += 1
+        apply_update(params, gradient(params, brows, G), -lr)
     return params, loss_log
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .minirtl import Interface, MiniRtlError, parse
 from .minirtl.sim import equivalence_fraction
 from .minirtl.vocab import DEFAULT_VOCAB, EOS, Vocab
@@ -40,7 +41,6 @@ class RewardSchedule:
               and self.functional_base + self.functional_span
               <= self.pass_reward)
         if not ok:
-            from .errors import ConfigError
             raise ConfigError("reward schedule violates stage ordering")
 
 

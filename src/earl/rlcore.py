@@ -330,8 +330,6 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
     eps_low, eps_high = config.resolved_eps()
     kl_sum, kl_count = 0.0, 0
     n = batch.token_total
-    if not n:
-        return pol.GradAccumulator.zeros_like(pi_new), diag, 0.0
     rows = np.empty((n, pi_new.k + 1), dtype=np.int64)
     G = np.empty((n, pi_new.V))  # d objective / d logits, one row per token
     end = 0
@@ -364,13 +362,8 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
                 kl_sum += float(rs.kl[a:b].sum())
             kl_count += len(rs.toks)
         g /= config.temperature
-    db = np.zeros_like(pi_new.b)
-    db += G.sum(axis=0)  # a column of -0.0 sums to -0.0; db keeps +0.0
-    # scipy starts every entry of the product at +0.0 and adds to it, so dW
-    # has the bytes of zeros + product, without a W-sized zero fill
-    dW = pol.design_matrix(rows, pi_new.F).T @ G
     mean_kl = kl_sum / kl_count if kl_count else 0.0
-    return pol.GradAccumulator(dW, db), diag, mean_kl
+    return pol.gradient(pi_new, rows, G), diag, mean_kl
 
 
 # --- training loop -----------------------------------------------------------

@@ -206,6 +206,15 @@ def test_missing_artifact_is_runtime_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:runtime:")
 
 
+def test_failed_load_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "nonexist" / "deep"
+    path, _ = mini_config(tmp_path, out_dir=str(out))
+    for command in ("eval", "train", "analyze"):
+        assert run([command, "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("error:runtime: missing ")
+        assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_missing_sft_checkpoint_is_runtime_error(tmp_path, capsys, command):
     path, _ = mini_config(tmp_path)

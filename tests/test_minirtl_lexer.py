@@ -29,7 +29,7 @@ def test_unknown_word_raises_lex_error():
 
 
 def test_detokenize_joins_with_spaces():
-    ids = DEFAULT_VOCAB.ids(["module", "and2"])
+    ids = [DEFAULT_VOCAB.id(t) for t in ("module", "and2")]
     assert detokenize(ids) == "module and2"
     assert detokenize([]) == ""
 
@@ -43,7 +43,7 @@ def test_whitespace_insensitive():
     assert tokenize("assign   y =\n\ta ;") == tokenize("assign y = a ;")
 
 
-terminal_ids = st.sampled_from(DEFAULT_VOCAB.ids(TERMINALS))
+terminal_ids = st.sampled_from([DEFAULT_VOCAB.id(t) for t in TERMINALS])
 
 
 @settings(max_examples=1000)

@@ -64,12 +64,19 @@ def test_width_mismatch_is_semantic_error():
     assert e.value.kind == "width-mismatch"
 
 
-def test_missing_driver_is_semantic_error():
-    text = ("module u00 ( input a , output y ) ; wire z ; "
-            "assign y = a & z ; endmodule")
+@pytest.mark.parametrize("text", [
+    ("module u00 ( input a , output y ) ; wire z ; "
+     "assign y = a & z ; endmodule"),
+    ("module u00 ( input clk , input a , output y ) ; reg y ; wire z ; "
+     "always @ ( posedge clk ) begin y <= a & z ; end endmodule"),
+    ("module u00 ( input clk , input a , output y ) ; reg y ; wire z ; "
+     "always @ ( posedge clk ) begin if ( z ) y <= 0 ; else y <= a ; end "
+     "endmodule")], ids=["assign", "register-next", "register-reset"])
+def test_missing_driver_is_semantic_error(text):
     with pytest.raises(SemanticError) as e:
         parse_text(text)
     assert e.value.kind == "no-driver"
+    assert str(e.value) == "semantic error [no-driver]: z"
 
 
 def test_extract_interface_projection():
@@ -105,26 +112,32 @@ def test_sync_reset_register_parses():
 
 def test_comb_order_is_topological():
     text = ("module u02 ( input a , output y ) ; wire z ; "
-            "assign z = ~ a ; assign y = z ; endmodule")
-    ast = parse_text(text)
-    order = [a.target for a in comb_order(ast)]
-    assert order.index("z") < order.index("y")
-    # parse stores the assigns in that order, whatever the source order
-    text = ("module u02 ( input a , output y ) ; wire z ; "
             "assign y = z ; assign z = ~ a ; endmodule")
+    ast = _Parser(text.split()).program()  # source order, unchecked
+    order = [a.target for a in comb_order(ast.assigns,
+                                          {"y": {"z"}, "z": {"a"}})]
+    assert order == ["z", "y"]
+    # parse stores the assigns in that order, whatever the source order
     ast = parse_text(text)
     assert [a.target for a in ast.assigns] == ["z", "y"]
-    assert list(ast.assigns) == comb_order(ast)
     trace = simulate(ast, Stimulus(({"a": 0}, {"a": 1}), 0))
+    assert [row["y"] for row in trace] == [1, 0]
+    # a bit-index read is a dependency too
+    text = ("module u02 ( input [ 1 : 0 ] a , output y ) ; "
+            "wire [ 1 : 0 ] z ; "
+            "assign y = z [ 1 ] ; assign z = ~ a ; endmodule")
+    ast = parse_text(text)
+    assert [a.target for a in ast.assigns] == ["z", "y"]
+    trace = simulate(ast, Stimulus(({"a": 0}, {"a": 2}), 0))
     assert [row["y"] for row in trace] == [1, 0]
 
 
 def test_comb_order_raises_on_unchecked_cycle():
+    # the module passes every other check, so the cycle is what parse finds
     text = ("module u00 ( input a , output y ) ; wire z ; "
             "assign z = y ; assign y = z ; endmodule")
-    ast = _Parser(text.split()).program()  # no check_semantics
     with pytest.raises(SemanticError) as e:
-        comb_order(ast)
+        parse_text(text)
     assert e.value.kind == "comb-cycle"
     assert str(e.value) == "semantic error [comb-cycle]: z->y->z"
 

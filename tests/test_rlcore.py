@@ -410,7 +410,8 @@ def _per_rollout_objective(batch, pi_new, pi_ref, config):
 def _per_rollout_gradient(batch, pi_new, pi_ref, config):
     """assemble_gradient re-scoring rollout by rollout: two
     response_distributions calls per rollout."""
-    acc = pol.GradAccumulator.zeros_like(pi_new)
+    acc = pol.GradAccumulator(np.zeros_like(pi_new.W),
+                              np.zeros_like(pi_new.b))
     diag = rl.CoeffDiagnostics()
     eps_low, eps_high = config.resolved_eps()
     T = config.temperature
@@ -502,3 +503,23 @@ def test_rescore_group_kl_zero_at_copy_positive_after_perturbation():
     assert rs.kl.size > 0 and np.all(rs.kl == 0.0)
     rs = rl.rescore_group(pg, params, _nudged(params, 0.1, 2), cfg)
     assert np.all(rs.kl >= 0.0) and np.any(rs.kl > 0.0)
+
+
+def test_empty_batch_gradient_is_positive_zero():
+    """A batch whose responses are all empty takes the general path: dW and
+    db of W's and b's shapes, every entry +0.0."""
+    tasks, params = _tiny_setup()
+    cfg = rl.RlConfig(group_size=4, max_response_len=48, beta=0.01)
+    group = rl.sample_groups(params, tasks[:1], 4, 1.0, 48,
+                             [(7, "empty", 0)])[0]
+    for i, r in enumerate(group.rollouts):
+        group.rollouts[i] = pol.Rollout(r.prompt_tokens, (), np.zeros(0),
+                                        np.zeros(0), 1.0, False)
+    pg = rl.PreparedGroup(group, np.ones(4), [np.zeros(0)] * 4)
+    batch = rl.PreparedBatch([pg], 0)
+    acc, diag, mean_kl = rl.assemble_gradient(batch, params, params.copy(),
+                                              cfg)
+    assert acc.dW.shape == params.W.shape and acc.db.shape == params.b.shape
+    for a in (acc.dW, acc.db):
+        assert not a.any() and not np.signbit(a).any()
+    assert diag.tokens == 0 and mean_kl == 0.0
