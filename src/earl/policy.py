@@ -370,9 +370,12 @@ def design_matrix(rows: np.ndarray, F: int):
     """Sparse one-hot design matrix [n, F] of feature rows [n, k+1]."""
     from scipy import sparse
     n, width = rows.shape
-    indptr = np.arange(0, (n + 1) * width, width, dtype=np.int64)
-    return sparse.csr_matrix((np.ones(n * width), rows.ravel(), indptr),
-                             shape=(n, F))
+    # int32 indices, which scipy keeps as given; int64 ones it validates and
+    # copies down to int32 on every call
+    indptr = np.arange(0, (n + 1) * width, width, dtype=np.int32)
+    return sparse.csr_matrix(
+        (np.ones(n * width), rows.astype(np.int32).ravel(), indptr),
+        shape=(n, F))
 
 
 def train_sft(params: PolicyParams, tasks, schedule: SftSchedule

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -177,84 +178,78 @@ def filter_groups(groups) -> list:
 
 # --- surrogate coefficients ------------------------------------------------------
 
-@dataclass
-class CoeffDiagnostics:
-    tokens: int = 0
-    clipped: int = 0
-    gate_weight: float = 0.0  # sum of the tokens' gate values
+def per_token_coefficients(new_logprobs, old_logprobs, advantages, gates,
+                           eps_low: float, eps_high: float, token_total: int
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-token scalar coefficients for the log-prob gradient, and the mask
+    of the tokens whose clipped branch is active.
 
-    @property
-    def clip_rate(self) -> float:
-        return self.clipped / self.tokens if self.tokens else 0.0
-
-    @property
-    def gated_fraction(self) -> float:
-        """Mean gate value per token: the share of tokens a 0/1 mask keeps,
-        the mean weight under archer-weight."""
-        return self.gate_weight / self.tokens if self.tokens else 0.0
-
-
-def per_token_coefficients(new_logprobs, old_logprobs, advantage: float,
-                           gates, eps_low: float, eps_high: float,
-                           token_total: int,
-                           diag: CoeffDiagnostics | None = None) -> np.ndarray:
-    """Per-token scalar coefficients for the log-prob gradient of one rollout.
-
-    surrogate_t = min(r_t*A, clip(r_t, 1-eps_low, 1+eps_high)*A). When the
-    unclipped branch is active the gradient coefficient is gate_t*r_t*A /
-    token_total; the clipped branch carries zero gradient. Ties count as
-    unclipped (the branches agree there).
+    surrogate_t = min(r_t*A_t, clip(r_t, 1-eps_low, 1+eps_high)*A_t), A_t a
+    scalar or one advantage per token. When the unclipped branch is active
+    the gradient coefficient is gate_t*r_t*A_t / token_total; the clipped
+    branch carries zero gradient. Ties count as unclipped (the branches
+    agree there).
     """
     r = np.exp(np.asarray(new_logprobs) - np.asarray(old_logprobs))
     clipped_r = np.clip(r, 1.0 - eps_low, 1.0 + eps_high)
-    unclipped = r * advantage
-    clipped = clipped_r * advantage
+    unclipped = r * advantages
+    clipped = clipped_r * advantages
     active_unclipped = unclipped <= clipped
     g = np.asarray(gates, dtype=float)
     coeffs = np.where(active_unclipped, g * unclipped / token_total, 0.0)
-    if diag is not None:
-        diag.tokens += r.size
-        diag.clipped += int((~active_unclipped).sum())
-        diag.gate_weight += float(g.sum())
-    return coeffs
+    return coeffs, ~active_unclipped
 
 
 # --- batch preparation, objective, gradient ---------------------------------------
 
 @dataclass
-class PreparedGroup:
-    group: Group
-    advantages: np.ndarray
-    gates: list  # np.ndarray per rollout
-
-
-@dataclass
 class PreparedBatch:
-    groups: list  # of PreparedGroup
-    token_total: int
+    """One RL batch: everything an update reads that the policy does not
+    change. Rollout j of ``rollouts`` (the groups' rollouts in group order)
+    has advantage ``advantages[j]`` and owns tokens ``bounds[j]:bounds[j+1]``
+    of the token axis, on which ``gates`` holds one gate value per token. A
+    mini-batch is the prepare_batch of a subset of the groups."""
+    groups: list            # retained Groups with a reward spread
+    rollouts: list          # their rollouts, in (group, rollout) order
+    advantages: np.ndarray  # one per rollout
+    gates: np.ndarray       # one per token
+    bounds: list            # token offsets, len(rollouts) + 1 ints
+
+    @property
+    def token_total(self) -> int:
+        return self.bounds[-1]
+
+    @property
+    def gated_fraction(self) -> float:
+        """Mean gate value per token: the share of tokens a 0/1 mask keeps,
+        the mean weight under archer-weight. Summed rollout by rollout."""
+        weight = 0.0
+        for a, b in zip(self.bounds, self.bounds[1:]):
+            weight += float(self.gates[a:b].sum())
+        return weight / self.token_total if self.token_total else 0.0
 
 
 def prepare_batch(groups, config: RlConfig) -> PreparedBatch:
     """Advantages and gates for retained groups; drops degenerate ones."""
     variant = VARIANTS[config.variant]
-    prepared = []
-    total = 0
+    # each list starts with an empty array, so a batch of no group concatenates
+    kept, advantages = [], [np.zeros(0)]
     for g in groups:
         try:
-            adv = group_advantages(g.rewards, variant.baseline)
+            advantages.append(group_advantages(g.rewards, variant.baseline))
         except DegenerateGroup:
             continue
-        gates = [gate_values(r.entropies, variant.gate, config.rho)
-                 for r in g.rollouts]
-        prepared.append(PreparedGroup(g, adv, gates))
-        total += sum(len(r.response_tokens) for r in g.rollouts)
-    return PreparedBatch(prepared, total)
+        kept.append(g)
+    rollouts = [r for g in kept for r in g.rollouts]
+    gates = [np.zeros(0)] + [gate_values(r.entropies, variant.gate,
+                                         config.rho) for r in rollouts]
+    bounds = [0, *accumulate(len(r.response_tokens) for r in rollouts)]
+    return PreparedBatch(kept, rollouts, np.concatenate(advantages),
+                         np.concatenate(gates), bounds)
 
 
 class Rescored(NamedTuple):
-    """One group's nonempty rollouts re-scored in one pass; the token axis
-    runs rollout by rollout, rollout i over tokens start:stop of spans."""
-    spans: list            # (rollout index, start, stop)
+    """A batch re-scored under pi_new, on the batch's token axis."""
     rows: np.ndarray       # feature rows [n, k+1]
     toks: np.ndarray       # response tokens [n]
     p_new: np.ndarray      # pi_new's distributions [n, V]
@@ -263,33 +258,35 @@ class Rescored(NamedTuple):
     kl: np.ndarray | None  # KL(p_new || p_ref) per token [n]
 
 
-def rescore_group(pg: PreparedGroup, pi_new: pol.PolicyParams,
-                  pi_ref: pol.PolicyParams, config: RlConfig
-                  ) -> Rescored | None:
-    """Re-score a group under pi_new (and pi_ref when beta != 0): one
-    feature_rows concatenation and one distributions call per policy. Rows
-    are independent, so every value has the bytes of re-scoring rollout by
-    rollout. None when every response is empty."""
-    spans, rows, toks = [], [], []
-    for i, rollout in enumerate(pg.group.rollouts):
-        resp = rollout.response_tokens
-        if resp:
-            spans.append((i, len(toks), len(toks) + len(resp)))
-            rows.append(pol.feature_rows(pi_new, rollout.prompt_tokens, resp))
-            toks += resp
-    if not spans:
-        return None
-    rows, toks = np.concatenate(rows), np.array(toks, dtype=np.int64)
+def rescore(batch: PreparedBatch, pi_new: pol.PolicyParams,
+            pi_ref: pol.PolicyParams, config: RlConfig) -> Rescored:
+    """Re-score a batch of at least one rollout under pi_new (and pi_ref when
+    beta != 0): one feature_rows concatenation and one distributions call per
+    policy. Rows are independent, so every value has the bytes of re-scoring
+    rollout by rollout. s is built in p_ref's buffer, so the pass holds two
+    [n, V] arrays, not three."""
+    rollouts = batch.rollouts
+    rows = np.concatenate([pol.feature_rows(pi_new, r.prompt_tokens,
+                                            r.response_tokens)
+                           for r in rollouts])
+    toks = np.array([t for r in rollouts for t in r.response_tokens],
+                    dtype=np.int64)
     T = config.temperature
     p_new = pol.distributions(pi_new, rows, T)
     new_lp = np.log(p_new[np.arange(len(toks)), toks])
     s = kl = None
     if config.beta != 0.0:
-        p_ref = pol.distributions(pi_ref, rows, T)
-        s = np.log(p_new)
-        s -= np.log(p_ref, out=p_ref)
+        s = pol.distributions(pi_ref, rows, T)
+        np.log(s, out=s)
+        np.subtract(np.log(p_new), s, out=s)
         kl = (p_new * s).sum(axis=1)
-    return Rescored(spans, rows, toks, p_new, new_lp, s, kl)
+    return Rescored(rows, toks, p_new, new_lp, s, kl)
+
+
+def _old_logprobs_and_advantages(batch: PreparedBatch):
+    """pi_old's log-prob and the advantage of each token of the batch."""
+    return (np.concatenate([r.logprobs for r in batch.rollouts]),
+            np.repeat(batch.advantages, np.diff(batch.bounds)))
 
 
 def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
@@ -300,70 +297,54 @@ def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
     if batch.token_total == 0:
         return 0.0
     eps_low, eps_high = config.resolved_eps()
+    rs = rescore(batch, pi_new, pi_ref, config)
+    old_lp, adv = _old_logprobs_and_advantages(batch)
+    r = np.exp(rs.new_lp - old_lp)
+    surr = batch.gates * np.minimum(
+        r * adv, np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
+    if rs.kl is not None:
+        wkl = (batch.gates if config.gated_kl else 1.0) * rs.kl
     total = 0.0
-    for pg in batch.groups:
-        rs = rescore_group(pg, pi_new, pi_ref, config)
-        if rs is None:
-            continue
-        for i, start, stop in rs.spans:
-            r = np.exp(rs.new_lp[start:stop] - pg.group.rollouts[i].logprobs)
-            adv = pg.advantages[i]
-            surr = np.minimum(r * adv,
-                              np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
-            gates = pg.gates[i]
-            total += float((gates * surr).sum())
-            if rs.kl is not None:
-                w = gates if config.gated_kl else 1.0
-                total -= config.beta * float((w * rs.kl[start:stop]).sum())
+    for a, b in zip(batch.bounds, batch.bounds[1:]):
+        total += float(surr[a:b].sum())
+        if rs.kl is not None:
+            total -= config.beta * float(wkl[a:b].sum())
     return total / batch.token_total
 
 
 def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
                       pi_ref: pol.PolicyParams, config: RlConfig
-                      ) -> tuple[pol.GradAccumulator, CoeffDiagnostics, float]:
-    """Gradient of objective_value in pi_new, summed in (group, rollout,
-    token) order, each group re-scored in one pass and its logit gradients
-    written in place into one [tokens, V] array. Diagnostics and the KL sum
-    still add rollout by rollout. Returns (accumulator, diagnostics, mean
-    per-token KL)."""
-    diag = CoeffDiagnostics()
+                      ) -> tuple[pol.GradAccumulator, float, float]:
+    """Gradient of objective_value in pi_new from one rescore pass over the
+    batch: the logit gradient is written in place into p_new (its KL term
+    into s), so the batch itself is left unchanged. The KL sum adds rollout
+    by rollout. Returns (accumulator, clip rate, mean per-token KL)."""
     eps_low, eps_high = config.resolved_eps()
-    kl_sum, kl_count = 0.0, 0
     n = batch.token_total
-    rows = np.empty((n, pi_new.k + 1), dtype=np.int64)
-    G = np.empty((n, pi_new.V))  # d objective / d logits, one row per token
-    end = 0
-    for pg in batch.groups:
-        rs = rescore_group(pg, pi_new, pi_ref, config)
-        if rs is None:
-            continue
-        start, end = end, end + len(rs.toks)
-        rows[start:end] = rs.rows
-        rollouts = pg.group.rollouts
-        coeffs = np.concatenate([
-            per_token_coefficients(rs.new_lp[a:b], rollouts[i].logprobs,
-                                   pg.advantages[i], pg.gates[i], eps_low,
-                                   eps_high, batch.token_total, diag)
-            for i, a, b in rs.spans])
-        # d/dz of coeff * log p(tok): (one-hot - p) * coeff / T
-        g = G[start:end]
-        np.negative(rs.p_new, out=g)
-        g *= coeffs[:, None]
-        g[np.arange(len(rs.toks)), rs.toks] += coeffs
-        if rs.kl is not None:
-            w = (np.concatenate([pg.gates[i] for i, _, _ in rs.spans])
-                 if config.gated_kl else np.ones(len(rs.toks)))
-            c = -config.beta * w / batch.token_total
-            d = rs.s - rs.kl[:, None]  # p_new * (s - kl) * c, in place
-            d *= rs.p_new
-            d *= c[:, None]
-            g += d
-            for _, a, b in rs.spans:
-                kl_sum += float(rs.kl[a:b].sum())
-            kl_count += len(rs.toks)
-        g /= config.temperature
-    mean_kl = kl_sum / kl_count if kl_count else 0.0
-    return pol.gradient(pi_new, rows, G), diag, mean_kl
+    rs = rescore(batch, pi_new, pi_ref, config)
+    coeffs, clipped = per_token_coefficients(
+        rs.new_lp, *_old_logprobs_and_advantages(batch), batch.gates,
+        eps_low, eps_high, n)
+    G, d, kl = rs.p_new, rs.s, rs.kl
+    kl_sum = 0.0
+    if kl is not None:
+        w = batch.gates if config.gated_kl else np.ones(n)
+        c = -config.beta * w / n
+        d -= kl[:, None]  # p_new * (s - kl) * c, in place
+        d *= G
+        d *= c[:, None]
+        for a, b in zip(batch.bounds, batch.bounds[1:]):
+            kl_sum += float(kl[a:b].sum())
+    # d/dz of coeff * log p(tok): (one-hot - p) * coeff / T, in place
+    np.negative(G, out=G)
+    G *= coeffs[:, None]
+    G[np.arange(n), rs.toks] += coeffs
+    if kl is not None:
+        G += d
+    G /= config.temperature
+    clip_rate = int(clipped.sum()) / n if n else 0.0
+    mean_kl = kl_sum / n if kl is not None and n else 0.0
+    return pol.gradient(pi_new, rs.rows, G), clip_rate, mean_kl
 
 
 # --- training loop -----------------------------------------------------------
@@ -476,20 +457,19 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
         mean_entropy = float(ent.mean()) if ent.size else 0.0
 
         batch = prepare_batch(retained, config)
-        if batch.groups and batch.token_total > 0:
-            acc, diag, mean_kl = assemble_gradient(batch, params, pi_ref,
-                                                   config)
+        if batch.token_total:
+            acc, clip_rate, mean_kl = assemble_gradient(batch, params, pi_ref,
+                                                        config)
             pol.apply_update(params, acc, config.learning_rate)
-            clip_rate, gated = diag.clip_rate, diag.gated_fraction
         else:
             # No trainable group: skip the update, log the empty step.
-            clip_rate, gated, mean_kl = 0.0, 0.0, 0.0
+            clip_rate, mean_kl = 0.0, 0.0
         metrics.append(StepMetrics(
             step=step,
             mean_reward=float(all_rewards.mean()),
             pass_rate=all_pass / n_roll,
             clip_rate=clip_rate,
-            gated_fraction=gated,
+            gated_fraction=batch.gated_fraction,
             mean_kl=mean_kl,
             mean_entropy=mean_entropy,
             retained_groups=len(batch.groups),

@@ -5,6 +5,7 @@ rewards (1,1,0,0,0,0): mean 1/3, population std = sqrt(2)/3, so
 advantages = (+sqrt(2), +sqrt(2), -sqrt(2)/2 x4) up to the 1e-8 guard.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -110,36 +111,35 @@ def test_filter_keeps_only_mixed_groups():
 # --- coefficients -------------------------------------------------------------
 
 def test_coefficients_unclipped_branch():
-    diag = rl.CoeffDiagnostics()
-    c = rl.per_token_coefficients(
-        np.log([1.0]), np.log([1.0]), 2.0, [1.0], 0.2, 0.28, 10, diag)
+    c, clipped = rl.per_token_coefficients(
+        np.log([1.0]), np.log([1.0]), 2.0, [1.0], 0.2, 0.28, 10)
     assert np.allclose(c, [2.0 / 10])
-    assert diag.clipped == 0 and diag.tokens == 1
+    assert not clipped.any() and clipped.size == 1
 
 
 def test_coefficients_clipped_branch_zero_gradient():
     # ratio 2.0 with positive advantage exceeds 1+eps_high -> clipped, 0
-    c = rl.per_token_coefficients(
+    c, clipped = rl.per_token_coefficients(
         np.log([2.0]), np.log([1.0]), 1.0, [1.0], 0.2, 0.28, 10)
-    assert c[0] == 0.0
+    assert c[0] == 0.0 and clipped.tolist() == [True]
     # same ratio with negative advantage: unclipped branch is the min
-    c = rl.per_token_coefficients(
+    c, clipped = rl.per_token_coefficients(
         np.log([2.0]), np.log([1.0]), -1.0, [1.0], 0.2, 0.28, 10)
-    assert np.allclose(c, [-2.0 / 10])
+    assert np.allclose(c, [-2.0 / 10]) and clipped.tolist() == [False]
 
 
 def test_coefficients_gate_masks_tokens():
-    c = rl.per_token_coefficients(
+    c, clipped = rl.per_token_coefficients(
         np.log([1.0, 1.0]), np.log([1.0, 1.0]), 1.0, [0.0, 1.0],
         0.2, 0.28, 4)
     assert c[0] == 0.0 and np.allclose(c[1], 0.25)
+    assert not clipped.any()
 
 
 def test_ties_count_as_unclipped():
-    diag = rl.CoeffDiagnostics()
-    rl.per_token_coefficients(np.log([1.0]), np.log([1.0]), 1.0, [1.0],
-                              0.2, 0.28, 1, diag)
-    assert diag.clipped == 0
+    _, clipped = rl.per_token_coefficients(np.log([1.0]), np.log([1.0]),
+                                           1.0, [1.0], 0.2, 0.28, 1)
+    assert not clipped.any()
 
 
 # --- config resolution --------------------------------------------------------
@@ -168,13 +168,13 @@ def test_variant_table_gates_advantages_and_eps():
         cfg = rl.RlConfig(variant=variant, rho=0.5)
         assert cfg.resolved_eps() == eps
         batch = rl.prepare_batch([group], cfg)
-        assert batch.token_total == 11
-        (pg,) = batch.groups
-        assert np.allclose(pg.advantages, adv)
-        for h, g in zip(ents, pg.gates):
-            assert np.array_equal(g, gate(h))
-    earl = rl.prepare_batch([group], rl.RlConfig(rho=0.5)).groups[0]
-    assert earl.gates[0].tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
+        assert batch.token_total == 11 and batch.bounds == [0, 5, 7, 8, 11]
+        assert batch.groups == [group] and batch.rollouts == rollouts
+        assert np.allclose(batch.advantages, adv)
+        assert np.array_equal(batch.gates,
+                              np.concatenate([gate(h) for h in ents]))
+    earl = rl.prepare_batch([group], rl.RlConfig(rho=0.5))
+    assert earl.gates[:5].tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
 
 
 def test_config_validation_errors():
@@ -288,16 +288,15 @@ def _attempt_by_attempt_rl(config, params, tasks):
         ent = np.concatenate([r.entropies for g in groups
                               for r in g.rollouts])
         batch = rl.prepare_batch(retained, config)
-        clip_rate, gated, mean_kl = 0.0, 0.0, 0.0
-        if batch.groups and batch.token_total > 0:
-            acc, diag, mean_kl = rl.assemble_gradient(batch, params, pi_ref,
-                                                      config)
+        clip_rate, mean_kl = 0.0, 0.0
+        if batch.token_total:
+            acc, clip_rate, mean_kl = rl.assemble_gradient(batch, params,
+                                                           pi_ref, config)
             pol.apply_update(params, acc, config.learning_rate)
-            clip_rate, gated = diag.clip_rate, diag.gated_fraction
         metrics.append(rl.StepMetrics(
             step, float(np.concatenate([g.rewards for g in groups]).mean()),
             sum(g.pass_count for g in groups) / sum(g.size for g in groups),
-            clip_rate, gated, mean_kl,
+            clip_rate, batch.gated_fraction, mean_kl,
             float(ent.mean()) if ent.size else 0.0, len(batch.groups)))
     return params, metrics, used
 
@@ -347,7 +346,7 @@ def test_archer_gated_fraction_is_mean_weight():
     _, (m,) = rl.train_rl(cfg, params.copy(), tasks)
     _, retained, _ = _attempt_groups(cfg, params, tasks, 0)
     batch = rl.prepare_batch(retained, cfg)
-    weights = np.concatenate([g for pg in batch.groups for g in pg.gates])
+    weights = batch.gates
     assert m.retained_groups > 0 and weights.size == batch.token_total
     assert m.gated_fraction < 1.0
     assert m.gated_fraction == pytest.approx(weights.mean(), rel=1e-12)
@@ -379,7 +378,7 @@ def test_train_rl_rejects_negative_resample_attempts():
                     tasks[:4])
 
 
-# --- one re-scoring pass per group --------------------------------------------
+# --- one re-scoring pass per batch --------------------------------------------
 
 def _per_rollout_objective(batch, pi_new, pi_ref, config):
     """objective_value re-scoring rollout by rollout."""
@@ -388,67 +387,72 @@ def _per_rollout_objective(batch, pi_new, pi_ref, config):
     eps_low, eps_high = config.resolved_eps()
     T = config.temperature
     total = 0.0
-    for pg in batch.groups:
-        for i, rollout in enumerate(pg.group.rollouts):
-            prompt, resp = rollout.prompt_tokens, rollout.response_tokens
-            new_lp = pol.sequence_logprobs(pi_new, prompt, resp, T)
-            r = np.exp(new_lp - rollout.logprobs)
-            adv = pg.advantages[i]
-            surr = np.minimum(r * adv,
-                              np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
-            gates = pg.gates[i]
-            total += float((gates * surr).sum())
-            if config.beta != 0.0:
-                _, p_new = pol.response_distributions(pi_new, prompt, resp, T)
-                _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
-                kl = (p_new * (np.log(p_new) - np.log(p_ref))).sum(axis=1)
-                w = gates if config.gated_kl else 1.0
-                total -= config.beta * float((w * kl).sum())
+    for j, rollout in enumerate(batch.rollouts):
+        prompt, resp = rollout.prompt_tokens, rollout.response_tokens
+        new_lp = pol.sequence_logprobs(pi_new, prompt, resp, T)
+        r = np.exp(new_lp - rollout.logprobs)
+        adv = batch.advantages[j]
+        surr = np.minimum(r * adv,
+                          np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
+        gates = batch.gates[batch.bounds[j]:batch.bounds[j + 1]]
+        total += float((gates * surr).sum())
+        if config.beta != 0.0:
+            _, p_new = pol.response_distributions(pi_new, prompt, resp, T)
+            _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
+            kl = (p_new * (np.log(p_new) - np.log(p_ref))).sum(axis=1)
+            w = gates if config.gated_kl else 1.0
+            total -= config.beta * float((w * kl).sum())
     return total / batch.token_total
 
 
 def _per_rollout_gradient(batch, pi_new, pi_ref, config):
     """assemble_gradient re-scoring rollout by rollout: two
-    response_distributions calls per rollout."""
+    response_distributions calls per rollout. Returns (accumulator, clip
+    rate, gated fraction, mean KL)."""
     acc = pol.GradAccumulator(np.zeros_like(pi_new.W),
                               np.zeros_like(pi_new.b))
-    diag = rl.CoeffDiagnostics()
     eps_low, eps_high = config.resolved_eps()
     T = config.temperature
+    tokens, n_clipped, gate_weight = 0, 0, 0.0
     kl_sum, kl_count = 0.0, 0
     row_chunks, grad_chunks = [], []
-    for pg in batch.groups:
-        for i, rollout in enumerate(pg.group.rollouts):
-            prompt, resp = rollout.prompt_tokens, rollout.response_tokens
-            if not resp:
-                continue
-            rows, p_new = pol.response_distributions(pi_new, prompt, resp, T)
-            toks = np.asarray(resp, dtype=np.int64)
-            ar = np.arange(len(toks))
-            new_lp = np.log(p_new[ar, toks])
-            coeffs = rl.per_token_coefficients(
-                new_lp, rollout.logprobs, pg.advantages[i], pg.gates[i],
-                eps_low, eps_high, batch.token_total, diag)
-            G = -p_new * coeffs[:, None]
-            G[ar, toks] += coeffs
-            if config.beta != 0.0:
-                _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
-                s = np.log(p_new) - np.log(p_ref)
-                kl = (p_new * s).sum(axis=1)
-                w = pg.gates[i] if config.gated_kl else np.ones(len(toks))
-                c = -config.beta * w / batch.token_total
-                G += p_new * (s - kl[:, None]) * c[:, None]
-                kl_sum += float(kl.sum())
-                kl_count += len(toks)
-            G /= T
-            row_chunks.append(rows)
-            grad_chunks.append(G)
+    for j, rollout in enumerate(batch.rollouts):
+        prompt, resp = rollout.prompt_tokens, rollout.response_tokens
+        if not resp:
+            continue
+        gates = batch.gates[batch.bounds[j]:batch.bounds[j + 1]]
+        rows, p_new = pol.response_distributions(pi_new, prompt, resp, T)
+        toks = np.asarray(resp, dtype=np.int64)
+        ar = np.arange(len(toks))
+        new_lp = np.log(p_new[ar, toks])
+        coeffs, clipped = rl.per_token_coefficients(
+            new_lp, rollout.logprobs, batch.advantages[j], gates,
+            eps_low, eps_high, batch.token_total)
+        tokens += len(toks)
+        n_clipped += int(clipped.sum())
+        gate_weight += float(gates.sum())
+        G = -p_new * coeffs[:, None]
+        G[ar, toks] += coeffs
+        if config.beta != 0.0:
+            _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
+            s = np.log(p_new) - np.log(p_ref)
+            kl = (p_new * s).sum(axis=1)
+            w = gates if config.gated_kl else np.ones(len(toks))
+            c = -config.beta * w / batch.token_total
+            G += p_new * (s - kl[:, None]) * c[:, None]
+            kl_sum += float(kl.sum())
+            kl_count += len(toks)
+        G /= T
+        row_chunks.append(rows)
+        grad_chunks.append(G)
     if row_chunks:
         X = pol.design_matrix(np.concatenate(row_chunks), pi_new.F)
         Gall = np.concatenate(grad_chunks)
         acc.dW += X.T @ Gall
         acc.db += Gall.sum(axis=0)
-    return acc, diag, kl_sum / kl_count if kl_count else 0.0
+    return (acc, n_clipped / tokens if tokens else 0.0,
+            gate_weight / tokens if tokens else 0.0,
+            kl_sum / kl_count if kl_count else 0.0)
 
 
 def _nudged(params, scale, seed):
@@ -470,38 +474,44 @@ def test_group_rescoring_matches_per_rollout(variant, beta, gated_kl, T):
     groups = rl.sample_groups(params, tasks[:8], 4, T, 48,
                               [(7, "rescore", j) for j in range(8)])
     batch = rl.prepare_batch(groups, cfg)
-    # one rollout's response emptied: re-scoring skips it, as before
-    pg = batch.groups[0]
-    r = pg.group.rollouts[1]
-    pg.group.rollouts[1] = pol.Rollout(r.prompt_tokens, (), np.zeros(0),
-                                       np.zeros(0), T, False)
-    pg.gates[1] = np.zeros(0)
-    batch = rl.PreparedBatch(batch.groups, sum(
-        len(r.response_tokens) for pg in batch.groups
-        for r in pg.group.rollouts))
+    # one rollout's response emptied, its gates and tokens taken out of the
+    # batch: re-scoring skips it, as before
+    r = batch.rollouts[1]
+    batch.rollouts[1] = pol.Rollout(r.prompt_tokens, (), np.zeros(0),
+                                    np.zeros(0), T, False)
+    a, b = batch.bounds[1], batch.bounds[2]
+    batch.gates = np.delete(batch.gates, np.s_[a:b])
+    batch.bounds = batch.bounds[:2] + [x - (b - a) for x in batch.bounds[2:]]
     assert len(batch.groups) >= 3
+    assert batch.bounds[-1] == sum(len(r.response_tokens)
+                                   for r in batch.rollouts)
     pi_new, pi_ref = _nudged(params, 0.3, 1), _nudged(params, 0.1, 2)
-    acc, diag, mean_kl = rl.assemble_gradient(batch, pi_new, pi_ref, cfg)
-    ref_acc, ref_diag, ref_kl = _per_rollout_gradient(batch, pi_new, pi_ref,
-                                                      cfg)
+    acc, clip_rate, mean_kl = rl.assemble_gradient(batch, pi_new, pi_ref,
+                                                   cfg)
+    ref_acc, ref_clip, ref_gated, ref_kl = _per_rollout_gradient(
+        batch, pi_new, pi_ref, cfg)
     assert acc.dW.tobytes() == ref_acc.dW.tobytes()  # signs of zeros too
     assert acc.db.tobytes() == ref_acc.db.tobytes()
-    assert diag.clip_rate == ref_diag.clip_rate > 0
-    assert diag.gated_fraction == ref_diag.gated_fraction
+    assert clip_rate == ref_clip > 0
+    assert batch.gated_fraction == ref_gated
     assert mean_kl == ref_kl and (mean_kl > 0) == (beta != 0)
     assert rl.objective_value(batch, pi_new, pi_ref, cfg) == \
         _per_rollout_objective(batch, pi_new, pi_ref, cfg)
 
 
-def test_rescore_group_kl_zero_at_copy_positive_after_perturbation():
+def test_rescore_kl_zero_at_copy_positive_after_perturbation():
     tasks, params = _tiny_setup()
     cfg = rl.RlConfig(group_size=4, max_response_len=48)
     group = rl.sample_groups(params, tasks[:1], 4, 1.0, 48,
                              [(7, "kl", 0)])[0]
-    pg = rl.PreparedGroup(group, np.zeros(4), [])
-    rs = rl.rescore_group(pg, params, params.copy(), cfg)
+    bounds = [0]
+    for r in group.rollouts:
+        bounds.append(bounds[-1] + len(r.response_tokens))
+    batch = rl.PreparedBatch([group], group.rollouts, np.zeros(4),
+                             np.zeros(bounds[-1]), bounds)
+    rs = rl.rescore(batch, params, params.copy(), cfg)
     assert rs.kl.size > 0 and np.all(rs.kl == 0.0)
-    rs = rl.rescore_group(pg, params, _nudged(params, 0.1, 2), cfg)
+    rs = rl.rescore(batch, params, _nudged(params, 0.1, 2), cfg)
     assert np.all(rs.kl >= 0.0) and np.any(rs.kl > 0.0)
 
 
@@ -515,11 +525,54 @@ def test_empty_batch_gradient_is_positive_zero():
     for i, r in enumerate(group.rollouts):
         group.rollouts[i] = pol.Rollout(r.prompt_tokens, (), np.zeros(0),
                                         np.zeros(0), 1.0, False)
-    pg = rl.PreparedGroup(group, np.ones(4), [np.zeros(0)] * 4)
-    batch = rl.PreparedBatch([pg], 0)
-    acc, diag, mean_kl = rl.assemble_gradient(batch, params, params.copy(),
-                                              cfg)
+    batch = rl.PreparedBatch([group], group.rollouts, np.ones(4),
+                             np.zeros(0), [0] * 5)
+    acc, clip_rate, mean_kl = rl.assemble_gradient(batch, params,
+                                                   params.copy(), cfg)
     assert acc.dW.shape == params.W.shape and acc.db.shape == params.b.shape
     for a in (acc.dW, acc.db):
         assert not a.any() and not np.signbit(a).any()
-    assert diag.tokens == 0 and mean_kl == 0.0
+    assert clip_rate == 0.0 and mean_kl == 0.0
+
+
+def test_assemble_gradient_leaves_batch_unchanged():
+    # an update re-scores its batch and writes only rescore's own arrays,
+    # so one batch can serve several updates
+    tasks, params = _tiny_setup()
+    pi_new, pi_ref = _nudged(params, 0.3, 1), _nudged(params, 0.1, 2)
+    groups = rl.sample_groups(params, tasks[:8], 4, 0.7, 48,
+                              [(7, "reuse", j) for j in range(8)])
+    for variant in ("earl", "archer"):
+        cfg = rl.RlConfig(group_size=4, max_response_len=48,
+                          temperature=0.7, variant=variant, beta=0.01,
+                          gated_kl=True)
+        batch = rl.prepare_batch(groups, cfg)
+        assert batch.token_total > 0
+        before = (batch.gates.tobytes(), batch.advantages.tobytes(),
+                  list(batch.bounds),
+                  [r.logprobs.tobytes() for r in batch.rollouts])
+        results = []
+        for _ in range(2):
+            acc, clip_rate, mean_kl = rl.assemble_gradient(batch, pi_new,
+                                                           pi_ref, cfg)
+            results.append((acc.dW.tobytes(), acc.db.tobytes(), clip_rate,
+                            mean_kl))
+        assert results[0] == results[1]
+        assert (batch.gates.tobytes(), batch.advantages.tobytes(),
+                list(batch.bounds),
+                [r.logprobs.tobytes() for r in batch.rollouts]) == before
+
+
+def test_rl_bytes_are_pinned_for_every_variant():
+    # W, b and metrics.csv of a short gated-KL run per variant, in sorted
+    # variant order; a change to any summation order moves this digest
+    tasks, params = _tiny_setup()
+    h = hashlib.sha256()
+    for variant in sorted(rl.VARIANTS):
+        trained, metrics = _run(tasks, params, variant=variant, beta=0.01,
+                                gated_kl=True, temperature=0.7)
+        assert all(m.retained_groups for m in metrics)
+        h.update(trained.W.tobytes() + trained.b.tobytes()
+                 + rl.metrics_to_csv(metrics).encode())
+    assert h.hexdigest() == ("b3899a3470903368380fd15990cd76d2"
+                             "d0896f1057e1aaf5c7f4aa16f81a2c51")
