@@ -38,7 +38,10 @@ CLOCK_NAME = "clk"
 RESET_NAME = "rst"
 
 
-def _eval(e: Expr, values: dict[str, int], widths: dict[str, int]) -> int:
+def _eval(e: Expr, values: dict[str, int], widths: dict[str, int],
+          masks: dict[int, int]) -> int:
+    """The value of e; masks holds the mask of each '~' evaluated so far,
+    keyed by the node's id, since a width is fixed for the module."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -46,11 +49,13 @@ def _eval(e: Expr, values: dict[str, int], widths: dict[str, int]) -> int:
     if isinstance(e, Index):
         return (values[e.name] >> e.bit) & 1
     if isinstance(e, Unary):
-        v = _eval(e.operand, values, widths)
-        return (~v) & ((1 << expr_width(e.operand, widths)) - 1)
+        mask = masks.get(id(e))
+        if mask is None:
+            mask = masks[id(e)] = (1 << expr_width(e.operand, widths)) - 1
+        return (~_eval(e.operand, values, widths, masks)) & mask
     if isinstance(e, Binary):
-        lv = _eval(e.left, values, widths)
-        rv = _eval(e.right, values, widths)
+        lv = _eval(e.left, values, widths, masks)
+        rv = _eval(e.right, values, widths, masks)
         if e.op == "&":
             return lv & rv
         if e.op == "|":
@@ -61,9 +66,9 @@ def _eval(e: Expr, values: dict[str, int], widths: dict[str, int]) -> int:
             return 1 if lv == rv else 0
         raise AssertionError(e.op)
     if isinstance(e, Ternary):
-        if _eval(e.cond, values, widths):
-            return _eval(e.then, values, widths)
-        return _eval(e.other, values, widths)
+        if _eval(e.cond, values, widths, masks):
+            return _eval(e.then, values, widths, masks)
+        return _eval(e.other, values, widths, masks)
     raise AssertionError(e)
 
 
@@ -73,9 +78,11 @@ def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
     Pure and total given the AST invariants and a stimulus whose rows drive
     each input they hold at its declared width. A declared input that a row
     leaves out is driven to 0; a row's other keys are never read. Settles
-    the assigns in their stored (parse's dependency) order.
+    the assigns in their stored (parse's dependency) order. Each '~' mask
+    is computed once per call, at its first evaluation.
     """
     widths = ast.widths()
+    masks: dict[int, int] = {}
     outputs = [p.name for p in ast.interface.outputs()]
     undriven = {p.name: 0 for p in ast.interface.inputs()}
     state = {r.target: 0 for r in ast.registers}
@@ -83,17 +90,17 @@ def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
     for cyc, inputs in enumerate(stim.cycles):
         values = {**undriven, **inputs, **state}
         for a in ast.assigns:
-            values[a.target] = _eval(a.expr, values, widths)
+            values[a.target] = _eval(a.expr, values, widths, masks)
         trace.append({name: values[name] for name in outputs})
         nxt = {}
         for r in ast.registers:
             if cyc < stim.reset_prefix:
                 nxt[r.target] = 0
-            elif r.reset is not None and _eval(r.reset, values, widths):
+            elif r.reset is not None and _eval(r.reset, values, widths, masks):
                 nxt[r.target] = 0
             else:
-                mask = (1 << widths[r.target]) - 1
-                nxt[r.target] = _eval(r.next_expr, values, widths) & mask
+                v = _eval(r.next_expr, values, widths, masks)
+                nxt[r.target] = v & ((1 << widths[r.target]) - 1)
         state = nxt
     return trace
 

@@ -8,6 +8,11 @@ can replace this one behind the same operations without touching the RL core.
 
 W is stored feature-major, [F, V], so a feature row's logits sum k+1
 contiguous rows of W (``logits``); checkpoints keep the [V, F] byte order.
+``logits`` and its transpose ``gradient`` call the kernel that scipy's
+sparse ``@`` runs (``_sparsetools.csr_matvecs`` and ``csc_matvecs``) on the
+feature rows as they are: building and validating a ``csr_matrix`` around
+them cost ~100-130 us a call in the sampling loop, which calls ``logits``
+~74 times per default RL step, about as much as the products themselves.
 
 Prompts are canonicalized before featurization: PAD tokens are inserted after
 BOS to bring every prompt to a fixed length, so specification fields sit at
@@ -138,15 +143,16 @@ def _advance_indices(params: PolicyParams, idx: np.ndarray, token,
 
 
 def logits(params: PolicyParams, rows: np.ndarray) -> np.ndarray:
-    """Logits [n, V] of feature rows [n, k+1]: ``design_matrix(rows) @ W +
-    b``; ``gradient`` is its transpose.
+    """Logits [n, V] of feature rows [n, k+1]: X @ W + b for the one-hot
+    design matrix X [n, F] of the rows; ``gradient`` is its transpose.
 
-    scipy starts each output row at 0 and adds the row's k+1 rows of W one
-    after another, in index order. That is the order of the gather sum
-    ``W[rows].sum(axis=-2)`` and of a vocab-major ``W.T[:, rows].sum(axis=-1)``,
-    so every logit keeps its bytes; the sampled tokens and stored
-    log-probabilities depend on it. No [n, k+1, V] gather is built."""
-    z = design_matrix(rows, params.F) @ params.W
+    ``csr_matvecs`` starts each output row at 0 and adds the row's k+1 rows
+    of W one after another, in index order. That is the order of the gather
+    sum ``W[rows].sum(axis=-2)`` and of a vocab-major
+    ``W.T[:, rows].sum(axis=-1)``, so every logit keeps its bytes; the
+    sampled tokens and stored log-probabilities depend on it. Neither an
+    [n, k+1, V] gather nor a sparse matrix object is built."""
+    z = _onehot_product(rows, params.W, params.F, transposed=False)
     z += params.b
     return z
 
@@ -159,7 +165,8 @@ def distributions(params: PolicyParams, rows: np.ndarray,
     and a row's bytes do not depend on the other rows. The one forward pass
     of sampling, re-scoring, the RL gradient and SFT."""
     z = logits(params, rows)
-    z /= temperature
+    if temperature != 1.0:  # z / 1.0 is z
+        z /= temperature
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
@@ -213,12 +220,13 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     entropies = np.zeros((n, max_len))
     lengths = np.full(n, max_len)
     active = np.arange(n)  # batch rows still sampling
-    # rows 0 of feature_rows read the prompt only
-    idx = np.array([feature_rows(params, p, (eos,))[0] for p in prompts],
-                   dtype=np.int64).reshape(n, params.k + 1)
     first_of: dict = {}  # equal prompts start at one node
     node = np.array([first_of.setdefault(p, len(first_of)) for p in prompts],
                     dtype=np.int64)
+    # rows 0 of feature_rows read the prompt only: one per distinct prompt
+    starts = np.array([feature_rows(params, p, (eos,))[0] for p in first_of],
+                      dtype=np.int64).reshape(len(first_of), params.k + 1)
+    idx = starts[node]
     # uniforms per generator draw; the [144, 64] block of a default RL
     # step's rollouts stays under glibc's 128 KiB mmap threshold
     block = 64
@@ -230,14 +238,16 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
                               for i in active])
         _, first, inv = np.unique(node, return_index=True, return_inverse=True)
         p = distributions(params, idx[first], temperature)
-        if not np.isfinite(p).all():
-            raise DomainError("next-token probabilities are not finite")
         cdf = np.cumsum(p, axis=1)
+        # a softmax row is in [0, 1], or all NaN (a NaN or +inf logit), so
+        # its cumsum ends finite exactly when the whole row is finite
+        if not np.isfinite(cdf[:, -1]).all():
+            raise DomainError("next-token probabilities are not finite")
         cdf /= cdf[:, -1:]
         u = draws[:, t % block]
         # rows of cdf are non-decreasing, so this count is
         # searchsorted(row, u, side="right")
-        tok = (cdf[inv] <= u[:, None]).sum(axis=1)
+        tok = np.count_nonzero(cdf[inv] <= u[:, None], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = np.log(p)
             h = -(p * logp).sum(axis=1)
@@ -296,14 +306,39 @@ class GradAccumulator:
 def gradient(params: PolicyParams, rows: np.ndarray,
              G: np.ndarray) -> GradAccumulator:
     """Gradient in W and b of a loss whose gradient in the logits of feature
-    rows [n, k+1] is G [n, V]: the transpose of ``logits``. The one backward
-    pass of SFT and RL."""
+    rows [n, k+1] is G [n, V]: X.T @ G through ``csc_matvecs``, the
+    transpose of ``logits``. The one backward pass of SFT and RL."""
     db = np.zeros_like(params.b)
     db += G.sum(axis=0)  # a column of -0.0 sums to -0.0; db keeps +0.0
-    # scipy starts every entry of the product at +0.0 and adds to it, so dW
-    # has the bytes of zeros + product, without a W-sized zero fill
-    dW = design_matrix(rows, params.F).T @ G
-    return GradAccumulator(dW, db)
+    # dW starts at +0.0 and the kernel adds to it, so it has the bytes of
+    # zeros + product
+    return GradAccumulator(_onehot_product(rows, G, params.F, transposed=True),
+                           db)
+
+
+def _onehot_product(rows: np.ndarray, dense: np.ndarray, F: int,
+                    transposed: bool) -> np.ndarray:
+    """X @ dense, or X.T @ dense when transposed, for the one-hot design
+    matrix X [n, F] of feature rows [n, k+1]: the kernel scipy's ``@`` runs
+    for a CSR matrix (X) and for its CSC transpose (X.T), given the arrays
+    such a matrix holds (int32 indices, ones, a fixed indptr) and a zeroed
+    output, without the matrix object. Like that ``@``, it reads the
+    indices unchecked: rows hold indices in [0, F), as feature_rows
+    builds them."""
+    from scipy.sparse import _sparsetools
+    n, width = rows.shape
+    M, N = (F, n) if transposed else (n, F)
+    if dense.shape[0] != N:  # the kernel reads dense without bounds checks
+        raise DomainError(f"one-hot product: {dense.shape[0]} dense rows, "
+                          f"want {N}")
+    kernel = (_sparsetools.csc_matvecs if transposed
+              else _sparsetools.csr_matvecs)
+    out = np.zeros((M, dense.shape[1]))
+    kernel(M, N, dense.shape[1],
+           np.arange(0, (n + 1) * width, width, dtype=np.int32),
+           rows.astype(np.int32).ravel(), np.ones(n * width), dense.ravel(),
+           out.ravel())
+    return out
 
 
 def apply_update(params: PolicyParams, acc: GradAccumulator,
@@ -364,18 +399,6 @@ def _sft_examples(params: PolicyParams, tasks):
         rows.append(feature_rows(params, task.prompt_tokens, response))
         targets += response
     return np.concatenate(rows), np.array(targets, dtype=np.int64)
-
-
-def design_matrix(rows: np.ndarray, F: int):
-    """Sparse one-hot design matrix [n, F] of feature rows [n, k+1]."""
-    from scipy import sparse
-    n, width = rows.shape
-    # int32 indices, which scipy keeps as given; int64 ones it validates and
-    # copies down to int32 on every call
-    indptr = np.arange(0, (n + 1) * width, width, dtype=np.int32)
-    return sparse.csr_matrix(
-        (np.ones(n * width), rows.astype(np.int32).ravel(), indptr),
-        shape=(n, F))
 
 
 def train_sft(params: PolicyParams, tasks, schedule: SftSchedule

@@ -356,18 +356,24 @@ def sample_groups(params: pol.PolicyParams, tasks, G: int,
     """G rollouts per task, all sampled in one batch, then scored. Rollout g
     of task i draws from rng_for(*rng_parts[i], g), so its bytes do not
     depend on the batch: train_rl samples every resample attempt of a step
-    in one call, and eval_suite several tasks per call."""
+    in one call, and eval_suite several tasks per call. score is pure, so
+    each distinct (task, response, truncated) is scored once per call."""
     tasks = list(tasks)
     rollouts = pol.sample_rollouts(
         params, [t.prompt_tokens for t in tasks for _ in range(G)],
         temperature, max_len,
         [rng_for(*parts, g) for parts in rng_parts for g in range(G)])
+    scored: dict = {}  # keyed by id(task): tasks holds every task
     groups = []
     for i, task in enumerate(tasks):
         rs = rollouts[i * G:(i + 1) * G]
-        breakdowns = [rew.score(r.response_tokens, task, schedule,
-                                params.vocab, truncated=r.truncated)
-                      for r in rs]
+        breakdowns = []
+        for r in rs:
+            key = (id(task), r.response_tokens, r.truncated)
+            if key not in scored:
+                scored[key] = rew.score(r.response_tokens, task, schedule,
+                                        params.vocab, truncated=r.truncated)
+            breakdowns.append(scored[key])
         groups.append(Group(task, rs, breakdowns,
                             np.array([bd.reward for bd in breakdowns])))
     return groups

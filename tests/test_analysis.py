@@ -6,6 +6,7 @@ c=2, k=5: 1 - C(3,5)/C(5,5) = 1 (C(3,5) = 0)
 """
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -266,6 +267,18 @@ def test_eval_suite_matches_slice_loop(sft_eval_setup, n):
         assert r.entropies.tobytes() == w.entropies.tobytes()
     # the tasks' rewards differ, so a task's row reads its own rollouts
     assert len({t.mean_reward for t in want.tasks}) > 1
+
+
+def test_eval_csv_bytes_are_pinned(sft_eval_setup):
+    """eval_suite samples at T = 1.0 and scores through sample_groups; the
+    eval.csv bytes of one run are pinned, so a change to a sampled token,
+    a reward or the CSV text shows."""
+    p, tasks = sft_eval_setup
+    report = an.eval_suite(p, tasks, n=5, ks=(1, 5), temperature=1.0, seed=3,
+                           max_len=40)
+    assert report.aggregate_pass(1) > 0.0
+    assert hashlib.sha256(an.eval_to_csv(report).encode()).hexdigest() == \
+        "77dfe24c5811668d373356f977d336c8b2e2b619bfa8d7c00f95ffcc57204676"
 
 
 def test_ablation_csv_header():

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from earl import policy as pol
 from earl.errors import ConfigError, DomainError
@@ -70,6 +71,30 @@ def test_logits_match_vocab_major_gather():
         rows = pol.feature_rows(p, (bos, 9, 10), resp)
         want = p.W.T[:, rows].sum(axis=-1).T + p.b
         assert np.array_equal(pol.logits(p, rows), want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 48, 300])
+def test_kernel_products_match_public_csr(n):
+    # logits and gradient call scipy's private CSR and CSC kernels; the
+    # public csr_matrix products pin their bytes, zero signs included, and
+    # n = 0 is the empty batch, which gives +0.0 zeros
+    p = small_params(k=12, scale=0.3)
+    rng = np.random.default_rng(n)
+    resp = tuple(int(t) for t in rng.integers(0, V, n))
+    rows = pol.feature_rows(p, (DEFAULT_VOCAB.id("BOS"), 9, 10), resp)
+    width = p.k + 1
+    X = sparse.csr_matrix((np.ones(n * width), rows.ravel(),
+                           np.arange(0, (n + 1) * width, width)),
+                          shape=(n, p.F))
+    G = rng.normal(size=(n, V))
+    G[:, 3] = -0.0
+    acc = pol.gradient(p, rows, G)
+    assert acc.dW.tobytes() == (X.T @ G).tobytes()
+    assert acc.db.tobytes() == (np.zeros(V) + G.sum(axis=0)).tobytes()
+    assert pol.logits(p, rows).tobytes() == (X @ p.W + p.b).tobytes()
+    if n == 0:
+        assert acc.dW.tobytes() == np.zeros_like(p.W).tobytes()
+        assert acc.db.tobytes() == np.zeros(V).tobytes()
 
 
 def test_init_rejects_k_zero():
@@ -215,6 +240,26 @@ def test_sample_rollouts_reject_non_finite_probabilities():
                             [rng_for(0), rng_for(1)])
     with pytest.raises(ValueError):  # as Generator.choice raised
         pol.sample_rollout(p, (bos,), 1.0, 5, rng_for(0))
+    # the sampler checks the last CDF column only: a NaN or +inf logit
+    # makes its whole softmax row NaN, and a -inf logit a zero probability
+    for cell in ("W", "b"):
+        q = small_params(k=2, scale=0.1)
+        if cell == "W":
+            q.W[2 * V, 5] = np.inf
+        else:
+            q.b[5] = np.inf
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            pol.sample_rollouts(q, [(bos,), (bos, 9)], 1.0, 5,
+                                [rng_for(0), rng_for(1)])
+    q = small_params(k=2, scale=0.1)
+    q.W[2 * V, 5] = -np.inf
+    for r in pol.sample_rollouts(q, [(bos,), (bos, 9)], 1.0, 5,
+                                 [rng_for(0), rng_for(1)]):
+        _, probs = pol.response_distributions(q, r.prompt_tokens,
+                                              r.response_tokens)
+        assert probs[0, 5] == 0.0 and np.isfinite(r.entropies).all()
+        # p log p is NaN at the zero, so the entropy is token_entropy's
+        assert r.entropies[0] == pol.token_entropy(probs[0])
 
 
 def test_sample_rollouts_argument_checks():

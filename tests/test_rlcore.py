@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from earl import policy as pol
+from earl import reward as rew
 from earl import rlcore as rl
 from earl.errors import ConfigError, DegenerateGroup
 from earl.minirtl.vocab import DEFAULT_VOCAB
@@ -365,6 +367,31 @@ def test_sample_group_stores_exact_logprobs():
                 assert np.array_equal(lp, r.logprobs)
 
 
+def test_sample_groups_scores_each_distinct_rollout_once(monkeypatch):
+    # a task listed twice shares its scores; so do equal responses
+    tasks, params = _tiny_setup()
+    chosen = [tasks[0], tasks[1], tasks[0], tasks[2]]
+    parts = [(4, "memo", j) for j in range(len(chosen))]
+    calls, score = [], rew.score
+
+    def counting(tokens, task, *args, **kw):
+        calls.append((id(task), tuple(tokens), kw["truncated"]))
+        return score(tokens, task, *args, **kw)
+
+    monkeypatch.setattr(rl.rew, "score", counting)
+    groups = rl.sample_groups(params, chosen, 6, 0.7, 48, parts)
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls)) < 6 * len(chosen)
+    keys = {(id(g.task), r.response_tokens, r.truncated)
+            for g in groups for r in g.rollouts}
+    assert len(calls) == len(keys)
+    for g, task in zip(groups, chosen):
+        want = [rew.score(r.response_tokens, task, truncated=r.truncated)
+                for r in g.rollouts]
+        assert g.task is task and g.breakdowns == want
+        assert g.rewards.tolist() == [bd.reward for bd in want]
+
+
 def test_train_rl_requires_tasks():
     _, params = _tiny_setup()
     with pytest.raises(ConfigError):
@@ -446,7 +473,11 @@ def _per_rollout_gradient(batch, pi_new, pi_ref, config):
         row_chunks.append(rows)
         grad_chunks.append(G)
     if row_chunks:
-        X = pol.design_matrix(np.concatenate(row_chunks), pi_new.F)
+        rows = np.concatenate(row_chunks)
+        n, width = rows.shape
+        X = sparse.csr_matrix(
+            (np.ones(n * width), rows.ravel(),
+             np.arange(0, (n + 1) * width, width)), shape=(n, pi_new.F))
         Gall = np.concatenate(grad_chunks)
         acc.dW += X.T @ Gall
         acc.db += Gall.sum(axis=0)
