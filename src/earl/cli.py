@@ -134,9 +134,9 @@ def _build_section(cls, data, path: str):
         where = f"{path}.{key}" if path else key
         if key not in names:
             raise ConfigError(f"{where}: unknown key")
-        if where == "rl.seed":
-            raise ConfigError("rl.seed: the RL seed is the run seed; set the "
-                              "top-level seed or pass --seed")
+        if where in ("rl.seed", "sft.seed"):
+            raise ConfigError(f"{where}: {path} runs under the run seed; set "
+                              "the top-level seed or pass --seed")
         hint = hints[key]
         if dataclasses.is_dataclass(hint):
             value = _build_section(hint, value, where)
@@ -217,7 +217,8 @@ def cmd_gen_data(cfg: RunConfig, args) -> None:
 def cmd_sft(cfg: RunConfig, args) -> None:
     corpus = _load_corpus(cfg)
     params = pol.init_params(DEFAULT_VOCAB, cfg.policy_k, cfg.seed)
-    params, losses = pol.train_sft(params, corpus.train(), cfg.sft)
+    params, losses = pol.train_sft(
+        params, corpus.train(), dataclasses.replace(cfg.sft, seed=cfg.seed))
     path = _out_dir(cfg) / "sft.ckpt"
     pol.save_checkpoint(params, path)
     tail = f"final loss {losses[-1]:.4f}, " if losses else ""

@@ -26,6 +26,8 @@ KIND_FSM = "FSM"
 
 RESERVED = [PAD, BOS, EOS]
 MARKERS = [SPEC, IN, OUT, TT, ENDSPEC, KIND_DFF, KIND_COUNT, KIND_FSM]
+# Longest prompt, BOS to ENDSPEC; the policy pads shorter ones to it.
+PROMPT_MAX_LEN = 48
 
 KEYWORDS = [
     "module", "endmodule", "input", "output", "wire", "reg",
@@ -71,9 +73,6 @@ class Vocab:
 
     def __contains__(self, token: str) -> bool:
         return token in self._ids
-
-    def strings(self, ids) -> list[str]:
-        return [self.tokens[i] for i in ids]
 
     @property
     def hash(self) -> str:

@@ -31,12 +31,11 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .minirtl.lexer import tokenize
-from .minirtl.vocab import BOS, EOS, PAD, DEFAULT_VOCAB, Vocab
+from .minirtl.vocab import BOS, EOS, PAD, PROMPT_MAX_LEN, DEFAULT_VOCAB, Vocab
 from .seeds import rng_for
 
 POSITION_BUCKETS = 8
 POSITION_BUCKET_SPAN = 4  # bucket = min(position // span, 7)
-PROMPT_PAD_LEN = 48
 
 _CKPT_MAGIC = b"EARLCKPT1\n"
 _CKPT_HEADER_TYPES = {"vocab_hash": str, "V": int, "k": int,
@@ -99,13 +98,13 @@ def init_params(vocab: Vocab, k: int, seed: int) -> PolicyParams:
 # --- featurization -----------------------------------------------------------
 
 def canonical_prompt(prompt, vocab: Vocab = DEFAULT_VOCAB) -> tuple[int, ...]:
-    """Left-pad the prompt body to PROMPT_PAD_LEN by inserting PAD after BOS."""
+    """Left-pad the prompt body to PROMPT_MAX_LEN by inserting PAD after BOS."""
     prompt = tuple(prompt)
-    if len(prompt) >= PROMPT_PAD_LEN or not prompt \
-            or vocab.token(prompt[0]) != BOS:
+    if len(prompt) >= PROMPT_MAX_LEN or not prompt \
+            or prompt[0] != vocab.id(BOS):
         return prompt
     pad = vocab.id(PAD)
-    return (prompt[0],) + (pad,) * (PROMPT_PAD_LEN - len(prompt)) + prompt[1:]
+    return (prompt[0],) + (pad,) * (PROMPT_MAX_LEN - len(prompt)) + prompt[1:]
 
 
 def position_bucket(position):
@@ -117,12 +116,14 @@ def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
     """Feature-index rows [T, k+1], one per response token: the k tokens
     before it in the canonical sequence (most recent first, PAD before the
     start), each offset into its slot, then its position bucket. Shared by
-    sampling, re-scoring and SFT."""
+    sampling, RL and SFT. Raises on a token id outside [0, V)."""
     V, k = params.V, params.k
     pad = params.vocab.id(PAD)
     T = len(response)
     canon = canonical_prompt(prompt, params.vocab)
-    seq = np.array((pad,) * k + canon + tuple(response[:-1]), dtype=np.int64)
+    seq = np.array((pad,) * k + canon + tuple(response), dtype=np.int64)
+    if seq.min() < 0 or seq.max() >= V:
+        raise DomainError(f"token ids must be in [0, {V})")
     # seq offsets of tokens t-1, t-2, ..., t-k at t = 0
     back = np.arange(len(canon) + k - 1, len(canon) - 1, -1)
     rows = np.empty((T, k + 1), dtype=np.int64)
@@ -163,7 +164,7 @@ def distributions(params: PolicyParams, rows: np.ndarray,
     of logits / temperature, row by row, computed in place. The result is
     C-contiguous, so each row sums in the order softmax() sums one vector,
     and a row's bytes do not depend on the other rows. The one forward pass
-    of sampling, re-scoring, the RL gradient and SFT."""
+    of sampling, the RL batch and gradient, and SFT."""
     z = logits(params, rows)
     if temperature != 1.0:  # z / 1.0 is z
         z /= temperature

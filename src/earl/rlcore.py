@@ -25,7 +25,7 @@ import numpy as np
 
 from . import policy as pol
 from . import reward as rew
-from .errors import ConfigError, DegenerateGroup
+from .errors import ConfigError, DegenerateGroup, DomainError
 from .seeds import rng_for
 
 ADV_STD_EPS = 1e-8
@@ -204,33 +204,52 @@ def per_token_coefficients(new_logprobs, old_logprobs, advantages, gates,
 
 @dataclass
 class PreparedBatch:
-    """One RL batch: everything an update reads that the policy does not
-    change. Rollout j of ``rollouts`` (the groups' rollouts in group order)
-    has advantage ``advantages[j]`` and owns tokens ``bounds[j]:bounds[j+1]``
-    of the token axis, on which ``gates`` holds one gate value per token. A
-    mini-batch is the prepare_batch of a subset of the groups."""
+    """One RL batch: everything an update reads that pi_new does not change.
+    Rollout j of ``rollouts`` (the groups' rollouts in group order) has
+    advantage ``advantages[j]`` and owns tokens ``bounds[j]:bounds[j+1]`` of
+    the token axis, on which the per-token arrays hold one entry per token.
+    A mini-batch is the prepare_batch of a subset of the groups."""
     groups: list            # retained Groups with a reward spread
     rollouts: list          # their rollouts, in (group, rollout) order
     advantages: np.ndarray  # one per rollout
     gates: np.ndarray       # one per token
     bounds: list            # token offsets, len(rollouts) + 1 ints
+    rows: np.ndarray        # feature rows [n, k+1]
+    toks: np.ndarray        # response tokens [n]
+    old_lp: np.ndarray      # pi_old's log-prob of each token, as sampled [n]
+    ref_logp: np.ndarray | None  # log pi_ref [n, V]; None if beta == 0
+    arch: tuple             # (k, V) of the policies the rows index
 
     @property
     def token_total(self) -> int:
         return self.bounds[-1]
 
     @property
+    def token_advantages(self) -> np.ndarray:
+        return np.repeat(self.advantages, np.diff(self.bounds))
+
+    @property
     def gated_fraction(self) -> float:
         """Mean gate value per token: the share of tokens a 0/1 mask keeps,
-        the mean weight under archer-weight. Summed rollout by rollout."""
-        weight = 0.0
-        for a, b in zip(self.bounds, self.bounds[1:]):
-            weight += float(self.gates[a:b].sum())
-        return weight / self.token_total if self.token_total else 0.0
+        the mean weight under archer-weight."""
+        n = self.token_total
+        return _rollout_sum(self, self.gates) / n if n else 0.0
 
 
-def prepare_batch(groups, config: RlConfig) -> PreparedBatch:
-    """Advantages and gates for retained groups; drops degenerate ones."""
+def _rollout_sum(batch: PreparedBatch, values: np.ndarray) -> float:
+    """Sum of per-token values, added rollout by rollout: the bytes of the
+    logged metrics depend on this order."""
+    total = 0.0
+    for a, b in zip(batch.bounds, batch.bounds[1:]):
+        total += float(values[a:b].sum())
+    return total
+
+
+def prepare_batch(groups, config: RlConfig, pi_ref: pol.PolicyParams
+                  ) -> PreparedBatch:
+    """The batch of the retained groups, degenerate ones dropped. Rows are
+    independent, so one feature_rows concatenation and one pi_ref
+    distributions call give the bytes of laying out rollout by rollout."""
     variant = VARIANTS[config.variant]
     # each list starts with an empty array, so a batch of no group concatenates
     kept, advantages = [], [np.zeros(0)]
@@ -244,107 +263,88 @@ def prepare_batch(groups, config: RlConfig) -> PreparedBatch:
     gates = [np.zeros(0)] + [gate_values(r.entropies, variant.gate,
                                          config.rho) for r in rollouts]
     bounds = [0, *accumulate(len(r.response_tokens) for r in rollouts)]
-    return PreparedBatch(kept, rollouts, np.concatenate(advantages),
-                         np.concatenate(gates), bounds)
-
-
-class Rescored(NamedTuple):
-    """A batch re-scored under pi_new, on the batch's token axis."""
-    rows: np.ndarray       # feature rows [n, k+1]
-    toks: np.ndarray       # response tokens [n]
-    p_new: np.ndarray      # pi_new's distributions [n, V]
-    new_lp: np.ndarray     # pi_new's log-prob of each token [n]
-    s: np.ndarray | None   # log p_new - log p_ref [n, V]; None if beta == 0
-    kl: np.ndarray | None  # KL(p_new || p_ref) per token [n]
-
-
-def rescore(batch: PreparedBatch, pi_new: pol.PolicyParams,
-            pi_ref: pol.PolicyParams, config: RlConfig) -> Rescored:
-    """Re-score a batch of at least one rollout under pi_new (and pi_ref when
-    beta != 0): one feature_rows concatenation and one distributions call per
-    policy. Rows are independent, so every value has the bytes of re-scoring
-    rollout by rollout. s is built in p_ref's buffer, so the pass holds two
-    [n, V] arrays, not three."""
-    rollouts = batch.rollouts
-    rows = np.concatenate([pol.feature_rows(pi_new, r.prompt_tokens,
-                                            r.response_tokens)
-                           for r in rollouts])
+    rows = np.concatenate([np.zeros((0, pi_ref.k + 1), dtype=np.int64)] + [
+        pol.feature_rows(pi_ref, r.prompt_tokens, r.response_tokens)
+        for r in rollouts])
     toks = np.array([t for r in rollouts for t in r.response_tokens],
                     dtype=np.int64)
-    T = config.temperature
-    p_new = pol.distributions(pi_new, rows, T)
-    new_lp = np.log(p_new[np.arange(len(toks)), toks])
+    old_lp = np.concatenate([np.zeros(0)] + [r.logprobs for r in rollouts])
+    ref_logp = (np.log(pol.distributions(pi_ref, rows, config.temperature))
+                if config.beta != 0.0 else None)
+    return PreparedBatch(kept, rollouts, np.concatenate(advantages),
+                         np.concatenate(gates), bounds, rows, toks, old_lp,
+                         ref_logp, (pi_ref.k, pi_ref.V))
+
+
+def _pi_new_terms(batch: PreparedBatch, pi_new: pol.PolicyParams,
+                  config: RlConfig):
+    """pi_new over the batch's rows: p_new [n, V], its log-prob of each
+    token and, None when beta == 0, s = log p_new - log p_ref [n, V] and
+    the per-token KL(p_new || p_ref). Only reads the batch."""
+    if (pi_new.k, pi_new.V) != batch.arch:
+        raise DomainError(f"pi_new's (k, V) is not the batch's {batch.arch}")
+    p_new = pol.distributions(pi_new, batch.rows, config.temperature)
+    new_lp = np.log(p_new[np.arange(len(batch.toks)), batch.toks])
     s = kl = None
-    if config.beta != 0.0:
-        s = pol.distributions(pi_ref, rows, T)
-        np.log(s, out=s)
-        np.subtract(np.log(p_new), s, out=s)
+    if batch.ref_logp is not None:
+        s = np.log(p_new)
+        s -= batch.ref_logp
         kl = (p_new * s).sum(axis=1)
-    return Rescored(rows, toks, p_new, new_lp, s, kl)
-
-
-def _old_logprobs_and_advantages(batch: PreparedBatch):
-    """pi_old's log-prob and the advantage of each token of the batch."""
-    return (np.concatenate([r.logprobs for r in batch.rollouts]),
-            np.repeat(batch.advantages, np.diff(batch.bounds)))
+    return p_new, new_lp, s, kl
 
 
 def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
-                    pi_ref: pol.PolicyParams, config: RlConfig) -> float:
+                    config: RlConfig) -> float:
     """Scalar objective consistent with the assembled gradient: token-level
     normalized gated surrogate minus beta times per-token KL to pi_ref. The
     ratio's denominator is each rollout's sampling-time log-probs."""
     if batch.token_total == 0:
         return 0.0
     eps_low, eps_high = config.resolved_eps()
-    rs = rescore(batch, pi_new, pi_ref, config)
-    old_lp, adv = _old_logprobs_and_advantages(batch)
-    r = np.exp(rs.new_lp - old_lp)
+    _, new_lp, _, kl = _pi_new_terms(batch, pi_new, config)
+    r = np.exp(new_lp - batch.old_lp)
+    adv = batch.token_advantages
     surr = batch.gates * np.minimum(
         r * adv, np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
-    if rs.kl is not None:
-        wkl = (batch.gates if config.gated_kl else 1.0) * rs.kl
+    if kl is not None:
+        wkl = (batch.gates if config.gated_kl else 1.0) * kl
     total = 0.0
     for a, b in zip(batch.bounds, batch.bounds[1:]):
         total += float(surr[a:b].sum())
-        if rs.kl is not None:
+        if kl is not None:
             total -= config.beta * float(wkl[a:b].sum())
     return total / batch.token_total
 
 
 def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
-                      pi_ref: pol.PolicyParams, config: RlConfig
+                      config: RlConfig
                       ) -> tuple[pol.GradAccumulator, float, float]:
-    """Gradient of objective_value in pi_new from one rescore pass over the
+    """Gradient of objective_value in pi_new from one pi_new pass over the
     batch: the logit gradient is written in place into p_new (its KL term
-    into s), so the batch itself is left unchanged. The KL sum adds rollout
-    by rollout. Returns (accumulator, clip rate, mean per-token KL)."""
+    into s), so the batch itself is left unchanged. Returns (accumulator,
+    clip rate, mean per-token KL)."""
     eps_low, eps_high = config.resolved_eps()
     n = batch.token_total
-    rs = rescore(batch, pi_new, pi_ref, config)
+    G, new_lp, d, kl = _pi_new_terms(batch, pi_new, config)
     coeffs, clipped = per_token_coefficients(
-        rs.new_lp, *_old_logprobs_and_advantages(batch), batch.gates,
+        new_lp, batch.old_lp, batch.token_advantages, batch.gates,
         eps_low, eps_high, n)
-    G, d, kl = rs.p_new, rs.s, rs.kl
-    kl_sum = 0.0
     if kl is not None:
         w = batch.gates if config.gated_kl else np.ones(n)
         c = -config.beta * w / n
         d -= kl[:, None]  # p_new * (s - kl) * c, in place
         d *= G
         d *= c[:, None]
-        for a, b in zip(batch.bounds, batch.bounds[1:]):
-            kl_sum += float(kl[a:b].sum())
     # d/dz of coeff * log p(tok): (one-hot - p) * coeff / T, in place
     np.negative(G, out=G)
     G *= coeffs[:, None]
-    G[np.arange(n), rs.toks] += coeffs
+    G[np.arange(n), batch.toks] += coeffs
     if kl is not None:
         G += d
     G /= config.temperature
     clip_rate = int(clipped.sum()) / n if n else 0.0
-    mean_kl = kl_sum / n if kl is not None and n else 0.0
-    return pol.gradient(pi_new, rs.rows, G), clip_rate, mean_kl
+    mean_kl = _rollout_sum(batch, kl) / n if kl is not None and n else 0.0
+    return pol.gradient(pi_new, batch.rows, G), clip_rate, mean_kl
 
 
 # --- training loop -----------------------------------------------------------
@@ -412,8 +412,7 @@ def metrics_to_csv(metrics) -> str:
 
 
 def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
-             schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE,
-             pi_ref: pol.PolicyParams | None = None
+             schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
              ) -> tuple[pol.PolicyParams, list[StepMetrics]]:
     """Entropy-aware RL from an SFT initialization.
 
@@ -426,14 +425,13 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
     attempts in order, keeping mixed groups, and stop at the first attempt
     that fills batch_prompts; later attempts' groups are dropped. Then
     compute advantages/gates/coefficients, ascend the objective, and log one
-    metrics row. pi_ref is frozen to the incoming params unless supplied.
+    metrics row. pi_ref is frozen to the incoming params.
     """
     config.validate()
     tasks = list(train_tasks)
     if not tasks:
         raise ConfigError("train_rl requires at least one training task")
-    if pi_ref is None:
-        pi_ref = params.copy()
+    pi_ref = params.copy()
     n_prompts = min(config.batch_prompts, len(tasks))
     attempts = range(config.max_resample_attempts + 1)
     metrics: list[StepMetrics] = []
@@ -462,10 +460,9 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
                               for r in g.rollouts])
         mean_entropy = float(ent.mean()) if ent.size else 0.0
 
-        batch = prepare_batch(retained, config)
+        batch = prepare_batch(retained, config, pi_ref)
         if batch.token_total:
-            acc, clip_rate, mean_kl = assemble_gradient(batch, params, pi_ref,
-                                                        config)
+            acc, clip_rate, mean_kl = assemble_gradient(batch, params, config)
             pol.apply_update(params, acc, config.learning_rate)
         else:
             # No trainable group: skip the update, log the empty step.

@@ -24,7 +24,8 @@ from .errors import ConfigError, DomainError, EarlError
 from .minirtl import (MiniRtlError, ModuleAst, Stimulus, build_vectors,
                       is_exhaustive, parse, simulate, tokenize)
 from .minirtl.vocab import (BOS, DEFAULT_VOCAB, ENDSPEC, IN, KIND_COUNT,
-                            KIND_DFF, KIND_FSM, MODULE_NAMES, OUT, SPEC, TT)
+                            KIND_DFF, KIND_FSM, MODULE_NAMES, OUT,
+                            PROMPT_MAX_LEN, SPEC, TT)
 from .seeds import mix, rng_for
 
 KINDS = ("combinational", "register", "counter", "mux", "fsm-lite")
@@ -32,7 +33,6 @@ DIFFICULTIES = ("easy", "medium", "hard")
 
 DIGEST_ROWS = 16  # leading cycles of the reference trace the prompt digests
 DIGEST_BITS = 16  # output bits kept from those cycles
-PROMPT_MAX_LEN = 48
 
 _SEQ_KIND_TAG = {"register": KIND_DFF, "counter": KIND_COUNT,
                  "fsm-lite": KIND_FSM}
@@ -319,9 +319,9 @@ def _wrong_field_type(r: dict) -> str | None:
         return f"split {r['split']!r} is not 'train' or 'eval-heldout'"
     V = DEFAULT_VOCAB.size
     toks = r["prompt_tokens"]
-    if not (isinstance(toks, list)
+    if not (isinstance(toks, list) and len(toks) <= PROMPT_MAX_LEN
             and all(type(t) is int and 0 <= t < V for t in toks)):
-        return "prompt_tokens is not a list of token ids"
+        return f"prompt_tokens is not a list of <= {PROMPT_MAX_LEN} token ids"
     if not isinstance(r["reference_text"], str):
         return "reference_text is not a string"
     vectors = r["vectors"]

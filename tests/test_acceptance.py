@@ -31,9 +31,9 @@ def _small_vocab(V):
 
 
 def _random_instance(rng, vocab, k, G):
-    """Synthetic prepared batch: random params, rollouts, rewards, and a
-    temperature; each rollout stores its log-probs under a separate pi_old
-    at that temperature."""
+    """Synthetic prepared batch: random params, rollouts, rewards, a
+    temperature and a pi_ref the batch is laid out against; each rollout
+    stores its log-probs under a separate pi_old at that temperature."""
     params = pol.init_params(vocab, k, int(rng.integers(1 << 30)))
     params.W += rng.normal(0, 0.2, params.W.T.shape).T  # drawn [V, F]
     params.b += rng.normal(0, 0.2, params.b.shape)
@@ -58,8 +58,8 @@ def _random_instance(rng, vocab, k, G):
             rollouts.append(pol.Rollout(prompt, toks, lp, ent, T, False))
         rewards = rng.uniform(0, 1, G)
         groups.append(rl.Group(None, rollouts, [], rewards))
-    batch = rl.prepare_batch(groups, cfg)
-    return params, pi_ref, cfg, batch
+    batch = rl.prepare_batch(groups, cfg, pi_ref)
+    return params, cfg, batch
 
 
 def test_criterion_1_gradient_matches_finite_differences():
@@ -72,10 +72,10 @@ def test_criterion_1_gradient_matches_finite_differences():
         k = int(rng.integers(1, 4))        # k <= 3
         G = int(rng.choice([2, 3]))
         vocab = _small_vocab(V)
-        params, pi_ref, cfg, batch = _random_instance(rng, vocab, k, G)
+        params, cfg, batch = _random_instance(rng, vocab, k, G)
         if not batch.groups:
             continue
-        acc, _, _ = rl.assemble_gradient(batch, params, pi_ref, cfg)
+        acc, _, _ = rl.assemble_gradient(batch, params, cfg)
         h = 1e-5
         for _ in range(12):
             v = int(rng.integers(params.V))
@@ -83,8 +83,8 @@ def test_criterion_1_gradient_matches_finite_differences():
             pp, pm = params.copy(), params.copy()
             pp.W[f, v] += h
             pm.W[f, v] -= h
-            fd = (rl.objective_value(batch, pp, pi_ref, cfg)
-                  - rl.objective_value(batch, pm, pi_ref, cfg)) / (2 * h)
+            fd = (rl.objective_value(batch, pp, cfg)
+                  - rl.objective_value(batch, pm, cfg)) / (2 * h)
             denom = max(1e-8, abs(fd), abs(acc.dW[f, v]))
             relerr = abs(fd - acc.dW[f, v]) / denom
             worst = max(worst, relerr)

@@ -173,6 +173,26 @@ def test_rl_seed_is_validation_error(tmp_path, capsys):
     assert err.startswith("error:validation: rl.seed:") and "--seed" in err
 
 
+def test_sft_runs_under_the_run_seed(tmp_path, capsys, monkeypatch):
+    # the data order follows --seed, as RL's does; sft.seed is not a key
+    path, _ = mini_config(tmp_path, sft={"total_steps": 1, "seed": 7})
+    assert run(["sft", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation: sft.seed:") and "--seed" in err
+    path, _ = mini_config(tmp_path, sft={"total_steps": 1})
+    assert run(["gen-data", "--config", path]) == 0
+    seeds, train_sft = [], pol.train_sft
+
+    def recording(params, tasks, schedule):
+        seeds.append(schedule.seed)
+        return train_sft(params, tasks, schedule)
+
+    monkeypatch.setattr(pol, "train_sft", recording)
+    assert run(["sft", "--config", path]) == 0
+    assert run(["sft", "--config", path, "--seed", "11"]) == 0
+    assert seeds == [3, 11]
+
+
 def test_sft_schedule_is_validated(tmp_path, capsys):
     path, _ = mini_config(tmp_path)
     assert run(["gen-data", "--config", path]) == 0
@@ -329,6 +349,7 @@ def _drop_last_cycle(index):
     (_set(3, "prompt_tokens", "BOS SPEC"), "record 3"),
     (_set(3, "prompt_tokens", [1, "2"]), "record 3"),
     (_set(3, "prompt_tokens", [1, 10_000]), "record 3"),
+    (_set(3, "prompt_tokens", [1] + [5] * 48), "record 3"),
     (_set(3, "reference_text", 7), "record 3"),
     (_set(3, "vectors", [[]]), "record 3"),
     (_set(3, "vectors", {"cycles": 4, "reset_prefix": 0}), "record 3"),
@@ -350,7 +371,8 @@ def _drop_last_cycle(index):
     (_set(3, "kind", None), "record 3"),
     (_set(3, "difficulty", ["easy"]), "record 3"),
 ], ids=["truncated-json", "top-level-object", "record-list", "prompt-string",
-        "prompt-str-token", "prompt-token-range", "reference-int",
+        "prompt-str-token", "prompt-token-range", "prompt-too-long",
+        "reference-int",
         "vectors-list", "cycles-int", "cycle-missing-input",
         "cycle-extra-input", "cycle-str-value", "cycle-bool-value",
         "cycle-value-too-wide", "cycle-value-negative",

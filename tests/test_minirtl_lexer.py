@@ -9,8 +9,8 @@ from earl.minirtl.vocab import MARKERS, RESERVED, TERMINALS
 
 def test_and_assign_maps_to_expected_lexemes():
     ids = tokenize("assign y = a & b ;")
-    assert DEFAULT_VOCAB.strings(ids) == ["assign", "y", "=", "a", "&", "b",
-                                          ";"]
+    assert [DEFAULT_VOCAB.token(i) for i in ids] == \
+        ["assign", "y", "=", "a", "&", "b", ";"]
 
 
 def test_empty_input_is_empty():
@@ -35,7 +35,7 @@ def test_detokenize_joins_with_spaces():
 
 
 def test_two_char_operators_lex_maximally():
-    assert DEFAULT_VOCAB.strings(tokenize("q <= d == e")) == \
+    assert [DEFAULT_VOCAB.token(i) for i in tokenize("q <= d == e")] == \
         ["q", "<=", "d", "==", "e"]
 
 

@@ -15,7 +15,7 @@ from scipy import sparse
 
 from earl import policy as pol
 from earl.errors import ConfigError, DomainError
-from earl.minirtl.vocab import DEFAULT_VOCAB
+from earl.minirtl.vocab import DEFAULT_VOCAB, PROMPT_MAX_LEN
 from earl.seeds import rng_for
 
 V = DEFAULT_VOCAB.size
@@ -272,6 +272,12 @@ def test_sample_rollouts_argument_checks():
         pol.sample_rollouts(p, [(bos,)], 0.0, 5, [rng_for(0)])
     with pytest.raises(DomainError):
         pol.sample_rollouts(p, [(bos,)], 1.0, 0, [rng_for(0)])
+    # a prompt id past the vocabulary would index past W: at k = 1 the row
+    # of (BOS, 2V) is [2V, V], and the sampler read W there unchecked
+    q = small_params(k=1)
+    assert pol.feature_rows(q, (bos, 9), (9,)).tolist() == [[9, V]]
+    with pytest.raises(DomainError):
+        pol.sample_rollouts(q, [(bos, 2 * V)], 1.0, 5, [rng_for(0)])
 
 
 def test_sequence_logprobs_match_sampling_time():
@@ -295,6 +301,18 @@ def test_feature_rows_window_slots_and_buckets():
     assert rows[1].tolist() == (slots + [7, y, x]).tolist() + [3 * V]
     assert rows[5].tolist() == (slots + [11, 10, 9]).tolist() + [3 * V + 1]
     assert pol.feature_rows(p, (x, y), ()).shape == (0, 4)
+
+
+def test_feature_rows_reject_token_ids_outside_vocab():
+    p = small_params(k=3)
+    bos = DEFAULT_VOCAB.id("BOS")
+    for prompt, resp in [((bos, V), (7,)), ((bos, -1), (7,)), ((V,), (7,)),
+                         ((bos,), (7, V, 8)), ((bos,), (7, -1)),
+                         ((bos,), (V,)), ((-1,), ())]:
+        with pytest.raises(DomainError):
+            pol.feature_rows(p, prompt, resp)
+    rows = pol.feature_rows(p, (bos, V - 1), (0, V - 1))
+    assert rows.shape == (2, 4) and rows.max() < p.F
 
 
 def test_ratio_one_for_unchanged_params():
@@ -436,5 +454,5 @@ def test_prompt_canonicalization_stable_offsets():
     bos = DEFAULT_VOCAB.id("BOS")
     short = (bos, 5, 6)
     canon = pol.canonical_prompt(short)
-    assert len(canon) == pol.PROMPT_PAD_LEN
+    assert len(canon) == PROMPT_MAX_LEN
     assert canon[0] == bos and canon[-2:] == (5, 6)

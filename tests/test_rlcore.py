@@ -16,8 +16,8 @@ from scipy import sparse
 from earl import policy as pol
 from earl import reward as rew
 from earl import rlcore as rl
-from earl.errors import ConfigError, DegenerateGroup
-from earl.minirtl.vocab import DEFAULT_VOCAB
+from earl.errors import ConfigError, DegenerateGroup, DomainError
+from earl.minirtl.vocab import DEFAULT_VOCAB, Vocab
 from earl.seeds import rng_for
 from earl.taskgen import CorpusConfig, build_corpus
 
@@ -156,6 +156,7 @@ def test_variant_table_gates_advantages_and_eps():
     rollouts = [pol.Rollout((1,), (3,) * len(h), np.zeros(len(h)), h, 1.0,
                             False) for h in ents]
     group = rl.Group(None, rollouts, [], np.array([1.0, 1.0, 0.0, 0.0]))
+    pi_ref = pol.init_params(DEFAULT_VOCAB, 2, 0)
     # (gate of entropies h, advantages, eps) per variant, at rho 0.5
     expect = {
         "grpo": (_ones, [1, 1, -1, -1], (0.2, 0.2)),
@@ -169,13 +170,13 @@ def test_variant_table_gates_advantages_and_eps():
     for variant, (gate, adv, eps) in expect.items():
         cfg = rl.RlConfig(variant=variant, rho=0.5)
         assert cfg.resolved_eps() == eps
-        batch = rl.prepare_batch([group], cfg)
+        batch = rl.prepare_batch([group], cfg, pi_ref)
         assert batch.token_total == 11 and batch.bounds == [0, 5, 7, 8, 11]
         assert batch.groups == [group] and batch.rollouts == rollouts
         assert np.allclose(batch.advantages, adv)
         assert np.array_equal(batch.gates,
                               np.concatenate([gate(h) for h in ents]))
-    earl = rl.prepare_batch([group], rl.RlConfig(rho=0.5))
+    earl = rl.prepare_batch([group], rl.RlConfig(rho=0.5), pi_ref)
     assert earl.gates[:5].tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
 
 
@@ -289,11 +290,11 @@ def _attempt_by_attempt_rl(config, params, tasks):
         used.append(n_attempts)
         ent = np.concatenate([r.entropies for g in groups
                               for r in g.rollouts])
-        batch = rl.prepare_batch(retained, config)
+        batch = rl.prepare_batch(retained, config, pi_ref)
         clip_rate, mean_kl = 0.0, 0.0
         if batch.token_total:
             acc, clip_rate, mean_kl = rl.assemble_gradient(batch, params,
-                                                           pi_ref, config)
+                                                           config)
             pol.apply_update(params, acc, config.learning_rate)
         metrics.append(rl.StepMetrics(
             step, float(np.concatenate([g.rewards for g in groups]).mean()),
@@ -347,7 +348,7 @@ def test_archer_gated_fraction_is_mean_weight():
                       variant="archer")
     _, (m,) = rl.train_rl(cfg, params.copy(), tasks)
     _, retained, _ = _attempt_groups(cfg, params, tasks, 0)
-    batch = rl.prepare_batch(retained, cfg)
+    batch = rl.prepare_batch(retained, cfg, params)
     weights = batch.gates
     assert m.retained_groups > 0 and weights.size == batch.token_total
     assert m.gated_fraction < 1.0
@@ -405,7 +406,7 @@ def test_train_rl_rejects_negative_resample_attempts():
                     tasks[:4])
 
 
-# --- one re-scoring pass per batch --------------------------------------------
+# --- one batch layout, one pi_new pass per update -----------------------------
 
 def _per_rollout_objective(batch, pi_new, pi_ref, config):
     """objective_value re-scoring rollout by rollout."""
@@ -504,21 +505,23 @@ def test_group_rescoring_matches_per_rollout(variant, beta, gated_kl, T):
                       variant=variant, beta=beta, gated_kl=gated_kl)
     groups = rl.sample_groups(params, tasks[:8], 4, T, 48,
                               [(7, "rescore", j) for j in range(8)])
-    batch = rl.prepare_batch(groups, cfg)
-    # one rollout's response emptied, its gates and tokens taken out of the
-    # batch: re-scoring skips it, as before
+    pi_new, pi_ref = _nudged(params, 0.3, 1), _nudged(params, 0.1, 2)
+    batch = rl.prepare_batch(groups, cfg, pi_ref)
+    # one rollout's response emptied, its tokens taken out of the batch's
+    # per-token arrays: the update skips it, as the oracles do
     r = batch.rollouts[1]
     batch.rollouts[1] = pol.Rollout(r.prompt_tokens, (), np.zeros(0),
                                     np.zeros(0), T, False)
     a, b = batch.bounds[1], batch.bounds[2]
-    batch.gates = np.delete(batch.gates, np.s_[a:b])
+    for name in ("gates", "rows", "toks", "old_lp", "ref_logp"):
+        if getattr(batch, name) is not None:
+            setattr(batch, name,
+                    np.delete(getattr(batch, name), np.s_[a:b], axis=0))
     batch.bounds = batch.bounds[:2] + [x - (b - a) for x in batch.bounds[2:]]
     assert len(batch.groups) >= 3
     assert batch.bounds[-1] == sum(len(r.response_tokens)
                                    for r in batch.rollouts)
-    pi_new, pi_ref = _nudged(params, 0.3, 1), _nudged(params, 0.1, 2)
-    acc, clip_rate, mean_kl = rl.assemble_gradient(batch, pi_new, pi_ref,
-                                                   cfg)
+    acc, clip_rate, mean_kl = rl.assemble_gradient(batch, pi_new, cfg)
     ref_acc, ref_clip, ref_gated, ref_kl = _per_rollout_gradient(
         batch, pi_new, pi_ref, cfg)
     assert acc.dW.tobytes() == ref_acc.dW.tobytes()  # signs of zeros too
@@ -526,24 +529,58 @@ def test_group_rescoring_matches_per_rollout(variant, beta, gated_kl, T):
     assert clip_rate == ref_clip > 0
     assert batch.gated_fraction == ref_gated
     assert mean_kl == ref_kl and (mean_kl > 0) == (beta != 0)
-    assert rl.objective_value(batch, pi_new, pi_ref, cfg) == \
+    assert rl.objective_value(batch, pi_new, cfg) == \
         _per_rollout_objective(batch, pi_new, pi_ref, cfg)
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.0])
+def test_prepare_batch_lays_out_rows_tokens_and_logprobs(beta):
+    tasks, params = _tiny_setup()
+    T, pi_ref = 0.7, _nudged(params, 0.1, 2)
+    cfg = rl.RlConfig(group_size=4, max_response_len=48, temperature=T,
+                      beta=beta)
+    groups = rl.sample_groups(params, tasks[:8], 4, T, 48,
+                              [(7, "layout", j) for j in range(8)])
+    batch = rl.prepare_batch(groups, cfg, pi_ref)
+    rs = batch.rollouts
+    assert batch.token_total > 0 and batch.arch == (params.k, params.V)
+    assert np.array_equal(batch.rows, np.concatenate(
+        [pol.feature_rows(params, r.prompt_tokens, r.response_tokens)
+         for r in rs]))
+    assert np.array_equal(batch.toks,
+                          np.concatenate([r.response_tokens for r in rs]))
+    assert np.array_equal(batch.old_lp,
+                          np.concatenate([r.logprobs for r in rs]))
+    if beta:
+        assert batch.ref_logp.tobytes() == \
+            np.log(pol.distributions(pi_ref, batch.rows, T)).tobytes()
+    else:
+        assert batch.ref_logp is None
+    empty = rl.prepare_batch([], cfg, pi_ref)
+    assert empty.rows.shape == (0, params.k + 1) and empty.toks.size == 0
+    # the rows fix k and V: a pi_new of another shape would read past W
+    for other in (pol.init_params(DEFAULT_VOCAB, params.k + 1, 0),
+                  pol.init_params(Vocab(DEFAULT_VOCAB.tokens[:-1]),
+                                  params.k, 0)):
+        with pytest.raises(DomainError):
+            rl.assemble_gradient(batch, other, cfg)
+        with pytest.raises(DomainError):
+            rl.objective_value(batch, other, cfg)
 
 
 def test_rescore_kl_zero_at_copy_positive_after_perturbation():
     tasks, params = _tiny_setup()
-    cfg = rl.RlConfig(group_size=4, max_response_len=48)
+    # ppo-baseline's mean baseline keeps a group of any rewards
+    cfg = rl.RlConfig(group_size=4, max_response_len=48,
+                      variant="ppo-baseline")
     group = rl.sample_groups(params, tasks[:1], 4, 1.0, 48,
                              [(7, "kl", 0)])[0]
-    bounds = [0]
-    for r in group.rollouts:
-        bounds.append(bounds[-1] + len(r.response_tokens))
-    batch = rl.PreparedBatch([group], group.rollouts, np.zeros(4),
-                             np.zeros(bounds[-1]), bounds)
-    rs = rl.rescore(batch, params, params.copy(), cfg)
-    assert rs.kl.size > 0 and np.all(rs.kl == 0.0)
-    rs = rl.rescore(batch, params, _nudged(params, 0.1, 2), cfg)
-    assert np.all(rs.kl >= 0.0) and np.any(rs.kl > 0.0)
+    batch = rl.prepare_batch([group], cfg, params.copy())
+    kl = rl._pi_new_terms(batch, params, cfg)[3]
+    assert kl.size > 0 and np.all(kl == 0.0)
+    batch = rl.prepare_batch([group], cfg, _nudged(params, 0.1, 2))
+    kl = rl._pi_new_terms(batch, params, cfg)[3]
+    assert np.all(kl >= 0.0) and np.any(kl > 0.0)
 
 
 def test_empty_batch_gradient_is_positive_zero():
@@ -557,9 +594,11 @@ def test_empty_batch_gradient_is_positive_zero():
         group.rollouts[i] = pol.Rollout(r.prompt_tokens, (), np.zeros(0),
                                         np.zeros(0), 1.0, False)
     batch = rl.PreparedBatch([group], group.rollouts, np.ones(4),
-                             np.zeros(0), [0] * 5)
-    acc, clip_rate, mean_kl = rl.assemble_gradient(batch, params,
-                                                   params.copy(), cfg)
+                             np.zeros(0), [0] * 5,
+                             np.zeros((0, params.k + 1), dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), np.zeros(0),
+                             np.zeros((0, params.V)), (params.k, params.V))
+    acc, clip_rate, mean_kl = rl.assemble_gradient(batch, params, cfg)
     assert acc.dW.shape == params.W.shape and acc.db.shape == params.b.shape
     for a in (acc.dW, acc.db):
         assert not a.any() and not np.signbit(a).any()
@@ -567,31 +606,35 @@ def test_empty_batch_gradient_is_positive_zero():
 
 
 def test_assemble_gradient_leaves_batch_unchanged():
-    # an update re-scores its batch and writes only rescore's own arrays,
+    # an update runs pi_new over its batch and writes only its own arrays,
     # so one batch can serve several updates
     tasks, params = _tiny_setup()
     pi_new, pi_ref = _nudged(params, 0.3, 1), _nudged(params, 0.1, 2)
     groups = rl.sample_groups(params, tasks[:8], 4, 0.7, 48,
                               [(7, "reuse", j) for j in range(8)])
+
+    def layout(batch):
+        return (batch.gates.tobytes(), batch.advantages.tobytes(),
+                list(batch.bounds),
+                [r.logprobs.tobytes() for r in batch.rollouts],
+                batch.rows.tobytes(), batch.toks.tobytes(),
+                batch.old_lp.tobytes(), batch.ref_logp.tobytes())
+
     for variant in ("earl", "archer"):
         cfg = rl.RlConfig(group_size=4, max_response_len=48,
                           temperature=0.7, variant=variant, beta=0.01,
                           gated_kl=True)
-        batch = rl.prepare_batch(groups, cfg)
+        batch = rl.prepare_batch(groups, cfg, pi_ref)
         assert batch.token_total > 0
-        before = (batch.gates.tobytes(), batch.advantages.tobytes(),
-                  list(batch.bounds),
-                  [r.logprobs.tobytes() for r in batch.rollouts])
+        before = layout(batch)
         results = []
         for _ in range(2):
             acc, clip_rate, mean_kl = rl.assemble_gradient(batch, pi_new,
-                                                           pi_ref, cfg)
+                                                           cfg)
             results.append((acc.dW.tobytes(), acc.db.tobytes(), clip_rate,
                             mean_kl))
         assert results[0] == results[1]
-        assert (batch.gates.tobytes(), batch.advantages.tobytes(),
-                list(batch.bounds),
-                [r.logprobs.tobytes() for r in batch.rollouts]) == before
+        assert layout(batch) == before
 
 
 def test_rl_bytes_are_pinned_for_every_variant():

@@ -51,7 +51,7 @@ def test_generated_tasks_all_validate():
 
 def test_prompt_starts_bos_ends_endspec():
     task = generate_task(3, "combinational", "medium", task_id="t")
-    toks = DEFAULT_VOCAB.strings(task.prompt_tokens)
+    toks = [DEFAULT_VOCAB.token(i) for i in task.prompt_tokens]
     assert toks[0] == "BOS" and toks[-1] == "ENDSPEC"
 
 
