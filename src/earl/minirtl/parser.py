@@ -21,86 +21,82 @@ Grammar (one module per program):
     unary     := '~' unary | primary
     primary   := '0' | '1' | ident ('[' bit ']')? | '(' expr ')'
 
-Widths follow ast.expr_width; any mismatch is a parse-time SemanticError
-rather than implicit extension.
+The parser reads one token cursor over the token list; the '|', '^' and
+'&' levels are parsed by precedence climbing over eq_e operands (_PREC),
+which builds the same left-associative trees as the three rules above.
+'==' stays non-associative. Widths follow ast.expr_width; any mismatch is
+a parse-time SemanticError rather than implicit extension.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from .ast import (Assign, Binary, Const, Decl, Expr, Index, Interface,
                   ModuleAst, ParseError, PortDecl, Register, SemanticError,
                   Ternary, Unary, Var, expr_width)
 from .vocab import DEFAULT_VOCAB, IDENTIFIERS, MODULE_NAMES, Vocab
 
-_IDENT_SET = set(IDENTIFIERS)
-_NAME_SET = set(MODULE_NAMES)
+_IDENT_SET = frozenset(IDENTIFIERS)
+_NAME_SET = frozenset(MODULE_NAMES)
+# Binary bitwise operators by precedence, the loosest first; 0 is "none".
+_PREC = {"|": 1, "^": 2, "&": 3}
 
 
 class _Parser:
     def __init__(self, tokens: list[str]):
-        self.toks = tokens
+        self.toks = [*tokens, None]  # a sentinel no rule matches or consumes
         self.pos = 0
 
-    # -- token helpers ----------------------------------------------------
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
     def expect(self, *alternatives: str) -> str:
-        tok = self.peek()
-        if tok is None or tok not in alternatives:
+        tok = self.toks[self.pos]
+        if tok not in alternatives:
             raise ParseError(self.pos, set(alternatives))
         self.pos += 1
         return tok
 
     def expect_ident(self) -> str:
-        tok = self.peek()
-        if tok is None or tok not in _IDENT_SET:
+        tok = self.toks[self.pos]
+        if tok not in _IDENT_SET:
             raise ParseError(self.pos, {"<identifier>"})
         self.pos += 1
         return tok
 
-    def accept(self, tok: str) -> bool:
-        if self.peek() == tok:
-            self.pos += 1
-            return True
-        return False
-
     # -- grammar ------------------------------------------------------------
     def program(self) -> ModuleAst:
+        toks = self.toks
         self.expect("module")
-        name = self.peek()
-        if name is None or name not in _NAME_SET:
+        name = toks[self.pos]
+        if name not in _NAME_SET:
             raise ParseError(self.pos, {"<module-name>"})
         self.pos += 1
         self.expect("(")
         ports = [self.port()]
-        while self.accept(","):
+        while toks[self.pos] == ",":
+            self.pos += 1
             ports.append(self.port())
         self.expect(")")
         self.expect(";")
 
         decls: list[Decl] = []
-        while self.peek() in ("wire", "reg"):
+        while toks[self.pos] in ("wire", "reg"):
             decls.append(self.decl())
 
         assigns: list[Assign] = []
         registers: list[Register] = []
-        while self.peek() in ("assign", "always"):
-            if self.peek() == "assign":
+        while toks[self.pos] in ("assign", "always"):
+            if toks[self.pos] == "assign":
                 assigns.append(self.assign())
             else:
                 registers.append(self.always())
         self.expect("endmodule")
-        if self.pos != len(self.toks):
+        if toks[self.pos] is not None:
             raise ParseError(self.pos, {"<end of program>"})
         iface = Interface(name, tuple(ports))
         return ModuleAst(iface, tuple(decls), tuple(assigns), tuple(registers))
 
     def range_width(self) -> int:
-        if not self.accept("["):
+        if self.toks[self.pos] != "[":
             return 1
+        self.pos += 1
         msb = self.expect("1", "2", "3")
         self.expect(":")
         self.expect("0")
@@ -121,7 +117,7 @@ class _Parser:
         return Decl(name, kind, width)
 
     def assign(self) -> Assign:
-        self.expect("assign")
+        self.pos += 1  # 'assign'
         target = self.expect_ident()
         self.expect("=")
         expr = self.expr()
@@ -129,7 +125,7 @@ class _Parser:
         return Assign(target, expr)
 
     def always(self) -> Register:
-        self.expect("always")
+        self.pos += 1  # 'always'
         self.expect("@")
         self.expect("(")
         edge = self.expect("posedge", "negedge")
@@ -137,7 +133,8 @@ class _Parser:
         self.expect(")")
         self.expect("begin")
         reset = None
-        if self.accept("if"):
+        if self.toks[self.pos] == "if":
+            self.pos += 1
             self.expect("(")
             reset = self.expr()
             self.expect(")")
@@ -157,61 +154,55 @@ class _Parser:
         return Register(target, nxt, edge, clock, reset)
 
     def expr(self) -> Expr:
-        return self.ternary()
+        cond = self.binary(1)
+        if self.toks[self.pos] != "?":
+            return cond
+        self.pos += 1
+        then = self.expr()
+        self.expect(":")
+        return Ternary(cond, then, self.expr())
 
-    def ternary(self) -> Expr:
-        cond = self.or_e()
-        if self.accept("?"):
-            then = self.ternary()
-            self.expect(":")
-            other = self.ternary()
-            return Ternary(cond, then, other)
-        return cond
-
-    def _chain(self, op: str, sub) -> Expr:
-        left = sub()
-        while self.accept(op):
-            left = Binary(op, left, sub())
+    def binary(self, min_prec: int) -> Expr:
+        """Operators of precedence min_prec and above over eq_e operands,
+        left-associative, by precedence climbing."""
+        toks = self.toks
+        left = self.eq_e()
+        op = toks[self.pos]
+        prec = _PREC.get(op, 0)
+        while prec >= min_prec:
+            self.pos += 1
+            left = Binary(op, left, self.binary(prec + 1))
+            op = toks[self.pos]
+            prec = _PREC.get(op, 0)
         return left
-
-    def or_e(self) -> Expr:
-        return self._chain("|", self.xor_e)
-
-    def xor_e(self) -> Expr:
-        return self._chain("^", self.and_e)
-
-    def and_e(self) -> Expr:
-        return self._chain("&", self.eq_e)
 
     def eq_e(self) -> Expr:
         left = self.unary()
-        if self.accept("=="):
-            return Binary("==", left, self.unary())
-        return left
+        if self.toks[self.pos] != "==":
+            return left
+        self.pos += 1
+        return Binary("==", left, self.unary())
 
     def unary(self) -> Expr:
-        if self.accept("~"):
-            return Unary("~", self.unary())
-        return self.primary()
-
-    def primary(self) -> Expr:
-        tok = self.peek()
-        if tok in ("0", "1"):
+        pos = self.pos
+        tok = self.toks[pos]
+        self.pos = pos + 1
+        if tok in _IDENT_SET:
+            if self.toks[pos + 1] != "[":
+                return Var(tok)
             self.pos += 1
+            bit = self.expect("0", "1", "2", "3")
+            self.expect("]")
+            return Index(tok, int(bit))
+        if tok == "~":
+            return Unary("~", self.unary())
+        if tok == "0" or tok == "1":
             return Const(int(tok))
         if tok == "(":
-            self.pos += 1
             e = self.expr()
             self.expect(")")
             return e
-        if tok in _IDENT_SET:
-            self.pos += 1
-            if self.accept("["):
-                bit = self.expect("0", "1", "2", "3")
-                self.expect("]")
-                return Index(tok, int(bit))
-            return Var(tok)
-        raise ParseError(self.pos, {"0", "1", "(", "~", "<identifier>"})
+        raise ParseError(pos, {"0", "1", "(", "~", "<identifier>"})
 
 
 # --- semantic checks ---------------------------------------------------------
@@ -333,8 +324,15 @@ def parse(token_ids, vocab: Vocab = DEFAULT_VOCAB) -> ModuleAst:
     """Parse a token id sequence into a checked ModuleAst, its assigns in
     dependency order.
 
-    Raises ParseError (with the first offending token index) or SemanticError.
+    Raises ParseError (with the first offending token index) or SemanticError;
+    an id outside [0, V) is a ParseError at its index.
     """
-    tokens = [vocab.token(i) for i in token_ids]
+    names = vocab.tokens
+    ids = list(token_ids)
+    if ids and (min(ids) < 0 or max(ids) >= len(names)):
+        bad = next(j for j, i in enumerate(ids) if not 0 <= i < len(names))
+        raise ParseError(bad, {f"<token id in [0, {len(names)})>"})
+    tokens = [names[i] for i in ids]
     ast = _Parser(tokens).program()
-    return dataclasses.replace(ast, assigns=tuple(check_semantics(ast)))
+    return ModuleAst(ast.interface, ast.declarations,
+                     tuple(check_semantics(ast)), ast.registers)

@@ -14,11 +14,15 @@ non-reset input bits when b <= 6, otherwise 256 seeded pseudorandom cycles.
 rejects vectors that break it, so ``equivalence_fraction`` does not re-check
 it: its caller supplies the reference's expected trace and a candidate that
 declares every reference port and no other output.
+
+``simulate`` compiles each expression once per call into closures, each '~'
+mask fixed at compile time, so a cycle walks no expression tree.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,37 +42,38 @@ CLOCK_NAME = "clk"
 RESET_NAME = "rst"
 
 
-def _eval(e: Expr, values: dict[str, int], widths: dict[str, int],
-          masks: dict[int, int]) -> int:
-    """The value of e; masks holds the mask of each '~' evaluated so far,
-    keyed by the node's id, since a width is fixed for the module."""
-    if isinstance(e, Const):
-        return e.value
+# Closure factories, by operator or node kind: each closure captures only its
+# operands (lambdas inside _compile would make a cell per local, per call).
+_MAKE = {
+    "&": lambda a, b: lambda v: a(v) & b(v),
+    "|": lambda a, b: lambda v: a(v) | b(v),
+    "^": lambda a, b: lambda v: a(v) ^ b(v),
+    "==": lambda a, b: lambda v: 1 if a(v) == b(v) else 0,
+    "~": lambda a, mask: lambda v: ~a(v) & mask,
+    "?:": lambda c, a, b: lambda v: a(v) if c(v) else b(v),
+    "[]": lambda name, bit: lambda v: (v[name] >> bit) & 1,
+    "const": lambda value: lambda v: value,
+}
+
+
+def _compile(e: Expr, widths: dict[str, int]) -> Callable[[dict], int]:
+    """A function of the signal values that computes e. Each '~' mask is
+    fixed here, from its operand's width (expr_width), so evaluation walks
+    no tree and derives no width. Node kinds are tested most common first."""
     if isinstance(e, Var):
-        return values[e.name]
-    if isinstance(e, Index):
-        return (values[e.name] >> e.bit) & 1
-    if isinstance(e, Unary):
-        mask = masks.get(id(e))
-        if mask is None:
-            mask = masks[id(e)] = (1 << expr_width(e.operand, widths)) - 1
-        return (~_eval(e.operand, values, widths, masks)) & mask
+        return itemgetter(e.name)
     if isinstance(e, Binary):
-        lv = _eval(e.left, values, widths, masks)
-        rv = _eval(e.right, values, widths, masks)
-        if e.op == "&":
-            return lv & rv
-        if e.op == "|":
-            return lv | rv
-        if e.op == "^":
-            return lv ^ rv
-        if e.op == "==":
-            return 1 if lv == rv else 0
-        raise AssertionError(e.op)
+        return _MAKE[e.op](_compile(e.left, widths), _compile(e.right, widths))
+    if isinstance(e, Unary):
+        return _MAKE["~"](_compile(e.operand, widths),
+                          (1 << expr_width(e.operand, widths)) - 1)
     if isinstance(e, Ternary):
-        if _eval(e.cond, values, widths, masks):
-            return _eval(e.then, values, widths, masks)
-        return _eval(e.other, values, widths, masks)
+        return _MAKE["?:"](_compile(e.cond, widths), _compile(e.then, widths),
+                           _compile(e.other, widths))
+    if isinstance(e, Index):
+        return _MAKE["[]"](e.name, e.bit)
+    if isinstance(e, Const):
+        return _MAKE["const"](e.value)
     raise AssertionError(e)
 
 
@@ -78,30 +83,30 @@ def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
     Pure and total given the AST invariants and a stimulus whose rows drive
     each input they hold at its declared width. A declared input that a row
     leaves out is driven to 0; a row's other keys are never read. Settles
-    the assigns in their stored (parse's dependency) order. Each '~' mask
-    is computed once per call, at its first evaluation.
+    the assigns in their stored (parse's dependency) order. Expressions are
+    compiled, and their '~' masks fixed, before the first cycle, so a '~'
+    over an undeclared name (outside the AST invariants) raises
+    SemanticError even in an arm no cycle takes.
     """
     widths = ast.widths()
-    masks: dict[int, int] = {}
+    assigns = [(a.target, _compile(a.expr, widths)) for a in ast.assigns]
+    registers = [(r.target, _compile(r.next_expr, widths),
+                  None if r.reset is None else _compile(r.reset, widths),
+                  (1 << widths[r.target]) - 1) for r in ast.registers]
     outputs = [p.name for p in ast.interface.outputs()]
     undriven = {p.name: 0 for p in ast.interface.inputs()}
     state = {r.target: 0 for r in ast.registers}
     trace: list[dict[str, int]] = []
+    prefix = stim.reset_prefix  # registers hold 0 until then
     for cyc, inputs in enumerate(stim.cycles):
         values = {**undriven, **inputs, **state}
-        for a in ast.assigns:
-            values[a.target] = _eval(a.expr, values, widths, masks)
+        for target, f in assigns:
+            values[target] = f(values)
         trace.append({name: values[name] for name in outputs})
-        nxt = {}
-        for r in ast.registers:
-            if cyc < stim.reset_prefix:
-                nxt[r.target] = 0
-            elif r.reset is not None and _eval(r.reset, values, widths, masks):
-                nxt[r.target] = 0
-            else:
-                v = _eval(r.next_expr, values, widths, masks)
-                nxt[r.target] = v & ((1 << widths[r.target]) - 1)
-        state = nxt
+        if cyc >= prefix:
+            state = {target: 0 if reset is not None and reset(values)
+                     else nxt(values) & mask
+                     for target, nxt, reset, mask in registers}
     return trace
 
 
@@ -202,13 +207,10 @@ def equivalence_fraction(candidate: ModuleAst, vectors: Stimulus,
     does not cover are driven to 0.
     """
     cand_trace = simulate(candidate, vectors)
-
     widths = {p.name: p.width for p in candidate.interface.outputs()}
-    total = 0
-    matching = 0
-    for erow, crow in zip(expected, cand_trace):
-        for name, w in widths.items():
-            total += w
-            diff = erow[name] ^ crow[name]
-            matching += w - bin(diff).count("1")
+    total = min(len(expected), len(cand_trace)) * sum(widths.values())
+    mismatched = sum((erow[name] ^ crow[name]).bit_count()
+                     for erow, crow in zip(expected, cand_trace)
+                     for name in widths)
+    matching = total - mismatched
     return matching / total, matching == total

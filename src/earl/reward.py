@@ -73,11 +73,11 @@ def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
           ) -> RewardBreakdown:
     """Run the cascade on a candidate token sequence for a task.
 
-    A trailing EOS is stripped before parsing. All failure modes map to
-    breakdown fields; nothing raises.
+    A trailing EOS is stripped before parsing. All failure modes, ids
+    outside the vocabulary included, map to breakdown fields; nothing raises.
     """
     tokens = list(candidate_tokens)
-    if tokens and vocab.token(tokens[-1]) == EOS:
+    if tokens and tokens[-1] == vocab.id(EOS):
         tokens = tokens[:-1]
     if truncated:
         return RewardBreakdown(False, 0.0, 0.0, False, schedule.parse_fail,

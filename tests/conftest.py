@@ -1,0 +1,52 @@
+"""Shared fixtures: the default corpus and the pinned candidate set that the
+MiniRTL parser and simulator pins score."""
+
+import pytest
+
+from earl.minirtl import DEFAULT_VOCAB, tokenize
+from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
+from earl.seeds import rng_for
+from earl.taskgen import CorpusConfig, build_corpus
+
+PIN_DRAWS = 6  # candidates per kind of edit and reference
+# Interchangeable tokens: a swap within a class keeps most candidates
+# parsing, so the semantic checks and the simulator see them too.
+TOKEN_CLASSES = [("&", "|", "^", "=="), ("0", "1", "2", "3"),
+                 ("posedge", "negedge"), ("wire", "reg"),
+                 ("input", "output"), IDENTIFIERS, MODULE_NAMES]
+
+
+@pytest.fixture(scope="session")
+def default_corpus():
+    """The corpus `earl gen-data` writes at seed 0."""
+    return build_corpus(CorpusConfig(), 0)
+
+
+@pytest.fixture(scope="session")
+def pinned_candidates(default_corpus):
+    """(task, token ids) pairs, derived from every default-corpus reference
+    with a generator seeded by the task id: the reference itself,
+    PIN_DRAWS single-token substitutions by any vocabulary id, PIN_DRAWS
+    by another token of the substituted one's class and PIN_DRAWS prefix
+    truncations."""
+    v = DEFAULT_VOCAB
+    class_of = {v.id(t): [v.id(u) for u in c if u != t]
+                for c in TOKEN_CLASSES for t in c}
+    cases = []
+    for task in default_corpus.tasks:
+        ref = tokenize(task.reference_text)
+        rng = rng_for("pin-candidates", task.id)
+        cases.append((task, ref))
+        for _ in range(PIN_DRAWS):
+            i = int(rng.integers(len(ref)))
+            cases.append((task, ref[:i] + [int(rng.integers(v.size))]
+                          + ref[i + 1:]))
+        sites = [i for i, t in enumerate(ref) if t in class_of]
+        for _ in range(PIN_DRAWS):
+            i = sites[int(rng.integers(len(sites)))]
+            others = class_of[ref[i]]
+            cases.append((task, ref[:i] + [others[int(rng.integers(
+                len(others)))]] + ref[i + 1:]))
+        for _ in range(PIN_DRAWS):
+            cases.append((task, ref[:int(rng.integers(len(ref)))]))
+    return cases

@@ -1,6 +1,8 @@
 """Parser and semantic checks: spec'd examples plus generated-corpus
 soundness (every accepted AST satisfies the module invariants)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,6 +144,22 @@ def test_comb_order_raises_on_unchecked_cycle():
     assert str(e.value) == "semantic error [comb-cycle]: z->y->z"
 
 
+@pytest.mark.parametrize("bad", [-1, DEFAULT_VOCAB.size])
+def test_out_of_range_id_is_syntax_error_at_its_index(bad):
+    tokens = tokenize(AND2)
+    tokens[1] = tokens[0]  # a syntax error at index 1 does not hide
+    tokens[3] = bad  # the bad id: ids are checked before parsing
+    with pytest.raises(ParseError) as e:
+        parse(tokens)
+    assert e.value.index == 3
+    # id -1 used to wrap to the last vocabulary entry, a module name
+    tokens = tokenize(AND2)
+    tokens[1] = bad
+    with pytest.raises(ParseError) as e:
+        parse(tokens)
+    assert e.value.index == 1
+
+
 def test_ternary_and_equality_parse():
     text = ("module mux2 ( input sel , input a , input b , output y ) ; "
             "assign y = sel ? a : b ; endmodule")
@@ -171,3 +189,27 @@ def test_parser_soundness_on_generated_corpus(seed, kind, difficulty):
     _check_invariants(ast)
     # round-trip: re-tokenizing the detokenized form reproduces the AST text
     assert detokenize(tokenize(task.reference_text)) == task.reference_text
+
+
+# --- pinned parse outcomes ---------------------------------------------------
+
+def parse_outcome(tokens) -> str:
+    """The AST's repr, or the error's type, token index, expected set,
+    semantic kind and message."""
+    try:
+        return repr(parse(tokens))
+    except (ParseError, SemanticError) as e:
+        return repr((type(e).__name__, e.index,
+                     sorted(getattr(e, "expected", ())),
+                     getattr(e, "kind", None), str(e)))
+
+
+def test_parse_outcomes_are_pinned(pinned_candidates):
+    outcomes = [parse_outcome(tokens) for _, tokens in pinned_candidates]
+    assert len(outcomes) == 11875
+    # every stage of parse is reached many times
+    assert sum(o.startswith("ModuleAst") for o in outcomes) > 1500
+    assert sum(o.startswith("('SemanticError'") for o in outcomes) > 2500
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == ("09004f8935ebec49736368f07658d4d7"
+                      "ce2bf211493a5289d1103247b57816f3")

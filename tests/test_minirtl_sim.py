@@ -1,6 +1,7 @@
 """Simulator and equivalence oracle: hand-derived traces, coverage rule,
 and agreement with an independent brute-force truth-table oracle."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -76,6 +77,33 @@ def test_not_masks_to_its_operand_width_on_buses():
     assert trace == [{"y": ~a & 15, "z": ~(a ^ (~b & 15)) & 15,
                       "q": int((~a & 15) == b), "t0": ~(a >> 2 & 1) & 1}
                      for a, b in pairs]
+
+
+def test_not_in_an_untaken_arm_masks_when_the_arm_is_taken():
+    text = ("module u00 ( input sel , input [ 3 : 0 ] a , "
+            "input [ 3 : 0 ] b , output [ 3 : 0 ] y ) ; "
+            "assign y = sel ? ~ a : b ; endmodule")
+    rows = [(0, a, 15 - a) for a in range(16)] + \
+        [(1, a, 0) for a in range(16)]
+    trace = simulate(parse_text(text), Stimulus(tuple(
+        {"sel": s, "a": a, "b": b} for s, a, b in rows), 0))
+    assert [c["y"] for c in trace] == [~a & 15 if s else b
+                                       for s, a, b in rows]
+
+
+def test_not_in_register_next_state_and_reset():
+    text = ("module u00 ( input clk , input rst , input [ 1 : 0 ] a , "
+            "output [ 1 : 0 ] q , output t0 ) ; reg [ 1 : 0 ] q ; "
+            "reg t0 ; always @ ( posedge clk ) begin q <= ~ a ; end "
+            "always @ ( posedge clk ) begin if ( ~ rst ) t0 <= 0 ; "
+            "else t0 <= ~ t0 ; end endmodule")
+    rows = [(1, 0), (1, 1), (0, 2), (1, 3), (1, 3), (1, 0), (0, 1)]
+    trace = simulate(parse_text(text), Stimulus(tuple(
+        {"clk": 0, "rst": r, "a": a} for r, a in rows), 1))
+    # cycle 0 is the reset prefix; from then on q holds ~a of the cycle
+    # before, and t0 toggles while rst is high and clears while it is low
+    assert [c["q"] for c in trace] == [0, 0, 2, 1, 0, 0, 3]
+    assert [c["t0"] for c in trace] == [0, 0, 1, 0, 1, 0, 1]
 
 
 def test_simulate_is_deterministic():
@@ -170,3 +198,20 @@ def test_sim_agrees_with_truth_table_oracle(seed, difficulty):
     trace = simulate(ast, stim)
     got = [tuple(c[p.name] for p in outputs) for c in trace]
     assert got == table
+
+
+# --- pinned traces -----------------------------------------------------------
+
+def test_traces_are_pinned(default_corpus, pinned_candidates):
+    from earl import reward as rew
+    rows = [repr(task.expected) for task in default_corpus.tasks]
+    for task, tokens in pinned_candidates:
+        if rew.score(tokens, task).stage_reached == rew.STAGE_FUNCTIONAL:
+            ast = parse(tokens)
+            rows.append(repr((simulate(ast, task.vectors),
+                              equivalence_fraction(ast, task.vectors,
+                                                   task.expected))))
+    assert len(rows) == 625 + 1164
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == ("e7806adbe84c512a48fca1854882d74a"
+                      "8873c569596bf13fbcf98d04e9084522")

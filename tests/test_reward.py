@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from earl import reward as rew
 from earl.errors import ConfigError
-from earl.minirtl import DEFAULT_VOCAB, build_vectors, parse, tokenize
+from earl.minirtl import (DEFAULT_VOCAB, MiniRtlError, build_vectors,
+                          parse, tokenize)
 from earl.taskgen import CorpusConfig, build_corpus, generate_task
 
 
@@ -42,6 +43,16 @@ def test_trailing_eos_is_stripped():
     task = easy_task()
     toks = tokens_of(task.reference_text) + [DEFAULT_VOCAB.id("EOS")]
     assert rew.score(toks, task).reward == 1.0
+
+
+@pytest.mark.parametrize("bad", [-1, DEFAULT_VOCAB.size])
+def test_out_of_range_id_scores_as_parse_fail(bad):
+    task = easy_task()
+    ref = tokens_of(task.reference_text)
+    for toks in (ref + [bad], [bad] + ref[1:]):
+        bd = rew.score(toks, task)
+        assert bd == rew.RewardBreakdown(False, 0.0, 0.0, False, 0.0,
+                                         rew.STAGE_PARSE_FAIL)
 
 
 def test_parse_fail_scores_zero():
@@ -181,3 +192,40 @@ def test_random_candidates_never_exceed_stage_bounds(seed):
         assert bd.reward <= 0.5
     if bd.reward == 1.0:
         assert bd.functional_pass
+
+
+_SIZE = DEFAULT_VOCAB.size
+# any vocabulary id (terminals, PAD/BOS/EOS, prompt markers) or just outside
+_ANY_ID = st.integers(-3, _SIZE + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 80),
+       st.lists(st.tuples(st.integers(0, 80), _ANY_ID), max_size=3),
+       st.lists(_ANY_ID, max_size=6))
+def test_any_id_sequence_parses_or_fails_cleanly(seed, keep, edits, tail):
+    """A reference prefix with some ids replaced and arbitrary ids after it:
+    parse raises nothing but MiniRtlError, score raises nothing, and the
+    reward lies in the interval of the stage it reached."""
+    task = easy_task(seed)
+    toks = tokens_of(task.reference_text)[:keep]
+    for i, t in edits:
+        if i < len(toks):
+            toks[i] = t
+    toks += tail
+    try:
+        parse(toks)
+    except MiniRtlError:
+        pass
+    bd = rew.score(toks, task)
+    s = rew.DEFAULT_SCHEDULE
+    if bd.stage_reached == rew.STAGE_PARSE_FAIL:
+        assert bd.reward == s.parse_fail and not bd.syntax_ok
+    elif bd.stage_reached == rew.STAGE_INTERFACE:
+        assert (s.interface_base <= bd.reward
+                <= s.interface_base + s.interface_span)
+    elif bd.functional_pass:
+        assert bd.reward == s.pass_reward
+    else:
+        assert (s.functional_base <= bd.reward
+                <= s.functional_base + s.functional_span)
