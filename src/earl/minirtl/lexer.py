@@ -6,7 +6,7 @@ sequence rendered by ``detokenize`` lexes back to the identical sequence.
 
 from __future__ import annotations
 
-from .ast import LexError
+from .ast import LexError, ParseError
 from .vocab import DEFAULT_VOCAB, TERMINALS, Vocab
 
 _PUNCT2 = ("<=", "==")
@@ -50,6 +50,18 @@ def tokenize(text: str, vocab: Vocab = DEFAULT_VOCAB) -> list[int]:
     return ids
 
 
+def token_names(ids, vocab: Vocab = DEFAULT_VOCAB) -> list[str]:
+    """The vocabulary entry of each id; an id outside [0, V) is a
+    ParseError at its index."""
+    names = vocab.tokens
+    ids = list(ids)
+    if ids and (min(ids) < 0 or max(ids) >= len(names)):
+        bad = next(j for j, i in enumerate(ids) if not 0 <= i < len(names))
+        raise ParseError(bad, {f"<token id in [0, {len(names)})>"})
+    return [names[i] for i in ids]
+
+
 def detokenize(ids, vocab: Vocab = DEFAULT_VOCAB) -> str:
-    """Render token ids as single-space-separated canonical source text."""
-    return " ".join(vocab.token(i) for i in ids)
+    """Render token ids as single-space-separated canonical source text;
+    raises ParseError at the first id outside [0, V)."""
+    return " ".join(token_names(ids, vocab))

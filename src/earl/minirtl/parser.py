@@ -33,6 +33,7 @@ from __future__ import annotations
 from .ast import (Assign, Binary, Const, Decl, Expr, Index, Interface,
                   ModuleAst, ParseError, PortDecl, Register, SemanticError,
                   Ternary, Unary, Var, expr_width)
+from .lexer import token_names
 from .vocab import DEFAULT_VOCAB, IDENTIFIERS, MODULE_NAMES, Vocab
 
 _IDENT_SET = frozenset(IDENTIFIERS)
@@ -327,12 +328,6 @@ def parse(token_ids, vocab: Vocab = DEFAULT_VOCAB) -> ModuleAst:
     Raises ParseError (with the first offending token index) or SemanticError;
     an id outside [0, V) is a ParseError at its index.
     """
-    names = vocab.tokens
-    ids = list(token_ids)
-    if ids and (min(ids) < 0 or max(ids) >= len(names)):
-        bad = next(j for j, i in enumerate(ids) if not 0 <= i < len(names))
-        raise ParseError(bad, {f"<token id in [0, {len(names)})>"})
-    tokens = [names[i] for i in ids]
-    ast = _Parser(tokens).program()
+    ast = _Parser(token_names(token_ids, vocab)).program()
     return ModuleAst(ast.interface, ast.declarations,
                      tuple(check_semantics(ast)), ast.registers)

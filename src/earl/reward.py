@@ -11,7 +11,8 @@ near-misses strictly below the pass reward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .minirtl import Interface, MiniRtlError, parse
@@ -35,6 +36,9 @@ class RewardSchedule:
     pass_reward: float = 1.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"reward.{f.name}: must be finite")
         ok = (0.0 <= self.parse_fail <= self.interface_base
               and self.interface_base + self.interface_span
               <= self.functional_base

@@ -61,7 +61,6 @@ class RlConfig:
     variant: str = "earl"
     steps: int = 500
     seed: int = 0
-    gated_kl: bool = False
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -180,24 +179,24 @@ def filter_groups(groups) -> list:
 
 def per_token_coefficients(new_logprobs, old_logprobs, advantages, gates,
                            eps_low: float, eps_high: float, token_total: int
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token scalar coefficients for the log-prob gradient, and the mask
-    of the tokens whose clipped branch is active.
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clip rule, for the objective and its gradient: the per-token
+    gated surrogate, the per-token scalar coefficients of the log-prob
+    gradient, and the mask of the tokens whose clipped branch is active.
 
-    surrogate_t = min(r_t*A_t, clip(r_t, 1-eps_low, 1+eps_high)*A_t), A_t a
-    scalar or one advantage per token. When the unclipped branch is active
-    the gradient coefficient is gate_t*r_t*A_t / token_total; the clipped
-    branch carries zero gradient. Ties count as unclipped (the branches
-    agree there).
+    surrogate_t = gate_t*min(r_t*A_t, clip(r_t, 1-eps_low, 1+eps_high)*A_t),
+    A_t a scalar or one advantage per token. When the unclipped branch is
+    active the gradient coefficient is gate_t*r_t*A_t / token_total; the
+    clipped branch carries zero gradient. Ties count as unclipped (the
+    branches agree there).
     """
     r = np.exp(np.asarray(new_logprobs) - np.asarray(old_logprobs))
-    clipped_r = np.clip(r, 1.0 - eps_low, 1.0 + eps_high)
     unclipped = r * advantages
-    clipped = clipped_r * advantages
+    clipped = np.clip(r, 1.0 - eps_low, 1.0 + eps_high) * advantages
     active_unclipped = unclipped <= clipped
     g = np.asarray(gates, dtype=float)
     coeffs = np.where(active_unclipped, g * unclipped / token_total, 0.0)
-    return coeffs, ~active_unclipped
+    return g * np.minimum(unclipped, clipped), coeffs, ~active_unclipped
 
 
 # --- batch preparation, objective, gradient ---------------------------------------
@@ -278,41 +277,39 @@ def prepare_batch(groups, config: RlConfig, pi_ref: pol.PolicyParams
 
 def _pi_new_terms(batch: PreparedBatch, pi_new: pol.PolicyParams,
                   config: RlConfig):
-    """pi_new over the batch's rows: p_new [n, V], its log-prob of each
-    token and, None when beta == 0, s = log p_new - log p_ref [n, V] and
-    the per-token KL(p_new || p_ref). Only reads the batch."""
+    """pi_new over the batch's rows: p_new [n, V], the per-token surrogate,
+    gradient coefficients and clipped mask of per_token_coefficients and,
+    None when beta == 0, s = log p_new - log p_ref [n, V] and the per-token
+    KL(p_new || p_ref). Only reads the batch."""
     if (pi_new.k, pi_new.V) != batch.arch:
         raise DomainError(f"pi_new's (k, V) is not the batch's {batch.arch}")
     p_new = pol.distributions(pi_new, batch.rows, config.temperature)
     new_lp = np.log(p_new[np.arange(len(batch.toks)), batch.toks])
+    surr, coeffs, clipped = per_token_coefficients(
+        new_lp, batch.old_lp, batch.token_advantages, batch.gates,
+        *config.resolved_eps(), batch.token_total)
     s = kl = None
     if batch.ref_logp is not None:
         s = np.log(p_new)
         s -= batch.ref_logp
         kl = (p_new * s).sum(axis=1)
-    return p_new, new_lp, s, kl
+    return p_new, surr, coeffs, clipped, s, kl
 
 
 def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
                     config: RlConfig) -> float:
     """Scalar objective consistent with the assembled gradient: token-level
-    normalized gated surrogate minus beta times per-token KL to pi_ref. The
-    ratio's denominator is each rollout's sampling-time log-probs."""
+    normalized gated surrogate minus beta times the KL to pi_ref on every
+    token. The ratio's denominator is each rollout's sampling-time
+    log-probs."""
     if batch.token_total == 0:
         return 0.0
-    eps_low, eps_high = config.resolved_eps()
-    _, new_lp, _, kl = _pi_new_terms(batch, pi_new, config)
-    r = np.exp(new_lp - batch.old_lp)
-    adv = batch.token_advantages
-    surr = batch.gates * np.minimum(
-        r * adv, np.clip(r, 1 - eps_low, 1 + eps_high) * adv)
-    if kl is not None:
-        wkl = (batch.gates if config.gated_kl else 1.0) * kl
+    _, surr, _, _, _, kl = _pi_new_terms(batch, pi_new, config)
     total = 0.0
     for a, b in zip(batch.bounds, batch.bounds[1:]):
         total += float(surr[a:b].sum())
         if kl is not None:
-            total -= config.beta * float(wkl[a:b].sum())
+            total -= config.beta * float(kl[a:b].sum())
     return total / batch.token_total
 
 
@@ -323,18 +320,12 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
     batch: the logit gradient is written in place into p_new (its KL term
     into s), so the batch itself is left unchanged. Returns (accumulator,
     clip rate, mean per-token KL)."""
-    eps_low, eps_high = config.resolved_eps()
     n = batch.token_total
-    G, new_lp, d, kl = _pi_new_terms(batch, pi_new, config)
-    coeffs, clipped = per_token_coefficients(
-        new_lp, batch.old_lp, batch.token_advantages, batch.gates,
-        eps_low, eps_high, n)
+    G, _, coeffs, clipped, d, kl = _pi_new_terms(batch, pi_new, config)
     if kl is not None:
-        w = batch.gates if config.gated_kl else np.ones(n)
-        c = -config.beta * w / n
-        d -= kl[:, None]  # p_new * (s - kl) * c, in place
+        d -= kl[:, None]  # p_new * (s - kl) * -beta / n, in place
         d *= G
-        d *= c[:, None]
+        d *= -config.beta / n if n else 0.0
     # d/dz of coeff * log p(tok): (one-hot - p) * coeff / T, in place
     np.negative(G, out=G)
     G *= coeffs[:, None]

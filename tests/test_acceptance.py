@@ -45,8 +45,8 @@ def _random_instance(rng, vocab, k, G):
     T = float(rng.choice([1.0, 0.7]))
     cfg = rl.RlConfig(group_size=G, variant="earl", temperature=T,
                       rho=float(rng.choice([0.0, 0.5, 0.8])),
-                      beta=float(rng.choice([0.0, 0.01, 0.1])),
-                      gated_kl=bool(rng.integers(2)))
+                      beta=float(rng.choice([0.0, 0.01, 0.1])))
+    rng.integers(2)  # unused draw: keeps the same 50 instances in the stream
     groups = []
     for _ in range(int(rng.integers(1, 3))):
         rollouts = []

@@ -104,11 +104,14 @@ def test_nested_unknown_key_reports_key_path(tmp_path, capsys):
 
 
 def test_rl_gate_is_unknown_key(tmp_path, capsys):
-    path, _ = mini_config(tmp_path,
-                          rl={"gate": {"mode": "archer-weight", "rho": 0.8}})
-    assert run(["gen-data", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:validation:") and "rl.gate" in err
+    # the gate is the variant's, and the KL term covers every token
+    for rl, key in (({"gate": {"mode": "archer-weight", "rho": 0.8}},
+                     "rl.gate"),
+                    ({"gated_kl": False}, "rl.gated_kl")):
+        path, _ = mini_config(tmp_path, rl=rl)
+        assert run(["gen-data", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:validation:") and f"{key}:" in err
 
 
 def test_archer_variant_is_accepted(tmp_path):
@@ -127,7 +130,7 @@ def test_invalid_value_is_validation_error(tmp_path, capsys):
     ({"rl": {"group_size": "6"}}, "rl.group_size"),
     ({"rl": {"group_size": 6.0}}, "rl.group_size"),
     ({"rl": {"beta": True}}, "rl.beta"),
-    ({"rl": {"gated_kl": 1}}, "rl.gated_kl"),
+    ({"rl": {"variant": 1}}, "rl.variant"),
     ({"corpus": {"heldout_fraction": "0.2"}}, "corpus.heldout_fraction"),
     ({"corpus": {"counts": {"mux-easy": True}}}, "corpus.counts.mux-easy"),
     ({"eval": {"n": "5"}}, "eval.n"),
@@ -147,15 +150,19 @@ def test_wrong_json_type_is_validation_error(tmp_path, capsys, overrides,
 
 
 @pytest.mark.parametrize("section,key", [("rl", "eps_low"),
-                                         ("eval", "temperature")])
+                                         ("eval", "temperature"),
+                                         ("reward", "pass_reward"),
+                                         ("reward", "parse_fail")])
 def test_nan_float_is_validation_error(tmp_path, capsys, section, key):
+    # NaN and infinity each: JSON's NaN and Infinity load as floats
     _, data = mini_config(tmp_path)
-    path, _ = mini_config(tmp_path,
-                          **{section: {**data[section], key: float("nan")}})
-    assert run(["gen-data", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error:validation: {section}.{key}: must be ")
-    assert err.count("\n") == 1
+    for value in (float("nan"), float("inf")):
+        path, _ = mini_config(
+            tmp_path, **{section: {**data.get(section, {}), key: value}})
+        assert run(["gen-data", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:validation: {section}.{key}: must be ")
+        assert err.count("\n") == 1
 
 
 def test_int_is_accepted_for_float_field(tmp_path):

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earl.minirtl import DEFAULT_VOCAB, LexError, detokenize, tokenize
+from earl.minirtl import (DEFAULT_VOCAB, LexError, ParseError, detokenize,
+                          parse, tokenize)
 from earl.minirtl.vocab import MARKERS, RESERVED, TERMINALS
 
 
@@ -32,6 +33,18 @@ def test_detokenize_joins_with_spaces():
     ids = [DEFAULT_VOCAB.id(t) for t in ("module", "and2")]
     assert detokenize(ids) == "module and2"
     assert detokenize([]) == ""
+
+
+@pytest.mark.parametrize("ids,index", [([-1, 5], 0),
+                                       ([5, DEFAULT_VOCAB.size], 1)])
+def test_detokenize_rejects_ids_outside_vocab(ids, index):
+    # the error parse raises for the same ids
+    with pytest.raises(ParseError) as got:
+        detokenize(ids)
+    with pytest.raises(ParseError) as want:
+        parse(ids)
+    assert got.value.index == want.value.index == index
+    assert got.value.expected == want.value.expected
 
 
 def test_two_char_operators_lex_maximally():

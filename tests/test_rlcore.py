@@ -113,35 +113,48 @@ def test_filter_keeps_only_mixed_groups():
 # --- coefficients -------------------------------------------------------------
 
 def test_coefficients_unclipped_branch():
-    c, clipped = rl.per_token_coefficients(
-        np.log([1.0]), np.log([1.0]), 2.0, [1.0], 0.2, 0.28, 10)
-    assert np.allclose(c, [2.0 / 10])
+    surr, c, clipped = rl.per_token_coefficients(
+        np.log([1.0]), np.log([1.0]), 2.0, [0.5], 0.2, 0.28, 10)
+    assert np.allclose(c, [0.5 * 2.0 / 10])
+    assert np.allclose(surr, [0.5 * 1.0 * 2.0])  # gate * r * A
     assert not clipped.any() and clipped.size == 1
 
 
 def test_coefficients_clipped_branch_zero_gradient():
     # ratio 2.0 with positive advantage exceeds 1+eps_high -> clipped, 0
-    c, clipped = rl.per_token_coefficients(
-        np.log([2.0]), np.log([1.0]), 1.0, [1.0], 0.2, 0.28, 10)
+    surr, c, clipped = rl.per_token_coefficients(
+        np.log([2.0]), np.log([1.0]), 1.0, [0.5], 0.2, 0.28, 10)
     assert c[0] == 0.0 and clipped.tolist() == [True]
+    assert np.allclose(surr, [0.5 * 1.28 * 1.0])  # gate * clip(r) * A
     # same ratio with negative advantage: unclipped branch is the min
-    c, clipped = rl.per_token_coefficients(
+    surr, c, clipped = rl.per_token_coefficients(
         np.log([2.0]), np.log([1.0]), -1.0, [1.0], 0.2, 0.28, 10)
     assert np.allclose(c, [-2.0 / 10]) and clipped.tolist() == [False]
+    assert np.allclose(surr, [-2.0])
+    # ratio 0.5 with positive advantage is clipped from below at 1-eps_low
+    surr, c, clipped = rl.per_token_coefficients(
+        np.log([0.5]), np.log([1.0]), 1.0, [1.0], 0.2, 0.28, 10)
+    assert np.allclose(c, [0.5 / 10]) and clipped.tolist() == [False]
+    assert np.allclose(surr, [0.5])
+    surr, c, clipped = rl.per_token_coefficients(
+        np.log([0.5]), np.log([1.0]), -1.0, [1.0], 0.2, 0.28, 10)
+    assert c[0] == 0.0 and clipped.tolist() == [True]
+    assert np.allclose(surr, [0.8 * -1.0])
 
 
 def test_coefficients_gate_masks_tokens():
-    c, clipped = rl.per_token_coefficients(
-        np.log([1.0, 1.0]), np.log([1.0, 1.0]), 1.0, [0.0, 1.0],
+    surr, c, clipped = rl.per_token_coefficients(
+        np.log([2.0, 1.0]), np.log([1.0, 1.0]), 1.0, [0.0, 1.0],
         0.2, 0.28, 4)
     assert c[0] == 0.0 and np.allclose(c[1], 0.25)
-    assert not clipped.any()
+    assert surr[0] == 0.0 and np.allclose(surr[1], 1.0)  # zero gate -> 0
+    assert clipped.tolist() == [True, False]
 
 
 def test_ties_count_as_unclipped():
-    _, clipped = rl.per_token_coefficients(np.log([1.0]), np.log([1.0]),
-                                           1.0, [1.0], 0.2, 0.28, 1)
-    assert not clipped.any()
+    surr, _, clipped = rl.per_token_coefficients(
+        np.log([1.0]), np.log([1.0]), 1.0, [1.0], 0.2, 0.28, 1)
+    assert not clipped.any() and surr.tolist() == [1.0]
 
 
 # --- config resolution --------------------------------------------------------
@@ -428,8 +441,7 @@ def _per_rollout_objective(batch, pi_new, pi_ref, config):
             _, p_new = pol.response_distributions(pi_new, prompt, resp, T)
             _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
             kl = (p_new * (np.log(p_new) - np.log(p_ref))).sum(axis=1)
-            w = gates if config.gated_kl else 1.0
-            total -= config.beta * float((w * kl).sum())
+            total -= config.beta * float(kl.sum())
     return total / batch.token_total
 
 
@@ -453,7 +465,7 @@ def _per_rollout_gradient(batch, pi_new, pi_ref, config):
         toks = np.asarray(resp, dtype=np.int64)
         ar = np.arange(len(toks))
         new_lp = np.log(p_new[ar, toks])
-        coeffs, clipped = rl.per_token_coefficients(
+        _, coeffs, clipped = rl.per_token_coefficients(
             new_lp, rollout.logprobs, batch.advantages[j], gates,
             eps_low, eps_high, batch.token_total)
         tokens += len(toks)
@@ -465,9 +477,8 @@ def _per_rollout_gradient(batch, pi_new, pi_ref, config):
             _, p_ref = pol.response_distributions(pi_ref, prompt, resp, T)
             s = np.log(p_new) - np.log(p_ref)
             kl = (p_new * s).sum(axis=1)
-            w = gates if config.gated_kl else np.ones(len(toks))
-            c = -config.beta * w / batch.token_total
-            G += p_new * (s - kl[:, None]) * c[:, None]
+            c = -config.beta / batch.token_total
+            G += p_new * (s - kl[:, None]) * c
             kl_sum += float(kl.sum())
             kl_count += len(toks)
         G /= T
@@ -495,14 +506,13 @@ def _nudged(params, scale, seed):
     return p
 
 
-@pytest.mark.parametrize("variant,beta,gated_kl,T", [
-    ("earl", 0.01, False, 1.0), ("earl", 0.0, False, 0.7),
-    ("earl", 0.01, True, 0.7), ("archer", 0.01, True, 1.0),
-    ("grpo", 0.01, False, 0.7), ("grpo", 0.0, False, 1.0)])
-def test_group_rescoring_matches_per_rollout(variant, beta, gated_kl, T):
+@pytest.mark.parametrize("variant,beta,T", [
+    ("earl", 0.01, 1.0), ("earl", 0.0, 0.7), ("earl", 0.01, 0.7),
+    ("archer", 0.01, 1.0), ("grpo", 0.01, 0.7), ("grpo", 0.0, 1.0)])
+def test_group_rescoring_matches_per_rollout(variant, beta, T):
     tasks, params = _tiny_setup()
     cfg = rl.RlConfig(group_size=4, max_response_len=48, temperature=T,
-                      variant=variant, beta=beta, gated_kl=gated_kl)
+                      variant=variant, beta=beta)
     groups = rl.sample_groups(params, tasks[:8], 4, T, 48,
                               [(7, "rescore", j) for j in range(8)])
     pi_new, pi_ref = _nudged(params, 0.3, 1), _nudged(params, 0.1, 2)
@@ -576,10 +586,10 @@ def test_rescore_kl_zero_at_copy_positive_after_perturbation():
     group = rl.sample_groups(params, tasks[:1], 4, 1.0, 48,
                              [(7, "kl", 0)])[0]
     batch = rl.prepare_batch([group], cfg, params.copy())
-    kl = rl._pi_new_terms(batch, params, cfg)[3]
+    kl = rl._pi_new_terms(batch, params, cfg)[-1]
     assert kl.size > 0 and np.all(kl == 0.0)
     batch = rl.prepare_batch([group], cfg, _nudged(params, 0.1, 2))
-    kl = rl._pi_new_terms(batch, params, cfg)[3]
+    kl = rl._pi_new_terms(batch, params, cfg)[-1]
     assert np.all(kl >= 0.0) and np.any(kl > 0.0)
 
 
@@ -622,8 +632,7 @@ def test_assemble_gradient_leaves_batch_unchanged():
 
     for variant in ("earl", "archer"):
         cfg = rl.RlConfig(group_size=4, max_response_len=48,
-                          temperature=0.7, variant=variant, beta=0.01,
-                          gated_kl=True)
+                          temperature=0.7, variant=variant, beta=0.01)
         batch = rl.prepare_batch(groups, cfg, pi_ref)
         assert batch.token_total > 0
         before = layout(batch)
@@ -638,15 +647,15 @@ def test_assemble_gradient_leaves_batch_unchanged():
 
 
 def test_rl_bytes_are_pinned_for_every_variant():
-    # W, b and metrics.csv of a short gated-KL run per variant, in sorted
-    # variant order; a change to any summation order moves this digest
+    # W, b and metrics.csv of a short KL-regularized run per variant, in
+    # sorted variant order; a change to any summation order moves this digest
     tasks, params = _tiny_setup()
     h = hashlib.sha256()
     for variant in sorted(rl.VARIANTS):
         trained, metrics = _run(tasks, params, variant=variant, beta=0.01,
-                                gated_kl=True, temperature=0.7)
+                                temperature=0.7)
         assert all(m.retained_groups for m in metrics)
         h.update(trained.W.tobytes() + trained.b.tobytes()
                  + rl.metrics_to_csv(metrics).encode())
-    assert h.hexdigest() == ("b3899a3470903368380fd15990cd76d2"
-                             "d0896f1057e1aaf5c7f4aa16f81a2c51")
+    assert h.hexdigest() == ("c6e8c7d2738e048504c1bc9a3d4e4fe0"
+                             "5a32081ca8f6dd693b9a4e8fa2142590")
