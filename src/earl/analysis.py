@@ -23,19 +23,27 @@ from . import policy as pol
 from . import reward as rew
 from . import rlcore
 from .errors import DomainError
-from .minirtl.vocab import DEFAULT_VOCAB, Vocab
+from .minirtl.vocab import DEFAULT_VOCAB, DIGITS, IDENTIFIERS, MODULE_NAMES
 
 TOKEN_CLASSES = ("process-sensitivity", "control-flow", "binding-connection",
                  "module-head", "structural-terminator", "identifier",
                  "literal", "other")
 
+# The first class listing a token is its class; a token none lists is "other".
 _CLASS_TOKENS = {
     "process-sensitivity": {"always", "posedge", "negedge"},
     "control-flow": {"if", "case", "?", ":"},
     "binding-connection": {"assign", "[", "]"},
     "module-head": {"module"},
     "structural-terminator": {"end", "endmodule", "input", "output"},
+    "identifier": {*IDENTIFIERS, *MODULE_NAMES},
+    "literal": set(DIGITS),
 }
+# The class of each token id of the vocabulary.
+TOKEN_CLASS_OF = tuple(
+    next((cls for cls, members in _CLASS_TOKENS.items() if tok in members),
+         "other")
+    for tok in DEFAULT_VOCAB.tokens)
 
 DEFAULT_BIN_WIDTH = 0.05
 DEFAULT_FREQ_FLOOR = 10
@@ -51,45 +59,11 @@ def csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class TokenClassMap:
-    """Class label for every vocab token id (total map)."""
-    vocab: Vocab
-    classes: tuple[str, ...]
-
-    def __post_init__(self):
-        assert len(self.classes) == self.vocab.size
-
-    def class_of(self, token_id: int) -> str:
-        return self.classes[token_id]
-
-
-def default_token_classes(vocab: Vocab = DEFAULT_VOCAB) -> TokenClassMap:
-    from .minirtl.vocab import DIGITS, IDENTIFIERS, MODULE_NAMES
-    identifiers = set(IDENTIFIERS) | set(MODULE_NAMES)
-    literals = set(DIGITS)
-    out = []
-    for tok in vocab.tokens:
-        label = "other"
-        for cls, members in _CLASS_TOKENS.items():
-            if tok in members:
-                label = cls
-                break
-        else:
-            if tok in identifiers:
-                label = "identifier"
-            elif tok in literals:
-                label = "literal"
-        out.append(label)
-    return TokenClassMap(vocab, tuple(out))
-
-
 # --- histograms ---------------------------------------------------------------
 
-def default_bin_edges(vocab: Vocab = DEFAULT_VOCAB,
-                      width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:
+def default_bin_edges(width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:
     """Uniform-width edges over [0, ln V]; the last edge is exactly ln V."""
-    top = math.log(vocab.size)
+    top = math.log(DEFAULT_VOCAB.size)
     edges = list(np.arange(0.0, top, width))
     if top - edges[-1] < width / 2:
         edges.pop()
@@ -118,7 +92,7 @@ def _iter_token_entropies(rollouts):
             yield int(tok), float(h)
 
 
-def token_class_stats(rollouts, class_map: TokenClassMap) -> dict:
+def token_class_stats(rollouts) -> dict:
     """Per-class {mean, median, count}; empty classes get count 0 and
     statistics None."""
     rollouts = list(rollouts)
@@ -126,7 +100,7 @@ def token_class_stats(rollouts, class_map: TokenClassMap) -> dict:
         raise DomainError("token_class_stats requires nonempty rollouts")
     buckets: dict[str, list[float]] = {c: [] for c in TOKEN_CLASSES}
     for tok, h in _iter_token_entropies(rollouts):
-        buckets[class_map.class_of(tok)].append(h)
+        buckets[TOKEN_CLASS_OF[tok]].append(h)
     out = {}
     for cls in TOKEN_CLASSES:
         vals = buckets[cls]
@@ -141,8 +115,7 @@ def token_class_stats(rollouts, class_map: TokenClassMap) -> dict:
 
 
 def top_tokens_by_entropy(rollouts, k: int = 100,
-                          min_frequency: int = DEFAULT_FREQ_FLOOR,
-                          vocab: Vocab = DEFAULT_VOCAB
+                          min_frequency: int = DEFAULT_FREQ_FLOOR
                           ) -> tuple[list, list]:
     """(highest, lowest) tables of (token, mean entropy, frequency).
 
@@ -156,7 +129,7 @@ def top_tokens_by_entropy(rollouts, k: int = 100,
     for tok, h in _iter_token_entropies(rollouts):
         sums[tok] = sums.get(tok, 0.0) + h
         counts[tok] = counts.get(tok, 0) + 1
-    rows = [(vocab.token(t), sums[t] / counts[t], counts[t], t)
+    rows = [(DEFAULT_VOCAB.token(t), sums[t] / counts[t], counts[t], t)
             for t in sorted(counts) if counts[t] >= min_frequency]
     highest = sorted(rows, key=lambda r: (-r[1], r[3]))[:k]
     lowest = sorted(rows, key=lambda r: (r[1], r[3]))[:k]
@@ -175,10 +148,10 @@ def entropy_summary(rollouts, threshold: float = 0.15) -> dict:
 
 # --- heatmap ------------------------------------------------------------------
 
-def heatmap_export(rollout, vocab: Vocab = DEFAULT_VOCAB) -> list:
+def heatmap_export(rollout) -> list:
     """Ordered (position, token string, entropy) records, one per response
     token; entropies are the stored sampling-time values, bit for bit."""
-    return [(t, vocab.token(tok), float(h))
+    return [(t, DEFAULT_VOCAB.token(tok), float(h))
             for t, (tok, h) in enumerate(zip(rollout.response_tokens,
                                              rollout.entropies))]
 
@@ -194,11 +167,10 @@ def _heat_color(h: float, top: float) -> str:
     return f"#ff{g:02x}{g:02x}"
 
 
-def heatmap_to_svg(records, vocab: Vocab = DEFAULT_VOCAB,
-                   per_row: int = 12) -> str:
+def heatmap_to_svg(records, per_row: int = 12) -> str:
     """Standalone SVG: one colored cell per token, color linear in entropy
     from 0 to ln V."""
-    top = math.log(vocab.size)
+    top = math.log(DEFAULT_VOCAB.size)
     cell_w, cell_h = 64, 28
     n = len(records)
     rows = max(1, (n + per_row - 1) // per_row)
@@ -381,6 +353,8 @@ def ablation_grid(config: rlcore.RlConfig, params: pol.PolicyParams,
     """
     if not seeds:
         raise DomainError("ablation_grid requires at least one seed")
+    if n < 5:  # the columns are pass@1, pass@5 and syn@5
+        raise DomainError(f"ablation_grid requires n >= 5, got n={n}")
     rows = []
     for rho in rhos:
         cell = {"pass1": [], "pass5": [], "syn5": [], "gated": []}

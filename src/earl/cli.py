@@ -266,11 +266,10 @@ def cmd_score(cfg: RunConfig, args) -> None:
     except OSError as e:
         raise _Usage(f"cannot read candidate file: {e}")
     try:
-        tokens = tokenize(text, DEFAULT_VOCAB)
+        tokens = tokenize(text)
     except LexError:
         tokens = []  # scores as parse-fail through the normal cascade
-    bd = rew.score(tokens, task, cfg.reward, DEFAULT_VOCAB,
-                   truncated=not tokens)
+    bd = rew.score(tokens, task, cfg.reward, truncated=not tokens)
     print(json.dumps(dataclasses.asdict(bd), sort_keys=True))
 
 
@@ -284,12 +283,12 @@ def cmd_analyze(cfg: RunConfig, args) -> None:
         schedule=cfg.reward, max_len=cfg.eval.max_len,
         collect_rollouts=True)
     out = _out_dir(cfg)
-    edges = an.default_bin_edges(DEFAULT_VOCAB)
+    edges = an.default_bin_edges()
     entropies = [h for r in rollouts for h in r.entropies]
     counts = an.entropy_histogram(entropies, edges)
     (out / "entropy_hist.csv").write_text(an.histogram_to_csv(edges, counts))
     (out / "entropy_hist.svg").write_text(an.histogram_to_svg(edges, counts))
-    stats = an.token_class_stats(rollouts, an.default_token_classes())
+    stats = an.token_class_stats(rollouts)
     (out / "token_classes.csv").write_text(an.token_classes_to_csv(stats))
     hi, lo = an.top_tokens_by_entropy(rollouts, k=cfg.analyze.top_k,
                                       min_frequency=cfg.analyze.min_frequency)

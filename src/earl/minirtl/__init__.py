@@ -8,7 +8,7 @@ from .lexer import detokenize, tokenize
 from .parser import check_semantics, parse
 from .sim import (build_vectors, equivalence_fraction, input_bit_count,
                   is_exhaustive, simulate)
-from .vocab import DEFAULT_VOCAB, Vocab, build_vocab
+from .vocab import DEFAULT_VOCAB, Vocab
 
 __all__ = [
     "Assign", "Binary", "Const", "Decl", "Index", "Interface", "LexError",
@@ -17,5 +17,5 @@ __all__ = [
     "detokenize", "tokenize", "check_semantics", "parse",
     "build_vectors", "equivalence_fraction", "input_bit_count",
     "is_exhaustive", "simulate",
-    "DEFAULT_VOCAB", "Vocab", "build_vocab",
+    "DEFAULT_VOCAB", "Vocab",
 ]

@@ -7,7 +7,7 @@ sequence rendered by ``detokenize`` lexes back to the identical sequence.
 from __future__ import annotations
 
 from .ast import LexError, ParseError
-from .vocab import DEFAULT_VOCAB, TERMINALS, Vocab
+from .vocab import DEFAULT_VOCAB, TERMINALS
 
 _PUNCT2 = ("<=", "==")
 _PUNCT1 = set("()[];,=?:&|^~@")
@@ -15,7 +15,7 @@ _PUNCT1 = set("()[];,=?:&|^~@")
 _SOURCE_WORDS = frozenset(TERMINALS)
 
 
-def tokenize(text: str, vocab: Vocab = DEFAULT_VOCAB) -> list[int]:
+def tokenize(text: str) -> list[int]:
     """Lex MiniRTL source into token ids.
 
     Raises LexError for characters outside the MiniRTL alphabet and for
@@ -29,11 +29,11 @@ def tokenize(text: str, vocab: Vocab = DEFAULT_VOCAB) -> list[int]:
             i += 1
             continue
         if text[i:i + 2] in _PUNCT2:
-            ids.append(vocab.id(text[i:i + 2]))
+            ids.append(DEFAULT_VOCAB.id(text[i:i + 2]))
             i += 2
             continue
         if ch in _PUNCT1:
-            ids.append(vocab.id(ch))
+            ids.append(DEFAULT_VOCAB.id(ch))
             i += 1
             continue
         if ch.isalnum() or ch == "_":
@@ -41,19 +41,19 @@ def tokenize(text: str, vocab: Vocab = DEFAULT_VOCAB) -> list[int]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            if word not in _SOURCE_WORDS or word not in vocab:
+            if word not in _SOURCE_WORDS:
                 raise LexError(i, word)
-            ids.append(vocab.id(word))
+            ids.append(DEFAULT_VOCAB.id(word))
             i = j
             continue
         raise LexError(i, ch)
     return ids
 
 
-def token_names(ids, vocab: Vocab = DEFAULT_VOCAB) -> list[str]:
+def token_names(ids) -> list[str]:
     """The vocabulary entry of each id; an id outside [0, V) is a
     ParseError at its index."""
-    names = vocab.tokens
+    names = DEFAULT_VOCAB.tokens
     ids = list(ids)
     if ids and (min(ids) < 0 or max(ids) >= len(names)):
         bad = next(j for j, i in enumerate(ids) if not 0 <= i < len(names))
@@ -61,7 +61,7 @@ def token_names(ids, vocab: Vocab = DEFAULT_VOCAB) -> list[str]:
     return [names[i] for i in ids]
 
 
-def detokenize(ids, vocab: Vocab = DEFAULT_VOCAB) -> str:
+def detokenize(ids) -> str:
     """Render token ids as single-space-separated canonical source text;
     raises ParseError at the first id outside [0, V)."""
-    return " ".join(token_names(ids, vocab))
+    return " ".join(token_names(ids))

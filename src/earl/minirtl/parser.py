@@ -34,7 +34,7 @@ from .ast import (Assign, Binary, Const, Decl, Expr, Index, Interface,
                   ModuleAst, ParseError, PortDecl, Register, SemanticError,
                   Ternary, Unary, Var, expr_width)
 from .lexer import token_names
-from .vocab import DEFAULT_VOCAB, IDENTIFIERS, MODULE_NAMES, Vocab
+from .vocab import IDENTIFIERS, MODULE_NAMES
 
 _IDENT_SET = frozenset(IDENTIFIERS)
 _NAME_SET = frozenset(MODULE_NAMES)
@@ -321,13 +321,13 @@ def comb_order(assigns: tuple[Assign, ...],
     return ordered
 
 
-def parse(token_ids, vocab: Vocab = DEFAULT_VOCAB) -> ModuleAst:
+def parse(token_ids) -> ModuleAst:
     """Parse a token id sequence into a checked ModuleAst, its assigns in
     dependency order.
 
     Raises ParseError (with the first offending token index) or SemanticError;
     an id outside [0, V) is a ParseError at its index.
     """
-    ast = _Parser(token_names(token_ids, vocab)).program()
+    ast = _Parser(token_names(token_ids)).program()
     return ModuleAst(ast.interface, ast.declarations,
                      tuple(check_semantics(ast)), ast.registers)

@@ -2,7 +2,9 @@
 
 The vocabulary is fixed: reserved control tokens, prompt-marker tokens,
 every MiniRTL terminal, a closed identifier pool, and a pool of 64 module
-names. Token ids are dense 0..V-1 in list order.
+names. Token ids are dense 0..V-1 in list order. ``DEFAULT_VOCAB`` is the
+one vocabulary of the lexer, parser, reward and analysis; only the policy
+takes a ``Vocab``, so it can also run over small test vocabularies.
 """
 
 from __future__ import annotations
@@ -71,16 +73,9 @@ class Vocab:
     def token(self, tid: int) -> str:
         return self.tokens[tid]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     @property
     def hash(self) -> str:
         return hashlib.sha256("\n".join(self.tokens).encode()).hexdigest()
 
 
-def build_vocab() -> Vocab:
-    return Vocab(tuple(RESERVED + MARKERS + TERMINALS))
-
-
-DEFAULT_VOCAB = build_vocab()
+DEFAULT_VOCAB = Vocab(tuple(RESERVED + MARKERS + TERMINALS))

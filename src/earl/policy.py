@@ -360,11 +360,11 @@ def apply_update(params: PolicyParams, acc: GradAccumulator,
 
 @dataclass
 class SftSchedule:
-    peak_lr: float = 1.5
+    peak_lr: float = 8.0
     warmup_steps: int = 15
     epochs: int = 3
-    total_steps: int | None = None
-    batch_contexts: int = 1024
+    total_steps: int | None = 6000
+    batch_contexts: int = 512
     seed: int = 0
 
     def validate(self) -> None:
@@ -396,7 +396,7 @@ def _sft_examples(params: PolicyParams, tasks):
     eos = params.vocab.id(EOS)
     rows, targets = [], []
     for task in tasks:
-        response = tokenize(task.reference_text, params.vocab) + [eos]
+        response = tokenize(task.reference_text) + [eos]
         rows.append(feature_rows(params, task.prompt_tokens, response))
         targets += response
     return np.concatenate(rows), np.array(targets, dtype=np.int64)
@@ -462,7 +462,7 @@ def save_checkpoint(params: PolicyParams, path) -> None:
         f.write(params.W.T.astype(np.float64, copy=False).tobytes())
 
 
-def load_checkpoint(path, vocab: Vocab = DEFAULT_VOCAB) -> PolicyParams:
+def load_checkpoint(path) -> PolicyParams:
     with open(path, "rb") as f:
         magic = f.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
@@ -482,7 +482,7 @@ def load_checkpoint(path, vocab: Vocab = DEFAULT_VOCAB) -> PolicyParams:
             if type(meta.get(key)) is not kind:
                 raise DomainError(f"checkpoint header: {key!r} is missing or "
                                   f"not {kind.__name__}")
-        if meta["vocab_hash"] != vocab.hash:
+        if meta["vocab_hash"] != DEFAULT_VOCAB.hash:
             raise DomainError("checkpoint vocab hash does not match")
         V, k = meta["V"], meta["k"]
         if V < 1 or k < 1:
@@ -499,4 +499,4 @@ def load_checkpoint(path, vocab: Vocab = DEFAULT_VOCAB) -> PolicyParams:
     b = np.frombuffer(payload, dtype=np.float64, count=V).copy()
     W = np.frombuffer(payload, dtype=np.float64,
                       offset=8 * V).reshape(V, F).T.copy()
-    return PolicyParams(vocab, k, W, b, meta["version_counter"])
+    return PolicyParams(DEFAULT_VOCAB, k, W, b, meta["version_counter"])

@@ -17,17 +17,22 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .minirtl import Interface, MiniRtlError, parse
 from .minirtl.sim import equivalence_fraction
-from .minirtl.vocab import DEFAULT_VOCAB, EOS, Vocab
+from .minirtl.vocab import DEFAULT_VOCAB, EOS
 
 STAGE_PARSE_FAIL = "lex/parse-fail"
 STAGE_INTERFACE = "interface"
 STAGE_FUNCTIONAL = "functional"
 
+_EOS = DEFAULT_VOCAB.id(EOS)
+
 
 @dataclass(frozen=True)
 class RewardSchedule:
     """Reward values; the ordering contract is parse-fail < interface-partial
-    <= interface-full <= near-miss < pass. Overridable via configuration."""
+    <= interface-full <= near-miss < pass. validate() enforces it: both
+    spans >= 0, 0 <= parse_fail < interface_base, interface_base +
+    interface_span <= functional_base < pass_reward and functional_base +
+    functional_span <= pass_reward. Overridable via configuration."""
     parse_fail: float = 0.0
     interface_base: float = 0.2
     interface_span: float = 0.3
@@ -39,9 +44,10 @@ class RewardSchedule:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"reward.{f.name}: must be finite")
-        ok = (0.0 <= self.parse_fail <= self.interface_base
+        ok = (0.0 <= self.parse_fail < self.interface_base
+              and min(self.interface_span, self.functional_span) >= 0.0
               and self.interface_base + self.interface_span
-              <= self.functional_base
+              <= self.functional_base < self.pass_reward
               and self.functional_base + self.functional_span
               <= self.pass_reward)
         if not ok:
@@ -73,21 +79,20 @@ def interface_score(candidate: Interface, target: Interface) -> float:
 
 
 def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
-          vocab: Vocab = DEFAULT_VOCAB, truncated: bool = False
-          ) -> RewardBreakdown:
+          truncated: bool = False) -> RewardBreakdown:
     """Run the cascade on a candidate token sequence for a task.
 
     A trailing EOS is stripped before parsing. All failure modes, ids
     outside the vocabulary included, map to breakdown fields; nothing raises.
     """
     tokens = list(candidate_tokens)
-    if tokens and tokens[-1] == vocab.id(EOS):
+    if tokens and tokens[-1] == _EOS:
         tokens = tokens[:-1]
     if truncated:
         return RewardBreakdown(False, 0.0, 0.0, False, schedule.parse_fail,
                                STAGE_PARSE_FAIL)
     try:
-        candidate = parse(tokens, vocab)
+        candidate = parse(tokens)
     except MiniRtlError:
         return RewardBreakdown(False, 0.0, 0.0, False, schedule.parse_fail,
                                STAGE_PARSE_FAIL)

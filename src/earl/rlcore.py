@@ -363,7 +363,7 @@ def sample_groups(params: pol.PolicyParams, tasks, G: int,
             key = (id(task), r.response_tokens, r.truncated)
             if key not in scored:
                 scored[key] = rew.score(r.response_tokens, task, schedule,
-                                        params.vocab, truncated=r.truncated)
+                                        truncated=r.truncated)
             breakdowns.append(scored[key])
         groups.append(Group(task, rs, breakdowns,
                             np.array([bd.reward for bd in breakdowns])))

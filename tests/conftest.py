@@ -1,8 +1,10 @@
-"""Shared fixtures: the default corpus and the pinned candidate set that the
-MiniRTL parser and simulator pins score."""
+"""Shared fixtures: the default corpus, the pinned candidate set that the
+MiniRTL parser and simulator pins score, and the tiny SFT policy that the RL
+tests start from."""
 
 import pytest
 
+from earl import policy as pol
 from earl.minirtl import DEFAULT_VOCAB, tokenize
 from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
 from earl.seeds import rng_for
@@ -20,6 +22,21 @@ TOKEN_CLASSES = [("&", "|", "^", "=="), ("0", "1", "2", "3"),
 def default_corpus():
     """The corpus `earl gen-data` writes at seed 0."""
     return build_corpus(CorpusConfig(), 0)
+
+
+@pytest.fixture(scope="session")
+def tiny_sft():
+    """(tasks, params): 12 combinational-easy tasks at corpus seed 17 and a
+    k = 4 policy after 400 SFT steps on them. Shared by the session, so a
+    test that trains or updates takes params.copy(): train_rl steps its
+    params in place."""
+    tasks = build_corpus(CorpusConfig({"combinational-easy": 12},
+                                      heldout_fraction=0.0), 17).tasks
+    params, _ = pol.train_sft(
+        pol.init_params(DEFAULT_VOCAB, 4, 0), tasks,
+        pol.SftSchedule(peak_lr=4.0, warmup_steps=10, total_steps=400,
+                        batch_contexts=256))
+    return tasks, params
 
 
 @pytest.fixture(scope="session")

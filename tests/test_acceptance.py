@@ -99,20 +99,9 @@ def test_criterion_1_gradient_matches_finite_differences():
 
 # --- 2. reduction identities --------------------------------------------------
 
-def _reduction_setup():
-    corpus = tg.build_corpus(
-        tg.CorpusConfig({"combinational-easy": 12}, heldout_fraction=0.0), 17)
-    params = pol.init_params(DEFAULT_VOCAB, 4, 0)
-    params, _ = pol.train_sft(
-        params, corpus.tasks,
-        pol.SftSchedule(peak_lr=4.0, warmup_steps=10, total_steps=400,
-                        batch_contexts=256))
-    return corpus.tasks, params
-
-
-def test_criterion_2_reduction_identities():
+def test_criterion_2_reduction_identities(tiny_sft):
     t0 = time.time()
-    tasks, params = _reduction_setup()
+    tasks, params = tiny_sft
 
     def run(**kw):
         cfg = rl.RlConfig(steps=6, batch_prompts=3, group_size=4,
@@ -361,7 +350,7 @@ def test_criterion_8_entropy_skew_direction():
                                 seed=0, collect_rollouts=True)
     summary = an.entropy_summary(rollouts)
     assert summary["median"] < summary["mean"]  # right skew
-    stats = an.token_class_stats(rollouts, an.default_token_classes())
+    stats = an.token_class_stats(rollouts)
     hi_counts = (stats["control-flow"]["count"]
                  + stats["process-sensitivity"]["count"])
     assert hi_counts > 0 and stats["structural-terminator"]["count"] > 0

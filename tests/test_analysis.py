@@ -76,7 +76,7 @@ def test_histogram_empty_input():
 
 
 def test_histogram_conserves_total_and_closes_last_bin():
-    edges = an.default_bin_edges(DEFAULT_VOCAB)
+    edges = an.default_bin_edges()
     top = math.log(DEFAULT_VOCAB.size)
     vals = [0.0, 0.05, top, top - 1e-9, 1.0]
     counts = an.entropy_histogram(vals, edges)
@@ -110,23 +110,20 @@ def _rollout(tokens, entropies):
 
 
 def test_class_map_total_and_expected_members():
-    cm = an.default_token_classes()
-    assert len(cm.classes) == DEFAULT_VOCAB.size
-    assert cm.class_of(DEFAULT_VOCAB.id("always")) == "process-sensitivity"
-    assert cm.class_of(DEFAULT_VOCAB.id("if")) == "control-flow"
-    assert cm.class_of(DEFAULT_VOCAB.id("assign")) == "binding-connection"
-    assert cm.class_of(DEFAULT_VOCAB.id("module")) == "module-head"
-    assert cm.class_of(DEFAULT_VOCAB.id("endmodule")) == \
-        "structural-terminator"
-    assert cm.class_of(DEFAULT_VOCAB.id("a")) == "identifier"
-    assert cm.class_of(DEFAULT_VOCAB.id("0")) == "literal"
+    assert len(an.TOKEN_CLASS_OF) == DEFAULT_VOCAB.size
+    expected = {"always": "process-sensitivity", "if": "control-flow",
+                "assign": "binding-connection", "module": "module-head",
+                "endmodule": "structural-terminator", "a": "identifier",
+                "and2": "identifier", "0": "literal", "PAD": "other",
+                "SPEC": "other"}
+    for tok, cls in expected.items():
+        assert an.TOKEN_CLASS_OF[DEFAULT_VOCAB.id(tok)] == cls, tok
 
 
 def test_class_stats_two_level_synthetic():
-    cm = an.default_token_classes()
     iftok, endtok = DEFAULT_VOCAB.id("if"), DEFAULT_VOCAB.id("end")
     r = _rollout([iftok, endtok, iftok, endtok], [0.9, 0.1, 0.9, 0.1])
-    stats = an.token_class_stats([r], cm)
+    stats = an.token_class_stats([r])
     assert stats["control-flow"]["mean"] == pytest.approx(0.9)
     assert stats["structural-terminator"]["mean"] == pytest.approx(0.1)
     assert stats["literal"]["count"] == 0
@@ -135,7 +132,7 @@ def test_class_stats_two_level_synthetic():
 
 def test_class_stats_requires_rollouts():
     with pytest.raises(DomainError):
-        an.token_class_stats([], an.default_token_classes())
+        an.token_class_stats([])
 
 
 def test_top_tokens_frequency_floor_and_ranking():
@@ -160,9 +157,8 @@ def test_heatmap_projection_is_bitwise():
 
 
 def test_csv_cells():
-    cm = an.default_token_classes()
     r = _rollout([DEFAULT_VOCAB.id("if")], [0.5])
-    lines = an.token_classes_to_csv(an.token_class_stats([r], cm)).splitlines()
+    lines = an.token_classes_to_csv(an.token_class_stats([r])).splitlines()
     assert "literal,0,," in lines and "control-flow,1,0.5,0.5" in lines
     text = an.top_tokens_to_csv([(",", 0.5, 3)], [("if", 0.25, 2)])
     assert text == ('rank,direction,token,mean_entropy,frequency\n'
@@ -221,7 +217,7 @@ def _eval_by_slices(params, tasks, n, seed, max_len, temperature):
             params, [task.prompt_tokens for task, _ in chunk], temperature,
             max_len, [rng_for(seed, "eval", task.id, j) for task, j in chunk])
         breakdowns += [rew.score(r.response_tokens, task, rew.DEFAULT_SCHEDULE,
-                                 params.vocab, truncated=r.truncated)
+                                 truncated=r.truncated)
                        for (task, _), r in zip(chunk, batch)]
         rollouts += batch
     rows = []
@@ -294,7 +290,7 @@ def test_ablation_failed_cell_marks_nan_without_abort():
                           max_resample_attempts=0, max_response_len=20)
     # rho validation passes but training on an empty task list fails per cell
     rows = an.ablation_grid(cfg, p, [], tasks, rhos=(0.0, 0.8), seeds=(0,),
-                            n=2)
+                            n=5)
     assert len(rows) == 2
     assert all(r.failed and math.isnan(r.pass1) for r in rows)
     assert rows[0].error == \

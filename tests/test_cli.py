@@ -422,6 +422,22 @@ def test_ablate_prints_failed_cell_cause(tmp_path, capsys, monkeypatch):
     assert rows[2] == "0.8,nan,nan,nan"
 
 
+def test_ablate_rejects_eval_n_below_5_before_training(tmp_path, capsys,
+                                                       monkeypatch):
+    from earl import rlcore
+    path, _ = mini_config(tmp_path, eval={"n": 3, "ks": [1]})
+    for sub in ("gen-data", "sft"):
+        assert run([sub, "--config", path]) == 0
+    calls = []
+    monkeypatch.setattr(rlcore, "train_rl", lambda *a, **kw: calls.append(a))
+    capsys.readouterr()
+    assert run(["ablate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation: ablation_grid requires n >= 5")
+    assert err.count("\n") == 1 and calls == []
+    assert not (tmp_path / "run" / "ablation.csv").exists()
+
+
 def test_seed_and_out_overrides(tmp_path):
     path, _ = mini_config(tmp_path)
     alt = tmp_path / "alt"
@@ -447,6 +463,12 @@ def test_pipeline_determinism_byte_identical(tmp_path):
 
 def test_default_config_validates():
     cli.RunConfig().validate()
+
+
+def test_default_config_file_is_the_dataclass_defaults():
+    # `earl <command>` without --config runs what configs/default.json says
+    path = Path(__file__).parent.parent / "configs" / "default.json"
+    assert cli.load_config(path) == cli.RunConfig()
 
 
 def test_shipped_configs_load():

@@ -362,24 +362,18 @@ def test_sft_memorizes_single_task():
     assert losses[-1] < 0.05
 
 
-def test_sft_and_rl_bytes_are_pinned():
+def test_sft_and_rl_bytes_are_pinned(tiny_sft):
     """SFT and RL step W and b through one gradient and one update; the
     bytes after each are pinned, so a reordered product or a step scaled
     at another point shows."""
     from earl import rlcore as rl
-    from earl.taskgen import CorpusConfig, build_corpus
-    tasks = build_corpus(CorpusConfig({"combinational-easy": 12},
-                                      heldout_fraction=0.0), 17).tasks
-    p = pol.init_params(DEFAULT_VOCAB, 4, 0)
-    p, _ = pol.train_sft(p, tasks,
-                         pol.SftSchedule(peak_lr=4.0, warmup_steps=10,
-                                         total_steps=400, batch_contexts=256))
+    tasks, p = tiny_sft
     assert hashlib.sha256(p.W.tobytes() + p.b.tobytes()).hexdigest() == \
         "06b210c5ef9ac56693167f9a1a09d69da9895b7b58a7ee4abe382d00a3e85d10"
     cfg = rl.RlConfig(steps=6, batch_prompts=3, group_size=4,
                       max_resample_attempts=2, max_response_len=48, seed=3,
                       variant="earl", beta=0.01)
-    p, metrics = rl.train_rl(cfg, p, tasks)
+    p, metrics = rl.train_rl(cfg, p.copy(), tasks)
     assert sum(m.retained_groups > 0 for m in metrics) == 4
     assert hashlib.sha256(p.W.tobytes() + p.b.tobytes()).hexdigest() == \
         "4d864229011332c1c105ef9b674099e907904730c70606ace30f5c6bd9c8c12d"

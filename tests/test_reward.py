@@ -164,10 +164,14 @@ def test_extra_output_port_stays_at_interface_stage():
 
 def test_schedule_ordering_validated():
     rew.RewardSchedule().validate()
-    with pytest.raises(ConfigError):
-        rew.RewardSchedule(functional_base=0.4).validate()
-    with pytest.raises(ConfigError):
-        rew.RewardSchedule(parse_fail=0.3).validate()
+    for bad in ({"functional_base": 0.4}, {"parse_fail": 0.3},
+                # a near-miss would earn the pass reward
+                {"functional_base": 1.0, "functional_span": 0.0},
+                {"interface_span": -0.1},
+                # parse-fail would equal the lowest interface reward
+                {"parse_fail": 0.2}):
+        with pytest.raises(ConfigError, match="stage ordering"):
+            rew.RewardSchedule(**bad).validate()
 
 
 def test_cascade_monotone_stage_values():

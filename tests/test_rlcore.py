@@ -19,7 +19,6 @@ from earl import rlcore as rl
 from earl.errors import ConfigError, DegenerateGroup, DomainError
 from earl.minirtl.vocab import DEFAULT_VOCAB, Vocab
 from earl.seeds import rng_for
-from earl.taskgen import CorpusConfig, build_corpus
 
 
 # --- gating -------------------------------------------------------------------
@@ -219,17 +218,6 @@ def test_metrics_csv_header_and_shape():
 
 # --- training-loop reductions -------------------------------------------------
 
-def _tiny_setup(k=4, steps=8):
-    corpus = build_corpus(CorpusConfig({"combinational-easy": 12},
-                                       heldout_fraction=0.0), 17)
-    tasks = corpus.tasks
-    params = pol.init_params(DEFAULT_VOCAB, k, 0)
-    params, _ = pol.train_sft(
-        params, tasks, pol.SftSchedule(peak_lr=4.0, warmup_steps=10,
-                                       total_steps=400, batch_contexts=256))
-    return tasks, params
-
-
 def _run(tasks, params, **kw):
     cfg = rl.RlConfig(steps=6, batch_prompts=3, group_size=4,
                       max_resample_attempts=2, max_response_len=48,
@@ -238,16 +226,16 @@ def _run(tasks, params, **kw):
     return trained, metrics
 
 
-def test_earl_rho_zero_reproduces_dapo_bitwise():
-    tasks, params = _tiny_setup()
+def test_earl_rho_zero_reproduces_dapo_bitwise(tiny_sft):
+    tasks, params = tiny_sft
     p1, m1 = _run(tasks, params, variant="earl", rho=0.0)
     p2, m2 = _run(tasks, params, variant="dapo", rho=0.0)
     assert np.array_equal(p1.W, p2.W) and np.array_equal(p1.b, p2.b)
     assert rl.metrics_to_csv(m1) == rl.metrics_to_csv(m2)
 
 
-def test_archer_run_has_finite_metrics():
-    tasks, params = _tiny_setup()
+def test_archer_run_has_finite_metrics(tiny_sft):
+    tasks, params = tiny_sft
     trained, metrics = _run(tasks, params, variant="archer")
     assert len(metrics) == 6 and any(m.retained_groups for m in metrics)
     assert all(math.isfinite(v) for m in metrics for v in m.row())
@@ -255,16 +243,16 @@ def test_archer_run_has_finite_metrics():
     assert not np.array_equal(trained.W, params.W)
 
 
-def test_grpo_equals_dapo_with_symmetric_eps():
-    tasks, params = _tiny_setup()
+def test_grpo_equals_dapo_with_symmetric_eps(tiny_sft):
+    tasks, params = tiny_sft
     p1, m1 = _run(tasks, params, variant="grpo", eps_low=0.2, eps_high=0.2)
     p2, m2 = _run(tasks, params, variant="dapo", eps_low=0.2, eps_high=0.2)
     assert np.array_equal(p1.W, p2.W)
     assert rl.metrics_to_csv(m1) == rl.metrics_to_csv(m2)
 
 
-def test_train_rl_deterministic():
-    tasks, params = _tiny_setup()
+def test_train_rl_deterministic(tiny_sft):
+    tasks, params = tiny_sft
     p1, m1 = _run(tasks, params, variant="earl")
     p2, m2 = _run(tasks, params, variant="earl")
     assert np.array_equal(p1.W, p2.W)
@@ -319,8 +307,8 @@ def _attempt_by_attempt_rl(config, params, tasks):
 
 @pytest.mark.parametrize("batch_prompts,stops_early", [(3, False), (1, True)])
 def test_one_batch_per_step_matches_attempt_by_attempt(batch_prompts,
-                                                       stops_early):
-    tasks, params = _tiny_setup()
+                                                       stops_early, tiny_sft):
+    tasks, params = tiny_sft
     cfg = rl.RlConfig(steps=6, batch_prompts=batch_prompts, group_size=4,
                       max_resample_attempts=2, max_response_len=48, seed=3)
     p_ref, m_ref, used = _attempt_by_attempt_rl(cfg, params.copy(), tasks)
@@ -332,7 +320,7 @@ def test_one_batch_per_step_matches_attempt_by_attempt(batch_prompts,
     assert np.array_equal(p.W, p_ref.W) and np.array_equal(p.b, p_ref.b)
 
 
-def test_prompt_draws_start_each_step_in_attempt_order(monkeypatch):
+def test_prompt_draws_start_each_step_in_attempt_order(monkeypatch, tiny_sft):
     # an RL step starts at its attempt-0 prompt draw through rlcore's
     # rng_for, and the benchmark's step clock taps exactly that call
     calls = []
@@ -342,10 +330,10 @@ def test_prompt_draws_start_each_step_in_attempt_order(monkeypatch):
         return rng_for(*parts)
 
     monkeypatch.setattr(rl, "rng_for", recording)
-    tasks, params = _tiny_setup()
+    tasks, params = tiny_sft
     cfg = rl.RlConfig(steps=3, batch_prompts=2, group_size=2,
                       max_resample_attempts=2, max_response_len=8, seed=5)
-    rl.train_rl(cfg, params, tasks)
+    rl.train_rl(cfg, params.copy(), tasks)
     assert [c[2] for c in calls] == sorted(c[2] for c in calls)
     for step in range(cfg.steps):
         in_step = [c for c in calls if c[2] == step]
@@ -354,8 +342,8 @@ def test_prompt_draws_start_each_step_in_attempt_order(monkeypatch):
             [(5, "rl-prompts", step, a) for a in range(3)]
 
 
-def test_archer_gated_fraction_is_mean_weight():
-    tasks, params = _tiny_setup()
+def test_archer_gated_fraction_is_mean_weight(tiny_sft):
+    tasks, params = tiny_sft
     cfg = rl.RlConfig(steps=1, batch_prompts=3, group_size=4,
                       max_resample_attempts=2, max_response_len=48, seed=3,
                       variant="archer")
@@ -368,9 +356,9 @@ def test_archer_gated_fraction_is_mean_weight():
     assert m.gated_fraction == pytest.approx(weights.mean(), rel=1e-12)
 
 
-def test_sample_group_stores_exact_logprobs():
+def test_sample_group_stores_exact_logprobs(tiny_sft):
     # assemble_gradient takes each rollout's stored log-probs as pi_old's
-    tasks, params = _tiny_setup()
+    tasks, params = tiny_sft
     for T in (1.0, 0.7):
         cfg = rl.RlConfig(group_size=4, max_response_len=48, temperature=T)
         for j, task in enumerate(tasks[:3]):
@@ -381,9 +369,10 @@ def test_sample_group_stores_exact_logprobs():
                 assert np.array_equal(lp, r.logprobs)
 
 
-def test_sample_groups_scores_each_distinct_rollout_once(monkeypatch):
+def test_sample_groups_scores_each_distinct_rollout_once(monkeypatch,
+                                                         tiny_sft):
     # a task listed twice shares its scores; so do equal responses
-    tasks, params = _tiny_setup()
+    tasks, params = tiny_sft
     chosen = [tasks[0], tasks[1], tasks[0], tasks[2]]
     parts = [(4, "memo", j) for j in range(len(chosen))]
     calls, score = [], rew.score
@@ -406,17 +395,17 @@ def test_sample_groups_scores_each_distinct_rollout_once(monkeypatch):
         assert g.rewards.tolist() == [bd.reward for bd in want]
 
 
-def test_train_rl_requires_tasks():
-    _, params = _tiny_setup()
+def test_train_rl_requires_tasks(tiny_sft):
+    _, params = tiny_sft
     with pytest.raises(ConfigError):
-        rl.train_rl(rl.RlConfig(steps=1), params, [])
+        rl.train_rl(rl.RlConfig(steps=1), params.copy(), [])
 
 
-def test_train_rl_rejects_negative_resample_attempts():
-    tasks, params = _tiny_setup()
+def test_train_rl_rejects_negative_resample_attempts(tiny_sft):
+    tasks, params = tiny_sft
     with pytest.raises(ConfigError, match="max_resample_attempts"):
-        rl.train_rl(rl.RlConfig(steps=1, max_resample_attempts=-1), params,
-                    tasks[:4])
+        rl.train_rl(rl.RlConfig(steps=1, max_resample_attempts=-1),
+                    params.copy(), tasks[:4])
 
 
 # --- one batch layout, one pi_new pass per update -----------------------------
@@ -509,8 +498,8 @@ def _nudged(params, scale, seed):
 @pytest.mark.parametrize("variant,beta,T", [
     ("earl", 0.01, 1.0), ("earl", 0.0, 0.7), ("earl", 0.01, 0.7),
     ("archer", 0.01, 1.0), ("grpo", 0.01, 0.7), ("grpo", 0.0, 1.0)])
-def test_group_rescoring_matches_per_rollout(variant, beta, T):
-    tasks, params = _tiny_setup()
+def test_group_rescoring_matches_per_rollout(variant, beta, T, tiny_sft):
+    tasks, params = tiny_sft
     cfg = rl.RlConfig(group_size=4, max_response_len=48, temperature=T,
                       variant=variant, beta=beta)
     groups = rl.sample_groups(params, tasks[:8], 4, T, 48,
@@ -544,8 +533,8 @@ def test_group_rescoring_matches_per_rollout(variant, beta, T):
 
 
 @pytest.mark.parametrize("beta", [0.01, 0.0])
-def test_prepare_batch_lays_out_rows_tokens_and_logprobs(beta):
-    tasks, params = _tiny_setup()
+def test_prepare_batch_lays_out_rows_tokens_and_logprobs(beta, tiny_sft):
+    tasks, params = tiny_sft
     T, pi_ref = 0.7, _nudged(params, 0.1, 2)
     cfg = rl.RlConfig(group_size=4, max_response_len=48, temperature=T,
                       beta=beta)
@@ -578,8 +567,8 @@ def test_prepare_batch_lays_out_rows_tokens_and_logprobs(beta):
             rl.objective_value(batch, other, cfg)
 
 
-def test_rescore_kl_zero_at_copy_positive_after_perturbation():
-    tasks, params = _tiny_setup()
+def test_rescore_kl_zero_at_copy_positive_after_perturbation(tiny_sft):
+    tasks, params = tiny_sft
     # ppo-baseline's mean baseline keeps a group of any rewards
     cfg = rl.RlConfig(group_size=4, max_response_len=48,
                       variant="ppo-baseline")
@@ -593,10 +582,10 @@ def test_rescore_kl_zero_at_copy_positive_after_perturbation():
     assert np.all(kl >= 0.0) and np.any(kl > 0.0)
 
 
-def test_empty_batch_gradient_is_positive_zero():
+def test_empty_batch_gradient_is_positive_zero(tiny_sft):
     """A batch whose responses are all empty takes the general path: dW and
     db of W's and b's shapes, every entry +0.0."""
-    tasks, params = _tiny_setup()
+    tasks, params = tiny_sft
     cfg = rl.RlConfig(group_size=4, max_response_len=48, beta=0.01)
     group = rl.sample_groups(params, tasks[:1], 4, 1.0, 48,
                              [(7, "empty", 0)])[0]
@@ -615,10 +604,10 @@ def test_empty_batch_gradient_is_positive_zero():
     assert clip_rate == 0.0 and mean_kl == 0.0
 
 
-def test_assemble_gradient_leaves_batch_unchanged():
+def test_assemble_gradient_leaves_batch_unchanged(tiny_sft):
     # an update runs pi_new over its batch and writes only its own arrays,
     # so one batch can serve several updates
-    tasks, params = _tiny_setup()
+    tasks, params = tiny_sft
     pi_new, pi_ref = _nudged(params, 0.3, 1), _nudged(params, 0.1, 2)
     groups = rl.sample_groups(params, tasks[:8], 4, 0.7, 48,
                               [(7, "reuse", j) for j in range(8)])
@@ -646,10 +635,10 @@ def test_assemble_gradient_leaves_batch_unchanged():
         assert layout(batch) == before
 
 
-def test_rl_bytes_are_pinned_for_every_variant():
+def test_rl_bytes_are_pinned_for_every_variant(tiny_sft):
     # W, b and metrics.csv of a short KL-regularized run per variant, in
     # sorted variant order; a change to any summation order moves this digest
-    tasks, params = _tiny_setup()
+    tasks, params = tiny_sft
     h = hashlib.sha256()
     for variant in sorted(rl.VARIANTS):
         trained, metrics = _run(tasks, params, variant=variant, beta=0.01,
