@@ -46,7 +46,7 @@ TOKEN_CLASS_OF = tuple(
     for tok in DEFAULT_VOCAB.tokens)
 
 DEFAULT_BIN_WIDTH = 0.05
-DEFAULT_FREQ_FLOOR = 10
+LOW_ENTROPY = 0.15  # nats; entropy_summary's fraction_below_threshold
 
 
 def csv_text(columns, rows) -> str:
@@ -61,9 +61,9 @@ def csv_text(columns, rows) -> str:
 
 # --- histograms ---------------------------------------------------------------
 
-def default_bin_edges(width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:
+def default_bin_edges() -> np.ndarray:
     """Uniform-width edges over [0, ln V]; the last edge is exactly ln V."""
-    top = math.log(DEFAULT_VOCAB.size)
+    top, width = math.log(DEFAULT_VOCAB.size), DEFAULT_BIN_WIDTH
     edges = list(np.arange(0.0, top, width))
     if top - edges[-1] < width / 2:
         edges.pop()
@@ -114,8 +114,7 @@ def token_class_stats(rollouts) -> dict:
     return out
 
 
-def top_tokens_by_entropy(rollouts, k: int = 100,
-                          min_frequency: int = DEFAULT_FREQ_FLOOR
+def top_tokens_by_entropy(rollouts, k: int, min_frequency: int
                           ) -> tuple[list, list]:
     """(highest, lowest) tables of (token, mean entropy, frequency).
 
@@ -136,14 +135,14 @@ def top_tokens_by_entropy(rollouts, k: int = 100,
     return ([r[:3] for r in highest], [r[:3] for r in lowest])
 
 
-def entropy_summary(rollouts, threshold: float = 0.15) -> dict:
+def entropy_summary(rollouts) -> dict:
     h = np.asarray([x for _, x in _iter_token_entropies(rollouts)])
     if h.size == 0:
         raise DomainError("entropy_summary requires at least one token")
     mean, median = float(h.mean()), float(np.median(h))
     return {"mean": mean, "median": median, "tokens": int(h.size),
             "right_skewed": median < mean,
-            "fraction_below_threshold": float((h < threshold).mean())}
+            "fraction_below_threshold": float((h < LOW_ENTROPY).mean())}
 
 
 # --- heatmap ------------------------------------------------------------------
@@ -167,11 +166,11 @@ def _heat_color(h: float, top: float) -> str:
     return f"#ff{g:02x}{g:02x}"
 
 
-def heatmap_to_svg(records, per_row: int = 12) -> str:
-    """Standalone SVG: one colored cell per token, color linear in entropy
-    from 0 to ln V."""
+def heatmap_to_svg(records) -> str:
+    """Standalone SVG: one colored cell per token, 12 to a row, color
+    linear in entropy from 0 to ln V."""
     top = math.log(DEFAULT_VOCAB.size)
-    cell_w, cell_h = 64, 28
+    cell_w, cell_h, per_row = 64, 28, 12
     n = len(records)
     rows = max(1, (n + per_row - 1) // per_row)
     width, height = per_row * cell_w, rows * cell_h
@@ -263,10 +262,10 @@ class EvalReport:
 EVAL_BATCH_ROLLOUTS = 48
 
 
-def eval_suite(params: pol.PolicyParams, tasks, n: int = 5,
-               ks=(1, 5), temperature: float = 1.0, seed: int = 0,
+def eval_suite(params: pol.PolicyParams, tasks, n: int, ks,
+               temperature: float, seed: int, max_len: int,
                schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE,
-               max_len: int = 256, collect_rollouts: bool = False):
+               collect_rollouts: bool = False):
     """n sampled completions per task, completion j of a task drawn from
     rng_for(seed, "eval", task.id, j); returns an EvalReport, plus the raw
     rollouts when collect_rollouts is set (for the entropy study)."""
@@ -340,8 +339,7 @@ class AblationRow:
 
 
 def ablation_grid(config: rlcore.RlConfig, params: pol.PolicyParams,
-                  train_tasks, eval_tasks, rhos=ABLATION_RHOS, seeds=(0,),
-                  n: int = 5,
+                  train_tasks, eval_tasks, rhos, seeds, n: int,
                   schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
                   ) -> list[AblationRow]:
     """train_rl + eval per (rho, seed); rows are seed means in grid order.

@@ -68,6 +68,8 @@ class AblateConfig:
     seeds: tuple[int, ...] = (0,)
 
     def validate(self) -> None:
+        if not self.rhos:
+            raise ConfigError("ablate.rhos: must be nonempty")
         if not self.seeds:
             raise ConfigError("ablate.seeds: must be nonempty")
         for r in self.rhos:
@@ -105,12 +107,9 @@ def _fits(value, hint) -> bool:
     """Whether a JSON value has a field's type: an int field rejects bool
     and float, a float field accepts int, and a tuple field takes a list
     whose entries fit."""
-    args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_fits(v, args[0])
-                                               for v in value)
-    if args:  # X | None
-        return any(_fits(value, a) for a in args)
+        entry = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_fits(v, entry) for v in value)
     if hint is float:
         return type(value) in (int, float)
     return type(value) is hint

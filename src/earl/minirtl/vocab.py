@@ -10,7 +10,7 @@ takes a ``Vocab``, so it can also run over small test vocabularies.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PAD = "PAD"
 BOS = "BOS"
@@ -55,12 +55,11 @@ TERMINALS = KEYWORDS + PUNCT + DIGITS + IDENTIFIERS + MODULE_NAMES
 @dataclass(frozen=True)
 class Vocab:
     tokens: tuple[str, ...]
-    _ids: dict[str, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self._ids:
-            object.__setattr__(
-                self, "_ids", {t: i for i, t in enumerate(self.tokens)})
+        # token -> id; not a field, so equality and repr read tokens only
+        object.__setattr__(self, "_ids",
+                           {t: i for i, t in enumerate(self.tokens)})
         assert len(self._ids) == len(self.tokens), "duplicate tokens"
 
     @property

@@ -362,8 +362,7 @@ def apply_update(params: PolicyParams, acc: GradAccumulator,
 class SftSchedule:
     peak_lr: float = 8.0
     warmup_steps: int = 15
-    epochs: int = 3
-    total_steps: int | None = 6000
+    total_steps: int = 6000
     batch_contexts: int = 512
     seed: int = 0
 
@@ -372,23 +371,29 @@ class SftSchedule:
             raise ConfigError("sft.batch_contexts: must be >= 1")
         if self.warmup_steps < 0:
             raise ConfigError("sft.warmup_steps: must be >= 0")
-        if self.epochs < 1:
-            raise ConfigError("sft.epochs: must be >= 1")
-        if self.total_steps is not None and self.total_steps < 0:
-            raise ConfigError("sft.total_steps: must be None or >= 0")
-        if not math.isfinite(self.peak_lr):
-            raise ConfigError("sft.peak_lr: must be finite")
+        if self.total_steps < 0:
+            raise ConfigError("sft.total_steps: must be >= 0")
+        if not 0.0 <= self.peak_lr < math.inf:
+            raise ConfigError("sft.peak_lr: must be finite and >= 0")
 
 
-def lr_at(step: int, schedule: SftSchedule, total_steps: int) -> float:
+def lr_at(step: int, schedule: SftSchedule) -> float:
     """Linear warmup to peak at step == warmup_steps, then cosine decay to 0."""
-    w = schedule.warmup_steps
+    w, total = schedule.warmup_steps, schedule.total_steps
     if step < w:
         return schedule.peak_lr * (step + 1) / (w + 1)
-    if total_steps <= w + 1:
+    if total <= w + 1:
         return schedule.peak_lr
-    frac = (step - w) / (total_steps - 1 - w)
+    frac = (step - w) / (total - 1 - w)
     return schedule.peak_lr * 0.5 * (1.0 + np.cos(np.pi * min(frac, 1.0)))
+
+
+def require_minirtl_vocab(params: PolicyParams, caller: str) -> None:
+    """Raise unless params run over DEFAULT_VOCAB: SFT targets and sampled
+    responses are read as MiniRTL token ids."""
+    if params.vocab != DEFAULT_VOCAB:
+        raise DomainError(f"{caller} requires a policy over the MiniRTL "
+                          "vocabulary")
 
 
 def _sft_examples(params: PolicyParams, tasks):
@@ -410,6 +415,7 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
     permutation. Returns the trained params and the per-step loss log.
     """
     schedule.validate()
+    require_minirtl_vocab(params, "train_sft")
     tasks = list(tasks)
     if not tasks:
         raise DomainError("train_sft requires a nonempty corpus")
@@ -417,11 +423,9 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
     n = len(targets)
     bs = min(schedule.batch_contexts, n)
     steps_per_epoch = (n + bs - 1) // bs
-    total = (schedule.total_steps if schedule.total_steps is not None
-             else schedule.epochs * steps_per_epoch)
     loss_log: list[float] = []
     order = None
-    for step in range(total):
+    for step in range(schedule.total_steps):
         i = step % steps_per_epoch
         if i == 0:
             epoch = step // steps_per_epoch
@@ -436,7 +440,7 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
         G = probs  # d NLL / d logits, in place
         G[np.arange(m), btgt] -= 1.0
         G /= m
-        lr = lr_at(step, schedule, total)
+        lr = lr_at(step, schedule)
         apply_update(params, gradient(params, brows, G), -lr)
     return params, loss_log
 

@@ -79,6 +79,9 @@ class RlConfig:
             raise ConfigError("rl.steps: must be >= 0")
         if self.max_resample_attempts < 0:
             raise ConfigError("rl.max_resample_attempts: must be >= 0")
+        for name in ("beta", "learning_rate"):  # a negative beta rewards KL
+            if getattr(self, name) < 0:
+                raise ConfigError(f"rl.{name}: must be >= 0")
         for name in ("beta", "learning_rate", "rho", "eps_low", "eps_high",
                      "temperature"):
             if not math.isfinite(getattr(self, name)):
@@ -349,6 +352,7 @@ def sample_groups(params: pol.PolicyParams, tasks, G: int,
     depend on the batch: train_rl samples every resample attempt of a step
     in one call, and eval_suite several tasks per call. score is pure, so
     each distinct (task, response, truncated) is scored once per call."""
+    pol.require_minirtl_vocab(params, "sample_groups")
     tasks = list(tasks)
     rollouts = pol.sample_rollouts(
         params, [t.prompt_tokens for t in tasks for _ in range(G)],

@@ -237,7 +237,7 @@ def encode_prompt(reference: ModuleAst, kind: str,
 # --- generation --------------------------------------------------------------
 
 def generate_task(seed: int, kind: str, difficulty: str,
-                  task_id: str | None = None) -> Task:
+                  task_id: str) -> Task:
     """Generate one task; redraws degenerate (constant) behaviors."""
     if kind not in KINDS or difficulty not in DIFFICULTIES:
         raise ConfigError(f"unknown kind/difficulty {kind!r}/{difficulty!r}")
@@ -251,7 +251,7 @@ def generate_task(seed: int, kind: str, difficulty: str,
         if any(len({row[p.name] for row in trace}) < 2
                for p in reference.interface.outputs()):
             continue  # some output is constant over the digest trace
-        return Task(id=task_id or f"{kind}-{difficulty}-s{seed}",
+        return Task(id=task_id,
                     prompt_tokens=encode_prompt(reference, kind, trace),
                     reference_text=text, reference=reference,
                     vectors=vectors, kind=kind, difficulty=difficulty)

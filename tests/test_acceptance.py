@@ -347,7 +347,8 @@ def test_criterion_8_entropy_skew_direction():
         pol.SftSchedule(peak_lr=8.0, warmup_steps=15, total_steps=2500,
                         batch_contexts=512))
     _, rollouts = an.eval_suite(params, corpus.heldout(), n=5, ks=(1, 5),
-                                seed=0, collect_rollouts=True)
+                                temperature=1.0, seed=0, max_len=256,
+                                collect_rollouts=True)
     summary = an.entropy_summary(rollouts)
     assert summary["median"] < summary["mean"]  # right skew
     stats = an.token_class_stats(rollouts)

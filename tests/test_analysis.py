@@ -183,7 +183,8 @@ def _mini_eval():
 
 def test_eval_suite_shape_and_syntax_dominates_functional():
     p, tasks = _mini_eval()
-    report = an.eval_suite(p, tasks, n=5, ks=(1, 5), seed=0, max_len=30)
+    report = an.eval_suite(p, tasks, n=5, ks=(1, 5), temperature=1.0,
+                           seed=0, max_len=30)
     assert len(report.tasks) == len(tasks)
     for t in report.tasks:
         for k in (1, 5):
@@ -192,17 +193,21 @@ def test_eval_suite_shape_and_syntax_dominates_functional():
 
 def test_eval_suite_deterministic():
     p, tasks = _mini_eval()
-    a = an.eval_suite(p, tasks, n=3, ks=(1,), seed=7, max_len=30)
-    b = an.eval_suite(p, tasks, n=3, ks=(1,), seed=7, max_len=30)
+    a = an.eval_suite(p, tasks, n=3, ks=(1,), temperature=1.0, seed=7,
+                      max_len=30)
+    b = an.eval_suite(p, tasks, n=3, ks=(1,), temperature=1.0, seed=7,
+                      max_len=30)
     assert an.eval_to_csv(a) == an.eval_to_csv(b)
 
 
 def test_eval_suite_rejects_empty_and_small_n():
     p, tasks = _mini_eval()
     with pytest.raises(DomainError):
-        an.eval_suite(p, [], n=5)
+        an.eval_suite(p, [], n=5, ks=(1, 5), temperature=1.0, seed=0,
+                      max_len=256)
     with pytest.raises(DomainError):
-        an.eval_suite(p, tasks, n=3, ks=(1, 5))
+        an.eval_suite(p, tasks, n=3, ks=(1, 5), temperature=1.0, seed=0,
+                      max_len=256)
 
 
 def _eval_by_slices(params, tasks, n, seed, max_len, temperature):

@@ -1,8 +1,10 @@
 """CLI: pipeline artifacts, config validation, exit codes, determinism."""
 
+import dataclasses
 import json
 import shutil
 import struct
+import typing
 from pathlib import Path
 
 import pytest
@@ -97,10 +99,14 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
 
 
 def test_nested_unknown_key_reports_key_path(tmp_path, capsys):
-    path, _ = mini_config(tmp_path,
-                          rl={"steps": 1, "warp_factor": 9})
-    assert run(["gen-data", "--config", path]) == 2
-    assert "rl.warp_factor" in capsys.readouterr().err
+    # sft.total_steps is the one SFT length; sft.epochs is not a key
+    for overrides, key in (({"rl": {"steps": 1, "warp_factor": 9}},
+                            "rl.warp_factor"),
+                           ({"sft": {"epochs": 3}}, "sft.epochs")):
+        path, _ = mini_config(tmp_path, **overrides)
+        assert run(["gen-data", "--config", path]) == 2
+        assert f"error:validation: {key}: unknown key" in \
+            capsys.readouterr().err
 
 
 def test_rl_gate_is_unknown_key(tmp_path, capsys):
@@ -139,6 +145,7 @@ def test_invalid_value_is_validation_error(tmp_path, capsys):
     ({"sft": {"total_steps": 1.5}}, "sft.total_steps"),
     ({"policy_k": "48"}, "policy_k"),
     ({"seed": True}, "seed"),
+    ({"sft": {"total_steps": None}}, "sft.total_steps"),
 ])
 def test_wrong_json_type_is_validation_error(tmp_path, capsys, overrides,
                                              key):
@@ -166,11 +173,9 @@ def test_nan_float_is_validation_error(tmp_path, capsys, section, key):
 
 
 def test_int_is_accepted_for_float_field(tmp_path):
-    path, _ = mini_config(tmp_path, rl={"beta": 0, "temperature": 1},
-                          sft={"total_steps": None})
+    path, _ = mini_config(tmp_path, rl={"beta": 0, "temperature": 1})
     cfg = cli.load_config(path)
     assert cfg.rl.beta == 0 and cfg.rl.temperature == 1
-    assert cfg.sft.total_steps is None
 
 
 def test_rl_seed_is_validation_error(tmp_path, capsys):
@@ -438,6 +443,18 @@ def test_ablate_rejects_eval_n_below_5_before_training(tmp_path, capsys,
     assert not (tmp_path / "run" / "ablation.csv").exists()
 
 
+def test_ablate_rejects_empty_rho_grid(tmp_path, capsys):
+    path, _ = mini_config(tmp_path)
+    for sub in ("gen-data", "sft"):
+        assert run([sub, "--config", path]) == 0
+    path, _ = mini_config(tmp_path, ablate={"rhos": [], "seeds": [0]})
+    capsys.readouterr()
+    assert run(["ablate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error:validation: ablate.rhos: must be nonempty\n"
+    assert not (tmp_path / "run" / "ablation.csv").exists()
+
+
 def test_seed_and_out_overrides(tmp_path):
     path, _ = mini_config(tmp_path)
     alt = tmp_path / "alt"
@@ -469,6 +486,29 @@ def test_default_config_file_is_the_dataclass_defaults():
     # `earl <command>` without --config runs what configs/default.json says
     path = Path(__file__).parent.parent / "configs" / "default.json"
     assert cli.load_config(path) == cli.RunConfig()
+
+
+def _missing_keys(cls, data, path=""):
+    """Dotted names of cls's fields that data does not set, nested sections
+    walked; the seed fields the run seed sets are left out."""
+    hints = typing.get_type_hints(cls)
+    missing = []
+    for f in dataclasses.fields(cls):
+        where = f"{path}{f.name}"
+        if where in ("rl.seed", "sft.seed"):
+            continue
+        if f.name not in data:
+            missing.append(where)
+        elif dataclasses.is_dataclass(hints[f.name]):
+            missing += _missing_keys(hints[f.name], data[f.name], f"{where}.")
+    return missing
+
+
+def test_default_config_file_names_every_setting():
+    # a key missing from the file falls back to the dataclass default, so
+    # equality with RunConfig() alone cannot show it
+    path = Path(__file__).parent.parent / "configs" / "default.json"
+    assert _missing_keys(cli.RunConfig, json.loads(path.read_text())) == []
 
 
 def test_shipped_configs_load():

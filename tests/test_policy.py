@@ -327,11 +327,10 @@ def test_ratio_one_for_unchanged_params():
 # --- SFT ----------------------------------------------------------------------
 
 def test_sft_schedule_shape():
-    s = pol.SftSchedule(peak_lr=1.0, warmup_steps=15)
-    total = 200
-    assert pol.lr_at(15, s, total) == 1.0
-    assert pol.lr_at(0, s, total) < pol.lr_at(10, s, total) < 1.0
-    assert pol.lr_at(total - 1, s, total) <= 1e-3
+    s = pol.SftSchedule(peak_lr=1.0, warmup_steps=15, total_steps=200)
+    assert pol.lr_at(15, s) == 1.0
+    assert pol.lr_at(0, s) < pol.lr_at(10, s) < 1.0
+    assert pol.lr_at(s.total_steps - 1, s) <= 1e-3
 
 
 def test_sft_initial_loss_near_log_v():
@@ -380,8 +379,8 @@ def test_sft_and_rl_bytes_are_pinned(tiny_sft):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("batch_contexts", 0), ("warmup_steps", -1), ("epochs", 0),
-    ("total_steps", -1), ("peak_lr", math.nan), ("peak_lr", math.inf)])
+    ("batch_contexts", 0), ("warmup_steps", -1), ("total_steps", -1),
+    ("peak_lr", math.nan), ("peak_lr", math.inf), ("peak_lr", -8.0)])
 def test_sft_schedule_validation(field, value):
     schedule = pol.SftSchedule(**{field: value})
     with pytest.raises(ConfigError, match=f"sft.{field}"):

@@ -201,6 +201,9 @@ def test_config_validation_errors():
         rl.RlConfig(rho=1.0).validate()
     with pytest.raises(ConfigError, match="max_resample_attempts"):
         rl.RlConfig(max_resample_attempts=-1).validate()
+    for name, value in (("beta", -1.0), ("learning_rate", -8.0)):
+        with pytest.raises(ConfigError, match=f"rl.{name}: must be >= 0"):
+            rl.RlConfig(**{name: value}).validate()
     for name in ("eps_low", "eps_high", "temperature"):
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=f"{name}: must be finite"):
@@ -406,6 +409,23 @@ def test_train_rl_rejects_negative_resample_attempts(tiny_sft):
     with pytest.raises(ConfigError, match="max_resample_attempts"):
         rl.train_rl(rl.RlConfig(steps=1, max_resample_attempts=-1),
                     params.copy(), tasks[:4])
+
+
+def test_policy_over_another_vocabulary_is_rejected(tiny_sft):
+    # SFT targets and sampled responses are read as MiniRTL token ids, so a
+    # policy over a permuted vocabulary would train on misread references
+    from earl import analysis as an
+    tasks, _ = tiny_sft
+    params = pol.init_params(Vocab(tuple(reversed(DEFAULT_VOCAB.tokens))),
+                             4, 0)
+    with pytest.raises(DomainError, match="train_sft"):
+        pol.train_sft(params.copy(), tasks, pol.SftSchedule(total_steps=3))
+    with pytest.raises(DomainError, match="sample_groups"):
+        rl.train_rl(rl.RlConfig(steps=1, max_response_len=20), params.copy(),
+                    tasks)
+    with pytest.raises(DomainError, match="sample_groups"):
+        an.eval_suite(params, tasks[:2], n=5, ks=(1, 5), temperature=1.0,
+                      seed=0, max_len=20)
 
 
 # --- one batch layout, one pi_new pass per update -----------------------------
