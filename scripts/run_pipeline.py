@@ -3,9 +3,14 @@
 
 Usage: python3 scripts/run_pipeline.py [--config configs/default.json]
                                        [--out runs/exp] [--seed N]
+
+Each stage prints its wall time and the process's peak resident set size so
+far (all stages run in this one process, so a stage's figure is the largest
+of it and the stages before it).
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -28,7 +33,10 @@ def main() -> int:
     for stage in STAGES:
         t0 = time.time()
         code = cli_main([stage, "--config", args.config] + extra)
-        print(f"[{stage}] exit {code} in {time.time() - t0:.1f}s")
+        # ru_maxrss is in KiB on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"[{stage}] exit {code} in {time.time() - t0:.1f}s, "
+              f"peak RSS {peak_mb:.1f} MB")
         if code != 0:
             return code
     return 0

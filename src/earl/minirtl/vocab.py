@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from ..errors import DomainError
+
 PAD = "PAD"
 BOS = "BOS"
 EOS = "EOS"
@@ -60,7 +62,8 @@ class Vocab:
         # token -> id; not a field, so equality and repr read tokens only
         object.__setattr__(self, "_ids",
                            {t: i for i, t in enumerate(self.tokens)})
-        assert len(self._ids) == len(self.tokens), "duplicate tokens"
+        if len(self._ids) != len(self.tokens):
+            raise DomainError("vocabulary has duplicate tokens")
 
     @property
     def size(self) -> int:

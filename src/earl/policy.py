@@ -14,6 +14,11 @@ feature rows as they are: building and validating a ``csr_matrix`` around
 them cost ~100-130 us a call in the sampling loop, which calls ``logits``
 ~74 times per default RL step, about as much as the products themselves.
 
+Feature rows are int32 from the start, the index dtype the kernel reads:
+``feature_rows``, the sampler's stepper, SFT's one feature table and the RL
+batch all hold int32, so no kernel call copies or converts its rows, and
+SFT's table is half the size an int64 table would be.
+
 Prompts are canonicalized before featurization: PAD tokens are inserted after
 BOS to bring every prompt to a fixed length, so specification fields sit at
 stable window offsets across tasks. Sampling and scoring share the rule, so
@@ -79,8 +84,12 @@ class Rollout:
     truncated: bool
 
     def __post_init__(self):
-        assert len(self.response_tokens) == len(self.logprobs) \
-            == len(self.entropies)
+        if not len(self.response_tokens) == len(self.logprobs) \
+                == len(self.entropies):
+            raise DomainError(
+                f"rollout of {len(self.response_tokens)} tokens has "
+                f"{len(self.logprobs)} logprobs and {len(self.entropies)} "
+                "entropies")
 
 
 def init_params(vocab: Vocab, k: int, seed: int) -> PolicyParams:
@@ -113,10 +122,11 @@ def position_bucket(position):
 
 
 def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
-    """Feature-index rows [T, k+1], one per response token: the k tokens
-    before it in the canonical sequence (most recent first, PAD before the
-    start), each offset into its slot, then its position bucket. Shared by
-    sampling, RL and SFT. Raises on a token id outside [0, V)."""
+    """Feature-index rows [T, k+1], C-contiguous int32, one per response
+    token: the k tokens before it in the canonical sequence (most recent
+    first, PAD before the start), each offset into its slot, then its
+    position bucket. Shared by sampling, RL and SFT. Raises on a token id
+    outside [0, V)."""
     V, k = params.V, params.k
     pad = params.vocab.id(PAD)
     T = len(response)
@@ -124,11 +134,13 @@ def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
     seq = np.array((pad,) * k + canon + tuple(response), dtype=np.int64)
     if seq.min() < 0 or seq.max() >= V:
         raise DomainError(f"token ids must be in [0, {V})")
-    # seq offsets of tokens t-1, t-2, ..., t-k at t = 0
-    back = np.arange(len(canon) + k - 1, len(canon) - 1, -1)
-    rows = np.empty((T, k + 1), dtype=np.int64)
-    rows[:, :k] = seq[np.arange(T)[:, None] + back]
-    rows[:, :k] += np.arange(k, dtype=np.int64) * V
+    # slot j of row t is seq[len(canon) + k - 1 + t - j]: a strided view of
+    # seq, copied into rows without an index array
+    step = seq.itemsize
+    rows = np.empty((T, k + 1), dtype=np.int32)
+    rows[:, :k] = np.ndarray((T, k), seq.dtype, seq,
+                             (len(canon) + k - 1) * step, (step, -step))
+    rows[:, :k] += np.arange(0, k * V, V, dtype=np.int32)
     rows[:, k] = k * V + position_bucket(np.arange(T))
     return rows
 
@@ -226,7 +238,7 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
                     dtype=np.int64)
     # rows 0 of feature_rows read the prompt only: one per distinct prompt
     starts = np.array([feature_rows(params, p, (eos,))[0] for p in first_of],
-                      dtype=np.int64).reshape(len(first_of), params.k + 1)
+                      dtype=np.int32).reshape(len(first_of), params.k + 1)
     idx = starts[node]
     # uniforms per generator draw; the [144, 64] block of a default RL
     # step's rollouts stays under glibc's 128 KiB mmap threshold
@@ -323,9 +335,10 @@ def _onehot_product(rows: np.ndarray, dense: np.ndarray, F: int,
     matrix X [n, F] of feature rows [n, k+1]: the kernel scipy's ``@`` runs
     for a CSR matrix (X) and for its CSC transpose (X.T), given the arrays
     such a matrix holds (int32 indices, ones, a fixed indptr) and a zeroed
-    output, without the matrix object. Like that ``@``, it reads the
-    indices unchecked: rows hold indices in [0, F), as feature_rows
-    builds them."""
+    output, without the matrix object. C-contiguous int32 rows, as
+    feature_rows builds them, are the kernel's indices as they are, not a
+    copy; other integer rows are converted once per call. Like that ``@``,
+    it reads the indices unchecked: rows hold indices in [0, F)."""
     from scipy.sparse import _sparsetools
     n, width = rows.shape
     M, N = (F, n) if transposed else (n, F)
@@ -337,8 +350,8 @@ def _onehot_product(rows: np.ndarray, dense: np.ndarray, F: int,
     out = np.zeros((M, dense.shape[1]))
     kernel(M, N, dense.shape[1],
            np.arange(0, (n + 1) * width, width, dtype=np.int32),
-           rows.astype(np.int32).ravel(), np.ones(n * width), dense.ravel(),
-           out.ravel())
+           rows.astype(np.int32, copy=False).ravel(), np.ones(n * width),
+           dense.ravel(), out.ravel())
     return out
 
 
@@ -397,14 +410,20 @@ def require_minirtl_vocab(params: PolicyParams, caller: str) -> None:
 
 
 def _sft_examples(params: PolicyParams, tasks):
-    """Feature rows and target tokens of every reference response."""
+    """Feature rows [n, k+1] (int32) and target tokens [n] of every
+    reference response, in task order. The rows fill one table allocated
+    up front, task by task, so no per-task copy of the table is held."""
     eos = params.vocab.id(EOS)
-    rows, targets = [], []
-    for task in tasks:
-        response = tokenize(task.reference_text) + [eos]
-        rows.append(feature_rows(params, task.prompt_tokens, response))
-        targets += response
-    return np.concatenate(rows), np.array(targets, dtype=np.int64)
+    responses = [tokenize(task.reference_text) + [eos] for task in tasks]
+    n = sum(map(len, responses))
+    rows = np.empty((n, params.k + 1), dtype=np.int32)
+    targets = np.empty(n, dtype=np.int64)
+    end = 0
+    for task, response in zip(tasks, responses):
+        start, end = end, end + len(response)
+        rows[start:end] = feature_rows(params, task.prompt_tokens, response)
+        targets[start:end] = response
+    return rows, targets
 
 
 def train_sft(params: PolicyParams, tasks, schedule: SftSchedule

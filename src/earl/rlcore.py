@@ -265,7 +265,7 @@ def prepare_batch(groups, config: RlConfig, pi_ref: pol.PolicyParams
     gates = [np.zeros(0)] + [gate_values(r.entropies, variant.gate,
                                          config.rho) for r in rollouts]
     bounds = [0, *accumulate(len(r.response_tokens) for r in rollouts)]
-    rows = np.concatenate([np.zeros((0, pi_ref.k + 1), dtype=np.int64)] + [
+    rows = np.concatenate([np.zeros((0, pi_ref.k + 1), dtype=np.int32)] + [
         pol.feature_rows(pi_ref, r.prompt_tokens, r.response_tokens)
         for r in rollouts])
     toks = np.array([t for r in rollouts for t in r.response_tokens],

@@ -230,7 +230,9 @@ def encode_prompt(reference: ModuleAst, kind: str,
             for p in iface.outputs() for i in range(p.width)]
     toks += [str(bit) for bit in bits[:DIGEST_BITS]]
     toks.append(ENDSPEC)
-    assert len(toks) <= PROMPT_MAX_LEN, f"prompt too long: {len(toks)}"
+    if len(toks) > PROMPT_MAX_LEN:
+        raise EarlError(f"prompt too long: {len(toks)} tokens, at most "
+                        f"{PROMPT_MAX_LEN}")
     return tuple(v.id(t) for t in toks)
 
 

@@ -1,10 +1,18 @@
-"""Lexer: direct lexeme mapping, error positions, round-trip identity."""
+"""Lexer and vocabulary: direct lexeme mapping, error positions, round-trip
+identity, duplicate-token rejection."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earl.minirtl import (DEFAULT_VOCAB, LexError, ParseError, detokenize,
-                          parse, tokenize)
+import earl.errors
+from earl.errors import DomainError
+from earl.minirtl import (DEFAULT_VOCAB, LexError, ParseError, Vocab,
+                          detokenize, parse, tokenize)
 from earl.minirtl.vocab import MARKERS, RESERVED, TERMINALS
 
 
@@ -70,3 +78,22 @@ def test_reserved_and_marker_tokens_not_lexable():
     for tok in RESERVED + MARKERS:
         with pytest.raises(LexError):
             tokenize(tok)
+
+
+def test_vocab_rejects_duplicate_tokens_under_python_O():
+    # a duplicate would give one token two ids; the check is no assert, so
+    # python -O keeps it
+    with pytest.raises(DomainError):
+        Vocab(("a", "b", "a"))
+    src = str(Path(earl.errors.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("from earl.errors import DomainError\n"
+            "from earl.minirtl import Vocab\n"
+            "try:\n"
+            "    Vocab(('a', 'b', 'a'))\n"
+            "except DomainError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

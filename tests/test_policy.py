@@ -92,6 +92,10 @@ def test_kernel_products_match_public_csr(n):
     assert acc.dW.tobytes() == (X.T @ G).tobytes()
     assert acc.db.tobytes() == (np.zeros(V) + G.sum(axis=0)).tobytes()
     assert pol.logits(p, rows).tobytes() == (X @ p.W + p.b).tobytes()
+    # int64 rows holding the same indices give the same bytes
+    wide = rows.astype(np.int64)
+    assert pol.logits(p, wide).tobytes() == pol.logits(p, rows).tobytes()
+    assert pol.gradient(p, wide, G).dW.tobytes() == acc.dW.tobytes()
     if n == 0:
         assert acc.dW.tobytes() == np.zeros_like(p.W).tobytes()
         assert acc.db.tobytes() == np.zeros(V).tobytes()
@@ -297,6 +301,8 @@ def test_feature_rows_window_slots_and_buckets():
     rows = pol.feature_rows(p, (x, y), resp)
     slots = np.arange(3) * V
     assert rows.shape == (6, 4)
+    # the kernel's index dtype and layout, so no product copies them
+    assert rows.dtype == np.int32 and rows.flags.c_contiguous
     assert rows[0].tolist() == (slots + [y, x, pad]).tolist() + [3 * V]
     assert rows[1].tolist() == (slots + [7, y, x]).tolist() + [3 * V]
     assert rows[5].tolist() == (slots + [11, 10, 9]).tolist() + [3 * V + 1]
@@ -388,6 +394,49 @@ def test_sft_schedule_validation(field, value):
     p = pol.init_params(DEFAULT_VOCAB, 2, 0)
     with pytest.raises(ConfigError):
         pol.train_sft(p, [], schedule)
+
+
+def _small_corpus():
+    from earl.taskgen import CorpusConfig, build_corpus
+    return build_corpus(CorpusConfig({"combinational-easy": 16,
+                                      "register-easy": 8},
+                                     heldout_fraction=0.0), 5).tasks
+
+
+def test_sft_examples_are_one_int32_table_of_task_rows():
+    from earl.minirtl.lexer import tokenize
+    tasks = _small_corpus()
+    p = pol.init_params(DEFAULT_VOCAB, 48, 0)
+    rows, targets = pol._sft_examples(p, tasks)
+    eos = DEFAULT_VOCAB.id("EOS")
+    responses = [tokenize(t.reference_text) + [eos] for t in tasks]
+    want = np.concatenate([pol.feature_rows(p, t.prompt_tokens, r)
+                           for t, r in zip(tasks, responses)])
+    assert rows.dtype == np.int32 and rows.flags.c_contiguous
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    assert targets.tolist() == [t for r in responses for t in r]
+
+
+def test_sft_examples_peak_memory_stays_near_the_table():
+    """The rows fill one preallocated table: building one array per task and
+    concatenating them would hold every row twice. numpy's fixed-size ufunc
+    buffers (~0.1 MB at most) are the rest of the headroom."""
+    import tracemalloc
+    tasks = _small_corpus()
+    p = pol.init_params(DEFAULT_VOCAB, 48, 0)
+    pol._sft_examples(p, tasks)  # first-use allocations are not counted
+    tracemalloc.start()
+    try:
+        rows, targets = pol._sft_examples(p, tasks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (rows.nbytes + targets.nbytes)
+
+
+def test_rollout_rejects_mismatched_lengths():
+    with pytest.raises(DomainError):
+        pol.Rollout((1,), (3, 4), np.zeros(2), np.zeros(1), 1.0, False)
 
 
 def test_sft_empty_corpus_rejected():

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from earl import reward
-from earl.errors import ConfigError
+from earl import reward, taskgen
+from earl.errors import ConfigError, EarlError
 from earl.minirtl import DEFAULT_VOCAB, is_exhaustive, tokenize
 from earl.minirtl.vocab import EOS
 from earl.taskgen import (PROMPT_MAX_LEN, CorpusConfig, build_corpus,
@@ -62,6 +62,13 @@ def test_prompt_length_bound_all_kinds():
             for difficulty in ("easy", "medium", "hard"):
                 task = generate_task(seed, kind, difficulty, task_id="t")
                 assert len(task.prompt_tokens) <= PROMPT_MAX_LEN
+
+
+def test_prompt_over_the_bound_raises(monkeypatch):
+    # no drawn module reaches PROMPT_MAX_LEN, so the bound is lowered
+    monkeypatch.setattr(taskgen, "PROMPT_MAX_LEN", 5)
+    with pytest.raises(EarlError, match="prompt too long"):
+        generate_task(3, "combinational", "medium", task_id="t")
 
 
 def test_encoding_deterministic_for_identical_tasks():
