@@ -7,7 +7,7 @@ from .ast import (Assign, Binary, Const, Decl, Index, Interface, LexError,
 from .lexer import detokenize, tokenize
 from .parser import check_semantics, parse
 from .sim import (build_vectors, equivalence_fraction, input_bit_count,
-                  is_exhaustive, simulate)
+                  is_exhaustive, simulate, simulate_packed)
 from .vocab import DEFAULT_VOCAB, Vocab
 
 __all__ = [
@@ -16,6 +16,6 @@ __all__ = [
     "SemanticError", "Stimulus", "Ternary", "Unary", "Var",
     "detokenize", "tokenize", "check_semantics", "parse",
     "build_vectors", "equivalence_fraction", "input_bit_count",
-    "is_exhaustive", "simulate",
+    "is_exhaustive", "simulate", "simulate_packed",
     "DEFAULT_VOCAB", "Vocab",
 ]

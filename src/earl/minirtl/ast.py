@@ -3,7 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
+
+from ..errors import DomainError
+
+# Lane layout of the simulator (see sim.py): cycle c of a signal sits in
+# bits [LANE*c, LANE*c + 4) of one int, and bit LANE*c + 4 is a zero guard.
+LANE = 5
+LANE_MASK = 0xF  # the value bits of one lane
 
 
 class MiniRtlError(Exception):
@@ -33,7 +41,8 @@ class SemanticError(MiniRtlError):
              "no-driver")
 
     def __init__(self, kind: str, detail: str = "", index: Optional[int] = None):
-        assert kind in self.KINDS
+        if kind not in self.KINDS:
+            raise DomainError(f"unknown semantic error kind {kind!r}")
         self.kind = kind
         self.index = index
         super().__init__(f"semantic error [{kind}]: {detail}")
@@ -146,6 +155,23 @@ class ModuleAst:
 class Stimulus:
     cycles: tuple[dict, ...]  # per-cycle {input name: value}
     reset_prefix: int = 0
+
+    @cached_property
+    def packed(self) -> dict[str, int]:
+        """Each driven name's values over all cycles, lane-packed: cycle c
+        in bits [LANE*c, LANE*c + 4). A cycle that leaves a name out drives
+        it to 0. Raises DomainError on a value that is not an int in
+        [0, 16), which would carry into the next lane."""
+        packed: dict[str, int] = {}
+        for shift, row in zip(range(0, LANE * len(self.cycles), LANE),
+                              self.cycles):
+            for name, value in row.items():
+                if not isinstance(value, int) or not 0 <= value <= LANE_MASK:
+                    raise DomainError(
+                        f"stimulus value {value!r} for {name!r} is not an "
+                        f"int in [0, {LANE_MASK + 1})")
+                packed[name] = packed.get(name, 0) | value << shift
+        return packed
 
 
 def expr_width(e: Expr, widths: dict[str, int],

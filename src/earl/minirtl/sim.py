@@ -12,23 +12,47 @@ use a reset prefix followed by 8 full enumeration rounds of the non-clock,
 non-reset input bits when b <= 6, otherwise 256 seeded pseudorandom cycles.
 ``build_vectors`` follows the rule by construction, and ``load_corpus``
 rejects vectors that break it, so ``equivalence_fraction`` does not re-check
-it: its caller supplies the reference's expected trace and a candidate that
+it: its caller supplies the reference's packed outputs and a candidate that
 declares every reference port and no other output.
 
-``simulate`` compiles each expression once per call into closures, each '~'
-mask fixed at compile time, so a cycle walks no expression tree.
+Lane packing: a signal's values over all cycles are one int, cycle c's
+value in bits [5c, 5c+4) (a "lane"), and bit 5c+4 is a guard bit that
+stays 0. MiniRTL widths are at most 4, so a lane holds any value, and the
+guard bit takes the carry of '==' (below) so no lane reaches the next.
+``Stimulus.packed`` packs the inputs, once per stimulus, and rejects a
+value that does not fit a lane. ``ONES`` (written ``ones`` below) has a 1
+at the bottom of every lane, and each closure ``_compile`` builds works on
+whole lanes:
+
+- ``&``, ``|``, ``^`` act lane by lane as they are;
+- ``~x`` is ``x ^ ONES*mask``, mask fixed at compile time from the
+  operand's width (expr_width);
+- ``a == b``: adding 0xF to each lane of ``a ^ b`` sets its bit 4 exactly
+  when the lanes differ, and that bit, shifted down and inverted, is the
+  result;
+- ``c ? a : b`` is ``b ^ ((a ^ b) & c*0xF)``: each lane of the one-bit
+  condition is 0 or 1, so ``c*0xF`` selects whole lanes. Both arms are
+  evaluated, every cycle;
+- ``x[i]`` is ``(x >> i) & ONES``, and the constant 1 is ``ONES``.
+
+A design without registers has independent cycles, so one pass of its
+closures over the packed inputs computes every cycle. A design with
+registers runs cycle by cycle on one lane (``ONES`` = 1) and ORs each
+sampled output into its packed trace. ``simulate_packed`` returns the
+packed outputs, and ``equivalence_fraction`` counts mismatched bits with
+one ``int.bit_count`` per output.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from operator import itemgetter
 
 import numpy as np
 
 from ..seeds import mix
-from .ast import (Binary, Const, Expr, Index, Interface, ModuleAst, Stimulus,
-                  Ternary, Unary, Var, expr_width)
+from .ast import (LANE, LANE_MASK, Binary, Const, Expr, Index, Interface,
+                  ModuleAst, Stimulus, Ternary, Unary, Var, expr_width)
 
 SEQ_ROUNDS = 8
 SEQ_MAX_EXHAUSTIVE_BITS = 6
@@ -42,72 +66,110 @@ CLOCK_NAME = "clk"
 RESET_NAME = "rst"
 
 
-# Closure factories, by operator or node kind: each closure captures only its
-# operands (lambdas inside _compile would make a cell per local, per call).
+def _equal(a, b, ones):
+    carry = ones * LANE_MASK  # into bit 4 of each lane where a, b differ
+    return lambda v: ((((a(v) ^ b(v)) + carry) >> (LANE - 1)) & ones) ^ ones
+
+
+def _select(c, a, b):
+    def f(v):
+        other = b(v)
+        return other ^ ((a(v) ^ other) & c(v) * LANE_MASK)
+    return f
+
+
+# Closure factories, by operator or node kind: each closure captures only
+# its operands and lane constants (lambdas inside _compile would make a cell
+# per local, per call).
 _MAKE = {
-    "&": lambda a, b: lambda v: a(v) & b(v),
-    "|": lambda a, b: lambda v: a(v) | b(v),
-    "^": lambda a, b: lambda v: a(v) ^ b(v),
-    "==": lambda a, b: lambda v: 1 if a(v) == b(v) else 0,
-    "~": lambda a, mask: lambda v: ~a(v) & mask,
-    "?:": lambda c, a, b: lambda v: a(v) if c(v) else b(v),
-    "[]": lambda name, bit: lambda v: (v[name] >> bit) & 1,
+    "&": lambda a, b, ones: lambda v: a(v) & b(v),
+    "|": lambda a, b, ones: lambda v: a(v) | b(v),
+    "^": lambda a, b, ones: lambda v: a(v) ^ b(v),
+    "==": _equal,
+    "~": lambda a, mask: lambda v: a(v) ^ mask,
+    "?:": _select,
+    "[]": lambda name, bit, ones: lambda v: (v[name] >> bit) & ones,
     "const": lambda value: lambda v: value,
 }
 
 
-def _compile(e: Expr, widths: dict[str, int]) -> Callable[[dict], int]:
-    """A function of the signal values that computes e. Each '~' mask is
-    fixed here, from its operand's width (expr_width), so evaluation walks
-    no tree and derives no width. Node kinds are tested most common first."""
+def _compile(e: Expr, widths: dict[str, int],
+             ones: int) -> Callable[[dict], int]:
+    """A function of the lane-packed signal values that computes e on every
+    lane of ones. Each '~' mask is fixed here, from its operand's width
+    (expr_width), so evaluation walks no tree and derives no width. Node
+    kinds are tested most common first."""
     if isinstance(e, Var):
         return itemgetter(e.name)
     if isinstance(e, Binary):
-        return _MAKE[e.op](_compile(e.left, widths), _compile(e.right, widths))
+        return _MAKE[e.op](_compile(e.left, widths, ones),
+                           _compile(e.right, widths, ones), ones)
     if isinstance(e, Unary):
-        return _MAKE["~"](_compile(e.operand, widths),
-                          (1 << expr_width(e.operand, widths)) - 1)
+        return _MAKE["~"](_compile(e.operand, widths, ones),
+                          ones * ((1 << expr_width(e.operand, widths)) - 1))
     if isinstance(e, Ternary):
-        return _MAKE["?:"](_compile(e.cond, widths), _compile(e.then, widths),
-                           _compile(e.other, widths))
+        return _MAKE["?:"](_compile(e.cond, widths, ones),
+                           _compile(e.then, widths, ones),
+                           _compile(e.other, widths, ones))
     if isinstance(e, Index):
-        return _MAKE["[]"](e.name, e.bit)
+        return _MAKE["[]"](e.name, e.bit, ones)
     if isinstance(e, Const):
-        return _MAKE["const"](e.value)
+        return _MAKE["const"](e.value * ones)
     raise AssertionError(e)
 
 
-def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
-    """Run the module over the stimulus; one output-port assignment per cycle.
+def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
+    """Run the module over the stimulus; each output port's lane-packed
+    values over all cycles.
 
     Pure and total given the AST invariants and a stimulus whose rows drive
-    each input they hold at its declared width. A declared input that a row
-    leaves out is driven to 0; a row's other keys are never read. Settles
-    the assigns in their stored (parse's dependency) order. Expressions are
-    compiled, and their '~' masks fixed, before the first cycle, so a '~'
-    over an undeclared name (outside the AST invariants) raises
-    SemanticError even in an arm no cycle takes.
+    each input they hold at its declared width (a wider '?:' condition
+    would reach the next lane). A declared input that a row leaves out is
+    driven to 0; a row's other keys are never read. Settles the assigns in
+    their stored (parse's dependency) order. Each expression is compiled
+    once per call, its '~' masks fixed from expr_width, so a '~' over an
+    undeclared name (outside the AST invariants) raises SemanticError.
+    Raises DomainError on a stimulus value that does not fit a lane
+    (``Stimulus.packed``).
     """
+    inputs = stim.packed  # packed for both paths: it checks every value
     widths = ast.widths()
-    assigns = [(a.target, _compile(a.expr, widths)) for a in ast.assigns]
-    registers = [(r.target, _compile(r.next_expr, widths),
-                  None if r.reset is None else _compile(r.reset, widths),
-                  (1 << widths[r.target]) - 1) for r in ast.registers]
     outputs = [p.name for p in ast.interface.outputs()]
     undriven = {p.name: 0 for p in ast.interface.inputs()}
+    if not ast.registers:
+        # ONES: a 1 at the bottom of each cycle's lane
+        ones = ((1 << LANE * len(stim.cycles)) - 1) // ((1 << LANE) - 1)
+        values = {**undriven, **inputs}
+        for a in ast.assigns:
+            values[a.target] = _compile(a.expr, widths, ones)(values)
+        return {name: values[name] for name in outputs}
+    assigns = [(a.target, _compile(a.expr, widths, 1)) for a in ast.assigns]
+    registers = [(r.target, _compile(r.next_expr, widths, 1),
+                  None if r.reset is None else _compile(r.reset, widths, 1),
+                  (1 << widths[r.target]) - 1) for r in ast.registers]
     state = {r.target: 0 for r in ast.registers}
-    trace: list[dict[str, int]] = []
+    trace = dict.fromkeys(outputs, 0)
     prefix = stim.reset_prefix  # registers hold 0 until then
-    for cyc, inputs in enumerate(stim.cycles):
-        values = {**undriven, **inputs, **state}
+    for cyc, row in enumerate(stim.cycles):
+        values = {**undriven, **row, **state}
         for target, f in assigns:
             values[target] = f(values)
-        trace.append({name: values[name] for name in outputs})
+        shift = LANE * cyc
+        for name in outputs:
+            trace[name] |= values[name] << shift
         if cyc >= prefix:
             state = {target: 0 if reset is not None and reset(values)
                      else nxt(values) & mask
                      for target, nxt, reset, mask in registers}
     return trace
+
+
+def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
+    """``simulate_packed`` unpacked: one output-port assignment per cycle."""
+    packed = simulate_packed(ast, stim)
+    return [{name: (value >> shift) & LANE_MASK
+             for name, value in packed.items()}
+            for shift in range(0, LANE * len(stim.cycles), LANE)]
 
 
 # --- stimulus construction ---------------------------------------------------
@@ -195,22 +257,22 @@ def is_exhaustive(vectors: Stimulus, reference: ModuleAst) -> bool:
 # --- equivalence -------------------------------------------------------------
 
 def equivalence_fraction(candidate: ModuleAst, vectors: Stimulus,
-                         expected: Sequence[dict[str, int]]
-                         ) -> tuple[float, bool]:
+                         expected: dict[str, int]) -> tuple[float, bool]:
     """Fraction of matching output bits over all cycles, plus full equivalence.
 
-    expected is the reference's trace over vectors (``Task.expected``). The
-    candidate must declare every reference port with its direction and
-    width, as it does at interface score 1.0, and must have no other output:
-    then each stimulus row drives candidate inputs only, within their
-    widths, and is simulated as stored. Candidate inputs that the stimulus
-    does not cover are driven to 0.
+    expected is the reference's packed outputs over vectors
+    (``Task.expected``). The candidate must declare every reference port
+    with its direction and width, as it does at interface score 1.0, and
+    must have no other output: then each stimulus row drives candidate
+    inputs only, within their widths, and is simulated as stored. Candidate
+    inputs that the stimulus does not cover are driven to 0. Guard bits
+    and the bits above a port's width are 0 in both traces, so one
+    popcount per output counts its mismatched bits over every cycle.
     """
-    cand_trace = simulate(candidate, vectors)
-    widths = {p.name: p.width for p in candidate.interface.outputs()}
-    total = min(len(expected), len(cand_trace)) * sum(widths.values())
-    mismatched = sum((erow[name] ^ crow[name]).bit_count()
-                     for erow, crow in zip(expected, cand_trace)
-                     for name in widths)
+    got = simulate_packed(candidate, vectors)
+    outputs = candidate.interface.outputs()
+    total = len(vectors.cycles) * sum(p.width for p in outputs)
+    mismatched = sum((got[p.name] ^ expected[p.name]).bit_count()
+                     for p in outputs)
     matching = total - mismatched
     return matching / total, matching == total

@@ -4,7 +4,7 @@ Stage 1 parses the candidate (truncated rollouts count as parse failures and
 earn zero). Stage 2 scores module name and port agreement; a candidate that
 matches every target port but adds outputs earns interface credit only.
 Stage 3 runs only on an exact interface match and grades the fraction of
-matching output bits against the task's expected trace, with full
+matching output bits against the task's packed expected outputs, with full
 equivalence required for the maximal reward. The numeric schedule keeps
 near-misses strictly below the pass reward.
 """

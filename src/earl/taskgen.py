@@ -1,13 +1,13 @@
 """Synthetic generation of specification-code-testbench triples.
 
 Each task pairs a structured prompt (the specification), a reference MiniRTL
-module, and exhaustive test vectors; ``Task.expected``, the reference's trace
-over them, is simulated once, on first use. Templates replace an LLM
-generator: they draw MiniRTL source text, which ``generate_task`` parses once
-(only the parser builds expression trees). The vectors are built from the
-reference, so they are exhaustive and a generated reference passes them by
-construction; ``load_corpus`` checks corpora read from outside the program,
-task ids and coverage included.
+module, and exhaustive test vectors; ``Task.expected``, the reference's
+lane-packed outputs over them, is simulated once, on first use. Templates
+replace an LLM generator: they draw MiniRTL source text, which
+``generate_task`` parses once (only the parser builds expression trees). The
+vectors are built from the reference, so they are exhaustive and a generated
+reference passes them by construction; ``load_corpus`` checks corpora read
+from outside the program, task ids and coverage included.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EarlError
 from .minirtl import (MiniRtlError, ModuleAst, Stimulus, build_vectors,
-                      is_exhaustive, parse, simulate, tokenize)
+                      is_exhaustive, parse, simulate, simulate_packed,
+                      tokenize)
 from .minirtl.vocab import (BOS, DEFAULT_VOCAB, ENDSPEC, IN, KIND_COUNT,
                             KIND_DFF, KIND_FSM, MODULE_NAMES, OUT,
                             PROMPT_MAX_LEN, SPEC, TT)
@@ -50,9 +51,10 @@ class Task:
     split: str = "train"
 
     @cached_property
-    def expected(self) -> tuple[dict[str, int], ...]:
-        """The reference's outputs over vectors, one row per cycle."""
-        return tuple(simulate(self.reference, self.vectors))
+    def expected(self) -> dict[str, int]:
+        """The reference's outputs over vectors, lane-packed
+        (``simulate_packed``)."""
+        return simulate_packed(self.reference, self.vectors)
 
 
 @dataclass(frozen=True)

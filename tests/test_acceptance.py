@@ -18,7 +18,8 @@ from earl import reward as rew
 from earl import rlcore as rl
 from earl import taskgen as tg
 from earl.minirtl import (Stimulus, Vocab, build_vectors,
-                          equivalence_fraction, parse, simulate, tokenize)
+                          equivalence_fraction, parse, simulate,
+                          simulate_packed, tokenize)
 from earl.minirtl.vocab import DEFAULT_VOCAB
 from earl.seeds import rng_for
 
@@ -262,7 +263,7 @@ def test_criterion_6_equivalence_oracle_agreement():
            {(p.name, p.direction, p.width) for p in ref.interface.ports}:
             continue
         vectors = build_vectors(ref, seed=seed)
-        expected = simulate(ref, vectors)
+        expected = simulate_packed(ref, vectors)
         m, eq = equivalence_fraction(cand, vectors, expected)
         ta, tb = _truth_table(ref), _truth_table(cand)
         agree = sum(1 for x, y in zip(ta, tb) if x == y)

@@ -2,10 +2,16 @@
 soundness (every accepted AST satisfies the module invariants)."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import earl.errors
+from earl.errors import DomainError
 from earl.minirtl import (DEFAULT_VOCAB, ModuleAst, ParseError,
                           SemanticError, Stimulus, check_semantics,
                           detokenize, parse, simulate, tokenize)
@@ -142,6 +148,24 @@ def test_comb_order_raises_on_unchecked_cycle():
         parse_text(text)
     assert e.value.kind == "comb-cycle"
     assert str(e.value) == "semantic error [comb-cycle]: z->y->z"
+
+
+def test_semantic_error_rejects_unknown_kind_under_python_O():
+    # the kind check is no assert, so python -O keeps it
+    with pytest.raises(DomainError):
+        SemanticError("no-such-kind")
+    src = str(Path(earl.errors.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("from earl.errors import DomainError\n"
+            "from earl.minirtl import SemanticError\n"
+            "try:\n"
+            "    SemanticError('no-such-kind')\n"
+            "except DomainError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("bad", [-1, DEFAULT_VOCAB.size])

@@ -1,15 +1,23 @@
 """Simulator and equivalence oracle: hand-derived traces, coverage rule,
-and agreement with an independent brute-force truth-table oracle."""
+agreement with an independent brute-force truth-table oracle, and agreement
+of the lane-packed simulator with a per-cycle scalar reference simulator."""
 
 import hashlib
 import itertools
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from earl.minirtl import (Stimulus, build_vectors, equivalence_fraction,
+from earl.errors import DomainError
+from earl.minirtl import (Assign, Binary, Const, Decl, Index, Interface,
+                          ModuleAst, PortDecl, Register, Stimulus, Ternary,
+                          Unary, Var, build_vectors, equivalence_fraction,
                           input_bit_count, is_exhaustive, parse, simulate,
-                          tokenize)
+                          simulate_packed, tokenize)
+from earl.minirtl.ast import expr_width
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
         "assign y = a & b ; endmodule")
@@ -123,7 +131,7 @@ def test_comb_vectors_exhaustive():
 def test_self_equivalence():
     ast = parse_text(AND2)
     stim = build_vectors(ast, seed=0)
-    m, eq = equivalence_fraction(ast, stim, simulate(ast, stim))
+    m, eq = equivalence_fraction(ast, stim, simulate_packed(ast, stim))
     assert m == 1.0 and eq
 
 
@@ -131,7 +139,7 @@ def test_xor_vs_or_is_three_quarters():
     ref = parse_text(OR2)
     cand = parse_text(XOR2)
     stim = build_vectors(ref, seed=0)
-    m, eq = equivalence_fraction(cand, stim, simulate(ref, stim))
+    m, eq = equivalence_fraction(cand, stim, simulate_packed(ref, stim))
     assert m == 0.75 and not eq
 
 
@@ -204,7 +212,8 @@ def test_sim_agrees_with_truth_table_oracle(seed, difficulty):
 
 def test_traces_are_pinned(default_corpus, pinned_candidates):
     from earl import reward as rew
-    rows = [repr(task.expected) for task in default_corpus.tasks]
+    rows = [repr(tuple(simulate(task.reference, task.vectors)))
+            for task in default_corpus.tasks]
     for task, tokens in pinned_candidates:
         if rew.score(tokens, task).stage_reached == rew.STAGE_FUNCTIONAL:
             ast = parse(tokens)
@@ -215,3 +224,264 @@ def test_traces_are_pinned(default_corpus, pinned_candidates):
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == ("e7806adbe84c512a48fca1854882d74a"
                       "8873c569596bf13fbcf98d04e9084522")
+
+
+# --- per-cycle scalar reference simulator ------------------------------------
+# The simulator before lane packing: one cycle at a time, one int per signal
+# value, the taken ternary arm only. The lane-packed simulator must give the
+# same rows and the same equivalence counts.
+
+_SCALAR = {
+    "&": lambda a, b: lambda v: a(v) & b(v),
+    "|": lambda a, b: lambda v: a(v) | b(v),
+    "^": lambda a, b: lambda v: a(v) ^ b(v),
+    "==": lambda a, b: lambda v: 1 if a(v) == b(v) else 0,
+    "~": lambda a, mask: lambda v: ~a(v) & mask,
+    "?:": lambda c, a, b: lambda v: a(v) if c(v) else b(v),
+    "[]": lambda name, bit: lambda v: (v[name] >> bit) & 1,
+    "const": lambda value: lambda v: value,
+}
+
+
+def _scalar_compile(e, widths):
+    if isinstance(e, Var):
+        return itemgetter(e.name)
+    if isinstance(e, Binary):
+        return _SCALAR[e.op](_scalar_compile(e.left, widths),
+                             _scalar_compile(e.right, widths))
+    if isinstance(e, Unary):
+        return _SCALAR["~"](_scalar_compile(e.operand, widths),
+                            (1 << expr_width(e.operand, widths)) - 1)
+    if isinstance(e, Ternary):
+        return _SCALAR["?:"](_scalar_compile(e.cond, widths),
+                             _scalar_compile(e.then, widths),
+                             _scalar_compile(e.other, widths))
+    if isinstance(e, Index):
+        return _SCALAR["[]"](e.name, e.bit)
+    assert isinstance(e, Const)
+    return _SCALAR["const"](e.value)
+
+
+def scalar_simulate(ast, stim):
+    widths = ast.widths()
+    assigns = [(a.target, _scalar_compile(a.expr, widths))
+               for a in ast.assigns]
+    registers = [(r.target, _scalar_compile(r.next_expr, widths),
+                  None if r.reset is None
+                  else _scalar_compile(r.reset, widths),
+                  (1 << widths[r.target]) - 1) for r in ast.registers]
+    outputs = [p.name for p in ast.interface.outputs()]
+    undriven = {p.name: 0 for p in ast.interface.inputs()}
+    state = {r.target: 0 for r in ast.registers}
+    trace = []
+    for cyc, inputs in enumerate(stim.cycles):
+        values = {**undriven, **inputs, **state}
+        for target, f in assigns:
+            values[target] = f(values)
+        trace.append({name: values[name] for name in outputs})
+        if cyc >= stim.reset_prefix:
+            state = {target: 0 if reset is not None and reset(values)
+                     else nxt(values) & mask
+                     for target, nxt, reset, mask in registers}
+    return trace
+
+
+def scalar_equivalence(candidate, vectors, expected_rows):
+    trace = scalar_simulate(candidate, vectors)
+    widths = {p.name: p.width for p in candidate.interface.outputs()}
+    total = len(trace) * sum(widths.values())
+    mismatched = sum((erow[name] ^ crow[name]).bit_count()
+                     for erow, crow in zip(expected_rows, trace)
+                     for name in widths)
+    return (total - mismatched) / total, mismatched == 0
+
+
+def assert_agrees(candidate, reference, stim):
+    """simulate's rows and equivalence_fraction against the reference equal
+    the scalar simulator's."""
+    rows = scalar_simulate(candidate, stim)
+    assert simulate(candidate, stim) == rows
+    got = equivalence_fraction(candidate, stim,
+                               simulate_packed(reference, stim))
+    assert got == scalar_equivalence(candidate, stim,
+                                     scalar_simulate(reference, stim))
+    return got
+
+
+def test_packed_agrees_with_scalar_on_corpus_and_pinned_candidates(
+        default_corpus, pinned_candidates):
+    from earl import reward as rew
+    for task in default_corpus.tasks:
+        rows = scalar_simulate(task.reference, task.vectors)
+        assert simulate(task.reference, task.vectors) == rows
+        assert task.expected == simulate_packed(task.reference, task.vectors)
+        assert equivalence_fraction(task.reference, task.vectors,
+                                    task.expected) == (1.0, True)
+    functional = 0
+    for task, tokens in pinned_candidates:
+        if rew.score(tokens, task).stage_reached != rew.STAGE_FUNCTIONAL:
+            continue
+        ast = parse(tokens)
+        rows = scalar_simulate(ast, task.vectors)
+        assert simulate(ast, task.vectors) == rows
+        assert equivalence_fraction(ast, task.vectors, task.expected) == \
+            scalar_equivalence(ast, task.vectors,
+                               scalar_simulate(task.reference, task.vectors))
+        functional += 1
+    assert functional == 1164
+
+
+def _operators_text(w):
+    """'==', '?:' and '~' over w-bit buses, bit-indexes and constants."""
+    msb = f"[ {w - 1} : 0 ] " if w > 1 else ""
+    return (f"module u00 ( input {msb}a , input {msb}b , input sel , "
+            f"output {msb}y , output {msb}z , output {msb}q , output e , "
+            f"output d , output t0 , output t1 ) ; "
+            f"assign y = ~ a ; assign z = sel ? a : ~ b ; "
+            f"assign q = ( a == b ) ? ( a & ~ b ) : ( sel ? b : a | b ) ; "
+            f"assign e = a == b ; assign d = ~ ( a ^ b ) == ~ a ; "
+            f"assign t0 = a [ {w - 1} ] ^ b [ 0 ] ; "
+            f"assign t1 = sel ? 1 : ( a [ 0 ] ? 0 : ~ 0 ) ; endmodule")
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_packed_agrees_with_scalar_on_operators_at_each_width(w):
+    text = _operators_text(w)
+    ast = parse_text(text)
+    stim = build_vectors(ast, seed=0)
+    assert is_exhaustive(stim, ast) and len(stim.cycles) == 1 << (2 * w + 1)
+    assert assert_agrees(ast, ast, stim) == (1.0, True)
+    # the same ports with '&' and '|' swapped
+    swap = {"&": "|", "|": "&"}
+    other = parse_text(" ".join(swap.get(t, t) for t in text.split()))
+    m, eq = assert_agrees(other, ast, stim)
+    assert 0.0 < m < 1.0 and not eq
+
+
+def test_packed_agrees_with_scalar_on_a_register_with_reset():
+    text = ("module u00 ( input clk , input rst , input [ 1 : 0 ] a , "
+            "input sel , output [ 1 : 0 ] q , output t0 , output e ) ; "
+            "reg [ 1 : 0 ] q ; reg t0 ; "
+            "always @ ( posedge clk ) begin q <= sel ? ~ a : q ^ a ; end "
+            "always @ ( posedge clk ) begin if ( rst ) t0 <= 0 ; "
+            "else t0 <= ~ t0 ^ ( a == q ) ; end "
+            "assign e = q [ 1 ] ? t0 : 1 ; endmodule")
+    ast = parse_text(text)
+    stim = build_vectors(ast, seed=0)
+    assert stim.reset_prefix == 2 and len(stim.cycles) == 2 + 8 * 8
+    rows = scalar_simulate(ast, stim)
+    assert [len({r[n] for r in rows}) for n in ("q", "t0", "e")] == [4, 2, 2]
+    assert assert_agrees(ast, ast, stim) == (1.0, True)
+    other = parse_text(text.replace("q ^ a", "q | a"))
+    m, eq = assert_agrees(other, ast, stim)
+    assert 0.0 < m < 1.0 and not eq
+
+
+def test_packed_agrees_with_scalar_on_1024_cycles():
+    text = ("module u00 ( input [ 3 : 0 ] a , input [ 3 : 0 ] b , "
+            "input [ 1 : 0 ] c , output [ 3 : 0 ] y , output [ 1 : 0 ] z , "
+            "output e ) ; wire [ 3 : 0 ] t0 ; "
+            "assign t0 = c [ 1 ] ? a ^ b : ~ ( a & b ) ; "
+            "assign y = ( t0 == b ) ? a : ~ t0 ; "
+            "assign z = c ^ ( y [ 3 ] ? c : ~ c ) ; "
+            "assign e = ( y == a ) | ( z == c ) ; endmodule")
+    ast = parse_text(text)
+    stim = build_vectors(ast, seed=0)
+    assert len(stim.cycles) == 1024
+    packed = simulate_packed(ast, stim)
+    assert packed["y"].bit_length() > 64 * 70  # many machine words
+    assert assert_agrees(ast, ast, stim) == (1.0, True)
+    other = parse_text(text.replace("a ^ b", "a | b"))
+    m, eq = assert_agrees(other, ast, stim)
+    assert 0.0 < m < 1.0 and not eq
+
+
+# Generated designs over inputs of every width 1-4: a 2-bit wire t, an
+# output y of any width and, optionally, a 2-bit register q with a 1-bit
+# register r under reset.
+_INPUTS = {"a": 4, "b": 3, "c": 2, "s": 1, "clk": 1, "rst": 1}
+_WIDTHS = {**_INPUTS, "t": 2, "q": 2, "r": 1}
+_COMB = tuple(_INPUTS) + ("t",)
+_SEQ = _COMB + ("q", "r")
+
+
+@lru_cache(maxsize=None)
+def _exprs(width, depth, names):
+    leaves = [st.just(Var(n)) for n in names if _WIDTHS[n] == width]
+    if width == 1:
+        leaves += [st.builds(Const, st.integers(0, 1)),
+                   st.sampled_from([Index(n, i) for n in names
+                                    for i in range(_WIDTHS[n])])]
+    if depth == 0:
+        return st.one_of(leaves)
+    sub = [_exprs(w, depth - 1, names) for w in range(5)]
+    options = leaves + [
+        st.builds(Unary, st.just("~"), sub[width]),
+        st.builds(Binary, st.sampled_from(["&", "|", "^"]), sub[width],
+                  sub[width]),
+        st.builds(Ternary, sub[1], sub[width], sub[width])]
+    if width == 1:
+        options.append(st.integers(1, 4).flatmap(lambda k: st.builds(
+            Binary, st.just("=="), sub[k], sub[k])))
+    return st.one_of(options)
+
+
+@st.composite
+def _designs(draw):
+    sequential = draw(st.booleans())
+    names = _SEQ if sequential else _COMB
+    w = draw(st.integers(1, 4))
+    ports = [PortDecl(n, "input", k) for n, k in _INPUTS.items()]
+    ports.append(PortDecl("y", "output", w))
+    decls = [Decl("t", "wire", 2)]
+    # t reads any signal but itself, y reads t as well
+    t_reads = tuple(n for n in names if n != "t")
+    assigns = [Assign("t", draw(_exprs(2, 2, t_reads))),
+               Assign("y", draw(_exprs(w, 3, names)))]
+    registers = []
+    if sequential:
+        ports += [PortDecl("q", "output", 2), PortDecl("r", "output", 1)]
+        decls += [Decl("q", "reg", 2), Decl("r", "reg", 1)]
+        registers = [
+            Register("q", draw(_exprs(2, 2, names)), "posedge", "clk"),
+            Register("r", draw(_exprs(1, 2, names)), "posedge", "clk",
+                     draw(_exprs(1, 1, names)))]
+    return ModuleAst(Interface("u00", tuple(ports)), tuple(decls),
+                     tuple(assigns), tuple(registers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_designs(), st.integers(0, 2**31 - 1))
+def test_packed_agrees_with_scalar_on_generated_designs(ast, seed):
+    rng = np.random.default_rng(seed)
+    # 64 random cycles, a reset prefix of 2 and some rows that leave
+    # inputs out (driven to 0)
+    cycles = tuple({n: int(rng.integers(0, 1 << k))
+                    for n, k in _INPUTS.items() if rng.random() < 0.9}
+                   for _ in range(64))
+    stim = Stimulus(cycles, 2)
+    rows = scalar_simulate(ast, stim)
+    assert simulate(ast, stim) == rows
+    assert equivalence_fraction(ast, stim, simulate_packed(ast, stim)) == \
+        (1.0, True)
+
+
+# --- lane fit -----------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [16, -1, 255, 1.0, "1", None])
+def test_stimulus_value_outside_a_lane_is_rejected(value):
+    ast = parse_text(AND2)
+    stim = Stimulus(({"a": 1, "b": 1}, {"a": value, "b": 0}), 0)
+    with pytest.raises(DomainError, match="not an int in"):
+        stim.packed
+    with pytest.raises(DomainError):
+        simulate(ast, stim)
+    dff = parse_text("module dff ( input clk , input d , output q ) ; reg q ; "
+                     "always @ ( posedge clk ) begin q <= d ; end endmodule")
+    with pytest.raises(DomainError):
+        simulate(dff, Stimulus(({"clk": 0, "d": value},), 0))
+
+
+def test_largest_lane_value_packs_without_carry():
+    stim = Stimulus(({"a": 15}, {"a": 0}, {"a": 15, "b": 1}), 0)
+    assert stim.packed == {"a": 15 | 15 << 10, "b": 1 << 10}

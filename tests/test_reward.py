@@ -126,14 +126,14 @@ def test_reference_is_simulated_once_per_task(monkeypatch):
     from earl import taskgen
     from earl.minirtl import sim
     calls = []
-    simulate = sim.simulate
+    simulate_packed = sim.simulate_packed
 
     def counting(*args):
         calls.append(args[0])
-        return simulate(*args)
+        return simulate_packed(*args)
 
-    monkeypatch.setattr(sim, "simulate", counting)
-    monkeypatch.setattr(taskgen, "simulate", counting)
+    monkeypatch.setattr(sim, "simulate_packed", counting)
+    monkeypatch.setattr(taskgen, "simulate_packed", counting)
     task = easy_task()
     calls.clear()  # generate_task's digest trace is set-up, not scoring
     name = task.reference.interface.module_name
