@@ -35,12 +35,19 @@ whole lanes:
   evaluated, every cycle;
 - ``x[i]`` is ``(x >> i) & ONES``, and the constant 1 is ``ONES``.
 
-A design without registers has independent cycles, so one pass of its
-closures over the packed inputs computes every cycle. A design with
-registers runs cycle by cycle on one lane (``ONES`` = 1) and ORs each
-sampled output into its packed trace. ``simulate_packed`` returns the
-packed outputs, and ``equivalence_fraction`` counts mismatched bits with
-one ``int.bit_count`` per output.
+Registers settle by repeating that pass. A pass evaluates the assigns over
+all lanes with the register lanes the last pass left (0 at first). Each
+register's next value, with its reset lanes cleared and masked to its
+width in lanes reset_prefix .. n-2 of the n cycles, shifts up one lane
+(cycle c's next value is cycle c+1's state; registers hold 0 through the
+prefix). The passes stop when the register lanes equal the ones the pass
+started from, so a design without registers takes one pass. This is
+exact: cycle c reads only state lanes <= c, and state lane c depends only
+on cycles < c, so each pass fixes one more lane and the loop ends within
+one pass per cycle; and a fixed point is the per-cycle trace, by
+induction from lane 0 (0 in both). ``simulate_packed`` returns the packed
+outputs, and ``equivalence_fraction`` counts mismatched bits with one
+``int.bit_count`` per output.
 """
 
 from __future__ import annotations
@@ -124,44 +131,37 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
 
     Pure and total given the AST invariants and a stimulus whose rows drive
     each input they hold at its declared width (a wider '?:' condition
-    would reach the next lane). A declared input that a row leaves out is
-    driven to 0; a row's other keys are never read. Settles the assigns in
-    their stored (parse's dependency) order. Each expression is compiled
-    once per call, its '~' masks fixed from expr_width, so a '~' over an
-    undeclared name (outside the AST invariants) raises SemanticError.
-    Raises DomainError on a stimulus value that does not fit a lane
-    (``Stimulus.packed``).
+    would reach the next lane) and whose reset prefix is at least 0. A
+    declared input that a row leaves out is driven to 0; a row's other
+    keys are never read. Each expression is compiled once per call, its
+    '~' masks fixed from expr_width, so a '~' over an undeclared name
+    (outside the AST invariants) raises SemanticError. Raises DomainError
+    on a stimulus value that does not fit a lane (``Stimulus.packed``).
     """
-    inputs = stim.packed  # packed for both paths: it checks every value
     widths = ast.widths()
-    outputs = [p.name for p in ast.interface.outputs()]
-    undriven = {p.name: 0 for p in ast.interface.inputs()}
-    if not ast.registers:
-        # ONES: a 1 at the bottom of each cycle's lane
-        ones = ((1 << LANE * len(stim.cycles)) - 1) // ((1 << LANE) - 1)
-        values = {**undriven, **inputs}
-        for a in ast.assigns:
-            values[a.target] = _compile(a.expr, widths, ones)(values)
-        return {name: values[name] for name in outputs}
-    assigns = [(a.target, _compile(a.expr, widths, 1)) for a in ast.assigns]
-    registers = [(r.target, _compile(r.next_expr, widths, 1),
-                  None if r.reset is None else _compile(r.reset, widths, 1),
-                  (1 << widths[r.target]) - 1) for r in ast.registers]
+    # ONES: a 1 at the bottom of each cycle's lane
+    ones = ((1 << LANE * len(stim.cycles)) - 1) // ((1 << LANE) - 1)
+    first = LANE * stim.reset_prefix
+    assigns = [(a.target, _compile(a.expr, widths, ones)) for a in ast.assigns]
+    # a reset is 'reset ? 0 : next'; mask: the width in lanes prefix .. n-2
+    registers = [(r.target, _compile(r.next_expr if r.reset is None else
+                                     Ternary(r.reset, Const(0), r.next_expr),
+                                     widths, ones),
+                  (ones >> LANE) * ((1 << widths[r.target]) - 1)
+                  >> first << first)
+                 for r in ast.registers]
+    undriven = dict.fromkeys(widths, 0)
     state = {r.target: 0 for r in ast.registers}
-    trace = dict.fromkeys(outputs, 0)
-    prefix = stim.reset_prefix  # registers hold 0 until then
-    for cyc, row in enumerate(stim.cycles):
-        values = {**undriven, **row, **state}
+    while True:
+        values = {**undriven, **stim.packed, **state}
         for target, f in assigns:
             values[target] = f(values)
-        shift = LANE * cyc
-        for name in outputs:
-            trace[name] |= values[name] << shift
-        if cyc >= prefix:
-            state = {target: 0 if reset is not None and reset(values)
-                     else nxt(values) & mask
-                     for target, nxt, reset, mask in registers}
-    return trace
+        settled = {}
+        for target, nxt, mask in registers:
+            settled[target] = (nxt(values) & mask) << LANE
+        if settled == state:
+            return {p.name: values[p.name] for p in ast.interface.outputs()}
+        state = settled
 
 
 def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:

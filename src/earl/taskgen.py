@@ -250,8 +250,7 @@ def generate_task(seed: int, kind: str, difficulty: str,
         text = _draw_source(rng, kind, difficulty)
         reference = parse(tokenize(text))
         vectors = build_vectors(reference, seed=seed)
-        trace = simulate(reference, Stimulus(vectors.cycles[:DIGEST_ROWS],
-                                             vectors.reset_prefix))
+        trace = simulate(reference, vectors)[:DIGEST_ROWS]
         if any(len({row[p.name] for row in trace}) < 2
                for p in reference.interface.outputs()):
             continue  # some output is constant over the digest trace
@@ -335,8 +334,9 @@ def _wrong_field_type(r: dict) -> str | None:
     if not (isinstance(cycles, list)
             and all(isinstance(c, dict) for c in cycles)):
         return "vectors.cycles is not a list of objects"
-    if type(vectors["reset_prefix"]) is not int:
-        return "vectors.reset_prefix is not an int"
+    prefix = vectors["reset_prefix"]
+    if type(prefix) is not int or not 0 <= prefix <= len(cycles):
+        return f"vectors.reset_prefix is not an int in [0, {len(cycles)}]"
     return None
 
 

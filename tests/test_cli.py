@@ -347,6 +347,13 @@ def _set_cycle(index, name, value):
     return corrupt
 
 
+def _set_prefix(index, value):
+    def corrupt(records):
+        records[index]["vectors"]["reset_prefix"] = value
+        return records
+    return corrupt
+
+
 def _drop_last_cycle(index):
     def corrupt(records):
         del records[index]["vectors"]["cycles"][-1]
@@ -365,6 +372,8 @@ def _drop_last_cycle(index):
     (_set(3, "reference_text", 7), "record 3"),
     (_set(3, "vectors", [[]]), "record 3"),
     (_set(3, "vectors", {"cycles": 4, "reset_prefix": 0}), "record 3"),
+    (_set_prefix(3, -4), "record 3: vectors.reset_prefix"),
+    (_set_prefix(3, 10_000), "record 3: vectors.reset_prefix"),
     (_set_cycle(3, "a", None), "record 3"),
     (_set_cycle(3, "c", 0), "record 3"),
     (_set_cycle(3, "a", "1"), "record 3"),
@@ -385,7 +394,8 @@ def _drop_last_cycle(index):
 ], ids=["truncated-json", "top-level-object", "record-list", "prompt-string",
         "prompt-str-token", "prompt-token-range", "prompt-too-long",
         "reference-int",
-        "vectors-list", "cycles-int", "cycle-missing-input",
+        "vectors-list", "cycles-int", "prefix-negative",
+        "prefix-past-cycles", "cycle-missing-input",
         "cycle-extra-input", "cycle-str-value", "cycle-bool-value",
         "cycle-value-too-wide", "cycle-value-negative",
         "vectors-not-exhaustive", "split-unknown",

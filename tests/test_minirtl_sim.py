@@ -396,6 +396,29 @@ def test_packed_agrees_with_scalar_on_1024_cycles():
     assert 0.0 < m < 1.0 and not eq
 
 
+def test_packed_agrees_with_scalar_when_state_changes_every_cycle():
+    """The most passes the register lanes can take to settle: state that
+    changes on every cycle of the longest sequential stimulus build_vectors
+    makes (6 data bits, 2 + 8 * 64 cycles)."""
+    text = ("module u00 ( input clk , input rst , input [ 3 : 0 ] a , "
+            "input [ 1 : 0 ] b , output [ 1 : 0 ] q , output t0 , "
+            "output y ) ; reg [ 1 : 0 ] q ; reg t0 ; "
+            "always @ ( posedge clk ) begin if ( rst ) t0 <= 0 ; "
+            "else t0 <= ~ t0 ; end "
+            "always @ ( posedge clk ) begin q <= t0 ? ~ q : q ^ b ; end "
+            "assign y = a [ 3 ] ^ ( q == b ) ^ t0 ; endmodule")
+    ast = parse_text(text)
+    stim = build_vectors(ast, seed=0)
+    assert is_exhaustive(stim, ast) and len(stim.cycles) == 2 + 8 * 64
+    rows = scalar_simulate(ast, stim)
+    assert all(rows[c]["t0"] != rows[c + 1]["t0"]
+               for c in range(stim.reset_prefix, len(rows) - 1))
+    assert assert_agrees(ast, ast, stim) == (1.0, True)
+    other = parse_text(text.replace("~ q", "q & b"))
+    m, eq = assert_agrees(other, ast, stim)
+    assert 0.0 < m < 1.0 and not eq
+
+
 # Generated designs over inputs of every width 1-4: a 2-bit wire t, an
 # output y of any width and, optionally, a 2-bit register q with a 1-bit
 # register r under reset.
@@ -451,15 +474,15 @@ def _designs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_designs(), st.integers(0, 2**31 - 1))
-def test_packed_agrees_with_scalar_on_generated_designs(ast, seed):
+@given(_designs(), st.integers(0, 2**31 - 1), st.sampled_from([0, 1, 2, 64]))
+def test_packed_agrees_with_scalar_on_generated_designs(ast, seed, prefix):
     rng = np.random.default_rng(seed)
-    # 64 random cycles, a reset prefix of 2 and some rows that leave
-    # inputs out (driven to 0)
+    # 64 random cycles, some rows leaving inputs out (driven to 0), and a
+    # reset prefix of none, one or two cycles or the whole stimulus
     cycles = tuple({n: int(rng.integers(0, 1 << k))
                     for n, k in _INPUTS.items() if rng.random() < 0.9}
                    for _ in range(64))
-    stim = Stimulus(cycles, 2)
+    stim = Stimulus(cycles, prefix)
     rows = scalar_simulate(ast, stim)
     assert simulate(ast, stim) == rows
     assert equivalence_fraction(ast, stim, simulate_packed(ast, stim)) == \
