@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Run the full experiment pipeline: data -> SFT -> RL -> eval -> analysis.
+"""Run the experiment pipeline: data -> SFT -> RL -> eval and entropy study.
 
 Usage: python3 scripts/run_pipeline.py [--config configs/default.json]
                                        [--out runs/exp] [--seed N]
 
-Each stage prints its wall time and the process's peak resident set size so
-far (all stages run in this one process, so a stage's figure is the largest
-of it and the stages before it).
+The stages are `earl gen-data`, `sft`, `train` and `eval` (eval.csv and the
+entropy study from one sampling of the heldout rollouts); the ablation is
+`earl ablate` alone. Each stage prints its wall time and the process's peak
+resident set size so far (all stages run in this one process, so a stage's
+figure is the largest of it and the stages before it).
 """
 
 import argparse
@@ -16,7 +18,7 @@ import time
 
 from earl.cli import main as cli_main
 
-STAGES = ("gen-data", "sft", "train", "eval", "analyze")
+STAGES = ("gen-data", "sft", "train", "eval")
 
 
 def main() -> int:

@@ -46,6 +46,7 @@ TOKEN_CLASS_OF = tuple(
     for tok in DEFAULT_VOCAB.tokens)
 
 DEFAULT_BIN_WIDTH = 0.05
+TOP_EDGE_ULPS = 4  # rounding slack above the last histogram edge
 LOW_ENTROPY = 0.15  # nats; entropy_summary's fraction_below_threshold
 
 
@@ -73,13 +74,19 @@ def default_bin_edges() -> np.ndarray:
 
 def entropy_histogram(entropies, edges) -> np.ndarray:
     """Counts per bin; bins are left-closed, the last bin is also
-    right-closed, so every in-range entropy lands in exactly one bin."""
+    right-closed, so every in-range entropy lands in exactly one bin.
+
+    The last bin also takes a value at most TOP_EDGE_ULPS ulps above the
+    last edge: the sampler's entropy of a uniform row is ln V plus rounding
+    (one ulp in float64)."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise DomainError("bin edges must be strictly increasing, length >= 2")
     h = np.asarray(list(entropies), dtype=float)
     if h.size == 0:
         return np.zeros(edges.size - 1, dtype=np.int64)
+    top = edges[-1]
+    h[(h > top) & (h <= top + TOP_EDGE_ULPS * np.spacing(top))] = top
     counts, _ = np.histogram(h, bins=edges)
     return counts.astype(np.int64)
 

@@ -1,10 +1,12 @@
-"""Command-line entry point: data -> SFT -> RL -> eval -> analysis.
+"""Command-line entry point: data -> SFT -> RL -> eval and entropy study.
 
 One binary with subcommands so every stage shares the vocab, config schema,
-and checkpoint format. All randomness flows from the run seed through the
-seed-mixing rule; no wall clock or OS entropy anywhere. Exit codes: 0 ok,
-1 usage, 2 validation, 3 runtime. Errors print one line `error:<kind>: ...`
-to stderr.
+and checkpoint format. `eval` samples the heldout rollouts once, at the RL
+sampling settings, and writes both eval.csv and the token-entropy study from
+them. All randomness flows from the run seed through the seed-mixing rule;
+no wall clock or OS entropy anywhere. Exit codes: 0 ok, 1 usage,
+2 validation, 3 runtime. Errors print one line `error:<kind>: ...` to
+stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -29,37 +30,24 @@ from .minirtl.lexer import tokenize
 from .minirtl.vocab import DEFAULT_VOCAB
 
 DEFAULT_POLICY_K = 48
+# The entropy study `eval` writes: rows per top_tokens.csv table, the
+# occurrences a token needs to be ranked, and the heldout tasks (each its
+# first rollout) that get a heatmap.
+TOP_TOKENS = 100
+TOP_TOKENS_MIN_FREQUENCY = 10
+HEATMAP_TASKS = 1
 
 
 @dataclass
 class EvalConfig:
     n: int = 5
     ks: tuple[int, ...] = (1, 5)
-    temperature: float = 1.0
-    max_len: int = 256
 
     def validate(self) -> None:
         if not self.ks or self.n < max(self.ks):
             raise ConfigError("eval.n: must be >= max(eval.ks)")
         if any(k < 1 for k in self.ks):
             raise ConfigError("eval.ks: entries must be >= 1")
-        if not 0 < self.temperature < math.inf:
-            raise ConfigError("eval.temperature: must be finite and > 0")
-        if self.max_len < 1:
-            raise ConfigError("eval.max_len: must be >= 1")
-
-
-@dataclass
-class AnalyzeConfig:
-    top_k: int = 100
-    min_frequency: int = 10
-    heatmap_tasks: int = 1
-
-    def validate(self) -> None:
-        if self.top_k < 1 or self.min_frequency < 1:
-            raise ConfigError("analyze.top_k/min_frequency: must be >= 1")
-        if self.heatmap_tasks < 0:
-            raise ConfigError("analyze.heatmap_tasks: must be >= 0")
 
 
 @dataclass
@@ -88,7 +76,6 @@ class RunConfig:
     rl: rlcore.RlConfig = field(default_factory=rlcore.RlConfig)
     reward: rew.RewardSchedule = field(default_factory=rew.RewardSchedule)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    analyze: AnalyzeConfig = field(default_factory=AnalyzeConfig)
     ablate: AblateConfig = field(default_factory=AblateConfig)
 
     def validate(self) -> None:
@@ -99,7 +86,6 @@ class RunConfig:
         self.rl.validate()
         self.reward.validate()
         self.eval.validate()
-        self.analyze.validate()
         self.ablate.validate()
 
 
@@ -240,17 +226,39 @@ def cmd_train(cfg: RunConfig, args) -> None:
 
 
 def cmd_eval(cfg: RunConfig, args) -> None:
+    """eval.csv, then the entropy study, from one sampling of the heldout
+    rollouts at the RL temperature and response length."""
     corpus = _load_corpus(cfg)
     params, ckpt = _load_params(cfg)
-    report = an.eval_suite(params, corpus.heldout(), n=cfg.eval.n,
-                           ks=cfg.eval.ks, temperature=cfg.eval.temperature,
-                           seed=cfg.seed, schedule=cfg.reward,
-                           max_len=cfg.eval.max_len)
-    path = _out_dir(cfg) / "eval.csv"
-    path.write_text(an.eval_to_csv(report))
+    heldout = corpus.heldout()
+    report, rollouts = an.eval_suite(
+        params, heldout, n=cfg.eval.n, ks=cfg.eval.ks,
+        temperature=cfg.rl.temperature, seed=cfg.seed, schedule=cfg.reward,
+        max_len=cfg.rl.max_response_len, collect_rollouts=True)
+    out = _out_dir(cfg)
+    (out / "eval.csv").write_text(an.eval_to_csv(report))
+    edges = an.default_bin_edges()
+    entropies = [h for r in rollouts for h in r.entropies]
+    counts = an.entropy_histogram(entropies, edges)
+    (out / "entropy_hist.csv").write_text(an.histogram_to_csv(edges, counts))
+    (out / "entropy_hist.svg").write_text(an.histogram_to_svg(edges, counts))
+    stats = an.token_class_stats(rollouts)
+    (out / "token_classes.csv").write_text(an.token_classes_to_csv(stats))
+    hi, lo = an.top_tokens_by_entropy(rollouts, k=TOP_TOKENS,
+                                      min_frequency=TOP_TOKENS_MIN_FREQUENCY)
+    (out / "top_tokens.csv").write_text(an.top_tokens_to_csv(hi, lo))
+    for i, task in enumerate(heldout[:HEATMAP_TASKS]):
+        records = an.heatmap_export(rollouts[i * cfg.eval.n])
+        (out / f"heatmap_{task.id}.csv").write_text(
+            an.heatmap_to_csv(records))
+        (out / f"heatmap_{task.id}.svg").write_text(
+            an.heatmap_to_svg(records))
+    summary = an.entropy_summary(rollouts)
     k0 = cfg.eval.ks[0]
-    print(f"wrote {path} (from {ckpt}; "
-          f"pass@{k0} {report.aggregate_pass(k0):.3f})")
+    print(f"wrote {out / 'eval.csv'} and the entropy study (from {ckpt}; "
+          f"pass@{k0} {report.aggregate_pass(k0):.3f}; "
+          f"{summary['tokens']} tokens, median {summary['median']:.3f}, "
+          f"mean {summary['mean']:.3f})")
 
 
 def cmd_score(cfg: RunConfig, args) -> None:
@@ -270,40 +278,6 @@ def cmd_score(cfg: RunConfig, args) -> None:
         tokens = []  # scores as parse-fail through the normal cascade
     bd = rew.score(tokens, task, cfg.reward, truncated=not tokens)
     print(json.dumps(dataclasses.asdict(bd), sort_keys=True))
-
-
-def cmd_analyze(cfg: RunConfig, args) -> None:
-    corpus = _load_corpus(cfg)
-    params, ckpt = _load_params(cfg)
-    heldout = corpus.heldout()
-    report, rollouts = an.eval_suite(
-        params, heldout, n=cfg.eval.n, ks=cfg.eval.ks,
-        temperature=cfg.eval.temperature, seed=cfg.seed,
-        schedule=cfg.reward, max_len=cfg.eval.max_len,
-        collect_rollouts=True)
-    out = _out_dir(cfg)
-    edges = an.default_bin_edges()
-    entropies = [h for r in rollouts for h in r.entropies]
-    counts = an.entropy_histogram(entropies, edges)
-    (out / "entropy_hist.csv").write_text(an.histogram_to_csv(edges, counts))
-    (out / "entropy_hist.svg").write_text(an.histogram_to_svg(edges, counts))
-    stats = an.token_class_stats(rollouts)
-    (out / "token_classes.csv").write_text(an.token_classes_to_csv(stats))
-    hi, lo = an.top_tokens_by_entropy(rollouts, k=cfg.analyze.top_k,
-                                      min_frequency=cfg.analyze.min_frequency)
-    (out / "top_tokens.csv").write_text(an.top_tokens_to_csv(hi, lo))
-    per_task = cfg.eval.n
-    for i in range(min(cfg.analyze.heatmap_tasks, len(heldout))):
-        task, rollout = heldout[i], rollouts[i * per_task]
-        records = an.heatmap_export(rollout)
-        (out / f"heatmap_{task.id}.csv").write_text(
-            an.heatmap_to_csv(records))
-        (out / f"heatmap_{task.id}.svg").write_text(
-            an.heatmap_to_svg(records))
-    summary = an.entropy_summary(rollouts)
-    print(f"wrote entropy study to {out} (from {ckpt}; "
-          f"{summary['tokens']} tokens, median {summary['median']:.3f}, "
-          f"mean {summary['mean']:.3f})")
 
 
 def cmd_ablate(cfg: RunConfig, args) -> None:
@@ -326,7 +300,6 @@ _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "score": cmd_score,
-    "analyze": cmd_analyze,
     "ablate": cmd_ablate,
 }
 

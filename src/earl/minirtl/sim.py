@@ -7,13 +7,14 @@ Registers start at 0, and the stimulus reset prefix forces them back to 0
 for its duration.
 
 Coverage rule for "exhaustive" vectors: combinational designs enumerate all
-2^b input vectors (b = total input bits, capped at 10); sequential designs
-use a reset prefix followed by 8 full enumeration rounds of the non-clock,
-non-reset input bits when b <= 6, otherwise 256 seeded pseudorandom cycles.
-``build_vectors`` follows the rule by construction, and ``load_corpus``
-rejects vectors that break it, so ``equivalence_fraction`` does not re-check
-it: its caller supplies the reference's packed outputs and a candidate that
-declares every reference port and no other output.
+2^b input vectors (b = total input bits, at most 10: no vectors cover a
+wider one); sequential designs use a reset prefix followed by 8 full
+enumeration rounds of the non-clock, non-reset input bits when b <= 6,
+otherwise 256 seeded pseudorandom cycles. ``build_vectors`` follows the
+rule by construction (and raises on a design it does not cover), and
+``load_corpus`` rejects vectors that break it, so ``equivalence_fraction``
+does not re-check it: its caller supplies the reference's packed outputs
+and a candidate that declares every reference port and no other output.
 
 Lane packing: a signal's values over all cycles are one int, cycle c's
 value in bits [5c, 5c+4) (a "lane"), and bit 5c+4 is a guard bit that
@@ -57,6 +58,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ..errors import DomainError
 from ..seeds import mix
 from .ast import (LANE, LANE_MASK, Binary, Const, Expr, Index, Interface,
                   ModuleAst, Stimulus, Ternary, Unary, Var, expr_width)
@@ -208,9 +210,16 @@ def _with_clock_reset(row: dict[str, int], iface: Interface,
 
 
 def build_vectors(ast: ModuleAst, seed: int = 0) -> Stimulus:
-    """Canonical exhaustive stimulus for the module per the coverage rule."""
+    """Canonical exhaustive stimulus for the module per the coverage rule.
+    Raises DomainError for a combinational module with more than
+    COMB_MAX_BITS input bits, which the rule does not cover."""
     iface = ast.interface
     if not ast.is_sequential():
+        bits = input_bit_count(iface, False)
+        if bits > COMB_MAX_BITS:
+            raise DomainError(f"combinational module {iface.module_name} has "
+                              f"{bits} input bits; exhaustive vectors cover "
+                              f"at most {COMB_MAX_BITS}")
         return Stimulus(tuple(_enumerated(iface, False)), 0)
     bits = input_bit_count(iface, True)
     prefix = [_with_clock_reset({p.name: 0 for p in _data_inputs(iface, True)},

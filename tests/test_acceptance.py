@@ -410,7 +410,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                 "batch_contexts": 256},
         "rl": {"steps": 3, "batch_prompts": 2, "group_size": 3,
                "max_resample_attempts": 1, "max_response_len": 40},
-        "eval": {"n": 5, "ks": [1, 5], "max_len": 40},
+        "eval": {"n": 5, "ks": [1, 5]},
     }
     path = tmp_path / "c.json"
     outs = []

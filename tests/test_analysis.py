@@ -84,6 +84,23 @@ def test_histogram_conserves_total_and_closes_last_bin():
     assert counts[-1] >= 1  # ln V sits inside the closed last bin
 
 
+def test_histogram_counts_a_uniform_row_in_the_last_bin():
+    # the sampler's entropy of a uniform row is ln V plus one ulp
+    p = pol.init_params(DEFAULT_VOCAB, 2, 0)
+    p.W[:] = 0.0
+    p.b[:] = 0.0
+    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 99,
+                           rng_for(0))
+    top = math.log(DEFAULT_VOCAB.size)
+    assert len(r.entropies) == 99 and (r.entropies > top).all()
+    counts = an.entropy_histogram(r.entropies, an.default_bin_edges())
+    assert counts.sum() == counts[-1] == len(r.entropies)
+    # a value clearly above the last edge is still out of range
+    counts = an.entropy_histogram([top + 1e-9, top + 0.01],
+                                  an.default_bin_edges())
+    assert counts.sum() == 0
+
+
 def test_histogram_rejects_bad_edges():
     with pytest.raises(DomainError):
         an.entropy_histogram([0.1], [0.0, 0.0, 1.0])

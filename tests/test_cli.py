@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from earl import analysis as an
 from earl import cli
 from earl import policy as pol
+from earl import rlcore
+from earl import taskgen as tg
 from earl.errors import ConfigError
 
 
@@ -25,8 +28,7 @@ def mini_config(tmp_path, **overrides):
                 "batch_contexts": 128},
         "rl": {"steps": 2, "batch_prompts": 2, "group_size": 3,
                "max_resample_attempts": 1, "max_response_len": 30},
-        "eval": {"n": 5, "ks": [1, 5], "max_len": 30},
-        "analyze": {"heatmap_tasks": 1, "min_frequency": 2},
+        "eval": {"n": 5, "ks": [1, 5]},
         "ablate": {"rhos": [0.0, 0.8], "seeds": [0]},
     }
     data.update(overrides)
@@ -42,18 +44,67 @@ def run(args):
 def test_full_pipeline_artifacts(tmp_path):
     path, data = mini_config(tmp_path)
     out = tmp_path / "run"
-    for sub in ("gen-data", "sft", "train", "eval", "analyze", "ablate"):
+    for sub in ("gen-data", "sft", "train", "eval"):
         assert run([sub, "--config", path]) == 0, sub
+    # eval writes the entropy study with eval.csv
     for name in ("corpus.json", "sft.ckpt", "rl.ckpt", "metrics.csv",
                  "eval.csv", "entropy_hist.csv", "entropy_hist.svg",
-                 "token_classes.csv", "top_tokens.csv", "ablation.csv"):
+                 "token_classes.csv", "top_tokens.csv"):
         assert (out / name).exists(), name
     assert list(out.glob("heatmap_*.csv")) and list(out.glob("heatmap_*.svg"))
+    assert run(["ablate", "--config", path]) == 0
+    assert (out / "ablation.csv").exists()
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header == ("step,mean_reward,pass_rate,clip_rate,gated_fraction,"
                       "mean_kl,mean_entropy,retained_groups")
     assert (out / "ablation.csv").read_text().splitlines()[0] == \
         "rho,pass@1,pass@5,syn@5"
+
+
+def _study_inputs(out, cfg):
+    """(report, rollouts) of one eval_suite call at cfg's eval settings."""
+    return an.eval_suite(
+        pol.load_checkpoint(out / "sft.ckpt"),
+        tg.load_corpus(out / "corpus.json").heldout(), n=cfg.eval.n,
+        ks=cfg.eval.ks, temperature=cfg.rl.temperature, seed=cfg.seed,
+        schedule=cfg.reward, max_len=cfg.rl.max_response_len,
+        collect_rollouts=True)
+
+
+def _histogram_csv(rollouts):
+    edges = an.default_bin_edges()
+    return an.histogram_to_csv(edges, an.entropy_histogram(
+        [h for r in rollouts for h in r.entropies], edges))
+
+
+def test_eval_samples_once_at_the_rl_settings(tmp_path):
+    # eval.csv and the entropy study come from one eval_suite call at
+    # rl.temperature and rl.max_response_len; 200 SFT steps make some
+    # heldout completions parse, so eval.csv depends on the temperature
+    path, _ = mini_config(tmp_path, sft={"peak_lr": 2.0, "warmup_steps": 5,
+                                         "total_steps": 200,
+                                         "batch_contexts": 128},
+                          rl={"temperature": 0.7, "max_response_len": 30})
+    out = tmp_path / "run"
+    for sub in ("gen-data", "sft", "eval"):
+        assert run([sub, "--config", path]) == 0, sub
+    cfg = cli.load_config(path)
+    report, rollouts = _study_inputs(out, cfg)
+    assert (out / "eval.csv").read_text() == an.eval_to_csv(report)
+    at_defaults = dataclasses.replace(cfg, rl=rlcore.RlConfig())
+    assert an.eval_to_csv(_study_inputs(out, at_defaults)[0]) != \
+        an.eval_to_csv(report)
+    assert (out / "entropy_hist.csv").read_text() == _histogram_csv(rollouts)
+    heldout = tg.load_corpus(out / "corpus.json").heldout()
+    assert (out / f"heatmap_{heldout[0].id}.csv").read_text() == \
+        an.heatmap_to_csv(an.heatmap_export(rollouts[0]))
+    # below the references' length every completion is cut at max_len
+    path, _ = mini_config(tmp_path, rl={"temperature": 0.7,
+                                        "max_response_len": 12})
+    assert run(["eval", "--config", path]) == 0
+    _, rollouts = _study_inputs(out, cli.load_config(path))
+    assert all(len(r.response_tokens) == 12 for r in rollouts)
+    assert (out / "entropy_hist.csv").read_text() == _histogram_csv(rollouts)
 
 
 def test_score_reference_is_full_reward(tmp_path):
@@ -109,6 +160,26 @@ def test_nested_unknown_key_reports_key_path(tmp_path, capsys):
             capsys.readouterr().err
 
 
+def test_removed_eval_and_analyze_settings_are_unknown_keys(tmp_path,
+                                                            capsys):
+    # eval samples at rl.temperature and rl.max_response_len, and the
+    # entropy study's table sizes are constants
+    for overrides, key in (({"eval": {"n": 5, "temperature": 1.0}},
+                            "eval.temperature"),
+                           ({"eval": {"n": 5, "max_len": 30}}, "eval.max_len"),
+                           ({"analyze": {"top_k": 100}}, "analyze")):
+        path, _ = mini_config(tmp_path, **overrides)
+        assert run(["gen-data", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error:validation: {key}: unknown key\n"
+
+
+def test_analyze_is_not_a_command(tmp_path, capsys):
+    path, _ = mini_config(tmp_path)
+    assert run(["analyze", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("error:usage:")
+
+
 def test_rl_gate_is_unknown_key(tmp_path, capsys):
     # the gate is the variant's, and the KL term covers every token
     for rl, key in (({"gate": {"mode": "archer-weight", "rho": 0.8}},
@@ -157,7 +228,7 @@ def test_wrong_json_type_is_validation_error(tmp_path, capsys, overrides,
 
 
 @pytest.mark.parametrize("section,key", [("rl", "eps_low"),
-                                         ("eval", "temperature"),
+                                         ("rl", "temperature"),
                                          ("reward", "pass_reward"),
                                          ("reward", "parse_fail")])
 def test_nan_float_is_validation_error(tmp_path, capsys, section, key):
@@ -241,7 +312,7 @@ def test_missing_artifact_is_runtime_error(tmp_path, capsys):
 def test_failed_load_creates_no_directory(tmp_path, capsys):
     out = tmp_path / "nonexist" / "deep"
     path, _ = mini_config(tmp_path, out_dir=str(out))
-    for command in ("eval", "train", "analyze"):
+    for command in ("eval", "train"):
         assert run([command, "--config", path]) == 3
         assert capsys.readouterr().err.startswith("error:runtime: missing ")
         assert not out.parent.exists()
@@ -416,7 +487,6 @@ def test_corpus_wrong_shape_is_validation_error(tmp_path, capsys, corrupt,
 
 
 def test_ablate_prints_failed_cell_cause(tmp_path, capsys, monkeypatch):
-    from earl import rlcore
     path, _ = mini_config(tmp_path)
     for sub in ("gen-data", "sft"):
         assert run([sub, "--config", path]) == 0
@@ -439,7 +509,6 @@ def test_ablate_prints_failed_cell_cause(tmp_path, capsys, monkeypatch):
 
 def test_ablate_rejects_eval_n_below_5_before_training(tmp_path, capsys,
                                                        monkeypatch):
-    from earl import rlcore
     path, _ = mini_config(tmp_path, eval={"n": 3, "ks": [1]})
     for sub in ("gen-data", "sft"):
         assert run([sub, "--config", path]) == 0

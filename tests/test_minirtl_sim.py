@@ -128,6 +128,41 @@ def test_comb_vectors_exhaustive():
     assert is_exhaustive(stim, ast)
 
 
+def test_comb_vectors_reject_more_than_comb_max_bits():
+    # 12 input bits: 4,096 rows would not pass is_exhaustive, so none are built
+    ast = parse_text("module u00 ( input [ 3 : 0 ] a , input [ 3 : 0 ] b , "
+                     "input [ 3 : 0 ] c , output y ) ; "
+                     "assign y = a [ 0 ] ^ b [ 1 ] ^ c [ 2 ] ; endmodule")
+    assert input_bit_count(ast.interface, False) == 12
+    with pytest.raises(DomainError, match="12 input bits"):
+        build_vectors(ast, seed=0)
+    ten = parse_text("module u01 ( input [ 3 : 0 ] a , input [ 3 : 0 ] b , "
+                     "input [ 1 : 0 ] c , output y ) ; "
+                     "assign y = a [ 0 ] ^ b [ 1 ] ^ c [ 1 ] ; endmodule")
+    stim = build_vectors(ten, seed=0)
+    assert len(stim.cycles) == 1 << 10 and is_exhaustive(stim, ten)
+
+
+def test_seq_vectors_are_pseudorandom_above_six_data_bits():
+    # 8 data bits: a reset prefix, then SEQ_RANDOM_CYCLES seeded rows
+    ast = parse_text("module u02 ( input clk , input rst , "
+                     "input [ 3 : 0 ] a , input [ 3 : 0 ] b , "
+                     "output q ) ; reg q ; "
+                     "always @ ( posedge clk ) begin if ( rst ) q <= 0 ; "
+                     "else q <= a [ 0 ] ^ b [ 3 ] ; end endmodule")
+    assert input_bit_count(ast.interface, True) == 8
+    stim = build_vectors(ast, seed=0)
+    assert stim.reset_prefix == 2 and len(stim.cycles) == 2 + 256
+    assert is_exhaustive(stim, ast)
+    assert all(row["rst"] == 1 for row in stim.cycles[:2])
+    body = stim.cycles[2:]
+    assert all(row["rst"] == 0 and row["clk"] == 0 for row in body)
+    assert all(0 <= row[x] < 16 for row in body for x in "ab")
+    assert len({(row["a"], row["b"]) for row in body}) > 100
+    assert build_vectors(ast, seed=0) == stim
+    assert not is_exhaustive(Stimulus(stim.cycles[:-1], 2), ast)
+
+
 def test_self_equivalence():
     ast = parse_text(AND2)
     stim = build_vectors(ast, seed=0)
