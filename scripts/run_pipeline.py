@@ -6,9 +6,11 @@ Usage: python3 scripts/run_pipeline.py [--config configs/default.json]
 
 The stages are `earl gen-data`, `sft`, `train` and `eval` (eval.csv and the
 entropy study from one sampling of the heldout rollouts); the ablation is
-`earl ablate` alone. Each stage prints its wall time and the process's peak
-resident set size so far (all stages run in this one process, so a stage's
-figure is the largest of it and the stages before it).
+`earl ablate` alone. Each stage prints its wall time, the CPU seconds the
+process spent in it (`time.process_time()`, the clock the benchmark times
+with) and the process's peak resident set size so far (all stages run in
+this one process, so a stage's peak is the largest of it and the stages
+before it).
 """
 
 import argparse
@@ -33,12 +35,13 @@ def main() -> int:
     if args.seed is not None:
         extra += ["--seed", args.seed]
     for stage in STAGES:
-        t0 = time.time()
+        t0, cpu0 = time.time(), time.process_time()
         code = cli_main([stage, "--config", args.config] + extra)
+        cpu = time.process_time() - cpu0
         # ru_maxrss is in KiB on Linux
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"[{stage}] exit {code} in {time.time() - t0:.1f}s, "
-              f"peak RSS {peak_mb:.1f} MB")
+        print(f"[{stage}] exit {code} in {time.time() - t0:.1f}s "
+              f"({cpu:.1f} CPU s), peak RSS {peak_mb:.1f} MB")
         if code != 0:
             return code
     return 0

@@ -185,8 +185,7 @@ def input_bit_count(iface: Interface, sequential: bool) -> int:
     return sum(p.width for p in _data_inputs(iface, sequential))
 
 
-def _enumerated(iface: Interface, sequential: bool) -> list[dict[str, int]]:
-    data = _data_inputs(iface, sequential)
+def _enumerated(data: list) -> list[dict[str, int]]:
     bits = sum(p.width for p in data)
     rows = []
     for v in range(1 << bits):
@@ -214,24 +213,23 @@ def build_vectors(ast: ModuleAst, seed: int = 0) -> Stimulus:
     Raises DomainError for a combinational module with more than
     COMB_MAX_BITS input bits, which the rule does not cover."""
     iface = ast.interface
-    if not ast.is_sequential():
-        bits = input_bit_count(iface, False)
+    sequential = ast.is_sequential()
+    data = _data_inputs(iface, sequential)
+    bits = sum(p.width for p in data)
+    if not sequential:
         if bits > COMB_MAX_BITS:
             raise DomainError(f"combinational module {iface.module_name} has "
                               f"{bits} input bits; exhaustive vectors cover "
                               f"at most {COMB_MAX_BITS}")
-        return Stimulus(tuple(_enumerated(iface, False)), 0)
-    bits = input_bit_count(iface, True)
-    prefix = [_with_clock_reset({p.name: 0 for p in _data_inputs(iface, True)},
-                                iface, 1)
+        return Stimulus(tuple(_enumerated(data)), 0)
+    prefix = [_with_clock_reset({p.name: 0 for p in data}, iface, 1)
               for _ in range(RESET_PREFIX)]
     if bits <= SEQ_MAX_EXHAUSTIVE_BITS:
+        rows = _enumerated(data)  # _with_clock_reset copies each row
         body = [_with_clock_reset(row, iface, 0)
-                for _ in range(SEQ_ROUNDS)
-                for row in _enumerated(iface, True)]
+                for _ in range(SEQ_ROUNDS) for row in rows]
     else:
         rng = np.random.default_rng(mix("vectors", seed, iface.module_name))
-        data = _data_inputs(iface, True)
         body = []
         for _ in range(SEQ_RANDOM_CYCLES):
             row = {p.name: int(rng.integers(0, 1 << p.width)) for p in data}

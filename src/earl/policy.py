@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .minirtl.lexer import tokenize
 from .minirtl.vocab import BOS, EOS, PAD, PROMPT_MAX_LEN, DEFAULT_VOCAB, Vocab
-from .seeds import rng_for
+from .seeds import Streams, rng_for
 
 POSITION_BUCKETS = 8
 POSITION_BUCKET_SPAN = 4  # bucket = min(position // span, 7)
@@ -202,31 +202,35 @@ def token_entropy(p: np.ndarray) -> float:
 # --- sampling and scoring ----------------------------------------------------
 
 def sample_rollouts(params: PolicyParams, prompts, temperature: float,
-                    max_len: int, rngs) -> list[Rollout]:
-    """Sample one rollout per (prompt, rng) until EOS or max_len, all
+                    max_len: int, seeds) -> list[Rollout]:
+    """Sample one rollout per (prompt, seed) until EOS or max_len, all
     advancing together one token position at a time; records sampling-time
     logprobs and entropies.
 
-    Each rollout draws from its own generator exactly as
-    ``rng.choice(V, p=softmax(z / temperature))`` would (cumsum, one
-    uniform, a right-sided search), so its tokens and bytes do not depend on
-    the batch it is sampled in. A rollout's t-th uniform is its generator's
-    t-th double, but generators advance in whole blocks of up to 64
-    (``random(m)``), so one left over from a rollout that ended early is not
-    where a ``random()`` per token would have left it.
+    Rollout i draws from the stream ``np.random.default_rng(seeds[i])``
+    exactly as ``rng.choice(V, p=softmax(z / temperature))`` would (cumsum,
+    one uniform, a right-sided search), so its tokens and bytes do not depend
+    on the batch it is sampled in. The streams are seeded in one batch and
+    drawn in blocks of up to 64 uniforms through one reused PCG64
+    (``seeds.Streams``). A rollout's t-th uniform is its stream's t-th
+    double, but one left over from a rollout that ended early is not where
+    a ``random()`` per token would have left the stream.
 
-    Rollouts with the same prompt and the same tokens so far share a node,
-    and with it a feature row and a distribution: at each position the
-    logits, softmax, CDF, log-probabilities and entropy are computed once per
-    distinct node and spread to its rollouts.
+    Rollouts with the same prompt and the same tokens so far share a node.
+    The sampler keeps one feature row per distinct node and ``inv``, each
+    active rollout's node row; the logits, softmax, CDF, log-probabilities
+    and entropy are computed once per node and spread through ``inv``. A
+    child's row is its parent's row advanced by one token, and the distinct
+    children are found with one stable argsort of parent * V + token (the
+    order ``np.unique`` gives), skipped when every node has one rollout.
     """
     if temperature <= 0:
         raise DomainError("temperature must be > 0")
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    prompts, rngs = [tuple(p) for p in prompts], list(rngs)
-    if len(prompts) != len(rngs):
-        raise DomainError("sample_rollouts needs one generator per prompt")
+    prompts, seeds = [tuple(p) for p in prompts], list(seeds)
+    if len(prompts) != len(seeds):
+        raise DomainError("sample_rollouts needs one seed per prompt")
     n, eos, V = len(prompts), params.vocab.id(EOS), params.V
     tokens = np.zeros((n, max_len), dtype=np.int64)
     logprobs = np.zeros((n, max_len))
@@ -234,47 +238,58 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     lengths = np.full(n, max_len)
     active = np.arange(n)  # batch rows still sampling
     first_of: dict = {}  # equal prompts start at one node
-    node = np.array([first_of.setdefault(p, len(first_of)) for p in prompts],
-                    dtype=np.int64)
+    inv = np.array([first_of.setdefault(p, len(first_of)) for p in prompts],
+                   dtype=np.int64)
     # rows 0 of feature_rows read the prompt only: one per distinct prompt
-    starts = np.array([feature_rows(params, p, (eos,))[0] for p in first_of],
-                      dtype=np.int32).reshape(len(first_of), params.k + 1)
-    idx = starts[node]
-    # uniforms per generator draw; the [144, 64] block of a default RL
-    # step's rollouts stays under glibc's 128 KiB mmap threshold
+    rows = np.array([feature_rows(params, p, (eos,))[0] for p in first_of],
+                    dtype=np.int32).reshape(len(first_of), params.k + 1)
+    streams = Streams(seeds)
+    # uniforms per block; the [144, 64] block of a default RL step's
+    # rollouts stays under glibc's 128 KiB mmap threshold
     block = 64
-    for t in range(max_len):
-        if not active.size:
-            break
-        if t % block == 0:
-            draws = np.array([rngs[i].random(min(block, max_len - t))
-                              for i in active])
-        _, first, inv = np.unique(node, return_index=True, return_inverse=True)
-        p = distributions(params, idx[first], temperature)
-        cdf = np.cumsum(p, axis=1)
-        # a softmax row is in [0, 1], or all NaN (a NaN or +inf logit), so
-        # its cumsum ends finite exactly when the whole row is finite
-        if not np.isfinite(cdf[:, -1]).all():
-            raise DomainError("next-token probabilities are not finite")
-        cdf /= cdf[:, -1:]
-        u = draws[:, t % block]
-        # rows of cdf are non-decreasing, so this count is
-        # searchsorted(row, u, side="right")
-        tok = np.count_nonzero(cdf[inv] <= u[:, None], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(max_len):
+            if not active.size:
+                break
+            if t % block == 0:
+                draws = streams.blocks(active.tolist(),
+                                       min(block, max_len - t))
+            p = distributions(params, rows, temperature)
+            cdf = np.cumsum(p, axis=1)
+            # a softmax row is in [0, 1], or all NaN (a NaN or +inf logit),
+            # so its cumsum ends finite exactly when the whole row is finite
+            if not np.isfinite(cdf[:, -1]).all():
+                raise DomainError("next-token probabilities are not finite")
+            cdf /= cdf[:, -1:]
+            u = draws[:, t % block]
+            # rows of cdf are non-decreasing, so this count is
+            # searchsorted(row, u, side="right")
+            tok = np.count_nonzero(cdf[inv] <= u[:, None], axis=1)
             logp = np.log(p)
             h = -(p * logp).sum(axis=1)
-        for j in np.flatnonzero(np.isnan(h)):  # a probability underflowed
-            h[j] = token_entropy(p[j])
-        tokens[active, t] = tok
-        logprobs[active, t] = logp[inv, tok]
-        entropies[active, t] = h[inv]
-        _advance_indices(params, idx, tok, t + 1)
-        node = inv * V + tok
-        going = tok != eos
-        lengths[active[~going]] = t + 1
-        active, idx, node, draws = (active[going], idx[going], node[going],
-                                    draws[going])
+            for j in np.flatnonzero(np.isnan(h)):  # a probability underflowed
+                h[j] = token_entropy(p[j])
+            tokens[active, t] = tok
+            logprobs[active, t] = logp[inv, tok]
+            entropies[active, t] = h[inv]
+            going = tok != eos
+            lengths[active[~going]] = t + 1
+            if len(rows) == active.size:  # distinct parents, distinct children
+                parent, tok = inv[going], tok[going]
+                inv = np.arange(parent.size)
+            else:
+                key = inv[going] * V + tok[going]
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                new = np.empty(key.size, dtype=bool)
+                new[:1] = True
+                np.not_equal(key[1:], key[:-1], out=new[1:])
+                inv = np.empty_like(order)
+                inv[order] = np.cumsum(new) - 1
+                parent, tok = np.divmod(key[new], V)
+            rows = rows[parent]
+            _advance_indices(params, rows, tok, t + 1)
+            active, draws = active[going], draws[going]
     return [Rollout(prompts[i], tuple(tokens[i, :L].tolist()),
                     logprobs[i, :L].copy(), entropies[i, :L].copy(),
                     temperature, bool(tokens[i, L - 1] != eos))
@@ -282,9 +297,9 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
 
 
 def sample_rollout(params: PolicyParams, prompt, temperature: float,
-                   max_len: int, rng: np.random.Generator) -> Rollout:
+                   max_len: int, seed: int) -> Rollout:
     """One rollout through sample_rollouts."""
-    return sample_rollouts(params, [prompt], temperature, max_len, [rng])[0]
+    return sample_rollouts(params, [prompt], temperature, max_len, [seed])[0]
 
 
 def response_distributions(params: PolicyParams, prompt, response,
@@ -316,21 +331,22 @@ class GradAccumulator:
     db: np.ndarray
 
 
-def gradient(params: PolicyParams, rows: np.ndarray,
-             G: np.ndarray) -> GradAccumulator:
+def gradient(params: PolicyParams, rows: np.ndarray, G: np.ndarray,
+             out: np.ndarray | None = None) -> GradAccumulator:
     """Gradient in W and b of a loss whose gradient in the logits of feature
     rows [n, k+1] is G [n, V]: X.T @ G through ``csc_matvecs``, the
-    transpose of ``logits``. The one backward pass of SFT and RL."""
+    transpose of ``logits``. The one backward pass of SFT and RL. dW is
+    written into ``out`` when given (a C-contiguous float64 [F, V] array,
+    overwritten) and is a new array otherwise; the bytes are the same."""
     db = np.zeros_like(params.b)
     db += G.sum(axis=0)  # a column of -0.0 sums to -0.0; db keeps +0.0
-    # dW starts at +0.0 and the kernel adds to it, so it has the bytes of
-    # zeros + product
-    return GradAccumulator(_onehot_product(rows, G, params.F, transposed=True),
-                           db)
+    return GradAccumulator(
+        _onehot_product(rows, G, params.F, transposed=True, out=out), db)
 
 
 def _onehot_product(rows: np.ndarray, dense: np.ndarray, F: int,
-                    transposed: bool) -> np.ndarray:
+                    transposed: bool, out: np.ndarray | None = None
+                    ) -> np.ndarray:
     """X @ dense, or X.T @ dense when transposed, for the one-hot design
     matrix X [n, F] of feature rows [n, k+1]: the kernel scipy's ``@`` runs
     for a CSR matrix (X) and for its CSC transpose (X.T), given the arrays
@@ -338,16 +354,31 @@ def _onehot_product(rows: np.ndarray, dense: np.ndarray, F: int,
     output, without the matrix object. C-contiguous int32 rows, as
     feature_rows builds them, are the kernel's indices as they are, not a
     copy; other integer rows are converted once per call. Like that ``@``,
-    it reads the indices unchecked: rows hold indices in [0, F)."""
+    it reads the indices unchecked: rows hold indices in [0, F).
+
+    The product goes into ``out`` when given, else into a new array. The
+    output starts at +0.0 and the kernel adds to it, so it has the bytes of
+    zeros + product either way. The kernel writes ``out`` without checks,
+    so anything but a writeable C-contiguous float64 array of the product's
+    shape is a DomainError."""
     from scipy.sparse import _sparsetools
     n, width = rows.shape
     M, N = (F, n) if transposed else (n, F)
     if dense.shape[0] != N:  # the kernel reads dense without bounds checks
         raise DomainError(f"one-hot product: {dense.shape[0]} dense rows, "
                           f"want {N}")
+    shape = (M, dense.shape[1])
+    if out is None:
+        out = np.zeros(shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == shape and out.flags.c_contiguous
+              and out.flags.writeable):
+        raise DomainError(f"one-hot product: out must be a C-contiguous "
+                          f"float64 array of shape {shape}")
+    else:
+        out.fill(0.0)
     kernel = (_sparsetools.csc_matvecs if transposed
               else _sparsetools.csr_matvecs)
-    out = np.zeros((M, dense.shape[1]))
     kernel(M, N, dense.shape[1],
            np.arange(0, (n + 1) * width, width, dtype=np.int32),
            rows.astype(np.int32, copy=False).ravel(), np.ones(n * width),

@@ -26,7 +26,7 @@ import numpy as np
 from . import policy as pol
 from . import reward as rew
 from .errors import ConfigError, DegenerateGroup, DomainError
-from .seeds import rng_for
+from .seeds import mix, rng_for
 
 ADV_STD_EPS = 1e-8
 
@@ -317,12 +317,14 @@ def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
 
 
 def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
-                      config: RlConfig
+                      config: RlConfig, out: np.ndarray | None = None
                       ) -> tuple[pol.GradAccumulator, float, float]:
     """Gradient of objective_value in pi_new from one pi_new pass over the
     batch: the logit gradient is written in place into p_new (its KL term
     into s), so the batch itself is left unchanged. Returns (accumulator,
-    clip rate, mean per-token KL)."""
+    clip rate, mean per-token KL). The accumulator's dW is ``out`` when
+    given (policy.gradient's buffer: train_rl passes its run's one buffer,
+    so a dW is valid until the next call with it), else a new array."""
     n = batch.token_total
     G, _, coeffs, clipped, d, kl = _pi_new_terms(batch, pi_new, config)
     if kl is not None:
@@ -338,7 +340,7 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
     G /= config.temperature
     clip_rate = int(clipped.sum()) / n if n else 0.0
     mean_kl = _rollout_sum(batch, kl) / n if kl is not None and n else 0.0
-    return pol.gradient(pi_new, batch.rows, G), clip_rate, mean_kl
+    return pol.gradient(pi_new, batch.rows, G, out), clip_rate, mean_kl
 
 
 # --- training loop -----------------------------------------------------------
@@ -348,16 +350,17 @@ def sample_groups(params: pol.PolicyParams, tasks, G: int,
                   schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
                   ) -> list[Group]:
     """G rollouts per task, all sampled in one batch, then scored. Rollout g
-    of task i draws from rng_for(*rng_parts[i], g), so its bytes do not
-    depend on the batch: train_rl samples every resample attempt of a step
-    in one call, and eval_suite several tasks per call. score is pure, so
-    each distinct (task, response, truncated) is scored once per call."""
+    of task i draws from the stream seeded mix(*rng_parts[i], g), the one
+    rng_for(*rng_parts[i], g) returns, so its bytes do not depend on the
+    batch: train_rl samples every resample attempt of a step in one call,
+    and eval_suite several tasks per call. score is pure, so each distinct
+    (task, response, truncated) is scored once per call."""
     pol.require_minirtl_vocab(params, "sample_groups")
     tasks = list(tasks)
     rollouts = pol.sample_rollouts(
         params, [t.prompt_tokens for t in tasks for _ in range(G)],
         temperature, max_len,
-        [rng_for(*parts, g) for parts in rng_parts for g in range(G)])
+        [mix(*parts, g) for parts in rng_parts for g in range(G)])
     scored: dict = {}  # keyed by id(task): tasks holds every task
     groups = []
     for i, task in enumerate(tasks):
@@ -429,6 +432,7 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
     pi_ref = params.copy()
     n_prompts = min(config.batch_prompts, len(tasks))
     attempts = range(config.max_resample_attempts + 1)
+    dW = np.empty_like(params.W)  # every update's gradient, in turn
     metrics: list[StepMetrics] = []
     for step in range(config.steps):
         # attempt 0's draw comes first: it starts the step
@@ -457,7 +461,8 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
 
         batch = prepare_batch(retained, config, pi_ref)
         if batch.token_total:
-            acc, clip_rate, mean_kl = assemble_gradient(batch, params, config)
+            acc, clip_rate, mean_kl = assemble_gradient(batch, params, config,
+                                                        dW)
             pol.apply_update(params, acc, config.learning_rate)
         else:
             # No trainable group: skip the update, log the empty step.

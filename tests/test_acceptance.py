@@ -21,7 +21,7 @@ from earl.minirtl import (Stimulus, Vocab, build_vectors,
                           equivalence_fraction, parse, simulate,
                           simulate_packed, tokenize)
 from earl.minirtl.vocab import DEFAULT_VOCAB
-from earl.seeds import rng_for
+from earl.seeds import mix, rng_for
 
 
 # --- 1. gradient correctness --------------------------------------------------
@@ -293,7 +293,7 @@ def test_criterion_6_equivalence_oracle_agreement():
 def _pass1(params, tasks, n=5, seed=0):
     rollouts = pol.sample_rollouts(
         params, [task.prompt_tokens for task in tasks for _ in range(n)],
-        1.0, 256, [rng_for(seed, "eval", ti, j)
+        1.0, 256, [mix(seed, "eval", ti, j)
                    for ti in range(len(tasks)) for j in range(n)])
     total = 0.0
     for ti, task in enumerate(tasks):

@@ -18,7 +18,7 @@ from earl import policy as pol
 from earl import reward as rew
 from earl.errors import DomainError
 from earl.minirtl.vocab import DEFAULT_VOCAB
-from earl.seeds import rng_for
+from earl.seeds import mix, rng_for
 
 
 # --- pass@k -------------------------------------------------------------------
@@ -89,8 +89,7 @@ def test_histogram_counts_a_uniform_row_in_the_last_bin():
     p = pol.init_params(DEFAULT_VOCAB, 2, 0)
     p.W[:] = 0.0
     p.b[:] = 0.0
-    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 99,
-                           rng_for(0))
+    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 99, mix(0))
     top = math.log(DEFAULT_VOCAB.size)
     assert len(r.entropies) == 99 and (r.entropies > top).all()
     counts = an.entropy_histogram(r.entropies, an.default_bin_edges())
@@ -110,8 +109,7 @@ def test_histogram_rejects_bad_edges():
 
 def test_near_uniform_init_mass_in_last_bin():
     p = pol.init_params(DEFAULT_VOCAB, 2, 0)
-    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 30,
-                           rng_for(0))
+    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 30, mix(0))
     edges = [0.0, 0.15, math.log(DEFAULT_VOCAB.size)]
     counts = an.entropy_histogram(r.entropies, edges)
     assert counts[-1] == len(r.entropies)
@@ -237,7 +235,7 @@ def _eval_by_slices(params, tasks, n, seed, max_len, temperature):
         chunk = jobs[start:start + 48]
         batch = pol.sample_rollouts(
             params, [task.prompt_tokens for task, _ in chunk], temperature,
-            max_len, [rng_for(seed, "eval", task.id, j) for task, j in chunk])
+            max_len, [mix(seed, "eval", task.id, j) for task, j in chunk])
         breakdowns += [rew.score(r.response_tokens, task, rew.DEFAULT_SCHEDULE,
                                  truncated=r.truncated)
                        for (task, _), r in zip(chunk, batch)]

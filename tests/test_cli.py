@@ -1,6 +1,8 @@
 """CLI: pipeline artifacts, config validation, exit codes, determinism."""
 
+import csv
 import dataclasses
+import io
 import json
 import shutil
 import struct
@@ -543,7 +545,13 @@ def test_seed_and_out_overrides(tmp_path):
 
 
 def test_pipeline_determinism_byte_identical(tmp_path):
-    path, data = mini_config(tmp_path)
+    # 200 SFT steps, as in test_eval_samples_once_at_the_rl_settings: at 30
+    # every heldout completion fails to parse, and eval.csv is all zeros
+    # whatever the sampler draws
+    path, data = mini_config(tmp_path, sft={"peak_lr": 2.0,
+                                            "warmup_steps": 5,
+                                            "total_steps": 200,
+                                            "batch_contexts": 128})
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
@@ -555,6 +563,10 @@ def test_pipeline_determinism_byte_identical(tmp_path):
         a = (outs[0] / artifact).read_bytes()
         b = (outs[1] / artifact).read_bytes()
         assert a == b, artifact
+    rows = list(csv.DictReader(io.StringIO(
+        (outs[0] / "eval.csv").read_text())))
+    assert sum(int(r["syntax_passes"]) for r in rows
+               if r["task_id"] != "aggregate") > 0
 
 
 def test_default_config_validates():

@@ -16,7 +16,7 @@ from scipy import sparse
 from earl import policy as pol
 from earl.errors import ConfigError, DomainError
 from earl.minirtl.vocab import DEFAULT_VOCAB, PROMPT_MAX_LEN
-from earl.seeds import rng_for
+from earl.seeds import mix, rng_for
 
 V = DEFAULT_VOCAB.size
 
@@ -101,6 +101,38 @@ def test_kernel_products_match_public_csr(n):
         assert acc.db.tobytes() == np.zeros(V).tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 7, 300])
+def test_gradient_into_a_buffer_matches_a_new_array(n):
+    # the buffer is filled with +0.0 before the kernel adds to it, so stale
+    # contents (NaN here) leave no trace, zero signs included
+    p = small_params(k=12, scale=0.3)
+    rng = np.random.default_rng(n + 10)
+    resp = tuple(int(t) for t in rng.integers(0, V, n))
+    rows = pol.feature_rows(p, (DEFAULT_VOCAB.id("BOS"), 9, 10), resp)
+    G = rng.normal(size=(n, V))
+    G[:, 3] = -0.0
+    buf = np.full_like(p.W, np.nan)
+    acc = pol.gradient(p, rows, G, out=buf)
+    assert acc.dW is buf
+    assert buf.tobytes() == pol.gradient(p, rows, G).dW.tobytes()
+    assert not np.signbit(buf[:, 3]).any()
+
+
+def test_gradient_rejects_an_out_the_kernel_cannot_fill():
+    p = small_params(k=2)
+    rows = pol.feature_rows(p, (DEFAULT_VOCAB.id("BOS"),), (4, 5))
+    G = np.ones((2, V))
+    read_only = np.zeros_like(p.W)
+    read_only.flags.writeable = False
+    for out in (np.zeros((p.F - 1, V)), np.zeros((V, p.F)),
+                np.zeros_like(p.W, dtype=np.float32),
+                np.zeros((p.F, 2 * V))[:, ::2],  # the right shape, strided
+                np.asfortranarray(np.zeros_like(p.W)), read_only,
+                p.W.tolist()):
+        with pytest.raises(DomainError):
+            pol.gradient(p, rows, G, out=out)
+
+
 def test_init_rejects_k_zero():
     with pytest.raises(DomainError):
         pol.init_params(DEFAULT_VOCAB, 0, 0)
@@ -180,11 +212,10 @@ def test_rollout_stops_at_eos_and_truncation_flag():
     p.W[:, :] = 0.0
     p.b[:] = -30.0
     p.b[eos] = 30.0
-    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 10,
-                           rng_for(0))
+    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 10, mix(0))
     assert r.response_tokens == (eos,) and not r.truncated
     p.b[eos] = -60.0  # now EOS never sampled
-    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 7, rng_for(0))
+    r = pol.sample_rollout(p, (DEFAULT_VOCAB.id("BOS"),), 1.0, 7, mix(0))
     assert len(r.response_tokens) == 7 and r.truncated
 
 
@@ -204,12 +235,16 @@ def _one_at_a_time(p, prompt, temperature, max_len, rng):
     return tuple(tokens), logprobs, entropies, tokens[-1] != eos
 
 
-@pytest.mark.parametrize("temperature", [1.0, 0.7])
-def test_sample_rollouts_match_one_at_a_time(temperature):
+@pytest.mark.parametrize("temperature, max_len, eos_bias", [
+    pytest.param(1.0, 12, 2.0, id="1.0"),
+    pytest.param(0.7, 12, 2.0, id="0.7"),
+    # rollouts past 64 tokens draw a second block of uniforms per stream
+    pytest.param(1.0, 75, 0.0, id="1.0-second-block")])
+def test_sample_rollouts_match_one_at_a_time(temperature, max_len, eos_bias):
     # k + 1 >= 8 terms per logit, so numpy would sum a contiguous copy
     # of the gathered weights in a different order
     p = small_params(k=12, scale=0.3)
-    p.b[DEFAULT_VOCAB.id("EOS")] = 2.0  # ends at varied steps
+    p.b[DEFAULT_VOCAB.id("EOS")] = eos_bias  # ends at varied steps
     p.b[-4:] = -1000.0  # probabilities that underflow to 0
     bos, a = DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("a")
     prompts = [(bos,), (bos, 9, 10, 11), (a,), (a, 7, 8, 9, 10, 12),
@@ -218,12 +253,12 @@ def test_sample_rollouts_match_one_at_a_time(temperature):
     # repeated (prompt, seed) pairs: whole rollouts share every node
     prompts += prompts[:5] + prompts[7:9]
     seeds += seeds[:5] + seeds[7:9]
-    batch = pol.sample_rollouts(p, prompts, temperature, 12,
-                                [rng_for(*s) for s in seeds])
+    batch = pol.sample_rollouts(p, prompts, temperature, max_len,
+                                [mix(*s) for s in seeds])
     assert len(batch) == len(prompts)
     for prompt, s, r in zip(prompts, seeds, batch):
         tokens, logprobs, entropies, truncated = _one_at_a_time(
-            p, prompt, temperature, 12, rng_for(*s))
+            p, prompt, temperature, max_len, rng_for(*s))
         assert r.prompt_tokens == prompt and r.temperature == temperature
         assert r.response_tokens == tokens
         assert np.array_equal(r.logprobs, logprobs)
@@ -233,6 +268,8 @@ def test_sample_rollouts_match_one_at_a_time(temperature):
     assert len(set(lengths)) >= 4
     assert any(r.truncated for r in batch)
     assert not all(r.truncated for r in batch)
+    if max_len > 64:  # some end inside the second block
+        assert any(64 < L < max_len for L in lengths)
 
 
 def test_sample_rollouts_reject_non_finite_probabilities():
@@ -241,9 +278,9 @@ def test_sample_rollouts_reject_non_finite_probabilities():
     p.W[2 * V, 5] = np.nan  # position bucket 0: every first token
     with pytest.raises(DomainError):
         pol.sample_rollouts(p, [(bos,), (bos, 9)], 1.0, 5,
-                            [rng_for(0), rng_for(1)])
+                            [mix(0), mix(1)])
     with pytest.raises(ValueError):  # as Generator.choice raised
-        pol.sample_rollout(p, (bos,), 1.0, 5, rng_for(0))
+        pol.sample_rollout(p, (bos,), 1.0, 5, mix(0))
     # the sampler checks the last CDF column only: a NaN or +inf logit
     # makes its whole softmax row NaN, and a -inf logit a zero probability
     for cell in ("W", "b"):
@@ -254,11 +291,11 @@ def test_sample_rollouts_reject_non_finite_probabilities():
             q.b[5] = np.inf
         with pytest.raises(DomainError), np.errstate(invalid="ignore"):
             pol.sample_rollouts(q, [(bos,), (bos, 9)], 1.0, 5,
-                                [rng_for(0), rng_for(1)])
+                                [mix(0), mix(1)])
     q = small_params(k=2, scale=0.1)
     q.W[2 * V, 5] = -np.inf
     for r in pol.sample_rollouts(q, [(bos,), (bos, 9)], 1.0, 5,
-                                 [rng_for(0), rng_for(1)]):
+                                 [mix(0), mix(1)]):
         _, probs = pol.response_distributions(q, r.prompt_tokens,
                                               r.response_tokens)
         assert probs[0, 5] == 0.0 and np.isfinite(r.entropies).all()
@@ -271,23 +308,23 @@ def test_sample_rollouts_argument_checks():
     bos = DEFAULT_VOCAB.id("BOS")
     assert pol.sample_rollouts(p, [], 1.0, 5, []) == []
     with pytest.raises(DomainError):
-        pol.sample_rollouts(p, [(bos,), (bos,)], 1.0, 5, [rng_for(0)])
+        pol.sample_rollouts(p, [(bos,), (bos,)], 1.0, 5, [mix(0)])
     with pytest.raises(DomainError):
-        pol.sample_rollouts(p, [(bos,)], 0.0, 5, [rng_for(0)])
+        pol.sample_rollouts(p, [(bos,)], 0.0, 5, [mix(0)])
     with pytest.raises(DomainError):
-        pol.sample_rollouts(p, [(bos,)], 1.0, 0, [rng_for(0)])
+        pol.sample_rollouts(p, [(bos,)], 1.0, 0, [mix(0)])
     # a prompt id past the vocabulary would index past W: at k = 1 the row
     # of (BOS, 2V) is [2V, V], and the sampler read W there unchecked
     q = small_params(k=1)
     assert pol.feature_rows(q, (bos, 9), (9,)).tolist() == [[9, V]]
     with pytest.raises(DomainError):
-        pol.sample_rollouts(q, [(bos, 2 * V)], 1.0, 5, [rng_for(0)])
+        pol.sample_rollouts(q, [(bos, 2 * V)], 1.0, 5, [mix(0)])
 
 
 def test_sequence_logprobs_match_sampling_time():
     p = small_params(k=3, scale=0.3)
     prompt = (DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("SPEC"))
-    r = pol.sample_rollout(p, prompt, 1.3, 25, rng_for(42))
+    r = pol.sample_rollout(p, prompt, 1.3, 25, mix(42))
     lp = pol.sequence_logprobs(p, prompt, r.response_tokens, 1.3)
     assert np.allclose(lp, r.logprobs, atol=1e-12)
     assert np.all(lp <= 0)
@@ -324,7 +361,7 @@ def test_feature_rows_reject_token_ids_outside_vocab():
 def test_ratio_one_for_unchanged_params():
     p = small_params(k=2, scale=0.2)
     prompt = (DEFAULT_VOCAB.id("BOS"),)
-    r = pol.sample_rollout(p, prompt, 1.0, 15, rng_for(5))
+    r = pol.sample_rollout(p, prompt, 1.0, 15, mix(5))
     a = pol.sequence_logprobs(p, prompt, r.response_tokens)
     b = pol.sequence_logprobs(p.copy(), prompt, r.response_tokens)
     assert np.allclose(np.exp(a - b), 1.0, atol=1e-12)
