@@ -6,13 +6,19 @@ sequence rendered by ``detokenize`` lexes back to the identical sequence.
 
 from __future__ import annotations
 
+import re
+
 from .ast import LexError, ParseError
 from .vocab import DEFAULT_VOCAB, TERMINALS
 
-_PUNCT2 = ("<=", "==")
-_PUNCT1 = set("()[];,=?:&|^~@")
+# One lexeme: a two-character operator, a word, or any other character.
+# finditer skips what no alternative matches, which is exactly whitespace
+# (\S takes every other character). Every terminal that is not a word is
+# '<=', '==' or one character, so the vocabulary lookup alone decides what
+# lexes.
+_LEXEME = re.compile(r"<=|==|\w+|\S")
 # Reserved/marker tokens are vocab entries but never legal source lexemes.
-_SOURCE_WORDS = frozenset(TERMINALS)
+_SOURCE_IDS = {t: DEFAULT_VOCAB.id(t) for t in TERMINALS}
 
 
 def tokenize(text: str) -> list[int]:
@@ -22,31 +28,11 @@ def tokenize(text: str) -> list[int]:
     word lexemes that are not in the vocabulary; nothing is silently skipped.
     """
     ids: list[int] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text[i:i + 2] in _PUNCT2:
-            ids.append(DEFAULT_VOCAB.id(text[i:i + 2]))
-            i += 2
-            continue
-        if ch in _PUNCT1:
-            ids.append(DEFAULT_VOCAB.id(ch))
-            i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word not in _SOURCE_WORDS:
-                raise LexError(i, word)
-            ids.append(DEFAULT_VOCAB.id(word))
-            i = j
-            continue
-        raise LexError(i, ch)
+    for m in _LEXEME.finditer(text):
+        lexeme = m[0]
+        if lexeme not in _SOURCE_IDS:
+            raise LexError(m.start(), lexeme)
+        ids.append(_SOURCE_IDS[lexeme])
     return ids
 
 

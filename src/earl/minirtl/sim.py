@@ -7,14 +7,14 @@ Registers start at 0, and the stimulus reset prefix forces them back to 0
 for its duration.
 
 Coverage rule for "exhaustive" vectors: combinational designs enumerate all
-2^b input vectors (b = total input bits, at most 10: no vectors cover a
-wider one); sequential designs use a reset prefix followed by 8 full
-enumeration rounds of the non-clock, non-reset input bits when b <= 6,
-otherwise 256 seeded pseudorandom cycles. ``build_vectors`` follows the
-rule by construction (and raises on a design it does not cover), and
-``load_corpus`` rejects vectors that break it, so ``equivalence_fraction``
-does not re-check it: its caller supplies the reference's packed outputs
-and a candidate that declares every reference port and no other output.
+2^b input vectors (b = total input bits, at most 10); sequential designs use
+a reset prefix followed by 8 full enumeration rounds of the non-clock,
+non-reset input bits (b at most 6). No vectors cover a wider design.
+``build_vectors`` follows the rule by construction and raises on a design
+it does not cover, and a task's vectors are always
+``build_vectors(reference)``, so ``equivalence_fraction`` does not re-check
+it: its caller supplies the reference's packed outputs and a candidate that
+declares every reference port and no other output.
 
 Lane packing: a signal's values over all cycles are one int, cycle c's
 value in bits [5c, 5c+4) (a "lane"), and bit 5c+4 is a guard bit that
@@ -56,16 +56,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import itemgetter
 
-import numpy as np
-
 from ..errors import DomainError
-from ..seeds import mix
 from .ast import (LANE, LANE_MASK, Binary, Const, Expr, Index, Interface,
                   ModuleAst, Stimulus, Ternary, Unary, Var, expr_width)
 
 SEQ_ROUNDS = 8
 SEQ_MAX_EXHAUSTIVE_BITS = 6
-SEQ_RANDOM_CYCLES = 256
 COMB_MAX_BITS = 10
 RESET_PREFIX = 2
 
@@ -208,32 +204,30 @@ def _with_clock_reset(row: dict[str, int], iface: Interface,
     return full
 
 
-def build_vectors(ast: ModuleAst, seed: int = 0) -> Stimulus:
+def build_vectors(ast: ModuleAst) -> Stimulus:
     """Canonical exhaustive stimulus for the module per the coverage rule.
-    Raises DomainError for a combinational module with more than
-    COMB_MAX_BITS input bits, which the rule does not cover."""
+    Raises DomainError for a module with more input bits than the rule
+    covers: COMB_MAX_BITS for a combinational one, SEQ_MAX_EXHAUSTIVE_BITS
+    data bits for a sequential one."""
     iface = ast.interface
     sequential = ast.is_sequential()
     data = _data_inputs(iface, sequential)
     bits = sum(p.width for p in data)
+    kind, what, limit = (("sequential", "data", SEQ_MAX_EXHAUSTIVE_BITS)
+                         if sequential else
+                         ("combinational", "input", COMB_MAX_BITS))
+    if bits > limit:
+        raise DomainError(f"{kind} module {iface.module_name} has {bits} "
+                          f"{what} bits; exhaustive vectors cover at most "
+                          f"{limit}")
+    rows = _enumerated(data)
     if not sequential:
-        if bits > COMB_MAX_BITS:
-            raise DomainError(f"combinational module {iface.module_name} has "
-                              f"{bits} input bits; exhaustive vectors cover "
-                              f"at most {COMB_MAX_BITS}")
-        return Stimulus(tuple(_enumerated(data)), 0)
+        return Stimulus(tuple(rows), 0)
     prefix = [_with_clock_reset({p.name: 0 for p in data}, iface, 1)
               for _ in range(RESET_PREFIX)]
-    if bits <= SEQ_MAX_EXHAUSTIVE_BITS:
-        rows = _enumerated(data)  # _with_clock_reset copies each row
-        body = [_with_clock_reset(row, iface, 0)
-                for _ in range(SEQ_ROUNDS) for row in rows]
-    else:
-        rng = np.random.default_rng(mix("vectors", seed, iface.module_name))
-        body = []
-        for _ in range(SEQ_RANDOM_CYCLES):
-            row = {p.name: int(rng.integers(0, 1 << p.width)) for p in data}
-            body.append(_with_clock_reset(row, iface, 0))
+    # _with_clock_reset copies each row
+    body = [_with_clock_reset(row, iface, 0)
+            for _ in range(SEQ_ROUNDS) for row in rows]
     return Stimulus(tuple(prefix + body), RESET_PREFIX)
 
 
@@ -248,17 +242,13 @@ def is_exhaustive(vectors: Stimulus, reference: ModuleAst) -> bool:
     def key(row):
         return tuple(row.get(p.name, 0) for p in data)
 
-    if not sequential:
-        if bits > COMB_MAX_BITS:
-            return False
-        return len({key(r) for r in body}) == (1 << bits)
-    if bits <= SEQ_MAX_EXHAUSTIVE_BITS:
-        counts: dict[tuple, int] = {}
-        for r in body:
-            counts[key(r)] = counts.get(key(r), 0) + 1
-        return (len(counts) == (1 << bits)
-                and all(c >= SEQ_ROUNDS for c in counts.values()))
-    return len(body) >= SEQ_RANDOM_CYCLES
+    if bits > (SEQ_MAX_EXHAUSTIVE_BITS if sequential else COMB_MAX_BITS):
+        return False
+    counts: dict[tuple, int] = {}
+    for r in body:
+        counts[key(r)] = counts.get(key(r), 0) + 1
+    return len(counts) == (1 << bits) and (
+        not sequential or all(c >= SEQ_ROUNDS for c in counts.values()))
 
 
 # --- equivalence -------------------------------------------------------------

@@ -5,9 +5,11 @@ module, and exhaustive test vectors; ``Task.expected``, the reference's
 lane-packed outputs over them, is simulated once, on first use. Templates
 replace an LLM generator: they draw MiniRTL source text, which
 ``generate_task`` parses once (only the parser builds expression trees). The
-vectors are built from the reference, so they are exhaustive and a generated
-reference passes them by construction; ``load_corpus`` checks corpora read
-from outside the program, task ids and coverage included.
+vectors are a function of the reference, ``build_vectors(reference)``, so a
+reference passes them by construction and corpus.json does not store them:
+``generate_task`` and ``load_corpus`` both build them. ``load_corpus`` checks
+corpora read from outside the program, task ids included, and rejects a
+reference the coverage rule does not cover.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EarlError
 from .minirtl import (MiniRtlError, ModuleAst, Stimulus, build_vectors,
-                      is_exhaustive, parse, simulate, simulate_packed,
-                      tokenize)
+                      parse, simulate, simulate_packed, tokenize)
 from .minirtl.vocab import (BOS, DEFAULT_VOCAB, ENDSPEC, IN, KIND_COUNT,
                             KIND_DFF, KIND_FSM, MODULE_NAMES, OUT,
                             PROMPT_MAX_LEN, SPEC, TT)
@@ -249,7 +250,7 @@ def generate_task(seed: int, kind: str, difficulty: str,
     for _ in range(100):
         text = _draw_source(rng, kind, difficulty)
         reference = parse(tokenize(text))
-        vectors = build_vectors(reference, seed=seed)
+        vectors = build_vectors(reference)
         trace = simulate(reference, vectors)[:DIGEST_ROWS]
         if any(len({row[p.name] for row in trace}) < 2
                for p in reference.interface.outputs()):
@@ -294,10 +295,6 @@ def corpus_to_json(corpus: Corpus) -> str:
             "id": t.id,
             "prompt_tokens": list(t.prompt_tokens),
             "reference_text": t.reference_text,
-            "vectors": {
-                "cycles": [dict(sorted(c.items())) for c in t.vectors.cycles],
-                "reset_prefix": t.vectors.reset_prefix,
-            },
             "kind": t.kind,
             "difficulty": t.difficulty,
             "split": t.split,
@@ -327,34 +324,13 @@ def _wrong_field_type(r: dict) -> str | None:
         return f"prompt_tokens is not a list of <= {PROMPT_MAX_LEN} token ids"
     if not isinstance(r["reference_text"], str):
         return "reference_text is not a string"
-    vectors = r["vectors"]
-    if not isinstance(vectors, dict):
-        return "vectors is not an object"
-    cycles = vectors["cycles"]
-    if not (isinstance(cycles, list)
-            and all(isinstance(c, dict) for c in cycles)):
-        return "vectors.cycles is not a list of objects"
-    prefix = vectors["reset_prefix"]
-    if type(prefix) is not int or not 0 <= prefix <= len(cycles):
-        return f"vectors.reset_prefix is not an int in [0, {len(cycles)}]"
-    return None
-
-
-def _bad_cycle(cycles, reference: ModuleAst) -> str | None:
-    """What is wrong with the first vector cycle that does not drive exactly
-    the reference's inputs with int values in range, or None."""
-    widths = {p.name: p.width for p in reference.interface.inputs()}
-    for c, row in enumerate(cycles):
-        if row.keys() != widths.keys():
-            return f"cycle {c} drives {sorted(row)}, not {sorted(widths)}"
-        for name, value in row.items():
-            if type(value) is not int or not 0 <= value < 1 << widths[name]:
-                return (f"cycle {c}: {name} = {value!r} is not a "
-                        f"{widths[name]}-bit value")
     return None
 
 
 def load_corpus(path) -> Corpus:
+    """Read a corpus.json; each task's vectors are built from its reference.
+    Keys a record does not need (such as ``vectors``, which older files
+    stored) are ignored."""
     try:
         records = json.loads(Path(path).read_text())
     except ValueError as e:  # not UTF-8, or not JSON
@@ -376,8 +352,6 @@ def load_corpus(path) -> Corpus:
             fields = dict(id=r["id"], prompt_tokens=tuple(r["prompt_tokens"]),
                           reference_text=r["reference_text"], kind=r["kind"],
                           difficulty=r["difficulty"], split=r["split"])
-            vectors = Stimulus(tuple(r["vectors"]["cycles"]),
-                               r["vectors"]["reset_prefix"])
         except KeyError as e:
             raise DomainError(f"corpus record {i}: missing key {e.args[0]!r}"
                               ) from None
@@ -386,11 +360,9 @@ def load_corpus(path) -> Corpus:
         except MiniRtlError as e:
             raise DomainError(f"corpus record {i}: reference_text does not "
                               f"parse: {e}") from None
-        bad = _bad_cycle(vectors.cycles, reference)
-        if bad:
-            raise DomainError(f"corpus record {i}: vectors: {bad}")
-        if not is_exhaustive(vectors, reference):
-            raise DomainError(f"corpus record {i}: vectors do not cover the "
-                              "reference's inputs")
+        try:
+            vectors = build_vectors(reference)
+        except DomainError as e:
+            raise DomainError(f"corpus record {i}: {e}") from None
         tasks.append(Task(reference=reference, vectors=vectors, **fields))
     return Corpus(tuple(tasks))

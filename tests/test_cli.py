@@ -408,30 +408,16 @@ def _set(index, key, value):
     return corrupt
 
 
-def _set_cycle(index, name, value):
-    """Set (or, for None, drop) input name in record index's last cycle."""
-    def corrupt(records):
-        cycle = records[index]["vectors"]["cycles"][-1]
-        if value is None:
-            del cycle[name]
-        else:
-            cycle[name] = value
-        return records
-    return corrupt
-
-
-def _set_prefix(index, value):
-    def corrupt(records):
-        records[index]["vectors"]["reset_prefix"] = value
-        return records
-    return corrupt
-
-
-def _drop_last_cycle(index):
-    def corrupt(records):
-        del records[index]["vectors"]["cycles"][-1]
-        return records
-    return corrupt
+# references build_vectors cannot cover, since no exhaustive vectors fit the
+# coverage rule: 12 input bits of a combinational module, 8 data bits of a
+# sequential one
+_COMB_12_BITS = ("module and2 ( input [ 3 : 0 ] a , input [ 3 : 0 ] b , "
+                 "input [ 3 : 0 ] c , output y ) ; "
+                 "assign y = a [ 0 ] ^ b [ 1 ] ^ c [ 2 ] ; endmodule")
+_SEQ_8_DATA_BITS = ("module dff ( input clk , input rst , "
+                    "input [ 3 : 0 ] a , input [ 3 : 0 ] b , output q ) ; "
+                    "reg q ; always @ ( posedge clk ) begin if ( rst ) "
+                    "q <= 0 ; else q <= a [ 0 ] ^ b [ 3 ] ; end endmodule")
 
 
 @pytest.mark.parametrize("corrupt, where", [
@@ -443,17 +429,10 @@ def _drop_last_cycle(index):
     (_set(3, "prompt_tokens", [1, 10_000]), "record 3"),
     (_set(3, "prompt_tokens", [1] + [5] * 48), "record 3"),
     (_set(3, "reference_text", 7), "record 3"),
-    (_set(3, "vectors", [[]]), "record 3"),
-    (_set(3, "vectors", {"cycles": 4, "reset_prefix": 0}), "record 3"),
-    (_set_prefix(3, -4), "record 3: vectors.reset_prefix"),
-    (_set_prefix(3, 10_000), "record 3: vectors.reset_prefix"),
-    (_set_cycle(3, "a", None), "record 3"),
-    (_set_cycle(3, "c", 0), "record 3"),
-    (_set_cycle(3, "a", "1"), "record 3"),
-    (_set_cycle(3, "a", True), "record 3"),
-    (_set_cycle(3, "a", 2), "record 3"),
-    (_set_cycle(3, "a", -1), "record 3"),
-    (_drop_last_cycle(3), "record 3"),
+    (_set(3, "reference_text", _COMB_12_BITS),
+     "record 3: combinational module and2 has 12 input bits"),
+    (_set(3, "reference_text", _SEQ_8_DATA_BITS),
+     "record 3: sequential module dff has 8 data bits"),
     (_set(3, "split", "test"), "record 3"),
     (_set(3, "split", ["train"]), "record 3"),
     (_set(3, "id", 3), "record 3"),
@@ -466,11 +445,7 @@ def _drop_last_cycle(index):
     (_set(3, "difficulty", ["easy"]), "record 3"),
 ], ids=["truncated-json", "top-level-object", "record-list", "prompt-string",
         "prompt-str-token", "prompt-token-range", "prompt-too-long",
-        "reference-int",
-        "vectors-list", "cycles-int", "prefix-negative",
-        "prefix-past-cycles", "cycle-missing-input",
-        "cycle-extra-input", "cycle-str-value", "cycle-bool-value",
-        "cycle-value-too-wide", "cycle-value-negative",
+        "reference-int", "reference-comb-12-bits",
         "vectors-not-exhaustive", "split-unknown",
         "split-list", "id-int", "id-slash", "id-empty", "id-dot",
         "id-duplicate", "kind-null", "difficulty-list"])

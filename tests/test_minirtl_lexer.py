@@ -1,5 +1,6 @@
 """Lexer and vocabulary: direct lexeme mapping, error positions, round-trip
-identity, duplicate-token rejection."""
+identity, agreement with a character-loop reference lexer, duplicate-token
+rejection."""
 
 import os
 import subprocess
@@ -71,6 +72,63 @@ terminal_ids = st.sampled_from([DEFAULT_VOCAB.id(t) for t in TERMINALS])
 @given(st.lists(terminal_ids, max_size=30))
 def test_round_trip_identity_on_terminal_sequences(ids):
     assert tokenize(detokenize(ids)) == ids
+
+
+def reference_tokenize(text: str) -> list[int]:
+    """The character-loop lexer tokenize replaced: str.isspace and
+    str.isalnum decide what is whitespace and what is a word."""
+    punct2, punct1 = ("<=", "=="), set("()[];,=?:&|^~@")
+    ids: list[int] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text[i:i + 2] in punct2:
+            ids.append(DEFAULT_VOCAB.id(text[i:i + 2]))
+            i += 2
+            continue
+        if ch in punct1:
+            ids.append(DEFAULT_VOCAB.id(ch))
+            i += 1
+            continue
+        if ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word not in TERMINALS:
+                raise LexError(i, word)
+            ids.append(DEFAULT_VOCAB.id(word))
+            i = j
+            continue
+        raise LexError(i, ch)
+    return ids
+
+
+def _lex_outcome(lex, text):
+    try:
+        return lex(text)
+    except LexError as e:
+        return ("LexError", e.position, e.lexeme)
+
+
+# The MiniRTL alphabet, plus characters where str.isspace/str.isalnum and
+# re's \s/\w must agree: ASCII and Unicode whitespace (the \x1c-\x1f
+# separators, U+00A0), non-ASCII letters and digits (é, Arabic-Indic three,
+# the feminine ordinal ª), and near-misses of the operators and words.
+lexer_pieces = st.sampled_from(
+    TERMINALS + [" ", "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d",
+                 "\x1e", "\x1f", "\u00a0", "<", "!", "5", "_x", "\u00e9",
+                 "\u0663", "\u00aa"])
+
+
+@settings(max_examples=1000)
+@given(st.lists(lexer_pieces, max_size=20).map("".join))
+def test_tokenize_agrees_with_reference_lexer(text):
+    assert _lex_outcome(tokenize, text) == \
+        _lex_outcome(reference_tokenize, text)
 
 
 def test_reserved_and_marker_tokens_not_lexable():

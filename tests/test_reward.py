@@ -96,7 +96,7 @@ def test_near_miss_three_quarters_scores_0_8():
     # construct a task-like fixture with OR reference and exhaustive vectors
     ref = parse(tokenize(ref_or))
     fixed = replace(task, reference_text=ref_or, reference=ref,
-                    vectors=build_vectors(ref, seed=0))
+                    vectors=build_vectors(ref))
     cand = ("module and2 ( input a , input b , output y ) ; "
             "assign y = a ^ b ; endmodule")
     bd = rew.score(tokens_of(cand), fixed)
@@ -110,7 +110,7 @@ def test_extra_input_is_driven_to_zero():
                "assign y = a & b ; endmodule")
     ref = parse(tokenize(ref_and))
     task = replace(easy_task(), reference_text=ref_and, reference=ref,
-                   vectors=build_vectors(ref, seed=0))
+                   vectors=build_vectors(ref))
     head = "module and2 ( input a , input b , input c , output y ) ; "
     bd = rew.score(tokens_of(head + "assign y = ( a & b ) | ( c & a ) ; "
                              "endmodule"), task)

@@ -121,20 +121,44 @@ def test_behavioral_diversity_among_comb_tasks():
     assert len(tables) >= 50
 
 
-def test_corpus_json_round_trip(tmp_path):
-    cfg = CorpusConfig({"combinational-easy": 8, "counter-easy": 4})
-    corpus = build_corpus(cfg, 2)
+def _task_fields(task):
+    return (task.id, task.prompt_tokens, task.reference_text, task.reference,
+            task.vectors, task.expected, task.kind, task.difficulty,
+            task.split)
+
+
+def test_corpus_json_round_trip(default_corpus, tmp_path):
+    """corpus.json stores no vectors; load_corpus builds each task's from its
+    reference, equal to the generated task's, expected outputs included."""
     path = tmp_path / "corpus.json"
-    save_corpus(corpus, path)
+    save_corpus(default_corpus, path)
+    assert all("vectors" not in r for r in json.loads(path.read_text()))
     loaded = load_corpus(path)
-    assert corpus_to_json(loaded) == corpus_to_json(corpus)
-    for a, b in zip(corpus.tasks, loaded.tasks):
-        assert a.prompt_tokens == b.prompt_tokens
-        assert a.reference_text == b.reference_text
-        assert a.reference.interface == b.reference.interface
+    assert corpus_to_json(loaded) == corpus_to_json(default_corpus)
+    assert [_task_fields(t) for t in loaded.tasks] == \
+        [_task_fields(t) for t in default_corpus.tasks]
+
+
+def test_corpus_with_stored_vectors_loads_to_the_same_tasks(default_corpus,
+                                                            tmp_path):
+    """A corpus.json in the earlier format, each record with the vectors
+    object it no longer stores (the bytes of the earlier pin), loads to the
+    same tasks: the key is ignored, as every key load_corpus does not read."""
+    records = json.loads(corpus_to_json(default_corpus))
+    for r, t in zip(records, default_corpus.tasks):
+        r["vectors"] = {
+            "cycles": [dict(sorted(c.items())) for c in t.vectors.cycles],
+            "reset_prefix": t.vectors.reset_prefix}
+    text = json.dumps(records, indent=1, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "aab284e455aaef0940e7beb5251a35ad8aa42a9ce5b67ec016b4f3bb0d7f33ff"
+    path = tmp_path / "corpus.json"
+    path.write_text(text)
+    assert [_task_fields(t) for t in load_corpus(path).tasks] == \
+        [_task_fields(t) for t in default_corpus.tasks]
 
 
 def test_default_corpus_bytes_are_pinned():
     text = corpus_to_json(build_corpus(CorpusConfig(), 0))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "aab284e455aaef0940e7beb5251a35ad8aa42a9ce5b67ec016b4f3bb0d7f33ff"
+        "ba043d783d116453cf5cdaa95806fd79f4e970d8e63b2d07233f0f63348bd2e8"
