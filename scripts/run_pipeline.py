@@ -10,15 +10,19 @@ entropy study from one sampling of the heldout rollouts); the ablation is
 process spent in it (`time.process_time()`, the clock the benchmark times
 with) and the process's peak resident set size so far (all stages run in
 this one process, so a stage's peak is the largest of it and the stages
-before it).
+before it). At the end it prints one `<sha256>  <bytes>  <name>` line per
+artifact the run wrote (a file of the output directory that is new or
+changed), sorted by name, so two runs' artifacts compare with one `diff`.
 """
 
 import argparse
+import hashlib
 import resource
 import sys
 import time
+from pathlib import Path
 
-from earl.cli import main as cli_main
+from earl.cli import load_config, main as cli_main
 
 STAGES = ("gen-data", "sft", "train", "eval")
 
@@ -34,6 +38,16 @@ def main() -> int:
         extra += ["--out", args.out]
     if args.seed is not None:
         extra += ["--seed", args.seed]
+    try:
+        out = Path(args.out or load_config(args.config).out_dir)
+    except Exception:  # the first stage prints why the config does not load
+        out = None
+
+    def listing():
+        return {f: f.stat() for f in out.rglob("*") if f.is_file()} \
+            if out and out.is_dir() else {}
+
+    before = listing()
     for stage in STAGES:
         t0, cpu0 = time.time(), time.process_time()
         code = cli_main([stage, "--config", args.config] + extra)
@@ -44,6 +58,10 @@ def main() -> int:
               f"({cpu:.1f} CPU s), peak RSS {peak_mb:.1f} MB")
         if code != 0:
             return code
+    for f, st in sorted(listing().items()):
+        if before.get(f) != st:
+            digest = hashlib.sha256(f.read_bytes()).hexdigest()
+            print(f"{digest}  {st.st_size:>9}  {f.relative_to(out)}")
     return 0
 
 

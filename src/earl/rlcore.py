@@ -317,14 +317,13 @@ def objective_value(batch: PreparedBatch, pi_new: pol.PolicyParams,
 
 
 def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
-                      config: RlConfig, out: np.ndarray | None = None
+                      config: RlConfig
                       ) -> tuple[pol.GradAccumulator, float, float]:
     """Gradient of objective_value in pi_new from one pi_new pass over the
     batch: the logit gradient is written in place into p_new (its KL term
     into s), so the batch itself is left unchanged. Returns (accumulator,
-    clip rate, mean per-token KL). The accumulator's dW is ``out`` when
-    given (policy.gradient's buffer: train_rl passes its run's one buffer,
-    so a dW is valid until the next call with it), else a new array."""
+    clip rate, mean per-token KL); the accumulator holds the W rows the
+    batch's feature rows read (policy.gradient)."""
     n = batch.token_total
     G, _, coeffs, clipped, d, kl = _pi_new_terms(batch, pi_new, config)
     if kl is not None:
@@ -340,7 +339,7 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
     G /= config.temperature
     clip_rate = int(clipped.sum()) / n if n else 0.0
     mean_kl = _rollout_sum(batch, kl) / n if kl is not None and n else 0.0
-    return pol.gradient(pi_new, batch.rows, G, out), clip_rate, mean_kl
+    return pol.gradient(pi_new, batch.rows, G), clip_rate, mean_kl
 
 
 # --- training loop -----------------------------------------------------------
@@ -432,7 +431,6 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
     pi_ref = params.copy()
     n_prompts = min(config.batch_prompts, len(tasks))
     attempts = range(config.max_resample_attempts + 1)
-    dW = np.empty_like(params.W)  # every update's gradient, in turn
     metrics: list[StepMetrics] = []
     for step in range(config.steps):
         # attempt 0's draw comes first: it starts the step
@@ -461,8 +459,7 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
 
         batch = prepare_batch(retained, config, pi_ref)
         if batch.token_total:
-            acc, clip_rate, mean_kl = assemble_gradient(batch, params, config,
-                                                        dW)
+            acc, clip_rate, mean_kl = assemble_gradient(batch, params, config)
             pol.apply_update(params, acc, config.learning_rate)
         else:
             # No trainable group: skip the update, log the empty step.

@@ -2,6 +2,7 @@
 MiniRTL parser and simulator pins score, and the tiny SFT policy that the RL
 tests start from."""
 
+import numpy as np
 import pytest
 
 from earl import policy as pol
@@ -16,6 +17,15 @@ PIN_DRAWS = 6  # candidates per kind of edit and reference
 TOKEN_CLASSES = [("&", "|", "^", "=="), ("0", "1", "2", "3"),
                  ("posedge", "negedge"), ("wire", "reg"),
                  ("input", "output"), IDENTIFIERS, MODULE_NAMES]
+
+
+def dense_dW(acc, params):
+    """The dense [F, V] W gradient of a policy.GradAccumulator: its dW rows
+    scattered into +0.0 zeros at its feature ids, which is what X.T @ G
+    holds outside the rows a batch reads."""
+    dW = np.zeros_like(params.W)
+    dW[acc.ids] = acc.dW
+    return dW
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from conftest import dense_dW
 from earl import policy as pol
 from earl.errors import ConfigError, DomainError
 from earl.minirtl.vocab import DEFAULT_VOCAB, PROMPT_MAX_LEN
@@ -61,6 +62,19 @@ def test_params_reject_wrong_shapes():
         pol.PolicyParams(DEFAULT_VOCAB, 2, p.W, p.b[:-1])
 
 
+def test_params_reject_weights_the_update_cannot_write():
+    # apply_update writes W through W.ravel(), a copy for any W but a
+    # C-contiguous one, and numpy cannot add a float64 step into an int W
+    p = small_params(k=2)
+    for W, b in ((p.W.astype(np.float32), p.b), (p.W.astype(np.int64), p.b),
+                 (np.asfortranarray(p.W), p.b),
+                 (np.zeros((p.F, 2 * V))[:, ::2], p.b),  # a strided view
+                 (p.W.tolist(), p.b),
+                 (p.W, np.zeros(2 * V)[::2])):
+        with pytest.raises(DomainError, match="C-contiguous float64"):
+            pol.PolicyParams(DEFAULT_VOCAB, 2, W, b)
+
+
 def test_logits_match_vocab_major_gather():
     # k + 1 >= 8 terms per logit, so a pairwise sum would differ in bytes
     p = small_params(k=12, scale=0.3)
@@ -89,48 +103,87 @@ def test_kernel_products_match_public_csr(n):
     G = rng.normal(size=(n, V))
     G[:, 3] = -0.0
     acc = pol.gradient(p, rows, G)
-    assert acc.dW.tobytes() == (X.T @ G).tobytes()
+    assert acc.ids.dtype == np.int32
+    assert acc.ids.tolist() == sorted(set(rows.ravel().tolist()))
+    assert acc.dW.shape == (len(acc.ids), V)
+    assert dense_dW(acc, p).tobytes() == (X.T @ G).tobytes()
     assert acc.db.tobytes() == (np.zeros(V) + G.sum(axis=0)).tobytes()
     assert pol.logits(p, rows).tobytes() == (X @ p.W + p.b).tobytes()
     # int64 rows holding the same indices give the same bytes
     wide = rows.astype(np.int64)
     assert pol.logits(p, wide).tobytes() == pol.logits(p, rows).tobytes()
-    assert pol.gradient(p, wide, G).dW.tobytes() == acc.dW.tobytes()
+    acc_wide = pol.gradient(p, wide, G)
+    assert acc_wide.ids.tobytes() == acc.ids.tobytes()
+    assert acc_wide.dW.tobytes() == acc.dW.tobytes()
     if n == 0:
-        assert acc.dW.tobytes() == np.zeros_like(p.W).tobytes()
+        assert acc.dW.shape == (0, V)
         assert acc.db.tobytes() == np.zeros(V).tobytes()
 
 
-@pytest.mark.parametrize("n", [0, 7, 300])
-def test_gradient_into_a_buffer_matches_a_new_array(n):
-    # the buffer is filled with +0.0 before the kernel adds to it, so stale
-    # contents (NaN here) leave no trace, zero signs included
-    p = small_params(k=12, scale=0.3)
-    rng = np.random.default_rng(n + 10)
-    resp = tuple(int(t) for t in rng.integers(0, V, n))
-    rows = pol.feature_rows(p, (DEFAULT_VOCAB.id("BOS"), 9, 10), resp)
+_K = 2  # the property's policy: slots of V ids each, then 8 position ids
+_row = st.tuples(*[st.integers(0, V - 1)] * _K,
+                 st.integers(0, pol.POSITION_BUCKETS - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.one_of(st.lists(_row, max_size=24),
+                      st.tuples(_row, st.integers(1, 24)).map(
+                          lambda r: [r[0]] * r[1])),  # one row repeated
+       step=st.sampled_from([-8.0, -0.5, 0.0, 0.25, 3.0]),
+       zero_cols=st.sets(st.integers(0, V - 1), max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_update_matches_the_dense_reference(rows, step, zero_cols, seed):
+    """gradient + apply_update give the touched W rows and b the bytes of
+    W + step * (X.T @ G) from scipy's dense product, and leave every other
+    W row's bytes as they were, -0.0 weights and -0.0 columns of G
+    included."""
+    p = small_params(k=_K, seed=seed % 7, scale=0.3)
+    rng = np.random.default_rng(seed)
+    p.W[rng.random(p.W.shape) < 0.05] = -0.0
+    n, width = len(rows), _K + 1
+    idx = np.array(rows, dtype=np.int32).reshape(n, width)
+    idx += np.arange(0, width * V, V, dtype=np.int32)  # slot offsets
+    X = sparse.csr_matrix((np.ones(n * width), idx.ravel(),
+                           np.arange(0, (n + 1) * width, width)),
+                          shape=(n, p.F))
     G = rng.normal(size=(n, V))
-    G[:, 3] = -0.0
-    buf = np.full_like(p.W, np.nan)
-    acc = pol.gradient(p, rows, G, out=buf)
-    assert acc.dW is buf
-    assert buf.tobytes() == pol.gradient(p, rows, G).dW.tobytes()
-    assert not np.signbit(buf[:, 3]).any()
+    G[:, sorted(zero_cols)] = -0.0
+    want_W = p.W + step * (X.T @ G)
+    want_b = p.b + step * (np.zeros(V) + G.sum(axis=0))
+    before = p.W.copy()
+    acc = pol.gradient(p, idx, G)
+    pol.apply_update(p, acc, step)
+    touched = np.zeros(p.F, dtype=bool)
+    touched[idx.ravel()] = True
+    assert acc.ids.tolist() == np.flatnonzero(touched).tolist()
+    assert p.W[touched].tobytes() == want_W[touched].tobytes()
+    assert p.W[~touched].tobytes() == before[~touched].tobytes()
+    assert p.b.tobytes() == want_b.tobytes()
 
 
-def test_gradient_rejects_an_out_the_kernel_cannot_fill():
+def test_update_keeps_an_untouched_negative_zero_weight():
+    # the one byte the row update changes: the dense add of an untouched
+    # row's +0.0 gradient turned a -0.0 weight into +0.0 for a step >= 0
     p = small_params(k=2)
     rows = pol.feature_rows(p, (DEFAULT_VOCAB.id("BOS"),), (4, 5))
-    G = np.ones((2, V))
-    read_only = np.zeros_like(p.W)
-    read_only.flags.writeable = False
-    for out in (np.zeros((p.F - 1, V)), np.zeros((V, p.F)),
-                np.zeros_like(p.W, dtype=np.float32),
-                np.zeros((p.F, 2 * V))[:, ::2],  # the right shape, strided
-                np.asfortranarray(np.zeros_like(p.W)), read_only,
-                p.W.tolist()):
+    f = min(set(range(p.F)) - set(rows.ravel().tolist()))
+    p.W[f, 0] = -0.0
+    assert not np.signbit((p.W + 0.5 * np.zeros_like(p.W))[f, 0])
+    pol.apply_update(p, pol.gradient(p, rows, np.ones((2, V))), 0.5)
+    assert p.W[f, 0] == 0.0 and np.signbit(p.W[f, 0])
+
+
+def test_apply_update_rejects_an_accumulator_the_kernel_would_overrun():
+    p = small_params(k=2)
+    for ids, dW in ((np.array([p.F], dtype=np.int32), np.ones((1, V))),
+                    (np.array([-1], dtype=np.int32), np.ones((1, V))),
+                    (np.array([0, 1], dtype=np.int32), np.ones((1, V))),
+                    (np.array([0], dtype=np.int32), np.ones((1, V - 1)))):
+        W = p.W.copy()
         with pytest.raises(DomainError):
-            pol.gradient(p, rows, G, out=out)
+            pol.apply_update(p, pol.GradAccumulator(ids, dW, np.zeros(V)),
+                             1.0)
+        assert p.W.tobytes() == W.tobytes()
 
 
 def test_init_rejects_k_zero():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from conftest import dense_dW
 from earl import policy as pol
 from earl import reward as rew
 from earl import rlcore as rl
@@ -457,8 +458,9 @@ def _per_rollout_objective(batch, pi_new, pi_ref, config):
 def _per_rollout_gradient(batch, pi_new, pi_ref, config):
     """assemble_gradient re-scoring rollout by rollout: two
     response_distributions calls per rollout. Returns (accumulator, clip
-    rate, gated fraction, mean KL)."""
-    acc = pol.GradAccumulator(np.zeros_like(pi_new.W),
+    rate, gated fraction, mean KL); the accumulator holds every W row."""
+    acc = pol.GradAccumulator(np.arange(pi_new.F, dtype=np.int32),
+                              np.zeros_like(pi_new.W),
                               np.zeros_like(pi_new.b))
     eps_low, eps_high = config.resolved_eps()
     T = config.temperature
@@ -543,7 +545,8 @@ def test_group_rescoring_matches_per_rollout(variant, beta, T, tiny_sft):
     acc, clip_rate, mean_kl = rl.assemble_gradient(batch, pi_new, cfg)
     ref_acc, ref_clip, ref_gated, ref_kl = _per_rollout_gradient(
         batch, pi_new, pi_ref, cfg)
-    assert acc.dW.tobytes() == ref_acc.dW.tobytes()  # signs of zeros too
+    # signs of zeros too
+    assert dense_dW(acc, pi_new).tobytes() == ref_acc.dW.tobytes()
     assert acc.db.tobytes() == ref_acc.db.tobytes()
     assert clip_rate == ref_clip > 0
     assert batch.gated_fraction == ref_gated
@@ -603,8 +606,8 @@ def test_rescore_kl_zero_at_copy_positive_after_perturbation(tiny_sft):
 
 
 def test_empty_batch_gradient_is_positive_zero(tiny_sft):
-    """A batch whose responses are all empty takes the general path: dW and
-    db of W's and b's shapes, every entry +0.0."""
+    """A batch whose responses are all empty takes the general path: no
+    feature ids, no dW rows, and db of b's shape with every entry +0.0."""
     tasks, params = tiny_sft
     cfg = rl.RlConfig(group_size=4, max_response_len=48, beta=0.01)
     group = rl.sample_groups(params, tasks[:1], 4, 1.0, 48,
@@ -618,8 +621,9 @@ def test_empty_batch_gradient_is_positive_zero(tiny_sft):
                              np.zeros(0, dtype=np.int64), np.zeros(0),
                              np.zeros((0, params.V)), (params.k, params.V))
     acc, clip_rate, mean_kl = rl.assemble_gradient(batch, params, cfg)
-    assert acc.dW.shape == params.W.shape and acc.db.shape == params.b.shape
-    for a in (acc.dW, acc.db):
+    assert acc.ids.shape == (0,) and acc.dW.shape == (0, params.V)
+    assert acc.db.shape == params.b.shape
+    for a in (dense_dW(acc, params), acc.db):
         assert not a.any() and not np.signbit(a).any()
     assert clip_rate == 0.0 and mean_kl == 0.0
 
@@ -649,8 +653,8 @@ def test_assemble_gradient_leaves_batch_unchanged(tiny_sft):
         for _ in range(2):
             acc, clip_rate, mean_kl = rl.assemble_gradient(batch, pi_new,
                                                            cfg)
-            results.append((acc.dW.tobytes(), acc.db.tobytes(), clip_rate,
-                            mean_kl))
+            results.append((dense_dW(acc, pi_new).tobytes(),
+                            acc.db.tobytes(), clip_rate, mean_kl))
         assert results[0] == results[1]
         assert layout(batch) == before
 
