@@ -14,6 +14,14 @@ LANE = 5
 LANE_MASK = 0xF  # the value bits of one lane
 
 
+def unpack_lanes(packed: dict[str, int],
+                 n_cycles: int) -> list[dict[str, int]]:
+    """One {name: value} row per cycle of the first n_cycles lanes."""
+    return [{name: (value >> shift) & LANE_MASK
+             for name, value in packed.items()}
+            for shift in range(0, LANE * n_cycles, LANE)]
+
+
 class MiniRtlError(Exception):
     pass
 
@@ -153,25 +161,41 @@ class ModuleAst:
 
 @dataclass(frozen=True)
 class Stimulus:
-    cycles: tuple[dict, ...]  # per-cycle {input name: value}
+    """Input values over n_cycles cycles: ``packed`` maps each driven input
+    name to its lanes (cycle c's value in bits [LANE*c, LANE*c + 4)); a
+    name it leaves out is driven to 0. Registers are held at 0 through the
+    first reset_prefix cycles, which must be an int in [0, n_cycles]."""
+    packed: dict[str, int]
+    n_cycles: int
     reset_prefix: int = 0
 
-    @cached_property
-    def packed(self) -> dict[str, int]:
-        """Each driven name's values over all cycles, lane-packed: cycle c
-        in bits [LANE*c, LANE*c + 4). A cycle that leaves a name out drives
-        it to 0. Raises DomainError on a value that is not an int in
-        [0, 16), which would carry into the next lane."""
+    def __post_init__(self):
+        if not (isinstance(self.reset_prefix, int)
+                and 0 <= self.reset_prefix <= self.n_cycles):
+            raise DomainError(
+                f"stimulus reset prefix {self.reset_prefix!r} is not an int "
+                f"in [0, {self.n_cycles}]")
+
+    @classmethod
+    def from_cycles(cls, rows, reset_prefix: int = 0) -> "Stimulus":
+        """The stimulus driving rows[c] ({input name: value}) in cycle c; a
+        row that leaves a name out drives it to 0. Raises DomainError on a
+        value that is not an int in [0, 16), which would carry into the
+        next lane, and on a reset prefix outside [0, len(rows)]."""
         packed: dict[str, int] = {}
-        for shift, row in zip(range(0, LANE * len(self.cycles), LANE),
-                              self.cycles):
+        for shift, row in zip(range(0, LANE * len(rows), LANE), rows):
             for name, value in row.items():
                 if not isinstance(value, int) or not 0 <= value <= LANE_MASK:
                     raise DomainError(
                         f"stimulus value {value!r} for {name!r} is not an "
                         f"int in [0, {LANE_MASK + 1})")
                 packed[name] = packed.get(name, 0) | value << shift
-        return packed
+        return cls(packed, len(rows), reset_prefix)
+
+    @cached_property
+    def cycles(self) -> tuple[dict[str, int], ...]:
+        """One {input name: value} row per cycle, over every driven name."""
+        return tuple(unpack_lanes(self.packed, self.n_cycles))
 
 
 def expr_width(e: Expr, widths: dict[str, int],

@@ -27,13 +27,13 @@ def tokenize(text: str) -> list[int]:
     Raises LexError for characters outside the MiniRTL alphabet and for
     word lexemes that are not in the vocabulary; nothing is silently skipped.
     """
-    ids: list[int] = []
-    for m in _LEXEME.finditer(text):
-        lexeme = m[0]
-        if lexeme not in _SOURCE_IDS:
-            raise LexError(m.start(), lexeme)
-        ids.append(_SOURCE_IDS[lexeme])
-    return ids
+    try:
+        return [_SOURCE_IDS[x] for x in _LEXEME.findall(text)]
+    except KeyError:
+        for m in _LEXEME.finditer(text):
+            if m[0] not in _SOURCE_IDS:
+                raise LexError(m.start(), m[0]) from None
+        raise
 
 
 def token_names(ids) -> list[str]:

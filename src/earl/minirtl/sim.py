@@ -11,19 +11,20 @@ Coverage rule for "exhaustive" vectors: combinational designs enumerate all
 a reset prefix followed by 8 full enumeration rounds of the non-clock,
 non-reset input bits (b at most 6). No vectors cover a wider design.
 ``build_vectors`` follows the rule by construction and raises on a design
-it does not cover, and a task's vectors are always
-``build_vectors(reference)``, so ``equivalence_fraction`` does not re-check
-it: its caller supplies the reference's packed outputs and a candidate that
-declares every reference port and no other output.
+it does not cover; it computes each input's lanes (below) directly, with
+no per-cycle rows. A task's vectors are always ``build_vectors(reference)``,
+so ``equivalence_fraction`` does not re-check it: its caller supplies the
+reference's packed outputs and a candidate that declares every reference
+port and no other output.
 
 Lane packing: a signal's values over all cycles are one int, cycle c's
 value in bits [5c, 5c+4) (a "lane"), and bit 5c+4 is a guard bit that
 stays 0. MiniRTL widths are at most 4, so a lane holds any value, and the
 guard bit takes the carry of '==' (below) so no lane reaches the next.
-``Stimulus.packed`` packs the inputs, once per stimulus, and rejects a
-value that does not fit a lane. ``ONES`` (written ``ones`` below) has a 1
-at the bottom of every lane, and each closure ``_compile`` builds works on
-whole lanes:
+A stimulus is stored in this form only (``Stimulus.packed``).
+``ONES`` (written ``ones`` below, ``lane_repunit(n)``) has a 1 at the
+bottom of every lane, and each closure ``_compile`` builds works on whole
+lanes:
 
 - ``&``, ``|``, ``^`` act lane by lane as they are;
 - ``~x`` is ``x ^ ONES*mask``, mask fixed at compile time from the
@@ -48,7 +49,8 @@ on cycles < c, so each pass fixes one more lane and the loop ends within
 one pass per cycle; and a fixed point is the per-cycle trace, by
 induction from lane 0 (0 in both). ``simulate_packed`` returns the packed
 outputs, and ``equivalence_fraction`` counts mismatched bits with one
-``int.bit_count`` per output.
+``int.bit_count`` per output. ``simulate`` unpacks them into one row per
+cycle; only the benchmark and the tests call it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from operator import itemgetter
 
 from ..errors import DomainError
 from .ast import (LANE, LANE_MASK, Binary, Const, Expr, Index, Interface,
-                  ModuleAst, Stimulus, Ternary, Unary, Var, expr_width)
+                  ModuleAst, Stimulus, Ternary, Unary, Var, expr_width,
+                  unpack_lanes)
 
 SEQ_ROUNDS = 8
 SEQ_MAX_EXHAUSTIVE_BITS = 6
@@ -123,22 +126,26 @@ def _compile(e: Expr, widths: dict[str, int],
     raise AssertionError(e)
 
 
+def lane_repunit(count: int, period: int = LANE) -> int:
+    """A 1 at the bottom of each of count blocks of period bits; at the
+    default period, a 1 at the bottom of each of count lanes (ONES)."""
+    return ((1 << period * count) - 1) // ((1 << period) - 1)
+
+
 def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
     """Run the module over the stimulus; each output port's lane-packed
     values over all cycles.
 
-    Pure and total given the AST invariants and a stimulus whose rows drive
-    each input they hold at its declared width (a wider '?:' condition
-    would reach the next lane) and whose reset prefix is at least 0. A
-    declared input that a row leaves out is driven to 0; a row's other
-    keys are never read. Each expression is compiled once per call, its
-    '~' masks fixed from expr_width, so a '~' over an undeclared name
-    (outside the AST invariants) raises SemanticError. Raises DomainError
-    on a stimulus value that does not fit a lane (``Stimulus.packed``).
+    Pure and total given the AST invariants and a stimulus that drives
+    each input it holds at its declared width (a wider '?:' condition
+    would reach the next lane). A declared input that the stimulus does
+    not drive is driven to 0; its other names are never read. Each
+    expression is compiled once per call, its '~' masks fixed from
+    expr_width, so a '~' over an undeclared name (outside the AST
+    invariants) raises SemanticError.
     """
     widths = ast.widths()
-    # ONES: a 1 at the bottom of each cycle's lane
-    ones = ((1 << LANE * len(stim.cycles)) - 1) // ((1 << LANE) - 1)
+    ones = lane_repunit(stim.n_cycles)
     first = LANE * stim.reset_prefix
     assigns = [(a.target, _compile(a.expr, widths, ones)) for a in ast.assigns]
     # a reset is 'reset ? 0 : next'; mask: the width in lanes prefix .. n-2
@@ -164,10 +171,7 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
 
 def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
     """``simulate_packed`` unpacked: one output-port assignment per cycle."""
-    packed = simulate_packed(ast, stim)
-    return [{name: (value >> shift) & LANE_MASK
-             for name, value in packed.items()}
-            for shift in range(0, LANE * len(stim.cycles), LANE)]
+    return unpack_lanes(simulate_packed(ast, stim), stim.n_cycles)
 
 
 # --- stimulus construction ---------------------------------------------------
@@ -181,27 +185,22 @@ def input_bit_count(iface: Interface, sequential: bool) -> int:
     return sum(p.width for p in _data_inputs(iface, sequential))
 
 
-def _enumerated(data: list) -> list[dict[str, int]]:
-    bits = sum(p.width for p in data)
-    rows = []
-    for v in range(1 << bits):
-        row, shift = {}, 0
-        for p in data:
-            row[p.name] = (v >> shift) & ((1 << p.width) - 1)
-            shift += p.width
-        rows.append(row)
-    return rows
-
-
-def _with_clock_reset(row: dict[str, int], iface: Interface,
-                      rst: int) -> dict[str, int]:
-    full = dict(row)
-    for p in iface.inputs():
-        if p.name == CLOCK_NAME:
-            full[p.name] = 0
-        elif p.name == RESET_NAME:
-            full[p.name] = rst
-    return full
+def _enumeration(data: list, rows: int) -> dict[str, int]:
+    """Each data port's lanes over the rows = 2^b cycles that enumerate its
+    b bits, the first port's bits lowest: bit k of the enumeration is 0 in
+    runs of 2^k lanes and 1 in the runs between them, one run pattern
+    repeated by a repunit multiply."""
+    lanes, k = {}, 0
+    for p in data:
+        value = 0
+        for bit in range(p.width):
+            run = 1 << k  # lanes in each run of equal bit k
+            pattern = lane_repunit(run) << LANE * run
+            value |= pattern * lane_repunit(rows >> k + 1,
+                                            2 * LANE * run) << bit
+            k += 1
+        lanes[p.name] = value
+    return lanes
 
 
 def build_vectors(ast: ModuleAst) -> Stimulus:
@@ -220,15 +219,20 @@ def build_vectors(ast: ModuleAst) -> Stimulus:
         raise DomainError(f"{kind} module {iface.module_name} has {bits} "
                           f"{what} bits; exhaustive vectors cover at most "
                           f"{limit}")
-    rows = _enumerated(data)
+    rows = 1 << bits
+    packed = _enumeration(data, rows)
     if not sequential:
-        return Stimulus(tuple(rows), 0)
-    prefix = [_with_clock_reset({p.name: 0 for p in data}, iface, 1)
-              for _ in range(RESET_PREFIX)]
-    # _with_clock_reset copies each row
-    body = [_with_clock_reset(row, iface, 0)
-            for _ in range(SEQ_ROUNDS) for row in rows]
-    return Stimulus(tuple(prefix + body), RESET_PREFIX)
+        return Stimulus(packed, rows, 0)
+    # SEQ_ROUNDS enumeration rounds above a reset prefix that drives 0 on
+    # every data input; clk is 0, and rst is 1 over the prefix only
+    rounds = lane_repunit(SEQ_ROUNDS, LANE * rows) << LANE * RESET_PREFIX
+    packed = {name: value * rounds for name, value in packed.items()}
+    for p in iface.inputs():
+        if p.name == CLOCK_NAME:
+            packed[p.name] = 0
+        elif p.name == RESET_NAME:
+            packed[p.name] = lane_repunit(RESET_PREFIX)
+    return Stimulus(packed, RESET_PREFIX + SEQ_ROUNDS * rows, RESET_PREFIX)
 
 
 def is_exhaustive(vectors: Stimulus, reference: ModuleAst) -> bool:
@@ -260,15 +264,15 @@ def equivalence_fraction(candidate: ModuleAst, vectors: Stimulus,
     expected is the reference's packed outputs over vectors
     (``Task.expected``). The candidate must declare every reference port
     with its direction and width, as it does at interface score 1.0, and
-    must have no other output: then each stimulus row drives candidate
-    inputs only, within their widths, and is simulated as stored. Candidate
+    must have no other output: then the stimulus drives candidate inputs
+    only, within their widths, and is simulated as stored. Candidate
     inputs that the stimulus does not cover are driven to 0. Guard bits
     and the bits above a port's width are 0 in both traces, so one
     popcount per output counts its mismatched bits over every cycle.
     """
     got = simulate_packed(candidate, vectors)
     outputs = candidate.interface.outputs()
-    total = len(vectors.cycles) * sum(p.width for p in outputs)
+    total = vectors.n_cycles * sum(p.width for p in outputs)
     mismatched = sum((got[p.name] ^ expected[p.name]).bit_count()
                      for p in outputs)
     matching = total - mismatched

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EarlError
 from .minirtl import (MiniRtlError, ModuleAst, Stimulus, build_vectors,
-                      parse, simulate, simulate_packed, tokenize)
+                      parse, simulate_packed, tokenize)
+from .minirtl.ast import unpack_lanes
 from .minirtl.vocab import (BOS, DEFAULT_VOCAB, ENDSPEC, IN, KIND_COUNT,
                             KIND_DFF, KIND_FSM, MODULE_NAMES, OUT,
                             PROMPT_MAX_LEN, SPEC, TT)
@@ -224,13 +225,14 @@ def encode_prompt(reference: ModuleAst, kind: str,
     """
     v = DEFAULT_VOCAB
     iface = reference.interface
+    outputs = iface.outputs()
     toks = [BOS, SPEC, iface.module_name, IN]
     toks += [p.name for p in iface.inputs()]
     toks.append(OUT)
-    toks += [p.name for p in iface.outputs()]
+    toks += [p.name for p in outputs]
     toks.append(_SEQ_KIND_TAG[kind] if reference.is_sequential() else TT)
     bits = [(row[p.name] >> i) & 1 for row in trace
-            for p in iface.outputs() for i in range(p.width)]
+            for p in outputs for i in range(p.width)]
     toks += [str(bit) for bit in bits[:DIGEST_BITS]]
     toks.append(ENDSPEC)
     if len(toks) > PROMPT_MAX_LEN:
@@ -251,7 +253,8 @@ def generate_task(seed: int, kind: str, difficulty: str,
         text = _draw_source(rng, kind, difficulty)
         reference = parse(tokenize(text))
         vectors = build_vectors(reference)
-        trace = simulate(reference, vectors)[:DIGEST_ROWS]
+        trace = unpack_lanes(simulate_packed(reference, vectors),
+                             min(DIGEST_ROWS, vectors.n_cycles))
         if any(len({row[p.name] for row in trace}) < 2
                for p in reference.interface.outputs()):
             continue  # some output is constant over the digest trace

@@ -224,8 +224,8 @@ def _truth_table(ast):
     iface = ast.interface
     inputs, outputs = iface.inputs(), iface.outputs()
     combos = list(itertools.product(*[range(2 ** p.width) for p in inputs]))
-    stim = Stimulus(tuple({p.name: v for p, v in zip(inputs, bits)}
-                          for bits in combos), 0)
+    stim = Stimulus.from_cycles(tuple(
+        {p.name: v for p, v in zip(inputs, bits)} for bits in combos), 0)
     trace = simulate(ast, stim)
     width = {p.name: p.width for p in outputs}
     bits = []

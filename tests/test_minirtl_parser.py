@@ -128,7 +128,7 @@ def test_comb_order_is_topological():
     # parse stores the assigns in that order, whatever the source order
     ast = parse_text(text)
     assert [a.target for a in ast.assigns] == ["z", "y"]
-    trace = simulate(ast, Stimulus(({"a": 0}, {"a": 1}), 0))
+    trace = simulate(ast, Stimulus.from_cycles(({"a": 0}, {"a": 1}), 0))
     assert [row["y"] for row in trace] == [1, 0]
     # a bit-index read is a dependency too
     text = ("module u02 ( input [ 1 : 0 ] a , output y ) ; "
@@ -136,7 +136,7 @@ def test_comb_order_is_topological():
             "assign y = z [ 1 ] ; assign z = ~ a ; endmodule")
     ast = parse_text(text)
     assert [a.target for a in ast.assigns] == ["z", "y"]
-    trace = simulate(ast, Stimulus(({"a": 0}, {"a": 2}), 0))
+    trace = simulate(ast, Stimulus.from_cycles(({"a": 0}, {"a": 2}), 0))
     assert [row["y"] for row in trace] == [1, 0]
 
 

@@ -33,7 +33,7 @@ def parse_text(text):
 
 def test_and2_truth_table():
     ast = parse_text(AND2)
-    stim = Stimulus((
+    stim = Stimulus.from_cycles((
         {"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 0},
         {"a": 1, "b": 1}), 0)
     trace = simulate(ast, stim)
@@ -44,8 +44,8 @@ def test_dff_one_cycle_delay():
     text = ("module dff ( input clk , input d , output q ) ; reg q ; "
             "always @ ( posedge clk ) begin q <= d ; end endmodule")
     ast = parse_text(text)
-    stim = Stimulus(({"clk": 1, "d": 1}, {"clk": 1, "d": 0},
-                     {"clk": 1, "d": 1}), 0)
+    stim = Stimulus.from_cycles(({"clk": 1, "d": 1}, {"clk": 1, "d": 0},
+                                 {"clk": 1, "d": 1}), 0)
     trace = simulate(ast, stim)
     assert [c["q"] for c in trace] == [0, 1, 0]
 
@@ -56,7 +56,7 @@ def test_two_bit_counter_wraps():
             "always @ ( posedge clk ) begin q0 <= ~ q0 ; end "
             "always @ ( posedge clk ) begin q1 <= q1 ^ q0 ; end endmodule")
     ast = parse_text(text)
-    stim = Stimulus(tuple({"clk": 1} for _ in range(5)), 0)
+    stim = Stimulus.from_cycles(tuple({"clk": 1} for _ in range(5)), 0)
     trace = simulate(ast, stim)
     values = [c["q0"] + 2 * c["q1"] for c in trace]
     assert values == [0, 1, 2, 3, 0]
@@ -81,7 +81,8 @@ def test_not_masks_to_its_operand_width_on_buses():
             "assign q = ~ a == b ; assign t0 = ~ a [ 2 ] ; endmodule")
     pairs = [(a, b) for a in range(16) for b in range(16)]
     trace = simulate(parse_text(text),
-                     Stimulus(tuple({"a": a, "b": b} for a, b in pairs), 0))
+                     Stimulus.from_cycles(tuple({"a": a, "b": b}
+                                                for a, b in pairs), 0))
     assert trace == [{"y": ~a & 15, "z": ~(a ^ (~b & 15)) & 15,
                       "q": int((~a & 15) == b), "t0": ~(a >> 2 & 1) & 1}
                      for a, b in pairs]
@@ -93,7 +94,7 @@ def test_not_in_an_untaken_arm_masks_when_the_arm_is_taken():
             "assign y = sel ? ~ a : b ; endmodule")
     rows = [(0, a, 15 - a) for a in range(16)] + \
         [(1, a, 0) for a in range(16)]
-    trace = simulate(parse_text(text), Stimulus(tuple(
+    trace = simulate(parse_text(text), Stimulus.from_cycles(tuple(
         {"sel": s, "a": a, "b": b} for s, a, b in rows), 0))
     assert [c["y"] for c in trace] == [~a & 15 if s else b
                                        for s, a, b in rows]
@@ -106,7 +107,7 @@ def test_not_in_register_next_state_and_reset():
             "always @ ( posedge clk ) begin if ( ~ rst ) t0 <= 0 ; "
             "else t0 <= ~ t0 ; end endmodule")
     rows = [(1, 0), (1, 1), (0, 2), (1, 3), (1, 3), (1, 0), (0, 1)]
-    trace = simulate(parse_text(text), Stimulus(tuple(
+    trace = simulate(parse_text(text), Stimulus.from_cycles(tuple(
         {"clk": 0, "rst": r, "a": a} for r, a in rows), 1))
     # cycle 0 is the reset prefix; from then on q holds ~a of the cycle
     # before, and t0 toggles while rst is high and clears while it is low
@@ -159,7 +160,7 @@ def test_seq_vectors_reject_more_than_six_data_bits():
         build_vectors(ast)
     rows = tuple({"clk": 0, "rst": 0, "a": a, "b": b}
                  for _ in range(8) for a in range(16) for b in range(16))
-    assert not is_exhaustive(Stimulus(rows, 0), ast)
+    assert not is_exhaustive(Stimulus.from_cycles(rows, 0), ast)
 
 
 def test_seq_vectors_are_pseudorandom_above_six_data_bits():
@@ -172,8 +173,8 @@ def test_seq_vectors_are_pseudorandom_above_six_data_bits():
     body = [{"clk": 0, "rst": 0, "a": int(a), "b": int(b)}
             for a, b in rng.integers(0, 16, size=(256, 2))]
     assert 100 < len({(row["a"], row["b"]) for row in body}) < 256
-    stim = Stimulus(tuple([{"clk": 0, "rst": 1, "a": 0, "b": 0}] * 2
-                          + body), 2)
+    stim = Stimulus.from_cycles(
+        tuple([{"clk": 0, "rst": 1, "a": 0, "b": 0}] * 2 + body), 2)
     assert not is_exhaustive(stim, ast)
     rows = scalar_simulate(ast, stim)
     assert all(row["q"] == 0 for row in rows[:3])
@@ -254,8 +255,8 @@ def test_sim_agrees_with_truth_table_oracle(seed, difficulty):
     inputs, outputs = iface.inputs(), iface.outputs()
     combos = list(itertools.product(
         *[range(2 ** p.width) for p in inputs]))
-    stim = Stimulus(tuple({p.name: v for p, v in zip(inputs, bits)}
-                          for bits in combos), 0)
+    stim = Stimulus.from_cycles(tuple(
+        {p.name: v for p, v in zip(inputs, bits)} for bits in combos), 0)
     trace = simulate(ast, stim)
     got = [tuple(c[p.name] for p in outputs) for c in trace]
     assert got == table
@@ -535,7 +536,7 @@ def test_packed_agrees_with_scalar_on_generated_designs(ast, seed, prefix):
     cycles = tuple({n: int(rng.integers(0, 1 << k))
                     for n, k in _INPUTS.items() if rng.random() < 0.9}
                    for _ in range(64))
-    stim = Stimulus(cycles, prefix)
+    stim = Stimulus.from_cycles(cycles, prefix)
     rows = scalar_simulate(ast, stim)
     assert simulate(ast, stim) == rows
     assert equivalence_fraction(ast, stim, simulate_packed(ast, stim)) == \
@@ -546,18 +547,99 @@ def test_packed_agrees_with_scalar_on_generated_designs(ast, seed, prefix):
 
 @pytest.mark.parametrize("value", [16, -1, 255, 1.0, "1", None])
 def test_stimulus_value_outside_a_lane_is_rejected(value):
-    ast = parse_text(AND2)
-    stim = Stimulus(({"a": 1, "b": 1}, {"a": value, "b": 0}), 0)
     with pytest.raises(DomainError, match="not an int in"):
-        stim.packed
-    with pytest.raises(DomainError):
-        simulate(ast, stim)
-    dff = parse_text("module dff ( input clk , input d , output q ) ; reg q ; "
-                     "always @ ( posedge clk ) begin q <= d ; end endmodule")
-    with pytest.raises(DomainError):
-        simulate(dff, Stimulus(({"clk": 0, "d": value},), 0))
+        Stimulus.from_cycles(({"a": 1, "b": 1}, {"a": value, "b": 0}), 0)
+    with pytest.raises(DomainError, match="not an int in"):
+        Stimulus.from_cycles(({"clk": 0, "d": value},), 0)
 
 
 def test_largest_lane_value_packs_without_carry():
-    stim = Stimulus(({"a": 15}, {"a": 0}, {"a": 15, "b": 1}), 0)
+    stim = Stimulus.from_cycles(({"a": 15}, {"a": 0}, {"a": 15, "b": 1}), 0)
     assert stim.packed == {"a": 15 | 15 << 10, "b": 1 << 10}
+    assert stim.n_cycles == 3
+    assert stim.cycles == ({"a": 15, "b": 0}, {"a": 0, "b": 0},
+                           {"a": 15, "b": 1})
+
+
+@pytest.mark.parametrize("prefix", [-1, 4, 1.0])
+def test_reset_prefix_outside_the_rows_is_rejected(prefix):
+    rows = ({"a": 1}, {"a": 0}, {"a": 1})
+    with pytest.raises(DomainError, match="reset prefix"):
+        Stimulus.from_cycles(rows, prefix)
+    # 0 and len(rows) are the bounds
+    assert Stimulus.from_cycles(rows, 0).reset_prefix == 0
+    assert Stimulus.from_cycles(rows, 3).reset_prefix == 3
+
+
+# --- lane construction ---------------------------------------------------------
+# build_vectors before lane packing, one dict per cycle: the enumeration
+# rows of the data inputs, the first port's bits lowest, and for a
+# sequential design a 2-cycle reset prefix then 8 enumeration rounds, with
+# clk at 0 and rst at 1 over the prefix only.
+
+def _oracle_rows(ast):
+    sequential = ast.is_sequential()
+    inputs = ast.interface.inputs()
+    data = [p for p in inputs
+            if not sequential or p.name not in ("clk", "rst")]
+    rows = []
+    for v in range(1 << sum(p.width for p in data)):
+        row, shift = {}, 0
+        for p in data:
+            row[p.name] = (v >> shift) & ((1 << p.width) - 1)
+            shift += p.width
+        rows.append(row)
+    if not sequential:
+        return rows, 0
+
+    def with_clock_reset(row, rst):
+        full = dict(row)
+        for p in inputs:
+            if p.name == "clk":
+                full[p.name] = 0
+            elif p.name == "rst":
+                full[p.name] = rst
+        return full
+
+    prefix = [with_clock_reset({p.name: 0 for p in data}, 1)
+              for _ in range(2)]
+    return prefix + [with_clock_reset(row, 0)
+                     for _ in range(8) for row in rows], 2
+
+
+@st.composite
+def _interfaces(draw):
+    """A module build_vectors covers: combinational with 1-10 input bits,
+    or sequential (one register clocked by clk) with 0-6 data bits and
+    maybe rst, its ports in any order."""
+    sequential = draw(st.booleans())
+    left = draw(st.integers(0, 6) if sequential else st.integers(1, 10))
+    ports = []
+    while left:
+        width = draw(st.integers(1, min(4, left)))
+        ports.append(PortDecl(f"i{len(ports)}", "input", width))
+        left -= width
+    registers = ()
+    if sequential:
+        ports.append(PortDecl("clk", "input", 1))
+        if draw(st.booleans()):
+            ports.append(PortDecl("rst", "input", 1))
+        registers = (Register("y", Var("y"), "posedge", "clk"),)
+    ports = draw(st.permutations(ports)) + [PortDecl("y", "output", 1)]
+    decls = (Decl("y", "reg", 1),) if sequential else ()
+    assigns = () if sequential else (Assign("y", Const(0)),)
+    return ModuleAst(Interface("u00", tuple(ports)), decls, assigns,
+                     registers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interfaces())
+def test_lanes_are_the_per_cycle_rows(ast):
+    stim = build_vectors(ast)
+    rows, prefix = _oracle_rows(ast)
+    assert stim.reset_prefix == prefix and stim.n_cycles == len(rows)
+    # the same rows, each with its names in the same order
+    assert [list(row.items()) for row in stim.cycles] == \
+        [list(row.items()) for row in rows]
+    assert Stimulus.from_cycles(stim.cycles, stim.reset_prefix) == stim
+    assert is_exhaustive(stim, ast)
