@@ -14,7 +14,17 @@ other runs of the benchmark in the same checkout overwrite.
 It prints each pair's end-to-end metrics with ``raw.setup_s`` and the speed
 factors, then for each metric each side's median and quartiles and the
 number of pairs in which CHANGE is lower, then every digest that differs
-between the two sides and every run that is not correct. Standard library
+between the two sides and every run that is not correct.
+
+Each end-to-end metric is held to its bound in PARENT's ``BENCHMARK.json``,
+a share of the parent's median: the line reads ``WORSE BEYOND BOUND`` when
+the change's median is worse than the parent's by more than the bound, and
+``unresolved`` when the parent's quartile spread, as a share of its median,
+is wider than the bound. A run that exits non-zero or whose last line is not
+a JSON result stops the A/B: its side, seed, exit code and the last lines of
+its standard error are printed, then the summary of the pairs already run.
+The exit code is 0 only when every pair ran, every run was correct, no
+digest differs and no metric is worse beyond its bound. Standard library
 only.
 """
 
@@ -23,10 +33,21 @@ import json
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 END_TO_END = ("setup_s", "op_ms.p50", "op_ms.tail", "peak_rss_mb")
 REPORTED = ("raw.setup_s", "speed_factor.setup", "speed_factor.timed")
 COLUMNS = END_TO_END + REPORTED
+STDERR_LINES = 20  # of a failed run, printed
+
+
+class RunFailed(Exception):
+    """A bench run that exited non-zero or printed no JSON result."""
+
+    def __init__(self, code: int, why: str, stderr: str):
+        super().__init__(why)
+        self.code, self.why = code, why
+        self.stderr_tail = stderr.strip().splitlines()[-STDERR_LINES:]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -57,6 +78,13 @@ def parse_run(stdout: str) -> dict:
             "correct": result["correct"] and result["failed"] == 0}
 
 
+def load_bounds(checkout: str) -> dict:
+    """name -> (bound, better) of each end-to-end metric in a checkout's
+    BENCHMARK.json; a bound is a share of the parent's median."""
+    spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -64,13 +92,18 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[int, dict, dict]]) -> dict:
+def summarize(pairs: list[tuple[int, dict, dict]],
+              bounds: dict | None = None) -> dict:
     """pairs: (seed, parent run, change run), each run as parse_run gives
-    it. For each metric both runs report: each side's quartiles, the pairs
-    in which the change is lower, and whether the change's median is lower
-    than the parent's by more than the parent's quartile spread. Then the
-    seeds whose digests differ and the (side, seed) of each run that is not
+    it; bounds as load_bounds gives them. For each metric both runs report:
+    each side's quartiles, the pairs in which the change is lower, and
+    whether the change's median is lower than the parent's by more than the
+    parent's quartile spread; for a metric with a bound, also the change's
+    median worsening and the parent's quartile spread as shares of the
+    parent's median, and whether each exceeds the bound. Then the seeds
+    whose digests differ and the (side, seed) of each run that is not
     correct."""
+    bounds = bounds or {}
     metrics = {}
     for name in COLUMNS:
         both = [(p["values"][name], c["values"][name]) for _, p, c in pairs
@@ -84,6 +117,14 @@ def summarize(pairs: list[tuple[int, dict, dict]]) -> dict:
             "change_lower": sum(c < p for p, c in both),
             "lower_beyond_parent_spread":
                 parent[1] - change[1] > parent[2] - parent[0]}
+        if name in bounds:
+            bound, better = bounds[name]
+            sign = 1 if better == "lower" else -1
+            worse = sign * (change[1] - parent[1]) / parent[1]
+            spread = (parent[2] - parent[0]) / parent[1]
+            metrics[name].update(
+                bound=bound, worse=worse, spread=spread,
+                worse_beyond_bound=worse > bound, unresolved=spread > bound)
     return {
         "metrics": metrics,
         "digest_mismatch": [s for s, p, c in pairs
@@ -94,11 +135,19 @@ def summarize(pairs: list[tuple[int, dict, dict]]) -> dict:
 
 
 def run(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+    """One bench run, parsed; RunFailed if it exits non-zero or its last
+    line is not a JSON result."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True, check=True)
-    return parse_run(proc.stdout)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RunFailed(proc.returncode, "exited non-zero", proc.stderr)
+    try:
+        return parse_run(proc.stdout)
+    except (ValueError, LookupError, TypeError):
+        raise RunFailed(proc.returncode, "printed no JSON result last",
+                        proc.stderr) from None
 
 
 def pair_line(seed: int, parent: dict, change: dict) -> str:
@@ -116,12 +165,31 @@ def report(summary: dict) -> str:
                    f"{c2:.4g} ({c1:.4g}-{c3:.4g}); change lower in "
                    f"{m['change_lower']} of {m['pairs']} pairs; median "
                    f"{'' if m['lower_beyond_parent_spread'] else 'not '}"
-                   "lower by more than the parent's quartile spread")
+                   "lower by more than the parent's quartile spread"
+                   + _bound_note(m))
     for seed in summary["digest_mismatch"]:
         out.append(f"DIGEST MISMATCH at seed {seed}")
     for side, seed in summary["not_correct"]:
         out.append(f"NOT CORRECT: {side} at seed {seed}")
     return "\n".join(out)
+
+
+def _bound_note(m: dict) -> str:
+    if "bound" not in m:
+        return ""
+    note = (f"worse by {m['worse']:+.1%} against a bound of {m['bound']:.0%}"
+            f" (parent spread {m['spread']:.1%})")
+    if m["worse_beyond_bound"]:
+        note = "WORSE BEYOND BOUND: " + note
+    if m["unresolved"]:
+        note = "unresolved, parent spread wider than the bound: " + note
+    return "; " + note
+
+
+def failed(summary: dict) -> bool:
+    return bool(summary["digest_mismatch"] or summary["not_correct"]
+                or any(m.get("worse_beyond_bound")
+                       for m in summary["metrics"].values()))
 
 
 def main(argv=None) -> int:
@@ -133,16 +201,28 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="1-16")
     ap.add_argument("--seconds", type=int, default=15)
     args = ap.parse_args(argv)
+    bounds = load_bounds(args.parent)
     pairs = []
     for seed in parse_seeds(args.seeds):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
-        runs = {side: run(getattr(args, side), args.workload, seed,
-                          args.seconds) for side in order}
+        runs = {}
+        for side in order:
+            try:
+                runs[side] = run(getattr(args, side), args.workload, seed,
+                                 args.seconds)
+            except RunFailed as e:
+                print(f"RUN FAILED: {side} at seed {seed} {e.why} "
+                      f"(exit {e.code}); last lines of its stderr:")
+                print("\n".join("  " + line for line in e.stderr_tail))
+                if pairs:
+                    print(f"summary of the {len(pairs)} pairs run:")
+                    print(report(summarize(pairs, bounds)))
+                return 2
         pairs.append((seed, runs["parent"], runs["change"]))
         print(pair_line(*pairs[-1]), flush=True)
-    summary = summarize(pairs)
+    summary = summarize(pairs, bounds)
     print(report(summary))
-    return 1 if summary["digest_mismatch"] or summary["not_correct"] else 0
+    return 1 if failed(summary) else 0
 
 
 if __name__ == "__main__":

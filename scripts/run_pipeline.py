@@ -27,12 +27,12 @@ from earl.cli import load_config, main as cli_main
 STAGES = ("gen-data", "sft", "train", "eval")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default="configs/default.json")
     ap.add_argument("--out")
     ap.add_argument("--seed")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     extra = []
     if args.out:
         extra += ["--out", args.out]

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .minirtl.lexer import tokenize
 from .minirtl.vocab import BOS, EOS, PAD, PROMPT_MAX_LEN, DEFAULT_VOCAB, Vocab
-from .seeds import Streams, rng_for
+from .seeds import rng_for
 
 POSITION_BUCKETS = 8
 POSITION_BUCKET_SPAN = 4  # bucket = min(position // span, 7)
@@ -221,11 +221,9 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     Rollout i draws from the stream ``np.random.default_rng(seeds[i])``
     exactly as ``rng.choice(V, p=softmax(z / temperature))`` would (cumsum,
     one uniform, a right-sided search), so its tokens and bytes do not depend
-    on the batch it is sampled in. The streams are seeded in one batch and
-    drawn in blocks of up to 64 uniforms through one reused PCG64
-    (``seeds.Streams``). A rollout's t-th uniform is its stream's t-th
-    double, but one left over from a rollout that ended early is not where
-    a ``random()`` per token would have left the stream.
+    on the batch it is sampled in. Each stream's max_len uniforms are drawn
+    in one call before the first token, and token t reads the stream's t-th
+    double.
 
     Rollouts with the same prompt and the same tokens so far share a node.
     The sampler keeps one feature row per distinct node and ``inv``, each
@@ -254,17 +252,13 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     # rows 0 of feature_rows read the prompt only: one per distinct prompt
     rows = np.array([feature_rows(params, p, (eos,))[0] for p in first_of],
                     dtype=np.int32).reshape(len(first_of), params.k + 1)
-    streams = Streams(seeds)
-    # uniforms per block; the [144, 64] block of a default RL step's
-    # rollouts stays under glibc's 128 KiB mmap threshold
-    block = 64
+    draws = np.empty((n, max_len))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).random(out=row)
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(max_len):
             if not active.size:
                 break
-            if t % block == 0:
-                draws = streams.blocks(active.tolist(),
-                                       min(block, max_len - t))
             p = distributions(params, rows, temperature)
             cdf = np.cumsum(p, axis=1)
             # a softmax row is in [0, 1], or all NaN (a NaN or +inf logit),
@@ -272,7 +266,7 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
             if not np.isfinite(cdf[:, -1]).all():
                 raise DomainError("next-token probabilities are not finite")
             cdf /= cdf[:, -1:]
-            u = draws[:, t % block]
+            u = draws[active, t]
             # rows of cdf are non-decreasing, so this count is
             # searchsorted(row, u, side="right")
             tok = np.count_nonzero(cdf[inv] <= u[:, None], axis=1)
@@ -300,7 +294,7 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
                 parent, tok = np.divmod(key[new], V)
             rows = rows[parent]
             _advance_indices(params, rows, tok, t + 1)
-            active, draws = active[going], draws[going]
+            active = active[going]
     return [Rollout(prompts[i], tuple(tokens[i, :L].tolist()),
                     logprobs[i, :L].copy(), entropies[i, :L].copy(),
                     temperature, bool(tokens[i, L - 1] != eos))

@@ -65,3 +65,106 @@ def test_summary_counts_lower_pairs_quartiles_and_problems():
 def test_parse_seeds():
     assert ab.parse_seeds("1-4,7") == [1, 2, 3, 4, 7]
     assert ab.parse_seeds("3") == [3]
+
+
+BOUNDS = {"setup_s": (0.25, "lower"), "op_ms.p50": (0.24, "lower"),
+          "peak_rss_mb": (0.10, "lower")}
+
+
+def _rss_run(setup_s, p50, rss):
+    run = _run(setup_s, p50)
+    run["values"]["peak_rss_mb"] = rss
+    return run
+
+
+def test_summary_holds_each_metric_to_its_bound(tmp_path):
+    spec = {"end_to_end": [{"name": n, "unit": "s", "better": b, "bound": x}
+                           for n, (x, b) in BOUNDS.items()],
+            "per_layer": [{"name": "x.calls", "unit": "count",
+                           "better": "lower"}]}
+    text = json.dumps(spec)
+    (tmp_path / "BENCHMARK.json").write_text(text)
+    bounds = ab.load_bounds(str(tmp_path))
+    assert bounds == BOUNDS
+    assert (tmp_path / "BENCHMARK.json").read_text() == text
+    # setup_s: 30% worse, beyond its 25%; op_ms.p50: 10% worse but the
+    # parent's quartiles span more than 24% of its median; peak_rss_mb: 5%
+    # worse, within its 10%
+    pairs = [(s, _rss_run(1.0, 10.0 + (-4.0, 4.0)[s % 2], 100.0),
+              _rss_run(1.3, 11.0, 105.0)) for s in range(1, 9)]
+    summary = ab.summarize(pairs, bounds)
+    setup, p50, rss = (summary["metrics"][n]
+                       for n in ("setup_s", "op_ms.p50", "peak_rss_mb"))
+    assert setup["worse"] == pytest.approx(0.3)
+    assert setup["worse_beyond_bound"] and not setup["unresolved"]
+    assert p50["worse"] == pytest.approx(0.1)
+    assert p50["unresolved"] and not p50["worse_beyond_bound"]
+    assert rss["worse"] == pytest.approx(0.05)
+    assert not rss["worse_beyond_bound"] and not rss["unresolved"]
+    assert "bound" not in summary["metrics"]["raw.setup_s"]
+    assert ab.failed(summary)
+    lines = {line.split(":")[0]: line for line in
+             ab.report(summary).splitlines()}
+    assert "WORSE BEYOND BOUND: worse by +30.0%" in lines["setup_s"]
+    assert "unresolved" not in lines["setup_s"]
+    assert "unresolved, parent spread wider" in lines["op_ms.p50"]
+    assert "WORSE" not in lines["op_ms.p50"]
+    assert "WORSE" not in lines["peak_rss_mb"]
+    assert "unresolved" not in lines["peak_rss_mb"]
+    assert "bound" not in lines["raw.setup_s"]
+    # a metric better when higher is worse when it falls
+    summary = ab.summarize(pairs, {"setup_s": (0.25, "higher")})
+    assert summary["metrics"]["setup_s"]["worse"] == pytest.approx(-0.3)
+    assert not ab.failed(summary)
+
+
+_FAKE_RUN = '''import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 2:
+    sys.stderr.write("warming up\\nTraceback (most recent call last):\\n"
+                     "RuntimeError: boom\\n")
+    sys.exit(3)
+print("digest d0")
+metrics = {n: {"value": 1.0, "unit": "s"}
+           for n in ("setup_s", "op_ms.p50", "op_ms.tail", "peak_rss_mb")}
+print(json.dumps({"correct": True, "failed": 0, "metrics": metrics}))
+'''
+
+
+def _checkout(root, run_py):
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(run_py)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    return str(root)
+
+
+def test_a_failed_run_stops_the_ab_with_its_stderr_and_the_summary(
+        tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", _FAKE_RUN)
+    change = _checkout(tmp_path / "change", _FAKE_RUN)
+    code = ab.main([parent, change, "--workload", "sft", "--seeds", "1-3",
+                    "--seconds", "1"])
+    out = capsys.readouterr().out
+    assert code == 2
+    # seed 2 runs the change first
+    assert "RUN FAILED: change at seed 2 exited non-zero (exit 3)" in out
+    assert "RuntimeError: boom" in out and "warming up" in out
+    assert "seed 1: setup_s=1->1" in out
+    assert "summary of the 1 pairs run:" in out
+    assert "setup_s: parent 1 (1-1) -> change 1 (1-1)" in out
+    assert "seed 3" not in out
+
+
+def test_a_run_without_a_json_result_stops_the_ab(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", _FAKE_RUN)
+    change = _checkout(tmp_path / "change",
+                       'import sys\nprint("digest d0\\nnot json")\n'
+                       'sys.stderr.write("half a report")\n')
+    code = ab.main([parent, change, "--workload", "score", "--seeds", "1",
+                    "--seconds", "1"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert ("RUN FAILED: change at seed 1 printed no JSON result last "
+            "(exit 0)") in out
+    assert "half a report" in out and "summary" not in out

@@ -272,6 +272,9 @@ def test_rollout_stops_at_eos_and_truncation_flag():
     assert len(r.response_tokens) == 7 and r.truncated
 
 
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
 def _one_at_a_time(p, prompt, temperature, max_len, rng):
     """The scalar sampling loop: one Generator.choice per token."""
     eos = DEFAULT_VOCAB.id("EOS")
@@ -291,7 +294,8 @@ def _one_at_a_time(p, prompt, temperature, max_len, rng):
 @pytest.mark.parametrize("temperature, max_len, eos_bias", [
     pytest.param(1.0, 12, 2.0, id="1.0"),
     pytest.param(0.7, 12, 2.0, id="0.7"),
-    # rollouts past 64 tokens draw a second block of uniforms per stream
+    # rollouts longer than 64 tokens; the id names the blocks of 64
+    # uniforms an earlier sampler drew per stream
     pytest.param(1.0, 75, 0.0, id="1.0-second-block")])
 def test_sample_rollouts_match_one_at_a_time(temperature, max_len, eos_bias):
     # k + 1 >= 8 terms per logit, so numpy would sum a contiguous copy
@@ -302,16 +306,18 @@ def test_sample_rollouts_match_one_at_a_time(temperature, max_len, eos_bias):
     bos, a = DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("a")
     prompts = [(bos,), (bos, 9, 10, 11), (a,), (a, 7, 8, 9, 10, 12),
                (bos,) + tuple(range(20, 70))] * 3
-    seeds = [("batch", temperature, i) for i in range(len(prompts))]
+    seeds = [mix("batch", temperature, i) for i in range(len(prompts))]
     # repeated (prompt, seed) pairs: whole rollouts share every node
     prompts += prompts[:5] + prompts[7:9]
     seeds += seeds[:5] + seeds[7:9]
-    batch = pol.sample_rollouts(p, prompts, temperature, max_len,
-                                [mix(*s) for s in seeds])
+    # seeds of one 32-bit word and of two, at the edges of each
+    prompts += prompts[:len(EDGE_SEEDS)]
+    seeds += EDGE_SEEDS
+    batch = pol.sample_rollouts(p, prompts, temperature, max_len, seeds)
     assert len(batch) == len(prompts)
     for prompt, s, r in zip(prompts, seeds, batch):
         tokens, logprobs, entropies, truncated = _one_at_a_time(
-            p, prompt, temperature, max_len, rng_for(*s))
+            p, prompt, temperature, max_len, np.random.default_rng(s))
         assert r.prompt_tokens == prompt and r.temperature == temperature
         assert r.response_tokens == tokens
         assert np.array_equal(r.logprobs, logprobs)
@@ -321,7 +327,7 @@ def test_sample_rollouts_match_one_at_a_time(temperature, max_len, eos_bias):
     assert len(set(lengths)) >= 4
     assert any(r.truncated for r in batch)
     assert not all(r.truncated for r in batch)
-    if max_len > 64:  # some end inside the second block
+    if max_len > 64:  # some end past the 64th token
         assert any(64 < L < max_len for L in lengths)
 
 
