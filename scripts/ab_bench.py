@@ -14,7 +14,11 @@ other runs of the benchmark in the same checkout overwrite.
 It prints each pair's end-to-end metrics with ``raw.setup_s`` and the speed
 factors, then for each metric each side's median and quartiles and the
 number of pairs in which CHANGE is lower, then every digest that differs
-between the two sides and every run that is not correct.
+between the two sides and every run that is not correct. For each
+end-to-end metric it also says whether CHANGE meets the rule for claiming
+a gain: lower in at least 9 of every 10 pairs (ties count for neither),
+with a median lower than the parent's by more than the parent's quartile
+spread.
 
 Each end-to-end metric is held to its bound in PARENT's ``BENCHMARK.json``,
 a share of the parent's median: the line reads ``WORSE BEYOND BOUND`` when
@@ -39,6 +43,8 @@ END_TO_END = ("setup_s", "op_ms.p50", "op_ms.tail", "peak_rss_mb")
 REPORTED = ("raw.setup_s", "speed_factor.setup", "speed_factor.timed")
 COLUMNS = END_TO_END + REPORTED
 STDERR_LINES = 20  # of a failed run, printed
+# A claimed gain: the change lower in at least 9 of every 10 pairs
+CLAIM_LOWER, CLAIM_OF = 9, 10
 
 
 class RunFailed(Exception):
@@ -98,7 +104,9 @@ def summarize(pairs: list[tuple[int, dict, dict]],
     it; bounds as load_bounds gives them. For each metric both runs report:
     each side's quartiles, the pairs in which the change is lower, and
     whether the change's median is lower than the parent's by more than the
-    parent's quartile spread; for a metric with a bound, also the change's
+    parent's quartile spread; for an end-to-end metric, whether both hold
+    with the change lower in at least CLAIM_LOWER of every CLAIM_OF pairs
+    (the claim rule); for a metric with a bound, also the change's
     median worsening and the parent's quartile spread as shares of the
     parent's median, and whether each exceeds the bound. Then the seeds
     whose digests differ and the (side, seed) of each run that is not
@@ -112,11 +120,14 @@ def summarize(pairs: list[tuple[int, dict, dict]],
             continue
         parent = quartiles([p for p, _ in both])
         change = quartiles([c for _, c in both])
+        lower = sum(c < p for p, c in both)
+        beyond = parent[1] - change[1] > parent[2] - parent[0]
         metrics[name] = {
             "parent": parent, "change": change, "pairs": len(both),
-            "change_lower": sum(c < p for p, c in both),
-            "lower_beyond_parent_spread":
-                parent[1] - change[1] > parent[2] - parent[0]}
+            "change_lower": lower, "lower_beyond_parent_spread": beyond}
+        if name in END_TO_END:
+            metrics[name]["claim_met"] = (
+                CLAIM_OF * lower >= CLAIM_LOWER * len(both) and beyond)
         if name in bounds:
             bound, better = bounds[name]
             sign = 1 if better == "lower" else -1
@@ -166,12 +177,20 @@ def report(summary: dict) -> str:
                    f"{m['change_lower']} of {m['pairs']} pairs; median "
                    f"{'' if m['lower_beyond_parent_spread'] else 'not '}"
                    "lower by more than the parent's quartile spread"
-                   + _bound_note(m))
+                   + _claim_note(m) + _bound_note(m))
     for seed in summary["digest_mismatch"]:
         out.append(f"DIGEST MISMATCH at seed {seed}")
     for side, seed in summary["not_correct"]:
         out.append(f"NOT CORRECT: {side} at seed {seed}")
     return "\n".join(out)
+
+
+def _claim_note(m: dict) -> str:
+    if "claim_met" not in m:
+        return ""
+    return (f"; claim rule {'MET' if m['claim_met'] else 'not met'} (lower in"
+            f" >= {CLAIM_LOWER} of {CLAIM_OF} pairs and beyond the parent's "
+            "spread)")
 
 
 def _bound_note(m: dict) -> str:

@@ -14,6 +14,12 @@ LANE = 5
 LANE_MASK = 0xF  # the value bits of one lane
 
 
+def lane_repunit(count: int, period: int = LANE) -> int:
+    """A 1 at the bottom of each of count blocks of period bits; at the
+    default period, a 1 at the bottom of each of count lanes (ONES)."""
+    return ((1 << period * count) - 1) // ((1 << period) - 1)
+
+
 def unpack_lanes(packed: dict[str, int],
                  n_cycles: int) -> list[dict[str, int]]:
     """One {name: value} row per cycle of the first n_cycles lanes."""
@@ -193,6 +199,12 @@ class Stimulus:
         return cls(packed, len(rows), reset_prefix)
 
     @cached_property
+    def ones(self) -> int:
+        """ONES of this stimulus (see sim.py), lane_repunit(n_cycles): kept
+        with it, since every simulation of the stimulus needs it."""
+        return lane_repunit(self.n_cycles)
+
+    @cached_property
     def cycles(self) -> tuple[dict[str, int], ...]:
         """One {input name: value} row per cycle, over every driven name."""
         return tuple(unpack_lanes(self.packed, self.n_cycles))
@@ -206,9 +218,7 @@ def expr_width(e: Expr, widths: dict[str, int],
     bit-index yields one bit; the two arms of a ternary must agree and its
     condition must be one bit. check_semantics checks with it, adding the
     name of each signal read to ``reads``, and the simulator masks '~' with
-    it."""
-    if isinstance(e, Const):
-        return 1
+    it. Node kinds are tested most common first."""
     if isinstance(e, (Var, Index)):
         if e.name not in widths:
             raise SemanticError("undeclared", e.name)
@@ -220,14 +230,14 @@ def expr_width(e: Expr, widths: dict[str, int],
             raise SemanticError("width-mismatch",
                                 f"bit {e.bit} of {e.name}[{widths[e.name]}]")
         return 1
-    if isinstance(e, Unary):
-        return expr_width(e.operand, widths, reads)
     if isinstance(e, Binary):
         lw = expr_width(e.left, widths, reads)
         rw = expr_width(e.right, widths, reads)
         if lw != rw:
             raise SemanticError("width-mismatch", f"{e.op}: {lw} vs {rw}")
         return 1 if e.op == "==" else lw
+    if isinstance(e, Unary):
+        return expr_width(e.operand, widths, reads)
     if isinstance(e, Ternary):
         cw = expr_width(e.cond, widths, reads)
         if cw != 1:
@@ -237,4 +247,6 @@ def expr_width(e: Expr, widths: dict[str, int],
         if tw != ow:
             raise SemanticError("width-mismatch", f"?: arms {tw} vs {ow}")
         return tw
+    if isinstance(e, Const):
+        return 1
     raise AssertionError(e)

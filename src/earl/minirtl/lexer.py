@@ -19,6 +19,9 @@ from .vocab import DEFAULT_VOCAB, TERMINALS
 _LEXEME = re.compile(r"<=|==|\w+|\S")
 # Reserved/marker tokens are vocab entries but never legal source lexemes.
 _SOURCE_IDS = {t: DEFAULT_VOCAB.id(t) for t in TERMINALS}
+# id -> vocabulary entry; an id outside [0, V) is no key, so -1 does not
+# wrap to the last entry as a tuple index would.
+_NAME_OF = dict(enumerate(DEFAULT_VOCAB.tokens))
 
 
 def tokenize(text: str) -> list[int]:
@@ -38,13 +41,17 @@ def tokenize(text: str) -> list[int]:
 
 def token_names(ids) -> list[str]:
     """The vocabulary entry of each id; an id outside [0, V) is a
-    ParseError at its index."""
-    names = DEFAULT_VOCAB.tokens
-    ids = list(ids)
-    if ids and (min(ids) < 0 or max(ids) >= len(names)):
-        bad = next(j for j, i in enumerate(ids) if not 0 <= i < len(names))
-        raise ParseError(bad, {f"<token id in [0, {len(names)})>"})
-    return [names[i] for i in ids]
+    ParseError at its index. ``ids`` is read once, so any iterable
+    serves."""
+    names: list[str] = []
+    try:
+        # extend keeps the names it appended before a failed lookup, so
+        # their count is the index of the first id outside the vocabulary
+        names.extend(map(_NAME_OF.__getitem__, ids))
+    except KeyError:
+        raise ParseError(len(names),
+                         {f"<token id in [0, {len(_NAME_OF)})>"}) from None
+    return names
 
 
 def detokenize(ids) -> str:

@@ -38,13 +38,25 @@ from .vocab import IDENTIFIERS, MODULE_NAMES
 
 _IDENT_SET = frozenset(IDENTIFIERS)
 _NAME_SET = frozenset(MODULE_NAMES)
+# Every leaf, port and declaration node the grammar admits, built once: the
+# nodes are frozen and compare by value, so parses share them.
+_VAR = {n: Var(n) for n in IDENTIFIERS}
+_INDEX = {(n, b): Index(n, int(b)) for n in IDENTIFIERS for b in "0123"}
+_CONST = {"0": Const(0), "1": Const(1)}
+_PORT = {(n, k, w): PortDecl(n, k, w) for n in IDENTIFIERS
+         for k in ("input", "output") for w in range(1, 5)}
+_DECL = {(n, k, w): Decl(n, k, w) for n in IDENTIFIERS
+         for k in ("wire", "reg") for w in range(1, 5)}
 # Binary bitwise operators by precedence, the loosest first; 0 is "none".
 _PREC = {"|": 1, "^": 2, "&": 3}
 
 
 class _Parser:
     def __init__(self, tokens: list[str]):
-        self.toks = [*tokens, None]  # a sentinel no rule matches or consumes
+        """Takes ownership of tokens, a fresh list: it appends a sentinel
+        that no rule matches or consumes."""
+        tokens.append(None)
+        self.toks = tokens
         self.pos = 0
 
     def expect(self, *alternatives: str) -> str:
@@ -62,7 +74,10 @@ class _Parser:
         return tok
 
     # -- grammar ------------------------------------------------------------
-    def program(self) -> ModuleAst:
+    def program(self) -> tuple[Interface, tuple[Decl, ...], list[Assign],
+                               tuple[Register, ...]]:
+        """The fields of the unchecked ModuleAst, its assigns in source
+        order."""
         toks = self.toks
         self.expect("module")
         name = toks[self.pos]
@@ -91,8 +106,8 @@ class _Parser:
         self.expect("endmodule")
         if toks[self.pos] is not None:
             raise ParseError(self.pos, {"<end of program>"})
-        iface = Interface(name, tuple(ports))
-        return ModuleAst(iface, tuple(decls), tuple(assigns), tuple(registers))
+        return (Interface(name, tuple(ports)), tuple(decls), assigns,
+                tuple(registers))
 
     def range_width(self) -> int:
         if self.toks[self.pos] != "[":
@@ -108,14 +123,14 @@ class _Parser:
         direction = self.expect("input", "output")
         width = self.range_width()
         name = self.expect_ident()
-        return PortDecl(name, direction, width)
+        return _PORT[name, direction, width]
 
     def decl(self) -> Decl:
         kind = self.expect("wire", "reg")
         width = self.range_width()
         name = self.expect_ident()
         self.expect(";")
-        return Decl(name, kind, width)
+        return _DECL[name, kind, width]
 
     def assign(self) -> Assign:
         self.pos += 1  # 'assign'
@@ -165,9 +180,13 @@ class _Parser:
 
     def binary(self, min_prec: int) -> Expr:
         """Operators of precedence min_prec and above over eq_e operands,
-        left-associative, by precedence climbing."""
+        left-associative, by precedence climbing. An eq_e operand is read
+        in place: a unary, then '==' and a unary if one follows."""
         toks = self.toks
-        left = self.eq_e()
+        left = self.unary()
+        if toks[self.pos] == "==":
+            self.pos += 1
+            left = Binary("==", left, self.unary())
         op = toks[self.pos]
         prec = _PREC.get(op, 0)
         while prec >= min_prec:
@@ -177,28 +196,22 @@ class _Parser:
             prec = _PREC.get(op, 0)
         return left
 
-    def eq_e(self) -> Expr:
-        left = self.unary()
-        if self.toks[self.pos] != "==":
-            return left
-        self.pos += 1
-        return Binary("==", left, self.unary())
-
     def unary(self) -> Expr:
         pos = self.pos
         tok = self.toks[pos]
         self.pos = pos + 1
-        if tok in _IDENT_SET:
+        var = _VAR.get(tok)
+        if var is not None:
             if self.toks[pos + 1] != "[":
-                return Var(tok)
+                return var
             self.pos += 1
             bit = self.expect("0", "1", "2", "3")
             self.expect("]")
-            return Index(tok, int(bit))
+            return _INDEX[tok, bit]
         if tok == "~":
             return Unary("~", self.unary())
         if tok == "0" or tok == "1":
-            return Const(int(tok))
+            return _CONST[tok]
         if tok == "(":
             e = self.expr()
             self.expect(")")
@@ -213,19 +226,27 @@ def check_semantics(ast: ModuleAst) -> list[Assign]:
     Walks each expression once: the width check (expr_width) also collects
     the signals it reads, for the driver check and comb_order. Returns the
     assigns in dependency order (comb_order)."""
+    return _check(ast.interface, ast.declarations, ast.assigns,
+                  ast.registers)
+
+
+def _check(interface: Interface, declarations: tuple[Decl, ...],
+           assigns, registers: tuple[Register, ...]) -> list[Assign]:
+    """check_semantics over a module's fields, so parse builds its
+    ModuleAst once, from the checked order."""
     widths: dict[str, int] = {}
-    for p in ast.interface.ports:
+    for p in interface.ports:
         if p.name in widths:
             raise SemanticError("multi-driver", f"duplicate port {p.name}")
         widths[p.name] = p.width
-    port_dirs = {p.name: p.direction for p in ast.interface.ports}
-    if not any(d == "input" for d in port_dirs.values()):
+    port_dirs = {p.name: p.direction for p in interface.ports}
+    if "input" not in port_dirs.values():
         raise SemanticError("no-driver", "module has no input port")
-    if not any(d == "output" for d in port_dirs.values()):
+    if "output" not in port_dirs.values():
         raise SemanticError("no-driver", "module has no output port")
 
     reg_names = set()
-    for d in ast.declarations:
+    for d in declarations:
         if d.name in widths:
             # Re-declaring a port is only the 'output reg' idiom: a reg decl
             # naming an output port of equal width.
@@ -238,11 +259,12 @@ def check_semantics(ast: ModuleAst) -> list[Assign]:
         if d.kind == "reg":
             reg_names.add(d.name)
 
-    drivers = {p.name: "input" for p in ast.interface.inputs()}
+    drivers = {p.name: "input" for p in interface.ports
+               if p.direction == "input"}
     deps: dict[str, set[str]] = {}  # signals each assign reads
     reg_reads: set[str] = set()  # signals the registers read
 
-    for a in ast.assigns:
+    for a in assigns:
         if a.target not in widths:
             raise SemanticError("undeclared", a.target)
         if a.target in drivers:
@@ -255,7 +277,7 @@ def check_semantics(ast: ModuleAst) -> list[Assign]:
         if expr_width(a.expr, widths, deps[a.target]) != widths[a.target]:
             raise SemanticError("width-mismatch", f"assign {a.target}")
 
-    for r in ast.registers:
+    for r in registers:
         if r.target not in widths:
             raise SemanticError("undeclared", r.target)
         if r.target not in reg_names:
@@ -279,15 +301,16 @@ def check_semantics(ast: ModuleAst) -> list[Assign]:
                                     "reset-to-0 requires a 1-bit register")
 
     # Every read or exported signal must have exactly one driver; the width
-    # checks above have declared every name read.
-    for name in sorted(reg_reads.union(*deps.values())):
-        if name not in drivers:
-            raise SemanticError("no-driver", name)
-    for p in ast.interface.ports:
+    # checks above have declared every name read. The first undriven name
+    # in sorted order is the one reported.
+    undriven = reg_reads.union(*deps.values()) - drivers.keys()
+    if undriven:
+        raise SemanticError("no-driver", min(undriven))
+    for p in interface.ports:
         if p.direction == "output" and p.name not in drivers:
             raise SemanticError("no-driver", f"output {p.name}")
 
-    return comb_order(ast.assigns, deps)  # raises on a combinational cycle
+    return comb_order(assigns, deps)  # raises on a combinational cycle
 
 
 def comb_order(assigns: tuple[Assign, ...],
@@ -328,6 +351,8 @@ def parse(token_ids) -> ModuleAst:
     Raises ParseError (with the first offending token index) or SemanticError;
     an id outside [0, V) is a ParseError at its index.
     """
-    ast = _Parser(token_names(token_ids)).program()
-    return ModuleAst(ast.interface, ast.declarations,
-                     tuple(check_semantics(ast)), ast.registers)
+    iface, decls, assigns, registers = _Parser(
+        token_names(token_ids)).program()
+    return ModuleAst(iface, decls,
+                     tuple(_check(iface, decls, assigns, registers)),
+                     registers)

@@ -23,8 +23,9 @@ stays 0. MiniRTL widths are at most 4, so a lane holds any value, and the
 guard bit takes the carry of '==' (below) so no lane reaches the next.
 A stimulus is stored in this form only (``Stimulus.packed``).
 ``ONES`` (written ``ones`` below, ``lane_repunit(n)``) has a 1 at the
-bottom of every lane, and each closure ``_compile`` builds works on whole
-lanes:
+bottom of every lane; a stimulus computes it once (``Stimulus.ones``), so
+the simulations of a task's vectors share it. Each closure ``_compile``
+builds works on whole lanes:
 
 - ``&``, ``|``, ``^`` act lane by lane as they are;
 - ``~x`` is ``x ^ ONES*mask``, mask fixed at compile time from the
@@ -61,7 +62,7 @@ from operator import itemgetter
 from ..errors import DomainError
 from .ast import (LANE, LANE_MASK, Binary, Const, Expr, Index, Interface,
                   ModuleAst, Stimulus, Ternary, Unary, Var, expr_width,
-                  unpack_lanes)
+                  lane_repunit, unpack_lanes)
 
 SEQ_ROUNDS = 8
 SEQ_MAX_EXHAUSTIVE_BITS = 6
@@ -126,12 +127,6 @@ def _compile(e: Expr, widths: dict[str, int],
     raise AssertionError(e)
 
 
-def lane_repunit(count: int, period: int = LANE) -> int:
-    """A 1 at the bottom of each of count blocks of period bits; at the
-    default period, a 1 at the bottom of each of count lanes (ONES)."""
-    return ((1 << period * count) - 1) // ((1 << period) - 1)
-
-
 def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
     """Run the module over the stimulus; each output port's lane-packed
     values over all cycles.
@@ -145,7 +140,7 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
     invariants) raises SemanticError.
     """
     widths = ast.widths()
-    ones = lane_repunit(stim.n_cycles)
+    ones = stim.ones
     first = LANE * stim.reset_prefix
     assigns = [(a.target, _compile(a.expr, widths, ones)) for a in ast.assigns]
     # a reset is 'reset ? 0 : next'; mask: the width in lanes prefix .. n-2
@@ -155,17 +150,21 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
                   (ones >> LANE) * ((1 << widths[r.target]) - 1)
                   >> first << first)
                  for r in ast.registers]
-    undriven = dict.fromkeys(widths, 0)
+    # One dict serves every pass: a pass rewrites each register and then
+    # each assign before anything reads it (the assigns in dependency order).
+    values = dict.fromkeys(widths, 0)
+    values.update(stim.packed)
     state = {r.target: 0 for r in ast.registers}
     while True:
-        values = {**undriven, **stim.packed, **state}
+        values.update(state)
         for target, f in assigns:
             values[target] = f(values)
         settled = {}
         for target, nxt, mask in registers:
             settled[target] = (nxt(values) & mask) << LANE
         if settled == state:
-            return {p.name: values[p.name] for p in ast.interface.outputs()}
+            return {p.name: values[p.name] for p in ast.interface.ports
+                    if p.direction == "output"}
         state = settled
 
 

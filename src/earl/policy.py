@@ -185,9 +185,9 @@ def distributions(params: PolicyParams, rows: np.ndarray,
                   temperature: float) -> np.ndarray:
     """Next-token distributions [n, V] of feature rows [n, k+1]: the softmax
     of logits / temperature, row by row, computed in place. The result is
-    C-contiguous, so each row sums in the order softmax() sums one vector,
-    and a row's bytes do not depend on the other rows. The one forward pass
-    of sampling, the RL batch and gradient, and SFT."""
+    C-contiguous, so each row sums in the order a one-row softmax sums its
+    vector, and a row's bytes do not depend on the other rows. The one
+    forward pass of sampling, the RL batch and gradient, and SFT."""
     z = logits(params, rows)
     if temperature != 1.0:  # z / 1.0 is z
         z /= temperature
@@ -195,12 +195,6 @@ def distributions(params: PolicyParams, rows: np.ndarray,
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def token_entropy(p: np.ndarray) -> float:
@@ -219,9 +213,9 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     logprobs and entropies.
 
     Rollout i draws from the stream ``np.random.default_rng(seeds[i])``
-    exactly as ``rng.choice(V, p=softmax(z / temperature))`` would (cumsum,
-    one uniform, a right-sided search), so its tokens and bytes do not depend
-    on the batch it is sampled in. Each stream's max_len uniforms are drawn
+    exactly as ``rng.choice(V, p=p)`` would, p the softmax of the logits
+    over temperature (cumsum, one uniform, a right-sided search), so its
+    tokens and bytes do not depend on the batch it is sampled in. Each stream's max_len uniforms are drawn
     in one call before the first token, and token t reads the stream's t-th
     double.
 

@@ -70,11 +70,12 @@ class RewardBreakdown:
 def interface_score(candidate: Interface, target: Interface) -> float:
     """0.25 for the module name plus 0.75 times the fraction of target ports
     matched on (name, direction, width). Extra candidate ports earn nothing
-    but cost nothing."""
+    but cost nothing. Port names are unique within a parsed interface, so
+    the shared (name, direction, width) keys count the matched ports."""
     name = 0.25 if candidate.module_name == target.module_name else 0.0
     cand = {(p.name, p.direction, p.width) for p in candidate.ports}
-    matched = sum(1 for p in target.ports
-                  if (p.name, p.direction, p.width) in cand)
+    matched = len(cand.intersection([(p.name, p.direction, p.width)
+                                     for p in target.ports]))
     return name + 0.75 * matched / len(target.ports)
 
 
@@ -85,12 +86,12 @@ def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
     A trailing EOS is stripped before parsing. All failure modes, ids
     outside the vocabulary included, map to breakdown fields; nothing raises.
     """
-    tokens = list(candidate_tokens)
-    if tokens and tokens[-1] == _EOS:
-        tokens = tokens[:-1]
     if truncated:
         return RewardBreakdown(False, 0.0, 0.0, False, schedule.parse_fail,
                                STAGE_PARSE_FAIL)
+    tokens = list(candidate_tokens)
+    if tokens and tokens[-1] == _EOS:
+        tokens.pop()
     try:
         candidate = parse(tokens)
     except MiniRtlError:
@@ -100,8 +101,11 @@ def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
     target = task.reference.interface
     s = interface_score(candidate.interface, target)
     # At s == 1.0 every target port is present and port names are unique, so
-    # more outputs than the target's means extra outputs.
-    if s < 1.0 or len(candidate.interface.outputs()) > len(target.outputs()):
+    # only a candidate with more ports than the target can have extra
+    # outputs, and it has them when it has more outputs than the target.
+    iface = candidate.interface
+    if s < 1.0 or (len(iface.ports) > len(target.ports)
+                   and len(iface.outputs()) > len(target.outputs())):
         reward = schedule.interface_base + schedule.interface_span * s
         return RewardBreakdown(True, s, 0.0, False, reward, STAGE_INTERFACE)
 

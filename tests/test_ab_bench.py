@@ -62,6 +62,43 @@ def test_summary_counts_lower_pairs_quartiles_and_problems():
     assert "NOT CORRECT: parent at seed 7" in text
 
 
+def _p50_pairs(parent, change):
+    return [(s, _run(1.0, p), _run(1.0, c))
+            for s, (p, c) in enumerate(zip(parent, change), 1)]
+
+
+def test_claim_rule_needs_nine_of_ten_pairs_and_a_gap_beyond_the_spread():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.2, 9.8, 10.1, 9.9]
+    # lower in 9 of 10 pairs, and the median 1.0 lower: the parent's
+    # quartiles span 0.3
+    met = [9.0] * 9 + [10.5]
+    # lower in 10 of 10 pairs, but the median only 0.1 lower
+    narrow = [p - 0.1 for p in parent]
+    # 1.0 lower in the median, but lower in only 8 of 10 pairs
+    eight = [9.0] * 8 + [10.5, 10.5]
+    for change, lower, ok in ((met, 9, True), (narrow, 10, False),
+                              (eight, 8, False)):
+        summary = ab.summarize(_p50_pairs(parent, change))
+        p50 = summary["metrics"]["op_ms.p50"]
+        assert p50["change_lower"] == lower and p50["claim_met"] is ok
+        line = next(line for line in ab.report(summary).splitlines()
+                    if line.startswith("op_ms.p50:"))
+        assert ("claim rule MET" in line) is ok
+        assert ("claim rule not met" in line) is not ok
+    # a tie counts for neither side, and so does not count as lower
+    tied = ab.summarize(_p50_pairs(parent, met[:8] + [10.1, 10.5]))
+    assert tied["metrics"]["op_ms.p50"]["change_lower"] == 8
+    assert not tied["metrics"]["op_ms.p50"]["claim_met"]
+    # 18 of 20 pairs is 9 of every 10
+    twenty = ab.summarize(_p50_pairs(parent * 2, met * 2))
+    assert twenty["metrics"]["op_ms.p50"]["claim_met"]
+    # only end-to-end metrics carry the rule
+    assert "claim_met" not in tied["metrics"]["raw.setup_s"]
+    assert "claim rule" not in next(
+        line for line in ab.report(tied).splitlines()
+        if line.startswith("raw.setup_s:"))
+
+
 def test_parse_seeds():
     assert ab.parse_seeds("1-4,7") == [1, 2, 3, 4, 7]
     assert ab.parse_seeds("3") == [3]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,19 +73,25 @@ def test_width_mismatch_is_semantic_error():
     assert e.value.kind == "width-mismatch"
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("text,name", [
     ("module u00 ( input a , output y ) ; wire z ; "
-     "assign y = a & z ; endmodule"),
+     "assign y = a & z ; endmodule", "z"),
     ("module u00 ( input clk , input a , output y ) ; reg y ; wire z ; "
-     "always @ ( posedge clk ) begin y <= a & z ; end endmodule"),
+     "always @ ( posedge clk ) begin y <= a & z ; end endmodule", "z"),
     ("module u00 ( input clk , input a , output y ) ; reg y ; wire z ; "
      "always @ ( posedge clk ) begin if ( z ) y <= 0 ; else y <= a ; end "
-     "endmodule")], ids=["assign", "register-next", "register-reset"])
-def test_missing_driver_is_semantic_error(text):
+     "endmodule", "z"),
+    # several undriven names, read by assigns and by a register: the
+    # alphabetically first is named, not the first read
+    ("module u00 ( input clk , input a , output y , output q ) ; reg q ; "
+     "wire z ; wire t1 ; wire e ; assign y = z & t1 ; "
+     "always @ ( posedge clk ) begin q <= e ; end endmodule", "e")],
+    ids=["assign", "register-next", "register-reset", "several"])
+def test_missing_driver_is_semantic_error(text, name):
     with pytest.raises(SemanticError) as e:
         parse_text(text)
     assert e.value.kind == "no-driver"
-    assert str(e.value) == "semantic error [no-driver]: z"
+    assert str(e.value) == f"semantic error [no-driver]: {name}"
 
 
 def test_extract_interface_projection():
@@ -121,9 +128,8 @@ def test_sync_reset_register_parses():
 def test_comb_order_is_topological():
     text = ("module u02 ( input a , output y ) ; wire z ; "
             "assign y = z ; assign z = ~ a ; endmodule")
-    ast = _Parser(text.split()).program()  # source order, unchecked
-    order = [a.target for a in comb_order(ast.assigns,
-                                          {"y": {"z"}, "z": {"a"}})]
+    _, _, assigns, _ = _Parser(text.split()).program()  # source order
+    order = [a.target for a in comb_order(assigns, {"y": {"z"}, "z": {"a"}})]
     assert order == ["z", "y"]
     # parse stores the assigns in that order, whatever the source order
     ast = parse_text(text)
@@ -168,20 +174,28 @@ def test_semantic_error_rejects_unknown_kind_under_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+# Every container of ids parse reads: a list, a tuple, an iterator read
+# once, and a numpy int array, whose elements are numpy ints.
+ID_CONTAINERS = (list, tuple, iter, np.array)
+
+
 @pytest.mark.parametrize("bad", [-1, DEFAULT_VOCAB.size])
 def test_out_of_range_id_is_syntax_error_at_its_index(bad):
-    tokens = tokenize(AND2)
-    tokens[1] = tokens[0]  # a syntax error at index 1 does not hide
-    tokens[3] = bad  # the bad id: ids are checked before parsing
-    with pytest.raises(ParseError) as e:
-        parse(tokens)
-    assert e.value.index == 3
-    # id -1 used to wrap to the last vocabulary entry, a module name
-    tokens = tokenize(AND2)
-    tokens[1] = bad
-    with pytest.raises(ParseError) as e:
-        parse(tokens)
-    assert e.value.index == 1
+    for container in ID_CONTAINERS:
+        tokens = tokenize(AND2)
+        tokens[1] = tokens[0]  # a syntax error at index 1 does not hide
+        tokens[3] = bad  # the bad id: ids are checked before parsing
+        with pytest.raises(ParseError) as e:
+            parse(container(tokens))
+        assert e.value.index == 3, container
+        # id -1 used to wrap to the last vocabulary entry, a module name
+        tokens = tokenize(AND2)
+        tokens[1] = bad
+        with pytest.raises(ParseError) as e:
+            parse(container(tokens))
+        assert e.value.index == 1, container
+        # in range, every container parses to the same module
+        assert parse(container(tokenize(AND2))) == parse_text(AND2)
 
 
 def test_ternary_and_equality_parse():

@@ -18,6 +18,7 @@ from earl.minirtl import (Assign, Binary, Const, Decl, Index, Interface,
                           input_bit_count, is_exhaustive, parse, simulate,
                           simulate_packed, tokenize)
 from earl.minirtl.ast import expr_width
+from earl.minirtl.sim import lane_repunit
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
         "assign y = a & b ; endmodule")
@@ -557,6 +558,7 @@ def test_largest_lane_value_packs_without_carry():
     stim = Stimulus.from_cycles(({"a": 15}, {"a": 0}, {"a": 15, "b": 1}), 0)
     assert stim.packed == {"a": 15 | 15 << 10, "b": 1 << 10}
     assert stim.n_cycles == 3
+    assert stim.ones == lane_repunit(stim.n_cycles) == 1 | 1 << 5 | 1 << 10
     assert stim.cycles == ({"a": 15, "b": 0}, {"a": 0, "b": 0},
                            {"a": 15, "b": 1})
 
