@@ -106,11 +106,11 @@ def summarize(pairs: list[tuple[int, dict, dict]],
     whether the change's median is lower than the parent's by more than the
     parent's quartile spread; for an end-to-end metric, whether both hold
     with the change lower in at least CLAIM_LOWER of every CLAIM_OF pairs
-    (the claim rule); for a metric with a bound, also the change's
-    median worsening and the parent's quartile spread as shares of the
-    parent's median, and whether each exceeds the bound. Then the seeds
-    whose digests differ and the (side, seed) of each run that is not
-    correct."""
+    (the claim rule); for a metric with a bound, also the change of the
+    median (signed, and signed as a worsening) and the parent's quartile
+    spread, as shares of the parent's median, and whether the worsening
+    and the spread exceed the bound. Then the seeds whose digests differ
+    and the (side, seed) of each run that is not correct."""
     bounds = bounds or {}
     metrics = {}
     for name in COLUMNS:
@@ -131,11 +131,13 @@ def summarize(pairs: list[tuple[int, dict, dict]],
         if name in bounds:
             bound, better = bounds[name]
             sign = 1 if better == "lower" else -1
-            worse = sign * (change[1] - parent[1]) / parent[1]
+            relative = (change[1] - parent[1]) / parent[1]
             spread = (parent[2] - parent[0]) / parent[1]
             metrics[name].update(
-                bound=bound, worse=worse, spread=spread,
-                worse_beyond_bound=worse > bound, unresolved=spread > bound)
+                bound=bound, better=better, relative=relative,
+                worse=sign * relative, spread=spread,
+                worse_beyond_bound=sign * relative > bound,
+                unresolved=spread > bound)
     return {
         "metrics": metrics,
         "digest_mismatch": [s for s, p, c in pairs
@@ -196,8 +198,10 @@ def _claim_note(m: dict) -> str:
 def _bound_note(m: dict) -> str:
     if "bound" not in m:
         return ""
-    note = (f"worse by {m['worse']:+.1%} against a bound of {m['bound']:.0%}"
-            f" (parent spread {m['spread']:.1%})")
+    # the bound is on a rise of a lower-is-better metric, a fall otherwise
+    bound = ("+" if m["better"] == "lower" else "-") + f"{m['bound']:.0%}"
+    note = (f"change {m['relative']:+.1%} (bound {bound}, parent spread "
+            f"{m['spread']:.1%})")
     if m["worse_beyond_bound"]:
         note = "WORSE BEYOND BOUND: " + note
     if m["unresolved"]:

@@ -14,10 +14,14 @@ feature rows as they are: building and validating a ``csr_matrix`` around
 them cost ~100-130 us a call in the sampling loop, which calls ``logits``
 ~74 times per default RL step, about as much as the products themselves.
 
-Feature rows are int32 from the start, the index dtype the kernel reads:
-``feature_rows``, the sampler's stepper, SFT's one feature table and the RL
-batch all hold int32, so no kernel call copies or converts its rows, and
-SFT's table is half the size an int64 table would be.
+Featurization has one path: ``contexts`` lays many (prompt, response)
+sequences out in one flat int32 token array, checked once, and
+``context_rows`` builds the feature rows of any of their contexts in one
+gather. ``feature_rows`` is the two on one sequence; the sampler's first
+rows, the RL batch and each SFT batch are one call each. SFT keeps the flat
+array and its per-context indices (~0.5 MB for the default corpus), not an
+[n, k+1] feature table (~3.6 MB). Feature rows are int32 from the start,
+the index dtype the kernel reads, so no kernel call copies or converts them.
 
 Gradients are the size of the batch: ``gradient`` keeps the rows of X.T @ G
 that the batch reads (~2,500 of 6,008 for a 512-context SFT batch at k =
@@ -35,6 +39,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -131,34 +136,92 @@ def position_bucket(position):
     return np.minimum(position // POSITION_BUCKET_SPAN, POSITION_BUCKETS - 1)
 
 
-def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
-    """Feature-index rows [T, k+1], C-contiguous int32, one per response
-    token: the k tokens before it in the canonical sequence (most recent
-    first, PAD before the start), each offset into its slot, then its
-    position bucket. Shared by sampling, RL and SFT. Raises on a token id
-    outside [0, V)."""
+@dataclass(frozen=True)
+class Contexts:
+    """Many contexts over one flat int32 token array, built by ``contexts``:
+    each sequence is laid out as the PADs its first context reads (k less
+    the prompt's length, if positive), its canonical prompt and its
+    response. Context i reads the k tokens ending at ``tokens[before[i]]``
+    (most recent first) and the bucket of response position
+    ``positions[i]``. The ids are checked against [0, V) once, here: the
+    one-hot kernel reads feature rows unchecked."""
+    tokens: np.ndarray     # [N] int32
+    before: np.ndarray     # [n] intp, each in [k-1, N)
+    positions: np.ndarray  # [n] intp
+    arch: tuple            # (k, V) of the policies the contexts feed
+
+    def __post_init__(self):
+        k, V = self.arch
+        if self.tokens.size and (self.tokens.min() < 0
+                                 or self.tokens.max() >= V):
+            raise DomainError(f"token ids must be in [0, {V})")
+        if self.before.size and (self.before.min() < k - 1 or
+                                 self.before.max() >= self.tokens.size):
+            raise DomainError("context indices outside the token array")
+
+
+def contexts(params: PolicyParams, pairs) -> Contexts:
+    """The Contexts of every response token of (prompt, response) pairs, in
+    pair order. Raises on a token id outside [0, V)."""
+    k, pad = params.k, params.vocab.id(PAD)
+    seqs = [(canonical_prompt(prompt, params.vocab), tuple(response))
+            for prompt, response in pairs]
+    T = np.array([len(r) for _, r in seqs], dtype=np.intp)
+    ends = np.cumsum([max(k, len(c)) + len(r) for c, r in seqs],
+                     dtype=np.intp)
+    try:
+        tokens = np.fromiter(chain.from_iterable(
+            part for c, r in seqs for part in ((pad,) * (k - len(c)), c, r)),
+            dtype=np.int32, count=int(ends[-1]) if seqs else 0)
+    except OverflowError:  # an id past int32
+        raise DomainError(f"token ids must be in [0, {params.V})") from None
+    del seqs  # 8 bytes a token: free them before the index arrays
+    positions = np.arange(T.sum(), dtype=np.intp)
+    positions -= np.repeat(np.cumsum(T) - T, T)
+    before = np.repeat(ends - T - 1, T)  # each response's last prompt token
+    before += positions
+    return Contexts(tokens, before, positions, (k, params.V))
+
+
+def context_rows(params: PolicyParams, ctx: Contexts,
+                 sel=None) -> np.ndarray:
+    """Feature-index rows [n, k+1], C-contiguous int32, of the contexts
+    ``sel`` selects (all of them by default), in that order: the k tokens
+    before each (most recent first), each offset into its slot, then its
+    position bucket. The one featurization of sampling, RL and SFT.
+
+    The slot tokens are one gather from a strided view of the token array
+    whose row i is the window ending at tokens[i + k - 1], read backwards:
+    about half the time of an np.take over an [n, k] index array, which
+    this does not build."""
+    if ctx.arch != (params.k, params.V):
+        raise DomainError(f"contexts of (k, V) {ctx.arch} for a policy of "
+                          f"{(params.k, params.V)}")
     V, k = params.V, params.k
-    pad = params.vocab.id(PAD)
-    T = len(response)
-    canon = canonical_prompt(prompt, params.vocab)
-    seq = np.array((pad,) * k + canon + tuple(response), dtype=np.int64)
-    if seq.min() < 0 or seq.max() >= V:
-        raise DomainError(f"token ids must be in [0, {V})")
-    # slot j of row t is seq[len(canon) + k - 1 + t - j]: a strided view of
-    # seq, copied into rows without an index array
-    step = seq.itemsize
-    rows = np.empty((T, k + 1), dtype=np.int32)
-    rows[:, :k] = np.ndarray((T, k), seq.dtype, seq,
-                             (len(canon) + k - 1) * step, (step, -step))
-    rows[:, :k] += np.arange(0, k * V, V, dtype=np.int32)
-    rows[:, k] = k * V + position_bucket(np.arange(T))
+    before, positions = ((ctx.before, ctx.positions) if sel is None
+                         else (ctx.before[sel], ctx.positions[sel]))
+    rows = np.empty((len(before), k + 1), dtype=np.int32)
+    if len(before):  # then the array holds at least k tokens
+        t, step = ctx.tokens, ctx.tokens.itemsize
+        windows = np.ndarray((t.size - k + 1, k), t.dtype, t,
+                             (k - 1) * step, (step, -step))
+        np.add(windows[before - (k - 1)],
+               np.arange(0, k * V, V, dtype=np.int32), out=rows[:, :k])
+    rows[:, k] = k * V + position_bucket(positions)
     return rows
+
+
+def feature_rows(params: PolicyParams, prompt, response) -> np.ndarray:
+    """Feature-index rows [T, k+1] of one (prompt, response) pair, one per
+    response token: ``context_rows`` of its ``contexts``. Raises on a token
+    id outside [0, V)."""
+    return context_rows(params, contexts(params, [(prompt, response)]))
 
 
 def _advance_indices(params: PolicyParams, idx: np.ndarray, token,
                      position: int) -> None:
     """Shift feature rows [B, k+1] by one emitted token per row, in place:
-    the sampler's stepper from row 0 of feature_rows."""
+    the sampler's stepper from the first context_rows row of a response."""
     V, k = params.V, params.k
     idx[:, 1:k] = idx[:, :k - 1] + V
     idx[:, 0] = token
@@ -215,9 +278,9 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     Rollout i draws from the stream ``np.random.default_rng(seeds[i])``
     exactly as ``rng.choice(V, p=p)`` would, p the softmax of the logits
     over temperature (cumsum, one uniform, a right-sided search), so its
-    tokens and bytes do not depend on the batch it is sampled in. Each stream's max_len uniforms are drawn
-    in one call before the first token, and token t reads the stream's t-th
-    double.
+    tokens and bytes do not depend on the batch it is sampled in. Each
+    stream's max_len uniforms are drawn in one call before the first token,
+    and token t reads the stream's t-th double.
 
     Rollouts with the same prompt and the same tokens so far share a node.
     The sampler keeps one feature row per distinct node and ``inv``, each
@@ -243,9 +306,10 @@ def sample_rollouts(params: PolicyParams, prompts, temperature: float,
     first_of: dict = {}  # equal prompts start at one node
     inv = np.array([first_of.setdefault(p, len(first_of)) for p in prompts],
                    dtype=np.int64)
-    # rows 0 of feature_rows read the prompt only: one per distinct prompt
-    rows = np.array([feature_rows(params, p, (eos,))[0] for p in first_of],
-                    dtype=np.int32).reshape(len(first_of), params.k + 1)
+    # a response's first context reads the prompt only: one per distinct
+    # prompt, whatever that response's token
+    rows = context_rows(params, contexts(params,
+                                         [(p, (eos,)) for p in first_of]))
     draws = np.empty((n, max_len))
     for row, seed in zip(draws, seeds):
         np.random.default_rng(seed).random(out=row)
@@ -442,21 +506,17 @@ def require_minirtl_vocab(params: PolicyParams, caller: str) -> None:
                           "vocabulary")
 
 
-def _sft_examples(params: PolicyParams, tasks):
-    """Feature rows [n, k+1] (int32) and target tokens [n] of every
-    reference response, in task order. The rows fill one table allocated
-    up front, task by task, so no per-task copy of the table is held."""
+def _sft_examples(params: PolicyParams, tasks) -> tuple[Contexts,
+                                                        np.ndarray]:
+    """The Contexts of every reference response token, in task order, and
+    their targets [n] (int32), the token after each context: the flat token
+    array, not a feature table; train_sft builds each batch's rows from
+    it."""
     eos = params.vocab.id(EOS)
-    responses = [tokenize(task.reference_text) + [eos] for task in tasks]
-    n = sum(map(len, responses))
-    rows = np.empty((n, params.k + 1), dtype=np.int32)
-    targets = np.empty(n, dtype=np.int64)
-    end = 0
-    for task, response in zip(tasks, responses):
-        start, end = end, end + len(response)
-        rows[start:end] = feature_rows(params, task.prompt_tokens, response)
-        targets[start:end] = response
-    return rows, targets
+    ctx = contexts(params, [(task.prompt_tokens,
+                             tokenize(task.reference_text) + [eos])
+                            for task in tasks])
+    return ctx, ctx.tokens[ctx.before + 1]
 
 
 def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
@@ -471,7 +531,7 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
     tasks = list(tasks)
     if not tasks:
         raise DomainError("train_sft requires a nonempty corpus")
-    rows, targets = _sft_examples(params, tasks)
+    ctx, targets = _sft_examples(params, tasks)
     n = len(targets)
     bs = min(schedule.batch_contexts, n)
     steps_per_epoch = (n + bs - 1) // bs
@@ -483,7 +543,7 @@ def train_sft(params: PolicyParams, tasks, schedule: SftSchedule
             epoch = step // steps_per_epoch
             order = rng_for("sft-order", schedule.seed, epoch).permutation(n)
         sel = order[i * bs:(i + 1) * bs]
-        brows, btgt = rows[sel], targets[sel]
+        brows, btgt = context_rows(params, ctx, sel), targets[sel]
         probs = distributions(params, brows, 1.0)
         m = len(btgt)
         nll = float(-np.log(probs[np.arange(m), btgt]).mean())

@@ -57,7 +57,7 @@ class RewardSchedule:
 DEFAULT_SCHEDULE = RewardSchedule()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewardBreakdown:
     syntax_ok: bool
     interface_score: float

@@ -250,7 +250,7 @@ def _rollout_sum(batch: PreparedBatch, values: np.ndarray) -> float:
 def prepare_batch(groups, config: RlConfig, pi_ref: pol.PolicyParams
                   ) -> PreparedBatch:
     """The batch of the retained groups, degenerate ones dropped. Rows are
-    independent, so one feature_rows concatenation and one pi_ref
+    independent, so one context_rows call over every rollout and one pi_ref
     distributions call give the bytes of laying out rollout by rollout."""
     variant = VARIANTS[config.variant]
     # each list starts with an empty array, so a batch of no group concatenates
@@ -265,9 +265,8 @@ def prepare_batch(groups, config: RlConfig, pi_ref: pol.PolicyParams
     gates = [np.zeros(0)] + [gate_values(r.entropies, variant.gate,
                                          config.rho) for r in rollouts]
     bounds = [0, *accumulate(len(r.response_tokens) for r in rollouts)]
-    rows = np.concatenate([np.zeros((0, pi_ref.k + 1), dtype=np.int32)] + [
-        pol.feature_rows(pi_ref, r.prompt_tokens, r.response_tokens)
-        for r in rollouts])
+    rows = pol.context_rows(pi_ref, pol.contexts(
+        pi_ref, [(r.prompt_tokens, r.response_tokens) for r in rollouts]))
     toks = np.array([t for r in rollouts for t in r.response_tokens],
                     dtype=np.int64)
     old_lp = np.concatenate([np.zeros(0)] + [r.logprobs for r in rollouts])

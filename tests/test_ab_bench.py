@@ -142,17 +142,24 @@ def test_summary_holds_each_metric_to_its_bound(tmp_path):
     assert ab.failed(summary)
     lines = {line.split(":")[0]: line for line in
              ab.report(summary).splitlines()}
-    assert "WORSE BEYOND BOUND: worse by +30.0%" in lines["setup_s"]
+    assert "WORSE BEYOND BOUND: change +30.0% (bound +25%" in lines["setup_s"]
     assert "unresolved" not in lines["setup_s"]
     assert "unresolved, parent spread wider" in lines["op_ms.p50"]
     assert "WORSE" not in lines["op_ms.p50"]
     assert "WORSE" not in lines["peak_rss_mb"]
+    assert "change +5.0% (bound +10%" in lines["peak_rss_mb"]
     assert "unresolved" not in lines["peak_rss_mb"]
     assert "bound" not in lines["raw.setup_s"]
     # a metric better when higher is worse when it falls
     summary = ab.summarize(pairs, {"setup_s": (0.25, "higher")})
     assert summary["metrics"]["setup_s"]["worse"] == pytest.approx(-0.3)
     assert not ab.failed(summary)
+    assert "change +30.0% (bound -25%" in ab.report(summary)
+    # an improvement reads as a signed change, not as a negative worsening
+    summary = ab.summarize([(s, c, p) for s, p, c in pairs], bounds)
+    line = ab.report(summary).splitlines()[0]
+    assert line.startswith("setup_s") and "change -23.1% (bound +25%" in line
+    assert "worse" not in line.lower()
 
 
 _FAKE_RUN = '''import json, sys

@@ -414,6 +414,83 @@ def test_feature_rows_reject_token_ids_outside_vocab():
     assert rows.shape == (2, 4) and rows.max() < p.F
 
 
+def _loop_rows(p, prompt, response):
+    """The feature rows of one pair, token by token: the oracle of
+    context_rows."""
+    k, pad = p.k, DEFAULT_VOCAB.id("PAD")
+    canon = pol.canonical_prompt(prompt)
+    seq = [pad] * k + list(canon) + list(response)
+    start = k + len(canon)  # index of the first response token
+    return np.array([[seq[start + t - 1 - j] + j * V for j in range(k)]
+                     + [k * V + min(t // 4, 7)]
+                     for t in range(len(response))],
+                    dtype=np.int32).reshape(len(response), k + 1)
+
+
+def _random_pairs(rng, count):
+    """(prompt, response) pairs of random ids: BOS prompts shorter than,
+    as long as and longer than PROMPT_MAX_LEN, a prompt without BOS, and
+    responses of 0, 1 and up to 40 tokens."""
+    bos = DEFAULT_VOCAB.id("BOS")
+    pairs = []
+    for i in range(count):
+        n = (3, PROMPT_MAX_LEN, PROMPT_MAX_LEN + 5, 7)[i % 4]
+        prompt = [int(t) for t in rng.integers(0, V, n)]
+        if i % 4 != 3:
+            prompt[0] = bos
+        T = (0, 1, int(rng.integers(2, 41)))[i % 3]
+        pairs.append((tuple(prompt), tuple(int(t) for t in
+                                           rng.integers(0, V, T))))
+    return pairs
+
+
+@pytest.mark.parametrize("k", [1, 3, 48])
+def test_context_rows_equal_per_pair_feature_rows(k):
+    """One contexts + context_rows call over many pairs gives each pair's
+    rows, in pair order, and any selection of them in the selected order."""
+    rng = np.random.default_rng(k)
+    p = small_params(k=k)
+    pairs = _random_pairs(rng, 24)
+    want = np.concatenate([_loop_rows(p, *pair) for pair in pairs])
+    for pair in pairs:
+        assert pol.feature_rows(p, *pair).tobytes() == \
+            _loop_rows(p, *pair).tobytes()
+    ctx = pol.contexts(p, pairs)
+    rows = pol.context_rows(p, ctx)
+    assert rows.dtype == np.int32 and rows.flags.c_contiguous
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    sel = rng.permutation(len(want))[:50]
+    assert pol.context_rows(p, ctx, sel).tobytes() == want[sel].tobytes()
+    assert pol.context_rows(p, pol.contexts(p, [])).shape == (0, k + 1)
+
+
+@pytest.mark.parametrize("bad", [V, -1, 2 ** 31, 2 ** 40])
+def test_contexts_reject_an_out_of_range_id_anywhere(bad):
+    rng = np.random.default_rng(0)
+    p = small_params(k=3)
+    pairs = _random_pairs(rng, 8)
+    for i in (0, 4, 7):
+        for part in (0, 1):
+            for where in (0, -1):
+                if not pairs[i][part]:
+                    continue
+                seq = list(pairs[i][part])
+                seq[where] = bad
+                broken = list(pairs)
+                broken[i] = (tuple(seq), pairs[i][1]) if part == 0 else \
+                    (pairs[i][0], tuple(seq))
+                with pytest.raises(DomainError):
+                    pol.contexts(p, broken)
+    ctx = pol.contexts(p, pairs)
+    # contexts are built for one (k, V), and index only their token array
+    with pytest.raises(DomainError):
+        pol.context_rows(small_params(k=4), ctx)
+    for before in (ctx.before - ctx.before.min() - 1,
+                   ctx.before + ctx.tokens.size):
+        with pytest.raises(DomainError):
+            pol.Contexts(ctx.tokens, before, ctx.positions, ctx.arch)
+
+
 def test_ratio_one_for_unchanged_params():
     p = small_params(k=2, scale=0.2)
     prompt = (DEFAULT_VOCAB.id("BOS"),)
@@ -496,35 +573,45 @@ def _small_corpus():
                                      heldout_fraction=0.0), 5).tasks
 
 
-def test_sft_examples_are_one_int32_table_of_task_rows():
+def test_sft_examples_are_flat_token_contexts_of_task_rows():
+    """SFT keeps one flat int32 token array and its per-context indices;
+    the rows a batch gets equal feature_rows for the same contexts."""
     from earl.minirtl.lexer import tokenize
     tasks = _small_corpus()
     p = pol.init_params(DEFAULT_VOCAB, 48, 0)
-    rows, targets = pol._sft_examples(p, tasks)
+    ctx, targets = pol._sft_examples(p, tasks)
     eos = DEFAULT_VOCAB.id("EOS")
     responses = [tokenize(t.reference_text) + [eos] for t in tasks]
     want = np.concatenate([pol.feature_rows(p, t.prompt_tokens, r)
                            for t, r in zip(tasks, responses)])
-    assert rows.dtype == np.int32 and rows.flags.c_contiguous
-    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    assert ctx.tokens.dtype == np.int32 and ctx.tokens.size == sum(
+        max(48, len(pol.canonical_prompt(t.prompt_tokens))) + len(r)
+        for t, r in zip(tasks, responses))
     assert targets.tolist() == [t for r in responses for t in r]
+    sel = rng_for("sft-order", 0, 0).permutation(len(targets))[:512]
+    rows = pol.context_rows(p, ctx, sel)
+    assert rows.dtype == np.int32 and rows.flags.c_contiguous
+    assert rows.tobytes() == want[sel].tobytes()
+    assert pol.context_rows(p, ctx).tobytes() == want.tobytes()
 
 
-def test_sft_examples_peak_memory_stays_near_the_table():
-    """The rows fill one preallocated table: building one array per task and
-    concatenating them would hold every row twice. numpy's fixed-size ufunc
-    buffers (~0.1 MB at most) are the rest of the headroom."""
+def test_sft_examples_peak_memory_stays_near_the_flat_arrays():
+    """_sft_examples holds the flat arrays and, while it builds them, one
+    tuple per sequence: far less than the [n, k+1] int32 feature table,
+    which is ~6 times the flat arrays here."""
     import tracemalloc
     tasks = _small_corpus()
     p = pol.init_params(DEFAULT_VOCAB, 48, 0)
     pol._sft_examples(p, tasks)  # first-use allocations are not counted
     tracemalloc.start()
     try:
-        rows, targets = pol._sft_examples(p, tasks)
+        ctx, targets = pol._sft_examples(p, tasks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (rows.nbytes + targets.nbytes)
+    flat = (ctx.tokens.nbytes + ctx.before.nbytes + ctx.positions.nbytes
+            + targets.nbytes)
+    assert peak < 1.75 * flat < len(targets) * 49 * 4 / 2
 
 
 def test_rollout_rejects_mismatched_lengths():

@@ -55,6 +55,24 @@ def test_out_of_range_id_scores_as_parse_fail(bad):
                                          rew.STAGE_PARSE_FAIL)
 
 
+def test_breakdown_is_slotted_frozen_hashable_with_its_repr():
+    """A breakdown has no per-instance __dict__; it stays frozen and
+    hashable, and its repr, which the score benchmark's digest hashes, is
+    the dataclass repr."""
+    import dataclasses
+    bd = rew.RewardBreakdown(True, 0.75, 0.5, False, 0.6,
+                             rew.STAGE_FUNCTIONAL)
+    assert not hasattr(bd, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bd.reward = 1.0
+    assert hash(bd) == hash(rew.RewardBreakdown(True, 0.75, 0.5, False, 0.6,
+                                                rew.STAGE_FUNCTIONAL))
+    assert repr(bd) == (
+        "RewardBreakdown(syntax_ok=True, interface_score=0.75, "
+        "functional_fraction=0.5, functional_pass=False, reward=0.6, "
+        f"stage_reached={rew.STAGE_FUNCTIONAL!r})")
+
+
 def test_parse_fail_scores_zero():
     task = easy_task()
     bd = rew.score(tokens_of("module and2 ( input a"), task)

@@ -158,6 +158,28 @@ def test_corpus_with_stored_vectors_loads_to_the_same_tasks(default_corpus,
         [_task_fields(t) for t in default_corpus.tasks]
 
 
+def test_corpus_json_is_the_indented_sorted_json_dumps(default_corpus):
+    """corpus_to_json writes the records' layout itself; json.dumps with
+    indent=1 and sort_keys is its oracle, for an empty corpus and an empty
+    prompt too."""
+    from dataclasses import replace
+    from earl.taskgen import Corpus
+
+    def oracle(corpus):
+        return json.dumps([
+            {"id": t.id, "prompt_tokens": list(t.prompt_tokens),
+             "reference_text": t.reference_text, "kind": t.kind,
+             "difficulty": t.difficulty, "split": t.split}
+            for t in corpus.tasks], indent=1, sort_keys=True)
+
+    tasks = default_corpus.tasks
+    escaped = replace(tasks[2], id='t"\\x', kind="k\u00e9\n")
+    for corpus in (default_corpus, Corpus(()),
+                   Corpus((replace(tasks[0], prompt_tokens=()), tasks[1])),
+                   Corpus((escaped,))):
+        assert corpus_to_json(corpus) == oracle(corpus)
+
+
 def test_default_corpus_bytes_are_pinned():
     text = corpus_to_json(build_corpus(CorpusConfig(), 0))
     assert hashlib.sha256(text.encode()).hexdigest() == \
