@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Alternating A/B runs of the benchmark in two source checkouts.
 
-Usage: python3 scripts/ab_bench.py PARENT CHANGE --workload W
+Usage: python3 scripts/ab_bench.py PARENT CHANGE --workload W[,W...]
                                    [--seeds 1-16] [--seconds 15]
 
-For each seed S it runs ``python3 bench/run.py --workload W --seed S
---seconds N`` in both checkouts, one after the other: PARENT first on odd
-seeds and CHANGE first on even seeds, so a drift of the machine's speed
-falls on both sides alike. Each run is read from its standard output (the
-last JSON line and the ``digest`` line), not from ``.bench_out/``, which
-other runs of the benchmark in the same checkout overwrite.
+For each workload W, in the order given (e.g. ``score,sft,rl-train``), and
+each seed S it runs ``python3 bench/run.py --workload W --seed S --seconds
+N`` in both checkouts, one after the other: PARENT first on odd seeds and
+CHANGE first on even seeds, so a drift of the machine's speed falls on both
+sides alike. Each workload's pairs and summary follow a ``workload W:``
+line. Each run is read from its standard output (the last JSON line and
+the ``digest`` line), not from ``.bench_out/``, which other runs of the
+benchmark in the same checkout overwrite.
 
 It prints each pair's end-to-end metrics with ``raw.setup_s`` and the speed
 factors, then for each metric each side's median and quartiles and the
@@ -26,10 +28,10 @@ the change's median is worse than the parent's by more than the bound, and
 ``unresolved`` when the parent's quartile spread, as a share of its median,
 is wider than the bound. A run that exits non-zero or whose last line is not
 a JSON result stops the A/B: its side, seed, exit code and the last lines of
-its standard error are printed, then the summary of the pairs already run.
-The exit code is 0 only when every pair ran, every run was correct, no
-digest differs and no metric is worse beyond its bound. Standard library
-only.
+its standard error are printed, then the summary of that workload's pairs
+already run, and no later workload runs. The exit code is 0 only when every
+pair of every workload ran, every run was correct, no digest differs and no
+metric of any workload is worse beyond its bound. Standard library only.
 """
 
 import argparse
@@ -39,6 +41,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+WORKLOADS = ("rl-train", "sft", "score")
 END_TO_END = ("setup_s", "op_ms.p50", "op_ms.tail", "peak_rss_mb")
 REPORTED = ("raw.setup_s", "speed_factor.setup", "speed_factor.timed")
 COLUMNS = END_TO_END + REPORTED
@@ -63,6 +66,19 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
+
+
+def parse_workloads(text: str) -> list[str]:
+    """'score,sft' -> ['score', 'sft']; each a bench workload, once."""
+    names = text.split(",")
+    for name in names:
+        if name not in WORKLOADS:
+            raise argparse.ArgumentTypeError(
+                f"unknown workload {name!r}; choose from "
+                + ", ".join(WORKLOADS))
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"a workload repeats in {text!r}")
+    return names
 
 
 def parse_run(stdout: str) -> dict:
@@ -215,23 +231,17 @@ def failed(summary: dict) -> bool:
                        for m in summary["metrics"].values()))
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("parent")
-    ap.add_argument("change")
-    ap.add_argument("--workload", required=True,
-                    choices=("rl-train", "sft", "score"))
-    ap.add_argument("--seeds", default="1-16")
-    ap.add_argument("--seconds", type=int, default=15)
-    args = ap.parse_args(argv)
-    bounds = load_bounds(args.parent)
+def ab_workload(args, workload: str, bounds: dict) -> int:
+    """The alternating pairs of one workload, each printed as it ends, then
+    their summary; 0 if it passes, 1 if it fails (``failed``) and 2 if a run
+    failed, after that run's stderr and the summary of the pairs before it."""
     pairs = []
     for seed in parse_seeds(args.seeds):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         runs = {}
         for side in order:
             try:
-                runs[side] = run(getattr(args, side), args.workload, seed,
+                runs[side] = run(getattr(args, side), workload, seed,
                                  args.seconds)
             except RunFailed as e:
                 print(f"RUN FAILED: {side} at seed {seed} {e.why} "
@@ -244,8 +254,28 @@ def main(argv=None) -> int:
         pairs.append((seed, runs["parent"], runs["change"]))
         print(pair_line(*pairs[-1]), flush=True)
     summary = summarize(pairs, bounds)
-    print(report(summary))
+    print(report(summary), flush=True)
     return 1 if failed(summary) else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True, type=parse_workloads,
+                    help="one or more of " + ",".join(WORKLOADS)
+                    + ", comma-separated")
+    ap.add_argument("--seeds", default="1-16")
+    ap.add_argument("--seconds", type=int, default=15)
+    args = ap.parse_args(argv)
+    bounds = load_bounds(args.parent)
+    code = 0
+    for workload in args.workload:
+        print(f"workload {workload}:", flush=True)
+        code = max(code, ab_workload(args, workload, bounds))
+        if code == 2:
+            break
+    return code
 
 
 if __name__ == "__main__":

@@ -47,6 +47,8 @@ _PORT = {(n, k, w): PortDecl(n, k, w) for n in IDENTIFIERS
          for k in ("input", "output") for w in range(1, 5)}
 _DECL = {(n, k, w): Decl(n, k, w) for n in IDENTIFIERS
          for k in ("wire", "reg") for w in range(1, 5)}
+# The width a range's msb token gives.
+_MSB_WIDTH = {"1": 2, "2": 3, "3": 4}
 # Binary bitwise operators by precedence, the loosest first; 0 is "none".
 _PREC = {"|": 1, "^": 2, "&": 3}
 
@@ -66,31 +68,34 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_ident(self) -> str:
-        tok = self.toks[self.pos]
-        if tok not in _IDENT_SET:
-            raise ParseError(self.pos, {"<identifier>"})
-        self.pos += 1
-        return tok
-
     # -- grammar ------------------------------------------------------------
+    # The rules read their fixed token runs inline, from one local cursor,
+    # and raise the ParseError expect would: at the first token that does
+    # not match, with the tokens allowed there. No read passes the sentinel,
+    # since each is one past a token that matched.
     def program(self) -> tuple[Interface, tuple[Decl, ...], list[Assign],
                                tuple[Register, ...]]:
         """The fields of the unchecked ModuleAst, its assigns in source
         order."""
         toks = self.toks
-        self.expect("module")
-        name = toks[self.pos]
+        if toks[0] != "module":
+            raise ParseError(0, {"module"})
+        name = toks[1]
         if name not in _NAME_SET:
-            raise ParseError(self.pos, {"<module-name>"})
-        self.pos += 1
-        self.expect("(")
+            raise ParseError(1, {"<module-name>"})
+        if toks[2] != "(":
+            raise ParseError(2, {"("})
+        self.pos = 3
         ports = [self.port()]
         while toks[self.pos] == ",":
             self.pos += 1
             ports.append(self.port())
-        self.expect(")")
-        self.expect(";")
+        pos = self.pos
+        if toks[pos] != ")":
+            raise ParseError(pos, {")"})
+        if toks[pos + 1] != ";":
+            raise ParseError(pos + 1, {";"})
+        self.pos = pos + 2
 
         decls: list[Decl] = []
         while toks[self.pos] in ("wire", "reg"):
@@ -103,70 +108,128 @@ class _Parser:
                 assigns.append(self.assign())
             else:
                 registers.append(self.always())
-        self.expect("endmodule")
-        if toks[self.pos] is not None:
-            raise ParseError(self.pos, {"<end of program>"})
+        pos = self.pos
+        if toks[pos] != "endmodule":
+            raise ParseError(pos, {"endmodule"})
+        if toks[pos + 1] is not None:
+            raise ParseError(pos + 1, {"<end of program>"})
         return (Interface(name, tuple(ports)), tuple(decls), assigns,
                 tuple(registers))
 
     def range_width(self) -> int:
-        if self.toks[self.pos] != "[":
+        """An optional '[' msb ':' '0' ']' at the cursor; its width, 1
+        without one."""
+        toks, pos = self.toks, self.pos
+        if toks[pos] != "[":
             return 1
-        self.pos += 1
-        msb = self.expect("1", "2", "3")
-        self.expect(":")
-        self.expect("0")
-        self.expect("]")
-        return int(msb) + 1
+        width = _MSB_WIDTH.get(toks[pos + 1])
+        if width is None:
+            raise ParseError(pos + 1, _MSB_WIDTH.keys())
+        if toks[pos + 2] != ":":
+            raise ParseError(pos + 2, {":"})
+        if toks[pos + 3] != "0":
+            raise ParseError(pos + 3, {"0"})
+        if toks[pos + 4] != "]":
+            raise ParseError(pos + 4, {"]"})
+        self.pos = pos + 5
+        return width
 
     def port(self) -> PortDecl:
-        direction = self.expect("input", "output")
-        width = self.range_width()
-        name = self.expect_ident()
+        toks, pos = self.toks, self.pos
+        direction = toks[pos]
+        if direction != "input" and direction != "output":
+            raise ParseError(pos, {"input", "output"})
+        self.pos = pos + 1
+        width = self.range_width() if toks[pos + 1] == "[" else 1
+        pos = self.pos
+        name = toks[pos]
+        if name not in _IDENT_SET:
+            raise ParseError(pos, {"<identifier>"})
+        self.pos = pos + 1
         return _PORT[name, direction, width]
 
     def decl(self) -> Decl:
-        kind = self.expect("wire", "reg")
+        toks = self.toks
+        kind = toks[self.pos]  # 'wire' or 'reg', as program checked
+        self.pos += 1
         width = self.range_width()
-        name = self.expect_ident()
-        self.expect(";")
+        pos = self.pos
+        name = toks[pos]
+        if name not in _IDENT_SET:
+            raise ParseError(pos, {"<identifier>"})
+        if toks[pos + 1] != ";":
+            raise ParseError(pos + 1, {";"})
+        self.pos = pos + 2
         return _DECL[name, kind, width]
 
     def assign(self) -> Assign:
-        self.pos += 1  # 'assign'
-        target = self.expect_ident()
-        self.expect("=")
+        toks = self.toks
+        pos = self.pos + 1  # 'assign'
+        target = toks[pos]
+        if target not in _IDENT_SET:
+            raise ParseError(pos, {"<identifier>"})
+        if toks[pos + 1] != "=":
+            raise ParseError(pos + 1, {"="})
+        self.pos = pos + 2
         expr = self.expr()
-        self.expect(";")
+        pos = self.pos
+        if toks[pos] != ";":
+            raise ParseError(pos, {";"})
+        self.pos = pos + 1
         return Assign(target, expr)
 
     def always(self) -> Register:
-        self.pos += 1  # 'always'
-        self.expect("@")
-        self.expect("(")
-        edge = self.expect("posedge", "negedge")
-        clock = self.expect_ident()
-        self.expect(")")
-        self.expect("begin")
+        toks = self.toks
+        pos = self.pos + 1  # 'always'
+        if toks[pos] != "@":
+            raise ParseError(pos, {"@"})
+        if toks[pos + 1] != "(":
+            raise ParseError(pos + 1, {"("})
+        edge = toks[pos + 2]
+        if edge != "posedge" and edge != "negedge":
+            raise ParseError(pos + 2, {"posedge", "negedge"})
+        clock = toks[pos + 3]
+        if clock not in _IDENT_SET:
+            raise ParseError(pos + 3, {"<identifier>"})
+        if toks[pos + 4] != ")":
+            raise ParseError(pos + 4, {")"})
+        if toks[pos + 5] != "begin":
+            raise ParseError(pos + 5, {"begin"})
+        pos += 6
         reset = None
-        if self.toks[self.pos] == "if":
-            self.pos += 1
-            self.expect("(")
+        if toks[pos] == "if":
+            if toks[pos + 1] != "(":
+                raise ParseError(pos + 1, {"("})
+            self.pos = pos + 2
             reset = self.expr()
-            self.expect(")")
-            target = self.expect_ident()
-            self.expect("<=")
-            self.expect("0")
-            self.expect(";")
-            self.expect("else")
-            if self.expect_ident() != target:
-                raise ParseError(self.pos - 1, {target})
+            pos = self.pos
+            if toks[pos] != ")":
+                raise ParseError(pos, {")"})
+            target = toks[pos + 1]
+            if target not in _IDENT_SET:
+                raise ParseError(pos + 1, {"<identifier>"})
+            for i, want in enumerate(("<=", "0", ";", "else"), pos + 2):
+                if toks[i] != want:
+                    raise ParseError(i, {want})
+            pos += 6
+            if toks[pos] not in _IDENT_SET:
+                raise ParseError(pos, {"<identifier>"})
+            if toks[pos] != target:
+                raise ParseError(pos, {target})
         else:
-            target = self.expect_ident()
-        self.expect("<=")
+            target = toks[pos]
+            if target not in _IDENT_SET:
+                raise ParseError(pos, {"<identifier>"})
+        if toks[pos + 1] != "<=":
+            raise ParseError(pos + 1, {"<="})
+        self.pos = pos + 2
         nxt = self.expr()
-        self.expect(";")
-        self.expect("end")
+        pos = self.pos
+        if toks[pos] != ";":
+            raise ParseError(pos, {";"})
+        if toks[pos + 1] != "end":
+            raise ParseError(pos + 1, {"end"})
+        self.pos = pos + 2
         return Register(target, nxt, edge, clock, reset)
 
     def expr(self) -> Expr:
@@ -318,30 +381,43 @@ def comb_order(assigns: tuple[Assign, ...],
     """Assigns in dependency (topological) order, given the signals each
     assign's target reads (``deps``, as check_semantics collects them). A
     combinational cycle raises SemanticError('comb-cycle') naming its path,
-    'a->b->a'."""
+    'a->b->a'. The work follows the assign-to-assign edges: when no assign
+    reads an assign's target, the order is the source order, and a walk
+    runs only otherwise."""
+    targets = deps.keys()
+    for a in assigns:
+        if not targets.isdisjoint(deps[a.target]):
+            break
+    else:
+        return list(assigns)
     assign_of = {a.target: a for a in assigns}
     ordered: list[Assign] = []
     visited: dict[str, bool] = {}  # False while on the DFS path, then True
-
-    def visit(name: str) -> None:
-        done = visited.get(name)
-        if done:
-            return
-        if done is False:
-            # a cycle; the names still False are the DFS path, and the dict
-            # keeps them in the order the walk entered them
-            path = [n for n, ok in visited.items() if not ok] + [name]
-            raise SemanticError("comb-cycle", "->".join(path))
-        visited[name] = False
-        for dep in sorted(deps[name]):
-            if dep in assign_of:
-                visit(dep)
-        visited[name] = True
-        ordered.append(assign_of[name])
-
     for t in assign_of:
-        visit(t)
+        _visit(t, assign_of, deps, visited, ordered)
     return ordered
+
+
+def _visit(name: str, assign_of: dict[str, Assign],
+           deps: dict[str, set[str]], visited: dict[str, bool],
+           ordered: list[Assign]) -> None:
+    """comb_order's depth-first walk from one assign's target: a function
+    of its state, not a closure over it, so a check leaves no reference
+    cycle for the garbage collector."""
+    done = visited.get(name)
+    if done:
+        return
+    if done is False:
+        # a cycle; the names still False are the DFS path, and the dict
+        # keeps them in the order the walk entered them
+        path = [n for n, ok in visited.items() if not ok] + [name]
+        raise SemanticError("comb-cycle", "->".join(path))
+    visited[name] = False
+    for dep in sorted(deps[name]):
+        if dep in assign_of:
+            _visit(dep, assign_of, deps, visited, ordered)
+    visited[name] = True
+    ordered.append(assign_of[name])
 
 
 def parse(token_ids) -> ModuleAst:

@@ -212,3 +212,79 @@ def test_a_run_without_a_json_result_stops_the_ab(tmp_path, capsys):
     assert ("RUN FAILED: change at seed 1 printed no JSON result last "
             "(exit 0)") in out
     assert "half a report" in out and "summary" not in out
+
+
+_WORKLOAD_RUN = '''import json, sys
+workload = sys.argv[sys.argv.index("--workload") + 1]
+# the change: another digest on sft, a set-up twice as long on rl-train
+change = CHANGE
+print("digest " + ("d1" if change and workload == "sft" else "d0"))
+setup = 2.0 if change and workload == "rl-train" else 1.0
+metrics = {n: {"value": setup if n == "setup_s" else 1.0, "unit": "s"}
+           for n in ("setup_s", "op_ms.p50", "op_ms.tail", "peak_rss_mb")}
+print(json.dumps({"correct": True, "failed": 0, "metrics": metrics}))
+'''
+
+
+def _sections(out):
+    """workload -> the lines printed under its 'workload W:' line."""
+    sections, name = {}, None
+    for line in out.splitlines():
+        if line.startswith("workload "):
+            name = line.split()[1].rstrip(":")
+            sections[name] = []
+        else:
+            sections[name].append(line)
+    return {name: "\n".join(lines) for name, lines in sections.items()}
+
+
+def test_several_workloads_each_get_their_pairs_and_summary(tmp_path,
+                                                            capsys):
+    parent = _checkout(tmp_path / "parent",
+                       _WORKLOAD_RUN.replace("CHANGE", "False"))
+    change = _checkout(tmp_path / "change",
+                       _WORKLOAD_RUN.replace("CHANGE", "True"))
+    code = ab.main([parent, change, "--workload", "score,sft,rl-train",
+                    "--seeds", "1-2", "--seconds", "1"])
+    sections = _sections(capsys.readouterr().out)
+    assert code == 1
+    assert list(sections) == ["score", "sft", "rl-train"]
+    for name, text in sections.items():
+        assert "seed 1: " in text and "seed 2: " in text, name
+        assert "setup_s: parent 1 (1-1) -> change" in text, name
+    assert "DIGEST" not in sections["score"]
+    assert "WORSE" not in sections["score"]
+    assert "DIGEST MISMATCH at seed 1" in sections["sft"]
+    assert "DIGEST MISMATCH at seed 2" in sections["sft"]
+    assert "WORSE" not in sections["sft"]
+    assert "DIGEST" not in sections["rl-train"]
+    assert "WORSE BEYOND BOUND: change +100.0%" in sections["rl-train"]
+    # each failing workload fails the A/B alone; the passing one passes
+    for workloads, want in (("score", 0), ("sft", 1), ("rl-train", 1),
+                            ("rl-train,score", 1)):
+        assert ab.main([parent, change, "--workload", workloads, "--seeds",
+                        "1", "--seconds", "1"]) == want, workloads
+    capsys.readouterr()
+
+
+def test_a_failed_run_stops_the_later_workloads(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", _FAKE_RUN)
+    change = _checkout(tmp_path / "change", _FAKE_RUN)
+    code = ab.main([parent, change, "--workload", "sft,score", "--seeds",
+                    "1-2", "--seconds", "1"])
+    sections = _sections(capsys.readouterr().out)
+    assert code == 2
+    assert list(sections) == ["sft"]
+    assert "RUN FAILED: change at seed 2" in sections["sft"]
+
+
+def test_workload_list_is_checked():
+    assert ab.parse_workloads("score,sft,rl-train") == ["score", "sft",
+                                                        "rl-train"]
+    assert ab.parse_workloads("sft") == ["sft"]
+    for bad in ("score,bogus", "sft,sft", "", "score,"):
+        with pytest.raises(ab.argparse.ArgumentTypeError):
+            ab.parse_workloads(bad)
+    with pytest.raises(SystemExit) as e:
+        ab.main(["p", "c", "--workload", "score,bogus"])
+    assert e.value.code == 2

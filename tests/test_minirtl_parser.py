@@ -1,6 +1,7 @@
 """Parser and semantic checks: spec'd examples plus generated-corpus
 soundness (every accepted AST satisfies the module invariants)."""
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -16,6 +17,7 @@ from earl.errors import DomainError
 from earl.minirtl import (DEFAULT_VOCAB, ModuleAst, ParseError,
                           SemanticError, Stimulus, check_semantics,
                           detokenize, parse, simulate, tokenize)
+from earl.minirtl.ast import Assign, Const
 from earl.minirtl.parser import _Parser, comb_order
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
@@ -154,6 +156,88 @@ def test_comb_order_raises_on_unchecked_cycle():
         parse_text(text)
     assert e.value.kind == "comb-cycle"
     assert str(e.value) == "semantic error [comb-cycle]: z->y->z"
+    # an assign that reads its own target, with no other assign
+    with pytest.raises(SemanticError) as e:
+        parse_text("module u00 ( input a , output y ) ; "
+                   "assign y = y & a ; endmodule")
+    assert str(e.value) == "semantic error [comb-cycle]: y->y"
+
+
+def test_semantic_check_leaves_no_garbage_for_the_collector():
+    # comb_order walks without a closure over itself, so a check frees what
+    # it built by reference counting, on the DFS path and on a cycle alike
+    dependent = tokenize("module u02 ( input a , output y ) ; wire z ; "
+                         "assign y = z ; assign z = ~ a ; endmodule")
+    cyclic = tokenize("module u00 ( input a , output y ) ; wire z ; "
+                      "assign z = y ; assign y = z ; endmodule")
+    gc.collect()
+    gc.disable()
+    try:
+        assert [a.target for a in parse(dependent).assigns] == ["z", "y"]
+        try:
+            parse(cyclic)
+        except SemanticError:
+            pass
+        else:
+            raise AssertionError("a combinational cycle parsed")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _oracle_comb_order(assigns, deps):
+    """comb_order as a recursive DFS over every assign, the walk it takes
+    when some assign reads an assign's target."""
+    assign_of = {a.target: a for a in assigns}
+    ordered = []
+    visited = {}  # False while on the DFS path, then True
+
+    def visit(name):
+        done = visited.get(name)
+        if done:
+            return
+        if done is False:
+            path = [n for n, ok in visited.items() if not ok] + [name]
+            raise SemanticError("comb-cycle", "->".join(path))
+        visited[name] = False
+        for dep in sorted(deps[name]):
+            if dep in assign_of:
+                visit(dep)
+        visited[name] = True
+        ordered.append(assign_of[name])
+
+    for t in assign_of:
+        visit(t)
+    return ordered
+
+
+def _order_or_error(order, assigns, deps):
+    try:
+        return [a.target for a in order(assigns, deps)]
+    except SemanticError as e:
+        return (e.kind, str(e))
+
+
+@st.composite
+def _assign_graphs(draw):
+    """0-5 assigns in a random source order, each reading some of two
+    inputs and of the assigns' targets, itself included."""
+    targets = draw(st.lists(st.sampled_from("pqrstuvw"), unique=True,
+                            max_size=5))
+    reads = st.sets(st.sampled_from(["a", "b", *targets]), max_size=4)
+    deps = {t: draw(reads) for t in targets}
+    return tuple(Assign(t, Const(0)) for t in targets), deps
+
+
+@settings(max_examples=500, deadline=None)
+@given(_assign_graphs())
+def test_comb_order_matches_the_dfs_on_random_assign_graphs(graph):
+    assigns, deps = graph
+    got = _order_or_error(comb_order, assigns, deps)
+    assert got == _order_or_error(_oracle_comb_order, assigns, deps)
+    # with no assign reading an assign's target, the order is the source's
+    if all(deps[t].isdisjoint(deps) for t in deps):
+        assert got == [a.target for a in assigns]
 
 
 def test_semantic_error_rejects_unknown_kind_under_python_O():
