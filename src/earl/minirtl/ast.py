@@ -117,6 +117,14 @@ class Interface:
     module_name: str
     ports: tuple[PortDecl, ...]
 
+    @cached_property
+    def port_keys(self) -> frozenset[tuple[str, str, int]]:
+        """The (name, direction, width) of each port. Cached on the
+        instance, not a field, so repr and equality do not see it; parse
+        shares one Interface per distinct header, so the set is built once
+        per header."""
+        return frozenset((p.name, p.direction, p.width) for p in self.ports)
+
     def inputs(self) -> tuple[PortDecl, ...]:
         return tuple(p for p in self.ports if p.direction == "input")
 

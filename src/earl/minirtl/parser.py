@@ -26,9 +26,17 @@ The parser reads one token cursor over the token list; the '|', '^' and
 which builds the same left-associative trees as the three rules above.
 '==' stays non-associative. Widths follow ast.expr_width; any mismatch is
 a parse-time SemanticError rather than implicit extension.
+
+A module header ('module' through the first ')') is a function of its
+tokens, so each distinct header is parsed and its ports checked once,
+through a bounded least-recently-used cache (_header) that parses share.
+No outcome depends on what the cache holds.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .ast import (Assign, Binary, Const, Decl, Expr, Index, Interface,
                   ModuleAst, ParseError, PortDecl, Register, SemanticError,
@@ -51,6 +59,11 @@ _DECL = {(n, k, w): Decl(n, k, w) for n in IDENTIFIERS
 _MSB_WIDTH = {"1": 2, "2": 3, "3": 4}
 # Binary bitwise operators by precedence, the loosest first; 0 is "none".
 _PREC = {"|": 1, "^": 2, "&": 3}
+# Distinct module headers _header keeps, the least recently used dropped
+# first: about twice the 957-974 distinct headers a default run parses
+# (gen-data, sft, a 500-step train and eval, seeds 0 and 1). An entry
+# holds ~1.1 KB, ~1.5 KB once its port keys are built.
+_HEADER_CACHE_SIZE = 2048
 
 
 class _Parser:
@@ -73,26 +86,25 @@ class _Parser:
     # and raise the ParseError expect would: at the first token that does
     # not match, with the tokens allowed there. No read passes the sentinel,
     # since each is one past a token that matched.
-    def program(self) -> tuple[Interface, tuple[Decl, ...], list[Assign],
+    def program(self) -> tuple[_Header, tuple[Decl, ...], list[Assign],
                                tuple[Register, ...]]:
-        """The fields of the unchecked ModuleAst, its assigns in source
-        order."""
+        """The module's header facts and the rest of the unchecked
+        ModuleAst's fields, its assigns in source order."""
         toks = self.toks
         if toks[0] != "module":
             raise ParseError(0, {"module"})
-        name = toks[1]
-        if name not in _NAME_SET:
+        if toks[1] not in _NAME_SET:
             raise ParseError(1, {"<module-name>"})
         if toks[2] != "(":
             raise ParseError(2, {"("})
-        self.pos = 3
-        ports = [self.port()]
-        while toks[self.pos] == ",":
-            self.pos += 1
-            ports.append(self.port())
-        pos = self.pos
-        if toks[pos] != ")":
-            raise ParseError(pos, {")"})
+        # The header's key runs through the first ')' after the '(': a port
+        # list holds none, so a header that parses ends there. With no ')',
+        # the key runs to the sentinel and the header parse raises.
+        try:
+            pos = toks.index(")", 3)
+        except ValueError:
+            pos = len(toks) - 1
+        header = _header(tuple(toks[:pos + 1]))
         if toks[pos + 1] != ";":
             raise ParseError(pos + 1, {";"})
         self.pos = pos + 2
@@ -113,8 +125,20 @@ class _Parser:
             raise ParseError(pos, {"endmodule"})
         if toks[pos + 1] is not None:
             raise ParseError(pos + 1, {"<end of program>"})
-        return (Interface(name, tuple(ports)), tuple(decls), assigns,
-                tuple(registers))
+        return header, tuple(decls), assigns, tuple(registers)
+
+    def interface(self) -> Interface:
+        """The header 'module' name '(' port (',' port)* ')' whose first
+        three tokens program has checked; the cursor ends on the ')'."""
+        toks = self.toks
+        self.pos = 3
+        ports = [self.port()]
+        while toks[self.pos] == ",":
+            self.pos += 1
+            ports.append(self.port())
+        if toks[self.pos] != ")":
+            raise ParseError(self.pos, {")"})
+        return Interface(toks[1], tuple(ports))
 
     def range_width(self) -> int:
         """An optional '[' msb ':' '0' ']' at the cursor; its width, 1
@@ -284,36 +308,75 @@ class _Parser:
 
 # --- semantic checks ---------------------------------------------------------
 
+class _Header(NamedTuple):
+    """A module's interface and what the semantic check reads of its ports:
+    each port's width, the input names, the output names in port order,
+    and the first port error as SemanticError arguments (a duplicate port,
+    no input, no output), or None."""
+    interface: Interface
+    widths: dict[str, int]
+    inputs: frozenset[str]
+    outputs: tuple[str, ...]
+    error: Optional[tuple[str, str]]
+
+
+def _header_facts(interface: Interface) -> _Header:
+    """The _Header of interface: cached per distinct header by _header,
+    derived uncached by check_semantics."""
+    widths: dict[str, int] = {}
+    for p in interface.ports:
+        if p.name in widths:
+            return _Header(interface, widths, frozenset(), (),
+                           ("multi-driver", f"duplicate port {p.name}"))
+        widths[p.name] = p.width
+    inputs = frozenset(p.name for p in interface.ports
+                       if p.direction == "input")
+    outputs = tuple(p.name for p in interface.ports
+                    if p.direction == "output")
+    error = None
+    if not inputs:
+        error = ("no-driver", "module has no input port")
+    elif not outputs:
+        error = ("no-driver", "module has no output port")
+    return _Header(interface, widths, inputs, outputs, error)
+
+
+@lru_cache(maxsize=_HEADER_CACHE_SIZE)
+def _header(key: tuple[str, ...]) -> _Header:
+    """The header facts of the token run key, 'module' through the first
+    ')' (see _Parser.program), parsed once per distinct key: a header is a
+    function of its tokens and the value is never mutated, so parses share
+    it. A key that does not parse raises its ParseError, at the index it
+    has in the program, and is not cached."""
+    return _header_facts(_Parser(list(key)).interface())
+
+
 def check_semantics(ast: ModuleAst) -> list[Assign]:
     """Enforce ModuleAst invariants; raises SemanticError on violation.
     Walks each expression once: the width check (expr_width) also collects
     the signals it reads, for the driver check and comb_order. Returns the
     assigns in dependency order (comb_order)."""
-    return _check(ast.interface, ast.declarations, ast.assigns,
-                  ast.registers)
+    return _check(_header_facts(ast.interface), ast.declarations,
+                  ast.assigns, ast.registers)
 
 
-def _check(interface: Interface, declarations: tuple[Decl, ...],
+def _check(header: _Header, declarations: tuple[Decl, ...],
            assigns, registers: tuple[Register, ...]) -> list[Assign]:
-    """check_semantics over a module's fields, so parse builds its
-    ModuleAst once, from the checked order."""
-    widths: dict[str, int] = {}
-    for p in interface.ports:
-        if p.name in widths:
-            raise SemanticError("multi-driver", f"duplicate port {p.name}")
-        widths[p.name] = p.width
-    port_dirs = {p.name: p.direction for p in interface.ports}
-    if "input" not in port_dirs.values():
-        raise SemanticError("no-driver", "module has no input port")
-    if "output" not in port_dirs.values():
-        raise SemanticError("no-driver", "module has no output port")
+    """check_semantics over a module's header facts and other fields, so
+    parse checks a header's ports once per distinct header (_header) and
+    builds its ModuleAst once, from the checked order. The port error, if
+    any, is raised here, after the whole program parsed, so a syntax error
+    anywhere wins over it."""
+    if header.error is not None:
+        raise SemanticError(*header.error)
+    widths = header.widths.copy()
 
     reg_names = set()
     for d in declarations:
         if d.name in widths:
             # Re-declaring a port is only the 'output reg' idiom: a reg decl
             # naming an output port of equal width.
-            if (d.kind == "reg" and port_dirs.get(d.name) == "output"
+            if (d.kind == "reg" and d.name in header.outputs
                     and widths[d.name] == d.width and d.name not in reg_names):
                 reg_names.add(d.name)
                 continue
@@ -322,8 +385,7 @@ def _check(interface: Interface, declarations: tuple[Decl, ...],
         if d.kind == "reg":
             reg_names.add(d.name)
 
-    drivers = {p.name: "input" for p in interface.ports
-               if p.direction == "input"}
+    drivers = set(header.inputs)
     deps: dict[str, set[str]] = {}  # signals each assign reads
     reg_reads: set[str] = set()  # signals the registers read
 
@@ -335,7 +397,7 @@ def _check(interface: Interface, declarations: tuple[Decl, ...],
         if a.target in reg_names:
             raise SemanticError("multi-driver",
                                 f"assign to reg {a.target}")
-        drivers[a.target] = "assign"
+        drivers.add(a.target)
         deps[a.target] = set()
         if expr_width(a.expr, widths, deps[a.target]) != widths[a.target]:
             raise SemanticError("width-mismatch", f"assign {a.target}")
@@ -348,10 +410,10 @@ def _check(interface: Interface, declarations: tuple[Decl, ...],
                                 f"nonblocking assign to non-reg {r.target}")
         if r.target in drivers:
             raise SemanticError("multi-driver", r.target)
-        drivers[r.target] = "register"
+        drivers.add(r.target)
         if r.clock not in widths:
             raise SemanticError("undeclared", r.clock)
-        if widths[r.clock] != 1 or port_dirs.get(r.clock) != "input":
+        if widths[r.clock] != 1 or r.clock not in header.inputs:
             raise SemanticError("width-mismatch",
                                 f"clock {r.clock} must be a 1-bit input")
         if expr_width(r.next_expr, widths, reg_reads) != widths[r.target]:
@@ -366,12 +428,12 @@ def _check(interface: Interface, declarations: tuple[Decl, ...],
     # Every read or exported signal must have exactly one driver; the width
     # checks above have declared every name read. The first undriven name
     # in sorted order is the one reported.
-    undriven = reg_reads.union(*deps.values()) - drivers.keys()
+    undriven = reg_reads.union(*deps.values()) - drivers
     if undriven:
         raise SemanticError("no-driver", min(undriven))
-    for p in interface.ports:
-        if p.direction == "output" and p.name not in drivers:
-            raise SemanticError("no-driver", f"output {p.name}")
+    for name in header.outputs:
+        if name not in drivers:
+            raise SemanticError("no-driver", f"output {name}")
 
     return comb_order(assigns, deps)  # raises on a combinational cycle
 
@@ -427,8 +489,8 @@ def parse(token_ids) -> ModuleAst:
     Raises ParseError (with the first offending token index) or SemanticError;
     an id outside [0, V) is a ParseError at its index.
     """
-    iface, decls, assigns, registers = _Parser(
+    header, decls, assigns, registers = _Parser(
         token_names(token_ids)).program()
-    return ModuleAst(iface, decls,
-                     tuple(_check(iface, decls, assigns, registers)),
+    return ModuleAst(header.interface, decls,
+                     tuple(_check(header, decls, assigns, registers)),
                      registers)

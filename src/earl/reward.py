@@ -71,11 +71,10 @@ def interface_score(candidate: Interface, target: Interface) -> float:
     """0.25 for the module name plus 0.75 times the fraction of target ports
     matched on (name, direction, width). Extra candidate ports earn nothing
     but cost nothing. Port names are unique within a parsed interface, so
-    the shared (name, direction, width) keys count the matched ports."""
+    the shared keys (Interface.port_keys, cached on each interface, which
+    parse shares per distinct header) count the matched ports."""
     name = 0.25 if candidate.module_name == target.module_name else 0.0
-    cand = {(p.name, p.direction, p.width) for p in candidate.ports}
-    matched = len(cand.intersection([(p.name, p.direction, p.width)
-                                     for p in target.ports]))
+    matched = len(candidate.port_keys & target.port_keys)
     return name + 0.75 * matched / len(target.ports)
 
 

@@ -18,7 +18,8 @@ from earl.minirtl import (DEFAULT_VOCAB, ModuleAst, ParseError,
                           SemanticError, Stimulus, check_semantics,
                           detokenize, parse, simulate, tokenize)
 from earl.minirtl.ast import Assign, Const
-from earl.minirtl.parser import _Parser, comb_order
+from earl.minirtl.parser import _header, _Parser, comb_order
+from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
         "assign y = a & b ; endmodule")
@@ -327,11 +328,115 @@ def parse_outcome(tokens) -> str:
 
 
 def test_parse_outcomes_are_pinned(pinned_candidates):
-    outcomes = [parse_outcome(tokens) for _, tokens in pinned_candidates]
-    assert len(outcomes) == 11875
-    # every stage of parse is reached many times
-    assert sum(o.startswith("ModuleAst") for o in outcomes) > 1500
-    assert sum(o.startswith("('SemanticError'") for o in outcomes) > 2500
-    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == ("09004f8935ebec49736368f07658d4d7"
-                      "ce2bf211493a5289d1103247b57816f3")
+    # with the header cache cleared, again warm, and again after a clear:
+    # what the cache holds never changes an outcome
+    for clear in (True, False, True):
+        if clear:
+            _header.cache_clear()
+        outcomes = [parse_outcome(tokens) for _, tokens in pinned_candidates]
+        assert len(outcomes) == 11875
+        # every stage of parse is reached many times
+        assert sum(o.startswith("ModuleAst") for o in outcomes) > 1500
+        assert sum(o.startswith("('SemanticError'") for o in outcomes) > 2500
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == ("09004f8935ebec49736368f07658d4d7"
+                          "ce2bf211493a5289d1103247b57816f3"), clear
+        if not clear:
+            assert _header.cache_info().hits > 0
+
+
+# --- the header cache --------------------------------------------------------
+
+def _cold_and_warm_outcomes(candidate, reference):
+    """parse_outcome of candidate with the header cache cleared, with it
+    warmed by parsing reference first, and once more after that."""
+    _header.cache_clear()
+    cold = parse_outcome(candidate)
+    _header.cache_clear()
+    parse_outcome(reference)
+    warm = parse_outcome(candidate)
+    assert parse_outcome(candidate) == warm
+    return cold, warm
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**31 - 1),
+       st.sampled_from(["combinational", "register", "counter", "mux",
+                        "fsm-lite"]),
+       st.sampled_from(["easy", "medium", "hard"]),
+       st.sampled_from(["body", "declaration", "header", "truncated"]),
+       st.integers(0, 2**16), st.integers(0, DEFAULT_VOCAB.size - 1))
+def test_header_cache_never_changes_an_outcome(seed, kind, difficulty,
+                                               edit, where, token):
+    from earl.taskgen import generate_task
+    ref = tokenize(generate_task(seed, kind, difficulty, "t").reference_text)
+    end = ref.index(DEFAULT_VOCAB.id(")"))  # the header's closing ')'
+    if edit == "body":  # a substitution after the header
+        i = end + 1 + where % (len(ref) - end - 1)
+        candidate = ref[:i] + [token] + ref[i + 1:]
+    elif edit == "declaration":  # 'wire' or 'reg' name ';' after the header
+        decl = tokenize(f"{('wire', 'reg')[where % 2]} "
+                        f"{IDENTIFIERS[where // 2 % len(IDENTIFIERS)]} ;")
+        candidate = ref[:end + 2] + decl + ref[end + 2:]
+    elif edit == "header":  # a substitution in 'module' ... ')'
+        i = where % (end + 1)
+        candidate = ref[:i] + [token] + ref[i + 1:]
+    else:  # a prefix that ends inside the header
+        candidate = ref[:where % (end + 2)]
+    cold, warm = _cold_and_warm_outcomes(candidate, ref)
+    assert cold == warm
+
+
+def test_a_port_error_waits_for_a_later_syntax_error():
+    # the header's duplicate port is found when the header is parsed, but a
+    # syntax error after it wins, whether or not the header is cached
+    dup = ("module u00 ( input a , input a , output y ) ; "
+           "assign y = a ; endmodule")
+    broken = dup.replace("endmodule", "end")
+    for text in (broken, dup, broken):
+        with pytest.raises((ParseError, SemanticError)) as e:
+            parse_text(text)
+        if text == dup:
+            assert str(e.value) == ("semantic error [multi-driver]: "
+                                    "duplicate port a")
+        else:
+            assert isinstance(e.value, ParseError) and e.value.index == 18
+    # a header with no ')' runs to the end of the program and fails there
+    cold, warm = _cold_and_warm_outcomes(tokenize("module u00 ( input a"),
+                                         tokenize(AND2))
+    assert cold == warm == repr(("ParseError", 5, [")"], None,
+                                 "syntax error at token 5, expected one of "
+                                 "[')']"))
+
+
+def _synthetic_module(i):
+    """The i-th of more than 2**13 distinct modules: each module name with
+    an input pair drawn from IDENTIFIERS, in two widths; one output y.
+    Some read a port twice (a duplicate port) and fail the check."""
+    name = MODULE_NAMES[i % len(MODULE_NAMES)]
+    i //= len(MODULE_NAMES)
+    a, b = (IDENTIFIERS[i % len(IDENTIFIERS)],
+            IDENTIFIERS[i // len(IDENTIFIERS) % len(IDENTIFIERS)])
+    rng = "[ 1 : 0 ] " if i // len(IDENTIFIERS) ** 2 % 2 else ""
+    return tokenize(f"module {name} ( input {rng}{a} , input {rng}{b} , "
+                    f"output {rng}y ) ; assign y = {a} ^ {b} ; endmodule")
+
+
+def test_header_cache_holds_at_most_its_bound():
+    bound = _header.cache_info().maxsize
+    modules = [_synthetic_module(i) for i in range(bound + 500)]
+    headers = {tuple(m[:m.index(DEFAULT_VOCAB.id(")")) + 1])
+               for m in modules}
+    assert len(headers) == len(modules)  # every header distinct
+    _header.cache_clear()
+    first = [parse_outcome(m) for m in modules]
+    assert _header.cache_info().currsize == bound
+    # the evicted and the cached headers alike give the same outcomes again,
+    # and the same as a parse with the cache cleared
+    assert [parse_outcome(m) for m in modules] == first
+    assert _header.cache_info().currsize == bound
+    for i in range(0, len(modules), 97):
+        _header.cache_clear()
+        assert parse_outcome(modules[i]) == first[i]
+    assert sum(o.startswith("ModuleAst") for o in first) > bound / 2
+    assert sum("duplicate port" in o for o in first) > 100

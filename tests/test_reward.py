@@ -6,7 +6,7 @@ one of three ports matched, right name: s = 0.25 + 0.75/3 = 0.5, R = 0.35;
 near-miss m = 0.75: R = 0.5 + 0.4*0.75 = 0.8.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from earl import reward as rew
 from earl.errors import ConfigError
-from earl.minirtl import (DEFAULT_VOCAB, MiniRtlError, build_vectors,
-                          parse, tokenize)
+from earl.minirtl import (DEFAULT_VOCAB, Interface, MiniRtlError, PortDecl,
+                          build_vectors, parse, tokenize)
 from earl.taskgen import CorpusConfig, build_corpus, generate_task
 
 
@@ -104,6 +104,56 @@ def test_one_of_three_ports_scores_0_35():
     bd = rew.score(tokens_of(cand), task)
     assert abs(bd.interface_score - (0.25 + 0.75 / 3)) < 1e-12
     assert abs(bd.reward - (0.2 + 0.3 * 0.5)) < 1e-12
+
+
+def _oracle_interface_score(candidate, target):
+    """interface_score as a set comprehension over the candidate's ports
+    intersected with the target's (name, direction, width) keys."""
+    name = 0.25 if candidate.module_name == target.module_name else 0.0
+    cand = {(p.name, p.direction, p.width) for p in candidate.ports}
+    matched = len(cand.intersection([(p.name, p.direction, p.width)
+                                     for p in target.ports]))
+    return name + 0.75 * matched / len(target.ports)
+
+
+def test_interface_score_matches_the_set_formula(pinned_candidates):
+    parsed = 0
+    for task, tokens in pinned_candidates:
+        try:
+            cand = parse(tokens).interface
+        except MiniRtlError:
+            continue
+        parsed += 1
+        target = task.reference.interface
+        assert (rew.interface_score(cand, target)
+                == _oracle_interface_score(cand, target))
+    assert parsed > 1500
+    # hand-built interfaces: a port missing, an extra port, a port re-typed
+    # in direction or width, another module name, nothing in common
+    a, b, y = (PortDecl("a", "input", 1), PortDecl("b", "input", 2),
+               PortDecl("y", "output", 2))
+    target = Interface("and2", (a, b, y))
+    z = PortDecl("z", "output", 1)
+    for ports in [(a, b, y), (y, b, a), (a, y), (a, b, y, z),
+                  (a, PortDecl("b", "output", 2), y),
+                  (a, b, PortDecl("y", "output", 1)),
+                  (PortDecl("c", "input", 1), PortDecl("q", "output", 4))]:
+        for name in ("and2", "or2"):
+            cand = Interface(name, ports)
+            assert (rew.interface_score(cand, target)
+                    == _oracle_interface_score(cand, target)), (name, ports)
+    assert rew.interface_score(Interface("and2", (a, y)), target) == 0.75
+
+
+def test_port_keys_are_in_neither_repr_nor_equality():
+    ports = (PortDecl("a", "input", 1), PortDecl("y", "output", 3))
+    cached, fresh = Interface("and2", ports), Interface("and2", ports)
+    assert cached.port_keys == {("a", "input", 1), ("y", "output", 3)}
+    assert "port_keys" in vars(cached) and "port_keys" not in vars(fresh)
+    assert repr(cached) == repr(fresh) and "port_keys" not in repr(cached)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert "port_keys" not in {f.name for f in fields(Interface)}
+    assert cached != Interface("and2", ports[:1])
 
 
 def test_near_miss_three_quarters_scores_0_8():
