@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Cold replay of the reward.score calls that RL training makes.
+
+Usage: python3 scripts/score_replay.py [--sft-steps 1000] [--rl-steps 45]
+                                       [--seed 1] [--passes 15]
+
+It builds the default corpus (`earl gen-data` at seed 0) and trains a
+k = 48 policy for --sft-steps SFT steps at seed 0 (peak lr 8, 15 warmup
+steps, 512 contexts a batch: the benchmark's rl-train set-up). It then runs
+--rl-steps steps of `train_rl` at the default RL config and --seed,
+recording every `reward.score` call, and replays those calls --passes
+times in this process. Before each pass it clears the parser's header
+cache (`parser._header.cache_clear()`), so every pass starts as cold as the
+recording did. A benchmark pool scored round after round is warm after its
+first round; this replay measures scoring as RL traffic meets it.
+
+It prints the recorded calls' stage mix, the header cache's hits and misses
+in one pass, the median and quartiles over passes of the milliseconds of
+scoring per RL step (CPU time of this process, the benchmark's clock), and
+whether every replayed breakdown equals the recorded one. It exits 1 when
+one differs. Standard library and earl only.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+
+import earl.policy as pol
+import earl.reward as rew
+import earl.rlcore as rlcore
+import earl.taskgen as tg
+from earl.minirtl import parser
+from earl.minirtl.vocab import DEFAULT_VOCAB
+
+POLICY_K = 48  # earl.cli.DEFAULT_POLICY_K
+SFT = {"peak_lr": 8.0, "warmup_steps": 15, "batch_contexts": 512}
+CORPUS_SEED = SFT_SEED = 0
+
+
+def record(rl_steps: int, seed: int, sft_steps: int, counts=None) -> list:
+    """(args, kwargs, breakdown) of each reward.score call, in call order,
+    over rl_steps train_rl steps from an SFT policy trained sft_steps steps
+    on the corpus of counts (the default corpus by default)."""
+    config = tg.CorpusConfig() if counts is None else tg.CorpusConfig(counts)
+    train = tg.build_corpus(config, CORPUS_SEED).train()
+    params, _ = pol.train_sft(
+        pol.init_params(DEFAULT_VOCAB, POLICY_K, SFT_SEED), train,
+        pol.SftSchedule(**SFT, total_steps=sft_steps, seed=SFT_SEED))
+    calls = []
+    score = rew.score
+
+    def recorded(*args, **kwargs):
+        breakdown = score(*args, **kwargs)
+        calls.append((args, kwargs, breakdown))
+        return breakdown
+
+    rew.score = recorded
+    try:
+        rlcore.train_rl(rlcore.RlConfig(steps=rl_steps, seed=seed), params,
+                        train)
+    finally:
+        rew.score = score
+    return calls
+
+
+def replay(calls, passes: int):
+    """Per pass, the CPU seconds that scoring calls took, each pass after
+    a cleared header cache; the header cache's info after the first pass;
+    and whether every replayed breakdown equals the recorded one."""
+    seconds, info, same = [], None, True
+    score, clock = rew.score, time.process_time
+    for i in range(passes):
+        parser._header.cache_clear()
+        t0 = clock()
+        got = [score(*args, **kwargs) for args, kwargs, _ in calls]
+        seconds.append(clock() - t0)
+        same = same and got == [bd for _, _, bd in calls]
+        if i == 0:
+            info = parser._header.cache_info()
+    return seconds, info, same
+
+
+def stage_mix(breakdowns) -> dict:
+    """Calls per outcome: parse failure (truncated or not), interface
+    stage, near miss and pass."""
+    mix = dict.fromkeys(("parse-fail", "interface", "near-miss", "pass"), 0)
+    for bd in breakdowns:
+        if bd.stage_reached == rew.STAGE_PARSE_FAIL:
+            mix["parse-fail"] += 1
+        elif bd.stage_reached == rew.STAGE_INTERFACE:
+            mix["interface"] += 1
+        else:
+            mix["pass" if bd.functional_pass else "near-miss"] += 1
+    return mix
+
+
+def main(argv=None, counts=None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--sft-steps", type=int, default=1000)
+    ap.add_argument("--rl-steps", type=int, default=45)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--passes", type=int, default=15)
+    args = ap.parse_args(argv)
+    if min(args.rl_steps, args.passes) < 1 or args.sft_steps < 0:
+        ap.error("--rl-steps and --passes must be >= 1, --sft-steps >= 0")
+
+    calls = record(args.rl_steps, args.seed, args.sft_steps, counts)
+    n = len(calls)
+    truncated = sum(kwargs.get("truncated", False) for _, kwargs, _ in calls)
+    print(f"recorded {n} score calls over {args.rl_steps} RL steps "
+          f"(seed {args.seed}, {args.sft_steps} SFT steps), "
+          f"{truncated} truncated")
+    for stage, count in stage_mix(bd for _, _, bd in calls).items():
+        print(f"  {stage:<10} {count:>7}  {count / max(n, 1):6.1%}")
+    seconds, info, same = replay(calls, args.passes)
+    print(f"header cache in one pass: {info.hits} hits, {info.misses} "
+          f"misses, {info.currsize} headers kept")
+    ms = sorted(1e3 * s / args.rl_steps for s in seconds)
+    q1, q3 = (statistics.quantiles(ms, n=4)[::2] if len(ms) > 1
+              else (ms[0], ms[0]))
+    print(f"scoring per RL step: {statistics.median(ms):.3f} ms "
+          f"(quartiles {q1:.3f}-{q3:.3f}, {args.passes} cold passes)")
+    print(f"replayed breakdowns equal the recorded ones: "
+          f"{'yes' if same else 'NO'}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,26 +28,41 @@ def unpack_lanes(packed: dict[str, int],
             for shift in range(0, LANE * n_cycles, LANE)]
 
 
+def _arg(i: int) -> property:
+    """A read-only error field: the error's args[i]."""
+    return property(lambda self: self.args[i])
+
+
 class MiniRtlError(Exception):
-    pass
+    """A MiniRTL front-end error. Each subclass keeps its constructor's
+    arguments as ``args``, its fields read them, and its message is built
+    only when read (``str``): the reward cascade catches every error and
+    reads none, and ``args`` lets an error pickle and copy."""
 
 
 class LexError(MiniRtlError):
     def __init__(self, position: int, lexeme: str):
-        self.position = position
-        self.lexeme = lexeme
-        super().__init__(f"unknown lexeme {lexeme!r} at position {position}")
+        super().__init__(position, lexeme)
+
+    position = _arg(0)
+    lexeme = _arg(1)
+
+    def __str__(self) -> str:
+        return f"unknown lexeme {self.lexeme!r} at position {self.position}"
 
 
 class ParseError(MiniRtlError):
     """Syntax error: first offending token index plus the expected token set."""
 
     def __init__(self, index: int, expected: set[str]):
-        self.index = index
-        self.expected = set(expected)
-        super().__init__(
-            f"syntax error at token {index}, expected one of "
-            f"{sorted(self.expected)}")
+        super().__init__(index, set(expected))
+
+    index = _arg(0)
+    expected = _arg(1)
+
+    def __str__(self) -> str:
+        return (f"syntax error at token {self.index}, expected one of "
+                f"{sorted(self.expected)}")
 
 
 class SemanticError(MiniRtlError):
@@ -57,9 +72,14 @@ class SemanticError(MiniRtlError):
     def __init__(self, kind: str, detail: str = "", index: Optional[int] = None):
         if kind not in self.KINDS:
             raise DomainError(f"unknown semantic error kind {kind!r}")
-        self.kind = kind
-        self.index = index
-        super().__init__(f"semantic error [{kind}]: {detail}")
+        super().__init__(kind, detail, index)
+
+    kind = _arg(0)
+    detail = _arg(1)
+    index = _arg(2)
+
+    def __str__(self) -> str:
+        return f"semantic error [{self.kind}]: {self.detail}"
 
 
 # --- expressions ------------------------------------------------------------
@@ -125,11 +145,20 @@ class Interface:
         per header."""
         return frozenset((p.name, p.direction, p.width) for p in self.ports)
 
+    @cached_property
+    def output_ports(self) -> tuple[PortDecl, ...]:
+        """The output ports in port order, cached as port_keys is: the
+        simulator, the equivalence check and the reward read them on
+        every candidate."""
+        return tuple(p for p in self.ports if p.direction == "output")
+
+    @cached_property
+    def output_bits(self) -> int:
+        """The total width of the output ports."""
+        return sum(p.width for p in self.output_ports)
+
     def inputs(self) -> tuple[PortDecl, ...]:
         return tuple(p for p in self.ports if p.direction == "input")
-
-    def outputs(self) -> tuple[PortDecl, ...]:
-        return tuple(p for p in self.ports if p.direction == "output")
 
 
 @dataclass(frozen=True)
@@ -163,7 +192,12 @@ class ModuleAst:
     assigns: tuple[Assign, ...]
     registers: tuple[Register, ...]
 
+    @cached_property
     def widths(self) -> dict[str, int]:
+        """Each port's and declared signal's width, the ports first; not
+        to be mutated. Cached, not a field, so repr and equality do not see
+        it: parse stores the map its semantic check built, so no reader
+        rebuilds it."""
         w = {p.name: p.width for p in self.interface.ports}
         for d in self.declarations:
             w[d.name] = d.width

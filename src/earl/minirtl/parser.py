@@ -77,7 +77,7 @@ class _Parser:
     def expect(self, *alternatives: str) -> str:
         tok = self.toks[self.pos]
         if tok not in alternatives:
-            raise ParseError(self.pos, set(alternatives))
+            raise ParseError(self.pos, alternatives)
         self.pos += 1
         return tok
 
@@ -357,16 +357,18 @@ def check_semantics(ast: ModuleAst) -> list[Assign]:
     the signals it reads, for the driver check and comb_order. Returns the
     assigns in dependency order (comb_order)."""
     return _check(_header_facts(ast.interface), ast.declarations,
-                  ast.assigns, ast.registers)
+                  ast.assigns, ast.registers)[0]
 
 
 def _check(header: _Header, declarations: tuple[Decl, ...],
-           assigns, registers: tuple[Register, ...]) -> list[Assign]:
+           assigns, registers: tuple[Register, ...]
+           ) -> tuple[list[Assign], dict[str, int]]:
     """check_semantics over a module's header facts and other fields, so
     parse checks a header's ports once per distinct header (_header) and
-    builds its ModuleAst once, from the checked order. The port error, if
-    any, is raised here, after the whole program parsed, so a syntax error
-    anywhere wins over it."""
+    builds its ModuleAst once, from the checked order. Returns that order
+    and the width map the check built, which is ModuleAst.widths. The port
+    error, if any, is raised here, after the whole program parsed, so a
+    syntax error anywhere wins over it."""
     if header.error is not None:
         raise SemanticError(*header.error)
     widths = header.widths.copy()
@@ -435,7 +437,8 @@ def _check(header: _Header, declarations: tuple[Decl, ...],
         if name not in drivers:
             raise SemanticError("no-driver", f"output {name}")
 
-    return comb_order(assigns, deps)  # raises on a combinational cycle
+    # comb_order raises on a combinational cycle
+    return comb_order(assigns, deps), widths
 
 
 def comb_order(assigns: tuple[Assign, ...],
@@ -484,13 +487,15 @@ def _visit(name: str, assign_of: dict[str, Assign],
 
 def parse(token_ids) -> ModuleAst:
     """Parse a token id sequence into a checked ModuleAst, its assigns in
-    dependency order.
+    dependency order and its widths the map the check built.
 
     Raises ParseError (with the first offending token index) or SemanticError;
     an id outside [0, V) is a ParseError at its index.
     """
     header, decls, assigns, registers = _Parser(
         token_names(token_ids)).program()
-    return ModuleAst(header.interface, decls,
-                     tuple(_check(header, decls, assigns, registers)),
-                     registers)
+    ordered, widths = _check(header, decls, assigns, registers)
+    ast = ModuleAst(header.interface, decls, tuple(ordered), registers)
+    # the cached_property's slot, filled with the map it would derive
+    object.__setattr__(ast, "widths", widths)
+    return ast

@@ -139,7 +139,7 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
     expr_width, so a '~' over an undeclared name (outside the AST
     invariants) raises SemanticError.
     """
-    widths = ast.widths()
+    widths = ast.widths
     ones = stim.ones
     first = LANE * stim.reset_prefix
     assigns = [(a.target, _compile(a.expr, widths, ones)) for a in ast.assigns]
@@ -163,8 +163,8 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
         for target, nxt, mask in registers:
             settled[target] = (nxt(values) & mask) << LANE
         if settled == state:
-            return {p.name: values[p.name] for p in ast.interface.ports
-                    if p.direction == "output"}
+            return {p.name: values[p.name]
+                    for p in ast.interface.output_ports}
         state = settled
 
 
@@ -270,9 +270,9 @@ def equivalence_fraction(candidate: ModuleAst, vectors: Stimulus,
     popcount per output counts its mismatched bits over every cycle.
     """
     got = simulate_packed(candidate, vectors)
-    outputs = candidate.interface.outputs()
-    total = vectors.n_cycles * sum(p.width for p in outputs)
+    iface = candidate.interface
+    total = vectors.n_cycles * iface.output_bits
     mismatched = sum((got[p.name] ^ expected[p.name]).bit_count()
-                     for p in outputs)
+                     for p in iface.output_ports)
     matching = total - mismatched
     return matching / total, matching == total

@@ -39,6 +39,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -50,6 +51,10 @@ from .seeds import rng_for
 
 POSITION_BUCKETS = 8
 POSITION_BUCKET_SPAN = 4  # bucket = min(position // span, 7)
+# Distinct prompts _canonical keeps, the least recently used dropped first:
+# about three times the 625 tasks of the default corpus. An entry holds
+# ~0.6 KB.
+_CANONICAL_CACHE_SIZE = 2048
 
 _CKPT_MAGIC = b"EARLCKPT1\n"
 _CKPT_HEADER_TYPES = {"vocab_hash": str, "V": int, "k": int,
@@ -123,11 +128,17 @@ def init_params(vocab: Vocab, k: int, seed: int) -> PolicyParams:
 
 def canonical_prompt(prompt, vocab: Vocab = DEFAULT_VOCAB) -> tuple[int, ...]:
     """Left-pad the prompt body to PROMPT_MAX_LEN by inserting PAD after BOS."""
-    prompt = tuple(prompt)
-    if len(prompt) >= PROMPT_MAX_LEN or not prompt \
-            or prompt[0] != vocab.id(BOS):
+    return _canonical(tuple(prompt), vocab.id(BOS), vocab.id(PAD))
+
+
+@lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
+def _canonical(prompt: tuple, bos: int, pad: int) -> tuple[int, ...]:
+    """canonical_prompt of a prompt tuple, given the vocabulary's BOS and
+    PAD ids, which are all it reads of the vocabulary: memoized, since a
+    task's prompt is canonicalized on every sampler call, RL batch and eval
+    batch. The value is a tuple, never mutated."""
+    if len(prompt) >= PROMPT_MAX_LEN or not prompt or prompt[0] != bos:
         return prompt
-    pad = vocab.id(PAD)
     return (prompt[0],) + (pad,) * (PROMPT_MAX_LEN - len(prompt)) + prompt[1:]
 
 
@@ -163,8 +174,8 @@ class Contexts:
 def contexts(params: PolicyParams, pairs) -> Contexts:
     """The Contexts of every response token of (prompt, response) pairs, in
     pair order. Raises on a token id outside [0, V)."""
-    k, pad = params.k, params.vocab.id(PAD)
-    seqs = [(canonical_prompt(prompt, params.vocab), tuple(response))
+    k, bos, pad = params.k, params.vocab.id(BOS), params.vocab.id(PAD)
+    seqs = [(_canonical(tuple(prompt), bos, pad), tuple(response))
             for prompt, response in pairs]
     T = np.array([len(r) for _, r in seqs], dtype=np.intp)
     ends = np.cumsum([max(k, len(c)) + len(r) for c, r in seqs],

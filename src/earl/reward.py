@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .errors import ConfigError
 from .minirtl import Interface, MiniRtlError, parse
@@ -53,6 +54,23 @@ class RewardSchedule:
         if not ok:
             raise ConfigError("reward schedule violates stage ordering")
 
+    # The two outcomes that do not depend on the candidate: one frozen
+    # breakdown per schedule, which every score reaching it returns.
+    # Cached, not fields, so repr and equality do not see them.
+    @cached_property
+    def parse_fail_outcome(self) -> RewardBreakdown:
+        """The breakdown of a truncated candidate or one that does not
+        parse."""
+        return RewardBreakdown(False, 0.0, 0.0, False, self.parse_fail,
+                               STAGE_PARSE_FAIL)
+
+    @cached_property
+    def pass_outcome(self) -> RewardBreakdown:
+        """The breakdown of a pass: every target port matched (interface
+        score 0.25 + 0.75 * 1.0, exactly 1.0) and every output bit equal."""
+        return RewardBreakdown(True, 1.0, 1.0, True, self.pass_reward,
+                               STAGE_FUNCTIONAL)
+
 
 DEFAULT_SCHEDULE = RewardSchedule()
 
@@ -84,18 +102,17 @@ def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
 
     A trailing EOS is stripped before parsing. All failure modes, ids
     outside the vocabulary included, map to breakdown fields; nothing raises.
+    A parse failure, a truncated candidate and a pass return the schedule's
+    shared breakdown of that outcome (parse_fail_outcome, pass_outcome).
     """
     if truncated:
-        return RewardBreakdown(False, 0.0, 0.0, False, schedule.parse_fail,
-                               STAGE_PARSE_FAIL)
-    tokens = list(candidate_tokens)
-    if tokens and tokens[-1] == _EOS:
-        tokens.pop()
+        return schedule.parse_fail_outcome
+    if len(candidate_tokens) and candidate_tokens[-1] == _EOS:
+        candidate_tokens = candidate_tokens[:-1]
     try:
-        candidate = parse(tokens)
+        candidate = parse(candidate_tokens)
     except MiniRtlError:
-        return RewardBreakdown(False, 0.0, 0.0, False, schedule.parse_fail,
-                               STAGE_PARSE_FAIL)
+        return schedule.parse_fail_outcome
 
     target = task.reference.interface
     s = interface_score(candidate.interface, target)
@@ -104,14 +121,13 @@ def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
     # outputs, and it has them when it has more outputs than the target.
     iface = candidate.interface
     if s < 1.0 or (len(iface.ports) > len(target.ports)
-                   and len(iface.outputs()) > len(target.outputs())):
+                   and len(iface.output_ports) > len(target.output_ports)):
         reward = schedule.interface_base + schedule.interface_span * s
         return RewardBreakdown(True, s, 0.0, False, reward, STAGE_INTERFACE)
 
     m, equivalent = equivalence_fraction(candidate, task.vectors,
                                          task.expected)
     if equivalent:
-        return RewardBreakdown(True, s, m, True, schedule.pass_reward,
-                               STAGE_FUNCTIONAL)
+        return schedule.pass_outcome
     reward = schedule.functional_base + schedule.functional_span * m
     return RewardBreakdown(True, s, m, False, reward, STAGE_FUNCTIONAL)

@@ -225,7 +225,7 @@ def encode_prompt(reference: ModuleAst, kind: str,
     """
     v = DEFAULT_VOCAB
     iface = reference.interface
-    outputs = iface.outputs()
+    outputs = iface.output_ports
     toks = [BOS, SPEC, iface.module_name, IN]
     toks += [p.name for p in iface.inputs()]
     toks.append(OUT)
@@ -256,7 +256,7 @@ def generate_task(seed: int, kind: str, difficulty: str,
         trace = unpack_lanes(simulate_packed(reference, vectors),
                              min(DIGEST_ROWS, vectors.n_cycles))
         if any(len({row[p.name] for row in trace}) < 2
-               for p in reference.interface.outputs()):
+               for p in reference.interface.output_ports):
             continue  # some output is constant over the digest trace
         return Task(id=task_id,
                     prompt_tokens=encode_prompt(reference, kind, trace),

@@ -1,6 +1,6 @@
 """Shared fixtures: the default corpus, the pinned candidate set that the
 MiniRTL parser and simulator pins score, and the tiny SFT policy that the RL
-tests start from."""
+tests start from; and the failure message of the float pins."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,37 @@ PIN_DRAWS = 6  # candidates per kind of edit and reference
 TOKEN_CLASSES = [("&", "|", "^", "=="), ("0", "1", "2", "3"),
                  ("posedge", "negedge"), ("wire", "reg"),
                  ("input", "output"), IDENTIFIERS, MODULE_NAMES]
+
+
+# What the float pins (the W/b digests of the SFT and RL tests) were taken
+# under: numpy's float64 exp and log kernels differ in the last bit between
+# SIMD targets, and those digests move with them.
+PIN_DISPATCH = ("numpy 2.4 on x86-64, CPU baseline X86_V2, dispatch targets "
+                "X86_V3 X86_V4 AVX512_ICL AVX512_SPR, all enabled")
+
+
+def numpy_dispatch() -> str:
+    """numpy's version, its CPU baseline, the SIMD targets it dispatches to
+    that this CPU enables (and all it was built for), and the CPU features
+    it enables: a float pin's failure message names them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = [f for f, on in umath.__cpu_features__.items() if on]
+    dispatch = umath.__cpu_dispatch__
+    return (f"numpy {np.__version__}; CPU baseline "
+            f"{' '.join(umath.__cpu_baseline__)}; dispatch targets enabled "
+            f"{' '.join(t for t in dispatch if t in enabled) or 'none'} "
+            f"(built for {' '.join(dispatch)}); enabled features "
+            f"{' '.join(enabled)}")
+
+
+def pin_message(what: str) -> str:
+    """The failure message of a float pin: what moved, the dispatch the pin
+    was taken under and this run's."""
+    return (f"{what} differ from the pin taken under {PIN_DISPATCH}; this "
+            f"run: {numpy_dispatch()}")
 
 
 def dense_dW(acc, params):

@@ -227,7 +227,7 @@ def test_criterion_5_reward_cascade():
 
 def _truth_table(ast):
     iface = ast.interface
-    inputs, outputs = iface.inputs(), iface.outputs()
+    inputs, outputs = iface.inputs(), iface.output_ports
     combos = list(itertools.product(*[range(2 ** p.width) for p in inputs]))
     stim = Stimulus.from_cycles(tuple(
         {p.name: v for p, v in zip(inputs, bits)} for bits in combos), 0)

@@ -1,9 +1,11 @@
 """Parser and semantic checks: spec'd examples plus generated-corpus
 soundness (every accepted AST satisfies the module invariants)."""
 
+import copy
 import gc
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import earl.errors
 from earl.errors import DomainError
-from earl.minirtl import (DEFAULT_VOCAB, ModuleAst, ParseError,
+from earl.minirtl import (DEFAULT_VOCAB, LexError, ModuleAst, ParseError,
                           SemanticError, Stimulus, check_semantics,
                           detokenize, parse, simulate, tokenize)
 from earl.minirtl.ast import Assign, Const
@@ -295,7 +297,7 @@ def test_ternary_and_equality_parse():
 def _check_invariants(ast):
     check_semantics(ast)  # raises on any violated module invariant
     iface = ast.interface
-    assert iface.inputs() and iface.outputs()
+    assert iface.inputs() and iface.output_ports
     names = [p.name for p in iface.ports]
     assert len(names) == len(set(names))
 
@@ -440,3 +442,60 @@ def test_header_cache_holds_at_most_its_bound():
         assert parse_outcome(modules[i]) == first[i]
     assert sum(o.startswith("ModuleAst") for o in first) > bound / 2
     assert sum("duplicate port" in o for o in first) > 100
+
+
+# --- errors and the checked widths -------------------------------------------
+
+def test_errors_round_trip_through_pickle_and_copy():
+    errors = [ParseError(3, {"x"}), ParseError(4, {";": 1}.keys()),
+              ParseError(5, {"0", "1", "(", "~", "<identifier>"}),
+              LexError(2, "@"), SemanticError("no-driver", "y"),
+              SemanticError("comb-cycle", "a->b->a", 7),
+              SemanticError("undeclared")]
+    for e in errors:
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e),
+                     copy.deepcopy(e)):
+            assert type(twin) is type(e) and twin.args == e.args
+            assert str(twin) == str(e)
+            for field in ("index", "expected", "kind", "detail", "position",
+                          "lexeme"):
+                assert getattr(twin, field, None) == getattr(e, field, None)
+    assert ParseError(4, {";": 1}.keys()).expected == {";"}
+    assert type(ParseError(4, {";": 1}.keys()).expected) is set
+    # the messages, formatted when read
+    assert str(errors[0]) == "syntax error at token 3, expected one of ['x']"
+    assert str(errors[3]) == "unknown lexeme '@' at position 2"
+    assert str(errors[4]) == "semantic error [no-driver]: y"
+    assert errors[5].index == 7 and errors[4].index is None
+    with pytest.raises(DomainError):
+        SemanticError("no-such-kind", "y")
+
+
+def test_parse_fills_widths_with_the_map_rebuilt_from_the_fields(
+        pinned_candidates):
+    """parse stores the width map its check built as ModuleAst.widths: equal,
+    in the same order, to the one a ModuleAst built from the same fields
+    derives, and in neither repr nor equality. No reference declares a
+    signal that is not a port, so two modules here do."""
+    wires = [tokenize("module and2 ( input a , input [ 1 : 0 ] b , output y ) "
+                      "; wire [ 1 : 0 ] t0 ; wire t1 ; assign t0 = b ^ b ; "
+                      "assign t1 = t0 [ 1 ] ; assign y = t1 & a ; endmodule"),
+             tokenize("module dff ( input clk , input d , output q ) ; "
+                      "reg t0 ; wire t1 ; assign t1 = ~ d ; always @ ( "
+                      "posedge clk ) begin t0 <= t1 ; end assign q = t0 ; "
+                      "endmodule")]
+    assert parse(wires[0]).widths == {"a": 1, "b": 2, "y": 1, "t0": 2,
+                                      "t1": 1}
+    parsed = 0
+    for tokens in wires + [tokens for _, tokens in pinned_candidates]:
+        try:
+            ast = parse(tokens)
+        except (ParseError, SemanticError):
+            continue
+        parsed += 1
+        assert "widths" in vars(ast)
+        fresh = ModuleAst(ast.interface, ast.declarations, ast.assigns,
+                          ast.registers)
+        assert list(ast.widths.items()) == list(fresh.widths.items())
+        assert repr(ast) == repr(fresh) and ast == fresh
+    assert parsed > 1500

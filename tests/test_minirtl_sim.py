@@ -225,7 +225,7 @@ def brute_force_table(ast):
     iface = ast.interface
     inputs = iface.inputs()
     rows = []
-    widths = ast.widths()
+    widths = ast.widths
     for bits in itertools.product(*[range(2 ** p.width) for p in inputs]):
         env = {p.name: v for p, v in zip(inputs, bits)}
         remaining = list(ast.assigns)
@@ -240,7 +240,7 @@ def brute_force_table(ast):
                 remaining.remove(a)
                 progressed = True
             assert progressed, "cycle in test oracle"
-        rows.append(tuple(env[p.name] for p in iface.outputs()))
+        rows.append(tuple(env[p.name] for p in iface.output_ports))
     return rows
 
 
@@ -253,7 +253,7 @@ def test_sim_agrees_with_truth_table_oracle(seed, difficulty):
     ast = task.reference
     table = brute_force_table(ast)
     iface = ast.interface
-    inputs, outputs = iface.inputs(), iface.outputs()
+    inputs, outputs = iface.inputs(), iface.output_ports
     combos = list(itertools.product(
         *[range(2 ** p.width) for p in inputs]))
     stim = Stimulus.from_cycles(tuple(
@@ -318,14 +318,14 @@ def _scalar_compile(e, widths):
 
 
 def scalar_simulate(ast, stim):
-    widths = ast.widths()
+    widths = ast.widths
     assigns = [(a.target, _scalar_compile(a.expr, widths))
                for a in ast.assigns]
     registers = [(r.target, _scalar_compile(r.next_expr, widths),
                   None if r.reset is None
                   else _scalar_compile(r.reset, widths),
                   (1 << widths[r.target]) - 1) for r in ast.registers]
-    outputs = [p.name for p in ast.interface.outputs()]
+    outputs = [p.name for p in ast.interface.output_ports]
     undriven = {p.name: 0 for p in ast.interface.inputs()}
     state = {r.target: 0 for r in ast.registers}
     trace = []
@@ -343,7 +343,7 @@ def scalar_simulate(ast, stim):
 
 def scalar_equivalence(candidate, vectors, expected_rows):
     trace = scalar_simulate(candidate, vectors)
-    widths = {p.name: p.width for p in candidate.interface.outputs()}
+    widths = {p.name: p.width for p in candidate.interface.output_ports}
     total = len(trace) * sum(widths.values())
     mismatched = sum((erow[name] ^ crow[name]).bit_count()
                      for erow, crow in zip(expected_rows, trace)

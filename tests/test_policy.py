@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from conftest import dense_dW
+from conftest import dense_dW, pin_message
 from earl import policy as pol
 from earl.errors import ConfigError, DomainError
 from earl.minirtl.vocab import DEFAULT_VOCAB, PROMPT_MAX_LEN
@@ -544,14 +544,16 @@ def test_sft_and_rl_bytes_are_pinned(tiny_sft):
     from earl import rlcore as rl
     tasks, p = tiny_sft
     assert hashlib.sha256(p.W.tobytes() + p.b.tobytes()).hexdigest() == \
-        "06b210c5ef9ac56693167f9a1a09d69da9895b7b58a7ee4abe382d00a3e85d10"
+        "06b210c5ef9ac56693167f9a1a09d69da9895b7b58a7ee4abe382d00a3e85d10", \
+        pin_message("SFT W/b bytes")
     cfg = rl.RlConfig(steps=6, batch_prompts=3, group_size=4,
                       max_resample_attempts=2, max_response_len=48, seed=3,
                       variant="earl", beta=0.01)
     p, metrics = rl.train_rl(cfg, p.copy(), tasks)
     assert sum(m.retained_groups > 0 for m in metrics) == 4
     assert hashlib.sha256(p.W.tobytes() + p.b.tobytes()).hexdigest() == \
-        "4d864229011332c1c105ef9b674099e907904730c70606ace30f5c6bd9c8c12d"
+        "4d864229011332c1c105ef9b674099e907904730c70606ace30f5c6bd9c8c12d", \
+        pin_message("RL W/b bytes")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -678,3 +680,30 @@ def test_prompt_canonicalization_stable_offsets():
     canon = pol.canonical_prompt(short)
     assert len(canon) == PROMPT_MAX_LEN
     assert canon[0] == bos and canon[-2:] == (5, 6)
+
+
+def test_canonical_prompts_are_memoized_per_bos_and_pad():
+    """A prompt is canonicalized once per (prompt, BOS id, PAD id): a
+    vocabulary with other ids gets its own canonical prompt, as the
+    uncached rule gives it, and the memo keeps at most its bound."""
+    from earl.minirtl.vocab import Vocab
+    other = Vocab(tuple(reversed(DEFAULT_VOCAB.tokens)))
+
+    def rule(prompt, vocab):
+        bos, pad = vocab.id("BOS"), vocab.id("PAD")
+        if len(prompt) >= PROMPT_MAX_LEN or not prompt or prompt[0] != bos:
+            return tuple(prompt)
+        return ((bos,) + (pad,) * (PROMPT_MAX_LEN - len(prompt))
+                + tuple(prompt[1:]))
+
+    for vocab in (DEFAULT_VOCAB, other, DEFAULT_VOCAB):
+        bos = vocab.id("BOS")
+        for prompt in [(bos, 5, 6), [bos, 7], (bos,), (), (5, bos),
+                       (bos,) + (9,) * (PROMPT_MAX_LEN - 1)]:
+            assert pol.canonical_prompt(prompt, vocab) == rule(prompt, vocab)
+    assert (pol.canonical_prompt((other.id("BOS"), 5), other)
+            != pol.canonical_prompt((other.id("BOS"), 5)))
+    bound = pol._canonical.cache_info().maxsize
+    for i in range(bound + 10):
+        pol.canonical_prompt((DEFAULT_VOCAB.id("BOS"), i))
+    assert pol._canonical.cache_info().currsize == bound

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from earl import reward as rew
 from earl.errors import ConfigError
-from earl.minirtl import (DEFAULT_VOCAB, Interface, MiniRtlError, PortDecl,
-                          build_vectors, parse, tokenize)
+from earl.minirtl import (DEFAULT_VOCAB, Interface, MiniRtlError, ModuleAst,
+                          PortDecl, build_vectors, parse, simulate_packed,
+                          tokenize)
 from earl.taskgen import CorpusConfig, build_corpus, generate_task
 
 
@@ -154,6 +155,76 @@ def test_port_keys_are_in_neither_repr_nor_equality():
     assert cached == fresh and hash(cached) == hash(fresh)
     assert "port_keys" not in {f.name for f in fields(Interface)}
     assert cached != Interface("and2", ports[:1])
+
+
+def _oracle_score(tokens, task, schedule, truncated=False):
+    """The cascade with every breakdown built afresh, over a copy of the
+    candidate's AST that derives its own widths and output ports."""
+    fail = rew.RewardBreakdown(False, 0.0, 0.0, False, schedule.parse_fail,
+                               rew.STAGE_PARSE_FAIL)
+    tokens = list(tokens)
+    if tokens and tokens[-1] == DEFAULT_VOCAB.id("EOS"):
+        tokens.pop()
+    try:
+        if truncated:
+            raise MiniRtlError
+        parsed = parse(tokens)
+    except MiniRtlError:
+        return fail
+    iface = Interface(parsed.interface.module_name, parsed.interface.ports)
+    cand = ModuleAst(iface, parsed.declarations, parsed.assigns,
+                     parsed.registers)
+    target = task.reference.interface
+    s = _oracle_interface_score(iface, target)
+    outs = [p for p in iface.ports if p.direction == "output"]
+    if s < 1.0 or (len(iface.ports) > len(target.ports) and len(outs) > len(
+            [p for p in target.ports if p.direction == "output"])):
+        return rew.RewardBreakdown(
+            True, s, 0.0, False,
+            schedule.interface_base + schedule.interface_span * s,
+            rew.STAGE_INTERFACE)
+    got = simulate_packed(cand, task.vectors)
+    total = task.vectors.n_cycles * sum(p.width for p in outs)
+    matching = total - sum((got[p.name] ^ task.expected[p.name]).bit_count()
+                           for p in outs)
+    m = matching / total
+    if matching == total:
+        return rew.RewardBreakdown(True, s, m, True, schedule.pass_reward,
+                                   rew.STAGE_FUNCTIONAL)
+    return rew.RewardBreakdown(
+        True, s, m, False, schedule.functional_base
+        + schedule.functional_span * m, rew.STAGE_FUNCTIONAL)
+
+
+def test_every_breakdown_matches_the_cascade_built_afresh(pinned_candidates):
+    """Over every pinned candidate, with and without a trailing EOS and
+    truncated, under the default schedule and another one: score returns
+    the breakdown the cascade builds afresh, field for field and type for
+    type, so the shared outcomes keep every byte. The two fixed outcomes
+    are one object per schedule."""
+    eos = DEFAULT_VOCAB.id("EOS")
+    other = rew.RewardSchedule(0.05, 0.15, 0.25, 0.45, 0.35, 0.9)
+    other.validate()
+    stages = set()
+    for schedule in (rew.DEFAULT_SCHEDULE, other):
+        for i, (task, tokens) in enumerate(pinned_candidates):
+            cases = [(tokens, False), (tuple(tokens) + (eos,), False)]
+            if i % 7 == 0:
+                cases.append((tokens, True))
+            for toks, truncated in cases:
+                got = rew.score(toks, task, schedule, truncated=truncated)
+                want = _oracle_score(toks, task, schedule, truncated)
+                assert repr(got) == repr(want), (toks, truncated)
+                assert [type(getattr(got, f.name)) for f in fields(got)] \
+                    == [type(getattr(want, f.name)) for f in fields(want)]
+                stages.add((got.stage_reached, got.functional_pass))
+                if got.stage_reached == rew.STAGE_PARSE_FAIL:
+                    assert got is schedule.parse_fail_outcome
+                elif got.functional_pass:
+                    assert got is schedule.pass_outcome
+    assert len(stages) == 4  # parse fail, interface, near miss, pass
+    assert rew.DEFAULT_SCHEDULE == rew.RewardSchedule()
+    assert "parse_fail_outcome" not in repr(rew.DEFAULT_SCHEDULE)
 
 
 def test_near_miss_three_quarters_scores_0_8():

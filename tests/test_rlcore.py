@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from conftest import dense_dW
+from conftest import dense_dW, pin_message
 from earl import policy as pol
 from earl import reward as rew
 from earl import rlcore as rl
@@ -671,4 +671,5 @@ def test_rl_bytes_are_pinned_for_every_variant(tiny_sft):
         h.update(trained.W.tobytes() + trained.b.tobytes()
                  + rl.metrics_to_csv(metrics).encode())
     assert h.hexdigest() == ("c6e8c7d2738e048504c1bc9a3d4e4fe0"
-                             "5a32081ca8f6dd693b9a4e8fa2142590")
+                             "5a32081ca8f6dd693b9a4e8fa2142590"), \
+        pin_message("W/b and metrics.csv bytes of the variants")

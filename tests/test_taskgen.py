@@ -116,7 +116,7 @@ def test_behavioral_diversity_among_comb_tasks():
     tables = set()
     for task in corpus.tasks:
         trace = simulate(task.reference, task.vectors)
-        outs = tuple(p.name for p in task.reference.interface.outputs())
+        outs = tuple(p.name for p in task.reference.interface.output_ports)
         tables.add(tuple(tuple(c[o] for o in outs) for c in trace))
     assert len(tables) >= 50
 
