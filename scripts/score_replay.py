@@ -14,11 +14,13 @@ cache (`parser._header.cache_clear()`), so every pass starts as cold as the
 recording did. A benchmark pool scored round after round is warm after its
 first round; this replay measures scoring as RL traffic meets it.
 
-It prints the recorded calls' stage mix, the header cache's hits and misses
-in one pass, the median and quartiles over passes of the milliseconds of
-scoring per RL step (CPU time of this process, the benchmark's clock), and
-whether every replayed breakdown equals the recorded one. It exits 1 when
-one differs. Standard library and earl only.
+It prints the recorded calls' stage mix, the calls that simulate the
+candidate split by its design (one-pass, without registers, or with
+registers: the share of traffic each simulator path meets), the header
+cache's hits and misses in one pass, the median and quartiles over passes
+of the milliseconds of scoring per RL step (CPU time of this process, the
+benchmark's clock), and whether every replayed breakdown equals the
+recorded one. It exits 1 when one differs. Standard library and earl only.
 """
 
 import argparse
@@ -30,8 +32,8 @@ import earl.policy as pol
 import earl.reward as rew
 import earl.rlcore as rlcore
 import earl.taskgen as tg
-from earl.minirtl import parser
-from earl.minirtl.vocab import DEFAULT_VOCAB
+from earl.minirtl import parse, parser
+from earl.minirtl.vocab import DEFAULT_VOCAB, EOS
 
 POLICY_K = 48  # earl.cli.DEFAULT_POLICY_K
 SFT = {"peak_lr": 8.0, "warmup_steps": 15, "batch_contexts": 512}
@@ -95,6 +97,21 @@ def stage_mix(breakdowns) -> dict:
     return mix
 
 
+def simulated_mix(calls) -> dict:
+    """Calls whose candidate is simulated (it reaches the functional stage),
+    by its design: "one-pass" without registers (walked once) and
+    "registers" (compiled, its passes repeated)."""
+    mix = dict.fromkeys(("one-pass", "registers"), 0)
+    eos = DEFAULT_VOCAB.id(EOS)
+    for args, _, bd in calls:
+        if bd.stage_reached == rew.STAGE_FUNCTIONAL:
+            tokens = list(args[0])
+            if tokens and tokens[-1] == eos:
+                tokens.pop()
+            mix["registers" if parse(tokens).registers else "one-pass"] += 1
+    return mix
+
+
 def main(argv=None, counts=None) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -114,6 +131,10 @@ def main(argv=None, counts=None) -> int:
           f"{truncated} truncated")
     for stage, count in stage_mix(bd for _, _, bd in calls).items():
         print(f"  {stage:<10} {count:>7}  {count / max(n, 1):6.1%}")
+    sim = simulated_mix(calls)
+    print(f"calls that simulate: {sim['one-pass']} one-pass "
+          f"({sim['one-pass'] / max(n, 1):.1%}), {sim['registers']} with "
+          f"registers ({sim['registers'] / max(n, 1):.1%})")
     seconds, info, same = replay(calls, args.passes)
     print(f"header cache in one pass: {info.hits} hits, {info.misses} "
           f"misses, {info.currsize} headers kept")

@@ -24,12 +24,11 @@ guard bit takes the carry of '==' (below) so no lane reaches the next.
 A stimulus is stored in this form only (``Stimulus.packed``).
 ``ONES`` (written ``ones`` below, ``lane_repunit(n)``) has a 1 at the
 bottom of every lane; a stimulus computes it once (``Stimulus.ones``), so
-the simulations of a task's vectors share it. Each closure ``_compile``
-builds works on whole lanes:
+the simulations of a task's vectors share it. Every expression is
+evaluated on whole lanes:
 
 - ``&``, ``|``, ``^`` act lane by lane as they are;
-- ``~x`` is ``x ^ ONES*mask``, mask fixed at compile time from the
-  operand's width (expr_width);
+- ``~x`` is ``x ^ ONES*mask``, mask from the operand's width (expr_width);
 - ``a == b``: adding 0xF to each lane of ``a ^ b`` sets its bit 4 exactly
   when the lanes differ, and that bit, shifted down and inverted, is the
   result;
@@ -52,6 +51,16 @@ induction from lane 0 (0 in both). ``simulate_packed`` returns the packed
 outputs, and ``equivalence_fraction`` counts mismatched bits with one
 ``int.bit_count`` per output. ``simulate`` unpacks them into one row per
 cycle; only the benchmark and the tests call it.
+
+Two ways to evaluate, chosen by whether the module has registers. A design
+without registers evaluates each expression once, so ``_walk`` walks each
+assign's tree once and builds nothing. A design with registers repeats
+the pass, so ``_compile`` first turns each expression into closures, its
+'~' masks fixed, and every pass calls them without a tree walk or a width
+lookup. Compiling paid when every expression ran once per cycle; since
+lane packing it pays only where passes repeat: it takes about half of a
+one-pass simulation, and walking every pass of a design with registers is
+slower than the closures.
 """
 
 from __future__ import annotations
@@ -127,6 +136,43 @@ def _compile(e: Expr, widths: dict[str, int],
     raise AssertionError(e)
 
 
+def _walk(e: Expr, v: dict, widths: dict[str, int], ones: int) -> int:
+    """e on every lane of ones, the signals' lanes read from v: one walk of
+    its tree, with the lane formulas _compile's closures use and each '~'
+    mask found (expr_width) before its operand is read. Node kinds are
+    tested by exact type, most common first, and a Binary reads a Var
+    operand without a call."""
+    t = type(e)
+    if t is Var:
+        return v[e.name]
+    if t is Binary:
+        left, right = e.left, e.right
+        a = v[left.name] if type(left) is Var else _walk(left, v, widths,
+                                                         ones)
+        b = v[right.name] if type(right) is Var else _walk(right, v, widths,
+                                                           ones)
+        op = e.op
+        if op == "&":
+            return a & b
+        if op == "|":
+            return a | b
+        if op == "^":
+            return a ^ b
+        return ((((a ^ b) + ones * LANE_MASK) >> (LANE - 1)) & ones) ^ ones
+    if t is Unary:
+        mask = ones * ((1 << expr_width(e.operand, widths)) - 1)
+        return _walk(e.operand, v, widths, ones) ^ mask
+    if t is Ternary:
+        other = _walk(e.other, v, widths, ones)
+        return other ^ ((_walk(e.then, v, widths, ones) ^ other)
+                        & _walk(e.cond, v, widths, ones) * LANE_MASK)
+    if t is Index:
+        return (v[e.name] >> e.bit) & ones
+    if t is Const:
+        return e.value * ones
+    raise AssertionError(e)
+
+
 def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
     """Run the module over the stimulus; each output port's lane-packed
     values over all cycles.
@@ -134,13 +180,24 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
     Pure and total given the AST invariants and a stimulus that drives
     each input it holds at its declared width (a wider '?:' condition
     would reach the next lane). A declared input that the stimulus does
-    not drive is driven to 0; its other names are never read. Each
-    expression is compiled once per call, its '~' masks fixed from
-    expr_width, so a '~' over an undeclared name (outside the AST
-    invariants) raises SemanticError.
+    not drive is driven to 0; its other names are never read. A design
+    without registers is walked once (_walk), one with registers compiled
+    once per call and its passes repeated (_compile). Outside the AST
+    invariants, a '~' over an undeclared name raises SemanticError and
+    any other read of one KeyError, on either path. Where an expression
+    has both, compiling raises SemanticError, and the walk raises
+    whichever it meets first.
     """
     widths = ast.widths
     ones = stim.ones
+    # One dict serves every pass: a pass rewrites each register and then
+    # each assign before anything reads it (the assigns in dependency order).
+    values = dict.fromkeys(widths, 0)
+    values.update(stim.packed)
+    if not ast.registers:
+        for a in ast.assigns:
+            values[a.target] = _walk(a.expr, values, widths, ones)
+        return {p.name: values[p.name] for p in ast.interface.output_ports}
     first = LANE * stim.reset_prefix
     assigns = [(a.target, _compile(a.expr, widths, ones)) for a in ast.assigns]
     # a reset is 'reset ? 0 : next'; mask: the width in lanes prefix .. n-2
@@ -150,10 +207,6 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
                   (ones >> LANE) * ((1 << widths[r.target]) - 1)
                   >> first << first)
                  for r in ast.registers]
-    # One dict serves every pass: a pass rewrites each register and then
-    # each assign before anything reads it (the assigns in dependency order).
-    values = dict.fromkeys(widths, 0)
-    values.update(stim.packed)
     state = {r.target: 0 for r in ast.registers}
     while True:
         values.update(state)

@@ -51,9 +51,9 @@ from .seeds import rng_for
 
 POSITION_BUCKETS = 8
 POSITION_BUCKET_SPAN = 4  # bucket = min(position // span, 7)
-# Distinct prompts _canonical keeps, the least recently used dropped first:
-# about three times the 625 tasks of the default corpus. An entry holds
-# ~0.6 KB.
+# Distinct prompts _canonical and _prompt_head each keep, the least recently
+# used dropped first: about three times the 625 tasks of the default corpus.
+# An entry holds ~0.6 KB.
 _CANONICAL_CACHE_SIZE = 2048
 
 _CKPT_MAGIC = b"EARLCKPT1\n"
@@ -142,6 +142,20 @@ def _canonical(prompt: tuple, bos: int, pad: int) -> tuple[int, ...]:
     return (prompt[0],) + (pad,) * (PROMPT_MAX_LEN - len(prompt)) + prompt[1:]
 
 
+@lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
+def _prompt_head(prompt: tuple, bos: int, pad: int, k: int) -> np.ndarray:
+    """What a sequence of the prompt starts with in ``contexts``, as a
+    read-only int32 array: the PADs its first context reads (k less the
+    canonical prompt's length, if positive), then the canonical prompt.
+    Memoized and bounded as _canonical is, so each call copies a task's
+    prompt with one slice assignment. OverflowError on an id past int32."""
+    canonical = _canonical(prompt, bos, pad)
+    head = np.array((pad,) * (k - len(canonical)) + canonical,
+                    dtype=np.int32)
+    head.flags.writeable = False
+    return head
+
+
 def position_bucket(position):
     """Position bucket of a response position, or of an array of them."""
     return np.minimum(position // POSITION_BUCKET_SPAN, POSITION_BUCKETS - 1)
@@ -175,22 +189,28 @@ def contexts(params: PolicyParams, pairs) -> Contexts:
     """The Contexts of every response token of (prompt, response) pairs, in
     pair order. Raises on a token id outside [0, V)."""
     k, bos, pad = params.k, params.vocab.id(BOS), params.vocab.id(PAD)
-    seqs = [(_canonical(tuple(prompt), bos, pad), tuple(response))
-            for prompt, response in pairs]
-    T = np.array([len(r) for _, r in seqs], dtype=np.intp)
-    ends = np.cumsum([max(k, len(c)) + len(r) for c, r in seqs],
-                     dtype=np.intp)
+    heads, responses = [], []
     try:
-        tokens = np.fromiter(chain.from_iterable(
-            part for c, r in seqs for part in ((pad,) * (k - len(c)), c, r)),
-            dtype=np.int32, count=int(ends[-1]) if seqs else 0)
+        for prompt, response in pairs:
+            heads.append(_prompt_head(tuple(prompt), bos, pad, k))
+            responses.append(response)
+        T = np.fromiter(map(len, responses), np.intp, len(responses))
+        response_tokens = np.fromiter(chain.from_iterable(responses),
+                                      np.int32, int(T.sum()))
     except OverflowError:  # an id past int32
         raise DomainError(f"token ids must be in [0, {params.V})") from None
-    del seqs  # 8 bytes a token: free them before the index arrays
-    positions = np.arange(T.sum(), dtype=np.intp)
+    ends = np.cumsum(np.fromiter(map(len, heads), np.intp, len(heads)) + T)
+    starts = ends - T  # each response's first index
+    tokens = np.empty(int(ends[-1]) if heads else 0, dtype=np.int32)
+    for head, start in zip(heads, starts.tolist()):
+        tokens[start - len(head):start] = head
+    positions = np.arange(len(response_tokens), dtype=np.intp)
     positions -= np.repeat(np.cumsum(T) - T, T)
-    before = np.repeat(ends - T - 1, T)  # each response's last prompt token
+    before = np.repeat(starts - 1, T)  # each response's last prompt token
     before += positions
+    # the token after each context is one response token, and every
+    # response token follows one context
+    tokens[before + 1] = response_tokens
     return Contexts(tokens, before, positions, (k, params.V))
 
 

@@ -39,6 +39,39 @@ def test_parse_run_reads_the_last_line_and_the_digest():
                              "raw.setup_s": 0.25, "speed_factor.setup": 1.6}
 
 
+def test_raw_op_times_are_read_paired_and_summarized_without_a_claim():
+    """bench/run.py prints raw.op_ms.p50 and raw.op_ms.tail on every
+    workload: each A/B reads them, prints them in every pair and
+    summarizes them, as reported metrics without a claim rule or bound."""
+    metrics = {name: {"value": 1.0, "unit": "s"} for name in ab.END_TO_END}
+
+    def stdout(p50, tail):
+        return "\n".join([
+            f"metric raw.op_ms.p50 = {p50} ms (n=3104)",
+            f"metric raw.op_ms.tail = {tail} ms (n=3104)",
+            "metric raw.build_s = 9 s (n=5)",
+            "digest d0",
+            json.dumps({"correct": True, "failed": 0, "metrics": metrics})])
+
+    parent = ab.parse_run(stdout(0.040, 0.100))
+    change = ab.parse_run(stdout(0.036, 0.098))
+    assert parent["values"]["raw.op_ms.p50"] == 0.040
+    assert parent["values"]["raw.op_ms.tail"] == 0.100
+    assert "raw.build_s" not in parent["values"]
+    line = ab.pair_line(1, parent, change)
+    assert "raw.op_ms.p50=0.04->0.036" in line
+    assert "raw.op_ms.tail=0.1->0.098" in line
+    summary = ab.summarize([(s, parent, change) for s in range(1, 5)],
+                           {"op_ms.p50": (0.24, "lower")})
+    for name in ("raw.op_ms.p50", "raw.op_ms.tail"):
+        m = summary["metrics"][name]
+        assert m["change_lower"] == 4 and m["pairs"] == 4
+        assert "claim_met" not in m and "bound" not in m
+    text = ab.report(summary)
+    assert "raw.op_ms.p50: parent 0.04 (0.04-0.04) -> change 0.036" in text
+    assert "raw.op_ms.tail: parent 0.1 (0.1-0.1) -> change 0.098" in text
+
+
 def test_summary_counts_lower_pairs_quartiles_and_problems():
     pairs = [(s, _run(0.50 + 0.01 * s, 6.0), _run(0.40 + 0.01 * s, 6.0 + s))
              for s in range(1, 11)]

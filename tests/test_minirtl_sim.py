@@ -2,6 +2,7 @@
 agreement with an independent brute-force truth-table oracle, and agreement
 of the lane-packed simulator with a per-cycle scalar reference simulator."""
 
+import dataclasses
 import hashlib
 import itertools
 from functools import lru_cache
@@ -17,7 +18,8 @@ from earl.minirtl import (Assign, Binary, Const, Decl, Index, Interface,
                           Unary, Var, build_vectors, equivalence_fraction,
                           input_bit_count, is_exhaustive, parse, simulate,
                           simulate_packed, tokenize)
-from earl.minirtl.ast import expr_width
+from earl.minirtl import sim as sim_module
+from earl.minirtl.ast import LANE, SemanticError, expr_width
 from earl.minirtl.sim import lane_repunit
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
@@ -571,6 +573,73 @@ def test_reset_prefix_outside_the_rows_is_rejected(prefix):
     # 0 and len(rows) are the bounds
     assert Stimulus.from_cycles(rows, 0).reset_prefix == 0
     assert Stimulus.from_cycles(rows, 3).reset_prefix == 3
+
+
+# --- walked and compiled designs ---------------------------------------------
+# A design without registers is walked once; one with registers is compiled
+# into closures and its passes repeated.
+
+_WALKED = ("module u00 ( input [ 1 : 0 ] a , input [ 1 : 0 ] b , "
+           "input c , output [ 1 : 0 ] y , output e ) ; "
+           "assign y = c ? ~ a : a ^ b ; assign e = ( a == b ) | b [ 1 ] ; "
+           "endmodule")
+_COMPILED = ("module u00 ( input clk , input [ 1 : 0 ] a , "
+             "output [ 1 : 0 ] y , output [ 1 : 0 ] q ) ; reg [ 1 : 0 ] q ; "
+             "always @ ( posedge clk ) begin q <= ~ a ; end "
+             "assign y = a ^ q ; endmodule")
+
+
+def test_a_design_without_registers_is_simulated_without_compiling(
+        monkeypatch):
+    comb, seq = parse_text(_WALKED), parse_text(_COMPILED)
+    comb_stim, seq_stim = build_vectors(comb), build_vectors(seq)
+    want = simulate_packed(comb, comb_stim)
+    assert want == {name: sum(row[name] << LANE * c for c, row in
+                              enumerate(scalar_simulate(comb, comb_stim)))
+                    for name in ("y", "e")}
+
+    def no_compile(*args):
+        raise RuntimeError("compiled")
+
+    monkeypatch.setattr(sim_module, "_compile", no_compile)
+    assert simulate_packed(comb, comb_stim) == want
+    with pytest.raises(RuntimeError, match="compiled"):
+        simulate_packed(seq, seq_stim)
+
+
+def _with_expr(ast, target, expr):
+    """ast with the assign or register driving target given expr; its
+    widths are rebuilt from its ports and declarations."""
+    return dataclasses.replace(
+        ast,
+        assigns=tuple(dataclasses.replace(a, expr=expr) if a.target == target
+                      else a for a in ast.assigns),
+        registers=tuple(dataclasses.replace(r, next_expr=expr)
+                        if r.target == target else r for r in ast.registers))
+
+
+@pytest.mark.parametrize("text, target", [(_WALKED, "y"),
+                                          (_COMPILED, "y"),
+                                          (_COMPILED, "q")])
+def test_an_undeclared_name_raises_on_either_path(text, target):
+    """Outside the AST invariants: a '~' over an undeclared name raises
+    SemanticError and any other read of one KeyError, walked or
+    compiled, wherever the node sits in the tree."""
+    ast = parse_text(text)
+    stim = build_vectors(ast)
+    a = Var("a")
+    for expr in (Unary("~", Var("zz")), Binary("&", a, Unary("~", Var("zz"))),
+                 Ternary(Index("a", 0), a, Unary("~", Binary("|", a,
+                                                            Var("zz"))))):
+        with pytest.raises(SemanticError) as e:
+            simulate_packed(_with_expr(ast, target, expr), stim)
+        assert e.value.kind == "undeclared" and e.value.detail == "zz"
+    for expr in (Var("zz"), Index("zz", 0), Binary("^", a, Var("zz")),
+                 Ternary(Binary("==", a, a), Unary("~", a), Var("zz"))):
+        with pytest.raises(KeyError, match="zz"):
+            simulate_packed(_with_expr(ast, target, expr), stim)
+    # the AST as parsed reads only declared names
+    simulate_packed(ast, stim)
 
 
 # --- lane construction ---------------------------------------------------------

@@ -464,6 +464,50 @@ def test_context_rows_equal_per_pair_feature_rows(k):
     assert pol.context_rows(p, pol.contexts(p, [])).shape == (0, k + 1)
 
 
+def _chained_contexts(p, pairs):
+    """The token array, context indices and positions of contexts built
+    token by token: every sequence's PADs, canonical prompt and response
+    through one np.fromiter. The oracle of contexts' layout."""
+    pad = DEFAULT_VOCAB.id("PAD")
+    seqs = [(pol.canonical_prompt(prompt), tuple(response))
+            for prompt, response in pairs]
+    tokens = np.fromiter((t for c, r in seqs
+                          for t in (pad,) * (p.k - len(c)) + c + r),
+                         dtype=np.int32)
+    before, positions, end = [], [], 0
+    for c, r in seqs:
+        end += max(p.k, len(c)) + len(r)
+        before += range(end - len(r) - 1, end - 1)
+        positions += range(len(r))
+    return tokens, np.array(before, np.intp), np.array(positions, np.intp)
+
+
+@pytest.mark.parametrize("k", [1, 3, 48, 60])
+def test_contexts_lay_out_the_bytes_of_the_token_by_token_build(k):
+    """Prompts shorter and longer than PROMPT_MAX_LEN and than k, without
+    BOS or empty, and empty responses: contexts (a memoized int32 array
+    per canonical prompt) gives the same bytes as the token-by-token
+    build, called twice, and as a response given as an array."""
+    rng = np.random.default_rng(100 + k)
+    p = small_params(k=k)
+    pairs = _random_pairs(rng, 40) + [((), (5, 6)), ((), ()),
+                                      ((DEFAULT_VOCAB.id("BOS"),), ())]
+    rng.shuffle(pairs)
+    want = _chained_contexts(p, pairs)
+    for got in (pol.contexts(p, pairs), pol.contexts(p, pairs),
+                pol.contexts(p, [(list(a), np.array(b, dtype=np.int64))
+                                 for a, b in pairs])):
+        for array, expect in zip((got.tokens, got.before, got.positions),
+                                 want):
+            assert array.dtype == expect.dtype
+            assert array.tobytes() == expect.tobytes()
+    head = pol._prompt_head(tuple(pairs[0][0]), DEFAULT_VOCAB.id("BOS"),
+                            DEFAULT_VOCAB.id("PAD"), k)
+    assert not head.flags.writeable  # the memo shares it
+    assert pol._prompt_head.cache_info().maxsize == \
+        pol._canonical.cache_info().maxsize
+
+
 @pytest.mark.parametrize("bad", [V, -1, 2 ** 31, 2 ** 40])
 def test_contexts_reject_an_out_of_range_id_anywhere(bad):
     rng = np.random.default_rng(0)

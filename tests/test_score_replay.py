@@ -6,7 +6,8 @@ import re
 from pathlib import Path
 
 import earl.reward as rew
-from earl.minirtl import parser
+from earl.minirtl import parser, tokenize
+from earl.minirtl.vocab import DEFAULT_VOCAB
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "score_replay.py"
 _spec = importlib.util.spec_from_file_location("score_replay", _PATH)
@@ -43,3 +44,30 @@ def test_replay_clears_the_header_cache_before_each_pass():
     for args, kwargs, _ in calls:
         rew.score(*args, **kwargs)
     assert parser._header.cache_info()[:2] == cold[:2]
+
+
+def test_simulated_calls_are_split_by_whether_the_design_has_registers(
+        capsys):
+    calls = sr.record(2, 1, 20, SMOKE_COUNTS)
+    mix = sr.simulated_mix(calls)
+    assert list(mix) == ["one-pass", "registers"]
+    assert sum(mix.values()) == sum(bd.stage_reached == rew.STAGE_FUNCTIONAL
+                                    for _, _, bd in calls)
+    # a reference of each smoke class, scored as a candidate with and
+    # without its EOS, is counted by its design
+    tasks = {args[1].reference.is_sequential(): args[1]
+             for args, _, _ in calls}
+    assert set(tasks) == {False, True}
+    eos = DEFAULT_VOCAB.id("EOS")
+    made = [((ids, task), {}, rew.score(ids, task))
+            for task in tasks.values()
+            for ids in (tokenize(task.reference_text),
+                        tokenize(task.reference_text) + [eos])]
+    assert sr.simulated_mix(made) == {"one-pass": 2, "registers": 2}
+    assert sr.main(["--sft-steps", "20", "--rl-steps", "2", "--passes", "1"],
+                   counts=SMOKE_COUNTS) == 0
+    out = capsys.readouterr().out
+    n = int(re.search(r"recorded (\d+) score calls", out)[1])
+    one, reg = mix["one-pass"], mix["registers"]
+    assert (f"calls that simulate: {one} one-pass ({one / n:.1%}), {reg} "
+            f"with registers ({reg / n:.1%})") in out
