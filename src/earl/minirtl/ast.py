@@ -134,8 +134,32 @@ class PortDecl:
 
 @dataclass(frozen=True)
 class Interface:
+    """A module's name and ports, with the port facts the semantic check
+    reads, built with it: ``port_widths`` (each port's width by name, in
+    port order; never mutated, as parse shares one Interface per header),
+    ``input_names`` and ``port_error`` (the SemanticError arguments of the
+    first duplicate port, missing input or missing output, in that order,
+    or None). Attributes, not fields: repr and equality do not see them."""
     module_name: str
     ports: tuple[PortDecl, ...]
+
+    def __post_init__(self):
+        # eager: a header miss reads all three, and cached_property locks
+        widths = {p.name: p.width for p in self.ports}
+        inputs = frozenset([p.name for p in self.ports
+                            if p.direction == "input"])
+        error = None
+        if len(widths) < len(self.ports):
+            names = [p.name for p in self.ports]
+            dup = next(n for i, n in enumerate(names) if n in names[:i])
+            error = ("multi-driver", f"duplicate port {dup}")
+        elif not inputs:
+            error = ("no-driver", "module has no input port")
+        elif len(inputs) == len(widths):  # every port an input
+            error = ("no-driver", "module has no output port")
+        object.__setattr__(self, "port_widths", widths)
+        object.__setattr__(self, "input_names", inputs)
+        object.__setattr__(self, "port_error", error)
 
     @cached_property
     def port_keys(self) -> frozenset[tuple[str, str, int]]:
@@ -198,7 +222,7 @@ class ModuleAst:
         to be mutated. Cached, not a field, so repr and equality do not see
         it: parse stores the map its semantic check built, so no reader
         rebuilds it."""
-        w = {p.name: p.width for p in self.interface.ports}
+        w = self.interface.port_widths.copy()
         for d in self.declarations:
             w[d.name] = d.width
         return w
@@ -258,9 +282,9 @@ def expr_width(e: Expr, widths: dict[str, int],
     or a name is undeclared. The rules: bitwise operators require equal
     operand widths; '==' yields one bit; literals are one bit wide; a
     bit-index yields one bit; the two arms of a ternary must agree and its
-    condition must be one bit. check_semantics checks with it, adding the
-    name of each signal read to ``reads``, and the simulator masks '~' with
-    it. Node kinds are tested most common first."""
+    condition must be one bit. parse's semantic check checks with it,
+    adding the name of each signal read to ``reads``, and the simulator
+    masks '~' with it. Node kinds are tested most common first."""
     if isinstance(e, (Var, Index)):
         if e.name not in widths:
             raise SemanticError("undeclared", e.name)

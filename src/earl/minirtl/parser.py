@@ -28,15 +28,17 @@ which builds the same left-associative trees as the three rules above.
 a parse-time SemanticError rather than implicit extension.
 
 A module header ('module' through the first ')') is a function of its
-tokens, so each distinct header is parsed and its ports checked once,
-through a bounded least-recently-used cache (_header) that parses share.
-No outcome depends on what the cache holds.
+tokens, so each distinct header is parsed once, through a bounded
+least-recently-used cache (_header) of shared Interfaces; each holds its
+port facts (widths, input names, the first port error), so its ports are
+checked once too. No outcome depends on what the cache holds. The semantic
+check (_check) runs only inside parse, on the parsed fields, and builds
+the checked ModuleAst.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
 
 from .ast import (Assign, Binary, Const, Decl, Expr, Index, Interface,
                   ModuleAst, ParseError, PortDecl, Register, SemanticError,
@@ -46,13 +48,11 @@ from .vocab import IDENTIFIERS, MODULE_NAMES
 
 _IDENT_SET = frozenset(IDENTIFIERS)
 _NAME_SET = frozenset(MODULE_NAMES)
-# Every leaf, port and declaration node the grammar admits, built once: the
-# nodes are frozen and compare by value, so parses share them.
+# Every leaf and declaration node the grammar admits, built once: the nodes
+# are frozen and compare by value, so parses share them.
 _VAR = {n: Var(n) for n in IDENTIFIERS}
 _INDEX = {(n, b): Index(n, int(b)) for n in IDENTIFIERS for b in "0123"}
 _CONST = {"0": Const(0), "1": Const(1)}
-_PORT = {(n, k, w): PortDecl(n, k, w) for n in IDENTIFIERS
-         for k in ("input", "output") for w in range(1, 5)}
 _DECL = {(n, k, w): Decl(n, k, w) for n in IDENTIFIERS
          for k in ("wire", "reg") for w in range(1, 5)}
 # The width a range's msb token gives.
@@ -62,7 +62,7 @@ _PREC = {"|": 1, "^": 2, "&": 3}
 # Distinct module headers _header keeps, the least recently used dropped
 # first: about twice the 957-974 distinct headers a default run parses
 # (gen-data, sft, a 500-step train and eval, seeds 0 and 1). An entry
-# holds ~1.1 KB, ~1.5 KB once its port keys are built.
+# holds ~2.3 KB once its Interface's port facts are built.
 _HEADER_CACHE_SIZE = 2048
 
 
@@ -86,10 +86,9 @@ class _Parser:
     # and raise the ParseError expect would: at the first token that does
     # not match, with the tokens allowed there. No read passes the sentinel,
     # since each is one past a token that matched.
-    def program(self) -> tuple[_Header, tuple[Decl, ...], list[Assign],
+    def program(self) -> tuple[Interface, tuple[Decl, ...], list[Assign],
                                tuple[Register, ...]]:
-        """The module's header facts and the rest of the unchecked
-        ModuleAst's fields, its assigns in source order."""
+        """The unchecked ModuleAst's fields, its assigns in source order."""
         toks = self.toks
         if toks[0] != "module":
             raise ParseError(0, {"module"})
@@ -104,7 +103,7 @@ class _Parser:
             pos = toks.index(")", 3)
         except ValueError:
             pos = len(toks) - 1
-        header = _header(tuple(toks[:pos + 1]))
+        iface = _header(tuple(toks[:pos + 1]))
         if toks[pos + 1] != ";":
             raise ParseError(pos + 1, {";"})
         self.pos = pos + 2
@@ -125,7 +124,7 @@ class _Parser:
             raise ParseError(pos, {"endmodule"})
         if toks[pos + 1] is not None:
             raise ParseError(pos + 1, {"<end of program>"})
-        return header, tuple(decls), assigns, tuple(registers)
+        return iface, tuple(decls), assigns, tuple(registers)
 
     def interface(self) -> Interface:
         """The header 'module' name '(' port (',' port)* ')' whose first
@@ -170,7 +169,7 @@ class _Parser:
         if name not in _IDENT_SET:
             raise ParseError(pos, {"<identifier>"})
         self.pos = pos + 1
-        return _PORT[name, direction, width]
+        return PortDecl(name, direction, width)
 
     def decl(self) -> Decl:
         toks = self.toks
@@ -308,77 +307,37 @@ class _Parser:
 
 # --- semantic checks ---------------------------------------------------------
 
-class _Header(NamedTuple):
-    """A module's interface and what the semantic check reads of its ports:
-    each port's width, the input names, the output names in port order,
-    and the first port error as SemanticError arguments (a duplicate port,
-    no input, no output), or None."""
-    interface: Interface
-    widths: dict[str, int]
-    inputs: frozenset[str]
-    outputs: tuple[str, ...]
-    error: Optional[tuple[str, str]]
-
-
-def _header_facts(interface: Interface) -> _Header:
-    """The _Header of interface: cached per distinct header by _header,
-    derived uncached by check_semantics."""
-    widths: dict[str, int] = {}
-    for p in interface.ports:
-        if p.name in widths:
-            return _Header(interface, widths, frozenset(), (),
-                           ("multi-driver", f"duplicate port {p.name}"))
-        widths[p.name] = p.width
-    inputs = frozenset(p.name for p in interface.ports
-                       if p.direction == "input")
-    outputs = tuple(p.name for p in interface.ports
-                    if p.direction == "output")
-    error = None
-    if not inputs:
-        error = ("no-driver", "module has no input port")
-    elif not outputs:
-        error = ("no-driver", "module has no output port")
-    return _Header(interface, widths, inputs, outputs, error)
-
-
 @lru_cache(maxsize=_HEADER_CACHE_SIZE)
-def _header(key: tuple[str, ...]) -> _Header:
-    """The header facts of the token run key, 'module' through the first
-    ')' (see _Parser.program), parsed once per distinct key: a header is a
-    function of its tokens and the value is never mutated, so parses share
-    it. A key that does not parse raises its ParseError, at the index it
-    has in the program, and is not cached."""
-    return _header_facts(_Parser(list(key)).interface())
+def _header(key: tuple[str, ...]) -> Interface:
+    """The Interface of the token run key, 'module' through the first ')'
+    (see _Parser.program), parsed once per distinct key: a header is a
+    function of its tokens and the Interface, with the port facts it
+    holds, is never mutated, so parses share it. A key that does not
+    parse raises its ParseError, at the index it has in the program, and is
+    not cached."""
+    return _Parser(list(key)).interface()
 
 
-def check_semantics(ast: ModuleAst) -> list[Assign]:
-    """Enforce ModuleAst invariants; raises SemanticError on violation.
-    Walks each expression once: the width check (expr_width) also collects
-    the signals it reads, for the driver check and comb_order. Returns the
-    assigns in dependency order (comb_order)."""
-    return _check(_header_facts(ast.interface), ast.declarations,
-                  ast.assigns, ast.registers)[0]
-
-
-def _check(header: _Header, declarations: tuple[Decl, ...],
-           assigns, registers: tuple[Register, ...]
-           ) -> tuple[list[Assign], dict[str, int]]:
-    """check_semantics over a module's header facts and other fields, so
-    parse checks a header's ports once per distinct header (_header) and
-    builds its ModuleAst once, from the checked order. Returns that order
-    and the width map the check built, which is ModuleAst.widths. The port
-    error, if any, is raised here, after the whole program parsed, so a
-    syntax error anywhere wins over it."""
-    if header.error is not None:
-        raise SemanticError(*header.error)
-    widths = header.widths.copy()
+def _check(iface: Interface, declarations: tuple[Decl, ...],
+           assigns, registers: tuple[Register, ...]) -> ModuleAst:
+    """The checked ModuleAst of a parsed module's fields, its assigns in
+    dependency order (comb_order) and its widths the map the check built;
+    raises SemanticError on a violated invariant. Walks each expression
+    once: the width check (expr_width) also collects the signals it reads,
+    for the driver check and comb_order. The port error, if any, is raised
+    here, after the whole program parsed, so a syntax error anywhere wins
+    over it."""
+    if iface.port_error is not None:
+        raise SemanticError(*iface.port_error)
+    widths = iface.port_widths.copy()
 
     reg_names = set()
     for d in declarations:
         if d.name in widths:
-            # Re-declaring a port is only the 'output reg' idiom: a reg decl
-            # naming an output port of equal width.
-            if (d.kind == "reg" and d.name in header.outputs
+            # Re-declaring a port is only the 'output reg' idiom: one reg
+            # decl naming an output port of equal width.
+            if (d.kind == "reg" and d.name in iface.port_widths
+                    and d.name not in iface.input_names
                     and widths[d.name] == d.width and d.name not in reg_names):
                 reg_names.add(d.name)
                 continue
@@ -387,7 +346,7 @@ def _check(header: _Header, declarations: tuple[Decl, ...],
         if d.kind == "reg":
             reg_names.add(d.name)
 
-    drivers = set(header.inputs)
+    drivers = set(iface.input_names)
     deps: dict[str, set[str]] = {}  # signals each assign reads
     reg_reads: set[str] = set()  # signals the registers read
 
@@ -415,7 +374,7 @@ def _check(header: _Header, declarations: tuple[Decl, ...],
         drivers.add(r.target)
         if r.clock not in widths:
             raise SemanticError("undeclared", r.clock)
-        if widths[r.clock] != 1 or r.clock not in header.inputs:
+        if widths[r.clock] != 1 or r.clock not in iface.input_names:
             raise SemanticError("width-mismatch",
                                 f"clock {r.clock} must be a 1-bit input")
         if expr_width(r.next_expr, widths, reg_reads) != widths[r.target]:
@@ -433,18 +392,22 @@ def _check(header: _Header, declarations: tuple[Decl, ...],
     undriven = reg_reads.union(*deps.values()) - drivers
     if undriven:
         raise SemanticError("no-driver", min(undriven))
-    for name in header.outputs:
-        if name not in drivers:
-            raise SemanticError("no-driver", f"output {name}")
+    for p in iface.output_ports:
+        if p.name not in drivers:
+            raise SemanticError("no-driver", f"output {p.name}")
 
     # comb_order raises on a combinational cycle
-    return comb_order(assigns, deps), widths
+    ast = ModuleAst(iface, declarations, tuple(comb_order(assigns, deps)),
+                    registers)
+    # the cached_property's slot, filled with the map it would derive
+    object.__setattr__(ast, "widths", widths)
+    return ast
 
 
 def comb_order(assigns: tuple[Assign, ...],
                deps: dict[str, set[str]]) -> list[Assign]:
     """Assigns in dependency (topological) order, given the signals each
-    assign's target reads (``deps``, as check_semantics collects them). A
+    assign's target reads (``deps``, as _check collects them). A
     combinational cycle raises SemanticError('comb-cycle') naming its path,
     'a->b->a'. The work follows the assign-to-assign edges: when no assign
     reads an assign's target, the order is the source order, and a walk
@@ -492,10 +455,4 @@ def parse(token_ids) -> ModuleAst:
     Raises ParseError (with the first offending token index) or SemanticError;
     an id outside [0, V) is a ParseError at its index.
     """
-    header, decls, assigns, registers = _Parser(
-        token_names(token_ids)).program()
-    ordered, widths = _check(header, decls, assigns, registers)
-    ast = ModuleAst(header.interface, decls, tuple(ordered), registers)
-    # the cached_property's slot, filled with the map it would derive
-    object.__setattr__(ast, "widths", widths)
-    return ast
+    return _check(*_Parser(token_names(token_ids)).program())

@@ -233,10 +233,6 @@ def _data_inputs(iface: Interface, sequential: bool) -> list:
     return [p for p in iface.inputs() if p.name not in skip]
 
 
-def input_bit_count(iface: Interface, sequential: bool) -> int:
-    return sum(p.width for p in _data_inputs(iface, sequential))
-
-
 def _enumeration(data: list, rows: int) -> dict[str, int]:
     """Each data port's lanes over the rows = 2^b cycles that enumerate its
     b bits, the first port's bits lowest: bit k of the enumeration is 0 in

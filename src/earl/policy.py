@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,9 +52,9 @@ from .seeds import rng_for
 
 POSITION_BUCKETS = 8
 POSITION_BUCKET_SPAN = 4  # bucket = min(position // span, 7)
-# Distinct prompts _canonical and _prompt_head each keep, the least recently
-# used dropped first: about three times the 625 tasks of the default corpus.
-# An entry holds ~0.6 KB.
+# Distinct prompts _prompt_head keeps, the least recently used dropped first:
+# about three times the 625 tasks of the default corpus. An entry holds
+# ~0.5 KB.
 _CANONICAL_CACHE_SIZE = 2048
 
 _CKPT_MAGIC = b"EARLCKPT1\n"
@@ -127,16 +128,14 @@ def init_params(vocab: Vocab, k: int, seed: int) -> PolicyParams:
 # --- featurization -----------------------------------------------------------
 
 def canonical_prompt(prompt, vocab: Vocab = DEFAULT_VOCAB) -> tuple[int, ...]:
-    """Left-pad the prompt body to PROMPT_MAX_LEN by inserting PAD after BOS."""
+    """Left-pad the prompt body to PROMPT_MAX_LEN by inserting PAD after BOS.
+    Uncached: contexts reads it through the _prompt_head memo."""
     return _canonical(tuple(prompt), vocab.id(BOS), vocab.id(PAD))
 
 
-@lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
 def _canonical(prompt: tuple, bos: int, pad: int) -> tuple[int, ...]:
     """canonical_prompt of a prompt tuple, given the vocabulary's BOS and
-    PAD ids, which are all it reads of the vocabulary: memoized, since a
-    task's prompt is canonicalized on every sampler call, RL batch and eval
-    batch. The value is a tuple, never mutated."""
+    PAD ids, which are all it reads of the vocabulary."""
     if len(prompt) >= PROMPT_MAX_LEN or not prompt or prompt[0] != bos:
         return prompt
     return (prompt[0],) + (pad,) * (PROMPT_MAX_LEN - len(prompt)) + prompt[1:]
@@ -147,8 +146,9 @@ def _prompt_head(prompt: tuple, bos: int, pad: int, k: int) -> np.ndarray:
     """What a sequence of the prompt starts with in ``contexts``, as a
     read-only int32 array: the PADs its first context reads (k less the
     canonical prompt's length, if positive), then the canonical prompt.
-    Memoized and bounded as _canonical is, so each call copies a task's
-    prompt with one slice assignment. OverflowError on an id past int32."""
+    Memoized and bounded, since a task's prompt is laid out on every
+    sampler call, RL batch and eval batch: each call copies it with one
+    slice assignment. OverflowError on an id past int32."""
     canonical = _canonical(prompt, bos, pad)
     head = np.array((pad,) * (k - len(canonical)) + canonical,
                     dtype=np.int32)
@@ -637,12 +637,12 @@ def load_checkpoint(path) -> PolicyParams:
                               ">= 1")
         F = k * V + POSITION_BUCKETS
         size = 8 * V * (1 + F)  # b, then W
-        payload = f.read(size + 1)
-    if len(payload) < size:
-        raise DomainError(f"checkpoint payload truncated: {len(payload)} of "
-                          f"{size} bytes")
-    if len(payload) > size:
-        raise DomainError(f"checkpoint has bytes past its {size}-byte payload")
+        # the file's size, not the header's, bounds what is read
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != size:
+            raise DomainError(f"checkpoint payload is {left} bytes; its "
+                              f"header gives {size}")
+        payload = f.read(size)
     b = np.frombuffer(payload, dtype=np.float64, count=V).copy()
     W = np.frombuffer(payload, dtype=np.float64,
                       offset=8 * V).reshape(V, F).T.copy()

@@ -353,9 +353,10 @@ def _edited_header(**changes):
     _edited_header(V="125"),
     _edited_header(V=-1),
     _edited_header(k=1),
+    _edited_header(k=10 ** 12),
 ], ids=["garbage", "truncated", "magic-only", "header-not-json",
         "header-missing-key", "header-wrong-type", "header-negative-v",
-        "payload-too-long"])
+        "payload-too-long", "payload-past-the-file"])
 def test_corrupt_checkpoint_is_validation_error(tmp_path, capsys, corrupt):
     path, _ = mini_config(tmp_path)
     for sub in ("gen-data", "sft"):

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 import earl.errors
 from earl.errors import DomainError
 from earl.minirtl import (DEFAULT_VOCAB, LexError, ModuleAst, ParseError,
-                          SemanticError, Stimulus, check_semantics,
-                          detokenize, parse, simulate, tokenize)
+                          SemanticError, Stimulus, detokenize, parse,
+                          simulate, tokenize)
 from earl.minirtl.ast import Assign, Const
 from earl.minirtl.parser import _header, _Parser, comb_order
 from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
@@ -295,7 +295,6 @@ def test_ternary_and_equality_parse():
 # --- parser soundness on generated corpora -----------------------------------
 
 def _check_invariants(ast):
-    check_semantics(ast)  # raises on any violated module invariant
     iface = ast.interface
     assert iface.inputs() and iface.output_ports
     names = [p.name for p in iface.ports]
@@ -409,6 +408,39 @@ def test_a_port_error_waits_for_a_later_syntax_error():
     assert cold == warm == repr(("ParseError", 5, [")"], None,
                                  "syntax error at token 5, expected one of "
                                  "[')']"))
+
+
+def test_output_reg_redeclares_only_an_output_port_once_at_its_width():
+    """A port may be re-declared only as the 'output reg' idiom: one reg
+    decl naming an output port of equal width. Every other re-declaration
+    is a duplicate decl, with the header cache cold and warm."""
+    def dff(decls):
+        return tokenize(f"module dff ( input clk , input d , output y ) ; "
+                        f"{decls} always @ ( posedge clk ) begin y <= d ; "
+                        "end endmodule")
+    valid = dff("reg y ;")
+    for decls, name in [("reg y ; wire t0 ; reg t0 ;", "t0"),
+                        ("reg y ; reg d ;", "d"),
+                        ("reg y ; reg y ;", "y"),
+                        ("reg [ 1 : 0 ] y ;", "y")]:
+        cold, warm = _cold_and_warm_outcomes(dff(decls), valid)
+        assert cold == warm == repr((
+            "SemanticError", None, [], "multi-driver",
+            f"semantic error [multi-driver]: duplicate decl {name}")), decls
+    cold, warm = _cold_and_warm_outcomes(valid, valid)
+    assert cold == warm and cold.startswith("ModuleAst")
+
+
+def test_a_parse_never_changes_a_shared_headers_facts():
+    # both declare t0: had the first parse added it to the shared header's
+    # widths, the second would see a duplicate decl
+    _header.cache_clear()
+    a, b = (parse_text("module and2 ( input a , input b , output y ) ; "
+                       f"wire t0 ; assign t0 = a {op} b ; assign y = t0 ; "
+                       "endmodule") for op in "&^")
+    assert a.interface is b.interface
+    assert a.interface.port_widths == {"a": 1, "b": 1, "y": 1}
+    assert a.widths == b.widths == {"a": 1, "b": 1, "y": 1, "t0": 1}
 
 
 def _synthetic_module(i):

@@ -5,6 +5,7 @@ entropy([2/3, 1/3]) = ln 3 - (2/3) ln 2 = 0.6365141682948128.
 """
 
 import hashlib
+import json
 import math
 import struct
 
@@ -504,8 +505,6 @@ def test_contexts_lay_out_the_bytes_of_the_token_by_token_build(k):
     head = pol._prompt_head(tuple(pairs[0][0]), DEFAULT_VOCAB.id("BOS"),
                             DEFAULT_VOCAB.id("PAD"), k)
     assert not head.flags.writeable  # the memo shares it
-    assert pol._prompt_head.cache_info().maxsize == \
-        pol._canonical.cache_info().maxsize
 
 
 @pytest.mark.parametrize("bad", [V, -1, 2 ** 31, 2 ** 40])
@@ -718,6 +717,20 @@ def test_checkpoint_rejects_garbage_and_wrong_hash(tmp_path):
         pol.load_checkpoint(path)
 
 
+def test_checkpoint_header_claiming_more_than_the_file_holds(tmp_path):
+    """A header whose k claims ~10^17 payload bytes, over 64 in the file, is
+    a DomainError found before any read is sized from the header."""
+    header = json.dumps({"schema_version": 1, "k": 10 ** 12,
+                         "V": DEFAULT_VOCAB.size, "P": pol.POSITION_BUCKETS,
+                         "vocab_hash": DEFAULT_VOCAB.hash,
+                         "version_counter": 0}).encode()
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(b"EARLCKPT1\n" + struct.pack("<I", len(header))
+                     + header + bytes(64))
+    with pytest.raises(DomainError, match="payload is 64 bytes"):
+        pol.load_checkpoint(path)
+
+
 def test_prompt_canonicalization_stable_offsets():
     bos = DEFAULT_VOCAB.id("BOS")
     short = (bos, 5, 6)
@@ -727,9 +740,9 @@ def test_prompt_canonicalization_stable_offsets():
 
 
 def test_canonical_prompts_are_memoized_per_bos_and_pad():
-    """A prompt is canonicalized once per (prompt, BOS id, PAD id): a
-    vocabulary with other ids gets its own canonical prompt, as the
-    uncached rule gives it, and the memo keeps at most its bound."""
+    """A prompt's head is laid out once per (prompt, BOS id, PAD id, k): a
+    vocabulary with other ids gets its own canonical prompt, as the rule
+    gives it, and the _prompt_head memo keeps at most its bound."""
     from earl.minirtl.vocab import Vocab
     other = Vocab(tuple(reversed(DEFAULT_VOCAB.tokens)))
 
@@ -747,7 +760,11 @@ def test_canonical_prompts_are_memoized_per_bos_and_pad():
             assert pol.canonical_prompt(prompt, vocab) == rule(prompt, vocab)
     assert (pol.canonical_prompt((other.id("BOS"), 5), other)
             != pol.canonical_prompt((other.id("BOS"), 5)))
-    bound = pol._canonical.cache_info().maxsize
+    bos, pad = DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("PAD")
+    heads = [pol._prompt_head((v.id("BOS"), 5), v.id("BOS"), v.id("PAD"), 3)
+             for v in (DEFAULT_VOCAB, other)]
+    assert heads[0].tolist() != heads[1].tolist()
+    bound = pol._prompt_head.cache_info().maxsize
     for i in range(bound + 10):
-        pol.canonical_prompt((DEFAULT_VOCAB.id("BOS"), i))
-    assert pol._canonical.cache_info().currsize == bound
+        pol._prompt_head((bos, i), bos, pad, 3)
+    assert pol._prompt_head.cache_info().currsize == bound
