@@ -3,6 +3,7 @@
 
 Usage: python3 scripts/score_replay.py [--sft-steps 1000] [--rl-steps 45]
                                        [--seed 1] [--passes 15]
+                                       [--against CHECKOUT]
 
 It builds the default corpus (`earl gen-data` at seed 0) and trains a
 k = 48 policy for --sft-steps SFT steps at seed 0 (peak lr 8, 15 warmup
@@ -21,12 +22,30 @@ cache's hits and misses in one pass, the median and quartiles over passes
 of the milliseconds of scoring per RL step (CPU time of this process, the
 benchmark's clock), and whether every replayed breakdown equals the
 recorded one. It exits 1 when one differs. Standard library and earl only.
+
+With --against CHECKOUT it loads CHECKOUT/src/earl in this process too,
+under the package name earl_against (every import inside src/earl is
+relative), and replays the calls recorded with this checkout through both
+checkouts' reward.score, alternating them pass by pass (which side goes
+first alternates too). Before each of its passes, each side clears its own
+header cache. It prints each side's median milliseconds of scoring per RL
+step and the number of passes in which CHECKOUT was lower, then whether
+every breakdown of either side equals the recorded one, compared field by
+field (the two checkouts' classes differ), and exits 1 when one differs.
+Both sides read the same recorded arguments: this checkout's tasks and
+schedule, and the sampled token tuples. Separate processes time the same
+code several percent apart, so a change of a few percent needs both sides
+in one process.
 """
 
 import argparse
+import dataclasses
+import importlib.machinery
+import importlib.util
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import earl.policy as pol
 import earl.reward as rew
@@ -38,6 +57,7 @@ from earl.minirtl.vocab import DEFAULT_VOCAB, EOS
 POLICY_K = 48  # earl.cli.DEFAULT_POLICY_K
 SFT = {"peak_lr": 8.0, "warmup_steps": 15, "batch_contexts": 512}
 CORPUS_SEED = SFT_SEED = 0
+AGAINST_PACKAGE = "earl_against"  # the package name of --against's checkout
 
 
 def record(rl_steps: int, seed: int, sft_steps: int, counts=None) -> list:
@@ -66,21 +86,67 @@ def record(rl_steps: int, seed: int, sft_steps: int, counts=None) -> list:
     return calls
 
 
+def timed_pass(score, header, calls) -> tuple[float, list]:
+    """The CPU seconds that score took over calls, after clearing header
+    (the parser's header cache of score's checkout), and its breakdowns."""
+    header.cache_clear()
+    clock = time.process_time
+    t0 = clock()
+    got = [score(*args, **kwargs) for args, kwargs, _ in calls]
+    return clock() - t0, got
+
+
 def replay(calls, passes: int):
     """Per pass, the CPU seconds that scoring calls took, each pass after
     a cleared header cache; the header cache's info after the first pass;
     and whether every replayed breakdown equals the recorded one."""
     seconds, info, same = [], None, True
-    score, clock = rew.score, time.process_time
     for i in range(passes):
-        parser._header.cache_clear()
-        t0 = clock()
-        got = [score(*args, **kwargs) for args, kwargs, _ in calls]
-        seconds.append(clock() - t0)
+        s, got = timed_pass(rew.score, parser._header, calls)
+        seconds.append(s)
         same = same and got == [bd for _, _, bd in calls]
         if i == 0:
             info = parser._header.cache_info()
     return seconds, info, same
+
+
+def load_checkout(root):
+    """reward.score and the parser's header cache of root/src/earl, loaded
+    as the package AGAINST_PACKAGE (replacing any loaded under it before)."""
+    name, src = AGAINST_PACKAGE, Path(root) / "src" / "earl"
+    if not (src / "reward.py").is_file():
+        raise FileNotFoundError(f"{src} holds no reward.py")
+    for key in [k for k in sys.modules
+                if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+    spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+    spec.submodule_search_locations = [str(src)]
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    reward = importlib.import_module(name + ".reward")
+    header = importlib.import_module(name + ".minirtl.parser")._header
+    return reward.score, header
+
+
+def _fields(breakdown) -> list:
+    return [(f.name, getattr(breakdown, f.name))
+            for f in dataclasses.fields(breakdown)]
+
+
+def replay_against(calls, passes: int, other):
+    """Per pass, the CPU seconds that scoring calls took in this checkout
+    and through other ((score, header cache) of another checkout, as
+    load_checkout gives), the two alternating pass by pass, each pass
+    after clearing its own side's header cache; and whether every
+    breakdown of either side equals the recorded one field by field."""
+    sides = [(rew.score, parser._header), other]
+    seconds, same = ([], []), True
+    recorded = [_fields(bd) for _, _, bd in calls]
+    for i in range(passes):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            s, got = timed_pass(*sides[side], calls)
+            seconds[side].append(s)
+            same = same and list(map(_fields, got)) == recorded
+    return seconds[0], seconds[1], same
 
 
 def stage_mix(breakdowns) -> dict:
@@ -119,9 +185,16 @@ def main(argv=None, counts=None) -> int:
     ap.add_argument("--rl-steps", type=int, default=45)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--passes", type=int, default=15)
+    ap.add_argument("--against", metavar="CHECKOUT",
+                    help="a second source checkout to replay alternately")
     args = ap.parse_args(argv)
     if min(args.rl_steps, args.passes) < 1 or args.sft_steps < 0:
         ap.error("--rl-steps and --passes must be >= 1, --sft-steps >= 0")
+    if args.against is not None:
+        try:
+            other = load_checkout(args.against)
+        except FileNotFoundError as e:
+            ap.error(f"--against: {e}")
 
     calls = record(args.rl_steps, args.seed, args.sft_steps, counts)
     n = len(calls)
@@ -135,6 +208,18 @@ def main(argv=None, counts=None) -> int:
     print(f"calls that simulate: {sim['one-pass']} one-pass "
           f"({sim['one-pass'] / max(n, 1):.1%}), {sim['registers']} with "
           f"registers ({sim['registers'] / max(n, 1):.1%})")
+    if args.against is not None:
+        mine, theirs, same = replay_against(calls, args.passes, other)
+        ms = [1e3 * statistics.median(s) / args.rl_steps
+              for s in (mine, theirs)]
+        lower = sum(b < a for a, b in zip(mine, theirs))
+        print(f"scoring per RL step, alternating with {args.against}: this "
+              f"checkout {ms[0]:.3f} ms, CHECKOUT {ms[1]:.3f} ms (medians of "
+              f"{args.passes} cold passes each); CHECKOUT lower in {lower} "
+              f"of {args.passes} passes")
+        print(f"both checkouts' breakdowns equal the recorded ones field by "
+              f"field: {'yes' if same else 'NO'}")
+        return 0 if same else 1
     seconds, info, same = replay(calls, args.passes)
     print(f"header cache in one pass: {info.hits} hits, {info.misses} "
           f"misses, {info.currsize} headers kept")

@@ -134,23 +134,29 @@ class PortDecl:
 
 @dataclass(frozen=True)
 class Interface:
-    """A module's name and ports, with the port facts the semantic check
-    reads, built with it: ``port_widths`` (each port's width by name, in
-    port order; never mutated, as parse shares one Interface per header),
+    """A module's name and ports, with the port facts its readers need,
+    built with it: ``port_widths`` (each port's width by name, in port
+    order; never mutated, as parse shares one Interface per header),
     ``input_names`` and ``port_error`` (the SemanticError arguments of the
     first duplicate port, missing input or missing output, in that order,
-    or None). Attributes, not fields: repr and equality do not see them."""
+    or None) for the semantic check; ``port_keys`` (the (name, direction,
+    width) of each port) for the interface score; ``output_ports`` (in
+    port order) and ``output_bits`` (their total width) for the simulator,
+    the equivalence check and the reward. Attributes, not fields: repr and
+    equality do not see them."""
     module_name: str
     ports: tuple[PortDecl, ...]
 
     def __post_init__(self):
-        # eager: a header miss reads all three, and cached_property locks
-        widths = {p.name: p.width for p in self.ports}
-        inputs = frozenset([p.name for p in self.ports
-                            if p.direction == "input"])
+        # eager, not cached properties: a header miss reads them all, and
+        # a cached_property's first read takes a lock
+        ports = self.ports
+        widths = {p.name: p.width for p in ports}
+        inputs = frozenset([p.name for p in ports if p.direction == "input"])
+        outputs = tuple([p for p in ports if p.direction == "output"])
         error = None
-        if len(widths) < len(self.ports):
-            names = [p.name for p in self.ports]
+        if len(widths) < len(ports):
+            names = [p.name for p in ports]
             dup = next(n for i, n in enumerate(names) if n in names[:i])
             error = ("multi-driver", f"duplicate port {dup}")
         elif not inputs:
@@ -160,26 +166,11 @@ class Interface:
         object.__setattr__(self, "port_widths", widths)
         object.__setattr__(self, "input_names", inputs)
         object.__setattr__(self, "port_error", error)
-
-    @cached_property
-    def port_keys(self) -> frozenset[tuple[str, str, int]]:
-        """The (name, direction, width) of each port. Cached on the
-        instance, not a field, so repr and equality do not see it; parse
-        shares one Interface per distinct header, so the set is built once
-        per header."""
-        return frozenset((p.name, p.direction, p.width) for p in self.ports)
-
-    @cached_property
-    def output_ports(self) -> tuple[PortDecl, ...]:
-        """The output ports in port order, cached as port_keys is: the
-        simulator, the equivalence check and the reward read them on
-        every candidate."""
-        return tuple(p for p in self.ports if p.direction == "output")
-
-    @cached_property
-    def output_bits(self) -> int:
-        """The total width of the output ports."""
-        return sum(p.width for p in self.output_ports)
+        object.__setattr__(self, "port_keys", frozenset(
+            [(p.name, p.direction, p.width) for p in ports]))
+        object.__setattr__(self, "output_ports", outputs)
+        object.__setattr__(self, "output_bits",
+                           sum([p.width for p in outputs]))
 
     def inputs(self) -> tuple[PortDecl, ...]:
         return tuple(p for p in self.ports if p.direction == "input")

@@ -19,9 +19,12 @@ from .vocab import DEFAULT_VOCAB, TERMINALS
 _LEXEME = re.compile(r"<=|==|\w+|\S")
 # Reserved/marker tokens are vocab entries but never legal source lexemes.
 _SOURCE_IDS = {t: DEFAULT_VOCAB.id(t) for t in TERMINALS}
-# id -> vocabulary entry; an id outside [0, V) is no key, so -1 does not
-# wrap to the last entry as a tuple index would.
+# id -> vocabulary entry, for detokenize and for the parser's named nodes;
+# an id outside [0, V) is no key, so -1 does not wrap to the last entry as
+# a tuple index would, and 3.0 reads entry 3 where a tuple index raises.
 _NAME_OF = dict(enumerate(DEFAULT_VOCAB.tokens))
+# The expected set of the ParseError for an id outside [0, V).
+_BAD_ID = {f"<token id in [0, {len(_NAME_OF)})>"}
 
 
 def tokenize(text: str) -> list[int]:
@@ -40,17 +43,17 @@ def tokenize(text: str) -> list[int]:
 
 
 def token_names(ids) -> list[str]:
-    """The vocabulary entry of each id; an id outside [0, V) is a
-    ParseError at its index. ``ids`` is read once, so any iterable
-    serves."""
+    """The vocabulary entry of each id, for detokenize; an id outside
+    [0, V) is a ParseError at its index. ``ids`` is read once, so any
+    iterable serves. parse reads the ids themselves and calls no
+    token_names."""
     names: list[str] = []
     try:
         # extend keeps the names it appended before a failed lookup, so
         # their count is the index of the first id outside the vocabulary
         names.extend(map(_NAME_OF.__getitem__, ids))
     except KeyError:
-        raise ParseError(len(names),
-                         {f"<token id in [0, {len(_NAME_OF)})>"}) from None
+        raise ParseError(len(names), _BAD_ID) from None
     return names
 
 

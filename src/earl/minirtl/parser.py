@@ -21,19 +21,26 @@ Grammar (one module per program):
     unary     := '~' unary | primary
     primary   := '0' | '1' | ident ('[' bit ']')? | '(' expr ')'
 
-The parser reads one token cursor over the token list; the '|', '^' and
-'&' levels are parsed by precedence climbing over eq_e operands (_PREC),
-which builds the same left-associative trees as the three rules above.
-'==' stays non-associative. Widths follow ast.expr_width; any mismatch is
-a parse-time SemanticError rather than implicit extension.
+The parser reads one cursor over the token ids themselves, a tuple with a
+sentinel (None, which no grammar table holds) on its end, so no rule
+reads past it. The grammar's terminals, leaf nodes and declaration nodes
+are keyed on ids; a name is read from the vocabulary's id -> name dict
+only where a node stores one (a target, a clock, an edge, an operator, a
+module or a port name). parse checks every id against the vocabulary once,
+before the grammar: an id outside [0, V) is a ParseError at its index,
+whatever syntax error comes before it. The '|', '^' and '&' levels are
+parsed by precedence climbing over eq_e operands (_PREC), which builds the
+same left-associative trees as the three rules above. '==' stays
+non-associative. Widths follow ast.expr_width; any mismatch is a
+parse-time SemanticError rather than implicit extension.
 
 A module header ('module' through the first ')') is a function of its
-tokens, so each distinct header is parsed once, through a bounded
-least-recently-used cache (_header) of shared Interfaces; each holds its
-port facts (widths, input names, the first port error), so its ports are
-checked once too. No outcome depends on what the cache holds. The semantic
-check (_check) runs only inside parse, on the parsed fields, and builds
-the checked ModuleAst.
+ids, so each distinct header is parsed once, through a bounded
+least-recently-used cache (_header, keyed on the id slice) of shared
+Interfaces; each holds its port facts (widths, input names, the first port
+error), so its ports are checked once too. No outcome depends on what the
+cache holds. The semantic check (_check) runs only inside parse, on the
+parsed fields, and builds the checked ModuleAst.
 """
 
 from __future__ import annotations
@@ -43,22 +50,40 @@ from functools import lru_cache
 from .ast import (Assign, Binary, Const, Decl, Expr, Index, Interface,
                   ModuleAst, ParseError, PortDecl, Register, SemanticError,
                   Ternary, Unary, Var, expr_width)
-from .lexer import token_names
-from .vocab import IDENTIFIERS, MODULE_NAMES
+from .lexer import _BAD_ID, _NAME_OF
+from .vocab import DEFAULT_VOCAB, IDENTIFIERS, MODULE_NAMES
 
-_IDENT_SET = frozenset(IDENTIFIERS)
-_NAME_SET = frozenset(MODULE_NAMES)
-# Every leaf and declaration node the grammar admits, built once: the nodes
-# are frozen and compare by value, so parses share them.
-_VAR = {n: Var(n) for n in IDENTIFIERS}
-_INDEX = {(n, b): Index(n, int(b)) for n in IDENTIFIERS for b in "0123"}
-_CONST = {"0": Const(0), "1": Const(1)}
-_DECL = {(n, k, w): Decl(n, k, w) for n in IDENTIFIERS
+_ID = DEFAULT_VOCAB.id
+# The ids of the grammar's terminals.
+_MODULE, _ENDMODULE, _INPUT, _OUTPUT, _WIRE, _REG = map(
+    _ID, ("module", "endmodule", "input", "output", "wire", "reg"))
+_ASSIGN, _ALWAYS, _AT, _POSEDGE, _NEGEDGE = map(
+    _ID, ("assign", "always", "@", "posedge", "negedge"))
+_IF, _ELSE, _BEGIN, _END = map(_ID, ("if", "else", "begin", "end"))
+_LPAREN, _RPAREN, _LBRACKET, _RBRACKET, _SEMI, _COMMA = map(
+    _ID, ("(", ")", "[", "]", ";", ","))
+_EQ, _LE, _EQEQ, _QUESTION, _COLON, _TILDE = map(
+    _ID, ("=", "<=", "==", "?", ":", "~"))
+_ZERO = _ID("0")
+
+_IDS = frozenset(range(DEFAULT_VOCAB.size))  # every id in the vocabulary
+_IDENT_SET = frozenset(map(_ID, IDENTIFIERS))
+_NAME_SET = frozenset(map(_ID, MODULE_NAMES))
+# Every leaf, port and declaration node the grammar admits, built once and
+# keyed on ids: the nodes are frozen and compare by value, so parses share
+# them.
+_VAR = {_ID(n): Var(n) for n in IDENTIFIERS}
+_INDEX = {(_ID(n), _ID(b)): Index(n, int(b))
+          for n in IDENTIFIERS for b in "0123"}
+_CONST = {_ZERO: Const(0), _ID("1"): Const(1)}
+_PORT = {(_ID(n), _ID(d), w): PortDecl(n, d, w) for n in IDENTIFIERS
+         for d in ("input", "output") for w in range(1, 5)}
+_DECL = {(_ID(n), _ID(k), w): Decl(n, k, w) for n in IDENTIFIERS
          for k in ("wire", "reg") for w in range(1, 5)}
 # The width a range's msb token gives.
-_MSB_WIDTH = {"1": 2, "2": 3, "3": 4}
+_MSB_WIDTH = {_ID("1"): 2, _ID("2"): 3, _ID("3"): 4}
 # Binary bitwise operators by precedence, the loosest first; 0 is "none".
-_PREC = {"|": 1, "^": 2, "&": 3}
+_PREC = {_ID("|"): 1, _ID("^"): 2, _ID("&"): 3}
 # Distinct module headers _header keeps, the least recently used dropped
 # first: about twice the 957-974 distinct headers a default run parses
 # (gen-data, sft, a 500-step train and eval, seeds 0 and 1). An entry
@@ -67,60 +92,52 @@ _HEADER_CACHE_SIZE = 2048
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
-        """Takes ownership of tokens, a fresh list: it appends a sentinel
-        that no rule matches or consumes."""
-        tokens.append(None)
-        self.toks = tokens
+    def __init__(self, ids: tuple):
+        """ids: token ids, every one in the vocabulary; the cursor reads
+        them with a sentinel on the end that no rule matches or consumes."""
+        self.toks = ids + (None,)
         self.pos = 0
-
-    def expect(self, *alternatives: str) -> str:
-        tok = self.toks[self.pos]
-        if tok not in alternatives:
-            raise ParseError(self.pos, alternatives)
-        self.pos += 1
-        return tok
 
     # -- grammar ------------------------------------------------------------
     # The rules read their fixed token runs inline, from one local cursor,
-    # and raise the ParseError expect would: at the first token that does
-    # not match, with the tokens allowed there. No read passes the sentinel,
+    # and raise a ParseError at the first token that does not match, with
+    # the names of the tokens allowed there. No read passes the sentinel,
     # since each is one past a token that matched.
     def program(self) -> tuple[Interface, tuple[Decl, ...], list[Assign],
                                tuple[Register, ...]]:
         """The unchecked ModuleAst's fields, its assigns in source order."""
         toks = self.toks
-        if toks[0] != "module":
+        if toks[0] != _MODULE:
             raise ParseError(0, {"module"})
         if toks[1] not in _NAME_SET:
             raise ParseError(1, {"<module-name>"})
-        if toks[2] != "(":
+        if toks[2] != _LPAREN:
             raise ParseError(2, {"("})
         # The header's key runs through the first ')' after the '(': a port
         # list holds none, so a header that parses ends there. With no ')',
-        # the key runs to the sentinel and the header parse raises.
+        # the key is every id and the header parse raises.
         try:
-            pos = toks.index(")", 3)
+            pos = toks.index(_RPAREN, 3)
         except ValueError:
-            pos = len(toks) - 1
-        iface = _header(tuple(toks[:pos + 1]))
-        if toks[pos + 1] != ";":
+            pos = len(toks) - 2
+        iface = _header(toks[:pos + 1])
+        if toks[pos + 1] != _SEMI:
             raise ParseError(pos + 1, {";"})
         self.pos = pos + 2
 
         decls: list[Decl] = []
-        while toks[self.pos] in ("wire", "reg"):
+        while toks[self.pos] in (_WIRE, _REG):
             decls.append(self.decl())
 
         assigns: list[Assign] = []
         registers: list[Register] = []
-        while toks[self.pos] in ("assign", "always"):
-            if toks[self.pos] == "assign":
+        while toks[self.pos] in (_ASSIGN, _ALWAYS):
+            if toks[self.pos] == _ASSIGN:
                 assigns.append(self.assign())
             else:
                 registers.append(self.always())
         pos = self.pos
-        if toks[pos] != "endmodule":
+        if toks[pos] != _ENDMODULE:
             raise ParseError(pos, {"endmodule"})
         if toks[pos + 1] is not None:
             raise ParseError(pos + 1, {"<end of program>"})
@@ -132,27 +149,27 @@ class _Parser:
         toks = self.toks
         self.pos = 3
         ports = [self.port()]
-        while toks[self.pos] == ",":
+        while toks[self.pos] == _COMMA:
             self.pos += 1
             ports.append(self.port())
-        if toks[self.pos] != ")":
+        if toks[self.pos] != _RPAREN:
             raise ParseError(self.pos, {")"})
-        return Interface(toks[1], tuple(ports))
+        return Interface(_NAME_OF[toks[1]], tuple(ports))
 
     def range_width(self) -> int:
         """An optional '[' msb ':' '0' ']' at the cursor; its width, 1
         without one."""
         toks, pos = self.toks, self.pos
-        if toks[pos] != "[":
+        if toks[pos] != _LBRACKET:
             return 1
         width = _MSB_WIDTH.get(toks[pos + 1])
         if width is None:
-            raise ParseError(pos + 1, _MSB_WIDTH.keys())
-        if toks[pos + 2] != ":":
+            raise ParseError(pos + 1, {"1", "2", "3"})
+        if toks[pos + 2] != _COLON:
             raise ParseError(pos + 2, {":"})
-        if toks[pos + 3] != "0":
+        if toks[pos + 3] != _ZERO:
             raise ParseError(pos + 3, {"0"})
-        if toks[pos + 4] != "]":
+        if toks[pos + 4] != _RBRACKET:
             raise ParseError(pos + 4, {"]"})
         self.pos = pos + 5
         return width
@@ -160,16 +177,16 @@ class _Parser:
     def port(self) -> PortDecl:
         toks, pos = self.toks, self.pos
         direction = toks[pos]
-        if direction != "input" and direction != "output":
+        if direction != _INPUT and direction != _OUTPUT:
             raise ParseError(pos, {"input", "output"})
         self.pos = pos + 1
-        width = self.range_width() if toks[pos + 1] == "[" else 1
+        width = self.range_width() if toks[pos + 1] == _LBRACKET else 1
         pos = self.pos
         name = toks[pos]
         if name not in _IDENT_SET:
             raise ParseError(pos, {"<identifier>"})
         self.pos = pos + 1
-        return PortDecl(name, direction, width)
+        return _PORT[name, direction, width]
 
     def decl(self) -> Decl:
         toks = self.toks
@@ -180,7 +197,7 @@ class _Parser:
         name = toks[pos]
         if name not in _IDENT_SET:
             raise ParseError(pos, {"<identifier>"})
-        if toks[pos + 1] != ";":
+        if toks[pos + 1] != _SEMI:
             raise ParseError(pos + 1, {";"})
         self.pos = pos + 2
         return _DECL[name, kind, width]
@@ -191,77 +208,81 @@ class _Parser:
         target = toks[pos]
         if target not in _IDENT_SET:
             raise ParseError(pos, {"<identifier>"})
-        if toks[pos + 1] != "=":
+        if toks[pos + 1] != _EQ:
             raise ParseError(pos + 1, {"="})
         self.pos = pos + 2
         expr = self.expr()
         pos = self.pos
-        if toks[pos] != ";":
+        if toks[pos] != _SEMI:
             raise ParseError(pos, {";"})
         self.pos = pos + 1
-        return Assign(target, expr)
+        return Assign(_NAME_OF[target], expr)
 
     def always(self) -> Register:
         toks = self.toks
         pos = self.pos + 1  # 'always'
-        if toks[pos] != "@":
+        if toks[pos] != _AT:
             raise ParseError(pos, {"@"})
-        if toks[pos + 1] != "(":
+        if toks[pos + 1] != _LPAREN:
             raise ParseError(pos + 1, {"("})
         edge = toks[pos + 2]
-        if edge != "posedge" and edge != "negedge":
+        if edge != _POSEDGE and edge != _NEGEDGE:
             raise ParseError(pos + 2, {"posedge", "negedge"})
         clock = toks[pos + 3]
         if clock not in _IDENT_SET:
             raise ParseError(pos + 3, {"<identifier>"})
-        if toks[pos + 4] != ")":
+        if toks[pos + 4] != _RPAREN:
             raise ParseError(pos + 4, {")"})
-        if toks[pos + 5] != "begin":
+        if toks[pos + 5] != _BEGIN:
             raise ParseError(pos + 5, {"begin"})
         pos += 6
         reset = None
-        if toks[pos] == "if":
-            if toks[pos + 1] != "(":
+        if toks[pos] == _IF:
+            if toks[pos + 1] != _LPAREN:
                 raise ParseError(pos + 1, {"("})
             self.pos = pos + 2
             reset = self.expr()
             pos = self.pos
-            if toks[pos] != ")":
+            if toks[pos] != _RPAREN:
                 raise ParseError(pos, {")"})
             target = toks[pos + 1]
             if target not in _IDENT_SET:
                 raise ParseError(pos + 1, {"<identifier>"})
-            for i, want in enumerate(("<=", "0", ";", "else"), pos + 2):
+            for i, want in enumerate((_LE, _ZERO, _SEMI, _ELSE), pos + 2):
                 if toks[i] != want:
-                    raise ParseError(i, {want})
+                    raise ParseError(i, {_NAME_OF[want]})
             pos += 6
             if toks[pos] not in _IDENT_SET:
                 raise ParseError(pos, {"<identifier>"})
             if toks[pos] != target:
-                raise ParseError(pos, {target})
+                raise ParseError(pos, {_NAME_OF[target]})
         else:
             target = toks[pos]
             if target not in _IDENT_SET:
                 raise ParseError(pos, {"<identifier>"})
-        if toks[pos + 1] != "<=":
+        if toks[pos + 1] != _LE:
             raise ParseError(pos + 1, {"<="})
         self.pos = pos + 2
         nxt = self.expr()
         pos = self.pos
-        if toks[pos] != ";":
+        if toks[pos] != _SEMI:
             raise ParseError(pos, {";"})
-        if toks[pos + 1] != "end":
+        if toks[pos + 1] != _END:
             raise ParseError(pos + 1, {"end"})
         self.pos = pos + 2
-        return Register(target, nxt, edge, clock, reset)
+        return Register(_NAME_OF[target], nxt, _NAME_OF[edge],
+                        _NAME_OF[clock], reset)
 
     def expr(self) -> Expr:
         cond = self.binary(1)
-        if self.toks[self.pos] != "?":
+        if self.toks[self.pos] != _QUESTION:
             return cond
         self.pos += 1
         then = self.expr()
-        self.expect(":")
+        pos = self.pos
+        if self.toks[pos] != _COLON:
+            raise ParseError(pos, {":"})
+        self.pos = pos + 1
         return Ternary(cond, then, self.expr())
 
     def binary(self, min_prec: int) -> Expr:
@@ -270,37 +291,44 @@ class _Parser:
         in place: a unary, then '==' and a unary if one follows."""
         toks = self.toks
         left = self.unary()
-        if toks[self.pos] == "==":
+        if toks[self.pos] == _EQEQ:
             self.pos += 1
             left = Binary("==", left, self.unary())
         op = toks[self.pos]
         prec = _PREC.get(op, 0)
         while prec >= min_prec:
             self.pos += 1
-            left = Binary(op, left, self.binary(prec + 1))
+            left = Binary(_NAME_OF[op], left, self.binary(prec + 1))
             op = toks[self.pos]
             prec = _PREC.get(op, 0)
         return left
 
     def unary(self) -> Expr:
-        pos = self.pos
-        tok = self.toks[pos]
+        toks, pos = self.toks, self.pos
+        tok = toks[pos]
         self.pos = pos + 1
         var = _VAR.get(tok)
         if var is not None:
-            if self.toks[pos + 1] != "[":
+            if toks[pos + 1] != _LBRACKET:
                 return var
-            self.pos += 1
-            bit = self.expect("0", "1", "2", "3")
-            self.expect("]")
-            return _INDEX[tok, bit]
-        if tok == "~":
+            index = _INDEX.get((tok, toks[pos + 2]))
+            if index is None:
+                raise ParseError(pos + 2, {"0", "1", "2", "3"})
+            if toks[pos + 3] != _RBRACKET:
+                raise ParseError(pos + 3, {"]"})
+            self.pos = pos + 4
+            return index
+        if tok == _TILDE:
             return Unary("~", self.unary())
-        if tok == "0" or tok == "1":
-            return _CONST[tok]
-        if tok == "(":
+        const = _CONST.get(tok)
+        if const is not None:
+            return const
+        if tok == _LPAREN:
             e = self.expr()
-            self.expect(")")
+            pos = self.pos
+            if toks[pos] != _RPAREN:
+                raise ParseError(pos, {")"})
+            self.pos = pos + 1
             return e
         raise ParseError(pos, {"0", "1", "(", "~", "<identifier>"})
 
@@ -308,14 +336,15 @@ class _Parser:
 # --- semantic checks ---------------------------------------------------------
 
 @lru_cache(maxsize=_HEADER_CACHE_SIZE)
-def _header(key: tuple[str, ...]) -> Interface:
-    """The Interface of the token run key, 'module' through the first ')'
+def _header(key: tuple) -> Interface:
+    """The Interface of the id slice key, 'module' through the first ')'
     (see _Parser.program), parsed once per distinct key: a header is a
-    function of its tokens and the Interface, with the port facts it
-    holds, is never mutated, so parses share it. A key that does not
-    parse raises its ParseError, at the index it has in the program, and is
-    not cached."""
-    return _Parser(list(key)).interface()
+    function of its ids and the Interface, with the port facts it holds,
+    is never mutated, so parses share it. Keys compare by value, so ids
+    given as numpy ints share the entry of the same ids as ints. A key
+    that does not parse raises its ParseError, at the index it has in the
+    program, and is not cached."""
+    return _Parser(key).interface()
 
 
 def _check(iface: Interface, declarations: tuple[Decl, ...],
@@ -453,6 +482,12 @@ def parse(token_ids) -> ModuleAst:
     dependency order and its widths the map the check built.
 
     Raises ParseError (with the first offending token index) or SemanticError;
-    an id outside [0, V) is a ParseError at its index.
+    an id outside [0, V) is a ParseError at its index, checked before the
+    grammar. ``token_ids`` is read once, so any iterable serves; a tuple is
+    not copied.
     """
-    return _check(*_Parser(token_names(token_ids)).program())
+    ids = tuple(token_ids)
+    if not _IDS.issuperset(ids):
+        raise ParseError(next(i for i, t in enumerate(ids) if t not in _IDS),
+                         _BAD_ID)
+    return _check(*_Parser(ids).program())

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import earl.errors
+import earl.minirtl.lexer
+import earl.minirtl.parser
 from earl.errors import DomainError
 from earl.minirtl import (DEFAULT_VOCAB, LexError, ModuleAst, ParseError,
                           SemanticError, Stimulus, detokenize, parse,
@@ -133,7 +135,8 @@ def test_sync_reset_register_parses():
 def test_comb_order_is_topological():
     text = ("module u02 ( input a , output y ) ; wire z ; "
             "assign y = z ; assign z = ~ a ; endmodule")
-    _, _, assigns, _ = _Parser(text.split()).program()  # source order
+    ids = tuple(tokenize(text))
+    _, _, assigns, _ = _Parser(ids).program()  # source order
     order = [a.target for a in comb_order(assigns, {"y": {"z"}, "z": {"a"}})]
     assert order == ["z", "y"]
     # parse stores the assigns in that order, whatever the source order
@@ -266,9 +269,13 @@ def test_semantic_error_rejects_unknown_kind_under_python_O():
 ID_CONTAINERS = (list, tuple, iter, np.array)
 
 
-@pytest.mark.parametrize("bad", [-1, DEFAULT_VOCAB.size])
+@pytest.mark.parametrize("bad", [-1, DEFAULT_VOCAB.size, 3.5, "module",
+                                 None])
 def test_out_of_range_id_is_syntax_error_at_its_index(bad):
-    for container in ID_CONTAINERS:
+    # a numpy array of ints cannot hold a str or None, and makes 3.5 a float
+    # array that equals the ids it holds, so it takes the int ids only
+    containers = ID_CONTAINERS if isinstance(bad, int) else ID_CONTAINERS[:3]
+    for container in containers:
         tokens = tokenize(AND2)
         tokens[1] = tokens[0]  # a syntax error at index 1 does not hide
         tokens[3] = bad  # the bad id: ids are checked before parsing
@@ -283,6 +290,36 @@ def test_out_of_range_id_is_syntax_error_at_its_index(bad):
         assert e.value.index == 1, container
         # in range, every container parses to the same module
         assert parse(container(tokenize(AND2))) == parse_text(AND2)
+
+
+def test_ids_parse_as_the_ints_they_equal():
+    # a float, a bool and a numpy int are the id they equal, never a tuple
+    # index: parse reads names from a dict
+    ids = tokenize(AND2)
+    expected = parse(ids)
+    for convert in (float, np.int64):
+        assert parse([convert(t) for t in ids]) == expected
+    bos = DEFAULT_VOCAB.id("BOS")
+    assert bos == 1  # the id True equals
+    for i in (0, 3, len(ids) - 1):
+        with pytest.raises(ParseError) as want:
+            parse(ids[:i] + [bos] + ids[i + 1:])
+        with pytest.raises(ParseError) as got:
+            parse(ids[:i] + [True] + ids[i + 1:])
+        assert got.value.args == want.value.args
+
+
+def test_parse_reads_no_token_names(monkeypatch):
+    def names(ids):
+        raise AssertionError("token_names called")
+
+    monkeypatch.setattr(earl.minirtl.lexer, "token_names", names)
+    monkeypatch.setattr(earl.minirtl.parser, "token_names", names,
+                        raising=False)
+    assert parse(tokenize(AND2)).interface.module_name == "and2"
+    with pytest.raises(ParseError) as e:
+        parse([0, -1])
+    assert e.value.index == 1
 
 
 def test_ternary_and_equality_parse():
@@ -386,6 +423,14 @@ def test_header_cache_never_changes_an_outcome(seed, kind, difficulty,
         candidate = ref[:where % (end + 2)]
     cold, warm = _cold_and_warm_outcomes(candidate, ref)
     assert cold == warm
+
+
+def test_numpy_and_int_headers_share_one_cache_entry():
+    _header.cache_clear()
+    first = parse(np.array(tokenize(AND2)))
+    second = parse(tokenize(AND2))
+    assert _header.cache_info()[:2] == (1, 1)  # one miss, then one hit
+    assert first.interface is second.interface
 
 
 def test_a_port_error_waits_for_a_later_syntax_error():

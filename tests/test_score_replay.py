@@ -1,9 +1,12 @@
 """scripts/score_replay.py at smoke size: it records the score calls of a
 short RL run, replays them cold and reports their stage mix."""
 
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 import earl.reward as rew
 from earl.minirtl import parser, tokenize
@@ -71,3 +74,31 @@ def test_simulated_calls_are_split_by_whether_the_design_has_registers(
     one, reg = mix["one-pass"], mix["registers"]
     assert (f"calls that simulate: {one} one-pass ({one / n:.1%}), {reg} "
             f"with registers ({reg / n:.1%})") in out
+
+
+def test_against_replays_two_checkouts_alternately(capsys):
+    root = str(_PATH.parents[1])  # this checkout on both sides
+    assert sr.main(["--sft-steps", "20", "--rl-steps", "2", "--passes", "3",
+                    "--against", root], counts=SMOKE_COUNTS) == 0
+    out = capsys.readouterr().out
+    got = re.search(r"scoring per RL step, alternating with (.+): this "
+                    r"checkout [\d.]+ ms, CHECKOUT [\d.]+ ms \(medians of 3 "
+                    r"cold passes each\); CHECKOUT lower in (\d) of 3 passes",
+                    out)
+    assert got and got[1] == root and int(got[2]) <= 3
+    assert ("both checkouts' breakdowns equal the recorded ones field by "
+            "field: yes") in out
+    # the loaded checkout has its own classes and its own header cache
+    score, header = sr.load_checkout(root)
+    assert score is not rew.score and header is not parser._header
+    calls = sr.record(1, 3, 20, SMOKE_COUNTS)
+    mine, theirs, same = sr.replay_against(calls, 2, (score, header))
+    assert len(mine) == len(theirs) == 2 and same
+    assert header.cache_info().currsize > 0
+
+    def off(*args, **kwargs):  # one field of every breakdown differs
+        return dataclasses.replace(rew.score(*args, **kwargs), reward=-1.0)
+
+    assert not sr.replay_against(calls, 1, (off, header))[2]
+    with pytest.raises(SystemExit):  # a directory with no src/earl
+        sr.main(["--rl-steps", "1", "--against", str(_PATH.parent)])
