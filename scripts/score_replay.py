@@ -12,12 +12,14 @@ steps, 512 contexts a batch: the benchmark's rl-train set-up). It then runs
 recording every `reward.score` call, and replays those calls --passes
 times in this process. Before each pass it clears the parser's header
 cache (`parser._header.cache_clear()`), so every pass starts as cold as the
-recording did. A benchmark pool scored round after round is warm after its
-first round; this replay measures scoring as RL traffic meets it.
+recording did, and runs a full garbage collection (`gc.collect()`) before
+the clock starts, so no pass pays for an earlier pass's garbage. A
+benchmark pool scored round after round is warm after its first round;
+this replay measures scoring as RL traffic meets it.
 
 It prints the recorded calls' stage mix, the calls that simulate the
 candidate split by its design (one-pass, without registers, or with
-registers: the share of traffic each simulator path meets), the header
+registers, whose passes repeat until the registers settle), the header
 cache's hits and misses in one pass, the median and quartiles over passes
 of the milliseconds of scoring per RL step (CPU time of this process, the
 benchmark's clock), and whether every replayed breakdown equals the
@@ -29,7 +31,8 @@ relative), and replays the calls recorded with this checkout through both
 checkouts' reward.score, alternating them pass by pass (which side goes
 first alternates too). Before each of its passes, each side clears its own
 header cache. It prints each side's median milliseconds of scoring per RL
-step and the number of passes in which CHECKOUT was lower, then whether
+step, the number of passes in which CHECKOUT was lower and the median over
+passes of CHECKOUT's time over this checkout's in the same pass, then whether
 every breakdown of either side equals the recorded one, compared field by
 field (the two checkouts' classes differ), and exits 1 when one differs.
 Both sides read the same recorded arguments: this checkout's tasks and
@@ -40,6 +43,7 @@ in one process.
 
 import argparse
 import dataclasses
+import gc
 import importlib.machinery
 import importlib.util
 import statistics
@@ -88,8 +92,10 @@ def record(rl_steps: int, seed: int, sft_steps: int, counts=None) -> list:
 
 def timed_pass(score, header, calls) -> tuple[float, list]:
     """The CPU seconds that score took over calls, after clearing header
-    (the parser's header cache of score's checkout), and its breakdowns."""
+    (the parser's header cache of score's checkout) and a full garbage
+    collection outside the timed region, and its breakdowns."""
     header.cache_clear()
+    gc.collect()
     clock = time.process_time
     t0 = clock()
     got = [score(*args, **kwargs) for args, kwargs, _ in calls]
@@ -165,8 +171,8 @@ def stage_mix(breakdowns) -> dict:
 
 def simulated_mix(calls) -> dict:
     """Calls whose candidate is simulated (it reaches the functional stage),
-    by its design: "one-pass" without registers (walked once) and
-    "registers" (compiled, its passes repeated)."""
+    by its design: "one-pass" without registers and "registers", whose
+    passes repeat until the registers settle."""
     mix = dict.fromkeys(("one-pass", "registers"), 0)
     eos = DEFAULT_VOCAB.id(EOS)
     for args, _, bd in calls:
@@ -213,10 +219,12 @@ def main(argv=None, counts=None) -> int:
         ms = [1e3 * statistics.median(s) / args.rl_steps
               for s in (mine, theirs)]
         lower = sum(b < a for a, b in zip(mine, theirs))
+        ratio = statistics.median(b / a for a, b in zip(mine, theirs))
         print(f"scoring per RL step, alternating with {args.against}: this "
               f"checkout {ms[0]:.3f} ms, CHECKOUT {ms[1]:.3f} ms (medians of "
               f"{args.passes} cold passes each); CHECKOUT lower in {lower} "
-              f"of {args.passes} passes")
+              f"of {args.passes} passes, median per-pass ratio CHECKOUT / "
+              f"this checkout {ratio:.4f}")
         print(f"both checkouts' breakdowns equal the recorded ones field by "
               f"field: {'yes' if same else 'NO'}")
         return 0 if same else 1

@@ -51,22 +51,9 @@ induction from lane 0 (0 in both). ``simulate_packed`` returns the packed
 outputs, and ``equivalence_fraction`` counts mismatched bits with one
 ``int.bit_count`` per output. ``simulate`` unpacks them into one row per
 cycle; only the benchmark and the tests call it.
-
-Two ways to evaluate, chosen by whether the module has registers. A design
-without registers evaluates each expression once, so ``_walk`` walks each
-assign's tree once and builds nothing. A design with registers repeats
-the pass, so ``_compile`` first turns each expression into closures, its
-'~' masks fixed, and every pass calls them without a tree walk or a width
-lookup. Compiling paid when every expression ran once per cycle; since
-lane packing it pays only where passes repeat: it takes about half of a
-one-pass simulation, and walking every pass of a design with registers is
-slower than the closures.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
-from operator import itemgetter
 
 from ..errors import DomainError
 from .ast import (LANE, LANE_MASK, Binary, Const, Expr, Index, Interface,
@@ -84,64 +71,12 @@ CLOCK_NAME = "clk"
 RESET_NAME = "rst"
 
 
-def _equal(a, b, ones):
-    carry = ones * LANE_MASK  # into bit 4 of each lane where a, b differ
-    return lambda v: ((((a(v) ^ b(v)) + carry) >> (LANE - 1)) & ones) ^ ones
-
-
-def _select(c, a, b):
-    def f(v):
-        other = b(v)
-        return other ^ ((a(v) ^ other) & c(v) * LANE_MASK)
-    return f
-
-
-# Closure factories, by operator or node kind: each closure captures only
-# its operands and lane constants (lambdas inside _compile would make a cell
-# per local, per call).
-_MAKE = {
-    "&": lambda a, b, ones: lambda v: a(v) & b(v),
-    "|": lambda a, b, ones: lambda v: a(v) | b(v),
-    "^": lambda a, b, ones: lambda v: a(v) ^ b(v),
-    "==": _equal,
-    "~": lambda a, mask: lambda v: a(v) ^ mask,
-    "?:": _select,
-    "[]": lambda name, bit, ones: lambda v: (v[name] >> bit) & ones,
-    "const": lambda value: lambda v: value,
-}
-
-
-def _compile(e: Expr, widths: dict[str, int],
-             ones: int) -> Callable[[dict], int]:
-    """A function of the lane-packed signal values that computes e on every
-    lane of ones. Each '~' mask is fixed here, from its operand's width
-    (expr_width), so evaluation walks no tree and derives no width. Node
-    kinds are tested most common first."""
-    if isinstance(e, Var):
-        return itemgetter(e.name)
-    if isinstance(e, Binary):
-        return _MAKE[e.op](_compile(e.left, widths, ones),
-                           _compile(e.right, widths, ones), ones)
-    if isinstance(e, Unary):
-        return _MAKE["~"](_compile(e.operand, widths, ones),
-                          ones * ((1 << expr_width(e.operand, widths)) - 1))
-    if isinstance(e, Ternary):
-        return _MAKE["?:"](_compile(e.cond, widths, ones),
-                           _compile(e.then, widths, ones),
-                           _compile(e.other, widths, ones))
-    if isinstance(e, Index):
-        return _MAKE["[]"](e.name, e.bit, ones)
-    if isinstance(e, Const):
-        return _MAKE["const"](e.value * ones)
-    raise AssertionError(e)
-
-
 def _walk(e: Expr, v: dict, widths: dict[str, int], ones: int) -> int:
     """e on every lane of ones, the signals' lanes read from v: one walk of
-    its tree, with the lane formulas _compile's closures use and each '~'
-    mask found (expr_width) before its operand is read. Node kinds are
-    tested by exact type, most common first, and a Binary reads a Var
-    operand without a call."""
+    its tree, with the lane formulas above and each '~' mask found
+    (expr_width) before its operand is read. Node kinds are tested by
+    exact type, most common first, and a Binary reads a Var operand
+    without a call."""
     t = type(e)
     if t is Var:
         return v[e.name]
@@ -180,13 +115,12 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
     Pure and total given the AST invariants and a stimulus that drives
     each input it holds at its declared width (a wider '?:' condition
     would reach the next lane). A declared input that the stimulus does
-    not drive is driven to 0; its other names are never read. A design
-    without registers is walked once (_walk), one with registers compiled
-    once per call and its passes repeated (_compile). Outside the AST
-    invariants, a '~' over an undeclared name raises SemanticError and
-    any other read of one KeyError, on either path. Where an expression
-    has both, compiling raises SemanticError, and the walk raises
-    whichever it meets first.
+    not drive is driven to 0; its other names are never read. Each pass
+    walks every expression once (_walk), and a design without registers
+    takes one pass without the register bookkeeping. Outside the AST
+    invariants, a '~' over an undeclared name raises SemanticError and any
+    other read of one KeyError; where an expression has both, whichever
+    the walk meets first is raised.
     """
     widths = ast.widths
     ones = stim.ones
@@ -199,22 +133,21 @@ def simulate_packed(ast: ModuleAst, stim: Stimulus) -> dict[str, int]:
             values[a.target] = _walk(a.expr, values, widths, ones)
         return {p.name: values[p.name] for p in ast.interface.output_ports}
     first = LANE * stim.reset_prefix
-    assigns = [(a.target, _compile(a.expr, widths, ones)) for a in ast.assigns]
     # a reset is 'reset ? 0 : next'; mask: the width in lanes prefix .. n-2
-    registers = [(r.target, _compile(r.next_expr if r.reset is None else
-                                     Ternary(r.reset, Const(0), r.next_expr),
-                                     widths, ones),
+    registers = [(r.target, r.next_expr if r.reset is None else
+                  Ternary(r.reset, Const(0), r.next_expr),
                   (ones >> LANE) * ((1 << widths[r.target]) - 1)
                   >> first << first)
                  for r in ast.registers]
     state = {r.target: 0 for r in ast.registers}
     while True:
         values.update(state)
-        for target, f in assigns:
-            values[target] = f(values)
+        for a in ast.assigns:
+            values[a.target] = _walk(a.expr, values, widths, ones)
         settled = {}
         for target, nxt, mask in registers:
-            settled[target] = (nxt(values) & mask) << LANE
+            settled[target] = (_walk(nxt, values, widths, ones)
+                               & mask) << LANE
         if settled == state:
             return {p.name: values[p.name]
                     for p in ast.interface.output_ports}

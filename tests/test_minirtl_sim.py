@@ -18,7 +18,6 @@ from earl.minirtl import (Assign, Binary, Const, Decl, Index, Interface,
                           Unary, Var, build_vectors, equivalence_fraction,
                           is_exhaustive, parse, simulate, simulate_packed,
                           tokenize)
-from earl.minirtl import sim as sim_module
 from earl.minirtl.ast import LANE, SemanticError, expr_width
 from earl.minirtl.sim import lane_repunit
 
@@ -572,36 +571,30 @@ def test_reset_prefix_outside_the_rows_is_rejected(prefix):
     assert Stimulus.from_cycles(rows, 3).reset_prefix == 3
 
 
-# --- walked and compiled designs ---------------------------------------------
-# A design without registers is walked once; one with registers is compiled
-# into closures and its passes repeated.
+# --- designs with and without registers --------------------------------------
+# A design without registers takes one pass; one with registers repeats the
+# pass until its register lanes settle.
 
 _WALKED = ("module u00 ( input [ 1 : 0 ] a , input [ 1 : 0 ] b , "
            "input c , output [ 1 : 0 ] y , output e ) ; "
            "assign y = c ? ~ a : a ^ b ; assign e = ( a == b ) | b [ 1 ] ; "
            "endmodule")
-_COMPILED = ("module u00 ( input clk , input [ 1 : 0 ] a , "
-             "output [ 1 : 0 ] y , output [ 1 : 0 ] q ) ; reg [ 1 : 0 ] q ; "
-             "always @ ( posedge clk ) begin q <= ~ a ; end "
-             "assign y = a ^ q ; endmodule")
+_REGISTERED = ("module u00 ( input clk , input [ 1 : 0 ] a , "
+               "output [ 1 : 0 ] y , output [ 1 : 0 ] q ) ; "
+               "reg [ 1 : 0 ] q ; "
+               "always @ ( posedge clk ) begin q <= ~ a ; end "
+               "assign y = a ^ q ; endmodule")
 
 
-def test_a_design_without_registers_is_simulated_without_compiling(
-        monkeypatch):
-    comb, seq = parse_text(_WALKED), parse_text(_COMPILED)
-    comb_stim, seq_stim = build_vectors(comb), build_vectors(seq)
-    want = simulate_packed(comb, comb_stim)
-    assert want == {name: sum(row[name] << LANE * c for c, row in
-                              enumerate(scalar_simulate(comb, comb_stim)))
-                    for name in ("y", "e")}
-
-    def no_compile(*args):
-        raise RuntimeError("compiled")
-
-    monkeypatch.setattr(sim_module, "_compile", no_compile)
-    assert simulate_packed(comb, comb_stim) == want
-    with pytest.raises(RuntimeError, match="compiled"):
-        simulate_packed(seq, seq_stim)
+@pytest.mark.parametrize("text", [_WALKED, _REGISTERED])
+def test_designs_with_and_without_registers_agree_with_the_scalar_simulator(
+        text):
+    ast = parse_text(text)
+    stim = build_vectors(ast)
+    assert simulate_packed(ast, stim) == {
+        p.name: sum(row[p.name] << LANE * c for c, row in
+                    enumerate(scalar_simulate(ast, stim)))
+        for p in ast.interface.output_ports}
 
 
 def _with_expr(ast, target, expr):
@@ -616,12 +609,13 @@ def _with_expr(ast, target, expr):
 
 
 @pytest.mark.parametrize("text, target", [(_WALKED, "y"),
-                                          (_COMPILED, "y"),
-                                          (_COMPILED, "q")])
-def test_an_undeclared_name_raises_on_either_path(text, target):
+                                          (_REGISTERED, "y"),
+                                          (_REGISTERED, "q")])
+def test_an_undeclared_name_raises_where_it_is_read(text, target):
     """Outside the AST invariants: a '~' over an undeclared name raises
-    SemanticError and any other read of one KeyError, walked or
-    compiled, wherever the node sits in the tree."""
+    SemanticError and any other read of one KeyError, in an assign or a
+    register's next state, with or without registers in the design,
+    wherever the node sits in the tree."""
     ast = parse_text(text)
     stim = build_vectors(ast)
     a = Var("a")

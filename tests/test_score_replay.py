@@ -49,6 +49,28 @@ def test_replay_clears_the_header_cache_before_each_pass():
     assert parser._header.cache_info()[:2] == cold[:2]
 
 
+def test_a_pass_collects_garbage_before_its_clock_starts(monkeypatch):
+    events = []
+
+    class Header:
+        def cache_clear(self):
+            events.append("clear")
+
+    def clock():
+        events.append("clock")
+        return float(len(events))
+
+    def score(*args, **kwargs):
+        events.append("score")
+        return args
+
+    monkeypatch.setattr(sr.gc, "collect", lambda: events.append("collect"))
+    monkeypatch.setattr(sr.time, "process_time", clock)
+    seconds, got = sr.timed_pass(score, Header(), [((1,), {}, None)] * 2)
+    assert events == ["clear", "collect", "clock", "score", "score", "clock"]
+    assert got == [(1,), (1,)] and seconds == 3.0
+
+
 def test_simulated_calls_are_split_by_whether_the_design_has_registers(
         capsys):
     calls = sr.record(2, 1, 20, SMOKE_COUNTS)
@@ -83,9 +105,10 @@ def test_against_replays_two_checkouts_alternately(capsys):
     out = capsys.readouterr().out
     got = re.search(r"scoring per RL step, alternating with (.+): this "
                     r"checkout [\d.]+ ms, CHECKOUT [\d.]+ ms \(medians of 3 "
-                    r"cold passes each\); CHECKOUT lower in (\d) of 3 passes",
-                    out)
-    assert got and got[1] == root and int(got[2]) <= 3
+                    r"cold passes each\); CHECKOUT lower in (\d) of 3 passes, "
+                    r"median per-pass ratio CHECKOUT / this checkout "
+                    r"(\d+\.\d{4})$", out, re.M)
+    assert got and got[1] == root and int(got[2]) <= 3 and float(got[3]) > 0
     assert ("both checkouts' breakdowns equal the recorded ones field by "
             "field: yes") in out
     # the loaded checkout has its own classes and its own header cache
