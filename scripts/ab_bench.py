@@ -32,7 +32,9 @@ a JSON result stops the A/B: its side, seed, exit code and the last lines of
 its standard error are printed, then the summary of that workload's pairs
 already run, and no later workload runs. The exit code is 0 only when every
 pair of every workload ran, every run was correct, no digest differs and no
-metric of any workload is worse beyond its bound. Standard library only.
+metric of any workload is worse beyond its bound. A ``--seeds`` list that
+is empty, not integers, holds a descending range or repeats a seed is a
+usage error (exit 2) before any run. Standard library only.
 """
 
 import argparse
@@ -64,11 +66,23 @@ class RunFailed(Exception):
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-4,7' -> [1, 2, 3, 4, 7]."""
+    """'1-4,7' -> [1, 2, 3, 4, 7]; each part a seed or an ascending range
+    of seeds, and no seed twice, so every listed seed runs one pair."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, dash, hi = part.partition("-")
+        try:
+            lo, hi = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{part!r} in {text!r} is not a seed or a range of seeds "
+                "(e.g. 1-4,7)") from None
+        if hi < lo:
+            raise argparse.ArgumentTypeError(
+                f"the range {part!r} in {text!r} descends")
+        seeds += range(lo, hi + 1)
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"a seed repeats in {text!r}")
     return seeds
 
 
@@ -240,7 +254,7 @@ def ab_workload(args, workload: str, bounds: dict) -> int:
     their summary; 0 if it passes, 1 if it fails (``failed``) and 2 if a run
     failed, after that run's stderr and the summary of the pairs before it."""
     pairs = []
-    for seed in parse_seeds(args.seeds):
+    for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         runs = {}
         for side in order:
@@ -269,7 +283,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, type=parse_workloads,
                     help="one or more of " + ",".join(WORKLOADS)
                     + ", comma-separated")
-    ap.add_argument("--seeds", default="1-16")
+    ap.add_argument("--seeds", default="1-16", type=parse_seeds,
+                    help="seeds and ascending ranges, comma-separated, each "
+                    "seed once (default 1-16)")
     ap.add_argument("--seconds", type=int, default=15)
     args = ap.parse_args(argv)
     bounds = load_bounds(args.parent)

@@ -197,6 +197,8 @@ def cmd_gen_data(cfg: RunConfig, args) -> None:
     tg.save_corpus(corpus, path)
     print(f"wrote {path} ({len(corpus.tasks)} tasks, "
           f"{len(corpus.train())} train / {len(corpus.heldout())} heldout)")
+    print(f"{len(corpus.heldout_in_train())} of {len(corpus.heldout())} "
+          "heldout tasks have a train task's prompt")
 
 
 def cmd_sft(cfg: RunConfig, args) -> None:
@@ -259,6 +261,19 @@ def cmd_eval(cfg: RunConfig, args) -> None:
           f"pass@{k0} {report.aggregate_pass(k0):.3f}; "
           f"{summary['tokens']} tokens, median {summary['median']:.3f}, "
           f"mean {summary['mean']:.3f})")
+    seen = corpus.heldout_in_train()
+    inside = [t for t in report.tasks if t.task_id in seen]
+    outside = [t for t in report.tasks if t.task_id not in seen]
+    print(f"heldout pass@1: {_pass1(inside)} with a train task's prompt, "
+          f"{_pass1(outside)} without")
+
+
+def _pass1(tasks) -> str:
+    """'<pass@1> over <n> tasks' for a list of TaskEvals."""
+    if not tasks:
+        return "n/a over 0 tasks"
+    return (f"{sum(t.pass_at(1) for t in tasks) / len(tasks):.3f} over "
+            f"{len(tasks)} tasks")
 
 
 def cmd_score(cfg: RunConfig, args) -> None:

@@ -239,22 +239,6 @@ class Stimulus:
                 f"stimulus reset prefix {self.reset_prefix!r} is not an int "
                 f"in [0, {self.n_cycles}]")
 
-    @classmethod
-    def from_cycles(cls, rows, reset_prefix: int = 0) -> "Stimulus":
-        """The stimulus driving rows[c] ({input name: value}) in cycle c; a
-        row that leaves a name out drives it to 0. Raises DomainError on a
-        value that is not an int in [0, 16), which would carry into the
-        next lane, and on a reset prefix outside [0, len(rows)]."""
-        packed: dict[str, int] = {}
-        for shift, row in zip(range(0, LANE * len(rows), LANE), rows):
-            for name, value in row.items():
-                if not isinstance(value, int) or not 0 <= value <= LANE_MASK:
-                    raise DomainError(
-                        f"stimulus value {value!r} for {name!r} is not an "
-                        f"int in [0, {LANE_MASK + 1})")
-                packed[name] = packed.get(name, 0) | value << shift
-        return cls(packed, len(rows), reset_prefix)
-
     @cached_property
     def ones(self) -> int:
         """ONES of this stimulus (see sim.py), lane_repunit(n_cycles): kept

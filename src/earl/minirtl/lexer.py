@@ -2,6 +2,8 @@
 
 ``tokenize`` and ``detokenize`` round-trip up to canonical whitespace: any id
 sequence rendered by ``detokenize`` lexes back to the identical sequence.
+Ids become names through one dict, ``_NAME_OF``: ``detokenize`` renders with
+it, and the parser names its nodes with it.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ def tokenize(text: str) -> list[int]:
         raise
 
 
-def token_names(ids) -> list[str]:
-    """The vocabulary entry of each id, for detokenize; an id outside
-    [0, V) is a ParseError at its index. ``ids`` is read once, so any
-    iterable serves. parse reads the ids themselves and calls no
-    token_names."""
+def detokenize(ids) -> str:
+    """Render token ids as single-space-separated canonical source text;
+    ``ids`` is read once, so any iterable serves. An id outside [0, V) is a
+    ParseError at its index, the one parse raises for it."""
     names: list[str] = []
     try:
         # extend keeps the names it appended before a failed lookup, so
@@ -54,10 +55,4 @@ def token_names(ids) -> list[str]:
         names.extend(map(_NAME_OF.__getitem__, ids))
     except KeyError:
         raise ParseError(len(names), _BAD_ID) from None
-    return names
-
-
-def detokenize(ids) -> str:
-    """Render token ids as single-space-separated canonical source text;
-    raises ParseError at the first id outside [0, V)."""
-    return " ".join(token_names(ids))
+    return " ".join(names)

@@ -69,6 +69,13 @@ class Corpus:
     def heldout(self) -> tuple[Task, ...]:
         return tuple(t for t in self.tasks if t.split == "eval-heldout")
 
+    def heldout_in_train(self) -> frozenset[str]:
+        """The ids of the heldout tasks whose prompt is token-identical to
+        some train task's prompt."""
+        train = {t.prompt_tokens for t in self.train()}
+        return frozenset(t.id for t in self.heldout()
+                         if t.prompt_tokens in train)
+
 
 # 625 tasks -> 500 train / 125 heldout at the default heldout fraction.
 DEFAULT_CORPUS_COUNTS = {

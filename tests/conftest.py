@@ -1,12 +1,15 @@
 """Shared fixtures: the default corpus, the pinned candidate set that the
 MiniRTL parser and simulator pins score, and the tiny SFT policy that the RL
-tests start from; and the failure message of the float pins."""
+tests start from; the failure message of the float pins; and the per-cycle
+stimulus constructor of the simulator tests."""
 
 import numpy as np
 import pytest
 
 from earl import policy as pol
-from earl.minirtl import DEFAULT_VOCAB, tokenize
+from earl.errors import DomainError
+from earl.minirtl import DEFAULT_VOCAB, Stimulus, tokenize
+from earl.minirtl.ast import LANE, LANE_MASK
 from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
 from earl.seeds import rng_for
 from earl.taskgen import CorpusConfig, build_corpus
@@ -57,6 +60,22 @@ def dense_dW(acc, params):
     dW = np.zeros_like(params.W)
     dW[acc.ids] = acc.dW
     return dW
+
+
+def stimulus_from_rows(rows, reset_prefix=0):
+    """The Stimulus driving rows[c] ({input name: value}) in cycle c; a row
+    that leaves a name out drives it to 0. Raises DomainError on a value
+    that is not an int in [0, 16), which would carry into the next lane;
+    Stimulus itself checks the reset prefix."""
+    packed = {}
+    for shift, row in zip(range(0, LANE * len(rows), LANE), rows):
+        for name, value in row.items():
+            if not isinstance(value, int) or not 0 <= value <= LANE_MASK:
+                raise DomainError(
+                    f"stimulus value {value!r} for {name!r} is not an int "
+                    f"in [0, {LANE_MASK + 1})")
+            packed[name] = packed.get(name, 0) | value << shift
+    return Stimulus(packed, len(rows), reset_prefix)
 
 
 @pytest.fixture(scope="session")

@@ -135,6 +135,22 @@ def test_claim_rule_needs_nine_of_ten_pairs_and_a_gap_beyond_the_spread():
 def test_parse_seeds():
     assert ab.parse_seeds("1-4,7") == [1, 2, 3, 4, 7]
     assert ab.parse_seeds("3") == [3]
+    assert ab.parse_seeds("7,1-2") == [7, 1, 2]
+
+
+@pytest.mark.parametrize("bad", ["3-1", "", "x", "1,x", "1-", "-1", "1,,2",
+                                 "1.5", "1-3,2", "4,4"])
+def test_a_seed_list_that_runs_nothing_or_repeats_is_a_usage_error(
+        bad, capsys):
+    # empty, descending, non-integer or repeated: no pair may be skipped
+    # or run twice, so the A/B stops before any run (the checkouts here do
+    # not exist)
+    with pytest.raises(ab.argparse.ArgumentTypeError):
+        ab.parse_seeds(bad)
+    with pytest.raises(SystemExit) as e:
+        ab.main(["p", "c", "--workload", "score", "--seeds", bad])
+    assert e.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
 
 
 BOUNDS = {"setup_s": (0.25, "lower"), "op_ms.p50": (0.24, "lower"),

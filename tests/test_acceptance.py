@@ -12,15 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense_dW
+from conftest import dense_dW, stimulus_from_rows
 from earl import analysis as an
 from earl import policy as pol
 from earl import reward as rew
 from earl import rlcore as rl
 from earl import taskgen as tg
-from earl.minirtl import (Stimulus, Vocab, build_vectors,
-                          equivalence_fraction, parse, simulate,
-                          simulate_packed, tokenize)
+from earl.minirtl import (Vocab, build_vectors, equivalence_fraction,
+                          parse, simulate, simulate_packed, tokenize)
 from earl.minirtl.vocab import DEFAULT_VOCAB
 from earl.seeds import mix, rng_for
 
@@ -229,7 +228,7 @@ def _truth_table(ast):
     iface = ast.interface
     inputs, outputs = iface.inputs(), iface.output_ports
     combos = list(itertools.product(*[range(2 ** p.width) for p in inputs]))
-    stim = Stimulus.from_cycles(tuple(
+    stim = stimulus_from_rows(tuple(
         {p.name: v for p, v in zip(inputs, bits)} for bits in combos), 0)
     trace = simulate(ast, stim)
     width = {p.name: p.width for p in outputs}

@@ -109,6 +109,39 @@ def test_eval_samples_once_at_the_rl_settings(tmp_path):
     assert (out / "entropy_hist.csv").read_text() == _histogram_csv(rollouts)
 
 
+def test_heldout_tasks_with_a_train_prompt_are_reported(tmp_path, capsys):
+    # counter-easy prompts repeat, so at seed 3 some heldout tasks share a
+    # train task's prompt; gen-data prints how many, and eval prints pass@1
+    # on both sides, from corpus.json's splits and eval.csv's rows
+    path, _ = mini_config(tmp_path, corpus={"counts": {"counter-easy": 30},
+                                            "heldout_fraction": 0.2})
+    out = tmp_path / "run"
+    assert run(["gen-data", "--config", path]) == 0
+    records = json.loads((out / "corpus.json").read_text())
+    train = {tuple(r["prompt_tokens"]) for r in records
+             if r["split"] == "train"}
+    heldout = [r for r in records if r["split"] == "eval-heldout"]
+    seen = {r["id"] for r in heldout if tuple(r["prompt_tokens"]) in train}
+    assert 0 < len(seen) < len(heldout)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{len(seen)} of {len(heldout)} heldout tasks have a train task's "
+        "prompt")
+    for sub in ("sft", "eval"):
+        assert run([sub, "--config", path]) == 0
+    rows = list(csv.DictReader(io.StringIO((out / "eval.csv").read_text())))
+    rows = [r for r in rows if r["task_id"] != "aggregate"]
+    assert len(rows) == len(heldout)
+
+    def pass1(inside):
+        got = [float(r["pass@1"]) for r in rows
+               if (r["task_id"] in seen) == inside]
+        return f"{sum(got) / len(got):.3f} over {len(got)} tasks"
+
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"heldout pass@1: {pass1(True)} with a train task's prompt, "
+        f"{pass1(False)} without")
+
+
 def test_score_reference_is_full_reward(tmp_path):
     path, data = mini_config(tmp_path)
     assert run(["gen-data", "--config", path]) == 0

@@ -54,6 +54,10 @@ def test_detokenize_rejects_ids_outside_vocab(ids, index):
         parse(ids)
     assert got.value.index == want.value.index == index
     assert got.value.expected == want.value.expected
+    # ids are read once, so an iterator fails at the same index
+    with pytest.raises(ParseError) as once:
+        detokenize(iter(ids))
+    assert once.value.index == index
 
 
 def test_two_char_operators_lex_maximally():

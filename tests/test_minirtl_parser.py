@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import stimulus_from_rows
 import earl.errors
-import earl.minirtl.lexer
-import earl.minirtl.parser
 from earl.errors import DomainError
 from earl.minirtl import (DEFAULT_VOCAB, LexError, ModuleAst, ParseError,
-                          SemanticError, Stimulus, detokenize, parse,
-                          simulate, tokenize)
+                          SemanticError, detokenize, parse, simulate,
+                          tokenize)
 from earl.minirtl.ast import Assign, Const
 from earl.minirtl.parser import _header, _Parser, comb_order
 from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
@@ -142,7 +141,7 @@ def test_comb_order_is_topological():
     # parse stores the assigns in that order, whatever the source order
     ast = parse_text(text)
     assert [a.target for a in ast.assigns] == ["z", "y"]
-    trace = simulate(ast, Stimulus.from_cycles(({"a": 0}, {"a": 1}), 0))
+    trace = simulate(ast, stimulus_from_rows(({"a": 0}, {"a": 1}), 0))
     assert [row["y"] for row in trace] == [1, 0]
     # a bit-index read is a dependency too
     text = ("module u02 ( input [ 1 : 0 ] a , output y ) ; "
@@ -150,7 +149,7 @@ def test_comb_order_is_topological():
             "assign y = z [ 1 ] ; assign z = ~ a ; endmodule")
     ast = parse_text(text)
     assert [a.target for a in ast.assigns] == ["z", "y"]
-    trace = simulate(ast, Stimulus.from_cycles(({"a": 0}, {"a": 2}), 0))
+    trace = simulate(ast, stimulus_from_rows(({"a": 0}, {"a": 2}), 0))
     assert [row["y"] for row in trace] == [1, 0]
 
 
@@ -307,19 +306,6 @@ def test_ids_parse_as_the_ints_they_equal():
         with pytest.raises(ParseError) as got:
             parse(ids[:i] + [True] + ids[i + 1:])
         assert got.value.args == want.value.args
-
-
-def test_parse_reads_no_token_names(monkeypatch):
-    def names(ids):
-        raise AssertionError("token_names called")
-
-    monkeypatch.setattr(earl.minirtl.lexer, "token_names", names)
-    monkeypatch.setattr(earl.minirtl.parser, "token_names", names,
-                        raising=False)
-    assert parse(tokenize(AND2)).interface.module_name == "and2"
-    with pytest.raises(ParseError) as e:
-        parse([0, -1])
-    assert e.value.index == 1
 
 
 def test_ternary_and_equality_parse():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import stimulus_from_rows
 from earl.errors import DomainError
 from earl.minirtl import (Assign, Binary, Const, Decl, Index, Interface,
                           ModuleAst, PortDecl, Register, Stimulus, Ternary,
@@ -35,7 +36,7 @@ def parse_text(text):
 
 def test_and2_truth_table():
     ast = parse_text(AND2)
-    stim = Stimulus.from_cycles((
+    stim = stimulus_from_rows((
         {"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 0},
         {"a": 1, "b": 1}), 0)
     trace = simulate(ast, stim)
@@ -46,8 +47,8 @@ def test_dff_one_cycle_delay():
     text = ("module dff ( input clk , input d , output q ) ; reg q ; "
             "always @ ( posedge clk ) begin q <= d ; end endmodule")
     ast = parse_text(text)
-    stim = Stimulus.from_cycles(({"clk": 1, "d": 1}, {"clk": 1, "d": 0},
-                                 {"clk": 1, "d": 1}), 0)
+    stim = stimulus_from_rows(({"clk": 1, "d": 1}, {"clk": 1, "d": 0},
+                               {"clk": 1, "d": 1}), 0)
     trace = simulate(ast, stim)
     assert [c["q"] for c in trace] == [0, 1, 0]
 
@@ -58,7 +59,7 @@ def test_two_bit_counter_wraps():
             "always @ ( posedge clk ) begin q0 <= ~ q0 ; end "
             "always @ ( posedge clk ) begin q1 <= q1 ^ q0 ; end endmodule")
     ast = parse_text(text)
-    stim = Stimulus.from_cycles(tuple({"clk": 1} for _ in range(5)), 0)
+    stim = stimulus_from_rows(tuple({"clk": 1} for _ in range(5)), 0)
     trace = simulate(ast, stim)
     values = [c["q0"] + 2 * c["q1"] for c in trace]
     assert values == [0, 1, 2, 3, 0]
@@ -83,8 +84,8 @@ def test_not_masks_to_its_operand_width_on_buses():
             "assign q = ~ a == b ; assign t0 = ~ a [ 2 ] ; endmodule")
     pairs = [(a, b) for a in range(16) for b in range(16)]
     trace = simulate(parse_text(text),
-                     Stimulus.from_cycles(tuple({"a": a, "b": b}
-                                                for a, b in pairs), 0))
+                     stimulus_from_rows(tuple({"a": a, "b": b}
+                                              for a, b in pairs), 0))
     assert trace == [{"y": ~a & 15, "z": ~(a ^ (~b & 15)) & 15,
                       "q": int((~a & 15) == b), "t0": ~(a >> 2 & 1) & 1}
                      for a, b in pairs]
@@ -96,7 +97,7 @@ def test_not_in_an_untaken_arm_masks_when_the_arm_is_taken():
             "assign y = sel ? ~ a : b ; endmodule")
     rows = [(0, a, 15 - a) for a in range(16)] + \
         [(1, a, 0) for a in range(16)]
-    trace = simulate(parse_text(text), Stimulus.from_cycles(tuple(
+    trace = simulate(parse_text(text), stimulus_from_rows(tuple(
         {"sel": s, "a": a, "b": b} for s, a, b in rows), 0))
     assert [c["y"] for c in trace] == [~a & 15 if s else b
                                        for s, a, b in rows]
@@ -109,7 +110,7 @@ def test_not_in_register_next_state_and_reset():
             "always @ ( posedge clk ) begin if ( ~ rst ) t0 <= 0 ; "
             "else t0 <= ~ t0 ; end endmodule")
     rows = [(1, 0), (1, 1), (0, 2), (1, 3), (1, 3), (1, 0), (0, 1)]
-    trace = simulate(parse_text(text), Stimulus.from_cycles(tuple(
+    trace = simulate(parse_text(text), stimulus_from_rows(tuple(
         {"clk": 0, "rst": r, "a": a} for r, a in rows), 1))
     # cycle 0 is the reset prefix; from then on q holds ~a of the cycle
     # before, and t0 toggles while rst is high and clears while it is low
@@ -159,7 +160,7 @@ def test_seq_vectors_reject_more_than_six_data_bits():
         build_vectors(ast)
     rows = tuple({"clk": 0, "rst": 0, "a": a, "b": b}
                  for _ in range(8) for a in range(16) for b in range(16))
-    assert not is_exhaustive(Stimulus.from_cycles(rows, 0), ast)
+    assert not is_exhaustive(stimulus_from_rows(rows, 0), ast)
 
 
 def test_seq_vectors_are_pseudorandom_above_six_data_bits():
@@ -172,7 +173,7 @@ def test_seq_vectors_are_pseudorandom_above_six_data_bits():
     body = [{"clk": 0, "rst": 0, "a": int(a), "b": int(b)}
             for a, b in rng.integers(0, 16, size=(256, 2))]
     assert 100 < len({(row["a"], row["b"]) for row in body}) < 256
-    stim = Stimulus.from_cycles(
+    stim = stimulus_from_rows(
         tuple([{"clk": 0, "rst": 1, "a": 0, "b": 0}] * 2 + body), 2)
     assert not is_exhaustive(stim, ast)
     rows = scalar_simulate(ast, stim)
@@ -254,7 +255,7 @@ def test_sim_agrees_with_truth_table_oracle(seed, difficulty):
     inputs, outputs = iface.inputs(), iface.output_ports
     combos = list(itertools.product(
         *[range(2 ** p.width) for p in inputs]))
-    stim = Stimulus.from_cycles(tuple(
+    stim = stimulus_from_rows(tuple(
         {p.name: v for p, v in zip(inputs, bits)} for bits in combos), 0)
     trace = simulate(ast, stim)
     got = [tuple(c[p.name] for p in outputs) for c in trace]
@@ -535,7 +536,7 @@ def test_packed_agrees_with_scalar_on_generated_designs(ast, seed, prefix):
     cycles = tuple({n: int(rng.integers(0, 1 << k))
                     for n, k in _INPUTS.items() if rng.random() < 0.9}
                    for _ in range(64))
-    stim = Stimulus.from_cycles(cycles, prefix)
+    stim = stimulus_from_rows(cycles, prefix)
     rows = scalar_simulate(ast, stim)
     assert simulate(ast, stim) == rows
     assert equivalence_fraction(ast, stim, simulate_packed(ast, stim)) == \
@@ -546,14 +547,16 @@ def test_packed_agrees_with_scalar_on_generated_designs(ast, seed, prefix):
 
 @pytest.mark.parametrize("value", [16, -1, 255, 1.0, "1", None])
 def test_stimulus_value_outside_a_lane_is_rejected(value):
+    # the tests' per-cycle constructor: a value that does not fit its lane
+    # would carry into the next cycle's
     with pytest.raises(DomainError, match="not an int in"):
-        Stimulus.from_cycles(({"a": 1, "b": 1}, {"a": value, "b": 0}), 0)
+        stimulus_from_rows(({"a": 1, "b": 1}, {"a": value, "b": 0}), 0)
     with pytest.raises(DomainError, match="not an int in"):
-        Stimulus.from_cycles(({"clk": 0, "d": value},), 0)
+        stimulus_from_rows(({"clk": 0, "d": value},), 0)
 
 
 def test_largest_lane_value_packs_without_carry():
-    stim = Stimulus.from_cycles(({"a": 15}, {"a": 0}, {"a": 15, "b": 1}), 0)
+    stim = stimulus_from_rows(({"a": 15}, {"a": 0}, {"a": 15, "b": 1}), 0)
     assert stim.packed == {"a": 15 | 15 << 10, "b": 1 << 10}
     assert stim.n_cycles == 3
     assert stim.ones == lane_repunit(stim.n_cycles) == 1 | 1 << 5 | 1 << 10
@@ -563,12 +566,12 @@ def test_largest_lane_value_packs_without_carry():
 
 @pytest.mark.parametrize("prefix", [-1, 4, 1.0])
 def test_reset_prefix_outside_the_rows_is_rejected(prefix):
-    rows = ({"a": 1}, {"a": 0}, {"a": 1})
+    packed = {"a": 1 | 1 << 2 * LANE}  # a = 1, 0, 1
     with pytest.raises(DomainError, match="reset prefix"):
-        Stimulus.from_cycles(rows, prefix)
-    # 0 and len(rows) are the bounds
-    assert Stimulus.from_cycles(rows, 0).reset_prefix == 0
-    assert Stimulus.from_cycles(rows, 3).reset_prefix == 3
+        Stimulus(packed, 3, prefix)
+    # 0 and n_cycles are the bounds
+    assert Stimulus(packed, 3, 0).reset_prefix == 0
+    assert Stimulus(packed, 3, 3).reset_prefix == 3
 
 
 # --- designs with and without registers --------------------------------------
@@ -703,5 +706,5 @@ def test_lanes_are_the_per_cycle_rows(ast):
     # the same rows, each with its names in the same order
     assert [list(row.items()) for row in stim.cycles] == \
         [list(row.items()) for row in rows]
-    assert Stimulus.from_cycles(stim.cycles, stim.reset_prefix) == stim
+    assert stimulus_from_rows(stim.cycles, stim.reset_prefix) == stim
     assert is_exhaustive(stim, ast)
