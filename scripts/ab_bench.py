@@ -27,9 +27,10 @@ Each end-to-end metric is held to its bound in PARENT's ``BENCHMARK.json``,
 a share of the parent's median: the line reads ``WORSE BEYOND BOUND`` when
 the change's median is worse than the parent's by more than the bound, and
 ``unresolved`` when the parent's quartile spread, as a share of its median,
-is wider than the bound. A run that exits non-zero or whose last line is not
-a JSON result stops the A/B: its side, seed, exit code and the last lines of
-its standard error are printed, then the summary of that workload's pairs
+is wider than the bound. A run that exits non-zero, runs longer than
+RUN_TIMEOUT_S seconds (it is then killed) or whose last line is not a JSON
+result stops the A/B: its side, seed, exit code and the last lines of its
+standard error are printed, then the summary of that workload's pairs
 already run, and no later workload runs. The exit code is 0 only when every
 pair of every workload ran, every run was correct, no digest differs and no
 metric of any workload is worse beyond its bound. A ``--seeds`` list that
@@ -39,6 +40,7 @@ usage error (exit 2) before any run. Standard library only.
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -52,12 +54,15 @@ REPORTED = ("raw.setup_s", "raw.op_ms.p50", "raw.op_ms.tail",
             "speed_factor.setup", "speed_factor.timed")
 COLUMNS = END_TO_END + REPORTED
 STDERR_LINES = 20  # of a failed run, printed
+# A run longer than this has hung; bench/spread.py waits as long
+RUN_TIMEOUT_S = 900
 # A claimed gain: the change lower in at least 9 of every 10 pairs
 CLAIM_LOWER, CLAIM_OF = 9, 10
 
 
 class RunFailed(Exception):
-    """A bench run that exited non-zero or printed no JSON result."""
+    """A bench run that exited non-zero, timed out or printed no JSON
+    result."""
 
     def __init__(self, code: int, why: str, stderr: str):
         super().__init__(why)
@@ -182,12 +187,18 @@ def summarize(pairs: list[tuple[int, dict, dict]],
 
 
 def run(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    """One bench run, parsed; RunFailed if it exits non-zero or its last
-    line is not a JSON result."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True)
+    """One bench run, parsed; RunFailed if it exits non-zero, runs longer
+    than RUN_TIMEOUT_S or its last line is not a JSON result."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds)],
+            cwd=checkout, capture_output=True, text=True,
+            timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as e:
+        # run() killed it; the output it captured is bytes whatever text says
+        raise RunFailed(-signal.SIGKILL, f"timed out after {RUN_TIMEOUT_S} s",
+                        (e.stderr or b"").decode(errors="replace")) from None
     if proc.returncode != 0:
         raise RunFailed(proc.returncode, "exited non-zero", proc.stderr)
     try:

@@ -36,7 +36,7 @@ passes of CHECKOUT's time over this checkout's in the same pass, then whether
 every breakdown of either side equals the recorded one, compared field by
 field (the two checkouts' classes differ), and exits 1 when one differs.
 Both sides read the same recorded arguments: this checkout's tasks and
-schedule, and the sampled token tuples. Separate processes time the same
+the sampled token tuples. Separate processes time the same
 code several percent apart, so a change of a few percent needs both sides
 in one process.
 """

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import policy as pol
-from . import reward as rew
 from . import rlcore
 from .errors import DomainError
 from .minirtl.vocab import DEFAULT_VOCAB, DIGITS, IDENTIFIERS, MODULE_NAMES
@@ -270,8 +269,7 @@ EVAL_BATCH_ROLLOUTS = 48
 
 
 def eval_suite(params: pol.PolicyParams, tasks, n: int, ks,
-               temperature: float, seed: int, max_len: int,
-               schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE,
+               temperature: float, seed: int, max_len: int, *,
                collect_rollouts: bool = False):
     """n sampled completions per task, completion j of a task drawn from
     rng_for(seed, "eval", task.id, j); returns an EvalReport, plus the raw
@@ -287,8 +285,7 @@ def eval_suite(params: pol.PolicyParams, tasks, n: int, ks,
     for start in range(0, len(tasks), per_call):
         chunk = tasks[start:start + per_call]
         for g in rlcore.sample_groups(params, chunk, n, temperature, max_len,
-                                      [(seed, "eval", t.id) for t in chunk],
-                                      schedule):
+                                      [(seed, "eval", t.id) for t in chunk]):
             rows.append(TaskEval(g.task.id, n, g.pass_count,
                                  sum(bd.syntax_ok for bd in g.breakdowns),
                                  float(np.mean(g.rewards))))
@@ -346,8 +343,7 @@ class AblationRow:
 
 
 def ablation_grid(config: rlcore.RlConfig, params: pol.PolicyParams,
-                  train_tasks, eval_tasks, rhos, seeds, n: int,
-                  schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
+                  train_tasks, eval_tasks, rhos, seeds, n: int
                   ) -> list[AblationRow]:
     """train_rl + eval per (rho, seed); rows are seed means in grid order.
 
@@ -369,10 +365,10 @@ def ablation_grid(config: rlcore.RlConfig, params: pol.PolicyParams,
                           variant="earl")
             try:
                 trained, metrics = rlcore.train_rl(cfg, params.copy(),
-                                                   train_tasks, schedule)
+                                                   train_tasks)
                 report = eval_suite(trained, eval_tasks, n=n, ks=(1, 5),
                                     temperature=cfg.temperature,
-                                    seed=int(seed), schedule=schedule,
+                                    seed=int(seed),
                                     max_len=cfg.max_response_len)
             except Exception as e:
                 error = error or f"{type(e).__name__}: {e}"

@@ -38,6 +38,13 @@ TOP_TOKENS_MIN_FREQUENCY = 10
 HEATMAP_TASKS = 1
 
 
+def _no_repeats(key: str, entries) -> None:
+    """A repeated entry would add a duplicate eval.csv column, or count a
+    seed twice in a seed mean, or train an ablation cell twice."""
+    if len(set(entries)) < len(entries):
+        raise ConfigError(f"{key}: entries must not repeat")
+
+
 @dataclass
 class EvalConfig:
     n: int = 5
@@ -48,6 +55,7 @@ class EvalConfig:
             raise ConfigError("eval.n: must be >= max(eval.ks)")
         if any(k < 1 for k in self.ks):
             raise ConfigError("eval.ks: entries must be >= 1")
+        _no_repeats("eval.ks", self.ks)
 
 
 @dataclass
@@ -63,6 +71,8 @@ class AblateConfig:
         for r in self.rhos:
             if not 0.0 <= r < 1.0:
                 raise ConfigError("ablate.rhos: entries must be in [0, 1)")
+        _no_repeats("ablate.rhos", self.rhos)
+        _no_repeats("ablate.seeds", self.seeds)
 
 
 @dataclass
@@ -74,7 +84,6 @@ class RunConfig:
     corpus: tg.CorpusConfig = field(default_factory=tg.CorpusConfig)
     sft: pol.SftSchedule = field(default_factory=pol.SftSchedule)
     rl: rlcore.RlConfig = field(default_factory=rlcore.RlConfig)
-    reward: rew.RewardSchedule = field(default_factory=rew.RewardSchedule)
     eval: EvalConfig = field(default_factory=EvalConfig)
     ablate: AblateConfig = field(default_factory=AblateConfig)
 
@@ -84,7 +93,6 @@ class RunConfig:
         self.corpus.validate()
         self.sft.validate()
         self.rl.validate()
-        self.reward.validate()
         self.eval.validate()
         self.ablate.validate()
 
@@ -145,6 +153,8 @@ def load_config(path) -> RunConfig:
         text = Path(path).read_text()
     except OSError as e:
         raise _Usage(f"cannot read config file: {e}")
+    except ValueError as e:  # not UTF-8
+        raise ConfigError(f"config file: cannot decode: {e}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -216,8 +226,7 @@ def cmd_train(cfg: RunConfig, args) -> None:
     corpus = _load_corpus(cfg)
     params = _load_sft(cfg)
     rl_cfg = dataclasses.replace(cfg.rl, seed=cfg.seed)
-    params, metrics = rlcore.train_rl(rl_cfg, params, corpus.train(),
-                                      cfg.reward)
+    params, metrics = rlcore.train_rl(rl_cfg, params, corpus.train())
     out = _out_dir(cfg)
     pol.save_checkpoint(params, out / "rl.ckpt")
     (out / "metrics.csv").write_text(rlcore.metrics_to_csv(metrics))
@@ -235,7 +244,7 @@ def cmd_eval(cfg: RunConfig, args) -> None:
     heldout = corpus.heldout()
     report, rollouts = an.eval_suite(
         params, heldout, n=cfg.eval.n, ks=cfg.eval.ks,
-        temperature=cfg.rl.temperature, seed=cfg.seed, schedule=cfg.reward,
+        temperature=cfg.rl.temperature, seed=cfg.seed,
         max_len=cfg.rl.max_response_len, collect_rollouts=True)
     out = _out_dir(cfg)
     (out / "eval.csv").write_text(an.eval_to_csv(report))
@@ -287,11 +296,13 @@ def cmd_score(cfg: RunConfig, args) -> None:
         text = Path(args.candidate).read_text()
     except OSError as e:
         raise _Usage(f"cannot read candidate file: {e}")
+    except ValueError as e:  # not UTF-8
+        raise ConfigError(f"candidate file: cannot decode: {e}")
     try:
         tokens = tokenize(text)
     except LexError:
         tokens = []  # scores as parse-fail through the normal cascade
-    bd = rew.score(tokens, task, cfg.reward, truncated=not tokens)
+    bd = rew.score(tokens, task, truncated=not tokens)
     print(json.dumps(dataclasses.asdict(bd), sort_keys=True))
 
 
@@ -300,7 +311,7 @@ def cmd_ablate(cfg: RunConfig, args) -> None:
     params = _load_sft(cfg)
     rows = an.ablation_grid(cfg.rl, params, corpus.train(), corpus.heldout(),
                             rhos=cfg.ablate.rhos, seeds=cfg.ablate.seeds,
-                            n=cfg.eval.n, schedule=cfg.reward)
+                            n=cfg.eval.n)
     path = _out_dir(cfg) / "ablation.csv"
     path.write_text(an.ablation_to_csv(rows))
     failed = [r for r in rows if r.failed]

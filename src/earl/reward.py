@@ -5,17 +5,14 @@ earn zero). Stage 2 scores module name and port agreement; a candidate that
 matches every target port but adds outputs earns interface credit only.
 Stage 3 runs only on an exact interface match and grades the fraction of
 matching output bits against the task's packed expected outputs, with full
-equivalence required for the maximal reward. The numeric schedule keeps
-near-misses strictly below the pass reward.
+equivalence required for the maximal reward. The reward values are one
+fixed schedule, which keeps near-misses strictly below the pass reward.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
 
-from .errors import ConfigError
 from .minirtl import Interface, MiniRtlError, parse
 from .minirtl.sim import equivalence_fraction
 from .minirtl.vocab import DEFAULT_VOCAB, EOS
@@ -29,47 +26,17 @@ _EOS = DEFAULT_VOCAB.id(EOS)
 
 @dataclass(frozen=True)
 class RewardSchedule:
-    """Reward values; the ordering contract is parse-fail < interface-partial
-    <= interface-full <= near-miss < pass. validate() enforces it: both
-    spans >= 0, 0 <= parse_fail < interface_base, interface_base +
-    interface_span <= functional_base < pass_reward and functional_base +
-    functional_span <= pass_reward. Overridable via configuration."""
+    """The cascade's reward values, fixed as DEFAULT_SCHEDULE. They keep the
+    stages in order (parse-fail < interface-partial <= interface-full <=
+    near-miss < pass): both spans >= 0, 0 <= parse_fail < interface_base,
+    interface_base + interface_span <= functional_base < pass_reward and
+    functional_base + functional_span <= pass_reward."""
     parse_fail: float = 0.0
     interface_base: float = 0.2
     interface_span: float = 0.3
     functional_base: float = 0.5
     functional_span: float = 0.4
     pass_reward: float = 1.0
-
-    def validate(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"reward.{f.name}: must be finite")
-        ok = (0.0 <= self.parse_fail < self.interface_base
-              and min(self.interface_span, self.functional_span) >= 0.0
-              and self.interface_base + self.interface_span
-              <= self.functional_base < self.pass_reward
-              and self.functional_base + self.functional_span
-              <= self.pass_reward)
-        if not ok:
-            raise ConfigError("reward schedule violates stage ordering")
-
-    # The two outcomes that do not depend on the candidate: one frozen
-    # breakdown per schedule, which every score reaching it returns.
-    # Cached, not fields, so repr and equality do not see them.
-    @cached_property
-    def parse_fail_outcome(self) -> RewardBreakdown:
-        """The breakdown of a truncated candidate or one that does not
-        parse."""
-        return RewardBreakdown(False, 0.0, 0.0, False, self.parse_fail,
-                               STAGE_PARSE_FAIL)
-
-    @cached_property
-    def pass_outcome(self) -> RewardBreakdown:
-        """The breakdown of a pass: every target port matched (interface
-        score 0.25 + 0.75 * 1.0, exactly 1.0) and every output bit equal."""
-        return RewardBreakdown(True, 1.0, 1.0, True, self.pass_reward,
-                               STAGE_FUNCTIONAL)
 
 
 DEFAULT_SCHEDULE = RewardSchedule()
@@ -85,6 +52,17 @@ class RewardBreakdown:
     stage_reached: str
 
 
+# The two outcomes that do not depend on the candidate, one frozen breakdown
+# each that every score reaching it returns: a truncated candidate or one
+# that does not parse, and a pass (every target port matched, so interface
+# score 0.25 + 0.75 * 1.0, exactly 1.0, and every output bit equal).
+PARSE_FAIL_OUTCOME = RewardBreakdown(False, 0.0, 0.0, False,
+                                     DEFAULT_SCHEDULE.parse_fail,
+                                     STAGE_PARSE_FAIL)
+PASS_OUTCOME = RewardBreakdown(True, 1.0, 1.0, True,
+                               DEFAULT_SCHEDULE.pass_reward, STAGE_FUNCTIONAL)
+
+
 def interface_score(candidate: Interface, target: Interface) -> float:
     """0.25 for the module name plus 0.75 times the fraction of target ports
     matched on (name, direction, width). Extra candidate ports earn nothing
@@ -96,23 +74,23 @@ def interface_score(candidate: Interface, target: Interface) -> float:
     return name + 0.75 * matched / len(target.ports)
 
 
-def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
-          truncated: bool = False) -> RewardBreakdown:
+def score(candidate_tokens, task, *, truncated: bool = False
+          ) -> RewardBreakdown:
     """Run the cascade on a candidate token sequence for a task.
 
     A trailing EOS is stripped before parsing. All failure modes, ids
     outside the vocabulary included, map to breakdown fields; nothing raises.
-    A parse failure, a truncated candidate and a pass return the schedule's
-    shared breakdown of that outcome (parse_fail_outcome, pass_outcome).
+    A parse failure, a truncated candidate and a pass return the shared
+    breakdown of that outcome (PARSE_FAIL_OUTCOME, PASS_OUTCOME).
     """
     if truncated:
-        return schedule.parse_fail_outcome
+        return PARSE_FAIL_OUTCOME
     if len(candidate_tokens) and candidate_tokens[-1] == _EOS:
         candidate_tokens = candidate_tokens[:-1]
     try:
         candidate = parse(candidate_tokens)
     except MiniRtlError:
-        return schedule.parse_fail_outcome
+        return PARSE_FAIL_OUTCOME
 
     target = task.reference.interface
     s = interface_score(candidate.interface, target)
@@ -122,12 +100,14 @@ def score(candidate_tokens, task, schedule: RewardSchedule = DEFAULT_SCHEDULE,
     iface = candidate.interface
     if s < 1.0 or (len(iface.ports) > len(target.ports)
                    and len(iface.output_ports) > len(target.output_ports)):
-        reward = schedule.interface_base + schedule.interface_span * s
+        reward = (DEFAULT_SCHEDULE.interface_base
+                  + DEFAULT_SCHEDULE.interface_span * s)
         return RewardBreakdown(True, s, 0.0, False, reward, STAGE_INTERFACE)
 
     m, equivalent = equivalence_fraction(candidate, task.vectors,
                                          task.expected)
     if equivalent:
-        return schedule.pass_outcome
-    reward = schedule.functional_base + schedule.functional_span * m
+        return PASS_OUTCOME
+    reward = (DEFAULT_SCHEDULE.functional_base
+              + DEFAULT_SCHEDULE.functional_span * m)
     return RewardBreakdown(True, s, m, False, reward, STAGE_FUNCTIONAL)

@@ -344,9 +344,7 @@ def assemble_gradient(batch: PreparedBatch, pi_new: pol.PolicyParams,
 # --- training loop -----------------------------------------------------------
 
 def sample_groups(params: pol.PolicyParams, tasks, G: int,
-                  temperature: float, max_len: int, rng_parts,
-                  schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
-                  ) -> list[Group]:
+                  temperature: float, max_len: int, rng_parts) -> list[Group]:
     """G rollouts per task, all sampled in one batch, then scored. Rollout g
     of task i draws from the stream seeded mix(*rng_parts[i], g), the one
     rng_for(*rng_parts[i], g) returns, so its bytes do not depend on the
@@ -367,7 +365,7 @@ def sample_groups(params: pol.PolicyParams, tasks, G: int,
         for r in rs:
             key = (id(task), r.response_tokens, r.truncated)
             if key not in scored:
-                scored[key] = rew.score(r.response_tokens, task, schedule,
+                scored[key] = rew.score(r.response_tokens, task,
                                         truncated=r.truncated)
             breakdowns.append(scored[key])
         groups.append(Group(task, rs, breakdowns,
@@ -376,12 +374,11 @@ def sample_groups(params: pol.PolicyParams, tasks, G: int,
 
 
 def sample_group(params: pol.PolicyParams, task, config: RlConfig,
-                 rng_parts: tuple,
-                 schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE) -> Group:
+                 rng_parts: tuple) -> Group:
     """One task's group through sample_groups."""
     return sample_groups(params, [task], config.group_size,
                          config.temperature, config.max_response_len,
-                         [rng_parts], schedule)[0]
+                         [rng_parts])[0]
 
 
 @dataclass
@@ -407,8 +404,7 @@ def metrics_to_csv(metrics) -> str:
     return csv_text(METRIC_COLUMNS, (m.row() for m in metrics))
 
 
-def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
-             schedule: rew.RewardSchedule = rew.DEFAULT_SCHEDULE
+def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks
              ) -> tuple[pol.PolicyParams, list[StepMetrics]]:
     """Entropy-aware RL from an SFT initialization.
 
@@ -440,8 +436,7 @@ def train_rl(config: RlConfig, params: pol.PolicyParams, train_tasks,
             params, [tasks[int(i)] for idx in drawn for i in idx],
             config.group_size, config.temperature, config.max_response_len,
             [(config.seed, "rl-rollout", step, attempt, int(i))
-             for attempt, idx in zip(attempts, drawn) for i in idx],
-            schedule)
+             for attempt, idx in zip(attempts, drawn) for i in idx])
         groups: list[Group] = []
         for attempt in attempts:
             groups += sampled[attempt * n_prompts:(attempt + 1) * n_prompts]

@@ -337,3 +337,31 @@ def test_workload_list_is_checked():
     with pytest.raises(SystemExit) as e:
         ab.main(["p", "c", "--workload", "score,bogus"])
     assert e.value.code == 2
+
+
+def test_a_run_that_times_out_stops_the_ab(tmp_path, capsys, monkeypatch):
+    fake = _WORKLOAD_RUN.replace("CHANGE", "False")
+    parent = _checkout(tmp_path / "parent", fake)
+    change = _checkout(tmp_path / "change", fake)
+    real = ab.subprocess.run
+
+    def hangs_at_seed_3(cmd, **kwargs):
+        assert kwargs["timeout"] == ab.RUN_TIMEOUT_S
+        if cmd[cmd.index("--seed") + 1] == "3":
+            # run() kills the child and raises with the bytes captured
+            raise ab.subprocess.TimeoutExpired(
+                cmd, kwargs["timeout"], output=b"",
+                stderr=b"calibrating\nstill running")
+        return real(cmd, **kwargs)
+
+    monkeypatch.setattr(ab.subprocess, "run", hangs_at_seed_3)
+    code = ab.main([parent, change, "--workload", "score", "--seeds", "1-4",
+                    "--seconds", "1"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert (f"RUN FAILED: parent at seed 3 timed out after "
+            f"{ab.RUN_TIMEOUT_S} s (exit -9)") in out
+    assert "still running" in out
+    assert "seed 1: setup_s=1->1" in out and "seed 2: setup_s=1->1" in out
+    assert "summary of the 2 pairs run:" in out
+    assert "seed 4" not in out

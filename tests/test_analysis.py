@@ -236,7 +236,7 @@ def _eval_by_slices(params, tasks, n, seed, max_len, temperature):
         batch = pol.sample_rollouts(
             params, [task.prompt_tokens for task, _ in chunk], temperature,
             max_len, [mix(seed, "eval", task.id, j) for task, j in chunk])
-        breakdowns += [rew.score(r.response_tokens, task, rew.DEFAULT_SCHEDULE,
+        breakdowns += [rew.score(r.response_tokens, task,
                                  truncated=r.truncated)
                        for (task, _), r in zip(chunk, batch)]
         rollouts += batch

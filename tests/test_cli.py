@@ -69,8 +69,7 @@ def _study_inputs(out, cfg):
         pol.load_checkpoint(out / "sft.ckpt"),
         tg.load_corpus(out / "corpus.json").heldout(), n=cfg.eval.n,
         ks=cfg.eval.ks, temperature=cfg.rl.temperature, seed=cfg.seed,
-        schedule=cfg.reward, max_len=cfg.rl.max_response_len,
-        collect_rollouts=True)
+        max_len=cfg.rl.max_response_len, collect_rollouts=True)
 
 
 def _histogram_csv(rollouts):
@@ -197,12 +196,14 @@ def test_nested_unknown_key_reports_key_path(tmp_path, capsys):
 
 def test_removed_eval_and_analyze_settings_are_unknown_keys(tmp_path,
                                                             capsys):
-    # eval samples at rl.temperature and rl.max_response_len, and the
-    # entropy study's table sizes are constants
+    # eval samples at rl.temperature and rl.max_response_len, the entropy
+    # study's table sizes are constants, and so are the reward values
     for overrides, key in (({"eval": {"n": 5, "temperature": 1.0}},
                             "eval.temperature"),
                            ({"eval": {"n": 5, "max_len": 30}}, "eval.max_len"),
-                           ({"analyze": {"top_k": 100}}, "analyze")):
+                           ({"analyze": {"top_k": 100}}, "analyze"),
+                           ({"reward": {"parse_fail": 0.0,
+                                        "pass_reward": 1.0}}, "reward")):
         path, _ = mini_config(tmp_path, **overrides)
         assert run(["gen-data", "--config", path]) == 2
         err = capsys.readouterr().err
@@ -233,9 +234,18 @@ def test_archer_variant_is_accepted(tmp_path):
 
 
 def test_invalid_value_is_validation_error(tmp_path, capsys):
-    path, _ = mini_config(tmp_path, rl={"group_size": 1})
-    assert run(["gen-data", "--config", path]) == 2
-    assert capsys.readouterr().err.startswith("error:validation:")
+    # a repeated entry would write a duplicate eval.csv column, count a
+    # seed twice in an ablation row's mean or train a cell twice
+    for overrides, key in (({"rl": {"group_size": 1}}, "rl.group_size"),
+                           ({"eval": {"n": 5, "ks": [1, 1, 5]}}, "eval.ks"),
+                           ({"ablate": {"rhos": [0.8, 0.8]}}, "ablate.rhos"),
+                           ({"ablate": {"seeds": [0, 0, 1]}},
+                            "ablate.seeds")):
+        path, _ = mini_config(tmp_path, **overrides)
+        assert run(["gen-data", "--config", path]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:validation: {key}: "), key
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -263,9 +273,7 @@ def test_wrong_json_type_is_validation_error(tmp_path, capsys, overrides,
 
 
 @pytest.mark.parametrize("section,key", [("rl", "eps_low"),
-                                         ("rl", "temperature"),
-                                         ("reward", "pass_reward"),
-                                         ("reward", "parse_fail")])
+                                         ("rl", "temperature")])
 def test_nan_float_is_validation_error(tmp_path, capsys, section, key):
     # NaN and infinity each: JSON's NaN and Infinity load as floats
     _, data = mini_config(tmp_path)
@@ -336,6 +344,29 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run(["gen-data", "--config", path]) == 2
+
+
+def test_config_file_not_utf8_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    assert run(["gen-data", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation: config file: ")
+    assert err.count("\n") == 1
+
+
+def test_candidate_file_not_utf8_is_validation_error(tmp_path, capsys):
+    path, _ = mini_config(tmp_path)
+    assert run(["gen-data", "--config", path]) == 0
+    rec = json.loads((tmp_path / "run" / "corpus.json").read_text())[0]
+    cand = tmp_path / "cand.txt"
+    cand.write_bytes(rec["reference_text"].encode() + b" \xff")
+    capsys.readouterr()
+    assert run(["score", "--config", path, "--task-id", rec["id"],
+                "--candidate", cand]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation: candidate file: ")
+    assert err.count("\n") == 1
 
 
 def test_missing_artifact_is_runtime_error(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Cascaded reward: stage values, interface scoring, near-miss grading.
 
-Oracle values frozen from the schedule arithmetic:
+Oracle values frozen from the fixed schedule's arithmetic:
 wrong module name, all ports right: s = 0.75, R = 0.2 + 0.3*0.75 = 0.425;
 one of three ports matched, right name: s = 0.25 + 0.75/3 = 0.5, R = 0.35;
 near-miss m = 0.75: R = 0.5 + 0.4*0.75 = 0.8.
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earl import reward as rew
-from earl.errors import ConfigError
 from earl.minirtl import (DEFAULT_VOCAB, Interface, MiniRtlError, ModuleAst,
                           PortDecl, build_vectors, parse, simulate_packed,
                           tokenize)
@@ -164,9 +163,10 @@ def test_port_keys_are_in_neither_repr_nor_equality():
     assert iface != Interface("and2", ports[:1])
 
 
-def _oracle_score(tokens, task, schedule, truncated=False):
+def _oracle_score(tokens, task, truncated=False):
     """The cascade with every breakdown built afresh, over a copy of the
     candidate's AST that derives its own widths and output ports."""
+    schedule = rew.DEFAULT_SCHEDULE
     fail = rew.RewardBreakdown(False, 0.0, 0.0, False, schedule.parse_fail,
                                rew.STAGE_PARSE_FAIL)
     tokens = list(tokens)
@@ -205,33 +205,36 @@ def _oracle_score(tokens, task, schedule, truncated=False):
 
 def test_every_breakdown_matches_the_cascade_built_afresh(pinned_candidates):
     """Over every pinned candidate, with and without a trailing EOS and
-    truncated, under the default schedule and another one: score returns
-    the breakdown the cascade builds afresh, field for field and type for
-    type, so the shared outcomes keep every byte. The two fixed outcomes
-    are one object per schedule."""
+    truncated: score returns the breakdown the cascade builds afresh, field
+    for field and type for type, so the shared outcomes keep every byte.
+    The two fixed outcomes are the module's shared constants."""
     eos = DEFAULT_VOCAB.id("EOS")
-    other = rew.RewardSchedule(0.05, 0.15, 0.25, 0.45, 0.35, 0.9)
-    other.validate()
     stages = set()
-    for schedule in (rew.DEFAULT_SCHEDULE, other):
-        for i, (task, tokens) in enumerate(pinned_candidates):
-            cases = [(tokens, False), (tuple(tokens) + (eos,), False)]
-            if i % 7 == 0:
-                cases.append((tokens, True))
-            for toks, truncated in cases:
-                got = rew.score(toks, task, schedule, truncated=truncated)
-                want = _oracle_score(toks, task, schedule, truncated)
-                assert repr(got) == repr(want), (toks, truncated)
-                assert [type(getattr(got, f.name)) for f in fields(got)] \
-                    == [type(getattr(want, f.name)) for f in fields(want)]
-                stages.add((got.stage_reached, got.functional_pass))
-                if got.stage_reached == rew.STAGE_PARSE_FAIL:
-                    assert got is schedule.parse_fail_outcome
-                elif got.functional_pass:
-                    assert got is schedule.pass_outcome
+    for i, (task, tokens) in enumerate(pinned_candidates):
+        cases = [(tokens, False), (tuple(tokens) + (eos,), False)]
+        if i % 7 == 0:
+            cases.append((tokens, True))
+        for toks, truncated in cases:
+            got = rew.score(toks, task, truncated=truncated)
+            want = _oracle_score(toks, task, truncated)
+            assert repr(got) == repr(want), (toks, truncated)
+            assert [type(getattr(got, f.name)) for f in fields(got)] \
+                == [type(getattr(want, f.name)) for f in fields(want)]
+            stages.add((got.stage_reached, got.functional_pass))
+            if got.stage_reached == rew.STAGE_PARSE_FAIL:
+                assert got is rew.PARSE_FAIL_OUTCOME
+            elif got.functional_pass:
+                assert got is rew.PASS_OUTCOME
     assert len(stages) == 4  # parse fail, interface, near miss, pass
     assert rew.DEFAULT_SCHEDULE == rew.RewardSchedule()
-    assert "parse_fail_outcome" not in repr(rew.DEFAULT_SCHEDULE)
+
+
+def test_a_positional_schedule_is_a_type_error():
+    """The schedule is fixed, and truncated is keyword-only: a schedule
+    passed in the old third place cannot land in truncated."""
+    task = easy_task()
+    with pytest.raises(TypeError):
+        rew.score(tokens_of(task.reference_text), task, rew.DEFAULT_SCHEDULE)
 
 
 def test_near_miss_three_quarters_scores_0_8():
@@ -308,22 +311,14 @@ def test_extra_output_port_stays_at_interface_stage():
     assert bd.reward == 0.5
 
 
-def test_schedule_ordering_validated():
-    rew.RewardSchedule().validate()
-    for bad in ({"functional_base": 0.4}, {"parse_fail": 0.3},
-                # a near-miss would earn the pass reward
-                {"functional_base": 1.0, "functional_span": 0.0},
-                {"interface_span": -0.1},
-                # parse-fail would equal the lowest interface reward
-                {"parse_fail": 0.2}):
-        with pytest.raises(ConfigError, match="stage ordering"):
-            rew.RewardSchedule(**bad).validate()
-
-
 def test_cascade_monotone_stage_values():
+    """The fixed schedule keeps the stages in order: parse-fail <
+    interface-partial <= interface-full <= near-miss < pass."""
     s = rew.DEFAULT_SCHEDULE
-    assert s.parse_fail < s.interface_base
+    assert min(s.interface_span, s.functional_span) >= 0.0
+    assert 0.0 <= s.parse_fail < s.interface_base
     assert s.interface_base + s.interface_span <= s.functional_base
+    assert s.functional_base < s.pass_reward
     assert s.functional_base + s.functional_span <= s.pass_reward
 
 
