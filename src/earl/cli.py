@@ -156,10 +156,28 @@ def load_config(path) -> RunConfig:
     except ValueError as e:  # not UTF-8
         raise ConfigError(f"config file: cannot decode: {e}")
     try:
-        data = json.loads(text)
+        # each JSON object read as its (key, value) pairs, in file order
+        data = _objects(json.loads(text, object_pairs_hook=tuple), "")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config JSON: {e}")
     return config_from_dict(data)
+
+
+def _objects(value, path: str):
+    """A JSON value read with object_pairs_hook=tuple, each object of it a
+    dict; a key given twice in one object is a ConfigError naming its path,
+    where json.loads alone would keep the last value."""
+    if isinstance(value, tuple):
+        obj = {}
+        for key, v in value:
+            where = f"{path}.{key}" if path else key
+            if key in obj:
+                raise ConfigError(f"{where}: repeated key")
+            obj[key] = _objects(v, where)
+        return obj
+    if isinstance(value, list):
+        return [_objects(v, path) for v in value]
+    return value
 
 
 class _Usage(Exception):

@@ -259,27 +259,33 @@ def expr_width(e: Expr, widths: dict[str, int],
     bit-index yields one bit; the two arms of a ternary must agree and its
     condition must be one bit. parse's semantic check checks with it,
     adding the name of each signal read to ``reads``, and the simulator
-    masks '~' with it. Node kinds are tested most common first."""
-    if isinstance(e, (Var, Index)):
+    masks '~' with it. Node kinds are tested by exact type, most common
+    first, as the simulator's walk tests them."""
+    t = type(e)
+    if t is Var:
         if e.name not in widths:
             raise SemanticError("undeclared", e.name)
         if reads is not None:
             reads.add(e.name)
-        if isinstance(e, Var):
-            return widths[e.name]
-        if e.bit >= widths[e.name]:
-            raise SemanticError("width-mismatch",
-                                f"bit {e.bit} of {e.name}[{widths[e.name]}]")
-        return 1
-    if isinstance(e, Binary):
+        return widths[e.name]
+    if t is Binary:
         lw = expr_width(e.left, widths, reads)
         rw = expr_width(e.right, widths, reads)
         if lw != rw:
             raise SemanticError("width-mismatch", f"{e.op}: {lw} vs {rw}")
         return 1 if e.op == "==" else lw
-    if isinstance(e, Unary):
+    if t is Index:
+        if e.name not in widths:
+            raise SemanticError("undeclared", e.name)
+        if reads is not None:
+            reads.add(e.name)
+        if e.bit >= widths[e.name]:
+            raise SemanticError("width-mismatch",
+                                f"bit {e.bit} of {e.name}[{widths[e.name]}]")
+        return 1
+    if t is Unary:
         return expr_width(e.operand, widths, reads)
-    if isinstance(e, Ternary):
+    if t is Ternary:
         cw = expr_width(e.cond, widths, reads)
         if cw != 1:
             raise SemanticError("width-mismatch", "ternary condition")
@@ -288,6 +294,6 @@ def expr_width(e: Expr, widths: dict[str, int],
         if tw != ow:
             raise SemanticError("width-mismatch", f"?: arms {tw} vs {ow}")
         return tw
-    if isinstance(e, Const):
+    if t is Const:
         return 1
     raise AssertionError(e)

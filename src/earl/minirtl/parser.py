@@ -26,12 +26,16 @@ sentinel (None, which no grammar table holds) on its end, so no rule
 reads past it. The grammar's terminals, leaf nodes and declaration nodes
 are keyed on ids; a name is read from the vocabulary's id -> name dict
 only where a node stores one (a target, a clock, an edge, an operator, a
-module or a port name). parse checks every id against the vocabulary once,
-before the grammar: an id outside [0, V) is a ParseError at its index,
-whatever syntax error comes before it. The '|', '^' and '&' levels are
-parsed by precedence climbing over eq_e operands (_PREC), which builds the
-same left-associative trees as the three rules above. '==' stays
-non-associative. Widths follow ast.expr_width; any mismatch is a
+module or a port name). An id outside [0, V) is a ParseError at its index,
+whatever syntax error comes before it. parse checks the ids against the
+vocabulary only when the grammar fails, since a grammar run that succeeds
+accepts only tokens equal to a terminal or to a key of the id-keyed tables,
+all of them vocabulary ids; for the same reason the end of a program is
+found by its position, not by the sentinel, which an id equal to None
+would mimic. The '|', '^' and '&' levels are parsed by precedence climbing
+over eq_e operands (_PREC), which builds the same left-associative trees as
+the three rules above, reading a plain identifier operand in place. '=='
+stays non-associative. Widths follow ast.expr_width; any mismatch is a
 parse-time SemanticError rather than implicit extension.
 
 A module header ('module' through the first ')') is a function of its
@@ -93,8 +97,8 @@ _HEADER_CACHE_SIZE = 2048
 
 class _Parser:
     def __init__(self, ids: tuple):
-        """ids: token ids, every one in the vocabulary; the cursor reads
-        them with a sentinel on the end that no rule matches or consumes."""
+        """ids: token ids, unchecked; the cursor reads them with a sentinel
+        on the end that no rule matches or consumes."""
         self.toks = ids + (None,)
         self.pos = 0
 
@@ -139,7 +143,7 @@ class _Parser:
         pos = self.pos
         if toks[pos] != _ENDMODULE:
             raise ParseError(pos, {"endmodule"})
-        if toks[pos + 1] is not None:
+        if pos + 2 != len(toks):
             raise ParseError(pos + 1, {"<end of program>"})
         return iface, tuple(decls), assigns, tuple(registers)
 
@@ -288,16 +292,35 @@ class _Parser:
     def binary(self, min_prec: int) -> Expr:
         """Operators of precedence min_prec and above over eq_e operands,
         left-associative, by precedence climbing. An eq_e operand is read
-        in place: a unary, then '==' and a unary if one follows."""
-        toks = self.toks
-        left = self.unary()
+        in place: a unary, then '==' and a unary if one follows. A plain
+        identifier (no '[' after it) is read without a call: on the left
+        always, and on the right when the token after it neither starts an
+        index or '==' nor binds tighter than op, so it is the whole
+        operand."""
+        toks, pos = self.toks, self.pos
+        left = _VAR.get(toks[pos])
+        if left is not None and toks[pos + 1] != _LBRACKET:
+            self.pos = pos + 1
+        else:
+            left = self.unary()
         if toks[self.pos] == _EQEQ:
             self.pos += 1
             left = Binary("==", left, self.unary())
         op = toks[self.pos]
         prec = _PREC.get(op, 0)
         while prec >= min_prec:
-            self.pos += 1
+            pos = self.pos + 1
+            right = _VAR.get(toks[pos])
+            if right is not None:
+                nxt = toks[pos + 1]
+                if nxt != _LBRACKET and nxt != _EQEQ:
+                    nxt_prec = _PREC.get(nxt, 0)
+                    if nxt_prec <= prec:
+                        self.pos = pos + 1
+                        left = Binary(_NAME_OF[op], left, right)
+                        op, prec = nxt, nxt_prec
+                        continue
+            self.pos = pos
             left = Binary(_NAME_OF[op], left, self.binary(prec + 1))
             op = toks[self.pos]
             prec = _PREC.get(op, 0)
@@ -350,15 +373,20 @@ def _header(key: tuple) -> Interface:
 def _check(iface: Interface, declarations: tuple[Decl, ...],
            assigns, registers: tuple[Register, ...]) -> ModuleAst:
     """The checked ModuleAst of a parsed module's fields, its assigns in
-    dependency order (comb_order) and its widths the map the check built;
+    dependency order (comb_order) and its widths the map the check built
+    (the header's own map when the module declares nothing);
     raises SemanticError on a violated invariant. Walks each expression
     once: the width check (expr_width) also collects the signals it reads,
-    for the driver check and comb_order. The port error, if any, is raised
-    here, after the whole program parsed, so a syntax error anywhere wins
-    over it."""
+    for the driver check; only a module in which an assign reads an
+    assign's target walks its assigns again, for comb_order. The port
+    error, if any, is raised here, after the whole program parsed, so a
+    syntax error anywhere wins over it."""
     if iface.port_error is not None:
         raise SemanticError(*iface.port_error)
-    widths = iface.port_widths.copy()
+    # neither map is mutated, so a module that declares nothing shares the
+    # header's
+    widths = (iface.port_widths.copy() if declarations
+              else iface.port_widths)
 
     reg_names = set()
     for d in declarations:
@@ -376,8 +404,7 @@ def _check(iface: Interface, declarations: tuple[Decl, ...],
             reg_names.add(d.name)
 
     drivers = set(iface.input_names)
-    deps: dict[str, set[str]] = {}  # signals each assign reads
-    reg_reads: set[str] = set()  # signals the registers read
+    reads: set[str] = set()  # signals the assigns, then the registers, read
 
     for a in assigns:
         if a.target not in widths:
@@ -388,9 +415,10 @@ def _check(iface: Interface, declarations: tuple[Decl, ...],
             raise SemanticError("multi-driver",
                                 f"assign to reg {a.target}")
         drivers.add(a.target)
-        deps[a.target] = set()
-        if expr_width(a.expr, widths, deps[a.target]) != widths[a.target]:
+        if expr_width(a.expr, widths, reads) != widths[a.target]:
             raise SemanticError("width-mismatch", f"assign {a.target}")
+    # whether an assign reads an assign's target, so the order matters
+    chained = not reads.isdisjoint([a.target for a in assigns])
 
     for r in registers:
         if r.target not in widths:
@@ -406,10 +434,10 @@ def _check(iface: Interface, declarations: tuple[Decl, ...],
         if widths[r.clock] != 1 or r.clock not in iface.input_names:
             raise SemanticError("width-mismatch",
                                 f"clock {r.clock} must be a 1-bit input")
-        if expr_width(r.next_expr, widths, reg_reads) != widths[r.target]:
+        if expr_width(r.next_expr, widths, reads) != widths[r.target]:
             raise SemanticError("width-mismatch", f"register {r.target}")
         if r.reset is not None:
-            if expr_width(r.reset, widths, reg_reads) != 1:
+            if expr_width(r.reset, widths, reads) != 1:
                 raise SemanticError("width-mismatch", "reset condition")
             if widths[r.target] != 1:
                 raise SemanticError("width-mismatch",
@@ -418,16 +446,23 @@ def _check(iface: Interface, declarations: tuple[Decl, ...],
     # Every read or exported signal must have exactly one driver; the width
     # checks above have declared every name read. The first undriven name
     # in sorted order is the one reported.
-    undriven = reg_reads.union(*deps.values()) - drivers
+    undriven = reads - drivers
     if undriven:
         raise SemanticError("no-driver", min(undriven))
     for p in iface.output_ports:
         if p.name not in drivers:
             raise SemanticError("no-driver", f"output {p.name}")
 
-    # comb_order raises on a combinational cycle
-    ast = ModuleAst(iface, declarations, tuple(comb_order(assigns, deps)),
-                    registers)
+    order = tuple(assigns)
+    if chained:
+        # the signals each assign reads, collected again (the walks above
+        # have checked them) only for a module whose order matters;
+        # comb_order raises on a combinational cycle
+        deps = {a.target: set() for a in assigns}
+        for a in assigns:
+            expr_width(a.expr, widths, deps[a.target])
+        order = tuple(comb_order(assigns, deps))
+    ast = ModuleAst(iface, declarations, order, registers)
     # the cached_property's slot, filled with the map it would derive
     object.__setattr__(ast, "widths", widths)
     return ast
@@ -436,17 +471,9 @@ def _check(iface: Interface, declarations: tuple[Decl, ...],
 def comb_order(assigns: tuple[Assign, ...],
                deps: dict[str, set[str]]) -> list[Assign]:
     """Assigns in dependency (topological) order, given the signals each
-    assign's target reads (``deps``, as _check collects them). A
-    combinational cycle raises SemanticError('comb-cycle') naming its path,
-    'a->b->a'. The work follows the assign-to-assign edges: when no assign
-    reads an assign's target, the order is the source order, and a walk
-    runs only otherwise."""
-    targets = deps.keys()
-    for a in assigns:
-        if not targets.isdisjoint(deps[a.target]):
-            break
-    else:
-        return list(assigns)
+    assign's target reads (``deps``, as _check collects them for a module
+    in which an assign reads an assign's target). A combinational cycle
+    raises SemanticError('comb-cycle') naming its path, 'a->b->a'."""
     assign_of = {a.target: a for a in assigns}
     ordered: list[Assign] = []
     visited: dict[str, bool] = {}  # False while on the DFS path, then True
@@ -482,12 +509,18 @@ def parse(token_ids) -> ModuleAst:
     dependency order and its widths the map the check built.
 
     Raises ParseError (with the first offending token index) or SemanticError;
-    an id outside [0, V) is a ParseError at its index, checked before the
-    grammar. ``token_ids`` is read once, so any iterable serves; a tuple is
-    not copied.
+    an id outside [0, V) is a ParseError at its index, whatever syntax error
+    comes before it. The ids are checked only when the grammar fails: a
+    program that parses holds vocabulary ids only. ``token_ids`` is read
+    once, so any iterable serves; a tuple is not copied.
     """
     ids = tuple(token_ids)
-    if not _IDS.issuperset(ids):
-        raise ParseError(next(i for i, t in enumerate(ids) if t not in _IDS),
-                         _BAD_ID)
-    return _check(*_Parser(ids).program())
+    try:
+        fields = _Parser(ids).program()
+    except ParseError:
+        if _IDS.issuperset(ids):
+            raise
+        bad = next(i for i, t in enumerate(ids) if t not in _IDS)
+    else:
+        return _check(*fields)
+    raise ParseError(bad, _BAD_ID)

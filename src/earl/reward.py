@@ -81,11 +81,14 @@ def score(candidate_tokens, task, *, truncated: bool = False
     A trailing EOS is stripped before parsing. All failure modes, ids
     outside the vocabulary included, map to breakdown fields; nothing raises.
     A parse failure, a truncated candidate and a pass return the shared
-    breakdown of that outcome (PARSE_FAIL_OUTCOME, PASS_OUTCOME).
+    breakdown of that outcome (PARSE_FAIL_OUTCOME, PASS_OUTCOME). An
+    untruncated candidate is read once, as parse reads it, so any iterable
+    of ids serves; a tuple is not copied.
     """
     if truncated:
         return PARSE_FAIL_OUTCOME
-    if len(candidate_tokens) and candidate_tokens[-1] == _EOS:
+    candidate_tokens = tuple(candidate_tokens)
+    if candidate_tokens and candidate_tokens[-1] == _EOS:
         candidate_tokens = candidate_tokens[:-1]
     try:
         candidate = parse(candidate_tokens)

@@ -344,6 +344,22 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run(["gen-data", "--config", path]) == 2
+    # a key given twice in one object is an error at its path, not the last
+    # value kept, at the top level and in a section
+    small = '"corpus": {"counts": {"combinational-easy": 10}}'
+    for text, key in (
+            ('{"seed": 1, "seed": 2, "eval": {"n": 5, "n": 9}, ' + small
+             + '}', "seed"),
+            ('{"eval": {"n": 5, "n": 9}, ' + small + '}', "eval.n"),
+            ('{"corpus": {"counts": {"combinational-easy": 10, '
+             '"combinational-easy": 12}}}',
+             "corpus.counts.combinational-easy")):
+        path.write_text(text)
+        capsys.readouterr()
+        assert run(["gen-data", "--config", path,
+                    "--out", tmp_path / "run"]) == 2, key
+        assert capsys.readouterr().err == \
+            f"error:validation: {key}: repeated key\n"
 
 
 def test_config_file_not_utf8_is_validation_error(tmp_path, capsys):

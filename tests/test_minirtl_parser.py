@@ -6,6 +6,7 @@ import gc
 import hashlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,9 @@ from earl.errors import DomainError
 from earl.minirtl import (DEFAULT_VOCAB, LexError, ModuleAst, ParseError,
                           SemanticError, detokenize, parse, simulate,
                           tokenize)
-from earl.minirtl.ast import Assign, Const
+from earl.minirtl.ast import (Assign, Binary, Const, Index, Ternary, Unary,
+                             Var)
+from earl.minirtl.lexer import _BAD_ID
 from earl.minirtl.parser import _header, _Parser, comb_order
 from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
 
@@ -287,8 +290,51 @@ def test_out_of_range_id_is_syntax_error_at_its_index(bad):
         with pytest.raises(ParseError) as e:
             parse(container(tokens))
         assert e.value.index == 1, container
+        # after 'endmodule', a bad id is at its index too, the sentinel's
+        # stand-in None included: the end is found by position
+        for tail in ([bad], [bad, 5]):
+            with pytest.raises(ParseError) as e:
+                parse(container(tokenize(AND2) + tail))
+            assert e.value.args == (21, _BAD_ID), container
         # in range, every container parses to the same module
         assert parse(container(tokenize(AND2))) == parse_text(AND2)
+
+
+_IDS = frozenset(range(DEFAULT_VOCAB.size))
+
+
+def _eager_parse_outcome(tokens) -> str:
+    """parse_outcome under the rule that checks every id before the
+    grammar: the first id outside the vocabulary is the error."""
+    ids = tuple(tokens)
+    bad = next((i for i, t in enumerate(ids) if t not in _IDS), None)
+    if bad is None:
+        return parse_outcome(ids)
+    e = ParseError(bad, _BAD_ID)
+    return repr(("ParseError", bad, sorted(_BAD_ID), None, str(e)))
+
+
+# ids outside the vocabulary, and ids that equal one of its ints
+_SUBSTITUTES = st.one_of(
+    st.integers(0, DEFAULT_VOCAB.size - 1),
+    st.sampled_from([-1, DEFAULT_VOCAB.size, 3.5, None, True, 3.0]),
+    st.integers(0, DEFAULT_VOCAB.size - 1).map(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**31 - 1),
+       st.sampled_from(["combinational", "register", "counter", "mux",
+                        "fsm-lite"]),
+       st.lists(st.tuples(st.integers(0, 2**16), _SUBSTITUTES),
+                min_size=1, max_size=3))
+def test_ids_checked_after_a_failed_grammar_match_the_eager_check(
+        seed, kind, edits):
+    from earl.taskgen import generate_task
+    ids = tokenize(generate_task(seed, kind, "easy", "t").reference_text)
+    for where, token in edits:
+        i = where % (len(ids) + 1)  # past the last id: appended
+        ids[i:i + 1] = [token]
+    assert parse_outcome(ids) == _eager_parse_outcome(ids)
 
 
 def test_ids_parse_as_the_ints_they_equal():
@@ -313,6 +359,72 @@ def test_ternary_and_equality_parse():
             "assign y = sel ? a : b ; endmodule")
     ast = parse_text(text)
     assert len(ast.assigns) == 1
+
+
+# Expressions over the 1-bit inputs a, b, c and the bits of the 4-bit input
+# d, so every node is one bit wide and every tree is well-typed. Trees are
+# drawn by a seeded generator, which makes binary nodes over identifiers,
+# the operands the parser reads in place, common at every depth.
+_LEAVES = (Var("a"), Var("b"), Var("c"), Var("a"), Var("b"), Var("c"),
+           Const(0), Const(1), Index("d", 0), Index("d", 1), Index("d", 2),
+           Index("d", 3))
+_BINARY_OPS = ("|", "^", "&", "==")
+
+
+def _random_expr(rnd, depth: int):
+    if depth == 0 or rnd.random() < 0.2:
+        return rnd.choice(_LEAVES)
+    kind = rnd.random()
+    if kind < 0.7:
+        return Binary(rnd.choice(_BINARY_OPS), _random_expr(rnd, depth - 1),
+                      _random_expr(rnd, depth - 1))
+    if kind < 0.85:
+        return Unary("~", _random_expr(rnd, depth - 1))
+    return Ternary(*(_random_expr(rnd, depth - 1) for _ in range(3)))
+
+
+# A node's precedence level: '?:' 0, '|' 1, '^' 2, '&' 3, '==' 4, '~' 5, a
+# leaf 6; a node below the level its place needs is parenthesized.
+_LEVEL = {"|": 1, "^": 2, "&": 3, "==": 4}
+
+
+def _source(e, need: int, rnd) -> str:
+    """e printed where the grammar needs level need, with the parentheses
+    precedence asks for and, at random, redundant ones."""
+    t = type(e)
+    if t is Var:
+        level, text = 6, e.name
+    elif t is Index:
+        level, text = 6, f"{e.name} [ {e.bit} ]"
+    elif t is Const:
+        level, text = 6, str(e.value)
+    elif t is Unary:
+        level, text = 5, f"~ {_source(e.operand, 5, rnd)}"
+    elif t is Binary:
+        # left-associative: the right operand needs a tighter level; '=='
+        # is non-associative, so both of its operands need a unary
+        level = _LEVEL[e.op]
+        left = 5 if e.op == "==" else level
+        text = (f"{_source(e.left, left, rnd)} {e.op} "
+                f"{_source(e.right, level + 1, rnd)}")
+    else:
+        level = 0
+        text = (f"{_source(e.cond, 1, rnd)} ? {_source(e.then, 0, rnd)} : "
+                f"{_source(e.other, 0, rnd)}")
+    if level < need or rnd.random() < 0.1:
+        return f"( {text} )"
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_expressions_parse_back_to_the_tree_they_print(seed):
+    rnd = random.Random(seed)
+    expr = _random_expr(rnd, 6)
+    source = _source(expr, 0, rnd)
+    text = ("module u00 ( input a , input b , input c , input [ 3 : 0 ] d , "
+            f"output y ) ; assign y = {source} ; endmodule")
+    assert parse_text(text).assigns[0].expr == expr
 
 
 # --- parser soundness on generated corpora -----------------------------------

@@ -45,6 +45,22 @@ def test_trailing_eos_is_stripped():
     assert rew.score(toks, task).reward == 1.0
 
 
+def test_any_container_of_the_same_ids_scores_the_same():
+    # the candidate is read once, so an iterator serves as a list does
+    task = easy_task()
+    ref = tokens_of(task.reference_text)
+    eos = DEFAULT_VOCAB.id("EOS")
+    renamed = tokens_of(rename(task.reference_text, "and2"))
+    stages = set()
+    for toks in (ref, ref + [eos], renamed + [eos], ref[:5], [eos], []):
+        want = rew.score(list(toks), task)
+        stages.add(want.stage_reached)
+        for container in (iter, tuple, np.array):
+            assert rew.score(container(toks), task) == want, container
+    assert stages == {rew.STAGE_FUNCTIONAL, rew.STAGE_INTERFACE,
+                      rew.STAGE_PARSE_FAIL}
+
+
 @pytest.mark.parametrize("bad", [-1, DEFAULT_VOCAB.size])
 def test_out_of_range_id_scores_as_parse_fail(bad):
     task = easy_task()
