@@ -20,7 +20,9 @@ this replay measures scoring as RL traffic meets it.
 It prints the recorded calls' stage mix, the calls that simulate the
 candidate split by its design (one-pass, without registers, or with
 registers, whose passes repeat until the registers settle), the header
-cache's hits and misses in one pass, the median and quartiles over passes
+cache's hits and misses in one pass, how many distinct breakdown objects
+and distinct breakdown values one pass returns (the two counts are equal
+when equal breakdowns are one object), the median and quartiles over passes
 of the milliseconds of scoring per RL step (CPU time of this process, the
 benchmark's clock), and whether every replayed breakdown equals the
 recorded one. It exits 1 when one differs. Standard library and earl only.
@@ -32,7 +34,8 @@ checkouts' reward.score, alternating them pass by pass (which side goes
 first alternates too). Before each of its passes, each side clears its own
 header cache. It prints each side's median milliseconds of scoring per RL
 step, the number of passes in which CHECKOUT was lower and the median over
-passes of CHECKOUT's time over this checkout's in the same pass, then whether
+passes of CHECKOUT's time over this checkout's in the same pass, each side's
+distinct breakdown objects in one pass, then whether
 every breakdown of either side equals the recorded one, compared field by
 field (the two checkouts' classes differ), and exits 1 when one differs.
 Both sides read the same recorded arguments: this checkout's tasks and
@@ -105,15 +108,22 @@ def timed_pass(score, header, calls) -> tuple[float, list]:
 def replay(calls, passes: int):
     """Per pass, the CPU seconds that scoring calls took, each pass after
     a cleared header cache; the header cache's info after the first pass;
-    and whether every replayed breakdown equals the recorded one."""
-    seconds, info, same = [], None, True
+    whether every replayed breakdown equals the recorded one; and the
+    first pass's breakdowns."""
+    seconds, info, same, first = [], None, True, None
     for i in range(passes):
         s, got = timed_pass(rew.score, parser._header, calls)
         seconds.append(s)
         same = same and got == [bd for _, _, bd in calls]
         if i == 0:
-            info = parser._header.cache_info()
-    return seconds, info, same
+            info, first = parser._header.cache_info(), got
+    return seconds, info, same, first
+
+
+def distinct(breakdowns) -> tuple[int, int]:
+    """How many distinct objects, and how many distinct values, the
+    breakdowns are."""
+    return len({id(bd) for bd in breakdowns}), len(set(breakdowns))
 
 
 def load_checkout(root):
@@ -142,17 +152,20 @@ def replay_against(calls, passes: int, other):
     """Per pass, the CPU seconds that scoring calls took in this checkout
     and through other ((score, header cache) of another checkout, as
     load_checkout gives), the two alternating pass by pass, each pass
-    after clearing its own side's header cache; and whether every
-    breakdown of either side equals the recorded one field by field."""
+    after clearing its own side's header cache; whether every breakdown
+    of either side equals the recorded one field by field; and each side's
+    breakdowns of its first pass."""
     sides = [(rew.score, parser._header), other]
-    seconds, same = ([], []), True
+    seconds, same, first = ([], []), True, [None, None]
     recorded = [_fields(bd) for _, _, bd in calls]
     for i in range(passes):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
             s, got = timed_pass(*sides[side], calls)
             seconds[side].append(s)
             same = same and list(map(_fields, got)) == recorded
-    return seconds[0], seconds[1], same
+            if i == 0:
+                first[side] = got
+    return seconds[0], seconds[1], same, tuple(first)
 
 
 def stage_mix(breakdowns) -> dict:
@@ -215,7 +228,7 @@ def main(argv=None, counts=None) -> int:
           f"({sim['one-pass'] / max(n, 1):.1%}), {sim['registers']} with "
           f"registers ({sim['registers'] / max(n, 1):.1%})")
     if args.against is not None:
-        mine, theirs, same = replay_against(calls, args.passes, other)
+        mine, theirs, same, first = replay_against(calls, args.passes, other)
         ms = [1e3 * statistics.median(s) / args.rl_steps
               for s in (mine, theirs)]
         lower = sum(b < a for a, b in zip(mine, theirs))
@@ -225,12 +238,18 @@ def main(argv=None, counts=None) -> int:
               f"{args.passes} cold passes each); CHECKOUT lower in {lower} "
               f"of {args.passes} passes, median per-pass ratio CHECKOUT / "
               f"this checkout {ratio:.4f}")
+        (a, values), (b, _) = map(distinct, first)
+        print(f"breakdowns in one pass: this checkout {a} objects, "
+              f"CHECKOUT {b} objects, {values} distinct values")
         print(f"both checkouts' breakdowns equal the recorded ones field by "
               f"field: {'yes' if same else 'NO'}")
         return 0 if same else 1
-    seconds, info, same = replay(calls, args.passes)
+    seconds, info, same, first = replay(calls, args.passes)
     print(f"header cache in one pass: {info.hits} hits, {info.misses} "
           f"misses, {info.currsize} headers kept")
+    objects, values = distinct(first)
+    print(f"breakdowns in one pass: {objects} objects, {values} distinct "
+          f"values")
     ms = sorted(1e3 * s / args.rl_steps for s in seconds)
     q1, q3 = (statistics.quantiles(ms, n=4)[::2] if len(ms) > 1
               else (ms[0], ms[0]))

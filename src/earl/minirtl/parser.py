@@ -26,11 +26,13 @@ sentinel (None, which no grammar table holds) on its end, so no rule
 reads past it. The grammar's terminals, leaf nodes and declaration nodes
 are keyed on ids; a name is read from the vocabulary's id -> name dict
 only where a node stores one (a target, a clock, an edge, an operator, a
-module or a port name). An id outside [0, V) is a ParseError at its index,
-whatever syntax error comes before it. parse checks the ids against the
-vocabulary only when the grammar fails, since a grammar run that succeeds
-accepts only tokens equal to a terminal or to a key of the id-keyed tables,
-all of them vocabulary ids; for the same reason the end of a program is
+module or a port name). An id outside [0, V), or an element that is no
+scalar id, is a ParseError at its index, whatever syntax error comes before
+it. parse checks the ids against the vocabulary only when the grammar fails
+(a ParseError, or the TypeError or ValueError a list or an array raises in
+a lookup or a comparison), since a grammar run that succeeds accepts only
+tokens equal to a terminal or to a key of the id-keyed tables, all of them
+vocabulary ids; for the same reason the end of a program is
 found by its position, not by the sentinel, which an id equal to None
 would mimic. The '|', '^' and '&' levels are parsed by precedence climbing
 over eq_e operands (_PREC), which builds the same left-associative trees as
@@ -510,17 +512,37 @@ def parse(token_ids) -> ModuleAst:
 
     Raises ParseError (with the first offending token index) or SemanticError;
     an id outside [0, V) is a ParseError at its index, whatever syntax error
-    comes before it. The ids are checked only when the grammar fails: a
-    program that parses holds vocabulary ids only. ``token_ids`` is read
-    once, so any iterable serves; a tuple is not copied.
+    comes before it, and so is an element that is no scalar id (a list, a
+    numpy array), on which the grammar may raise TypeError or ValueError.
+    The ids are checked only when the grammar fails: a program that parses
+    holds only elements equal to vocabulary ids. ``token_ids`` is read once, so any iterable
+    serves; a tuple is not copied.
     """
     ids = tuple(token_ids)
     try:
         fields = _Parser(ids).program()
-    except ParseError:
-        if _IDS.issuperset(ids):
+    except (ParseError, TypeError, ValueError):
+        bad = _first_bad_id(ids)
+        if bad is None:
             raise
-        bad = next(i for i, t in enumerate(ids) if t not in _IDS)
     else:
         return _check(*fields)
     raise ParseError(bad, _BAD_ID)
+
+
+def _first_bad_id(ids: tuple) -> int | None:
+    """The index of the first element of ids that is not a vocabulary id,
+    an unhashable one (a list, a numpy array) included; None if all are."""
+    try:
+        if _IDS.issuperset(ids):
+            return None
+    except TypeError:  # an unhashable element: find it below
+        pass
+    for i, t in enumerate(ids):
+        try:
+            if t in _IDS:
+                continue
+        except TypeError:
+            pass
+        return i
+    return None

@@ -7,11 +7,19 @@ Stage 3 runs only on an exact interface match and grades the fraction of
 matching output bits against the task's packed expected outputs, with full
 equivalence required for the maximal reward. The reward values are one
 fixed schedule, which keeps near-misses strictly below the pass reward.
+
+Every outcome is a shared frozen RewardBreakdown: a parse failure and a
+pass are one constant each, and an interface-stage or near-miss outcome is
+built once per distinct interface score or near-miss fraction, through a
+bounded memo keyed on that float, and returned to every score that reaches
+it. Equal verdicts are one object; no breakdown depends on what the memos
+hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .minirtl import Interface, MiniRtlError, parse
 from .minirtl.sim import equivalence_fraction
@@ -22,6 +30,15 @@ STAGE_INTERFACE = "interface"
 STAGE_FUNCTIONAL = "functional"
 
 _EOS = DEFAULT_VOCAB.id(EOS)
+# An id set holding EOS alone: the trailing-EOS test is a set lookup, so a
+# candidate element that is a numpy array is never asked for its truth
+# value (it is unhashable, and parse reports it as a bad id).
+_EOS_ONLY = frozenset((_EOS,))
+# Distinct interface scores, and distinct near-miss fractions, whose shared
+# breakdown each memo keeps, the least recently used dropped first: the
+# 11,875 test candidates derived from the default corpus reach 24 distinct
+# breakdowns, one pass of 45 RL steps' score calls 22.
+_VERDICT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -63,6 +80,28 @@ PASS_OUTCOME = RewardBreakdown(True, 1.0, 1.0, True,
                                DEFAULT_SCHEDULE.pass_reward, STAGE_FUNCTIONAL)
 
 
+@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _interface_outcome(s: float) -> RewardBreakdown:
+    """The shared breakdown of a candidate that stops at the interface stage
+    with interface score s. s is a float in [0, 1] (never -0.0), so equal
+    keys are the same float and the memoized fields keep their bytes."""
+    return RewardBreakdown(True, s, 0.0, False,
+                           DEFAULT_SCHEDULE.interface_base
+                           + DEFAULT_SCHEDULE.interface_span * s,
+                           STAGE_INTERFACE)
+
+
+@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _near_miss_outcome(m: float) -> RewardBreakdown:
+    """The shared breakdown of a near miss with matching-bit fraction m (a
+    float in [0, 1)); its interface score is exactly 1.0, as every candidate
+    that reaches simulation has."""
+    return RewardBreakdown(True, 1.0, m, False,
+                           DEFAULT_SCHEDULE.functional_base
+                           + DEFAULT_SCHEDULE.functional_span * m,
+                           STAGE_FUNCTIONAL)
+
+
 def interface_score(candidate: Interface, target: Interface) -> float:
     """0.25 for the module name plus 0.75 times the fraction of target ports
     matched on (name, direction, width). Extra candidate ports earn nothing
@@ -79,17 +118,22 @@ def score(candidate_tokens, task, *, truncated: bool = False
     """Run the cascade on a candidate token sequence for a task.
 
     A trailing EOS is stripped before parsing. All failure modes, ids
-    outside the vocabulary included, map to breakdown fields; nothing raises.
-    A parse failure, a truncated candidate and a pass return the shared
-    breakdown of that outcome (PARSE_FAIL_OUTCOME, PASS_OUTCOME). An
-    untruncated candidate is read once, as parse reads it, so any iterable
-    of ids serves; a tuple is not copied.
+    outside the vocabulary and elements that are no scalar id (a list, a
+    numpy array) included, map to breakdown fields; nothing raises. Every
+    outcome is a shared frozen breakdown: PARSE_FAIL_OUTCOME for a parse
+    failure or a truncated candidate, PASS_OUTCOME for a pass, and one
+    breakdown per distinct interface score or near-miss fraction, from a
+    bounded memo, for the other two. An untruncated candidate is read once,
+    as parse reads it, so any iterable of ids serves; a tuple is not copied.
     """
     if truncated:
         return PARSE_FAIL_OUTCOME
     candidate_tokens = tuple(candidate_tokens)
-    if candidate_tokens and candidate_tokens[-1] == _EOS:
-        candidate_tokens = candidate_tokens[:-1]
+    try:
+        if candidate_tokens and candidate_tokens[-1] in _EOS_ONLY:
+            candidate_tokens = candidate_tokens[:-1]
+    except TypeError:  # an unhashable last element: parse reports it
+        pass
     try:
         candidate = parse(candidate_tokens)
     except MiniRtlError:
@@ -103,14 +147,10 @@ def score(candidate_tokens, task, *, truncated: bool = False
     iface = candidate.interface
     if s < 1.0 or (len(iface.ports) > len(target.ports)
                    and len(iface.output_ports) > len(target.output_ports)):
-        reward = (DEFAULT_SCHEDULE.interface_base
-                  + DEFAULT_SCHEDULE.interface_span * s)
-        return RewardBreakdown(True, s, 0.0, False, reward, STAGE_INTERFACE)
+        return _interface_outcome(s)
 
     m, equivalent = equivalence_fraction(candidate, task.vectors,
                                          task.expected)
     if equivalent:
         return PASS_OUTCOME
-    reward = (DEFAULT_SCHEDULE.functional_base
-              + DEFAULT_SCHEDULE.functional_span * m)
-    return RewardBreakdown(True, s, m, False, reward, STAGE_FUNCTIONAL)
+    return _near_miss_outcome(m)

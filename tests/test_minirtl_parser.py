@@ -24,6 +24,7 @@ from earl.minirtl import (DEFAULT_VOCAB, LexError, ModuleAst, ParseError,
 from earl.minirtl.ast import (Assign, Binary, Const, Index, Ternary, Unary,
                              Var)
 from earl.minirtl.lexer import _BAD_ID
+from earl.minirtl import parser
 from earl.minirtl.parser import _header, _Parser, comb_order
 from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
 
@@ -307,17 +308,30 @@ def _eager_parse_outcome(tokens) -> str:
     """parse_outcome under the rule that checks every id before the
     grammar: the first id outside the vocabulary is the error."""
     ids = tuple(tokens)
-    bad = next((i for i, t in enumerate(ids) if t not in _IDS), None)
+    bad = next((i for i, t in enumerate(ids)
+                if not _hashable(t) or t not in _IDS), None)
     if bad is None:
         return parse_outcome(ids)
     e = ParseError(bad, _BAD_ID)
     return repr(("ParseError", bad, sorted(_BAD_ID), None, str(e)))
 
 
-# ids outside the vocabulary, and ids that equal one of its ints
+def _hashable(t) -> bool:
+    try:
+        hash(t)
+    except TypeError:
+        return False
+    return True
+
+
+# ids outside the vocabulary, elements that are no scalar id (a list, a
+# tuple, a numpy array of two ids), and ids that equal one of its ints
 _SUBSTITUTES = st.one_of(
     st.integers(0, DEFAULT_VOCAB.size - 1),
     st.sampled_from([-1, DEFAULT_VOCAB.size, 3.5, None, True, 3.0]),
+    st.sampled_from([[5], (5,), [], "module"]),
+    st.integers(0, DEFAULT_VOCAB.size - 2).map(
+        lambda t: np.array([t, t + 1])),
     st.integers(0, DEFAULT_VOCAB.size - 1).map(np.int64))
 
 
@@ -335,6 +349,22 @@ def test_ids_checked_after_a_failed_grammar_match_the_eager_check(
         i = where % (len(ids) + 1)  # past the last id: appended
         ids[i:i + 1] = [token]
     assert parse_outcome(ids) == _eager_parse_outcome(ids)
+
+
+def test_a_program_that_parses_is_never_scanned_for_bad_ids(monkeypatch):
+    # the id scan runs only after the grammar fails, and a syntax error
+    # among vocabulary ids is the grammar's own error
+    scans = []
+    first_bad_id = parser._first_bad_id
+    monkeypatch.setattr(parser, "_first_bad_id",
+                        lambda ids: scans.append(ids) or first_bad_id(ids))
+    ids = tokenize(AND2)
+    for container in ID_CONTAINERS:
+        assert parse(container(ids)) == parse_text(AND2)
+    assert scans == []
+    with pytest.raises(ParseError) as e:
+        parse(ids[:5])
+    assert e.value.args == (5, {")"}) and len(scans) == 1
 
 
 def test_ids_parse_as_the_ints_they_equal():

@@ -6,6 +6,8 @@ one of three ports matched, right name: s = 0.25 + 0.75/3 = 0.5, R = 0.35;
 near-miss m = 0.75: R = 0.5 + 0.4*0.75 = 0.8.
 """
 
+import hashlib
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,9 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from earl import reward as rew
 from earl.minirtl import (DEFAULT_VOCAB, Interface, MiniRtlError, ModuleAst,
-                          PortDecl, build_vectors, parse, simulate_packed,
-                          tokenize)
+                          ParseError, PortDecl, build_vectors, parse,
+                          simulate_packed, tokenize)
 from earl.taskgen import CorpusConfig, build_corpus, generate_task
+
+
+def _clear_verdict_memos():
+    rew._interface_outcome.cache_clear()
+    rew._near_miss_outcome.cache_clear()
 
 
 def easy_task(seed=5):
@@ -243,6 +250,148 @@ def test_every_breakdown_matches_the_cascade_built_afresh(pinned_candidates):
                 assert got is rew.PASS_OUTCOME
     assert len(stages) == 4  # parse fail, interface, near miss, pass
     assert rew.DEFAULT_SCHEDULE == rew.RewardSchedule()
+
+
+def test_breakdowns_are_pinned(pinned_candidates):
+    # with the verdict memos cleared, again warm, and again after a clear:
+    # what the memos hold never changes a breakdown's bytes
+    for clear in (True, False, True):
+        if clear:
+            _clear_verdict_memos()
+        got = [rew.score(tokens, task) for task, tokens in pinned_candidates]
+        assert Counter(bd.stage_reached for bd in got) == {
+            rew.STAGE_PARSE_FAIL: 10346, rew.STAGE_INTERFACE: 365,
+            rew.STAGE_FUNCTIONAL: 1164}
+        digest = hashlib.sha256(
+            "\n".join(map(repr, got)).encode()).hexdigest()
+        assert digest == ("32a2bea65ad4ae4de677a84681ff9f79"
+                          "06c8cb01e1d6d3ea533dd939d26d839c"), clear
+
+
+def test_equal_verdicts_are_one_shared_object(pinned_candidates):
+    """The pinned pool's 11,875 breakdowns are 24 distinct values and 24
+    objects, whether the memos start cleared or warm, and every
+    functional-stage breakdown has interface score exactly 1.0."""
+    for clear in (True, False):
+        if clear:
+            _clear_verdict_memos()
+        got = [rew.score(tokens, task) for task, tokens in pinned_candidates]
+        assert len(set(got)) == len({id(bd) for bd in got}) == 24
+        by_value = {}
+        for bd in got:
+            assert by_value.setdefault(bd, bd) is bd
+        for bd in got:
+            if bd.stage_reached == rew.STAGE_FUNCTIONAL:
+                assert bd.interface_score == 1.0
+                assert type(bd.interface_score) is float
+
+
+def _formula(stage, s, m):
+    """The breakdown of an interface-stage (m unused) or near-miss (s is
+    1.0) outcome, built from the schedule's arithmetic."""
+    schedule = rew.DEFAULT_SCHEDULE
+    if stage == rew.STAGE_INTERFACE:
+        return rew.RewardBreakdown(
+            True, s, 0.0, False,
+            schedule.interface_base + schedule.interface_span * s, stage)
+    return rew.RewardBreakdown(
+        True, 1.0, m, False,
+        schedule.functional_base + schedule.functional_span * m, stage)
+
+
+def _same_bytes(got, want):
+    return all(repr(getattr(got, f.name)) == repr(getattr(want, f.name))
+               and type(getattr(got, f.name)) is type(getattr(want, f.name))
+               for f in fields(want))
+
+
+_FRACTION = st.floats(0.0, 1.0)  # never -0.0 or NaN
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRACTION, _FRACTION)
+def test_memoized_outcomes_equal_the_formula(s, m):
+    for stage, memo, key in ((rew.STAGE_INTERFACE, rew._interface_outcome, s),
+                             (rew.STAGE_FUNCTIONAL, rew._near_miss_outcome,
+                              m)):
+        got = memo(key)
+        assert _same_bytes(got, _formula(stage, s, m))
+        assert memo(key) is got
+        # a float equal to the key, built afresh, finds the same breakdown
+        assert memo(float(repr(key))) is got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 80),
+       st.lists(st.tuples(st.integers(0, 80), st.sampled_from(
+           sorted({t for c in (("&", "|", "^", "=="), ("0", "1", "2", "3"),
+                               ("input", "output"), ("a", "b", "y", "z"))
+                   for t in c}))), max_size=3))
+def test_generated_candidates_score_as_the_cascade_built_afresh(
+        seed, keep, edits):
+    """A reference with some tokens swapped for operators, constants,
+    directions or identifiers, cut after keep ids: score returns the breakdown the
+    cascade builds afresh, and scoring it again returns the same object."""
+    task = easy_task(seed)
+    toks = tokens_of(task.reference_text)
+    for i, name in edits:
+        if i < len(toks):
+            toks[i] = DEFAULT_VOCAB.id(name)
+    toks = toks[:keep]
+    got = rew.score(toks, task)
+    assert _same_bytes(got, _oracle_score(toks, task))
+    assert rew.score(tuple(toks), task) is got
+    if got.stage_reached == rew.STAGE_FUNCTIONAL:
+        assert got.interface_score == 1.0
+
+
+def test_memos_are_bounded_and_clearing_one_changes_no_value(
+        pinned_candidates):
+    for memo in (rew._interface_outcome, rew._near_miss_outcome):
+        assert memo.cache_info().maxsize == rew._VERDICT_CACHE_SIZE == 4096
+        for i in range(rew._VERDICT_CACHE_SIZE + 100):
+            memo(i / 8192)
+        assert memo.cache_info().currsize == rew._VERDICT_CACHE_SIZE
+    _clear_verdict_memos()
+    want = [repr(rew.score(tokens, task))
+            for task, tokens in pinned_candidates]
+    half = len(pinned_candidates) // 2
+    for memo in (rew._interface_outcome, rew._near_miss_outcome):
+        got = []
+        for i, (task, tokens) in enumerate(pinned_candidates):
+            if i == half:
+                memo.cache_clear()
+            got.append(repr(rew.score(tokens, task)))
+        assert got == want
+        assert memo.cache_info().currsize > 0
+
+
+def test_candidates_that_are_no_flat_id_sequence_score_as_parse_fail():
+    """A nested list, a 2-D numpy array, a tuple holding a list and a last
+    element that is a numpy array equal to EOS are parse failures, never an
+    exception, and parse puts the error at the first element that is no
+    scalar id."""
+    task = easy_task()
+    ref = tokens_of(task.reference_text)
+    eos = DEFAULT_VOCAB.id("EOS")
+    arr = np.array(ref)
+    cases = [([[5]], 0), (arr.reshape(-1, 1), 0),
+             (arr[:len(ref) // 2 * 2].reshape(2, -1), 0),
+             (tuple(ref[:3]) + ([1],) + tuple(ref[4:]), 3),
+             (tuple(ref) + ([1],), len(ref)),
+             # an array's truth value is never taken: [EOS] is not stripped
+             (ref + [np.array([eos])], len(ref)),
+             (ref + [np.array([eos, eos])], len(ref)),
+             ([ref[0], np.array([])], 1), ([np.int64(ref[0]), np.array(3)], 1)]
+    for candidate, bad in cases:
+        assert rew.score(candidate, task) is rew.PARSE_FAIL_OUTCOME
+        with pytest.raises(ParseError) as e:
+            parse(candidate)
+        assert e.value.index == bad and e.value.expected == {
+            f"<token id in [0, {DEFAULT_VOCAB.size})>"}
+    # a scalar EOS in any numeric type is still stripped
+    for end in (eos, np.int64(eos), float(eos)):
+        assert rew.score(ref + [end], task) is rew.PASS_OUTCOME
 
 
 def test_a_positional_schedule_is_a_type_error():

@@ -31,6 +31,12 @@ def test_smoke_replay_reports_the_recorded_calls(capsys):
     assert list(mix) == ["parse-fail", "interface", "near-miss", "pass"]
     assert n > 0 and sum(map(int, mix.values())) == n
     assert re.search(r"header cache in one pass: \d+ hits, \d+ misses", out)
+    # equal breakdowns are one object, so one pass returns as many objects
+    # as distinct values
+    objects, values = map(int, re.search(
+        r"^breakdowns in one pass: (\d+) objects, (\d+) distinct values$",
+        out, re.M).groups())
+    assert 1 <= objects == values <= n
     assert re.search(r"scoring per RL step: [\d.]+ ms", out)
     assert "replayed breakdowns equal the recorded ones: yes" in out
 
@@ -40,8 +46,10 @@ def test_replay_clears_the_header_cache_before_each_pass():
     parser._header.cache_clear()
     for args, kwargs, _ in calls:  # warm the cache with every header
         rew.score(*args, **kwargs)
-    seconds, cold, same = sr.replay(calls, 3)
+    seconds, cold, same, first = sr.replay(calls, 3)
     assert len(seconds) == 3 and same
+    assert first == [bd for _, _, bd in calls]
+    assert sr.distinct(first) == (len(set(first)),) * 2
     assert cold.currsize > 0  # a warm pass would miss fewer headers
     parser._header.cache_clear()
     for args, kwargs, _ in calls:
@@ -111,12 +119,20 @@ def test_against_replays_two_checkouts_alternately(capsys):
     assert got and got[1] == root and int(got[2]) <= 3 and float(got[3]) > 0
     assert ("both checkouts' breakdowns equal the recorded ones field by "
             "field: yes") in out
+    a, b, values = map(int, re.search(
+        r"^breakdowns in one pass: this checkout (\d+) objects, CHECKOUT "
+        r"(\d+) objects, (\d+) distinct values$", out, re.M).groups())
+    assert a == b == values > 0
     # the loaded checkout has its own classes and its own header cache
     score, header = sr.load_checkout(root)
     assert score is not rew.score and header is not parser._header
     calls = sr.record(1, 3, 20, SMOKE_COUNTS)
-    mine, theirs, same = sr.replay_against(calls, 2, (score, header))
+    mine, theirs, same, first = sr.replay_against(calls, 2,
+                                                  (score, header))
     assert len(mine) == len(theirs) == 2 and same
+    assert list(map(len, first)) == [len(calls)] * 2
+    assert type(first[0][0]) is rew.RewardBreakdown
+    assert type(first[1][0]) is not rew.RewardBreakdown
     assert header.cache_info().currsize > 0
 
     def off(*args, **kwargs):  # one field of every breakdown differs
