@@ -356,6 +356,8 @@ def ablation_grid(config: rlcore.RlConfig, params: pol.PolicyParams,
         raise DomainError("ablation_grid requires at least one seed")
     if n < 5:  # the columns are pass@1, pass@5 and syn@5
         raise DomainError(f"ablation_grid requires n >= 5, got n={n}")
+    if not eval_tasks:  # else every cell trains, then fails in eval_suite
+        raise DomainError("ablation_grid requires a nonempty eval task list")
     rows = []
     for rho in rhos:
         cell = {"pass1": [], "pass5": [], "syn5": [], "gated": []}

@@ -51,7 +51,9 @@ class EvalConfig:
     ks: tuple[int, ...] = (1, 5)
 
     def validate(self) -> None:
-        if not self.ks or self.n < max(self.ks):
+        if not self.ks:
+            raise ConfigError("eval.ks: must be nonempty")
+        if self.n < max(self.ks):
             raise ConfigError("eval.n: must be >= max(eval.ks)")
         if any(k < 1 for k in self.ks):
             raise ConfigError("eval.ks: entries must be >= 1")

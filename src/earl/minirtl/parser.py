@@ -28,17 +28,13 @@ are keyed on ids; a name is read from the vocabulary's id -> name dict
 only where a node stores one (a target, a clock, an edge, an operator, a
 module or a port name). An id outside [0, V), or an element that is no
 scalar id, is a ParseError at its index, whatever syntax error comes before
-it. parse checks the ids against the vocabulary only when the grammar fails
-(a ParseError, or the TypeError or ValueError a list or an array raises in
-a lookup or a comparison), since a grammar run that succeeds accepts only
-tokens equal to a terminal or to a key of the id-keyed tables, all of them
-vocabulary ids; for the same reason the end of a program is
-found by its position, not by the sentinel, which an id equal to None
-would mimic. The '|', '^' and '&' levels are parsed by precedence climbing
-over eq_e operands (_PREC), which builds the same left-associative trees as
-the three rules above, reading a plain identifier operand in place. '=='
-stays non-associative. Widths follow ast.expr_width; any mismatch is a
-parse-time SemanticError rather than implicit extension.
+it: parse checks the ids against the vocabulary before the grammar runs, so
+the grammar only ever meets vocabulary ids. The '|', '^' and '&' levels are
+parsed by precedence climbing over eq_e operands (_PREC), which builds the
+same left-associative trees as the three rules above, reading a plain
+identifier operand in place. '==' stays non-associative. Widths follow
+ast.expr_width; any mismatch is a parse-time SemanticError rather than
+implicit extension.
 
 A module header ('module' through the first ')') is a function of its
 ids, so each distinct header is parsed once, through a bounded
@@ -99,8 +95,8 @@ _HEADER_CACHE_SIZE = 2048
 
 class _Parser:
     def __init__(self, ids: tuple):
-        """ids: token ids, unchecked; the cursor reads them with a sentinel
-        on the end that no rule matches or consumes."""
+        """ids: vocabulary ids, checked by parse; the cursor reads them
+        with a sentinel on the end that no rule matches or consumes."""
         self.toks = ids + (None,)
         self.pos = 0
 
@@ -513,21 +509,14 @@ def parse(token_ids) -> ModuleAst:
     Raises ParseError (with the first offending token index) or SemanticError;
     an id outside [0, V) is a ParseError at its index, whatever syntax error
     comes before it, and so is an element that is no scalar id (a list, a
-    numpy array), on which the grammar may raise TypeError or ValueError.
-    The ids are checked only when the grammar fails: a program that parses
-    holds only elements equal to vocabulary ids. ``token_ids`` is read once, so any iterable
-    serves; a tuple is not copied.
+    numpy array). ``token_ids`` is read once, so any iterable serves; a
+    tuple is not copied.
     """
     ids = tuple(token_ids)
-    try:
-        fields = _Parser(ids).program()
-    except (ParseError, TypeError, ValueError):
-        bad = _first_bad_id(ids)
-        if bad is None:
-            raise
-    else:
-        return _check(*fields)
-    raise ParseError(bad, _BAD_ID)
+    bad = _first_bad_id(ids)
+    if bad is not None:
+        raise ParseError(bad, _BAD_ID)
+    return _check(*_Parser(ids).program())
 
 
 def _first_bad_id(ids: tuple) -> int | None:

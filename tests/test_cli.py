@@ -262,6 +262,7 @@ def test_invalid_value_is_validation_error(tmp_path, capsys):
     ({"policy_k": "48"}, "policy_k"),
     ({"seed": True}, "seed"),
     ({"sft": {"total_steps": None}}, "sft.total_steps"),
+    ({"eval": {"ks": []}}, "eval.ks"),
 ])
 def test_wrong_json_type_is_validation_error(tmp_path, capsys, overrides,
                                              key):
@@ -577,6 +578,24 @@ def test_ablate_rejects_eval_n_below_5_before_training(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:validation: ablation_grid requires n >= 5")
     assert err.count("\n") == 1 and calls == []
+    assert not (tmp_path / "run" / "ablation.csv").exists()
+
+
+def test_ablate_rejects_a_corpus_without_heldout_tasks_before_training(
+        tmp_path, capsys, monkeypatch):
+    path, _ = mini_config(tmp_path,
+                          corpus={"counts": {"combinational-easy": 4},
+                                  "heldout_fraction": 0.0})
+    for sub in ("gen-data", "sft"):
+        assert run([sub, "--config", path]) == 0
+    calls = []
+    monkeypatch.setattr(rlcore, "train_rl", lambda *a, **kw: calls.append(a))
+    capsys.readouterr()
+    assert run(["ablate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error:validation: ablation_grid requires a nonempty "
+                   "eval task list\n")
+    assert calls == []
     assert not (tmp_path / "run" / "ablation.csv").exists()
 
 

@@ -24,7 +24,6 @@ from earl.minirtl import (DEFAULT_VOCAB, LexError, ModuleAst, ParseError,
 from earl.minirtl.ast import (Assign, Binary, Const, Index, Ternary, Unary,
                              Var)
 from earl.minirtl.lexer import _BAD_ID
-from earl.minirtl import parser
 from earl.minirtl.parser import _header, _Parser, comb_order
 from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
 
@@ -351,20 +350,26 @@ def test_ids_checked_after_a_failed_grammar_match_the_eager_check(
     assert parse_outcome(ids) == _eager_parse_outcome(ids)
 
 
-def test_a_program_that_parses_is_never_scanned_for_bad_ids(monkeypatch):
-    # the id scan runs only after the grammar fails, and a syntax error
-    # among vocabulary ids is the grammar's own error
-    scans = []
-    first_bad_id = parser._first_bad_id
-    monkeypatch.setattr(parser, "_first_bad_id",
-                        lambda ids: scans.append(ids) or first_bad_id(ids))
+@pytest.mark.parametrize("kind", ["combinational", "counter"])
+def test_a_one_element_array_is_a_bad_id_wherever_it_stands(kind):
+    # an array holding one id equals that id under the grammar's != and
+    # `in` tests; the ids are checked before the grammar, so in place of a
+    # ';', a ')' or 'endmodule' it is a parse failure, never the program
+    from earl import reward
+    from earl.taskgen import generate_task
     ids = tokenize(AND2)
-    for container in ID_CONTAINERS:
-        assert parse(container(ids)) == parse_text(AND2)
-    assert scans == []
     with pytest.raises(ParseError) as e:
-        parse(ids[:5])
-    assert e.value.args == (5, {")"}) and len(scans) == 1
+        parse(ids[:-1] + [np.array([ids[-1]])])
+    assert e.value.args == (len(ids) - 1, _BAD_ID)
+    task = generate_task(5, kind, "easy", "t")
+    ids = tokenize(task.reference_text)
+    assert reward.score(ids, task) is reward.PASS_OUTCOME
+    for i, t in enumerate(ids):
+        candidate = ids[:i] + [np.array([t])] + ids[i + 1:]
+        with pytest.raises(ParseError) as e:
+            parse(candidate)
+        assert e.value.args == (i, _BAD_ID)
+        assert reward.score(candidate, task) is reward.PARSE_FAIL_OUTCOME
 
 
 def test_ids_parse_as_the_ints_they_equal():
