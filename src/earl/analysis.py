@@ -24,10 +24,6 @@ from . import rlcore
 from .errors import DomainError
 from .minirtl.vocab import DEFAULT_VOCAB, DIGITS, IDENTIFIERS, MODULE_NAMES
 
-TOKEN_CLASSES = ("process-sensitivity", "control-flow", "binding-connection",
-                 "module-head", "structural-terminator", "identifier",
-                 "literal", "other")
-
 # The first class listing a token is its class; a token none lists is "other".
 _CLASS_TOKENS = {
     "process-sensitivity": {"always", "posedge", "negedge"},
@@ -38,6 +34,8 @@ _CLASS_TOKENS = {
     "identifier": {*IDENTIFIERS, *MODULE_NAMES},
     "literal": set(DIGITS),
 }
+# Every class, in the order the token-class CSV lists them.
+TOKEN_CLASSES = (*_CLASS_TOKENS, "other")
 # The class of each token id of the vocabulary.
 TOKEN_CLASS_OF = tuple(
     next((cls for cls, members in _CLASS_TOKENS.items() if tok in members),

@@ -196,27 +196,17 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_corpus(cfg: RunConfig) -> tg.Corpus:
-    path = Path(cfg.out_dir) / "corpus.json"
-    if not path.exists():
-        raise EarlError(f"missing corpus artifact {path}; run gen-data first")
-    return tg.load_corpus(path)
-
-
-def _load_sft(cfg: RunConfig) -> pol.PolicyParams:
-    path = Path(cfg.out_dir) / "sft.ckpt"
-    if not path.exists():
-        raise EarlError(f"missing checkpoint {path}; run sft first")
-    return pol.load_checkpoint(path)
-
-
-def _load_params(cfg: RunConfig, names=("rl.ckpt", "sft.ckpt")):
+def _stage_input(cfg: RunConfig, *names: str) -> Path:
+    """The first of names found in out_dir. If none is, EarlError names the
+    last and the stage that writes it: gen-data the corpus, sft a
+    checkpoint."""
     out = Path(cfg.out_dir)
     for name in names:
-        path = out / name
-        if path.exists():
-            return pol.load_checkpoint(path), name
-    raise EarlError(f"no checkpoint in {out} (tried {', '.join(names)})")
+        if (out / name).exists():
+            return out / name
+    what, stage = (("corpus artifact", "gen-data")
+                   if names[-1] == "corpus.json" else ("checkpoint", "sft"))
+    raise EarlError(f"missing {what} {out / names[-1]}; run {stage} first")
 
 
 # --- subcommands --------------------------------------------------------------
@@ -232,7 +222,7 @@ def cmd_gen_data(cfg: RunConfig, args) -> None:
 
 
 def cmd_sft(cfg: RunConfig, args) -> None:
-    corpus = _load_corpus(cfg)
+    corpus = tg.load_corpus(_stage_input(cfg, "corpus.json"))
     params = pol.init_params(DEFAULT_VOCAB, cfg.policy_k, cfg.seed)
     params, losses = pol.train_sft(
         params, corpus.train(), dataclasses.replace(cfg.sft, seed=cfg.seed))
@@ -243,8 +233,8 @@ def cmd_sft(cfg: RunConfig, args) -> None:
 
 
 def cmd_train(cfg: RunConfig, args) -> None:
-    corpus = _load_corpus(cfg)
-    params = _load_sft(cfg)
+    corpus = tg.load_corpus(_stage_input(cfg, "corpus.json"))
+    params = pol.load_checkpoint(_stage_input(cfg, "sft.ckpt"))
     rl_cfg = dataclasses.replace(cfg.rl, seed=cfg.seed)
     params, metrics = rlcore.train_rl(rl_cfg, params, corpus.train())
     out = _out_dir(cfg)
@@ -259,8 +249,9 @@ def cmd_train(cfg: RunConfig, args) -> None:
 def cmd_eval(cfg: RunConfig, args) -> None:
     """eval.csv, then the entropy study, from one sampling of the heldout
     rollouts at the RL temperature and response length."""
-    corpus = _load_corpus(cfg)
-    params, ckpt = _load_params(cfg)
+    corpus = tg.load_corpus(_stage_input(cfg, "corpus.json"))
+    ckpt = _stage_input(cfg, "rl.ckpt", "sft.ckpt")
+    params = pol.load_checkpoint(ckpt)
     heldout = corpus.heldout()
     report, rollouts = an.eval_suite(
         params, heldout, n=cfg.eval.n, ks=cfg.eval.ks,
@@ -286,7 +277,7 @@ def cmd_eval(cfg: RunConfig, args) -> None:
             an.heatmap_to_svg(records))
     summary = an.entropy_summary(rollouts)
     k0 = cfg.eval.ks[0]
-    print(f"wrote {out / 'eval.csv'} and the entropy study (from {ckpt}; "
+    print(f"wrote {out / 'eval.csv'} and the entropy study (from {ckpt.name}; "
           f"pass@{k0} {report.aggregate_pass(k0):.3f}; "
           f"{summary['tokens']} tokens, median {summary['median']:.3f}, "
           f"mean {summary['mean']:.3f})")
@@ -308,7 +299,7 @@ def _pass1(tasks) -> str:
 def cmd_score(cfg: RunConfig, args) -> None:
     if not args.task_id or not args.candidate:
         raise _Usage("score requires --task-id and --candidate")
-    corpus = _load_corpus(cfg)
+    corpus = tg.load_corpus(_stage_input(cfg, "corpus.json"))
     task = next((t for t in corpus.tasks if t.id == args.task_id), None)
     if task is None:
         raise ConfigError(f"task-id: no task named {args.task_id!r}")
@@ -327,8 +318,8 @@ def cmd_score(cfg: RunConfig, args) -> None:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> None:
-    corpus = _load_corpus(cfg)
-    params = _load_sft(cfg)
+    corpus = tg.load_corpus(_stage_input(cfg, "corpus.json"))
+    params = pol.load_checkpoint(_stage_input(cfg, "sft.ckpt"))
     rows = an.ablation_grid(cfg.rl, params, corpus.train(), corpus.heldout(),
                             rhos=cfg.ablate.rhos, seeds=cfg.ablate.seeds,
                             n=cfg.eval.n)

@@ -10,12 +10,12 @@ Coverage rule for "exhaustive" vectors: combinational designs enumerate all
 2^b input vectors (b = total input bits, at most 10); sequential designs use
 a reset prefix followed by 8 full enumeration rounds of the non-clock,
 non-reset input bits (b at most 6). No vectors cover a wider design.
-``build_vectors`` follows the rule by construction and raises on a design
-it does not cover; it computes each input's lanes (below) directly, with
-no per-cycle rows. A task's vectors are always ``build_vectors(reference)``,
-so ``equivalence_fraction`` does not re-check it: its caller supplies the
-reference's packed outputs and a candidate that declares every reference
-port and no other output.
+``build_vectors`` is the rule: it follows it by construction, raises on a
+design it does not cover, and computes each input's lanes (below)
+directly, with no per-cycle rows. A task's vectors are always
+``build_vectors(reference)``, so ``equivalence_fraction`` does not re-check
+it: its caller supplies the reference's packed outputs and a candidate that
+declares every reference port and no other output.
 
 Lane packing: a signal's values over all cycles are one int, cycle c's
 value in bits [5c, 5c+4) (a "lane"), and bit 5c+4 is a guard bit that
@@ -56,9 +56,9 @@ cycle; only the benchmark and the tests call it.
 from __future__ import annotations
 
 from ..errors import DomainError
-from .ast import (LANE, LANE_MASK, Binary, Const, Expr, Index, Interface,
-                  ModuleAst, Stimulus, Ternary, Unary, Var, expr_width,
-                  lane_repunit, unpack_lanes)
+from .ast import (LANE, LANE_MASK, Binary, Const, Expr, Index, ModuleAst,
+                  Stimulus, Ternary, Unary, Var, expr_width, lane_repunit,
+                  unpack_lanes)
 
 SEQ_ROUNDS = 8
 SEQ_MAX_EXHAUSTIVE_BITS = 6
@@ -161,11 +161,6 @@ def simulate(ast: ModuleAst, stim: Stimulus) -> list[dict[str, int]]:
 
 # --- stimulus construction ---------------------------------------------------
 
-def _data_inputs(iface: Interface, sequential: bool) -> list:
-    skip = {CLOCK_NAME, RESET_NAME} if sequential else set()
-    return [p for p in iface.inputs() if p.name not in skip]
-
-
 def _enumeration(data: list, rows: int) -> dict[str, int]:
     """Each data port's lanes over the rows = 2^b cycles that enumerate its
     b bits, the first port's bits lowest: bit k of the enumeration is 0 in
@@ -191,7 +186,8 @@ def build_vectors(ast: ModuleAst) -> Stimulus:
     data bits for a sequential one."""
     iface = ast.interface
     sequential = ast.is_sequential()
-    data = _data_inputs(iface, sequential)
+    skip = (CLOCK_NAME, RESET_NAME) if sequential else ()
+    data = [p for p in iface.inputs() if p.name not in skip]
     bits = sum(p.width for p in data)
     kind, what, limit = (("sequential", "data", SEQ_MAX_EXHAUSTIVE_BITS)
                          if sequential else
@@ -217,23 +213,12 @@ def build_vectors(ast: ModuleAst) -> Stimulus:
 
 
 def is_exhaustive(vectors: Stimulus, reference: ModuleAst) -> bool:
-    """Check the stimulus against the coverage rule for the reference."""
-    iface = reference.interface
-    sequential = reference.is_sequential()
-    data = _data_inputs(iface, sequential)
-    bits = sum(p.width for p in data)
-    body = vectors.cycles[vectors.reset_prefix:]
-
-    def key(row):
-        return tuple(row.get(p.name, 0) for p in data)
-
-    if bits > (SEQ_MAX_EXHAUSTIVE_BITS if sequential else COMB_MAX_BITS):
+    """Whether the stimulus is ``build_vectors(reference)``; False for a
+    design the coverage rule does not cover."""
+    try:
+        return vectors == build_vectors(reference)
+    except DomainError:
         return False
-    counts: dict[tuple, int] = {}
-    for r in body:
-        counts[key(r)] = counts.get(key(r), 0) + 1
-    return len(counts) == (1 << bits) and (
-        not sequential or all(c >= SEQ_ROUNDS for c in counts.values()))
 
 
 # --- equivalence -------------------------------------------------------------

@@ -58,7 +58,7 @@ POSITION_BUCKET_SPAN = 4  # bucket = min(position // span, 7)
 _CANONICAL_CACHE_SIZE = 2048
 
 _CKPT_MAGIC = b"EARLCKPT1\n"
-_CKPT_HEADER_TYPES = {"vocab_hash": str, "V": int, "k": int,
+_CKPT_HEADER_TYPES = {"vocab_hash": str, "V": int, "k": int, "P": int,
                       "version_counter": int}
 
 
@@ -127,15 +127,11 @@ def init_params(vocab: Vocab, k: int, seed: int) -> PolicyParams:
 
 # --- featurization -----------------------------------------------------------
 
-def canonical_prompt(prompt, vocab: Vocab = DEFAULT_VOCAB) -> tuple[int, ...]:
-    """Left-pad the prompt body to PROMPT_MAX_LEN by inserting PAD after BOS.
-    Uncached: contexts reads it through the _prompt_head memo."""
-    return _canonical(tuple(prompt), vocab.id(BOS), vocab.id(PAD))
-
-
 def _canonical(prompt: tuple, bos: int, pad: int) -> tuple[int, ...]:
-    """canonical_prompt of a prompt tuple, given the vocabulary's BOS and
-    PAD ids, which are all it reads of the vocabulary."""
+    """The canonical prompt: a prompt tuple that starts with the BOS id and
+    is shorter than PROMPT_MAX_LEN gets PAD ids inserted after its BOS up
+    to that length; any other is left as it is. Uncached: contexts reads it
+    through the _prompt_head memo."""
     if len(prompt) >= PROMPT_MAX_LEN or not prompt or prompt[0] != bos:
         return prompt
     return (prompt[0],) + (pad,) * (PROMPT_MAX_LEN - len(prompt)) + prompt[1:]
@@ -629,6 +625,9 @@ def load_checkpoint(path) -> PolicyParams:
             if type(meta.get(key)) is not kind:
                 raise DomainError(f"checkpoint header: {key!r} is missing or "
                                   f"not {kind.__name__}")
+        if meta["P"] != POSITION_BUCKETS:
+            raise DomainError(f"checkpoint header: P {meta['P']} is not "
+                              f"{POSITION_BUCKETS}")
         if meta["vocab_hash"] != DEFAULT_VOCAB.hash:
             raise DomainError("checkpoint vocab hash does not match")
         V, k = meta["V"], meta["k"]

@@ -1,15 +1,18 @@
 """Shared fixtures: the default corpus, the pinned candidate set that the
 MiniRTL parser and simulator pins score, and the tiny SFT policy that the RL
 tests start from; the failure message of the float pins; and the per-cycle
-stimulus constructor of the simulator tests."""
+stimulus constructors and reference simulator of the simulator tests."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from earl import policy as pol
 from earl.errors import DomainError
-from earl.minirtl import DEFAULT_VOCAB, Stimulus, tokenize
-from earl.minirtl.ast import LANE, LANE_MASK
+from earl.minirtl import (DEFAULT_VOCAB, Binary, Index, Stimulus, Ternary,
+                          Unary, Var, tokenize)
+from earl.minirtl.ast import LANE, LANE_MASK, expr_width
 from earl.minirtl.vocab import IDENTIFIERS, MODULE_NAMES
 from earl.seeds import rng_for
 from earl.taskgen import CorpusConfig, build_corpus
@@ -76,6 +79,78 @@ def stimulus_from_rows(rows, reset_prefix=0):
                     f"in [0, {LANE_MASK + 1})")
             packed[name] = packed.get(name, 0) | value << shift
     return Stimulus(packed, len(rows), reset_prefix)
+
+
+def every_input_stimulus(ast):
+    """The Stimulus driving one combination of the module's input values
+    per cycle, every combination once, in itertools.product order over its
+    inputs in port order."""
+    inputs = ast.interface.inputs()
+    return stimulus_from_rows(tuple(
+        {p.name: v for p, v in zip(inputs, values)} for values in
+        itertools.product(*[range(1 << p.width) for p in inputs])), 0)
+
+
+# --- per-cycle reference simulator -------------------------------------------
+# MiniRTL's cycle semantics one cycle at a time, one int per signal, written
+# without earl.minirtl.sim: the tests and acceptance criterion 6 hold the
+# lane-packed simulator and the equivalence check to it.
+
+def _evaluate(e, values, widths):
+    """e by direct recursion: '~' masked to its operand's width, only the
+    taken '?:' arm evaluated."""
+    t = type(e)
+    if t is Var:
+        return values[e.name]
+    if t is Index:
+        return values[e.name] >> e.bit & 1
+    if t is Unary:
+        return (~_evaluate(e.operand, values, widths)
+                & (1 << expr_width(e.operand, widths)) - 1)
+    if t is Ternary:
+        return _evaluate(e.then if _evaluate(e.cond, values, widths)
+                         else e.other, values, widths)
+    if t is Binary:
+        a = _evaluate(e.left, values, widths)
+        b = _evaluate(e.right, values, widths)
+        return (a & b if e.op == "&" else a | b if e.op == "|"
+                else a ^ b if e.op == "^" else int(a == b))
+    return e.value
+
+
+def reference_simulate(ast, stim):
+    """One {output: value} row per cycle of stim. Each cycle reads the
+    inputs (0 where stim leaves one out) and the register state, settles
+    the assigns in an order found here from what each reads, not the order
+    parse stored them in, and samples the outputs; then, from the end of
+    the reset prefix on, each register takes 0 where its reset holds and
+    its next value, masked to its width, elsewhere. Registers start at 0."""
+    widths = ast.widths
+    reads = {a.target: set() for a in ast.assigns}
+    for a in ast.assigns:
+        expr_width(a.expr, widths, reads[a.target])
+    order = []
+    while len(order) < len(ast.assigns):
+        done = {a.target for a in order}
+        ready = [a for a in ast.assigns if a.target not in done
+                 and reads[a.target] & reads.keys() <= done]
+        assert ready, "combinational cycle"
+        order += ready
+    inputs = [p.name for p in ast.interface.inputs()]
+    state = {r.target: 0 for r in ast.registers}
+    rows = []
+    for cycle, row in enumerate(stim.cycles):
+        values = {name: row.get(name, 0) for name in inputs} | state
+        for a in order:
+            values[a.target] = _evaluate(a.expr, values, widths)
+        rows.append({p.name: values[p.name]
+                     for p in ast.interface.output_ports})
+        if cycle >= stim.reset_prefix:
+            state = {r.target: 0 if r.reset is not None
+                     and _evaluate(r.reset, values, widths)
+                     else _evaluate(r.next_expr, values, widths)
+                     & (1 << widths[r.target]) - 1 for r in ast.registers}
+    return rows
 
 
 @pytest.fixture(scope="session")

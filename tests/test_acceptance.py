@@ -5,21 +5,20 @@ Each test prints "[criterion N] PASS: ..." on success; tolerances are
 stated inline next to each assertion.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from conftest import dense_dW, stimulus_from_rows
+from conftest import dense_dW, every_input_stimulus, reference_simulate
 from earl import analysis as an
 from earl import policy as pol
 from earl import reward as rew
 from earl import rlcore as rl
 from earl import taskgen as tg
 from earl.minirtl import (Vocab, build_vectors, equivalence_fraction,
-                          parse, simulate, simulate_packed, tokenize)
+                          parse, simulate_packed, tokenize)
 from earl.minirtl.vocab import DEFAULT_VOCAB
 from earl.seeds import mix, rng_for
 
@@ -225,18 +224,12 @@ def test_criterion_5_reward_cascade():
 # --- 6. equivalence oracle ----------------------------------------------------
 
 def _truth_table(ast):
-    iface = ast.interface
-    inputs, outputs = iface.inputs(), iface.output_ports
-    combos = list(itertools.product(*[range(2 ** p.width) for p in inputs]))
-    stim = stimulus_from_rows(tuple(
-        {p.name: v for p, v in zip(inputs, bits)} for bits in combos), 0)
-    trace = simulate(ast, stim)
-    width = {p.name: p.width for p in outputs}
+    """The output bits over every input combination, from the tests'
+    per-cycle reference simulator, which does not call earl.minirtl.sim."""
     bits = []
-    for cyc in trace:
-        for p in outputs:
-            for b in range(width[p.name]):
-                bits.append((cyc[p.name] >> b) & 1)
+    for cyc in reference_simulate(ast, every_input_stimulus(ast)):
+        for p in ast.interface.output_ports:
+            bits += [(cyc[p.name] >> b) & 1 for b in range(p.width)]
     return bits
 
 

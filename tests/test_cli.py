@@ -435,9 +435,12 @@ def _edited_header(**changes):
     _edited_header(V=-1),
     _edited_header(k=1),
     _edited_header(k=10 ** 12),
+    _edited_header(P=9),
+    _edited_header(P="8"),
 ], ids=["garbage", "truncated", "magic-only", "header-not-json",
         "header-missing-key", "header-wrong-type", "header-negative-v",
-        "payload-too-long", "payload-past-the-file"])
+        "payload-too-long", "payload-past-the-file", "header-other-p",
+        "header-p-not-int"])
 def test_corrupt_checkpoint_is_validation_error(tmp_path, capsys, corrupt):
     path, _ = mini_config(tmp_path)
     for sub in ("gen-data", "sft"):

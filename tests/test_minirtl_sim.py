@@ -1,25 +1,25 @@
 """Simulator and equivalence oracle: hand-derived traces, coverage rule,
-agreement with an independent brute-force truth-table oracle, and agreement
-of the lane-packed simulator with a per-cycle scalar reference simulator."""
+and agreement of the lane-packed simulator and the equivalence check with
+the per-cycle reference simulator of conftest, on truth tables, the corpus,
+the pinned candidates and generated designs."""
 
 import dataclasses
 import hashlib
-import itertools
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stimulus_from_rows
+from conftest import every_input_stimulus, reference_simulate, \
+    stimulus_from_rows
 from earl.errors import DomainError
 from earl.minirtl import (Assign, Binary, Const, Decl, Index, Interface,
                           ModuleAst, PortDecl, Register, Stimulus, Ternary,
                           Unary, Var, build_vectors, equivalence_fraction,
                           is_exhaustive, parse, simulate, simulate_packed,
                           tokenize)
-from earl.minirtl.ast import LANE, SemanticError, expr_width
+from earl.minirtl.ast import LANE, SemanticError
 from earl.minirtl.sim import lane_repunit
 
 AND2 = ("module and2 ( input a , input b , output y ) ; "
@@ -80,15 +80,17 @@ def test_reset_prefix_forces_zero():
 def test_not_masks_to_its_operand_width_on_buses():
     text = ("module u00 ( input [ 3 : 0 ] a , input [ 3 : 0 ] b , "
             "output [ 3 : 0 ] y , output [ 3 : 0 ] z , output q , "
-            "output t0 ) ; assign y = ~ a ; assign z = ~ ( a ^ ~ b ) ; "
-            "assign q = ~ a == b ; assign t0 = ~ a [ 2 ] ; endmodule")
+            "output t0 , output t1 ) ; assign y = ~ a ; "
+            "assign z = ~ ( a ^ ~ b ) ; assign q = ~ a == b ; "
+            "assign t0 = ~ a [ 2 ] ; assign t1 = a [ 1 ] ; endmodule")
     pairs = [(a, b) for a in range(16) for b in range(16)]
-    trace = simulate(parse_text(text),
-                     stimulus_from_rows(tuple({"a": a, "b": b}
-                                              for a, b in pairs), 0))
-    assert trace == [{"y": ~a & 15, "z": ~(a ^ (~b & 15)) & 15,
-                      "q": int((~a & 15) == b), "t0": ~(a >> 2 & 1) & 1}
-                     for a, b in pairs]
+    ast = parse_text(text)
+    stim = stimulus_from_rows(tuple({"a": a, "b": b} for a, b in pairs), 0)
+    want = [{"y": ~a & 15, "z": ~(a ^ (~b & 15)) & 15,
+             "q": int((~a & 15) == b), "t0": ~(a >> 2 & 1) & 1,
+             "t1": a >> 1 & 1} for a, b in pairs]
+    assert simulate(ast, stim) == want
+    assert reference_simulate(ast, stim) == want
 
 
 def test_not_in_an_untaken_arm_masks_when_the_arm_is_taken():
@@ -110,12 +112,15 @@ def test_not_in_register_next_state_and_reset():
             "always @ ( posedge clk ) begin if ( ~ rst ) t0 <= 0 ; "
             "else t0 <= ~ t0 ; end endmodule")
     rows = [(1, 0), (1, 1), (0, 2), (1, 3), (1, 3), (1, 0), (0, 1)]
-    trace = simulate(parse_text(text), stimulus_from_rows(tuple(
-        {"clk": 0, "rst": r, "a": a} for r, a in rows), 1))
-    # cycle 0 is the reset prefix; from then on q holds ~a of the cycle
-    # before, and t0 toggles while rst is high and clears while it is low
-    assert [c["q"] for c in trace] == [0, 0, 2, 1, 0, 0, 3]
-    assert [c["t0"] for c in trace] == [0, 0, 1, 0, 1, 0, 1]
+    ast = parse_text(text)
+    stim = stimulus_from_rows(tuple(
+        {"clk": 0, "rst": r, "a": a} for r, a in rows), 1)
+    # cycle 0 is the reset prefix; from then on q holds the 2-bit ~a of
+    # the cycle before, and t0 toggles while rst is high and clears while
+    # it is low
+    for trace in (simulate(ast, stim), reference_simulate(ast, stim)):
+        assert [c["q"] for c in trace] == [0, 0, 2, 1, 0, 0, 3]
+        assert [c["t0"] for c in trace] == [0, 0, 1, 0, 1, 0, 1]
 
 
 def test_simulate_is_deterministic():
@@ -167,7 +172,7 @@ def test_seq_vectors_are_pseudorandom_above_six_data_bits():
     # build_vectors makes none for 8 data bits, but a caller's seeded
     # pseudorandom rows (a reset prefix, then 256 draws that repeat some
     # combinations and miss others) fail the coverage rule and still
-    # simulate the same in the packed and the scalar simulator
+    # simulate the same in the packed and the reference simulator
     ast = parse_text(SEQ_8_DATA_BITS)
     rng = np.random.default_rng(0)
     body = [{"clk": 0, "rst": 0, "a": int(a), "b": int(b)}
@@ -176,7 +181,7 @@ def test_seq_vectors_are_pseudorandom_above_six_data_bits():
     stim = stimulus_from_rows(
         tuple([{"clk": 0, "rst": 1, "a": 0, "b": 0}] * 2 + body), 2)
     assert not is_exhaustive(stim, ast)
-    rows = scalar_simulate(ast, stim)
+    rows = reference_simulate(ast, stim)
     assert all(row["q"] == 0 for row in rows[:3])
     assert len({row["q"] for row in rows}) == 2
     assert assert_agrees(ast, ast, stim) == (1.0, True)
@@ -197,51 +202,7 @@ def test_xor_vs_or_is_three_quarters():
     assert m == 0.75 and not eq
 
 
-# --- independent truth-table oracle ------------------------------------------
-
-def _eval_expr(expr, env):
-    """Brute-force expression evaluator, independent of sim internals."""
-    from earl.minirtl import Binary, Const, Index, Ternary, Unary, Var
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Unary):
-        return ~_eval_expr(expr.operand, env) & 1
-    if isinstance(expr, Index):
-        return (env[expr.signal] >> expr.bit) & 1
-    if isinstance(expr, Ternary):
-        return (_eval_expr(expr.then, env) if _eval_expr(expr.cond, env)
-                else _eval_expr(expr.other, env))
-    assert isinstance(expr, Binary)
-    a, b = _eval_expr(expr.left, env), _eval_expr(expr.right, env)
-    return {"&": a & b, "|": a | b, "^": a ^ b,
-            "==": int(a == b)}[expr.op]
-
-
-def brute_force_table(ast):
-    """Output table over all input combinations via direct evaluation."""
-    iface = ast.interface
-    inputs = iface.inputs()
-    rows = []
-    widths = ast.widths
-    for bits in itertools.product(*[range(2 ** p.width) for p in inputs]):
-        env = {p.name: v for p, v in zip(inputs, bits)}
-        remaining = list(ast.assigns)
-        while remaining:
-            progressed = False
-            for a in list(remaining):
-                try:
-                    env[a.target] = _eval_expr(a.expr, env) \
-                        & ((1 << widths[a.target]) - 1)
-                except KeyError:
-                    continue
-                remaining.remove(a)
-                progressed = True
-            assert progressed, "cycle in test oracle"
-        rows.append(tuple(env[p.name] for p in iface.output_ports))
-    return rows
-
+# --- truth tables ------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31 - 1),
@@ -249,17 +210,9 @@ def brute_force_table(ast):
 def test_sim_agrees_with_truth_table_oracle(seed, difficulty):
     from earl.taskgen import generate_task
     task = generate_task(seed, "combinational", difficulty, task_id="t")
-    ast = task.reference
-    table = brute_force_table(ast)
-    iface = ast.interface
-    inputs, outputs = iface.inputs(), iface.output_ports
-    combos = list(itertools.product(
-        *[range(2 ** p.width) for p in inputs]))
-    stim = stimulus_from_rows(tuple(
-        {p.name: v for p, v in zip(inputs, bits)} for bits in combos), 0)
-    trace = simulate(ast, stim)
-    got = [tuple(c[p.name] for p in outputs) for c in trace]
-    assert got == table
+    stim = every_input_stimulus(task.reference)
+    assert simulate(task.reference, stim) == \
+        reference_simulate(task.reference, stim)
 
 
 # --- pinned traces -----------------------------------------------------------
@@ -280,68 +233,12 @@ def test_traces_are_pinned(default_corpus, pinned_candidates):
                       "8873c569596bf13fbcf98d04e9084522")
 
 
-# --- per-cycle scalar reference simulator ------------------------------------
-# The simulator before lane packing: one cycle at a time, one int per signal
-# value, the taken ternary arm only. The lane-packed simulator must give the
-# same rows and the same equivalence counts.
+# --- agreement with the reference simulator ---------------------------------
+# The lane-packed simulator must give the reference simulator's rows and
+# equivalence counts.
 
-_SCALAR = {
-    "&": lambda a, b: lambda v: a(v) & b(v),
-    "|": lambda a, b: lambda v: a(v) | b(v),
-    "^": lambda a, b: lambda v: a(v) ^ b(v),
-    "==": lambda a, b: lambda v: 1 if a(v) == b(v) else 0,
-    "~": lambda a, mask: lambda v: ~a(v) & mask,
-    "?:": lambda c, a, b: lambda v: a(v) if c(v) else b(v),
-    "[]": lambda name, bit: lambda v: (v[name] >> bit) & 1,
-    "const": lambda value: lambda v: value,
-}
-
-
-def _scalar_compile(e, widths):
-    if isinstance(e, Var):
-        return itemgetter(e.name)
-    if isinstance(e, Binary):
-        return _SCALAR[e.op](_scalar_compile(e.left, widths),
-                             _scalar_compile(e.right, widths))
-    if isinstance(e, Unary):
-        return _SCALAR["~"](_scalar_compile(e.operand, widths),
-                            (1 << expr_width(e.operand, widths)) - 1)
-    if isinstance(e, Ternary):
-        return _SCALAR["?:"](_scalar_compile(e.cond, widths),
-                             _scalar_compile(e.then, widths),
-                             _scalar_compile(e.other, widths))
-    if isinstance(e, Index):
-        return _SCALAR["[]"](e.name, e.bit)
-    assert isinstance(e, Const)
-    return _SCALAR["const"](e.value)
-
-
-def scalar_simulate(ast, stim):
-    widths = ast.widths
-    assigns = [(a.target, _scalar_compile(a.expr, widths))
-               for a in ast.assigns]
-    registers = [(r.target, _scalar_compile(r.next_expr, widths),
-                  None if r.reset is None
-                  else _scalar_compile(r.reset, widths),
-                  (1 << widths[r.target]) - 1) for r in ast.registers]
-    outputs = [p.name for p in ast.interface.output_ports]
-    undriven = {p.name: 0 for p in ast.interface.inputs()}
-    state = {r.target: 0 for r in ast.registers}
-    trace = []
-    for cyc, inputs in enumerate(stim.cycles):
-        values = {**undriven, **inputs, **state}
-        for target, f in assigns:
-            values[target] = f(values)
-        trace.append({name: values[name] for name in outputs})
-        if cyc >= stim.reset_prefix:
-            state = {target: 0 if reset is not None and reset(values)
-                     else nxt(values) & mask
-                     for target, nxt, reset, mask in registers}
-    return trace
-
-
-def scalar_equivalence(candidate, vectors, expected_rows):
-    trace = scalar_simulate(candidate, vectors)
+def reference_equivalence(candidate, vectors, expected_rows):
+    trace = reference_simulate(candidate, vectors)
     widths = {p.name: p.width for p in candidate.interface.output_ports}
     total = len(trace) * sum(widths.values())
     mismatched = sum((erow[name] ^ crow[name]).bit_count()
@@ -352,13 +249,13 @@ def scalar_equivalence(candidate, vectors, expected_rows):
 
 def assert_agrees(candidate, reference, stim):
     """simulate's rows and equivalence_fraction against the reference equal
-    the scalar simulator's."""
-    rows = scalar_simulate(candidate, stim)
+    the reference simulator's."""
+    rows = reference_simulate(candidate, stim)
     assert simulate(candidate, stim) == rows
     got = equivalence_fraction(candidate, stim,
                                simulate_packed(reference, stim))
-    assert got == scalar_equivalence(candidate, stim,
-                                     scalar_simulate(reference, stim))
+    assert got == reference_equivalence(candidate, stim,
+                                        reference_simulate(reference, stim))
     return got
 
 
@@ -366,7 +263,7 @@ def test_packed_agrees_with_scalar_on_corpus_and_pinned_candidates(
         default_corpus, pinned_candidates):
     from earl import reward as rew
     for task in default_corpus.tasks:
-        rows = scalar_simulate(task.reference, task.vectors)
+        rows = reference_simulate(task.reference, task.vectors)
         assert simulate(task.reference, task.vectors) == rows
         assert task.expected == simulate_packed(task.reference, task.vectors)
         assert equivalence_fraction(task.reference, task.vectors,
@@ -376,11 +273,11 @@ def test_packed_agrees_with_scalar_on_corpus_and_pinned_candidates(
         if rew.score(tokens, task).stage_reached != rew.STAGE_FUNCTIONAL:
             continue
         ast = parse(tokens)
-        rows = scalar_simulate(ast, task.vectors)
+        rows = reference_simulate(ast, task.vectors)
         assert simulate(ast, task.vectors) == rows
         assert equivalence_fraction(ast, task.vectors, task.expected) == \
-            scalar_equivalence(ast, task.vectors,
-                               scalar_simulate(task.reference, task.vectors))
+            reference_equivalence(ast, task.vectors, reference_simulate(
+                task.reference, task.vectors))
         functional += 1
     assert functional == 1164
 
@@ -423,7 +320,7 @@ def test_packed_agrees_with_scalar_on_a_register_with_reset():
     ast = parse_text(text)
     stim = build_vectors(ast)
     assert stim.reset_prefix == 2 and len(stim.cycles) == 2 + 8 * 8
-    rows = scalar_simulate(ast, stim)
+    rows = reference_simulate(ast, stim)
     assert [len({r[n] for r in rows}) for n in ("q", "t0", "e")] == [4, 2, 2]
     assert assert_agrees(ast, ast, stim) == (1.0, True)
     other = parse_text(text.replace("q ^ a", "q | a"))
@@ -445,6 +342,10 @@ def test_packed_agrees_with_scalar_on_1024_cycles():
     packed = simulate_packed(ast, stim)
     assert packed["y"].bit_length() > 64 * 70  # many machine words
     assert assert_agrees(ast, ast, stim) == (1.0, True)
+    # the reference settles the chain t0 -> y -> z -> e itself, so the
+    # assigns stored in reverse give the same rows
+    backwards = dataclasses.replace(ast, assigns=ast.assigns[::-1])
+    assert reference_simulate(backwards, stim) == simulate(ast, stim)
     other = parse_text(text.replace("a ^ b", "a | b"))
     m, eq = assert_agrees(other, ast, stim)
     assert 0.0 < m < 1.0 and not eq
@@ -464,7 +365,7 @@ def test_packed_agrees_with_scalar_when_state_changes_every_cycle():
     ast = parse_text(text)
     stim = build_vectors(ast)
     assert is_exhaustive(stim, ast) and len(stim.cycles) == 2 + 8 * 64
-    rows = scalar_simulate(ast, stim)
+    rows = reference_simulate(ast, stim)
     assert all(rows[c]["t0"] != rows[c + 1]["t0"]
                for c in range(stim.reset_prefix, len(rows) - 1))
     assert assert_agrees(ast, ast, stim) == (1.0, True)
@@ -537,7 +438,7 @@ def test_packed_agrees_with_scalar_on_generated_designs(ast, seed, prefix):
                     for n, k in _INPUTS.items() if rng.random() < 0.9}
                    for _ in range(64))
     stim = stimulus_from_rows(cycles, prefix)
-    rows = scalar_simulate(ast, stim)
+    rows = reference_simulate(ast, stim)
     assert simulate(ast, stim) == rows
     assert equivalence_fraction(ast, stim, simulate_packed(ast, stim)) == \
         (1.0, True)
@@ -596,7 +497,7 @@ def test_designs_with_and_without_registers_agree_with_the_scalar_simulator(
     stim = build_vectors(ast)
     assert simulate_packed(ast, stim) == {
         p.name: sum(row[p.name] << LANE * c for c, row in
-                    enumerate(scalar_simulate(ast, stim)))
+                    enumerate(reference_simulate(ast, stim)))
         for p in ast.interface.output_ports}
 
 

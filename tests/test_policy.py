@@ -40,7 +40,7 @@ def small_params(k=2, seed=0, scale=0.0):
 
 def first_distribution(p, temperature=1.0):
     """Next-token distribution at response position 0 after a prompt of k
-    non-BOS tokens, which canonical_prompt leaves unpadded."""
+    non-BOS tokens, which the canonical prompt rule leaves unpadded."""
     prompt = (DEFAULT_VOCAB.id("a"),) * p.k
     _, probs = pol.response_distributions(p, prompt, (0,), temperature)
     return probs[0]
@@ -419,7 +419,7 @@ def _loop_rows(p, prompt, response):
     """The feature rows of one pair, token by token: the oracle of
     context_rows."""
     k, pad = p.k, DEFAULT_VOCAB.id("PAD")
-    canon = pol.canonical_prompt(prompt)
+    canon = pol._canonical(prompt, DEFAULT_VOCAB.id("BOS"), pad)
     seq = [pad] * k + list(canon) + list(response)
     start = k + len(canon)  # index of the first response token
     return np.array([[seq[start + t - 1 - j] + j * V for j in range(k)]
@@ -469,8 +469,8 @@ def _chained_contexts(p, pairs):
     """The token array, context indices and positions of contexts built
     token by token: every sequence's PADs, canonical prompt and response
     through one np.fromiter. The oracle of contexts' layout."""
-    pad = DEFAULT_VOCAB.id("PAD")
-    seqs = [(pol.canonical_prompt(prompt), tuple(response))
+    bos, pad = DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("PAD")
+    seqs = [(pol._canonical(prompt, bos, pad), tuple(response))
             for prompt, response in pairs]
     tokens = np.fromiter((t for c, r in seqs
                           for t in (pad,) * (p.k - len(c)) + c + r),
@@ -629,8 +629,9 @@ def test_sft_examples_are_flat_token_contexts_of_task_rows():
     responses = [tokenize(t.reference_text) + [eos] for t in tasks]
     want = np.concatenate([pol.feature_rows(p, t.prompt_tokens, r)
                            for t, r in zip(tasks, responses)])
+    bos, pad = DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("PAD")
     assert ctx.tokens.dtype == np.int32 and ctx.tokens.size == sum(
-        max(48, len(pol.canonical_prompt(t.prompt_tokens))) + len(r)
+        max(48, len(pol._canonical(t.prompt_tokens, bos, pad))) + len(r)
         for t, r in zip(tasks, responses))
     assert targets.tolist() == [t for r in responses for t in r]
     sel = rng_for("sft-order", 0, 0).permutation(len(targets))[:512]
@@ -734,7 +735,7 @@ def test_checkpoint_header_claiming_more_than_the_file_holds(tmp_path):
 def test_prompt_canonicalization_stable_offsets():
     bos = DEFAULT_VOCAB.id("BOS")
     short = (bos, 5, 6)
-    canon = pol.canonical_prompt(short)
+    canon = pol._canonical(short, bos, DEFAULT_VOCAB.id("PAD"))
     assert len(canon) == PROMPT_MAX_LEN
     assert canon[0] == bos and canon[-2:] == (5, 6)
 
@@ -757,10 +758,12 @@ def test_canonical_prompts_are_memoized_per_bos_and_pad():
         bos = vocab.id("BOS")
         for prompt in [(bos, 5, 6), [bos, 7], (bos,), (), (5, bos),
                        (bos,) + (9,) * (PROMPT_MAX_LEN - 1)]:
-            assert pol.canonical_prompt(prompt, vocab) == rule(prompt, vocab)
-    assert (pol.canonical_prompt((other.id("BOS"), 5), other)
-            != pol.canonical_prompt((other.id("BOS"), 5)))
+            assert pol._canonical(tuple(prompt), bos, vocab.id("PAD")) \
+                == rule(prompt, vocab)
     bos, pad = DEFAULT_VOCAB.id("BOS"), DEFAULT_VOCAB.id("PAD")
+    obos = other.id("BOS")
+    assert (pol._canonical((obos, 5), obos, other.id("PAD"))
+            != pol._canonical((obos, 5), bos, pad))
     heads = [pol._prompt_head((v.id("BOS"), 5), v.id("BOS"), v.id("PAD"), 3)
              for v in (DEFAULT_VOCAB, other)]
     assert heads[0].tolist() != heads[1].tolist()
